@@ -1,9 +1,12 @@
-//! Public-API snapshot guard for the driver surface.
+//! Public-API snapshot guard for the driver surface and for the core
+//! session surface underneath it.
 //!
-//! The test scrapes every public item declaration out of `src/driver.rs`
-//! and compares the normalized list against the committed snapshot in
-//! `tests/snapshots/driver_api.txt`. A future PR that renames, removes
-//! or re-types a public driver item fails here and must consciously
+//! The tests scrape every public item declaration out of `src/driver.rs`
+//! (snapshot `tests/snapshots/driver_api.txt`) and out of
+//! `crates/core/src/{session,engine,exec}.rs` (snapshot
+//! `tests/snapshots/core_session_api.txt`) and compare the normalized
+//! lists against the committed snapshots. A future PR that renames,
+//! removes or re-types a public item fails here and must consciously
 //! update the snapshot (regenerate with
 //! `UPDATE_API_SNAPSHOT=1 cargo test --test public_api`).
 
@@ -49,20 +52,26 @@ fn public_items(source: &str) -> Vec<String> {
     items
 }
 
-#[test]
-fn driver_public_api_matches_snapshot() {
+/// Scrape `sources` (repo-relative) and compare against `snapshot`.
+fn check_snapshot(title: &str, sources: &[&str], snapshot: &str) {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let source = std::fs::read_to_string(root.join("src/driver.rs")).expect("read src/driver.rs");
+    let mut items = Vec::new();
+    for rel in sources {
+        let source =
+            std::fs::read_to_string(root.join(rel)).unwrap_or_else(|_| panic!("read {rel}"));
+        items.extend(public_items(&source));
+    }
+    items.sort();
     let mut generated = String::new();
     writeln!(
         generated,
-        "# Public items of sciql_repro::driver (generated — see tests/public_api.rs)"
+        "# Public items of {title} (generated — see tests/public_api.rs)"
     )
     .unwrap();
-    for item in public_items(&source) {
+    for item in items {
         writeln!(generated, "{item}").unwrap();
     }
-    let snap_path = root.join("tests/snapshots/driver_api.txt");
+    let snap_path = root.join("tests/snapshots").join(snapshot);
     if std::env::var_os("UPDATE_API_SNAPSHOT").is_some() {
         std::fs::create_dir_all(snap_path.parent().unwrap()).unwrap();
         std::fs::write(&snap_path, &generated).unwrap();
@@ -76,8 +85,28 @@ fn driver_public_api_matches_snapshot() {
     });
     assert_eq!(
         committed, generated,
-        "the public driver API changed; if intentional, regenerate the snapshot with \
+        "the public API of {title} changed; if intentional, regenerate the snapshot with \
          UPDATE_API_SNAPSHOT=1 cargo test --test public_api"
+    );
+}
+
+#[test]
+fn driver_public_api_matches_snapshot() {
+    check_snapshot("sciql_repro::driver", &["src/driver.rs"], "driver_api.txt");
+}
+
+/// The statement entry points underneath the driver: `Connection`,
+/// `SharedEngine` / `EngineSession` and the shared executor.
+#[test]
+fn core_session_api_matches_snapshot() {
+    check_snapshot(
+        "sciql::{session, engine, exec}",
+        &[
+            "crates/core/src/session.rs",
+            "crates/core/src/engine.rs",
+            "crates/core/src/exec.rs",
+        ],
+        "core_session_api.txt",
     );
 }
 
