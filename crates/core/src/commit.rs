@@ -89,6 +89,19 @@ impl GroupCommitter {
         gc
     }
 
+    /// A committer without an fsync thread whose queue is full: one
+    /// writer is parked and nothing will ever release it.
+    #[cfg(test)]
+    pub(crate) fn saturated() -> Arc<GroupCommitter> {
+        Arc::new(GroupCommitter {
+            state: Mutex::new(GcState::default()),
+            cv: Condvar::new(),
+            max_queued: 1,
+            depth: AtomicUsize::new(1),
+            thread: Mutex::new(None),
+        })
+    }
+
     fn lock(&self) -> MutexGuard<'_, GcState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }

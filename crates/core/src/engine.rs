@@ -18,11 +18,13 @@
 //!   keep their image while the writer installs new column versions.
 //!
 //! Per-session state (statement counters, [`LastExec`] stats, prepared
-//! statement texts) lives in [`EngineSession`]; everything shared lives
-//! in the engine.
+//! statements with their compiled-plan caches, the tracing flag) lives
+//! in [`EngineSession`]; everything shared lives in the engine. Every
+//! statement a session executes enters through the session runner in
+//! [`crate::exec`], the same one the embedded connection uses.
 
 use crate::commit::GroupCommitter;
-use crate::exec::{self, Prepared, PreparedSet};
+use crate::exec::{self, DbView, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::session::{Connection, LastExec, QueryResult, SessionConfig};
 use crate::storage::{ArrayStore, TableStore};
@@ -30,10 +32,11 @@ use crate::sysview::{SessionRow, SysData};
 use crate::Result;
 use gdk::Value;
 use mal::Registry;
-use sciql_algebra::{rewrite, Binder, CodegenOptions};
+use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
-use sciql_obs::{SpanId, Trace, Tracer};
-use sciql_parser::ast::{SelectStmt, Stmt};
+use sciql_obs::Trace;
+use sciql_parser::ast::Stmt;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,8 +57,6 @@ pub struct EngineSnapshot {
     /// sessions) — captured with the snapshot so a system-view scan is
     /// as consistent as any other read.
     sys: SysData,
-    /// The connection's slow-query threshold at snapshot time.
-    slow_query_ns: u64,
 }
 
 impl EngineSnapshot {
@@ -67,76 +68,21 @@ impl EngineSnapshot {
             opt_config: conn.opt_config,
             codegen: conn.codegen,
             sys: conn.sys_data(),
-            slow_query_ns: conn.slow_query_ns(),
         }
     }
 
-    /// Run a SELECT against this image through the full Fig-2 pipeline.
-    /// No engine lock is held; concurrent snapshots execute in parallel.
-    pub fn run_select(
-        &self,
-        sel: &SelectStmt,
-        registry: &Registry,
-    ) -> Result<(ResultSet, LastExec)> {
-        self.run_select_traced(sel, registry, &mut Tracer::off())
-    }
-
-    pub(crate) fn run_select_traced(
-        &self,
-        sel: &SelectStmt,
-        registry: &Registry,
-        tracer: &mut Tracer,
-    ) -> Result<(ResultSet, LastExec)> {
-        let binder = Binder::new(&self.catalog);
-        let sp = tracer.open(SpanId::ROOT, "bind");
-        let bound = binder.bind_select(sel);
-        tracer.close(sp);
-        let sp = tracer.open(SpanId::ROOT, "rewrite");
-        let plan = rewrite(bound?);
-        tracer.close(sp);
-        exec::execute_plan(
-            &plan,
+    /// Read access to this image, for the executor. No engine lock is
+    /// held; concurrent snapshots execute in parallel.
+    pub(crate) fn view<'a>(&'a self, registry: &'a Registry) -> DbView<'a> {
+        DbView {
             registry,
-            self.opt_config,
-            &self.codegen,
-            &self.catalog,
-            &self.arrays,
-            &self.tables,
-            &self.sys,
-            tracer,
-        )
-    }
-
-    /// Run a prepared SELECT with bound parameters against this image,
-    /// reusing (or filling) the statement's compiled-plan cache.
-    pub fn run_prepared(
-        &self,
-        prep: &mut Prepared,
-        params: &[Value],
-        registry: &Registry,
-    ) -> Result<(ResultSet, LastExec)> {
-        self.run_prepared_traced(prep, params, registry, &mut Tracer::off())
-    }
-
-    pub(crate) fn run_prepared_traced(
-        &self,
-        prep: &mut Prepared,
-        params: &[Value],
-        registry: &Registry,
-        tracer: &mut Tracer,
-    ) -> Result<(ResultSet, LastExec)> {
-        exec::execute_prepared_select(
-            prep,
-            params,
-            registry,
-            self.opt_config,
-            &self.codegen,
-            &self.catalog,
-            &self.arrays,
-            &self.tables,
-            &self.sys,
-            tracer,
-        )
+            opt_config: self.opt_config,
+            codegen: &self.codegen,
+            catalog: &self.catalog,
+            arrays: &self.arrays,
+            tables: &self.tables,
+            sys: Cow::Borrowed(&self.sys),
+        }
     }
 
     /// The catalog as of this snapshot.
@@ -186,20 +132,20 @@ pub struct EngineStats {
 }
 
 #[derive(Debug, Default)]
-struct AtomicStats {
+pub(crate) struct AtomicStats {
     sessions_opened: AtomicU64,
-    statements: AtomicU64,
-    snapshot_reads: AtomicU64,
-    rows_returned: AtomicU64,
+    pub(crate) statements: AtomicU64,
+    pub(crate) snapshot_reads: AtomicU64,
+    pub(crate) rows_returned: AtomicU64,
 }
 
 /// Live-session registry entry: the row a session contributes to the
 /// `sys.sessions` view while it is open.
 #[derive(Debug)]
-struct SessionInfo {
+pub(crate) struct SessionInfo {
     id: u64,
     peer: Mutex<String>,
-    queries: AtomicU64,
+    pub(crate) queries: AtomicU64,
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
     started: Instant,
@@ -230,15 +176,15 @@ pub struct SharedEngine {
     conn: Mutex<Connection>,
     /// Immutable primitive registry shared by every snapshot reader (the
     /// per-connection registry stays private to the write path).
-    registry: Registry,
-    stats: AtomicStats,
+    pub(crate) registry: Registry,
+    pub(crate) stats: AtomicStats,
     next_session: AtomicU64,
     /// Open sessions, in creation order (the `sys.sessions` view).
     sessions: Mutex<Vec<Arc<SessionInfo>>>,
     /// Group-commit coordinator, spawned lazily by
     /// [`SharedEngine::enable_group_commit`] (the network server turns
     /// it on; embedded use keeps per-statement fsync).
-    group: OnceLock<Arc<GroupCommitter>>,
+    pub(crate) group: OnceLock<Arc<GroupCommitter>>,
 }
 
 impl SharedEngine {
@@ -406,16 +352,12 @@ impl SharedEngine {
         self.sessions_lock().push(Arc::clone(&info));
         EngineSession {
             engine: Arc::clone(self),
-            id,
             info,
-            last: LastExec::default(),
-            prepared: PreparedSet::default(),
-            statements: 0,
-            rows_returned: 0,
-            errors: 0,
-            trace_enabled: false,
-            last_trace: None,
-            commit_token: None,
+            state: SessionState {
+                id,
+                slow_query_ns: self.lock().slow_query_ns(),
+                ..SessionState::default()
+            },
         }
     }
 
@@ -534,32 +476,19 @@ pub struct SessionStats {
 }
 
 /// One client's view of a [`SharedEngine`]: session-scoped statistics and
-/// prepared statement texts over the shared state. Sessions are cheap;
-/// the `sciql-net` server creates one per accepted socket.
+/// prepared statements over the shared state. Sessions are cheap; the
+/// `sciql-net` server creates one per accepted socket.
 pub struct EngineSession {
-    engine: Arc<SharedEngine>,
-    id: u64,
-    info: Arc<SessionInfo>,
-    last: LastExec,
-    /// Named prepared statements. SELECTs carry a compiled-once plan
-    /// cache with bind-parameter slots (see [`crate::Prepared`]); the
-    /// cache is shared state-free, so each execution runs it against a
-    /// fresh snapshot.
-    prepared: PreparedSet,
-    statements: u64,
-    rows_returned: u64,
-    errors: u64,
-    trace_enabled: bool,
-    last_trace: Option<Trace>,
-    /// `(generation, WAL position)` of this session's newest
-    /// acknowledged write — the monotonic-read token its replies carry.
-    commit_token: Option<(u64, u64)>,
+    pub(crate) engine: Arc<SharedEngine>,
+    /// This session's row in the live `sys.sessions` view.
+    pub(crate) info: Arc<SessionInfo>,
+    pub(crate) state: SessionState,
 }
 
 impl EngineSession {
     /// Session id (unique within the engine's lifetime).
     pub fn id(&self) -> u64 {
-        self.id
+        self.state.id
     }
 
     /// The engine this session runs over.
@@ -581,58 +510,41 @@ impl EngineSession {
 
     /// Statistics of this session's most recent statement.
     pub fn last_exec(&self) -> LastExec {
-        self.last.clone()
+        self.state.last.clone()
     }
 
     /// Enable or disable per-statement span tracing for this session
     /// (the protocol's `TraceEnable` frame and the repl's `\trace`).
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace_enabled = on;
-        if !on {
-            self.last_trace = None;
-        }
+        self.state.set_tracing(on);
     }
 
     /// Is per-statement tracing enabled?
     pub fn tracing(&self) -> bool {
-        self.trace_enabled
+        self.state.trace_enabled
     }
 
     /// The span tree of this session's most recent traced statement.
     pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
+        self.state.last_trace.as_ref()
     }
 
     /// This session's counters.
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            statements: self.statements,
-            rows_returned: self.rows_returned,
-            errors: self.errors,
-        }
+        self.state.stats
     }
 
-    /// Execute one statement. SELECTs run on a lock-free snapshot (many
-    /// sessions in parallel); everything else serializes through the
-    /// engine's single-writer connection, with the vault's per-statement
-    /// WAL durability when the engine is persistent.
+    /// Execute one statement. SELECTs and EXPLAINs run on a lock-free
+    /// snapshot (many sessions in parallel); everything else serializes
+    /// through the engine's single-writer connection and is durable — by
+    /// its own fsync or a shared group commit — before this returns.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let stmt = match exec::parse_one(sql) {
-            Ok(s) => s,
-            Err(e) => {
-                self.errors += 1;
-                return Err(e);
-            }
-        };
-        self.execute_stmt(&stmt)
+        exec::run(&mut Reach::Shared(self), Request::Sql(sql))
     }
 
     /// Execute a semicolon-separated script, one result per statement.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
-        let stmts = exec::parse_script(sql).inspect_err(|_| {
-            self.errors += 1;
-        })?;
-        stmts.iter().map(|s| self.execute_stmt(s)).collect()
+        exec::run_script(&mut Reach::Shared(self), sql)
     }
 
     /// Execute a SELECT and return its rows.
@@ -642,125 +554,14 @@ impl EngineSession {
 
     /// Execute a parsed statement (see [`EngineSession::execute`]).
     pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
-        self.statements += 1;
-        self.engine.stats.statements.fetch_add(1, Ordering::Relaxed);
-        self.info.queries.fetch_add(1, Ordering::Relaxed);
-        let result = match stmt {
-            Stmt::Select(sel) => {
-                self.engine
-                    .stats
-                    .snapshot_reads
-                    .fetch_add(1, Ordering::Relaxed);
-                let snap = self.engine.snapshot();
-                let mut tracer = if self.trace_enabled || snap.slow_query_ns > 0 {
-                    Tracer::on(stmt.to_string())
-                } else {
-                    Tracer::off()
-                };
-                let started_us = sciql_obs::now_unix_us();
-                let t0 = Instant::now();
-                let ran = snap.run_select_traced(sel, &self.engine.registry, &mut tracer);
-                let wall = t0.elapsed();
-                let m = sciql_obs::global();
-                m.query_ns.observe(wall);
-                match &ran {
-                    Ok(_) => m.queries_select.inc(),
-                    Err(_) => m.queries_failed.inc(),
-                }
-                let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-                let slow = snap.slow_query_ns > 0 && wall_ns >= snap.slow_query_ns;
-                if let Some(trace) = tracer.finish() {
-                    if self.trace_enabled || slow {
-                        self.last_trace = Some(trace);
-                    }
-                }
-                sciql_obs::query_log().record(sciql_obs::QueryRecord {
-                    id: 0,
-                    session: self.id,
-                    kind: "select",
-                    text: stmt.to_string(),
-                    started_us,
-                    wall_ns,
-                    rows: ran
-                        .as_ref()
-                        .map(|(rs, _)| rs.row_count() as u64)
-                        .unwrap_or(0),
-                    plan_cache_hit: false,
-                    tiles_skipped: ran
-                        .as_ref()
-                        .map(|(_, l)| l.exec.tiles_skipped as u64)
-                        .unwrap_or(0),
-                    slow,
-                    error: ran.as_ref().err().map(|e| e.to_string()),
-                });
-                ran.map(|(rs, last)| {
-                    self.last = last;
-                    QueryResult::Rows(rs)
-                })
-            }
-            _ => 'write: {
-                // Serialized through the single-writer connection, which
-                // is also where the by-kind, latency and query-log taps
-                // land; the session id is pinned around the call so
-                // `sys.query_log` attributes the write to this session.
-                // Under group commit, admission control runs *before*
-                // anything executes, and the durability wait happens
-                // *after* the lock is released so concurrent writers
-                // share one fsync.
-                if let Some(gc) = self.engine.group.get() {
-                    if let Err(e) = gc.admit() {
-                        break 'write Err(e);
-                    }
-                }
-                let (r, ticket) = {
-                    let mut conn = self.engine.lock();
-                    let prev = conn.tracing();
-                    conn.set_tracing(self.trace_enabled);
-                    conn.session_id = self.id;
-                    let r = conn.execute_stmt(stmt);
-                    conn.session_id = 0;
-                    self.last = conn.last_exec();
-                    if self.trace_enabled {
-                        self.last_trace = conn.last_trace().cloned();
-                    }
-                    conn.set_tracing(prev);
-                    if r.is_ok() {
-                        let tok = conn.wal_applied();
-                        if tok != (0, 0) {
-                            self.commit_token = Some(tok);
-                        }
-                    }
-                    let ticket = conn.take_pending_commit();
-                    (r, ticket)
-                };
-                match (ticket, self.engine.group.get()) {
-                    (Some(t), Some(gc)) => gc.wait_durable(t).and(r),
-                    _ => r,
-                }
-            }
-        };
-        match &result {
-            Ok(QueryResult::Rows(rs)) => {
-                let n = rs.row_count() as u64;
-                self.rows_returned += n;
-                self.engine
-                    .stats
-                    .rows_returned
-                    .fetch_add(n, Ordering::Relaxed);
-            }
-            Ok(QueryResult::Affected(_)) => {}
-            Err(_) => self.errors += 1,
-        }
-        result
+        exec::run(&mut Reach::Shared(self), Request::Stmt(stmt))
     }
 
     /// Prepare a named statement: parsed now, and (for SELECTs) compiled
     /// once into a parameterised plan on first execution. Returns the
     /// number of `?`/`:name` bind slots.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
-        self.prepared.insert(name, sql).inspect_err(|_| {
-            self.errors += 1;
-        })
+        self.state.prepare(name, sql)
     }
 
     /// Execute a statement previously stashed with
@@ -773,112 +574,7 @@ impl EngineSession {
     /// inline the values as literals and serialize through the engine's
     /// single-writer connection like any other write.
     pub fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<QueryResult> {
-        let result = self.execute_prepared_inner(name, params);
-        match &result {
-            Ok(QueryResult::Rows(rs)) => {
-                let n = rs.row_count() as u64;
-                self.rows_returned += n;
-                self.engine
-                    .stats
-                    .rows_returned
-                    .fetch_add(n, Ordering::Relaxed);
-            }
-            Ok(QueryResult::Affected(_)) => {}
-            Err(_) => self.errors += 1,
-        }
-        result
-    }
-
-    fn execute_prepared_inner(&mut self, name: &str, params: &[Value]) -> Result<QueryResult> {
-        let prep = self.prepared.get_mut(name)?;
-        prep.check_params(params)?;
-        if prep.is_select() {
-            self.statements += 1;
-            self.engine.stats.statements.fetch_add(1, Ordering::Relaxed);
-            self.info.queries.fetch_add(1, Ordering::Relaxed);
-            self.engine
-                .stats
-                .snapshot_reads
-                .fetch_add(1, Ordering::Relaxed);
-            let snap = self.engine.snapshot();
-            let mut tracer = if self.trace_enabled || snap.slow_query_ns > 0 {
-                Tracer::on(prep.sql().to_string())
-            } else {
-                Tracer::off()
-            };
-            let text = prep.sql().to_owned();
-            let started_us = sciql_obs::now_unix_us();
-            let t0 = Instant::now();
-            let ran = snap.run_prepared_traced(prep, params, &self.engine.registry, &mut tracer);
-            let wall = t0.elapsed();
-            let m = sciql_obs::global();
-            m.query_ns.observe(wall);
-            match &ran {
-                Ok(_) => m.queries_select.inc(),
-                Err(_) => m.queries_failed.inc(),
-            }
-            let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-            let slow = snap.slow_query_ns > 0 && wall_ns >= snap.slow_query_ns;
-            if let Some(trace) = tracer.finish() {
-                if self.trace_enabled || slow {
-                    self.last_trace = Some(trace);
-                }
-            }
-            sciql_obs::query_log().record(sciql_obs::QueryRecord {
-                id: 0,
-                session: self.id,
-                kind: "select",
-                text,
-                started_us,
-                wall_ns,
-                rows: ran
-                    .as_ref()
-                    .map(|(rs, _)| rs.row_count() as u64)
-                    .unwrap_or(0),
-                plan_cache_hit: ran
-                    .as_ref()
-                    .map(|(_, l)| l.exec.plan_cache_hits > 0)
-                    .unwrap_or(false),
-                tiles_skipped: ran
-                    .as_ref()
-                    .map(|(_, l)| l.exec.tiles_skipped as u64)
-                    .unwrap_or(0),
-                slow,
-                error: ran.as_ref().err().map(|e| e.to_string()),
-            });
-            let (rs, last) = ran?;
-            self.last = last;
-            return Ok(QueryResult::Rows(rs));
-        }
-        // Mutating statement: inline the values and serialize through
-        // the single-writer connection (group-commit discipline as in
-        // [`EngineSession::execute_stmt`]).
-        let stmt = exec::bind_params_into(prep.statement(), params)?;
-        self.statements += 1;
-        self.engine.stats.statements.fetch_add(1, Ordering::Relaxed);
-        self.info.queries.fetch_add(1, Ordering::Relaxed);
-        if let Some(gc) = self.engine.group.get() {
-            gc.admit()?;
-        }
-        let (r, ticket) = {
-            let mut conn = self.engine.lock();
-            conn.session_id = self.id;
-            let r = conn.execute_stmt(&stmt);
-            conn.session_id = 0;
-            self.last = conn.last_exec();
-            if r.is_ok() {
-                let tok = conn.wal_applied();
-                if tok != (0, 0) {
-                    self.commit_token = Some(tok);
-                }
-            }
-            let ticket = conn.take_pending_commit();
-            (r, ticket)
-        };
-        match (ticket, self.engine.group.get()) {
-            (Some(t), Some(gc)) => gc.wait_durable(t).and(r),
-            _ => r,
-        }
+        exec::run(&mut Reach::Shared(self), Request::Prepared(name, params))
     }
 
     /// The monotonic-read token of this session's newest acknowledged
@@ -887,32 +583,34 @@ impl EngineSession {
     /// this write (or wait / fail `ReplicaLagging`). `None` until the
     /// session writes on a persistent engine.
     pub fn last_commit_token(&self) -> Option<(u64, u64)> {
-        self.commit_token
+        self.state.commit_token
     }
 
     /// Drop a prepared statement; `true` if it existed.
     pub fn deallocate(&mut self, name: &str) -> bool {
-        self.prepared.remove(name)
+        self.state.prepared.remove(name)
     }
 
     /// Is a statement of this name prepared in this session?
     pub fn has_prepared(&self, name: &str) -> bool {
-        self.prepared.contains(name)
+        self.state.prepared.contains(name)
     }
 }
 
 impl Drop for EngineSession {
     fn drop(&mut self) {
         // Deregister from the live `sys.sessions` view.
-        self.engine.sessions_lock().retain(|s| s.id != self.id);
+        self.engine
+            .sessions_lock()
+            .retain(|s| s.id != self.state.id);
     }
 }
 
 impl std::fmt::Debug for EngineSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EngineSession")
-            .field("id", &self.id)
-            .field("statements", &self.statements)
+            .field("id", &self.state.id)
+            .field("statements", &self.state.stats.statements)
             .finish_non_exhaustive()
     }
 }
@@ -957,7 +655,8 @@ mod tests {
                 Stmt::Select(s) => s,
                 _ => unreachable!(),
             };
-        let (rs, _) = snap.run_select(&sel, &engine.registry).unwrap();
+        let view = snap.view(&engine.registry);
+        let (rs, _) = exec::execute_select(&sel, &view, &mut sciql_obs::Tracer::off()).unwrap();
         assert_eq!(rs.scalar().unwrap().as_i64(), Some(0), "pre-write image");
         let mut s = engine.session();
         let n = s
@@ -971,6 +670,9 @@ mod tests {
     #[test]
     fn concurrent_readers_and_writer() {
         let engine = seeded();
+        // Start from a constant image: a reader that wins the race
+        // against the writer's first update must not see `x + y`.
+        engine.session().execute("UPDATE m SET v = -1").unwrap();
         let mut handles = Vec::new();
         for t in 0..4 {
             let engine = Arc::clone(&engine);
@@ -998,6 +700,29 @@ mod tests {
             h.join().unwrap();
         }
         assert!(engine.stats().snapshot_reads >= 60);
+    }
+
+    /// EXPLAIN and EXPLAIN ANALYZE are reads: they run on a snapshot and
+    /// never meet write admission, so a full commit queue that refuses
+    /// every write still lets them answer.
+    #[test]
+    fn explain_reads_a_snapshot_even_when_writes_are_refused() {
+        let engine = seeded();
+        engine.group.set(GroupCommitter::saturated()).unwrap();
+        let mut s = engine.session();
+        assert!(matches!(
+            s.execute("UPDATE m SET v = 1"),
+            Err(crate::EngineError::Busy(_))
+        ));
+        let before = engine.stats().snapshot_reads;
+        for sql in [
+            "EXPLAIN SELECT v FROM m WHERE x > 1",
+            "EXPLAIN ANALYZE SELECT v FROM m WHERE x > 1",
+        ] {
+            let plan = s.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+            assert!(plan.row_count() > 0, "{sql}");
+        }
+        assert_eq!(engine.stats().snapshot_reads, before + 2);
     }
 
     #[test]

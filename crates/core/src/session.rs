@@ -2,23 +2,23 @@
 //! the full pipeline of the paper's Fig 2.
 
 use crate::commit::{CommitTicket, GroupCommitter};
-use crate::exec::{self, PreparedSet};
+use crate::exec::{self, DbView, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::SysData;
 use crate::{EngineError, Result};
 use gdk::{Bat, Value};
 use mal::{ExecStats, OptConfig, PassStats, Registry};
-use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, Plan};
+use sciql_algebra::{CodegenOptions, Plan};
 use sciql_catalog::Catalog;
 use sciql_catalog::SchemaObject;
 use sciql_obs::{SpanId, Trace, Tracer};
 use sciql_parser::ast::{SelectStmt, Stmt};
 use sciql_store::{CheckpointColumn, CheckpointObject, ColumnDirt, ReplayOp, Vault, VaultStats};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Result of executing one statement.
 #[derive(Debug, Clone)]
@@ -82,7 +82,8 @@ pub struct SessionConfig {
     /// slow are flagged `slow` in `sys.query_log` and leave a full span
     /// trace behind ([`Connection::last_trace`]) even when tracing is
     /// otherwise off. `0` (the default) disables the slow-query log.
-    /// Changing this never invalidates cached plans.
+    /// Changing this never invalidates cached plans. Sessions of a
+    /// [`crate::SharedEngine`] adopt the engine's value when they open.
     pub slow_query_ns: u64,
 }
 
@@ -135,9 +136,10 @@ pub struct Connection {
     registry: Registry,
     pub(crate) opt_config: OptConfig,
     pub(crate) codegen: CodegenOptions,
-    last: LastExec,
-    /// Named prepared statements (compiled-once plan cache for SELECTs).
-    prepared: PreparedSet,
+    /// The connection's own (embedded) session. Sessions of a
+    /// [`crate::SharedEngine`] bring their own state and use this
+    /// connection only as the single writer.
+    pub(crate) session: SessionState,
     /// Durable backing store; `None` for a purely in-memory session.
     pub(crate) vault: Option<Vault>,
     /// True while WAL operations are replayed at open (suppresses
@@ -147,16 +149,6 @@ pub struct Connection {
     /// refused; the only write path is [`Connection::apply_replicated`],
     /// which replays records shipped off a primary's WAL.
     pub(crate) read_only: bool,
-    /// When set, every statement records a span trace ([`Connection::last_trace`]).
-    trace_enabled: bool,
-    /// The span tree of the most recent traced statement.
-    last_trace: Option<Trace>,
-    /// Slow-query threshold in wall nanoseconds (0 = off). Kept outside
-    /// [`CodegenOptions`] so toggling it never invalidates plan caches.
-    slow_query_ns: u64,
-    /// Session id stamped into query-log records (0 = embedded; the
-    /// shared engine sets the real id around serialized writes).
-    pub(crate) session_id: u64,
     /// Group-commit coordinator, when the owning [`crate::SharedEngine`]
     /// enabled it. `None` (embedded default) keeps the classic
     /// per-statement fsync.
@@ -188,15 +180,10 @@ impl Connection {
             registry: mal::prims::default_registry(),
             opt_config: OptConfig::default(),
             codegen: CodegenOptions::default(),
-            last: LastExec::default(),
-            prepared: PreparedSet::default(),
+            session: SessionState::default(),
             vault: None,
             replaying: false,
             read_only: false,
-            trace_enabled: false,
-            last_trace: None,
-            slow_query_ns: 0,
-            session_id: 0,
             group_commit: None,
             pending_commit: None,
         };
@@ -490,7 +477,7 @@ impl Connection {
             self.opt_config = OptConfig::level(cfg.opt_level);
         }
         self.codegen.opt_level = cfg.opt_level;
-        self.slow_query_ns = cfg.slow_query_ns;
+        self.session.slow_query_ns = cfg.slow_query_ns;
     }
 
     /// The session's current execution configuration.
@@ -500,7 +487,7 @@ impl Connection {
             parallel_threshold: self.codegen.parallel_threshold,
             opt_level: self.codegen.opt_level,
             zone_skip: self.codegen.zone_skip,
-            slow_query_ns: self.slow_query_ns,
+            slow_query_ns: self.session.slow_query_ns,
         }
     }
 
@@ -509,12 +496,12 @@ impl Connection {
     /// full span tree in [`Connection::last_trace`], and crossings are
     /// flagged in `sys.query_log`.
     pub fn set_slow_query_ns(&mut self, ns: u64) {
-        self.slow_query_ns = ns;
+        self.session.slow_query_ns = ns;
     }
 
     /// The current slow-query threshold (0 = off).
     pub fn slow_query_ns(&self) -> u64 {
-        self.slow_query_ns
+        self.session.slow_query_ns
     }
 
     /// Out-of-snapshot state the `sys.*` synthesizers need (vault
@@ -526,9 +513,24 @@ impl Connection {
         }
     }
 
+    /// The connection's own session state next to read access to its
+    /// live stores — embedded reads run in place, no snapshot.
+    pub(crate) fn split(&mut self) -> (&mut SessionState, DbView<'_>) {
+        let view = DbView {
+            registry: &self.registry,
+            opt_config: self.opt_config,
+            codegen: &self.codegen,
+            catalog: &self.catalog,
+            arrays: &self.arrays,
+            tables: &self.tables,
+            sys: Cow::Owned(self.sys_data()),
+        };
+        (&mut self.session, view)
+    }
+
     /// Statistics of the last executed SELECT.
     pub fn last_exec(&self) -> LastExec {
-        self.last.clone()
+        self.session.last.clone()
     }
 
     /// The catalog (read-only view).
@@ -538,64 +540,38 @@ impl Connection {
 
     /// Execute one statement.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
-        let mut tracer = self.new_tracer(sql);
-        let sp = tracer.open(SpanId::ROOT, "parse");
-        let parsed = exec::parse_one(sql);
-        tracer.close(sp);
-        let stmt = match parsed {
-            Ok(s) => s,
-            Err(e) => {
-                sciql_obs::global().queries_failed.inc();
-                return Err(e);
-            }
-        };
-        self.execute_stmt_traced(&stmt, tracer)
+        exec::run(&mut Reach::Exclusive(self), Request::Sql(sql))
     }
 
     /// Enable or disable per-statement span tracing on this session
     /// (the repl's `\trace on|off`). Off by default; when off, the
     /// tracing machinery never reads the clock.
     pub fn set_tracing(&mut self, on: bool) {
-        self.trace_enabled = on;
-        if !on {
-            self.last_trace = None;
-        }
+        self.session.set_tracing(on);
     }
 
     /// Is per-statement tracing enabled?
     pub fn tracing(&self) -> bool {
-        self.trace_enabled
+        self.session.trace_enabled
     }
 
     /// The span tree of the most recent statement, if it was traced
     /// (tracing enabled, or an `EXPLAIN ANALYZE`).
     pub fn last_trace(&self) -> Option<&Trace> {
-        self.last_trace.as_ref()
-    }
-
-    fn new_tracer(&self, label: &str) -> Tracer {
-        // An armed slow-query log traces every statement so a slow one
-        // can leave its full span tree behind; fast statements discard
-        // the trace in `execute_stmt_traced`.
-        if self.trace_enabled || self.slow_query_ns > 0 {
-            Tracer::on(label)
-        } else {
-            Tracer::off()
-        }
+        self.session.last_trace.as_ref()
     }
 
     /// Execute a semicolon-separated script, returning one result per
     /// statement.
     pub fn execute_script(&mut self, sql: &str) -> Result<Vec<QueryResult>> {
-        let stmts = exec::parse_script(sql)?;
-        stmts.iter().map(|s| self.execute_stmt(s)).collect()
+        exec::run_script(&mut Reach::Exclusive(self), sql)
     }
 
     /// Prepare a named statement: parsed now, and (for SELECTs) compiled
     /// once into a parameterised plan on first execution. Returns the
     /// number of `?`/`:name` bind slots. Re-preparing a name replaces it.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
-        self.prepared.insert(name, sql)
+        self.session.prepare(name, sql)
     }
 
     /// Execute a prepared statement with bound parameter values (slot
@@ -607,80 +583,12 @@ impl Connection {
     /// Mutating statements inline the values as literals and take the
     /// ordinary (WAL-logged) dispatch path.
     pub fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<QueryResult> {
-        let trace_enabled = self.trace_enabled;
-        let slow_ns = self.slow_query_ns;
-        let session_id = self.session_id;
-        let sys = self.sys_data();
-        let prep = self.prepared.get_mut(name)?;
-        prep.check_params(params)?;
-        if prep.is_select() {
-            let mut tracer = if trace_enabled || slow_ns > 0 {
-                Tracer::on(prep.sql())
-            } else {
-                Tracer::off()
-            };
-            let text = prep.sql().to_owned();
-            let started_us = sciql_obs::now_unix_us();
-            let t0 = Instant::now();
-            let ran = exec::execute_prepared_select(
-                prep,
-                params,
-                &self.registry,
-                self.opt_config,
-                &self.codegen,
-                &self.catalog,
-                &self.arrays,
-                &self.tables,
-                &sys,
-                &mut tracer,
-            );
-            let wall = t0.elapsed();
-            let m = sciql_obs::global();
-            m.query_ns.observe(wall);
-            match &ran {
-                Ok(_) => m.queries_select.inc(),
-                Err(_) => m.queries_failed.inc(),
-            }
-            let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-            let slow = slow_ns > 0 && wall_ns >= slow_ns;
-            if let Some(trace) = tracer.finish() {
-                if trace_enabled || slow {
-                    self.last_trace = Some(trace);
-                }
-            }
-            sciql_obs::query_log().record(sciql_obs::QueryRecord {
-                id: 0,
-                session: session_id,
-                kind: "select",
-                text,
-                started_us,
-                wall_ns,
-                rows: ran
-                    .as_ref()
-                    .map(|(rs, _)| rs.row_count() as u64)
-                    .unwrap_or(0),
-                plan_cache_hit: ran
-                    .as_ref()
-                    .map(|(_, l)| l.exec.plan_cache_hits > 0)
-                    .unwrap_or(false),
-                tiles_skipped: ran
-                    .as_ref()
-                    .map(|(_, l)| l.exec.tiles_skipped as u64)
-                    .unwrap_or(0),
-                slow,
-                error: ran.as_ref().err().map(|e| e.to_string()),
-            });
-            let (rs, last) = ran?;
-            self.last = last;
-            return Ok(QueryResult::Rows(rs));
-        }
-        let stmt = exec::bind_params_into(prep.statement(), params)?;
-        self.execute_stmt(&stmt)
+        exec::run(&mut Reach::Exclusive(self), Request::Prepared(name, params))
     }
 
     /// Drop a prepared statement; `true` if it existed.
     pub fn deallocate(&mut self, name: &str) -> bool {
-        self.prepared.remove(name)
+        self.session.prepared.remove(name)
     }
 
     /// Execute a SELECT and return its rows.
@@ -699,6 +607,13 @@ impl Connection {
     /// succeeds is appended to the write-ahead log (as its canonical
     /// printed text — the parser's printer round-trips) and synced
     /// before this returns: an acknowledged statement survives a crash.
+    pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
+        exec::run(&mut Reach::Exclusive(self), Request::Stmt(stmt))
+    }
+
+    /// Execute a mutating statement on this connection — the single
+    /// writer — and log it: `text` is the statement's canonical printed
+    /// form, appended to the WAL when the statement succeeds.
     ///
     /// The executors are not atomic: a statement that fails mid-way (a
     /// multi-row INSERT whose third row does not cast, say) may have
@@ -707,84 +622,26 @@ impl Connection {
     /// failure the session re-syncs the vault with a checkpoint of the
     /// actual in-memory state. The same fallback covers a WAL append that
     /// itself fails after a successful statement.
-    pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
-        let tracer = self.new_tracer(&stmt.to_string());
-        self.execute_stmt_traced(stmt, tracer)
-    }
-
-    /// [`Connection::execute_stmt`] with an already-opened tracer (the
-    /// `execute` path owns the `parse` span). Also the observability tap:
-    /// every statement lands in the global query-latency histogram, a
-    /// by-kind counter and the ring-buffered query log (`sys.query_log`);
-    /// statements at or over [`Connection::slow_query_ns`] are flagged
-    /// slow and keep their span trace even with tracing off.
-    fn execute_stmt_traced(&mut self, stmt: &Stmt, mut tracer: Tracer) -> Result<QueryResult> {
-        let started_us = sciql_obs::now_unix_us();
-        let t0 = Instant::now();
-        let result = self.execute_stmt_inner(stmt, &mut tracer);
-        let wall = t0.elapsed();
-        let m = sciql_obs::global();
-        m.query_ns.observe(wall);
-        match &result {
-            Ok(_) => stmt_kind_counter(stmt).inc(),
-            Err(_) => m.queries_failed.inc(),
-        }
-        let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
-        let slow = self.slow_query_ns > 0 && wall_ns >= self.slow_query_ns;
-        if let Some(trace) = tracer.finish() {
-            // A forced (slow-log) trace is only worth keeping when it
-            // actually caught a slow statement.
-            if self.trace_enabled || slow {
-                self.last_trace = Some(trace);
-            }
-        }
-        if !self.replaying {
-            let (rows, tiles_skipped) = match &result {
-                Ok(QueryResult::Rows(rs)) => {
-                    (rs.row_count() as u64, self.last.exec.tiles_skipped as u64)
-                }
-                Ok(QueryResult::Affected(n)) => (*n as u64, 0),
-                Err(_) => (0, 0),
-            };
-            sciql_obs::query_log().record(sciql_obs::QueryRecord {
-                id: 0,
-                session: self.session_id,
-                kind: stmt_kind_name(stmt),
-                text: stmt.to_string(),
-                started_us,
-                wall_ns,
-                rows,
-                plan_cache_hit: false,
-                tiles_skipped,
-                slow,
-                error: result.as_ref().err().map(|e| e.to_string()),
-            });
-        }
-        result
-    }
-
-    fn execute_stmt_inner(&mut self, stmt: &Stmt, tracer: &mut Tracer) -> Result<QueryResult> {
-        if self.read_only
-            && !self.replaying
-            && !matches!(stmt, Stmt::Select(_) | Stmt::Explain { .. })
-        {
+    pub(crate) fn write_stmt(
+        &mut self,
+        stmt: &Stmt,
+        text: &str,
+        tracer: &mut Tracer,
+    ) -> Result<QueryResult> {
+        if self.read_only && !self.replaying {
             return Err(EngineError::msg(
                 "read-only replica: route writes to the primary",
             ));
         }
         // COPY logs its own per-batch WAL records as it streams (see
         // `crate::copy`), so it is excluded from statement-level logging.
-        let logged = !matches!(
-            stmt,
-            Stmt::Select(_) | Stmt::Copy { .. } | Stmt::Explain { .. }
-        ) && !self.replaying
-            && self.vault.is_some();
+        let logged = !matches!(stmt, Stmt::Copy { .. }) && !self.replaying && self.vault.is_some();
         let before = logged.then(|| self.mutation_epoch());
-        match self.dispatch_stmt(stmt, tracer) {
+        match self.dispatch_stmt(stmt) {
             Ok(result) => {
                 if logged {
                     let sp = tracer.open(SpanId::ROOT, "wal.append");
-                    let append = self.log_statement(stmt);
+                    let append = self.log_statement(text);
                     tracer.close(sp);
                     if append.is_err() {
                         // The WAL is unavailable; a checkpoint captures the
@@ -818,15 +675,15 @@ impl Connection {
     /// Append an acknowledged statement to the WAL. Per-statement
     /// durability fsyncs before returning; under group commit the record
     /// is appended unsynced and a [`CommitTicket`] is stashed for the
-    /// engine to redeem — *outside* the connection lock — before the
-    /// statement is acknowledged to its client.
-    fn log_statement(&mut self, stmt: &Stmt) -> sciql_store::StoreResult<()> {
+    /// session runner to redeem — *outside* the connection lock — before
+    /// the statement is acknowledged to its client.
+    fn log_statement(&mut self, text: &str) -> sciql_store::StoreResult<()> {
         let grouped = self.group_commit.is_some();
         let vault = self.vault.as_mut().expect("logged statements have a vault");
         if !grouped {
-            return vault.append_statement(&stmt.to_string());
+            return vault.append_statement(text);
         }
-        let pos = vault.append_statement_nosync(&stmt.to_string())?;
+        let pos = vault.append_statement_nosync(text)?;
         let handle = vault.wal_sync_handle()?;
         let epoch = vault.generation();
         self.pending_commit = Some(CommitTicket { epoch, pos, handle });
@@ -855,10 +712,11 @@ impl Connection {
         (self.catalog.version(), stores)
     }
 
-    fn dispatch_stmt(&mut self, stmt: &Stmt, tracer: &mut Tracer) -> Result<QueryResult> {
+    fn dispatch_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
         match stmt {
-            Stmt::Select(sel) => Ok(QueryResult::Rows(self.run_select_traced(sel, tracer)?)),
-            Stmt::Explain { analyze, stmt } => self.run_explain(*analyze, stmt),
+            Stmt::Select(_) | Stmt::Explain { .. } => {
+                unreachable!("the session runner executes reads without the writer")
+            }
             Stmt::CreateTable { name, columns } => {
                 self.create_table(name, columns)?;
                 Ok(QueryResult::Affected(0))
@@ -910,31 +768,6 @@ impl Connection {
         }
     }
 
-    /// Execute `EXPLAIN [ANALYZE] <select>`. Plain EXPLAIN renders the
-    /// plan without running it; EXPLAIN ANALYZE executes the SELECT
-    /// under a tracer and renders the measured span tree. Either way
-    /// the result is a one-text-column row set, so it travels over the
-    /// wire like any other query result.
-    fn run_explain(&mut self, analyze: bool, inner: &Stmt) -> Result<QueryResult> {
-        let Stmt::Select(sel) = inner else {
-            return Err(EngineError::msg("EXPLAIN supports SELECT statements"));
-        };
-        if !analyze {
-            let text = self.explain_select(sel)?;
-            return Ok(QueryResult::Rows(text_rows(
-                "explain",
-                text.lines().map(str::to_owned),
-            )));
-        }
-        let mut tracer = Tracer::on(inner.to_string());
-        let rows = self.run_select_traced(sel, &mut tracer)?.row_count();
-        let mut trace = tracer.finish().expect("tracing was on");
-        trace.note(SpanId::ROOT, "rows", rows as u64);
-        let lines = trace.render_lines();
-        self.last_trace = Some(trace);
-        Ok(QueryResult::Rows(text_rows("explain analyze", lines)))
-    }
-
     /// EXPLAIN: the logical plan and the (optimised) MAL program text.
     pub fn explain(&self, sql: &str) -> Result<String> {
         let stmt = exec::parse_one(sql)?;
@@ -949,58 +782,29 @@ impl Connection {
             },
             _ => return Err(EngineError::msg("EXPLAIN supports SELECT statements")),
         };
-        self.explain_select(&sel)
-    }
-
-    fn explain_select(&self, sel: &SelectStmt) -> Result<String> {
-        let binder = Binder::new(&self.catalog);
-        let plan = rewrite(binder.bind_select(sel)?);
-        let mut prog = compile(&plan, &self.codegen)?;
-        let before = prog.to_text();
-        mal::optimise(&mut prog, &self.registry, self.opt_config);
-        let after = prog.to_text();
-        Ok(format!(
-            "-- logical plan\n{}\n-- MAL (generated)\n{before}\n-- MAL (optimised)\n{after}",
-            plan.explain()
-        ))
-    }
-
-    /// Run a SELECT through the full pipeline.
-    pub fn run_select(&mut self, sel: &SelectStmt) -> Result<ResultSet> {
-        self.run_select_traced(sel, &mut Tracer::off())
-    }
-
-    fn run_select_traced(&mut self, sel: &SelectStmt, tracer: &mut Tracer) -> Result<ResultSet> {
-        let binder = Binder::new(&self.catalog);
-        let sp = tracer.open(SpanId::ROOT, "bind");
-        let bound = binder.bind_select(sel);
-        tracer.close(sp);
-        let sp = tracer.open(SpanId::ROOT, "rewrite");
-        let plan = rewrite(bound?);
-        tracer.close(sp);
-        self.run_plan_traced(&plan, tracer)
-    }
-
-    /// Compile and execute a logical plan (also used by the DML
-    /// executors).
-    pub(crate) fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
-        self.run_plan_traced(plan, &mut Tracer::off())
-    }
-
-    fn run_plan_traced(&mut self, plan: &Plan, tracer: &mut Tracer) -> Result<ResultSet> {
-        let sys = self.sys_data();
-        let (rs, last) = exec::execute_plan(
-            plan,
+        exec::explain_select(
+            &sel,
+            &self.catalog,
+            &self.codegen,
             &self.registry,
             self.opt_config,
-            &self.codegen,
-            &self.catalog,
-            &self.arrays,
-            &self.tables,
-            &sys,
-            tracer,
-        )?;
-        self.last = last;
+        )
+    }
+
+    /// Run a SELECT through the full pipeline (the `INSERT … SELECT`
+    /// executor's source).
+    pub fn run_select(&mut self, sel: &SelectStmt) -> Result<ResultSet> {
+        let (state, view) = self.split();
+        let (rs, last) = exec::execute_select(sel, &view, &mut Tracer::off())?;
+        state.last = last;
+        Ok(rs)
+    }
+
+    /// Compile and execute a logical plan (the DML executors' reads).
+    pub(crate) fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
+        let (state, view) = self.split();
+        let (rs, last) = exec::execute_plan(plan, &view, &mut Tracer::off())?;
+        state.last = last;
         Ok(rs)
     }
 
@@ -1073,36 +877,6 @@ impl Connection {
         self.tables
             .get(&name.to_ascii_lowercase())
             .ok_or_else(|| EngineError::msg(format!("no such table {name:?}")))
-    }
-}
-
-/// The by-kind query counter a successful statement lands in.
-fn stmt_kind_counter(stmt: &Stmt) -> &'static sciql_obs::Counter {
-    let m = sciql_obs::global();
-    match stmt {
-        Stmt::Select(_) | Stmt::Explain { .. } => &m.queries_select,
-        Stmt::Insert { .. } | Stmt::Delete { .. } | Stmt::Update { .. } | Stmt::Copy { .. } => {
-            &m.queries_dml
-        }
-        Stmt::CreateTable { .. }
-        | Stmt::CreateArray { .. }
-        | Stmt::Drop { .. }
-        | Stmt::AlterDimension { .. } => &m.queries_ddl,
-    }
-}
-
-/// The `sys.query_log` kind tag of a statement.
-fn stmt_kind_name(stmt: &Stmt) -> &'static str {
-    match stmt {
-        Stmt::Select(_) => "select",
-        Stmt::Explain { .. } => "explain",
-        Stmt::Insert { .. } | Stmt::Delete { .. } | Stmt::Update { .. } | Stmt::Copy { .. } => {
-            "dml"
-        }
-        Stmt::CreateTable { .. }
-        | Stmt::CreateArray { .. }
-        | Stmt::Drop { .. }
-        | Stmt::AlterDimension { .. } => "ddl",
     }
 }
 

@@ -5,8 +5,7 @@
 //! layer for the reproduction: a pure-`std` TCP server that multiplexes
 //! N concurrent client sessions onto one process-wide
 //! [`SharedEngine`](sciql::SharedEngine), and a blocking [`Client`] for
-//! tests, the
-//! REPL's `--connect` mode and embedding.
+//! tests, the driver's `tcp://` transport and embedding.
 //!
 //! * Wire format: length-prefixed, versioned frames ([`proto`]); result
 //!   sets stream as a header frame plus row pages encoded with the same

@@ -4,7 +4,7 @@
 //! `Sciql::connect(url)` call, whatever the backend.
 //!
 //! Run with: `cargo run --example repl [-- <URL> | --listen <addr> [--db <path>]
-//! [--metrics-addr <addr>] [--metrics-text]]`
+//! [--metrics-addr <addr>]]`
 //!
 //! URLs:
 //!   mem:                  fresh in-memory session (the default)
@@ -14,13 +14,10 @@
 //!                         where you left off (even after a crash)
 //!   tcp://host:port       speak the wire protocol to a serving repl
 //!
-//! The legacy flags still work and map onto URLs: `--db <path>` ⇒
-//! `file:<path>`, `--connect <addr>` ⇒ `tcp://<addr>`.
-//!
-//! With `--listen <addr>` (optionally plus `--db`) the process becomes a
-//! `sciql-net` server instead: N concurrent clients share the engine —
-//! reads on `Arc` column snapshots, writes serialized through the vault.
-//! It runs until a client sends `\shutdown`.
+//! With `--listen <addr>` (optionally plus `--db <path>` for a durable
+//! vault) the process becomes a `sciql-net` server instead: N concurrent
+//! clients share the engine — reads on `Arc` column snapshots, writes
+//! serialized through the vault. It runs until a client sends `\shutdown`.
 //!
 //! With `--replica-of <addr>` (plus `--db <path>` for the replica's own
 //! vault) the process becomes a **read replica** of the server at
@@ -34,10 +31,8 @@
 //! With `--metrics-addr <addr>`
 //! the server also exposes a plain-HTTP scrape endpoint: `GET /metrics`
 //! serves the live Prometheus exposition, `GET /healthz` a health
-//! report. The legacy `--metrics-text` flag (dump the same exposition
-//! once, on shutdown) still works but is superseded by `--metrics-addr`;
-//! clients can always fetch the snapshot live with `\metrics` or query
-//! the `sys.metrics` view.
+//! report; clients can always fetch the snapshot live with `\metrics` or
+//! query the `sys.metrics` view.
 //!
 //! Commands:
 //!   <SciQL statement>;          execute (multi-line until ';')
@@ -81,17 +76,15 @@ use std::time::Instant;
 fn main() {
     let mut db: Option<String> = None;
     let mut listen: Option<String> = None;
-    let mut connect: Option<String> = None;
     let mut url: Option<String> = None;
     let mut metrics_addr: Option<String> = None;
-    let mut metrics_text = false;
     let mut max_sessions: Option<String> = None;
     let mut max_result_bytes: Option<String> = None;
     let mut max_queued_writes: Option<String> = None;
     let mut no_group_commit = false;
     let mut replica_of: Option<String> = None;
     let usage = "usage: repl [<URL> | --listen <addr> [--db <path>] \
-                 [--metrics-addr <addr>] [--metrics-text] \
+                 [--metrics-addr <addr>] \
                  [--max-sessions <n>] [--max-result-bytes <n>] \
                  [--max-queued-writes <n>] [--no-group-commit] \
                  | --replica-of <addr> --db <path> [--listen <addr>]]  \
@@ -102,16 +95,11 @@ fn main() {
         let target = match a.as_str() {
             "--db" => &mut db,
             "--listen" => &mut listen,
-            "--connect" => &mut connect,
             "--replica-of" => &mut replica_of,
             "--metrics-addr" => &mut metrics_addr,
             "--max-sessions" => &mut max_sessions,
             "--max-result-bytes" => &mut max_result_bytes,
             "--max-queued-writes" => &mut max_queued_writes,
-            "--metrics-text" => {
-                metrics_text = true;
-                continue;
-            }
             "--no-group-commit" => {
                 no_group_commit = true;
                 continue;
@@ -131,7 +119,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if (listen.is_some() || replica_of.is_some()) && (connect.is_some() || url.is_some()) {
+    if (listen.is_some() || replica_of.is_some()) && url.is_some() {
         eprintln!("--listen/--replica-of start a server; they take no client URL ({usage})");
         std::process::exit(2);
     }
@@ -166,7 +154,6 @@ fn main() {
                 &dir,
                 listen.as_deref(),
                 metrics_addr.as_deref(),
-                metrics_text,
                 config,
             );
         } else {
@@ -174,42 +161,27 @@ fn main() {
                 listen.as_deref().unwrap(),
                 db.as_deref(),
                 metrics_addr.as_deref(),
-                metrics_text,
                 config,
             );
         }
         return;
     }
-    if metrics_text
+    if db.is_some()
         || metrics_addr.is_some()
         || max_sessions.is_some()
         || max_result_bytes.is_some()
         || max_queued_writes.is_some()
         || no_group_commit
     {
-        eprintln!("server flags only apply to --listen servers ({usage})");
+        eprintln!(
+            "server flags only apply to --listen / --replica-of servers; \
+             open a local vault with a file:<path> URL ({usage})"
+        );
         std::process::exit(2);
     }
 
-    // Everything below is one driver connection: the legacy flags just
-    // pick the URL. Conflicting selections are an error, not a silent
-    // preference — a user naming a vault must not land elsewhere.
-    let url = match (url, connect, db) {
-        (Some(_), Some(_), _) | (Some(_), _, Some(_)) => {
-            eprintln!("give either a URL or the legacy --db/--connect flags, not both ({usage})");
-            std::process::exit(2);
-        }
-        (None, Some(_), Some(_)) => {
-            eprintln!(
-                "--db opens a local vault; with --connect the database lives on the server ({usage})"
-            );
-            std::process::exit(2);
-        }
-        (Some(u), None, None) => u,
-        (None, Some(addr), None) => format!("tcp://{addr}"),
-        (None, None, Some(path)) => format!("file:{path}"),
-        (None, None, None) => "mem:".to_owned(),
-    };
+    // Everything below is one driver connection.
+    let url = url.unwrap_or_else(|| "mem:".to_owned());
     let conn = match Sciql::connect(&url) {
         Ok(c) => {
             println!("connected: {url} ({} transport)", c.transport_kind());
@@ -225,13 +197,7 @@ fn main() {
 
 /// `--listen`: serve the (optionally durable) engine until a client asks
 /// for shutdown.
-fn serve(
-    addr: &str,
-    db: Option<&str>,
-    metrics_addr: Option<&str>,
-    metrics_text: bool,
-    config: ServerConfig,
-) {
+fn serve(addr: &str, db: Option<&str>, metrics_addr: Option<&str>, config: ServerConfig) {
     let engine = match db {
         Some(path) => match SharedEngine::open(path) {
             Ok(e) => e,
@@ -292,12 +258,6 @@ fn serve(
         "server stopped: {} session(s), {} statement(s), {} snapshot read(s), {} row(s) served",
         stats.sessions_opened, stats.statements, stats.snapshot_reads, stats.rows_returned
     );
-    if metrics_text {
-        print!(
-            "{}",
-            sciql_repro::obs::global().snapshot().to_prometheus_text()
-        );
-    }
 }
 
 /// `--replica-of`: tail the primary into the vault at `dir`, optionally
@@ -307,7 +267,6 @@ fn serve_replica(
     dir: &str,
     listen: Option<&str>,
     metrics_addr: Option<&str>,
-    metrics_text: bool,
     config: ServerConfig,
 ) {
     let replica = match Replica::connect(dir, primary) {
@@ -371,12 +330,6 @@ fn serve_replica(
     // Clean stop: detach the vault so the data dir's LOCK is released.
     replica.stop();
     println!("replica stopped");
-    if metrics_text {
-        print!(
-            "{}",
-            sciql_repro::obs::global().snapshot().to_prometheus_text()
-        );
-    }
 }
 
 fn repl_loop(mut conn: Conn) {

@@ -1,19 +1,19 @@
 //! The unified SciQL driver: **one** connection surface over every
 //! transport the workspace offers.
 //!
-//! [`Sciql::connect`] takes a URL and returns a [`Conn`] backed by a
-//! [`Transport`] trait object:
+//! [`Sciql::connect`] takes a URL and returns a [`Conn`] over one of
+//! three backends:
 //!
 //! | URL | backend |
 //! |-----|---------|
-//! | `mem:` | embedded in-memory [`sciql::Connection`] |
-//! | `file:<path>` | embedded durable connection over the vault at `<path>` (WAL + checkpoints + crash recovery) |
+//! | `mem:` | local: embedded in-memory [`sciql::Connection`] |
+//! | `file:<path>` | local: embedded durable connection over the vault at `<path>` (WAL + checkpoints + crash recovery) |
 //! | `tcp://host:port` | remote [`sciql_net::Client`] speaking protocol v6 |
 //! | `tcp://primary,replica1,…` | routed: writes to the primary, SELECTs round-robin over the replicas with monotonic-read tokens |
 //!
-//! A fourth backend, [`Sciql::attach`], opens a session on an in-process
-//! [`sciql::SharedEngine`] (many concurrent driver connections over one
-//! shared database).
+//! [`Sciql::attach`] opens the other kind of local connection: a session
+//! on an in-process [`sciql::SharedEngine`] (many concurrent driver
+//! connections over one shared database).
 //!
 //! Whatever the transport, the API is the same: `execute` for DDL/DML,
 //! `query` for SELECTs returning a [`Rows`] cursor with typed
@@ -224,10 +224,9 @@ impl Outcome {
     }
 }
 
-/// What a [`Conn`] needs from a backend. Implemented by the embedded
-/// connection, shared-engine sessions, and the TCP client; implement it
-/// yourself to put the driver API over a new transport.
-pub trait Transport {
+/// What a [`Conn`] needs from a backend: the local sessions, the TCP
+/// client, and the replica-routing TCP client.
+trait Transport {
     /// Execute one statement.
     fn execute(&mut self, sql: &str) -> Result<Outcome>;
     /// Execute a batch of statements; replies are positional
@@ -244,47 +243,20 @@ pub trait Transport {
     fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<Outcome>;
     /// Drop a prepared statement; `true` if it existed.
     fn deallocate(&mut self, name: &str) -> Result<bool>;
-    /// Plan-cache hits of the most recent statement (1 = the execution
-    /// reused a compiled plan and skipped parse/bind/optimise).
-    fn last_plan_cache_hits(&mut self) -> Result<u64>;
     /// Short backend tag for diagnostics (`"mem"`, `"file"`, `"tcp"`,
     /// `"engine"`).
     fn kind(&self) -> &'static str;
     /// Orderly shutdown of the backend.
     fn close(&mut self) -> Result<()>;
 
-    /// EXPLAIN a SELECT: logical plan + generated and optimised MAL.
-    /// Embedded transports implement this; the default refuses.
-    fn explain(&mut self, _sql: &str) -> Result<String> {
-        Err(SciqlError::Connection(format!(
-            "EXPLAIN is not supported by the {} transport",
-            self.kind()
-        )))
-    }
-
-    /// Write a durability checkpoint (vault-backed embedded transports).
-    fn checkpoint(&mut self) -> Result<()> {
-        Err(SciqlError::Connection(format!(
-            "checkpoint is not supported by the {} transport",
-            self.kind()
-        )))
-    }
-
-    /// A human-readable report of stored objects and vault health.
-    fn storage_report(&mut self) -> Result<String> {
-        Err(SciqlError::Connection(format!(
-            "storage reports are not supported by the {} transport",
-            self.kind()
-        )))
-    }
-
-    /// The underlying embedded [`Connection`], if this transport has one
-    /// in-process (bulk loads, imaging vault ingestion).
-    fn connection(&mut self) -> Option<&mut Connection> {
+    /// The in-process session behind this transport, if it is a local
+    /// one: what EXPLAIN, checkpoints, storage reports and the
+    /// embedded-connection escape hatch operate on.
+    fn local(&mut self) -> Option<&mut Local> {
         None
     }
 
-    /// Liveness probe. Embedded transports answer trivially; the TCP
+    /// Liveness probe. Local transports answer trivially; the TCP
     /// transport does a real `Ping`/`Pong` round trip.
     fn ping(&mut self) -> Result<()> {
         Ok(())
@@ -304,7 +276,7 @@ pub trait Transport {
     }
 
     /// Engine-wide metrics snapshot: the in-process global registry for
-    /// embedded transports, a `Metrics` frame round trip for TCP.
+    /// local transports, a `Metrics` frame round trip for TCP.
     fn metrics(&mut self) -> Result<sciql_obs::MetricsSnapshot> {
         Ok(sciql_obs::global().snapshot())
     }
@@ -317,8 +289,9 @@ pub trait Transport {
     fn last_trace_text(&mut self) -> Result<Option<String>>;
 }
 
-/// Render the repl-style storage report for an embedded connection.
-fn storage_report_of(conn: &Connection) -> String {
+/// Render the repl-style storage report for a connection; `last` is the
+/// reporting session's most recent execution.
+fn storage_report_of(conn: &Connection, last: &sciql::LastExec) -> String {
     use sciql_catalog::SchemaObject;
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -379,124 +352,101 @@ fn storage_report_of(conn: &Connection) -> String {
     let _ = writeln!(
         out,
         "scan:  last query skipped {} tile(s) via zone maps",
-        conn.last_exec().exec.tiles_skipped
+        last.exec.tiles_skipped
     );
     out
 }
 
-/// Embedded transport: a [`Connection`] (in-memory or vault-backed).
-struct Embedded {
-    conn: Connection,
-    kind: &'static str,
+/// Local transport: a session in this process — an embedded
+/// [`Connection`] of its own (`mem:` / `file:`), or an [`EngineSession`]
+/// attached to a shared engine. Both enter every statement through the
+/// same core session runner and answer to the same method names.
+// One `Local` lives in each connection's `Box<dyn Transport>`; the
+// variants' size difference costs nothing there.
+#[allow(clippy::large_enum_variant)]
+enum Local {
+    Embedded {
+        conn: Connection,
+        kind: &'static str,
+    },
+    Attached(EngineSession),
 }
 
-impl Transport for Embedded {
-    fn execute(&mut self, sql: &str) -> Result<Outcome> {
-        Ok(Outcome::from_query_result(self.conn.execute(sql)?))
-    }
-    fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
-        Ok(self.conn.prepare(name, sql)?)
-    }
-    fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<Outcome> {
-        Ok(Outcome::from_query_result(
-            self.conn.execute_prepared(name, params)?,
-        ))
-    }
-    fn deallocate(&mut self, name: &str) -> Result<bool> {
-        Ok(self.conn.deallocate(name))
-    }
-    fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        Ok(self.conn.last_exec().exec.plan_cache_hits as u64)
-    }
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
-    fn close(&mut self) -> Result<()> {
-        if self.conn.is_persistent() {
-            self.conn.checkpoint()?;
+/// Evaluate `$call` on whichever session a [`Local`] holds.
+macro_rules! on_session {
+    ($local:expr, $s:ident => $call:expr) => {
+        match $local {
+            Local::Embedded { conn: $s, .. } => $call,
+            Local::Attached($s) => $call,
         }
-        Ok(())
+    };
+}
+
+impl Local {
+    /// Run `f` on the database connection: the embedded one, or the
+    /// attached engine's single writer (locked for the duration).
+    fn with_connection<R>(&mut self, f: impl FnOnce(&mut Connection) -> R) -> R {
+        match self {
+            Local::Embedded { conn, .. } => f(conn),
+            Local::Attached(session) => f(&mut session.engine().connection()),
+        }
     }
-    fn explain(&mut self, sql: &str) -> Result<String> {
-        Ok(self.conn.explain(sql)?)
+
+    /// The repl-style report of stored objects and vault health.
+    fn storage_report(&mut self) -> String {
+        let last = on_session!(self, s => s.last_exec());
+        self.with_connection(|c| storage_report_of(c, &last))
     }
-    fn checkpoint(&mut self) -> Result<()> {
-        Ok(self.conn.checkpoint()?)
-    }
-    fn storage_report(&mut self) -> Result<String> {
-        Ok(storage_report_of(&self.conn))
-    }
-    fn connection(&mut self) -> Option<&mut Connection> {
-        Some(&mut self.conn)
-    }
-    fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
-        Ok(sciql_net::ExecReport::from_last_exec(
-            &self.conn.last_exec(),
+}
+
+impl Transport for Local {
+    fn execute(&mut self, sql: &str) -> Result<Outcome> {
+        Ok(Outcome::from_query_result(
+            on_session!(self, s => s.execute(sql))?,
         ))
     }
-    fn set_tracing(&mut self, on: bool) -> Result<()> {
-        self.conn.set_tracing(on);
-        Ok(())
-    }
-    fn last_trace_text(&mut self) -> Result<Option<String>> {
-        Ok(self.conn.last_trace().map(|t| t.render()))
-    }
-}
-
-/// Shared-engine transport: one [`EngineSession`] over an in-process
-/// [`SharedEngine`] (snapshot reads, serialized writes).
-struct Session {
-    session: EngineSession,
-}
-
-impl Transport for Session {
-    fn execute(&mut self, sql: &str) -> Result<Outcome> {
-        Ok(Outcome::from_query_result(self.session.execute(sql)?))
-    }
     fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
-        Ok(self.session.prepare(name, sql)?)
+        Ok(on_session!(self, s => s.prepare(name, sql))?)
     }
     fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<Outcome> {
         Ok(Outcome::from_query_result(
-            self.session.execute_prepared(name, params)?,
+            on_session!(self, s => s.execute_prepared(name, params))?,
         ))
     }
     fn deallocate(&mut self, name: &str) -> Result<bool> {
-        Ok(self.session.deallocate(name))
-    }
-    fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        Ok(self.session.last_exec().exec.plan_cache_hits as u64)
+        Ok(on_session!(self, s => s.deallocate(name)))
     }
     fn kind(&self) -> &'static str {
-        "engine"
+        match self {
+            Local::Embedded { kind, .. } => kind,
+            Local::Attached(_) => "engine",
+        }
     }
     fn close(&mut self) -> Result<()> {
-        Ok(())
+        // An embedded vault is checkpointed on the way out; an attached
+        // engine outlives this session and checkpoints on its own terms.
+        match self {
+            Local::Embedded { conn, .. } if conn.is_persistent() => Ok(conn.checkpoint()?),
+            _ => Ok(()),
+        }
     }
-    fn explain(&mut self, sql: &str) -> Result<String> {
-        Ok(self.session.engine().connection().explain(sql)?)
-    }
-    fn checkpoint(&mut self) -> Result<()> {
-        Ok(self.session.engine().checkpoint()?)
-    }
-    fn storage_report(&mut self) -> Result<String> {
-        Ok(storage_report_of(&self.session.engine().connection()))
+    fn local(&mut self) -> Option<&mut Local> {
+        Some(self)
     }
     fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
-        Ok(sciql_net::ExecReport::from_last_exec(
-            &self.session.last_exec(),
-        ))
+        let last = on_session!(self, s => s.last_exec());
+        Ok(sciql_net::ExecReport::from_last_exec(&last))
     }
     fn set_tracing(&mut self, on: bool) -> Result<()> {
-        self.session.set_tracing(on);
+        on_session!(self, s => s.set_tracing(on));
         Ok(())
     }
     fn last_trace_text(&mut self) -> Result<Option<String>> {
-        Ok(self.session.last_trace().map(|t| t.render()))
+        Ok(on_session!(self, s => s.last_trace()).map(|t| t.render()))
     }
 }
 
-/// Network transport: a protocol-v5 [`Client`].
+/// Network transport: a protocol-v6 [`Client`].
 struct Tcp {
     client: Option<Client>,
 }
@@ -530,9 +480,6 @@ impl Transport for Tcp {
     }
     fn deallocate(&mut self, name: &str) -> Result<bool> {
         Ok(self.client()?.deallocate(name)?)
-    }
-    fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        Ok(self.client()?.last_stats()?.plan_cache_hits)
     }
     fn kind(&self) -> &'static str {
         "tcp"
@@ -688,9 +635,6 @@ impl Transport for Routed {
     fn deallocate(&mut self, name: &str) -> Result<bool> {
         self.primary.deallocate(name)
     }
-    fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        self.primary.last_plan_cache_hits()
-    }
     fn kind(&self) -> &'static str {
         "tcp-routed"
     }
@@ -744,7 +688,7 @@ impl Sciql {
     /// `cfg` is ignored.
     pub fn connect_with_config(url: &str, cfg: SessionConfig) -> Result<Conn> {
         let transport: Box<dyn Transport + Send> = if url == "mem:" || url == "mem" {
-            Box::new(Embedded {
+            Box::new(Local::Embedded {
                 conn: Connection::with_config(cfg),
                 kind: "mem",
             })
@@ -754,7 +698,7 @@ impl Sciql {
                     "file: URL needs a vault directory path, e.g. file:./mydb".into(),
                 ));
             }
-            Box::new(Embedded {
+            Box::new(Local::Embedded {
                 conn: Connection::open_with_config(path, cfg)?,
                 kind: "file",
             })
@@ -811,9 +755,7 @@ impl Sciql {
     /// snapshot-isolated reads.
     pub fn attach(engine: &Arc<SharedEngine>) -> Conn {
         Conn {
-            transport: Box::new(Session {
-                session: engine.session(),
-            }),
+            transport: Box::new(Local::Attached(engine.session())),
             id: fresh_conn_id(),
             next_stmt: 0,
         }
@@ -832,7 +774,8 @@ fn fresh_conn_id() -> u64 {
     NEXT_CONN_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// One open driver connection, backed by a boxed [`Transport`].
+/// One open driver connection: the same API over a local session, a
+/// TCP client, or a replica-routing TCP client.
 pub struct Conn {
     transport: Box<dyn Transport + Send>,
     id: u64,
@@ -840,15 +783,6 @@ pub struct Conn {
 }
 
 impl Conn {
-    /// Wrap a custom [`Transport`] in the driver API.
-    pub fn from_transport(transport: Box<dyn Transport + Send>) -> Conn {
-        Conn {
-            transport,
-            id: fresh_conn_id(),
-            next_stmt: 0,
-        }
-    }
-
     /// Short backend tag (`"mem"`, `"file"`, `"tcp"`, `"engine"`).
     pub fn transport_kind(&self) -> &'static str {
         self.transport.kind()
@@ -987,24 +921,37 @@ impl Conn {
     /// Plan-cache hits of the most recent statement on this connection
     /// (1 = the execution reused a compiled plan).
     pub fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        self.transport.last_plan_cache_hits()
+        Ok(self.transport.last_report()?.plan_cache_hits)
+    }
+
+    /// The local session behind this connection, or the refusal of
+    /// `what` (a subject and its verb) naming the transport.
+    fn local(&mut self, what: &str) -> Result<&mut Local> {
+        let kind = self.transport.kind();
+        self.transport.local().ok_or_else(|| {
+            SciqlError::Connection(format!("{what} not supported by the {kind} transport"))
+        })
     }
 
     /// EXPLAIN a SELECT: logical plan plus generated and optimised MAL
-    /// (embedded transports only).
+    /// (local transports only).
     pub fn explain(&mut self, sql: &str) -> Result<String> {
-        self.transport.explain(sql)
+        Ok(self
+            .local("EXPLAIN is")?
+            .with_connection(|c| c.explain(sql))?)
     }
 
-    /// Write a durability checkpoint (vault-backed transports only).
+    /// Write a durability checkpoint (local transports only).
     pub fn checkpoint(&mut self) -> Result<()> {
-        self.transport.checkpoint()
+        Ok(self
+            .local("checkpoint is")?
+            .with_connection(|c| c.checkpoint())?)
     }
 
     /// Human-readable report of stored objects and vault health
-    /// (embedded transports only).
+    /// (local transports only).
     pub fn storage_report(&mut self) -> Result<String> {
-        self.transport.storage_report()
+        Ok(self.local("storage reports are")?.storage_report())
     }
 
     /// Escape hatch to the in-process [`Connection`] behind a `mem:` or
@@ -1012,7 +959,10 @@ impl Conn {
     /// Needed by bulk ingestion paths that bypass SQL, e.g. the imaging
     /// data vault.
     pub fn embedded_connection(&mut self) -> Option<&mut Connection> {
-        self.transport.connection()
+        match self.transport.local()? {
+            Local::Embedded { conn, .. } => Some(conn),
+            Local::Attached(_) => None,
+        }
     }
 
     /// Liveness round trip (a real `Ping` frame over TCP; trivial for

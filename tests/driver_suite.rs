@@ -6,7 +6,9 @@
 //! `tcp://` (served) transports × opt_level {0, 2} × threads {1, 8},
 //! plus a property test that random parameter values round-trip through
 //! protocol-v3 `Bind` frames bit-exactly (nil sentinels and strings
-//! included).
+//! included). A second differential pins what a statement leaves
+//! *behind* — query-log rows, execution report, trace shape — as
+//! identical over `mem:`, `Sciql::attach` and `tcp://`.
 
 use proptest::prelude::*;
 use sciql_repro::driver::{Conn, Rows, Sciql, SciqlError};
@@ -15,6 +17,9 @@ use sciql_repro::net::proto;
 use sciql_repro::net::Server;
 use sciql_repro::params;
 use sciql_repro::sciql::{Connection, ErrorCode, SessionConfig, SharedEngine};
+
+mod common;
+use common::shape;
 
 /// Statements that build the shared test state: an array with computed
 /// cells and a table with strings and NULL holes.
@@ -123,6 +128,104 @@ fn bound_params_byte_identical_across_transports() {
             handle.wait();
         }
     }
+}
+
+/// Everything one connection's run of the parity script leaves
+/// observable: per statement its outcome, the execution report and the
+/// trace shape; at the end its `sys.query_log` rows.
+#[derive(Debug, PartialEq)]
+struct ScriptFootprint {
+    steps: Vec<(String, proto::ExecReport, Vec<String>)>,
+    log: Vec<(String, String, i64, bool, bool)>,
+}
+
+/// Ad-hoc SELECT, prepared SELECT (plan-cache miss, then hit), UPDATE,
+/// prepared UPDATE and a failing statement, with tracing on.
+fn run_parity_script(conn: &mut Conn) -> ScriptFootprint {
+    conn.execute("CREATE TABLE parity_kv (k INT, v INT)")
+        .unwrap();
+    conn.execute("INSERT INTO parity_kv VALUES (1, 10), (2, 20), (3, 30)")
+        .unwrap();
+    let watermark: i64 = conn
+        .query("SELECT MAX(id) FROM sys.query_log")
+        .unwrap()
+        .row(0)
+        .unwrap()
+        .get(0)
+        .unwrap();
+    conn.set_tracing(true).unwrap();
+    let count = conn
+        .prepare("SELECT COUNT(*) FROM parity_kv WHERE v > ?")
+        .unwrap();
+    let set = conn
+        .prepare("UPDATE parity_kv SET v = ? WHERE k = ?")
+        .unwrap();
+    let mut steps = Vec::new();
+    let mut step = |conn: &mut Conn, outcome: String| {
+        let trace = conn.last_trace_text().unwrap().expect("tracing is on");
+        let lines: Vec<String> = trace.lines().map(str::to_owned).collect();
+        steps.push((outcome, conn.last_report().unwrap(), shape(&lines)));
+    };
+    let rows = conn.query("SELECT v FROM parity_kv WHERE k >= 2").unwrap();
+    step(conn, format!("{} rows", rows.row_count()));
+    for bound in [15, 25] {
+        let mut rows = conn.query_bound(&count, params![bound]).unwrap();
+        let n: i64 = rows.next_row().unwrap().get(0).unwrap();
+        step(conn, format!("count {n}"));
+    }
+    let n = conn
+        .execute("UPDATE parity_kv SET v = v + 1 WHERE k = 1")
+        .unwrap();
+    step(conn, format!("{n} affected"));
+    let n = conn.execute_bound(&set, params![7, 2]).unwrap();
+    step(conn, format!("{n} affected"));
+    let err = conn.query("SELECT nope FROM parity_kv").unwrap_err();
+    step(conn, format!("{:?}", err.code()));
+
+    conn.set_tracing(false).unwrap();
+    let mut rows = conn
+        .query(&format!(
+            "SELECT kind, text, rows, plan_cache_hit, error FROM sys.query_log \
+             WHERE id > {watermark} AND text LIKE '%parity_kv%' ORDER BY id"
+        ))
+        .unwrap();
+    let mut log = Vec::new();
+    while let Some(row) = rows.next_row() {
+        log.push((
+            row.get(0).unwrap(),
+            row.get(1).unwrap(),
+            row.get(2).unwrap(),
+            row.get(3).unwrap(),
+            row.get::<Option<String>>(4).unwrap().is_none(),
+        ));
+    }
+    ScriptFootprint { steps, log }
+}
+
+/// Every transport enters statements through the same session runner,
+/// so the same script leaves the same footprint on each: identical
+/// `sys.query_log` rows, `last_report()` counters and trace span shapes.
+#[test]
+fn script_footprint_identical_across_transports() {
+    let mut local = Sciql::connect("mem:").unwrap();
+    let mut attached = Sciql::attach(&SharedEngine::in_memory());
+    let handle = Server::bind(SharedEngine::in_memory(), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let mut remote = Sciql::connect(&format!("tcp://{}", handle.addr())).unwrap();
+
+    let embedded = run_parity_script(&mut local);
+    assert_eq!(embedded.steps.len(), 6);
+    assert_eq!(embedded.log.len(), 6, "{:#?}", embedded.log);
+    let hits: Vec<bool> = embedded.log.iter().map(|r| r.3).collect();
+    assert_eq!(hits, [false, false, true, false, false, false]);
+    assert!(!embedded.log[5].4, "the failing statement logs its error");
+    assert_eq!(embedded, run_parity_script(&mut attached), "mem: vs attach");
+    assert_eq!(embedded, run_parity_script(&mut remote), "mem: vs tcp://");
+
+    remote.shutdown_server().unwrap();
+    handle.wait();
 }
 
 /// Error parity: the same failure yields the same `SciqlError` variant

@@ -23,6 +23,9 @@ use sciql_repro::net::Server;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+mod common;
+use common::shape;
+
 const TILE_ROWS: usize = 8192;
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -131,35 +134,6 @@ fn tracing_leaves_results_byte_identical() {
             }
         }
     }
-}
-
-/// Span-tree *shape*: the indented span name column with the measured
-/// values stripped. Durations and annotation values vary run to run;
-/// the names, nesting and annotation keys must not.
-fn shape(lines: &[String]) -> Vec<String> {
-    lines
-        .iter()
-        .map(|line| {
-            // Render format: `{name:<40} {dur:>12}  k=v ...` — the
-            // first 40 columns are the indented name.
-            let name = if line.len() > 40 {
-                line[..40].trim_end().to_owned()
-            } else {
-                line.trim_end().to_owned()
-            };
-            let keys: Vec<&str> = line
-                .get(40..)
-                .unwrap_or("")
-                .split_whitespace()
-                .filter_map(|tok| tok.split_once('=').map(|(k, _)| k))
-                .collect();
-            if keys.is_empty() {
-                name
-            } else {
-                format!("{name} [{}]", keys.join(","))
-            }
-        })
-        .collect()
 }
 
 fn text_rows(mut rows: Rows) -> Vec<String> {
@@ -472,6 +446,108 @@ fn slow_queries_are_flagged_and_traced_in_query_log() {
         failed_logged,
         "failed statement missing error in sys.query_log"
     );
+}
+
+/// One connection per local/remote path into the session runner: an
+/// embedded vault, a session attached to a shared durable engine, and a
+/// tcp client of a server over a second durable engine.
+fn one_conn_per_transport(tag: &str) -> (Vec<(&'static str, Conn)>, impl FnOnce()) {
+    let dir = fresh_dir(tag);
+    let embedded = Sciql::connect(&format!("file:{}", dir.join("embedded").display())).unwrap();
+    let attached = Sciql::attach(&SharedEngine::open(dir.join("attached")).unwrap());
+    let served = SharedEngine::open(dir.join("served")).unwrap();
+    let handle = Server::bind(served, "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let remote = Sciql::connect(&format!("tcp://{}", handle.addr())).unwrap();
+    let conns = vec![("file", embedded), ("attach", attached), ("tcp", remote)];
+    (conns, move || {
+        handle.stop();
+    })
+}
+
+/// A traced session's *prepared* write leaves its own trace — WAL append
+/// included — on every transport, not the previous statement's.
+#[test]
+fn prepared_write_is_traced_on_every_transport() {
+    let (conns, stop) = one_conn_per_transport("prepwrite");
+    for (kind, mut conn) in conns {
+        conn.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
+        conn.execute("INSERT INTO kv VALUES (1, 10), (2, 20)")
+            .unwrap();
+        let update = conn.prepare("UPDATE kv SET v = ? WHERE k = ?").unwrap();
+        conn.set_tracing(true).unwrap();
+        conn.query("SELECT COUNT(*) FROM kv").unwrap();
+        assert_eq!(
+            conn.execute_bound(&update, sciql_repro::params![11, 1])
+                .unwrap(),
+            1
+        );
+        let trace = conn
+            .last_trace_text()
+            .unwrap()
+            .unwrap_or_else(|| panic!("{kind}: prepared write left no trace"));
+        assert!(
+            trace.starts_with("trace: UPDATE kv SET v = 11"),
+            "{kind}: stale trace:\n{trace}"
+        );
+        assert!(trace.contains("wal.append"), "{kind}:\n{trace}");
+    }
+    stop();
+}
+
+/// The trace of a statement that arrived as text starts with its `parse`
+/// span, whichever transport carried the text.
+#[test]
+fn adhoc_traces_carry_a_parse_span_on_every_transport() {
+    let (conns, stop) = one_conn_per_transport("parsespan");
+    for (kind, mut conn) in conns {
+        conn.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
+        conn.set_tracing(true).unwrap();
+        for sql in ["SELECT COUNT(*) FROM kv", "INSERT INTO kv VALUES (1, 10)"] {
+            conn.run(sql).unwrap();
+            let trace = conn.last_trace_text().unwrap().expect("tracing is on");
+            let spans: Vec<&str> = trace.lines().skip(2).collect();
+            assert!(
+                spans.first().is_some_and(|l| l.starts_with("  parse ")),
+                "{kind}: {sql}:\n{trace}"
+            );
+        }
+    }
+    stop();
+}
+
+/// A syntax error counts as one failed query in `sys.metrics`, the same
+/// on every transport. (The registry is process-global and other tests
+/// fail statements too, so look for a quiet attempt: never fewer than
+/// one, and exactly one at least once.)
+#[test]
+fn syntax_errors_count_as_failed_queries_on_every_transport() {
+    fn failed(conn: &mut Conn) -> i64 {
+        conn.query("SELECT value FROM sys.metrics WHERE name = 'queries_failed'")
+            .unwrap()
+            .row(0)
+            .expect("queries_failed is a registered counter")
+            .get(0)
+            .unwrap()
+    }
+    let (conns, stop) = one_conn_per_transport("syntaxerr");
+    for (kind, mut conn) in conns {
+        let mut quiet = false;
+        for _ in 0..50 {
+            let before = failed(&mut conn);
+            assert!(conn.run("SELEC nonsense").is_err());
+            let counted = failed(&mut conn) - before;
+            assert!(counted >= 1, "{kind}: syntax error not counted");
+            if counted == 1 {
+                quiet = true;
+                break;
+            }
+        }
+        assert!(quiet, "{kind}: never saw exactly one failure counted");
+    }
+    stop();
 }
 
 /// `sys.tiles` agrees with the store's tile accounting: one row per
