@@ -15,9 +15,9 @@ use mal::{Arg, MalType, Program, VarId};
 use sciql_parser::ast::BinOp;
 
 /// Code-generation options: the candidate-pushdown ablation switch plus
-/// the session's parallel-execution settings, which ride through codegen
-/// to the interpreter (generated instructions carry the parallel-safe
-/// mark; these two fields size the slice driver that honours it).
+/// the session's execution settings, which ride through codegen to the
+/// interpreter (generated instructions carry the parallel-safe mark;
+/// `par` sizes the slice driver that honours it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodegenOptions {
     /// Compile simple `col <op> const` conjunctions into `thetaselect`
@@ -29,35 +29,18 @@ pub struct CodegenOptions {
     /// ignores it; it rides here so the session's execution settings
     /// travel as one value from `Connection` to the interpreter.
     pub opt_level: u8,
-    /// Worker threads for parallel-safe instructions (`1` = serial).
-    pub threads: usize,
-    /// Minimum BAT length before a kernel goes parallel.
-    pub parallel_threshold: usize,
-    /// Consult per-tile zone maps to skip non-matching tiles in
-    /// selections (results are identical either way).
-    pub zone_skip: bool,
+    /// Slice-driver configuration for parallel-safe instructions: worker
+    /// threads, the length below which a kernel stays serial, and
+    /// zone-map tile skipping.
+    pub par: gdk::ParConfig,
 }
 
 impl Default for CodegenOptions {
     fn default() -> Self {
-        let par = gdk::ParConfig::default();
         CodegenOptions {
             candidate_pushdown: true,
             opt_level: 2,
-            threads: par.threads,
-            parallel_threshold: par.parallel_threshold,
-            zone_skip: par.zone_skip,
-        }
-    }
-}
-
-impl CodegenOptions {
-    /// The slice-driver configuration these options describe.
-    pub fn par_config(&self) -> gdk::ParConfig {
-        gdk::ParConfig {
-            threads: self.threads.max(1),
-            parallel_threshold: self.parallel_threshold,
-            zone_skip: self.zone_skip,
+            par: gdk::ParConfig::default(),
         }
     }
 }

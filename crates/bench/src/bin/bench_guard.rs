@@ -43,10 +43,6 @@ const TRACKED: &[(&str, &str)] = &[
     ("BENCH_opt.json", "opt/select_project/L2"),
     ("BENCH_opt.json", "opt/select_sum/L2"),
     ("BENCH_opt.json", "opt/select_count/L2"),
-    ("BENCH_parallel.json", "threads/kernels_1m/arith_add/1"),
-    ("BENCH_parallel.json", "threads/kernels_1m/select_ge/1"),
-    ("BENCH_parallel.json", "threads/kernels_1m/group_by_dim/1"),
-    ("BENCH_parallel.json", "threads/kernels_1m/grouped_sum/1"),
     ("BENCH_store.json", "persistence/checkpoint/dirty_attrs"),
     (
         "BENCH_store.json",

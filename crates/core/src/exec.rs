@@ -266,7 +266,7 @@ fn run_program(
         arrays: view.arrays,
         tables,
     };
-    let interp = Interpreter::with_config(view.registry, &storage, view.codegen.par_config());
+    let interp = Interpreter::with_config(view.registry, &storage, view.codegen.par);
     let sp = tracer.open(SpanId::ROOT, "mal");
     let ran = interp.run_traced(prog, params, tracer, sp);
     tracer.close(sp);

@@ -470,9 +470,11 @@ impl Connection {
     /// a custom [`Connection::set_optimizer`] ablation survives
     /// unrelated reconfiguration (e.g. a thread-count change).
     pub fn set_session_config(&mut self, cfg: SessionConfig) {
-        self.codegen.threads = cfg.threads.max(1);
-        self.codegen.parallel_threshold = cfg.parallel_threshold;
-        self.codegen.zone_skip = cfg.zone_skip;
+        self.codegen.par = gdk::ParConfig {
+            threads: cfg.threads.max(1),
+            parallel_threshold: cfg.parallel_threshold,
+            zone_skip: cfg.zone_skip,
+        };
         if cfg.opt_level != self.codegen.opt_level {
             self.opt_config = OptConfig::level(cfg.opt_level);
         }
@@ -482,11 +484,12 @@ impl Connection {
 
     /// The session's current execution configuration.
     pub fn session_config(&self) -> SessionConfig {
+        let par = self.codegen.par;
         SessionConfig {
-            threads: self.codegen.threads,
-            parallel_threshold: self.codegen.parallel_threshold,
+            threads: par.threads,
+            parallel_threshold: par.parallel_threshold,
             opt_level: self.codegen.opt_level,
-            zone_skip: self.codegen.zone_skip,
+            zone_skip: par.zone_skip,
             slow_query_ns: self.session.slow_query_ns,
         }
     }

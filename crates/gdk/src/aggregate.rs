@@ -7,7 +7,7 @@
 
 use crate::bat::Bat;
 use crate::group::Groups;
-use crate::types::ScalarType;
+use crate::types::{dbl_nil, ScalarType, LNG_NIL};
 use crate::value::Value;
 use crate::{GdkError, Result};
 
@@ -60,10 +60,219 @@ impl AggFunc {
     }
 }
 
+/// Running integral `SUM` of one group over one window of rows: the
+/// window's total plus the extrema of its running prefix, in `i128` so the
+/// window arithmetic itself cannot overflow. A serial scan `checked_add`s
+/// an `i64` in row order and fails at the first prefix outside `i64`;
+/// carrying the extrema through [`AggState::merge`] lets the check happen
+/// once, at the end, with exactly that outcome.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LngSum {
+    sum: i128,
+    /// Smallest / largest value the running sum took (0 before any row).
+    lo: i128,
+    hi: i128,
+    seen: bool,
+}
+
+impl LngSum {
+    #[inline]
+    pub(crate) fn add(&mut self, x: i64) {
+        self.sum += x as i128;
+        self.lo = self.lo.min(self.sum);
+        self.hi = self.hi.max(self.sum);
+        self.seen = true;
+    }
+}
+
+/// Per-group state of the one aggregate `func` computes over `input`.
+#[derive(Debug, Clone)]
+pub(crate) enum Acc {
+    /// `COUNT`: non-nil rows.
+    Count(Vec<i64>),
+    /// `SUM` over `int`/`lng` (widens to `lng`, checked).
+    LngSum(Vec<LngSum>),
+    /// `SUM` over `dbl` and every `AVG`: float sum and non-nil count.
+    DblSum(Vec<(f64, u64)>),
+    /// `MIN`/`MAX`: best value so far, NULL before the first.
+    Best(Vec<Value>),
+}
+
+/// The one aggregate state: `ngroups` groups of `func` over an `input`
+/// column. Rows are pushed in scan order ([`with_agg_push!`]), states of
+/// consecutive windows [`merge`](AggState::merge) left to right, and
+/// [`finish`](AggState::finish) yields one tuple per group. The serial
+/// kernels use one window; [`crate::par`] uses `k`.
+#[derive(Debug, Clone)]
+pub(crate) struct AggState {
+    pub(crate) func: AggFunc,
+    input: ScalarType,
+    pub(crate) acc: Acc,
+}
+
+impl AggState {
+    /// Empty state; rejects non-numeric `SUM`/`AVG` inputs up front.
+    pub(crate) fn new(func: AggFunc, input: ScalarType, ngroups: usize) -> Result<Self> {
+        let acc = match (func, func.result_type(input)?) {
+            (AggFunc::Count, _) => Acc::Count(vec![0; ngroups]),
+            (AggFunc::Sum, ScalarType::Lng) => Acc::LngSum(vec![LngSum::default(); ngroups]),
+            (AggFunc::Sum | AggFunc::Avg, _) => Acc::DblSum(vec![(0.0, 0); ngroups]),
+            (AggFunc::Min | AggFunc::Max, _) => Acc::Best(vec![Value::Null; ngroups]),
+        };
+        Ok(AggState { func, input, acc })
+    }
+
+    /// Can states of consecutive windows be merged with bit-identical
+    /// results? Float addition is not associative, so float `SUM` and
+    /// `AVG` must see every row in one window.
+    pub(crate) fn mergeable(&self) -> bool {
+        !matches!(self.acc, Acc::DblSum(_))
+    }
+
+    /// Fold in the state of the rows that directly follow this state's.
+    pub(crate) fn merge(&mut self, later: AggState) {
+        match (&mut self.acc, later.acc) {
+            (Acc::Count(a), Acc::Count(b)) => {
+                for (a, b) in a.iter_mut().zip(b) {
+                    *a += b;
+                }
+            }
+            (Acc::LngSum(a), Acc::LngSum(b)) => {
+                for (a, b) in a.iter_mut().zip(b) {
+                    a.lo = a.lo.min(a.sum + b.lo);
+                    a.hi = a.hi.max(a.sum + b.hi);
+                    a.sum += b.sum;
+                    a.seen |= b.seen;
+                }
+            }
+            (Acc::Best(a), Acc::Best(b)) => {
+                for (a, b) in a.iter_mut().zip(b) {
+                    if !b.is_null() && replaces(self.func, a, &b) {
+                        *a = b;
+                    }
+                }
+            }
+            _ => unreachable!("merge of unmergeable or mismatched aggregate states"),
+        }
+    }
+
+    /// One tuple per group, in group-id order: NULL for an empty or
+    /// all-nil group, except `COUNT` which yields 0. `status` is how the
+    /// scan that fed this state ended; a `SUM` whose running prefix left
+    /// `i64` before the scan failed reports the overflow, as a serial scan
+    /// would have stopped there first.
+    pub(crate) fn finish(self, status: Result<()>) -> Result<Bat> {
+        let out_of_i64 = |s: &LngSum| s.lo < i64::MIN as i128 || s.hi > i64::MAX as i128;
+        if matches!(&self.acc, Acc::LngSum(sums) if sums.iter().any(out_of_i64)) {
+            return Err(GdkError::arithmetic("SUM overflow"));
+        }
+        status?;
+        let avg = self.func == AggFunc::Avg;
+        Ok(match self.acc {
+            Acc::Count(counts) => Bat::from_lngs(counts),
+            Acc::LngSum(sums) => Bat::from_lngs(
+                sums.iter()
+                    .map(|s| if s.seen { s.sum as i64 } else { LNG_NIL })
+                    .collect(),
+            ),
+            Acc::DblSum(sums) => Bat::from_dbls(
+                sums.iter()
+                    .map(|&(sum, n)| match n {
+                        0 => dbl_nil(),
+                        _ if avg => sum / n as f64,
+                        _ => sum,
+                    })
+                    .collect(),
+            ),
+            Acc::Best(best) => Bat::from_values(self.input, &best)?,
+        })
+    }
+}
+
+/// `MIN`/`MAX` replacement rule: strictly better, first wins ties.
+pub(crate) fn replaces(func: AggFunc, slot: &Value, candidate: &Value) -> bool {
+    match slot.sql_cmp(candidate) {
+        None => true, // slot still NULL
+        Some(ord) if func == AggFunc::Min => ord == std::cmp::Ordering::Greater,
+        Some(ord) => ord == std::cmp::Ordering::Less,
+    }
+}
+
+/// Bind `$push` to a concrete `FnMut(group, pos)` that folds `vals[pos]`
+/// into group `group` of `$state`, and evaluate `$body` with it — one
+/// monomorphized copy of the body per state/column shape, so the scan
+/// loop around it has no per-row dispatch. Pushing never fails: the
+/// integral `SUM` check is deferred to [`AggState::finish`].
+macro_rules! with_agg_push {
+    ($state:expr, $vals:expr, |$push:ident| $body:expr) => {{
+        let state: &mut $crate::aggregate::AggState = $state;
+        let vals: &$crate::bat::Bat = $vals;
+        let func = state.func;
+        match (&mut state.acc, vals.data()) {
+            ($crate::aggregate::Acc::Count(counts), _) => {
+                let mut $push = |g: usize, pos: usize| {
+                    if !vals.is_nil_at(pos) {
+                        counts[g] += 1;
+                    }
+                };
+                $body
+            }
+            ($crate::aggregate::Acc::LngSum(sums), $crate::bat::ColumnData::Int(v)) => {
+                let mut $push = |g: usize, pos: usize| {
+                    if v[pos] != $crate::types::INT_NIL {
+                        sums[g].add(v[pos] as i64);
+                    }
+                };
+                $body
+            }
+            ($crate::aggregate::Acc::LngSum(sums), $crate::bat::ColumnData::Lng(v)) => {
+                let mut $push = |g: usize, pos: usize| {
+                    if v[pos] != $crate::types::LNG_NIL {
+                        sums[g].add(v[pos]);
+                    }
+                };
+                $body
+            }
+            ($crate::aggregate::Acc::LngSum(_), _) => {
+                unreachable!("integral SUM state over a non-integral column")
+            }
+            ($crate::aggregate::Acc::DblSum(sums), _) => {
+                let mut $push = |g: usize, pos: usize| {
+                    if let Some(x) = vals.get(pos).as_f64() {
+                        sums[g].0 += x;
+                        sums[g].1 += 1;
+                    }
+                };
+                $body
+            }
+            ($crate::aggregate::Acc::Best(best), _) => {
+                let mut $push = |g: usize, pos: usize| {
+                    let v = vals.get(pos);
+                    if !v.is_null() && $crate::aggregate::replaces(func, &best[g], &v) {
+                        best[g] = v;
+                    }
+                };
+                $body
+            }
+        }
+    }};
+}
+pub(crate) use with_agg_push;
+
 /// Grouped aggregation: `vals` must be aligned with `groups.ids` (i.e. the
 /// caller already projected values through the same candidate list). The
 /// result has one tuple per group, in group-id order.
 pub fn grouped(func: AggFunc, vals: &Bat, groups: &Groups) -> Result<Bat> {
+    grouped_windows(func, vals, groups, 1).map(|(out, _)| out)
+}
+
+/// [`grouped`] over `k` windows of rows; returns the window count used.
+pub(crate) fn grouped_windows(
+    func: AggFunc,
+    vals: &Bat,
+    groups: &Groups,
+    k: usize,
+) -> Result<(Bat, usize)> {
     if vals.len() != groups.ids.len() {
         return Err(GdkError::invalid(format!(
             "aggregate: {} values vs {} group ids",
@@ -71,128 +280,45 @@ pub fn grouped(func: AggFunc, vals: &Bat, groups: &Groups) -> Result<Bat> {
             groups.ids.len()
         )));
     }
-    let ng = groups.ngroups as usize;
-    match func {
-        AggFunc::Count => {
-            let mut counts = vec![0i64; ng];
-            for (i, &g) in groups.ids.iter().enumerate() {
-                if !vals.is_nil_at(i) {
-                    counts[g as usize] += 1;
-                }
-            }
-            Ok(Bat::from_lngs(counts))
-        }
-        AggFunc::Sum => {
-            let rt = func.result_type(vals.tail_type())?;
-            match rt {
-                ScalarType::Lng => {
-                    let mut sums = vec![0i64; ng];
-                    let mut seen = vec![false; ng];
-                    for (i, &g) in groups.ids.iter().enumerate() {
-                        if let Some(x) = vals.get(i).as_i64() {
-                            sums[g as usize] = sums[g as usize]
-                                .checked_add(x)
-                                .ok_or_else(|| GdkError::arithmetic("SUM overflow"))?;
-                            seen[g as usize] = true;
-                        }
-                    }
-                    let mut out = Bat::with_capacity(ScalarType::Lng, ng);
-                    for g in 0..ng {
-                        out.push(&if seen[g] {
-                            Value::Lng(sums[g])
-                        } else {
-                            Value::Null
-                        })?;
-                    }
-                    Ok(out)
-                }
-                _ => {
-                    let mut sums = vec![0f64; ng];
-                    let mut seen = vec![false; ng];
-                    for (i, &g) in groups.ids.iter().enumerate() {
-                        if vals.is_nil_at(i) {
-                            continue;
-                        }
-                        if let Some(x) = vals.get(i).as_f64() {
-                            sums[g as usize] += x;
-                            seen[g as usize] = true;
-                        }
-                    }
-                    let mut out = Bat::with_capacity(ScalarType::Dbl, ng);
-                    for g in 0..ng {
-                        out.push(&if seen[g] {
-                            Value::Dbl(sums[g])
-                        } else {
-                            Value::Null
-                        })?;
-                    }
-                    Ok(out)
-                }
-            }
-        }
-        AggFunc::Avg => {
-            func.result_type(vals.tail_type())?;
-            let mut sums = vec![0f64; ng];
-            let mut counts = vec![0u64; ng];
-            for (i, &g) in groups.ids.iter().enumerate() {
-                if vals.is_nil_at(i) {
-                    continue;
-                }
-                if let Some(x) = vals.get(i).as_f64() {
-                    sums[g as usize] += x;
-                    counts[g as usize] += 1;
-                }
-            }
-            let mut out = Bat::with_capacity(ScalarType::Dbl, ng);
-            for g in 0..ng {
-                out.push(&if counts[g] > 0 {
-                    Value::Dbl(sums[g] / counts[g] as f64)
-                } else {
-                    Value::Null
-                })?;
-            }
-            Ok(out)
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let mut best: Vec<Value> = vec![Value::Null; ng];
-            for (i, &g) in groups.ids.iter().enumerate() {
-                let v = vals.get(i);
-                if v.is_null() {
-                    continue;
-                }
-                let slot = &mut best[g as usize];
-                let replace = match slot.sql_cmp(&v) {
-                    None => true, // slot is NULL
-                    Some(ord) => {
-                        if func == AggFunc::Min {
-                            ord == std::cmp::Ordering::Greater
-                        } else {
-                            ord == std::cmp::Ordering::Less
-                        }
-                    }
-                };
-                if replace {
-                    *slot = v;
-                }
-            }
-            let mut out = Bat::with_capacity(vals.tail_type(), ng);
-            for v in &best {
-                out.push(v)?;
-            }
-            Ok(out)
-        }
-    }
+    fold_windows(func, vals, groups.ngroups as usize, k, |i| {
+        groups.ids[i] as usize
+    })
 }
 
 /// Ungrouped (scalar) aggregate over a whole BAT.
 pub fn scalar(func: AggFunc, vals: &Bat) -> Result<Value> {
-    let g = Groups {
-        ids: vec![0; vals.len()],
-        ngroups: 1,
-        extents: vec![0],
-    };
-    let b = grouped(func, vals, &g)?;
-    Ok(b.get(0))
+    scalar_windows(func, vals, 1).map(|(v, _)| v)
+}
+
+/// [`scalar`] over `k` windows of rows; returns the window count used.
+pub(crate) fn scalar_windows(func: AggFunc, vals: &Bat, k: usize) -> Result<(Value, usize)> {
+    let (out, k) = fold_windows(func, vals, 1, k, |_| 0)?;
+    Ok((out.get(0), k))
+}
+
+/// Aggregate every row of `vals` into group `group_of(row)`.
+fn fold_windows(
+    func: AggFunc,
+    vals: &Bat,
+    ngroups: usize,
+    k: usize,
+    group_of: impl Fn(usize) -> usize + Sync,
+) -> Result<(Bat, usize)> {
+    let empty = AggState::new(func, vals.tail_type(), ngroups)?;
+    let k = if empty.mergeable() { k } else { 1 };
+    let (state, status) = crate::par::reduce_windows(
+        vals.len(),
+        k,
+        empty,
+        |state, rows| {
+            with_agg_push!(state, vals, |push| for i in rows {
+                push(group_of(i), i);
+            });
+            Ok(())
+        },
+        AggState::merge,
+    );
+    Ok((state.finish(status)?, k))
 }
 
 #[cfg(test)]

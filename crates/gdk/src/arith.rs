@@ -9,6 +9,7 @@ use crate::bat::{Bat, ColumnData};
 use crate::types::{dbl_nil, is_dbl_nil, ScalarType, BIT_NIL, INT_NIL, LNG_NIL};
 use crate::value::Value;
 use crate::{GdkError, Result};
+use std::ops::Range;
 
 /// Binary arithmetic operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -111,7 +112,7 @@ impl<'a> Operand<'a> {
     }
 }
 
-fn common_len(a: &Operand<'_>, b: &Operand<'_>) -> Result<usize> {
+pub(crate) fn common_len(a: &Operand<'_>, b: &Operand<'_>) -> Result<usize> {
     match (a.len(), b.len()) {
         (Some(x), Some(y)) => {
             if x != y {
@@ -163,10 +164,9 @@ pub fn scalar_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     }
 }
 
-/// The integral branch of [`scalar_binop`], shared with the parallel
-/// driver so serial and parallel lng arithmetic can never drift.
+/// The integral branch of [`scalar_binop`].
 #[inline]
-pub(crate) fn lng_op(op: BinOp, x: i64, y: i64) -> Result<i64> {
+fn lng_op(op: BinOp, x: i64, y: i64) -> Result<i64> {
     match op {
         BinOp::Add => x.checked_add(y),
         BinOp::Sub => x.checked_sub(y),
@@ -187,9 +187,9 @@ pub(crate) fn lng_op(op: BinOp, x: i64, y: i64) -> Result<i64> {
     .ok_or_else(|| GdkError::arithmetic("integer overflow"))
 }
 
-/// The dbl branch of [`scalar_binop`], shared with the parallel driver.
+/// The dbl branch of [`scalar_binop`].
 #[inline]
-pub(crate) fn dbl_op(op: BinOp, x: f64, y: f64) -> Result<f64> {
+fn dbl_op(op: BinOp, x: f64, y: f64) -> Result<f64> {
     Ok(match op {
         BinOp::Add => x + y,
         BinOp::Sub => x - y,
@@ -209,8 +209,195 @@ pub(crate) fn dbl_op(op: BinOp, x: f64, y: f64) -> Result<f64> {
     })
 }
 
+// ---------------------------------------------------------------------
+// Typed slice kernels
+// ---------------------------------------------------------------------
+
+/// Cell type of the typed slice kernels (`int`, `lng`, `dbl`).
+trait Num: Copy + Default + Send + Sync {
+    /// The in-band nil.
+    const NIL: Self;
+    fn is_nil(self) -> bool;
+    /// `x op y` for non-nil operands.
+    fn apply(op: BinOp, x: Self, y: Self) -> Result<Self>;
+    /// Exact integral view; `None` for `dbl`.
+    fn as_i64(self) -> Option<i64>;
+    fn as_f64(self) -> f64;
+    fn into_bat(v: Vec<Self>) -> Bat;
+}
+
+impl Num for i32 {
+    const NIL: i32 = INT_NIL;
+    fn is_nil(self) -> bool {
+        self == INT_NIL
+    }
+    fn apply(op: BinOp, x: i32, y: i32) -> Result<i32> {
+        int_op(op, x, y)
+    }
+    fn as_i64(self) -> Option<i64> {
+        Some(self as i64)
+    }
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn into_bat(v: Vec<i32>) -> Bat {
+        Bat::from_ints(v)
+    }
+}
+
+impl Num for i64 {
+    const NIL: i64 = LNG_NIL;
+    fn is_nil(self) -> bool {
+        self == LNG_NIL
+    }
+    fn apply(op: BinOp, x: i64, y: i64) -> Result<i64> {
+        lng_op(op, x, y)
+    }
+    fn as_i64(self) -> Option<i64> {
+        Some(self)
+    }
+    fn as_f64(self) -> f64 {
+        self as f64
+    }
+    fn into_bat(v: Vec<i64>) -> Bat {
+        Bat::from_lngs(v)
+    }
+}
+
+impl Num for f64 {
+    const NIL: f64 = f64::NAN;
+    fn is_nil(self) -> bool {
+        is_dbl_nil(self)
+    }
+    fn apply(op: BinOp, x: f64, y: f64) -> Result<f64> {
+        dbl_op(op, x, y)
+    }
+    fn as_i64(self) -> Option<i64> {
+        None
+    }
+    fn as_f64(self) -> f64 {
+        self
+    }
+    fn into_bat(v: Vec<f64>) -> Bat {
+        Bat::from_dbls(v)
+    }
+}
+
+/// One operand of a typed slice kernel. Only column cells carry in-band
+/// nils: a scalar is a number even when it equals the sentinel
+/// (`Value::Dbl(NaN)` and `Value::Lng(i64::MIN)` are not SQL NULL).
+#[derive(Clone, Copy)]
+enum Side<'a, T> {
+    Col(&'a [T]),
+    Scalar(T),
+}
+
+impl<T: Copy> Side<'_, T> {
+    fn window(self, r: &Range<usize>) -> Self {
+        match self {
+            Side::Col(v) => Side::Col(&v[r.clone()]),
+            scalar => scalar,
+        }
+    }
+}
+
+/// A numeric operand resolved to its cell type.
+#[derive(Clone, Copy)]
+enum NumSide<'a> {
+    Int(Side<'a, i32>),
+    Lng(Side<'a, i64>),
+    Dbl(Side<'a, f64>),
+}
+
+fn num_side(o: Operand<'_>) -> Option<NumSide<'_>> {
+    Some(match o {
+        Operand::Col(b) => match b.data() {
+            ColumnData::Int(v) => NumSide::Int(Side::Col(v)),
+            ColumnData::Lng(v) => NumSide::Lng(Side::Col(v)),
+            ColumnData::Dbl(v) => NumSide::Dbl(Side::Col(v)),
+            _ => return None,
+        },
+        Operand::Scalar(Value::Int(x)) => NumSide::Int(Side::Scalar(*x)),
+        Operand::Scalar(Value::Lng(x)) => NumSide::Lng(Side::Scalar(*x)),
+        Operand::Scalar(Value::Dbl(x)) => NumSide::Dbl(Side::Scalar(*x)),
+        Operand::Scalar(_) => return None,
+    })
+}
+
+/// The slice kernel: `out[i] = f(a[i], b[i])`, `nil` where a column cell
+/// is nil. `out` is as long as the column windows.
+fn zip_into<A: Num, B: Num, O: Copy>(
+    a: Side<'_, A>,
+    b: Side<'_, B>,
+    nil: O,
+    out: &mut [O],
+    f: impl Fn(A, B) -> Result<O>,
+) -> Result<()> {
+    match (a, b) {
+        (Side::Col(xs), Side::Col(ys)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
+                *o = if x.is_nil() || y.is_nil() {
+                    nil
+                } else {
+                    f(x, y)?
+                };
+            }
+        }
+        (Side::Col(xs), Side::Scalar(y)) => {
+            for (o, &x) in out.iter_mut().zip(xs) {
+                *o = if x.is_nil() { nil } else { f(x, y)? };
+            }
+        }
+        (Side::Scalar(x), Side::Col(ys)) => {
+            for (o, &y) in out.iter_mut().zip(ys) {
+                *o = if y.is_nil() { nil } else { f(x, y)? };
+            }
+        }
+        (Side::Scalar(_), Side::Scalar(_)) => {
+            unreachable!("element-wise kernels take at least one column")
+        }
+    }
+    Ok(())
+}
+
+/// [`zip_into`] over `k` windows of one fresh `n`-long output.
+fn zip_windows<A: Num, B: Num, O: Copy + Default + Send + Sync>(
+    n: usize,
+    k: usize,
+    a: Side<'_, A>,
+    b: Side<'_, B>,
+    nil: O,
+    f: impl Fn(A, B) -> Result<O> + Sync,
+) -> Result<Vec<O>> {
+    crate::par::map_windows(n, k, |r, out| {
+        zip_into(a.window(&r), b.window(&r), nil, out, &f)
+    })
+}
+
+fn typed_binop<T: Num>(
+    op: BinOp,
+    a: Side<'_, T>,
+    b: Side<'_, T>,
+    n: usize,
+    k: usize,
+) -> Result<(Bat, usize)> {
+    let out = zip_windows(n, k, a, b, T::NIL, |x, y| T::apply(op, x, y))?;
+    Ok((T::into_bat(out), k))
+}
+
 /// Element-wise binary arithmetic with broadcasting.
 pub fn binop(op: BinOp, a: Operand<'_>, b: Operand<'_>) -> Result<Bat> {
+    binop_windows(op, a, b, 1).map(|(out, _)| out)
+}
+
+/// [`binop`] over `k` windows; returns the window count actually used
+/// (1 for the shapes without a typed slice kernel).
+pub(crate) fn binop_windows(
+    op: BinOp,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    k: usize,
+) -> Result<(Bat, usize)> {
     let len = common_len(&a, &b)?;
     let ta = a.scalar_type();
     let tb = b.scalar_type();
@@ -225,29 +412,27 @@ pub fn binop(op: BinOp, a: Operand<'_>, b: Operand<'_>) -> Result<Bat> {
             for _ in 0..len {
                 out.push(&Value::Null)?;
             }
-            return Ok(out);
+            return Ok((out, 1));
         }
         (None, None) => return Err(GdkError::type_mismatch("untyped operands")),
     };
 
-    // Int ⊕ Int fast path (dimension arithmetic is the hot loop of tiling).
-    if let (Operand::Col(ab), true) = (&a, rt == ScalarType::Int) {
-        if let (ColumnData::Int(av), Operand::Scalar(Value::Int(sv))) = (ab.data(), &b) {
-            return int_scalar_fast(op, av, *sv, false);
-        }
-        if let (ColumnData::Int(av), Operand::Col(bb)) = (ab.data(), &b) {
-            if let ColumnData::Int(bv) = bb.data() {
-                return int_int_fast(op, av, bv);
+    // Same-typed numeric operands (dimension arithmetic is the hot loop
+    // of tiling) run the typed slice kernel.
+    match (num_side(a), num_side(b)) {
+        (Some(NumSide::Int(x)), Some(NumSide::Int(y))) => {
+            // The one scalar sentinel that *is* nil: `int` ⊕ INT_NIL.
+            if matches!(x, Side::Scalar(INT_NIL)) || matches!(y, Side::Scalar(INT_NIL)) {
+                return Ok((Bat::from_ints(vec![INT_NIL; len]), 1));
             }
+            return typed_binop(op, x, y, len, k);
         }
-    }
-    if let (Operand::Scalar(s), Operand::Col(bb), true) = (&a, &b, rt == ScalarType::Int) {
-        if let (Value::Int(sv), ColumnData::Int(bv)) = (s, bb.data()) {
-            return int_scalar_fast(op, bv, *sv, true);
-        }
+        (Some(NumSide::Lng(x)), Some(NumSide::Lng(y))) => return typed_binop(op, x, y, len, k),
+        (Some(NumSide::Dbl(x)), Some(NumSide::Dbl(y))) => return typed_binop(op, x, y, len, k),
+        _ => {}
     }
 
-    // Generic path.
+    // Generic path: mixed widths, oid and void operands.
     let mut out = Bat::with_capacity(rt, len);
     for i in 0..len {
         let (x, y) = (a.value_at(i), b.value_at(i));
@@ -258,44 +443,11 @@ pub fn binop(op: BinOp, a: Operand<'_>, b: Operand<'_>) -> Result<Bat> {
         };
         out.push(&r)?;
     }
-    Ok(out)
-}
-
-fn int_int_fast(op: BinOp, a: &[i32], b: &[i32]) -> Result<Bat> {
-    let mut out = Vec::with_capacity(a.len());
-    for i in 0..a.len() {
-        let (x, y) = (a[i], b[i]);
-        if x == INT_NIL || y == INT_NIL {
-            out.push(INT_NIL);
-            continue;
-        }
-        out.push(int_op(op, x, y)?);
-    }
-    Ok(Bat::from_ints(out))
-}
-
-fn int_scalar_fast(op: BinOp, col: &[i32], s: i32, scalar_left: bool) -> Result<Bat> {
-    if s == INT_NIL {
-        return Ok(Bat::from_ints(vec![INT_NIL; col.len()]));
-    }
-    let mut out = Vec::with_capacity(col.len());
-    for &x in col {
-        if x == INT_NIL {
-            out.push(INT_NIL);
-            continue;
-        }
-        let r = if scalar_left {
-            int_op(op, s, x)?
-        } else {
-            int_op(op, x, s)?
-        };
-        out.push(r);
-    }
-    Ok(Bat::from_ints(out))
+    Ok((out, 1))
 }
 
 #[inline]
-pub(crate) fn int_op(op: BinOp, x: i32, y: i32) -> Result<i32> {
+fn int_op(op: BinOp, x: i32, y: i32) -> Result<i32> {
     let r = match op {
         BinOp::Add => x.checked_add(y),
         BinOp::Sub => x.checked_sub(y),
@@ -320,25 +472,72 @@ pub(crate) fn int_op(op: BinOp, x: i32, y: i32) -> Result<i32> {
     Ok(r)
 }
 
+/// Exact ordering of two numeric cells: integral pairs compare as `i64`
+/// (`f64` has 53 bits of mantissa), anything involving a `dbl` as `f64`
+/// (`None` for a NaN scalar). Agrees with [`Value::sql_cmp`].
+#[inline]
+fn num_cmp<A: Num, B: Num>(x: A, y: B) -> Option<std::cmp::Ordering> {
+    match (x.as_i64(), y.as_i64()) {
+        (Some(x), Some(y)) => Some(x.cmp(&y)),
+        _ => x.as_f64().partial_cmp(&y.as_f64()),
+    }
+}
+
+fn typed_cmp<A: Num, B: Num>(
+    op: CmpOp,
+    a: Side<'_, A>,
+    b: Side<'_, B>,
+    n: usize,
+    k: usize,
+) -> Result<Vec<i8>> {
+    zip_windows(n, k, a, b, BIT_NIL, |x, y| {
+        Ok(num_cmp(x, y).map_or(BIT_NIL, |ord| cmp_holds(op, ord) as i8))
+    })
+}
+
+/// [`typed_cmp`] once the right operand's cell type is resolved too.
+fn typed_cmp_rhs<A: Num>(
+    op: CmpOp,
+    a: Side<'_, A>,
+    b: NumSide<'_>,
+    n: usize,
+    k: usize,
+) -> Result<Vec<i8>> {
+    match b {
+        NumSide::Int(b) => typed_cmp(op, a, b, n, k),
+        NumSide::Lng(b) => typed_cmp(op, a, b, n, k),
+        NumSide::Dbl(b) => typed_cmp(op, a, b, n, k),
+    }
+}
+
 /// Element-wise comparison, producing a `bit` BAT (nil where either side is
 /// nil — three-valued logic).
 pub fn cmpop(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> Result<Bat> {
+    cmpop_windows(op, a, b, 1).map(|(out, _)| out)
+}
+
+/// [`cmpop`] over `k` windows; returns the window count actually used
+/// (1 for the shapes without a typed slice kernel).
+pub(crate) fn cmpop_windows(
+    op: CmpOp,
+    a: Operand<'_>,
+    b: Operand<'_>,
+    k: usize,
+) -> Result<(Bat, usize)> {
     let len = common_len(&a, &b)?;
-    // Int×Int scalar fast path.
-    if let (Operand::Col(ab), Operand::Scalar(Value::Int(s))) = (&a, &b) {
-        if let ColumnData::Int(av) = ab.data() {
-            let s = *s;
-            let mut out = Vec::with_capacity(len);
-            for &x in av {
-                if x == INT_NIL || s == INT_NIL {
-                    out.push(BIT_NIL);
-                } else {
-                    out.push(cmp_holds(op, x.cmp(&s)) as i8);
-                }
-            }
-            return Ok(Bat::from_data(ColumnData::Bit(out)));
+    if let (Some(x), Some(y)) = (num_side(a), num_side(b)) {
+        // The one scalar sentinel that *is* nil: `int` column ⋚ INT_NIL.
+        if let (NumSide::Int(Side::Col(_)), NumSide::Int(Side::Scalar(INT_NIL))) = (x, y) {
+            return Ok((Bat::from_data(ColumnData::Bit(vec![BIT_NIL; len])), 1));
         }
+        let out = match x {
+            NumSide::Int(x) => typed_cmp_rhs(op, x, y, len, k),
+            NumSide::Lng(x) => typed_cmp_rhs(op, x, y, len, k),
+            NumSide::Dbl(x) => typed_cmp_rhs(op, x, y, len, k),
+        }?;
+        return Ok((Bat::from_data(ColumnData::Bit(out)), k));
     }
+    // Generic path: strings, bits, oids, void columns, NULL scalars.
     let mut out = Vec::with_capacity(len);
     for i in 0..len {
         let (x, y) = (a.value_at(i), b.value_at(i));
@@ -347,11 +546,11 @@ pub fn cmpop(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> Result<Bat> {
             Some(ord) => out.push(cmp_holds(op, ord) as i8),
         }
     }
-    Ok(Bat::from_data(ColumnData::Bit(out)))
+    Ok((Bat::from_data(ColumnData::Bit(out)), 1))
 }
 
 #[inline]
-pub(crate) fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
+fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
     use std::cmp::Ordering::*;
     match op {
         CmpOp::Eq => ord == Equal,

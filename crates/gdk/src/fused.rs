@@ -4,24 +4,29 @@
 //! (+ scalar aggregate) chains into single instructions backed by these
 //! kernels, so the candidate list — and for aggregates the projected
 //! payload BAT — is never materialised. Each kernel is defined as *the
-//! composition of the serial kernels it replaces*: `select_project(b, …,
-//! payload)` produces exactly `project(rangeselect(b, …), payload)` and
-//! `select_aggregate` produces exactly `scalar(func, project(…))`,
-//! including error behaviour (out-of-range projection oids, SUM overflow
-//! at the same prefix), which the differential tests pin down.
+//! composition of the serial kernels it replaces*:
+//! `theta_select_project(b, …, payload)` produces exactly
+//! `project(thetaselect(b, …), payload)` and `theta_select_aggregate`
+//! produces exactly `scalar(func, project(…))`, including error behaviour
+//! (out-of-range projection oids, SUM overflow at the same prefix, the
+//! earlier of the two when both occur), which the differential tests pin
+//! down. The aggregate itself is [`crate::aggregate`]'s one state, fed
+//! one group.
 //!
 //! Predicates use the same `*_in_range` helpers the selection scan
 //! monomorphizes — so the qualifying sets cannot drift — dispatched here
 //! through the `with_range_pred!` macro so each shape gets a concrete closure
 //! (no virtual call per element on the hot path).
 
-use crate::aggregate::AggFunc;
+use crate::aggregate::{with_agg_push, AggFunc, AggState};
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
+use crate::project::oob;
 use crate::select::theta_bounds;
 use crate::types::ScalarType;
 use crate::value::Value;
-use crate::{GdkError, Result};
+use crate::Result;
+use std::ops::Range;
 
 /// Bind `$pred` to a *concrete* per-shape range-predicate closure and
 /// evaluate `$body` with it — one monomorphized copy of the body per
@@ -69,24 +74,38 @@ pub fn elem_width(t: ScalarType) -> usize {
     }
 }
 
-/// Walk the selection domain (all of `b`, or the incoming candidate
-/// list) in order, calling `f` with each in-range position.
-fn for_each_pos(
-    len: usize,
+/// Walk window `rows` of the selection domain (all of `b`, or the
+/// incoming candidate list) in order, calling `hit` with each qualifying
+/// position. A qualifying position beyond the payload is the
+/// out-of-range error `project` would raise.
+///
+/// The dominant shape — full-domain scan over a payload at least as long
+/// as the selection column — needs no per-element range check, so that
+/// loop is a plain `if pred { hit }` like the selection scan itself.
+#[inline]
+fn for_each_hit(
+    (len, plen): (usize, usize),
     cand: Option<&Candidates>,
-    mut f: impl FnMut(usize) -> Result<()>,
+    rows: Range<usize>,
+    pred: impl Fn(usize) -> bool,
+    mut hit: impl FnMut(usize),
 ) -> Result<()> {
     match cand {
-        None => {
-            for pos in 0..len {
-                f(pos)?;
+        None if plen >= len => {
+            for pos in rows {
+                if pred(pos) {
+                    hit(pos);
+                }
             }
         }
-        Some(c) => {
-            for o in c.iter() {
-                let pos = o as usize;
-                if pos < len {
-                    f(pos)?;
+        _ => {
+            for i in rows {
+                let pos = cand.map_or(i, |c| c.get(i) as usize);
+                if pos < len && pred(pos) {
+                    if pos >= plen {
+                        return Err(oob(pos, plen));
+                    }
+                    hit(pos);
                 }
             }
         }
@@ -94,107 +113,10 @@ fn for_each_pos(
     Ok(())
 }
 
-pub(crate) fn oob(pos: usize, len: usize) -> GdkError {
-    GdkError::invalid(format!("projection oid {pos} out of range (len {len})"))
-}
-
-/// Fused range-select + project: one pass over `b`'s selection domain,
+/// Fused theta-select + project: one pass over `b`'s selection domain,
 /// emitting `payload` values at qualifying positions. Equivalent to
-/// `project(&rangeselect(b, cand, …)?, payload)` without materialising
-/// the candidate list.
-#[allow(clippy::too_many_arguments)]
-pub fn select_project(
-    b: &Bat,
-    cand: Option<&Candidates>,
-    lo: &Value,
-    hi: &Value,
-    li: bool,
-    hi_incl: bool,
-    anti: bool,
-    payload: &Bat,
-) -> Result<Bat> {
-    with_range_pred!(b, lo, hi, li, hi_incl, anti, |pred| {
-        select_project_with(b.len(), cand, payload, pred)
-    })
-}
-
-/// The select→project walk, generic over the (monomorphized) predicate.
-///
-/// The dominant shape — full-domain scan over a payload at least as long
-/// as the selection column — needs no per-element range check, so that
-/// loop is a plain `if pred { push }` like the selection scan itself;
-/// everything else goes through the careful [`for_each_pos`] walk with
-/// the same out-of-range error `project` would raise.
-fn select_project_with(
-    len: usize,
-    cand: Option<&Candidates>,
-    payload: &Bat,
-    pred: impl Fn(usize) -> bool,
-) -> Result<Bat> {
-    let plen = payload.len();
-    let fast = cand.is_none() && plen >= len;
-    macro_rules! typed {
-        ($v:expr, $fetch:expr, $ctor:expr) => {{
-            let v = $v;
-            #[allow(clippy::redundant_closure_call)]
-            let mut out = Vec::new();
-            if fast {
-                for pos in 0..len {
-                    if pred(pos) {
-                        out.push($fetch(v, pos));
-                    }
-                }
-            } else {
-                for_each_pos(len, cand, |pos| {
-                    if pred(pos) {
-                        if pos >= plen {
-                            return Err(oob(pos, plen));
-                        }
-                        out.push($fetch(v, pos));
-                    }
-                    Ok(())
-                })?;
-            }
-            #[allow(clippy::redundant_closure_call)]
-            Ok($ctor(out))
-        }};
-    }
-    match payload.data() {
-        ColumnData::Void { seq, .. } => {
-            let seq = *seq;
-            typed!(
-                (),
-                |_: (), pos: usize| seq + pos as crate::types::Oid,
-                Bat::from_oids
-            )
-        }
-        ColumnData::Bit(v) => typed!(v, |v: &[i8], p: usize| v[p], |o| Bat::from_data(
-            ColumnData::Bit(o)
-        )),
-        ColumnData::Int(v) => typed!(v, |v: &[i32], p: usize| v[p], |o| Bat::from_data(
-            ColumnData::Int(o)
-        )),
-        ColumnData::Lng(v) => typed!(v, |v: &[i64], p: usize| v[p], |o| Bat::from_data(
-            ColumnData::Lng(o)
-        )),
-        ColumnData::Dbl(v) => typed!(v, |v: &[f64], p: usize| v[p], |o| Bat::from_data(
-            ColumnData::Dbl(o)
-        )),
-        ColumnData::Oid(v) => typed!(v, |v: &[crate::types::Oid], p: usize| v[p], |o| {
-            Bat::from_data(ColumnData::Oid(o))
-        }),
-        ColumnData::Str { idx, heap } => {
-            // Share the dictionary by cloning, exactly like `project`.
-            let heap = heap.clone();
-            typed!(idx, |v: &[u32], p: usize| v[p], move |o| Bat::from_data(
-                ColumnData::Str { idx: o, heap }
-            ))
-        }
-    }
-}
-
-/// [`select_project`] with the theta comparison lowered through the same
-/// theta-bounds lowering as `thetaselect` (NULL comparison value selects
+/// `project(&thetaselect(b, cand, val, op)?, payload)` without
+/// materialising the candidate list (NULL comparison value selects
 /// nothing).
 pub fn theta_select_project(
     b: &Bat,
@@ -203,145 +125,123 @@ pub fn theta_select_project(
     op: crate::arith::CmpOp,
     payload: &Bat,
 ) -> Result<Bat> {
+    theta_select_project_windows(b, cand, val, op, payload, 1).map(|(out, _)| out)
+}
+
+/// [`theta_select_project`] over `k` windows of the selection domain,
+/// concatenated in window order; returns the window count used.
+pub(crate) fn theta_select_project_windows(
+    b: &Bat,
+    cand: Option<&Candidates>,
+    val: &Value,
+    op: crate::arith::CmpOp,
+    payload: &Bat,
+    k: usize,
+) -> Result<(Bat, usize)> {
     if val.is_null() {
-        return crate::project::project(&Candidates::none(), payload);
+        return Ok((crate::project::project(&Candidates::none(), payload)?, 1));
     }
     let (lo, hi, li, hi_incl, anti) = theta_bounds(val, op);
-    select_project(b, cand, &lo, &hi, li, hi_incl, anti, payload)
+    let out = with_range_pred!(b, &lo, &hi, li, hi_incl, anti, |pred| {
+        select_project_with(b.len(), cand, payload, k, pred)
+    })?;
+    Ok((out, k))
 }
 
-/// Streaming scalar-aggregate accumulator replicating
-/// [`crate::aggregate::grouped`] for a single group, element by element
-/// in scan order — so a fused aggregate sees the same values in the same
-/// order as `scalar(func, project(cand, payload))` and produces the same
-/// result, including SUM overflow at the same running prefix.
-pub(crate) struct ScalarAcc {
+/// The select→project walk, generic over the (monomorphized) predicate.
+fn select_project_with(
+    len: usize,
+    cand: Option<&Candidates>,
+    payload: &Bat,
+    k: usize,
+    pred: impl Fn(usize) -> bool + Sync,
+) -> Result<Bat> {
+    let n = cand.map_or(len, Candidates::len);
+    let lens = (len, payload.len());
+    // The payload values at the qualifying positions, typed.
+    macro_rules! kept {
+        (|$pos:ident| $fetch:expr) => {
+            crate::par::concat_windows(n, k, |rows| {
+                let mut out = Vec::new();
+                for_each_hit(lens, cand, rows, &pred, |$pos| out.push($fetch))?;
+                Ok(out)
+            })?
+        };
+    }
+    Ok(Bat::from_data(match payload.data() {
+        ColumnData::Void { seq, .. } => ColumnData::Oid(kept!(|p| seq + p as crate::types::Oid)),
+        ColumnData::Bit(v) => ColumnData::Bit(kept!(|p| v[p])),
+        ColumnData::Int(v) => ColumnData::Int(kept!(|p| v[p])),
+        ColumnData::Lng(v) => ColumnData::Lng(kept!(|p| v[p])),
+        ColumnData::Dbl(v) => ColumnData::Dbl(kept!(|p| v[p])),
+        ColumnData::Oid(v) => ColumnData::Oid(kept!(|p| v[p])),
+        // Share the dictionary by cloning, exactly like `project`.
+        ColumnData::Str { idx, heap } => ColumnData::Str {
+            idx: kept!(|p| idx[p]),
+            heap: heap.clone(),
+        },
+    }))
+}
+
+/// The select→aggregate walk, generic over the (monomorphized)
+/// predicate: one group of `func` over the qualifying payload positions,
+/// folded per window and merged in window order. Returns the value, the
+/// qualifying count and the window count used. A walk that fails reports
+/// its error unless the `SUM` over the rows before it had already
+/// overflowed — first failing row wins, as in the unfused chain.
+fn select_aggregate_with(
     func: AggFunc,
-    /// Integral SUM path (int/lng input widens to lng, checked).
-    lng_sum: i64,
-    /// Float SUM / AVG path.
-    dbl_sum: f64,
-    count: i64,
-    seen: bool,
-    best: Value,
-}
-
-impl ScalarAcc {
-    /// New accumulator; rejects non-numeric SUM/AVG inputs up front, as
-    /// the unfused kernel does.
-    pub fn new(func: AggFunc, input: ScalarType) -> Result<Self> {
-        if matches!(func, AggFunc::Sum | AggFunc::Avg) {
-            func.result_type(input)?;
-        }
-        Ok(ScalarAcc {
-            func,
-            lng_sum: 0,
-            dbl_sum: 0.0,
-            count: 0,
-            seen: false,
-            best: Value::Null,
-        })
-    }
-
-    /// Integral SUM (result widens to lng)?
-    fn sums_lng(&self, input: ScalarType) -> bool {
-        matches!(input, ScalarType::Int | ScalarType::Lng)
-    }
-
-    /// Fold in `payload[pos]`.
-    pub fn push(&mut self, payload: &Bat, pos: usize) -> Result<()> {
-        match self.func {
-            AggFunc::Count => {
-                if !payload.is_nil_at(pos) {
-                    self.count += 1;
+    payload: &Bat,
+    len: usize,
+    cand: Option<&Candidates>,
+    k: usize,
+    pred: impl Fn(usize) -> bool + Sync,
+) -> Result<(Value, usize, usize)> {
+    let empty = AggState::new(func, payload.tail_type(), 1)?;
+    let k = if empty.mergeable() { k } else { 1 };
+    let lens = (len, payload.len());
+    let ((state, selected), status) = crate::par::reduce_windows(
+        cand.map_or(len, Candidates::len),
+        k,
+        (empty, 0usize),
+        |(state, selected), rows| {
+            with_agg_push!(state, payload, |push| for_each_hit(
+                lens,
+                cand,
+                rows,
+                &pred,
+                |pos| {
+                    *selected += 1;
+                    push(0, pos);
                 }
-            }
-            AggFunc::Sum if self.sums_lng(payload.tail_type()) => {
-                if let Some(x) = payload.get(pos).as_i64() {
-                    self.lng_sum = self
-                        .lng_sum
-                        .checked_add(x)
-                        .ok_or_else(|| GdkError::arithmetic("SUM overflow"))?;
-                    self.seen = true;
-                }
-            }
-            AggFunc::Sum | AggFunc::Avg => {
-                if payload.is_nil_at(pos) {
-                    return Ok(());
-                }
-                if let Some(x) = payload.get(pos).as_f64() {
-                    self.dbl_sum += x;
-                    self.count += 1;
-                    self.seen = true;
-                }
-            }
-            AggFunc::Min | AggFunc::Max => {
-                let v = payload.get(pos);
-                if v.is_null() {
-                    return Ok(());
-                }
-                let replace = match self.best.sql_cmp(&v) {
-                    None => true, // still NULL
-                    Some(ord) => {
-                        if self.func == AggFunc::Min {
-                            ord == std::cmp::Ordering::Greater
-                        } else {
-                            ord == std::cmp::Ordering::Less
-                        }
-                    }
-                };
-                if replace {
-                    self.best = v;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// The aggregate value (NULL for an empty/all-nil input, COUNT 0).
-    pub fn finish(self, input: ScalarType) -> Value {
-        match self.func {
-            AggFunc::Count => Value::Lng(self.count),
-            AggFunc::Sum if self.sums_lng(input) => {
-                if self.seen {
-                    Value::Lng(self.lng_sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggFunc::Sum => {
-                if self.seen {
-                    Value::Dbl(self.dbl_sum)
-                } else {
-                    Value::Null
-                }
-            }
-            AggFunc::Avg => {
-                if self.count > 0 {
-                    Value::Dbl(self.dbl_sum / self.count as f64)
-                } else {
-                    Value::Null
-                }
-            }
-            AggFunc::Min | AggFunc::Max => self.best,
-        }
-    }
+            ))
+        },
+        |(state, selected), (later, later_selected)| {
+            state.merge(later);
+            *selected += later_selected;
+        },
+    );
+    Ok((state.finish(status)?.get(0), selected, k))
 }
 
 /// Candidate-propagated scalar aggregate: aggregate `payload` at the
 /// candidate positions without materialising the projected BAT.
 /// Equivalent to `scalar(func, project(cand, payload))`.
 pub fn project_aggregate(func: AggFunc, payload: &Bat, cand: &Candidates) -> Result<Value> {
-    let mut acc = ScalarAcc::new(func, payload.tail_type())?;
-    let plen = payload.len();
-    for o in cand.iter() {
-        let pos = o as usize;
-        if pos >= plen {
-            return Err(oob(pos, plen));
-        }
-        acc.push(payload, pos)?;
-    }
-    Ok(acc.finish(payload.tail_type()))
+    project_aggregate_windows(func, payload, cand, 1).map(|(v, _)| v)
+}
+
+/// [`project_aggregate`] over `k` windows of the candidate list; returns
+/// the window count used.
+pub(crate) fn project_aggregate_windows(
+    func: AggFunc,
+    payload: &Bat,
+    cand: &Candidates,
+    k: usize,
+) -> Result<(Value, usize)> {
+    // A selection that keeps every candidate, over an unbounded column.
+    let (v, _, k) = select_aggregate_with(func, payload, usize::MAX, Some(cand), k, |_| true)?;
+    Ok((v, k))
 }
 
 /// Fully fused select→project→aggregate: one pass over `b`'s selection
@@ -358,102 +258,30 @@ pub fn theta_select_aggregate(
     val: &Value,
     op: crate::arith::CmpOp,
 ) -> Result<(Value, usize)> {
+    theta_select_aggregate_windows(func, payload, b, cand, val, op, 1)
+        .map(|(v, selected, _)| (v, selected))
+}
+
+/// [`theta_select_aggregate`] over `k` windows of the selection domain;
+/// returns `(value, selected, windows used)`.
+pub(crate) fn theta_select_aggregate_windows(
+    func: AggFunc,
+    payload: &Bat,
+    b: &Bat,
+    cand: Option<&Candidates>,
+    val: &Value,
+    op: crate::arith::CmpOp,
+    k: usize,
+) -> Result<(Value, usize, usize)> {
     if val.is_null() {
-        // Up-front type validation still applies (as the unfused
-        // aggregate over the empty projection would).
-        let acc = ScalarAcc::new(func, payload.tail_type())?;
-        return Ok((acc.finish(payload.tail_type()), 0));
+        // Nothing qualifies; up-front type validation still applies (as
+        // the unfused aggregate over the empty projection would).
+        return select_aggregate_with(func, payload, 0, None, 1, |_| false);
     }
     let (lo, hi, li, hi_incl, anti) = theta_bounds(val, op);
     with_range_pred!(b, &lo, &hi, li, hi_incl, anti, |pred| {
-        select_aggregate_with(func, payload, b.len(), cand, pred)
+        select_aggregate_with(func, payload, b.len(), cand, k, pred)
     })
-}
-
-/// The select→aggregate walk, generic over the (monomorphized)
-/// predicate, with typed loops for the hot integral SUM shapes (same
-/// per-element semantics as [`ScalarAcc::push`]: the nil sentinel is
-/// what `Bat::get(..).as_i64()` would have turned into `None`).
-fn select_aggregate_with(
-    func: AggFunc,
-    payload: &Bat,
-    len: usize,
-    cand: Option<&Candidates>,
-    pred: impl Fn(usize) -> bool,
-) -> Result<(Value, usize)> {
-    let plen = payload.len();
-    let fast = cand.is_none() && plen >= len;
-    let mut selected = 0usize;
-    // Typed loops for the hot integral shapes; per-element semantics are
-    // exactly [`ScalarAcc::push`]'s (the nil sentinel is what
-    // `Bat::get(..).as_i64()` would have turned into `None`).
-    macro_rules! typed_loop {
-        (|$pos:ident| $body:expr) => {
-            if fast {
-                for $pos in 0..len {
-                    if pred($pos) {
-                        selected += 1;
-                        $body
-                    }
-                }
-            } else {
-                for_each_pos(len, cand, |$pos| {
-                    if pred($pos) {
-                        if $pos >= plen {
-                            return Err(oob($pos, plen));
-                        }
-                        selected += 1;
-                        $body
-                    }
-                    Ok(())
-                })?;
-            }
-        };
-    }
-    match (func, payload.data()) {
-        (AggFunc::Sum, ColumnData::Int(v)) => {
-            let (mut sum, mut seen) = (0i64, false);
-            typed_loop!(|pos| {
-                if v[pos] != crate::types::INT_NIL {
-                    sum = sum
-                        .checked_add(v[pos] as i64)
-                        .ok_or_else(|| GdkError::arithmetic("SUM overflow"))?;
-                    seen = true;
-                }
-            });
-            let out = if seen { Value::Lng(sum) } else { Value::Null };
-            Ok((out, selected))
-        }
-        (AggFunc::Sum, ColumnData::Lng(v)) => {
-            let (mut sum, mut seen) = (0i64, false);
-            typed_loop!(|pos| {
-                if v[pos] != crate::types::LNG_NIL {
-                    sum = sum
-                        .checked_add(v[pos])
-                        .ok_or_else(|| GdkError::arithmetic("SUM overflow"))?;
-                    seen = true;
-                }
-            });
-            let out = if seen { Value::Lng(sum) } else { Value::Null };
-            Ok((out, selected))
-        }
-        (AggFunc::Count, _) => {
-            let mut count = 0i64;
-            typed_loop!(|pos| {
-                if !payload.is_nil_at(pos) {
-                    count += 1;
-                }
-            });
-            Ok((Value::Lng(count), selected))
-        }
-        _ => {
-            let mut acc = ScalarAcc::new(func, payload.tail_type())?;
-            typed_loop!(|pos| {
-                acc.push(payload, pos)?;
-            });
-            Ok((acc.finish(payload.tail_type()), selected))
-        }
-    }
 }
 
 #[cfg(test)]

@@ -7,10 +7,12 @@
 
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
-use crate::join::{hash_key, HashKey};
+use crate::join::hash_key;
 use crate::types::Oid;
 use crate::{GdkError, Result};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::Hash;
+use std::ops::Range;
 
 /// Result of a grouping pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -35,17 +37,55 @@ impl Groups {
     }
 }
 
-/// Key for the refinement hash: previous group id plus this column's value.
-#[derive(PartialEq, Eq, Hash)]
-enum GKey {
-    /// Non-nil value.
-    V(u64, Option<HashKey>),
+/// Grouping of one window of rows: window-local group ids in
+/// first-occurrence order plus, per local group, its key and the oid of
+/// its first member. One window's grouping *is* the serial result;
+/// [`crate::par::group_windows`] renumbers several into one.
+pub(crate) struct LocalGroups<K> {
+    pub(crate) ids: Vec<u64>,
+    pub(crate) keys: Vec<K>,
+    pub(crate) firsts: Vec<Oid>,
+}
+
+fn local_group<K: Hash + Eq + Clone>(
+    rows: Range<usize>,
+    key_at: impl Fn(usize) -> (K, Oid),
+) -> LocalGroups<K> {
+    let mut map: HashMap<K, u64> = HashMap::new();
+    let mut out = LocalGroups {
+        ids: Vec::with_capacity(rows.len()),
+        keys: Vec::new(),
+        firsts: Vec::new(),
+    };
+    for i in rows {
+        let (key, oid) = key_at(i);
+        let g = match map.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                out.keys.push(e.key().clone());
+                out.firsts.push(oid);
+                *e.insert(out.firsts.len() as u64 - 1)
+            }
+        };
+        out.ids.push(g);
+    }
+    out
 }
 
 /// Group the tail of `b`, optionally restricted to `cand` and refining a
 /// previous grouping `prev` (whose `ids` must be aligned with the same
 /// candidate order).
 pub fn group_by(b: &Bat, cand: Option<&Candidates>, prev: Option<&Groups>) -> Result<Groups> {
+    group_by_windows(b, cand, prev, 1)
+}
+
+/// [`group_by`] over `k` windows of rows.
+pub(crate) fn group_by_windows(
+    b: &Bat,
+    cand: Option<&Candidates>,
+    prev: Option<&Groups>,
+    k: usize,
+) -> Result<Groups> {
     let n = cand.map_or(b.len(), Candidates::len);
     if let Some(p) = prev {
         if p.ids.len() != n {
@@ -62,48 +102,23 @@ pub fn group_by(b: &Bat, cand: Option<&Candidates>, prev: Option<&Groups>) -> Re
             Some(c) => c.get(i),
         }
     };
-
-    // Int fast path (dimension columns are ints).
-    if let (ColumnData::Int(vals), None) = (b.data(), prev) {
-        let mut map: HashMap<i32, u64> = HashMap::new();
-        let mut out = Groups {
-            ids: Vec::with_capacity(n),
-            ngroups: 0,
-            extents: Vec::new(),
-        };
-        for i in 0..n {
-            let o = oid_at(i);
-            let v = vals[o as usize];
-            let next = out.ngroups;
-            let g = *map.entry(v).or_insert_with(|| next);
-            if g == next {
-                out.ngroups += 1;
-                out.extents.push(o);
-            }
-            out.ids.push(g);
-        }
-        return Ok(out);
-    }
-
-    let mut map: HashMap<GKey, u64> = HashMap::new();
-    let mut out = Groups {
-        ids: Vec::with_capacity(n),
-        ngroups: 0,
-        extents: Vec::new(),
-    };
-    for i in 0..n {
-        let o = oid_at(i);
-        let pg = prev.map_or(0, |p| p.ids[i]);
-        let key = GKey::V(pg, hash_key(&b.get(o as usize)));
-        let next = out.ngroups;
-        let g = *map.entry(key).or_insert_with(|| next);
-        if g == next {
-            out.ngroups += 1;
-            out.extents.push(o);
-        }
-        out.ids.push(g);
-    }
-    Ok(out)
+    Ok(match (b.data(), prev) {
+        // Int fast path (dimension columns are ints).
+        (ColumnData::Int(vals), None) => crate::par::group_windows(n, k, |rows| {
+            local_group(rows, |i| {
+                let o = oid_at(i);
+                (vals[o as usize], o)
+            })
+        }),
+        // The key is the previous group id plus this column's value.
+        _ => crate::par::group_windows(n, k, |rows| {
+            local_group(rows, |i| {
+                let o = oid_at(i);
+                let pg = prev.map_or(0, |p| p.ids[i]);
+                ((pg, hash_key(&b.get(o as usize))), o)
+            })
+        }),
+    })
 }
 
 #[cfg(test)]

@@ -1,35 +1,54 @@
 //! Slice-parallel kernel driver.
 //!
-//! Every operator here is a scatter–gather wrapper around the serial
-//! kernels: the input domain (positions or candidate positions) is split
-//! into near-equal contiguous windows ([`crate::slice::chunk_ranges`]),
-//! each window is processed on its own scoped thread over zero-copy
-//! [`crate::slice::BatSlice`] views, and the per-window results
-//! are merged in window order. Because windows are processed in input
-//! order and merged in input order, results are identical to the serial
-//! kernels (the differential tests in `tests/kernel_properties.rs` pin
-//! this down across thread counts).
+//! This module knows how to cut an input domain into windows and how to
+//! put window results back together; it knows nothing about cells. Nil,
+//! overflow, promotion and tie-break rules live in the serial kernel
+//! modules and nowhere else. Every entry point is
 //!
-//! Inputs shorter than [`ParConfig::parallel_threshold`] — or any shape a kernel
-//! has no typed parallel path for — run serially; each driver reports the
-//! thread count it actually used so the MAL interpreter can record
-//! per-instruction parallelism in its `ExecStats`.
+//! ```text
+//! split [0, n) into k windows  →  serial kernel per window  →  merge in window order
+//! ```
 //!
-//! Floating-point caveat: `SUM`/`AVG` over `dbl` columns stay serial —
-//! float addition is not associative, and reassociating partial sums
-//! would break the bit-identical guarantee.
+//! with one of three merge shapes:
+//!
+//! * **map** (`map_windows`) — the output length is known up front, so
+//!   each window writes its own disjoint `&mut` slice of one output
+//!   vector (element-wise arithmetic and comparison, projection);
+//! * **concat** (`concat_windows`) — each window returns the values it
+//!   kept and the parts are appended in window order (selection, fused
+//!   select→project);
+//! * **ordered reduce** (`reduce_windows`) — each window folds into its
+//!   own mergeable state and the states are merged left to right
+//!   (aggregates; grouping merges window-local group ids with
+//!   `merge_groups`).
+//!
+//! Windows are near-equal and contiguous ([`crate::slice::chunk_ranges`]),
+//! window 0 runs on the calling thread and the rest on scoped threads.
+//! Because windows are processed and merged in input order — and an error
+//! surfaces from the earliest failing window — results and errors are
+//! identical to a serial left-to-right scan (`tests/kernel_properties.rs`
+//! pins this down across thread counts). A kernel whose operand types
+//! must be resolved before it can run (`arith`, `project`, `group`,
+//! `aggregate`, `fused`) has a crate-private `*_windows(…, k)` form that
+//! calls a driver with the window count; its public serial form is that
+//! same code with `k = 1`.
+//!
+//! Inputs shorter than [`ParConfig::parallel_threshold`] run as one
+//! window, as does any shape a kernel cannot merge exactly — float
+//! `SUM`/`AVG` stay serial because float addition is not associative.
+//! Each wrapper reports the window count actually used so the MAL
+//! interpreter can record per-instruction parallelism in its `ExecStats`.
 
 use crate::aggregate::{self, AggFunc};
 use crate::arith::{self, BinOp, CmpOp, Operand};
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
-use crate::group::Groups;
-use crate::join::{hash_key, HashKey};
+use crate::group::{Groups, LocalGroups};
 use crate::select;
-use crate::slice::{chunk_ranges, BatSlice};
-use crate::types::{dbl_nil, is_dbl_nil, Oid, ScalarType, BIT_NIL, INT_NIL, LNG_NIL};
+use crate::slice::chunk_ranges;
+use crate::types::Oid;
 use crate::value::Value;
-use crate::{GdkError, Result};
+use crate::{fused, group, Result};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::ops::Range;
@@ -87,29 +106,23 @@ impl ParConfig {
     }
 }
 
-/// Run `f` over each range on its own scoped thread (range 0 runs on the
-/// calling thread) and collect results in range order.
-fn scatter<R, F>(ranges: &[Range<usize>], f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(usize, Range<usize>) -> R + Sync,
-{
-    if ranges.len() == 1 {
-        return vec![f(0, ranges[0].clone())];
+// ---------------------------------------------------------------------
+// The three window drivers
+// ---------------------------------------------------------------------
+
+/// Run `f` on each item, item 0 on the calling thread and every other on
+/// its own scoped thread, and collect the results in item order.
+fn scatter<I: Send, R: Send>(items: Vec<I>, f: impl Fn(I) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let first = items.next().expect("at least one window");
+    if items.len() == 0 {
+        return vec![f(first)];
     }
     std::thread::scope(|s| {
         let f = &f;
-        let handles: Vec<_> = ranges
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, r)| {
-                let r = r.clone();
-                s.spawn(move || f(i, r))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(ranges.len());
-        out.push(f(0, ranges[0].clone()));
+        let handles: Vec<_> = items.map(|item| s.spawn(move || f(item))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(f(first));
         for h in handles {
             out.push(h.join().expect("parallel kernel worker panicked"));
         }
@@ -117,71 +130,136 @@ where
     })
 }
 
-/// Fill an `n`-element output in parallel: `f(i)` computes element `i`,
-/// writes land in disjoint windows. Errors surface in input order (the
-/// earliest failing window wins, as in a serial left-to-right scan).
-fn fill_par<O, F>(n: usize, k: usize, default: O, f: F) -> Result<Vec<O>>
-where
-    O: Copy + Send,
-    F: Fn(usize) -> Result<O> + Sync,
-{
-    let mut out = vec![default; n];
-    if k <= 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = f(i)?;
-        }
-        return Ok(out);
+/// Map shape: `f(window, out)` fills the window's slice of one `n`-long
+/// output. The earliest failing window's error wins, as in a serial scan.
+pub(crate) fn map_windows<O: Copy + Default + Send>(
+    n: usize,
+    k: usize,
+    f: impl Fn(Range<usize>, &mut [O]) -> Result<()> + Sync,
+) -> Result<Vec<O>> {
+    let mut out = vec![O::default(); n];
+    let mut rest = out.as_mut_slice();
+    let mut windows = Vec::new();
+    for r in chunk_ranges(n, k) {
+        let (head, tail) = rest.split_at_mut(r.len());
+        windows.push((r, head));
+        rest = tail;
     }
-    let ranges = chunk_ranges(n, k);
-    let statuses: Vec<Result<()>> = std::thread::scope(|s| {
-        let f = &f;
-        let mut rest = out.as_mut_slice();
-        let mut windows = Vec::with_capacity(ranges.len());
-        for r in &ranges {
-            let (head, tail) = std::mem::take(&mut rest).split_at_mut(r.len());
-            windows.push((r.clone(), head));
-            rest = tail;
-        }
-        let mut handles = Vec::new();
-        let mut first_window = None;
-        for (i, (r, w)) in windows.into_iter().enumerate() {
-            if i == 0 {
-                first_window = Some((r, w));
-            } else {
-                handles.push(s.spawn(move || {
-                    for (j, slot) in w.iter_mut().enumerate() {
-                        *slot = f(r.start + j)?;
-                    }
-                    Ok(())
-                }));
-            }
-        }
-        let mut statuses = Vec::with_capacity(ranges.len());
-        let (r, w) = first_window.expect("at least one window");
-        statuses.push((|| {
-            for (j, slot) in w.iter_mut().enumerate() {
-                *slot = f(r.start + j)?;
-            }
-            Ok(())
-        })());
-        for h in handles {
-            statuses.push(h.join().expect("parallel kernel worker panicked"));
-        }
-        statuses
-    });
-    for st in statuses {
-        st?;
+    scatter(windows, |(r, w)| f(r, w))
+        .into_iter()
+        .collect::<Result<()>>()?;
+    Ok(out)
+}
+
+/// Concat shape: `f(window)` returns what the window kept; the parts are
+/// appended in window order.
+pub(crate) fn concat_windows<T: Send>(
+    n: usize,
+    k: usize,
+    f: impl Fn(Range<usize>) -> Result<Vec<T>> + Sync,
+) -> Result<Vec<T>> {
+    let mut parts = scatter(chunk_ranges(n, k), f).into_iter();
+    let mut out = parts.next().expect("at least one window")?;
+    for p in parts {
+        out.append(&mut p?);
     }
     Ok(out)
 }
 
+/// Ordered-reduce shape: every window folds into its own copy of `empty`
+/// and the states are merged left to right. A window that fails still
+/// hands back what it folded before the failing row: the result is the
+/// merged state up to and including the first failing window plus that
+/// window's error, so the caller can tell whether a failure of its own
+/// (an overflowing running sum) came first.
+pub(crate) fn reduce_windows<S: Clone + Send>(
+    n: usize,
+    k: usize,
+    empty: S,
+    fold: impl Fn(&mut S, Range<usize>) -> Result<()> + Sync,
+    mut merge: impl FnMut(&mut S, S),
+) -> (S, Result<()>) {
+    let ranges = chunk_ranges(n, k);
+    let states = vec![empty; ranges.len()];
+    let mut parts = scatter(ranges.into_iter().zip(states).collect(), |(r, mut s)| {
+        let status = fold(&mut s, r);
+        (s, status)
+    })
+    .into_iter();
+    let (mut acc, mut status) = parts.next().expect("at least one window");
+    for (s, st) in parts {
+        if status.is_err() {
+            break;
+        }
+        merge(&mut acc, s);
+        status = st;
+    }
+    (acc, status)
+}
+
+/// Renumber window-local groupings into one global grouping.
+///
+/// Global ids are assigned in first-occurrence order: windows are visited
+/// in input order and window-local ids are already ordered by first
+/// occurrence, so the assignment order equals a serial scan's.
+fn merge_groups<K: Hash + Eq>(mut locals: Vec<LocalGroups<K>>, n: usize) -> Groups {
+    if locals.len() == 1 {
+        let only = locals.pop().expect("one window");
+        return Groups {
+            ngroups: only.firsts.len() as u64,
+            extents: only.firsts,
+            ids: only.ids,
+        };
+    }
+    let mut global: HashMap<K, u64> = HashMap::new();
+    let mut extents: Vec<Oid> = Vec::new();
+    let mut ids = Vec::with_capacity(n);
+    for local in locals {
+        let mut mapping = Vec::with_capacity(local.keys.len());
+        for (key, first) in local.keys.into_iter().zip(local.firsts) {
+            let next = extents.len() as u64;
+            let g = *global.entry(key).or_insert(next);
+            if g == next {
+                extents.push(first);
+            }
+            mapping.push(g);
+        }
+        ids.extend(local.ids.iter().map(|&lid| mapping[lid as usize]));
+    }
+    Groups {
+        ngroups: extents.len() as u64,
+        extents,
+        ids,
+    }
+}
+
+/// Window-local groupings of `[0, n)` over `k` windows, merged.
+pub(crate) fn group_windows<K: Hash + Eq + Send>(
+    n: usize,
+    k: usize,
+    local: impl Fn(Range<usize>) -> LocalGroups<K> + Sync,
+) -> Groups {
+    merge_groups(scatter(chunk_ranges(n, k), local), n)
+}
+
 // ---------------------------------------------------------------------
-// Selection
+// Per-kernel wrappers: pick the window count, report it back
 // ---------------------------------------------------------------------
 
-/// Parallel [`select::rangeselect`]: the scan domain is chunked, each
-/// worker runs the serial kernel restricted to its window's
-/// sub-candidates, and the (already sorted) window results concatenate.
+/// Window `r` of a selection domain as a candidate list.
+fn window_cands(cand: Option<&Candidates>, r: Range<usize>) -> Candidates {
+    match cand {
+        Some(c) => c.slice(r),
+        None => Candidates::Dense {
+            first: r.start as Oid,
+            len: r.len(),
+        },
+    }
+}
+
+/// Parallel [`select::rangeselect`]: each window runs the serial kernel
+/// restricted to its sub-candidates, and the (already sorted) window
+/// results concatenate.
 #[allow(clippy::too_many_arguments)]
 pub fn rangeselect(
     b: &Bat,
@@ -198,22 +276,11 @@ pub fn rangeselect(
     if k == 1 {
         return Ok((select::rangeselect(b, cand, lo, hi, li, hi_incl, anti)?, 1));
     }
-    let ranges = chunk_ranges(n, k);
-    let parts = scatter(&ranges, |_, r| {
-        let sub = match cand {
-            Some(c) => c.slice(r),
-            None => Candidates::Dense {
-                first: r.start as Oid,
-                len: r.len(),
-            },
-        };
-        select::rangeselect(b, Some(&sub), lo, hi, li, hi_incl, anti)
-    });
-    let mut all: Vec<Oid> = Vec::new();
-    for p in parts {
-        all.extend(p?.iter());
-    }
-    Ok((Candidates::from_sorted(all), k))
+    let oids = concat_windows(n, k, |r| {
+        let sub = window_cands(cand, r);
+        Ok(select::rangeselect(b, Some(&sub), lo, hi, li, hi_incl, anti)?.to_vec())
+    })?;
+    Ok((Candidates::from_sorted(oids), k))
 }
 
 /// Parallel [`select::thetaselect`].
@@ -231,641 +298,54 @@ pub fn thetaselect(
     rangeselect(b, cand, &lo, &hi, li, hi_incl, anti, cfg)
 }
 
-// ---------------------------------------------------------------------
-// Projection
-// ---------------------------------------------------------------------
-
-/// Parallel [`crate::project::project`]: candidate windows are projected
-/// concurrently and the typed chunk outputs concatenate.
+/// Parallel [`crate::project::project`].
 pub fn project(cand: &Candidates, b: &Bat, cfg: &ParConfig) -> Result<(Bat, usize)> {
-    let n = cand.len();
-    let k = cfg.threads_for(n);
-    if k == 1 {
-        return Ok((crate::project::project(cand, b)?, 1));
-    }
-    let ranges = chunk_ranges(n, k);
-    // String columns: project only the dictionary indices per window and
-    // attach one heap clone at the end — running the serial kernel per
-    // window would deep-copy the dictionary once per worker.
-    if let ColumnData::Str { idx, heap } = b.data() {
-        let len = idx.len();
-        let parts = scatter(&ranges, |_, r| -> Result<Vec<u32>> {
-            let sub = cand.slice(r);
-            let mut out = Vec::with_capacity(sub.len());
-            for o in sub.iter() {
-                let pos = o as usize;
-                if pos >= len {
-                    return Err(GdkError::invalid(format!(
-                        "projection oid {o} out of range (len {len})"
-                    )));
-                }
-                out.push(idx[pos]);
-            }
-            Ok(out)
-        });
-        let mut merged = Vec::with_capacity(n);
-        for p in parts {
-            merged.extend_from_slice(&p?);
-        }
-        return Ok((
-            Bat::from_data(ColumnData::Str {
-                idx: merged,
-                heap: heap.clone(),
-            }),
-            k,
-        ));
-    }
-    let parts = scatter(&ranges, |_, r| crate::project::project(&cand.slice(r), b));
-    let mut bats = Vec::with_capacity(parts.len());
-    for p in parts {
-        bats.push(p?);
-    }
-    Ok((concat_bats(bats)?, k))
+    let k = cfg.threads_for(cand.len());
+    Ok((crate::project::project_windows(cand, b, k)?, k))
 }
 
-/// Concatenate same-typed BAT chunks (window order) into one BAT.
-fn concat_bats(mut parts: Vec<Bat>) -> Result<Bat> {
-    let mut data = parts.remove(0).into_data();
-    for p in parts {
-        match (&mut data, p.data()) {
-            (ColumnData::Bit(acc), ColumnData::Bit(v)) => acc.extend_from_slice(v),
-            (ColumnData::Int(acc), ColumnData::Int(v)) => acc.extend_from_slice(v),
-            (ColumnData::Lng(acc), ColumnData::Lng(v)) => acc.extend_from_slice(v),
-            (ColumnData::Dbl(acc), ColumnData::Dbl(v)) => acc.extend_from_slice(v),
-            (ColumnData::Oid(acc), ColumnData::Oid(v)) => acc.extend_from_slice(v),
-            // Chunk heaps are clones of one source heap, so indices agree.
-            (ColumnData::Str { idx: acc, .. }, ColumnData::Str { idx, .. }) => {
-                acc.extend_from_slice(idx)
-            }
-            _ => {
-                return Err(GdkError::invalid(
-                    "parallel merge on mismatched chunk types",
-                ))
-            }
-        }
-    }
-    Ok(Bat::from_data(data))
-}
-
-// ---------------------------------------------------------------------
-// Element-wise arithmetic and comparison
-// ---------------------------------------------------------------------
-
-/// Parallel [`arith::binop`] for the typed shapes (`int`/`lng`/`dbl`
-/// column × same-typed column or scalar); anything else — including NULL
-/// scalar operands and mixed-width promotions — falls back to the serial
-/// kernel.
+/// Parallel [`arith::binop`]; shapes without a typed slice kernel run as
+/// one window.
 pub fn binop(op: BinOp, a: Operand<'_>, b: Operand<'_>, cfg: &ParConfig) -> Result<(Bat, usize)> {
-    let n = match (&a, &b) {
-        (Operand::Col(x), Operand::Col(y)) if x.len() == y.len() => x.len(),
-        (Operand::Col(x), Operand::Scalar(_)) | (Operand::Scalar(_), Operand::Col(x)) => x.len(),
-        _ => return Ok((arith::binop(op, a, b)?, 1)),
-    };
-    let k = cfg.threads_for(n);
-    if k == 1 {
-        return Ok((arith::binop(op, a, b)?, 1));
-    }
-    fn slice_of<'x>(o: &Operand<'x>) -> Option<BatSlice<'x>> {
-        match o {
-            Operand::Col(bat) => Some(BatSlice::full(bat)),
-            Operand::Scalar(_) => None,
-        }
-    }
-    let (sa, sb) = (slice_of(&a), slice_of(&b));
-
-    // int ⊕ int
-    match (&a, &b) {
-        (Operand::Col(_), Operand::Col(_)) => {
-            if let (Some(av), Some(bv)) = (
-                sa.as_ref().and_then(BatSlice::as_ints),
-                sb.as_ref().and_then(BatSlice::as_ints),
-            ) {
-                let out = fill_par(n, k, 0i32, |i| {
-                    let (x, y) = (av[i], bv[i]);
-                    if x == INT_NIL || y == INT_NIL {
-                        Ok(INT_NIL)
-                    } else {
-                        arith::int_op(op, x, y)
-                    }
-                })?;
-                return Ok((Bat::from_ints(out), k));
-            }
-            if let (Some(av), Some(bv)) = (
-                sa.as_ref().and_then(BatSlice::as_lngs),
-                sb.as_ref().and_then(BatSlice::as_lngs),
-            ) {
-                let out = fill_par(n, k, 0i64, |i| {
-                    let (x, y) = (av[i], bv[i]);
-                    if x == LNG_NIL || y == LNG_NIL {
-                        Ok(LNG_NIL)
-                    } else {
-                        arith::lng_op(op, x, y)
-                    }
-                })?;
-                return Ok((Bat::from_lngs(out), k));
-            }
-            if let (Some(av), Some(bv)) = (
-                sa.as_ref().and_then(BatSlice::as_dbls),
-                sb.as_ref().and_then(BatSlice::as_dbls),
-            ) {
-                let out = fill_par(n, k, 0f64, |i| {
-                    let (x, y) = (av[i], bv[i]);
-                    if is_dbl_nil(x) || is_dbl_nil(y) {
-                        Ok(dbl_nil())
-                    } else {
-                        arith::dbl_op(op, x, y)
-                    }
-                })?;
-                return Ok((Bat::from_dbls(out), k));
-            }
-        }
-        (Operand::Col(_), Operand::Scalar(v)) | (Operand::Scalar(v), Operand::Col(_)) => {
-            let scalar_left = matches!(a, Operand::Scalar(_));
-            let col = if scalar_left { &sb } else { &sa };
-            if let (Some(cv), Value::Int(s)) = (col.as_ref().and_then(BatSlice::as_ints), v) {
-                let s = *s;
-                if s == INT_NIL {
-                    return Ok((Bat::from_ints(vec![INT_NIL; n]), 1));
-                }
-                let out = fill_par(n, k, 0i32, |i| {
-                    let x = cv[i];
-                    if x == INT_NIL {
-                        Ok(INT_NIL)
-                    } else if scalar_left {
-                        arith::int_op(op, s, x)
-                    } else {
-                        arith::int_op(op, x, s)
-                    }
-                })?;
-                return Ok((Bat::from_ints(out), k));
-            }
-            if let (Some(cv), Value::Lng(s)) = (col.as_ref().and_then(BatSlice::as_lngs), v) {
-                let s = *s;
-                if s == LNG_NIL {
-                    return Ok((arith::binop(op, a, b)?, 1));
-                }
-                let out = fill_par(n, k, 0i64, |i| {
-                    let x = cv[i];
-                    if x == LNG_NIL {
-                        Ok(LNG_NIL)
-                    } else if scalar_left {
-                        arith::lng_op(op, s, x)
-                    } else {
-                        arith::lng_op(op, x, s)
-                    }
-                })?;
-                return Ok((Bat::from_lngs(out), k));
-            }
-            if let (Some(cv), Value::Dbl(s)) = (col.as_ref().and_then(BatSlice::as_dbls), v) {
-                let s = *s;
-                // Only the column side carries in-band nils: the serial
-                // generic path treats a NaN *scalar* as an ordinary
-                // number (`Value::Dbl(NaN)` is not SQL NULL), so it must
-                // flow into `dbl_op` — where e.g. NaN ÷ 0.0 still raises
-                // division by zero.
-                let out = fill_par(n, k, 0f64, |i| {
-                    let x = cv[i];
-                    if is_dbl_nil(x) {
-                        Ok(dbl_nil())
-                    } else if scalar_left {
-                        arith::dbl_op(op, s, x)
-                    } else {
-                        arith::dbl_op(op, x, s)
-                    }
-                })?;
-                return Ok((Bat::from_dbls(out), k));
-            }
-        }
-        _ => {}
-    }
-    Ok((arith::binop(op, a, b)?, 1))
+    let k = cfg.threads_for(arith::common_len(&a, &b)?);
+    arith::binop_windows(op, a, b, k)
 }
 
-/// Parallel [`arith::cmpop`] for `int`/`lng`/`dbl` columns against a
-/// same-family column or scalar; other shapes fall back to serial.
+/// Parallel [`arith::cmpop`]; shapes without a typed slice kernel run as
+/// one window.
 pub fn cmpop(op: CmpOp, a: Operand<'_>, b: Operand<'_>, cfg: &ParConfig) -> Result<(Bat, usize)> {
-    let n = match (&a, &b) {
-        (Operand::Col(x), Operand::Col(y)) if x.len() == y.len() => x.len(),
-        (Operand::Col(x), Operand::Scalar(_)) | (Operand::Scalar(_), Operand::Col(x)) => x.len(),
-        _ => return Ok((arith::cmpop(op, a, b)?, 1)),
-    };
-    let k = cfg.threads_for(n);
-    if k == 1 {
-        return Ok((arith::cmpop(op, a, b)?, 1));
-    }
-    // Per-element comparison mirroring the serial paths: the int-column ×
-    // int-scalar fast path compares integers (and nil-checks the scalar);
-    // every other serial shape goes through `Value::sql_cmp`, where
-    // scalar sentinel values (`Value::Int(INT_NIL)` etc.) are NOT nil —
-    // they compare numerically. Only column *elements* carry in-band
-    // nils.
-    if let (Operand::Col(col), Operand::Scalar(Value::Int(s))) = (&a, &b) {
-        if col.as_ints().is_some() && *s == INT_NIL {
-            // Serial fast path: `x == INT_NIL || s == INT_NIL` → nil for
-            // every row.
-            return Ok((Bat::from_data(ColumnData::Bit(vec![BIT_NIL; n])), 1));
-        }
-    }
-    let slice_a = operand_slice(&a);
-    let slice_b = operand_slice(&b);
-    let side_a = operand_side(&a, &slice_a);
-    let side_b = operand_side(&b, &slice_b);
-    let (Some(side_a), Some(side_b)) = (side_a, side_b) else {
-        return Ok((arith::cmpop(op, a, b)?, 1));
-    };
-    // Integer fast path only when *both* sides are int (serial uses the
-    // integer comparison exactly for int column × int scalar; int column
-    // × int column serially goes through f64, which is exact for i32, so
-    // integer comparison is bit-identical there too).
-    let out = fill_par(n, k, BIT_NIL, |i| {
-        let xa = side_value(&side_a, i);
-        let xb = side_value(&side_b, i);
-        Ok(match (xa, xb) {
-            (None, _) | (_, None) => BIT_NIL,
-            (Some(CmpVal::I(x)), Some(CmpVal::I(y))) => i8::from(arith::cmp_holds(op, x.cmp(&y))),
-            (Some(x), Some(y)) => {
-                let (x, y) = (x.as_f64(), y.as_f64());
-                match x.partial_cmp(&y) {
-                    Some(ord) => i8::from(arith::cmp_holds(op, ord)),
-                    None => BIT_NIL,
-                }
-            }
-        })
-    })?;
-    return Ok((Bat::from_data(ColumnData::Bit(out)), k));
-
-    /// Typed view of one comparison operand.
-    enum OpSide<'x> {
-        Ints(&'x [i32]),
-        Lngs(&'x [i64]),
-        Dbls(&'x [f64]),
-        ScalarInt(i32),
-        ScalarLng(i64),
-        ScalarDbl(f64),
-        Null,
-    }
-
-    /// Non-nil element value, canonicalised for comparison.
-    #[derive(Clone, Copy)]
-    enum CmpVal {
-        I(i64),
-        F(f64),
-    }
-
-    impl CmpVal {
-        fn as_f64(self) -> f64 {
-            match self {
-                CmpVal::I(x) => x as f64,
-                CmpVal::F(x) => x,
-            }
-        }
-    }
-
-    fn operand_slice<'x>(o: &Operand<'x>) -> Option<BatSlice<'x>> {
-        match o {
-            Operand::Col(b) => Some(BatSlice::full(b)),
-            Operand::Scalar(_) => None,
-        }
-    }
-
-    fn operand_side<'x>(o: &Operand<'x>, s: &Option<BatSlice<'x>>) -> Option<OpSide<'x>> {
-        match o {
-            Operand::Col(_) => {
-                let s = s.as_ref()?;
-                s.as_ints()
-                    .map(OpSide::Ints)
-                    .or_else(|| s.as_lngs().map(OpSide::Lngs))
-                    .or_else(|| s.as_dbls().map(OpSide::Dbls))
-            }
-            Operand::Scalar(Value::Int(x)) => Some(OpSide::ScalarInt(*x)),
-            Operand::Scalar(Value::Lng(x)) => Some(OpSide::ScalarLng(*x)),
-            Operand::Scalar(Value::Dbl(x)) => Some(OpSide::ScalarDbl(*x)),
-            Operand::Scalar(Value::Null) => Some(OpSide::Null),
-            Operand::Scalar(_) => None,
-        }
-    }
-
-    fn side_value(s: &OpSide<'_>, i: usize) -> Option<CmpVal> {
-        match s {
-            OpSide::Ints(v) => {
-                let x = v[i];
-                (x != INT_NIL).then_some(CmpVal::I(x as i64))
-            }
-            OpSide::Lngs(v) => {
-                let x = v[i];
-                // Serial lng comparisons flow through f64 (`sql_cmp`).
-                (x != LNG_NIL).then_some(CmpVal::F(x as f64))
-            }
-            OpSide::Dbls(v) => {
-                let x = v[i];
-                (!is_dbl_nil(x)).then_some(CmpVal::F(x))
-            }
-            // Scalar sentinels are ordinary numbers in the serial generic
-            // path (`Value::Int(INT_NIL)` is not SQL NULL); a NaN double
-            // falls out of `partial_cmp` as nil, matching `sql_cmp`.
-            OpSide::ScalarInt(x) => Some(CmpVal::I(*x as i64)),
-            OpSide::ScalarLng(x) => Some(CmpVal::F(*x as f64)),
-            OpSide::ScalarDbl(x) => Some(CmpVal::F(*x)),
-            OpSide::Null => None,
-        }
-    }
+    let k = cfg.threads_for(arith::common_len(&a, &b)?);
+    arith::cmpop_windows(op, a, b, k)
 }
 
-// ---------------------------------------------------------------------
-// Grouping
-// ---------------------------------------------------------------------
-
-/// Per-window grouping state: window-local group ids plus, per local
-/// group, its key and the oid of its first member.
-struct LocalGroups<K> {
-    ids: Vec<u64>,
-    keys: Vec<K>,
-    firsts: Vec<Oid>,
-}
-
-fn local_group<K: Hash + Eq + Clone, F: Fn(usize) -> (K, Oid)>(
-    range: Range<usize>,
-    key_at: F,
-) -> LocalGroups<K> {
-    let mut map: HashMap<K, u64> = HashMap::new();
-    let mut out = LocalGroups {
-        ids: Vec::with_capacity(range.len()),
-        keys: Vec::new(),
-        firsts: Vec::new(),
-    };
-    for i in range {
-        let (key, oid) = key_at(i);
-        let next = out.keys.len() as u64;
-        let g = *map.entry(key.clone()).or_insert(next);
-        if g == next {
-            out.keys.push(key);
-            out.firsts.push(oid);
-        }
-        out.ids.push(g);
-    }
-    out
-}
-
-fn merge_groups<K: Hash + Eq + Clone>(locals: Vec<LocalGroups<K>>, n: usize) -> Groups {
-    // Global ids are assigned in first-occurrence order: windows are
-    // visited in input order and window-local ids are already ordered by
-    // first occurrence, so the assignment order equals the serial scan's.
-    let mut global: HashMap<K, u64> = HashMap::new();
-    let mut extents: Vec<Oid> = Vec::new();
-    let mut mappings: Vec<Vec<u64>> = Vec::with_capacity(locals.len());
-    for local in &locals {
-        let mut mapping = Vec::with_capacity(local.keys.len());
-        for (lid, key) in local.keys.iter().enumerate() {
-            let next = extents.len() as u64;
-            let g = *global.entry(key.clone()).or_insert(next);
-            if g == next {
-                extents.push(local.firsts[lid]);
-            }
-            mapping.push(g);
-        }
-        mappings.push(mapping);
-    }
-    let mut ids = Vec::with_capacity(n);
-    for (local, mapping) in locals.iter().zip(&mappings) {
-        for &lid in &local.ids {
-            ids.push(mapping[lid as usize]);
-        }
-    }
-    Groups {
-        ngroups: extents.len() as u64,
-        extents,
-        ids,
-    }
-}
-
-/// Parallel [`crate::group::group_by`]: windows build local groupings
-/// concurrently; a sequential merge renumbers them in first-occurrence
-/// order, yielding exactly the serial ids/extents.
+/// Parallel [`crate::group::group_by`].
 pub fn group_by(
     b: &Bat,
     cand: Option<&Candidates>,
     prev: Option<&Groups>,
     cfg: &ParConfig,
 ) -> Result<(Groups, usize)> {
-    let n = cand.map_or(b.len(), Candidates::len);
-    let k = cfg.threads_for(n);
-    if k == 1 {
-        return Ok((crate::group::group_by(b, cand, prev)?, 1));
-    }
-    if let Some(p) = prev {
-        if p.ids.len() != n {
-            return Err(GdkError::invalid(format!(
-                "group refinement: {} previous ids vs {} rows",
-                p.ids.len(),
-                n
-            )));
-        }
-    }
-    let oid_at = |i: usize| -> Oid {
-        match cand {
-            None => i as Oid,
-            Some(c) => c.get(i),
-        }
-    };
-    let ranges = chunk_ranges(n, k);
-
-    // Int fast path mirrors the serial one (no previous grouping).
-    if let (ColumnData::Int(vals), None) = (b.data(), prev) {
-        let locals = scatter(&ranges, |_, r| {
-            local_group(r, |i| {
-                let o = oid_at(i);
-                (vals[o as usize], o)
-            })
-        });
-        return Ok((merge_groups(locals, n), k));
-    }
-
-    let locals = scatter(&ranges, |_, r| {
-        local_group(r, |i| {
-            let o = oid_at(i);
-            let pg = prev.map_or(0, |p| p.ids[i]);
-            ((pg, hash_key(&b.get(o as usize))), o)
-        })
-    });
-    Ok((merge_groups::<(u64, Option<HashKey>)>(locals, n), k))
+    let k = cfg.threads_for(cand.map_or(b.len(), Candidates::len));
+    Ok((group::group_by_windows(b, cand, prev, k)?, k))
 }
 
-// ---------------------------------------------------------------------
-// Aggregation
-// ---------------------------------------------------------------------
-
-/// Parallel [`aggregate::grouped`] for the exactly-associative functions
-/// (`COUNT`, integral `SUM`, `MIN`, `MAX`). `AVG` and `dbl` sums are
-/// routed to the serial kernel: reassociating float addition would break
-/// bit-identical results.
+/// Parallel [`aggregate::grouped`]; aggregates without an exact merge
+/// (see [`aggregate`]) run as one window.
 pub fn grouped(
     func: AggFunc,
     vals: &Bat,
     groups: &Groups,
     cfg: &ParConfig,
 ) -> Result<(Bat, usize)> {
-    let n = groups.ids.len();
-    let k = cfg.threads_for(n);
-    if k == 1 || !parallel_agg_supported(func, vals.tail_type()) {
-        return Ok((aggregate::grouped(func, vals, groups)?, 1));
-    }
-    if vals.len() != n {
-        return Err(GdkError::invalid(format!(
-            "aggregate: {} values vs {} group ids",
-            vals.len(),
-            n
-        )));
-    }
-    let ng = groups.ngroups as usize;
-    let ranges = chunk_ranges(n, k);
-    match func {
-        AggFunc::Count => {
-            let parts = scatter(&ranges, |_, r| {
-                let mut counts = vec![0i64; ng];
-                for i in r {
-                    if !vals.is_nil_at(i) {
-                        counts[groups.ids[i] as usize] += 1;
-                    }
-                }
-                counts
-            });
-            let mut counts = vec![0i64; ng];
-            for p in parts {
-                for (g, c) in p.into_iter().enumerate() {
-                    counts[g] += c;
-                }
-            }
-            Ok((Bat::from_lngs(counts), k))
-        }
-        AggFunc::Sum => {
-            // i128 window partials plus per-window running-prefix extrema:
-            // the serial kernel `checked_add`s a running sum in row order
-            // and errors at the first prefix outside i64. A prefix exits
-            // i64 range iff, for some window, (sum of all earlier
-            // windows) + (that window's running-prefix min or max) does —
-            // so checking the extrema during the window-order merge
-            // reproduces the serial overflow behaviour exactly.
-            let parts = scatter(&ranges, |_, r| {
-                let mut p = SumPartial::new(ng);
-                for i in r {
-                    if let Some(x) = vals.get(i).as_i64() {
-                        p.add(groups.ids[i] as usize, x);
-                    }
-                }
-                p
-            });
-            let (sums, seen) = merge_sum_partials(parts, ng)?;
-            let mut out = Bat::with_capacity(ScalarType::Lng, ng);
-            for g in 0..ng {
-                let v = if seen[g] {
-                    // In i64 range: every prefix was validated above.
-                    Value::Lng(sums[g] as i64)
-                } else {
-                    Value::Null
-                };
-                out.push(&v)?;
-            }
-            Ok((out, k))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let parts = scatter(&ranges, |_, r| {
-                let mut best: Vec<Value> = vec![Value::Null; ng];
-                for i in r {
-                    let v = vals.get(i);
-                    if v.is_null() {
-                        continue;
-                    }
-                    let slot = &mut best[groups.ids[i] as usize];
-                    if agg_replaces(func, slot, &v) {
-                        *slot = v;
-                    }
-                }
-                best
-            });
-            let mut best: Vec<Value> = vec![Value::Null; ng];
-            for p in parts {
-                for (g, v) in p.into_iter().enumerate() {
-                    if v.is_null() {
-                        continue;
-                    }
-                    if agg_replaces(func, &best[g], &v) {
-                        best[g] = v;
-                    }
-                }
-            }
-            let mut out = Bat::with_capacity(vals.tail_type(), ng);
-            for v in &best {
-                out.push(v)?;
-            }
-            Ok((out, k))
-        }
-        AggFunc::Avg => unreachable!("AVG filtered by parallel_agg_supported"),
-    }
+    aggregate::grouped_windows(func, vals, groups, cfg.threads_for(groups.ids.len()))
 }
 
-/// Parallel ungrouped aggregate over a whole BAT.
+/// Parallel [`aggregate::scalar`].
 pub fn scalar(func: AggFunc, vals: &Bat, cfg: &ParConfig) -> Result<(Value, usize)> {
-    let n = vals.len();
-    let k = cfg.threads_for(n);
-    if k == 1 || !parallel_agg_supported(func, vals.tail_type()) {
-        return Ok((aggregate::scalar(func, vals)?, 1));
-    }
-    let ranges = chunk_ranges(n, k);
-    match func {
-        AggFunc::Count => {
-            let parts = scatter(&ranges, |_, r| {
-                r.filter(|&i| !vals.is_nil_at(i)).count() as i64
-            });
-            Ok((Value::Lng(parts.into_iter().sum()), k))
-        }
-        AggFunc::Sum => {
-            // Same prefix-exact overflow scheme as the grouped SUM.
-            let parts = scatter(&ranges, |_, r| {
-                let mut p = SumPartial::new(1);
-                for i in r {
-                    if let Some(x) = vals.get(i).as_i64() {
-                        p.add(0, x);
-                    }
-                }
-                p
-            });
-            let (sums, seen) = merge_sum_partials(parts, 1)?;
-            if !seen[0] {
-                return Ok((Value::Null, k));
-            }
-            Ok((Value::Lng(sums[0] as i64), k))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let parts = scatter(&ranges, |_, r| {
-                let mut best = Value::Null;
-                for i in r {
-                    let v = vals.get(i);
-                    if !v.is_null() && agg_replaces(func, &best, &v) {
-                        best = v;
-                    }
-                }
-                best
-            });
-            let mut best = Value::Null;
-            for v in parts {
-                if !v.is_null() && agg_replaces(func, &best, &v) {
-                    best = v;
-                }
-            }
-            Ok((best, k))
-        }
-        AggFunc::Avg => unreachable!("AVG filtered by parallel_agg_supported"),
-    }
+    aggregate::scalar_windows(func, vals, cfg.threads_for(vals.len()))
 }
 
-// ---------------------------------------------------------------------
-// Fused select→project / select→aggregate
-// ---------------------------------------------------------------------
-
-/// Parallel [`crate::fused::theta_select_project`]: selection-domain
-/// windows run the serial fused kernel concurrently and the typed chunk
-/// outputs concatenate in window order, so results equal the serial
-/// fused kernel (which equals the unfused select-then-project pair).
+/// Parallel [`fused::theta_select_project`].
 pub fn theta_select_project(
     b: &Bat,
     cand: Option<&Candidates>,
@@ -874,36 +354,12 @@ pub fn theta_select_project(
     payload: &Bat,
     cfg: &ParConfig,
 ) -> Result<(Bat, usize)> {
-    let n = cand.map_or(b.len(), Candidates::len);
-    let k = cfg.threads_for(n);
-    if k == 1 || val.is_null() {
-        return Ok((
-            crate::fused::theta_select_project(b, cand, val, op, payload)?,
-            1,
-        ));
-    }
-    let (lo, hi, li, hi_incl, anti) = select::theta_bounds(val, op);
-    let ranges = chunk_ranges(n, k);
-    let parts = scatter(&ranges, |_, r| {
-        let sub = match cand {
-            Some(c) => c.slice(r),
-            None => Candidates::Dense {
-                first: r.start as Oid,
-                len: r.len(),
-            },
-        };
-        crate::fused::select_project(b, Some(&sub), &lo, &hi, li, hi_incl, anti, payload)
-    });
-    let mut bats = Vec::with_capacity(parts.len());
-    for p in parts {
-        bats.push(p?);
-    }
-    Ok((concat_bats(bats)?, k))
+    let k = cfg.threads_for(cand.map_or(b.len(), Candidates::len));
+    fused::theta_select_project_windows(b, cand, val, op, payload, k)
 }
 
-/// Parallel [`crate::fused::theta_select_aggregate`]. Returns
-/// `(value, threads, selected)`. Functions without an exactly-associative
-/// merge (`AVG`, float `SUM`) run the serial fused kernel.
+/// Parallel [`fused::theta_select_aggregate`]. Returns
+/// `(value, threads, selected)`.
 pub fn theta_select_aggregate(
     func: AggFunc,
     payload: &Bat,
@@ -913,227 +369,21 @@ pub fn theta_select_aggregate(
     op: CmpOp,
     cfg: &ParConfig,
 ) -> Result<(Value, usize, usize)> {
-    let n = cand.map_or(b.len(), Candidates::len);
-    let k = cfg.threads_for(n);
-    if k == 1 || val.is_null() || !parallel_agg_supported(func, payload.tail_type()) {
-        let (v, sel) = crate::fused::theta_select_aggregate(func, payload, b, cand, val, op)?;
-        return Ok((v, 1, sel));
-    }
-    let (lo, hi, li, hi_incl, anti) = select::theta_bounds(val, op);
-    let pred = select::range_pred(b, &lo, &hi, li, hi_incl, anti)?;
-    let (blen, plen) = (b.len(), payload.len());
-    let sel_at = |i: usize| -> Result<Option<usize>> {
-        let pos = match cand {
-            None => i,
-            Some(c) => {
-                let p = c.get(i) as usize;
-                if p >= blen {
-                    return Ok(None);
-                }
-                p
-            }
-        };
-        if !pred(pos) {
-            return Ok(None);
-        }
-        if pos >= plen {
-            return Err(crate::fused::oob(pos, plen));
-        }
-        Ok(Some(pos))
-    };
-    let (v, sel) = fused_agg_windows(func, payload, n, k, &sel_at)?;
-    Ok((v, k, sel))
+    let k = cfg.threads_for(cand.map_or(b.len(), Candidates::len));
+    let (v, selected, k) =
+        fused::theta_select_aggregate_windows(func, payload, b, cand, val, op, k)?;
+    Ok((v, k, selected))
 }
 
-/// Parallel [`crate::fused::project_aggregate`] (candidate-propagated
-/// scalar aggregate): candidate windows accumulate partials merged in
-/// window order, matching the serial running-prefix behaviour exactly.
+/// Parallel [`fused::project_aggregate`] (candidate-propagated scalar
+/// aggregate).
 pub fn project_aggregate(
     func: AggFunc,
     payload: &Bat,
     cand: &Candidates,
     cfg: &ParConfig,
 ) -> Result<(Value, usize)> {
-    let n = cand.len();
-    let k = cfg.threads_for(n);
-    if k == 1 || !parallel_agg_supported(func, payload.tail_type()) {
-        return Ok((crate::fused::project_aggregate(func, payload, cand)?, 1));
-    }
-    let plen = payload.len();
-    let sel_at = |i: usize| -> Result<Option<usize>> {
-        let pos = cand.get(i) as usize;
-        if pos >= plen {
-            return Err(crate::fused::oob(pos, plen));
-        }
-        Ok(Some(pos))
-    };
-    let (v, _) = fused_agg_windows(func, payload, n, k, &sel_at)?;
-    Ok((v, k))
-}
-
-/// Shared window driver for the fused scalar aggregates: `sel_at(i)`
-/// resolves domain index `i` to a qualifying payload position (or skips,
-/// or errors on an out-of-range projection). Only the exactly-associative
-/// functions reach this (callers guard with [`parallel_agg_supported`]).
-fn fused_agg_windows(
-    func: AggFunc,
-    payload: &Bat,
-    n: usize,
-    k: usize,
-    sel_at: &(impl Fn(usize) -> Result<Option<usize>> + Sync),
-) -> Result<(Value, usize)> {
-    let ranges = chunk_ranges(n, k);
-    match func {
-        AggFunc::Count => {
-            let parts = scatter(&ranges, |_, r| -> Result<(i64, usize)> {
-                let (mut cnt, mut sel) = (0i64, 0usize);
-                for i in r {
-                    if let Some(pos) = sel_at(i)? {
-                        sel += 1;
-                        if !payload.is_nil_at(pos) {
-                            cnt += 1;
-                        }
-                    }
-                }
-                Ok((cnt, sel))
-            });
-            let (mut cnt, mut sel) = (0i64, 0usize);
-            for p in parts {
-                let (c, s) = p?;
-                cnt += c;
-                sel += s;
-            }
-            Ok((Value::Lng(cnt), sel))
-        }
-        AggFunc::Sum => {
-            let parts = scatter(&ranges, |_, r| -> Result<(SumPartial, usize)> {
-                let mut part = SumPartial::new(1);
-                let mut sel = 0usize;
-                for i in r {
-                    if let Some(pos) = sel_at(i)? {
-                        sel += 1;
-                        if let Some(x) = payload.get(pos).as_i64() {
-                            part.add(0, x);
-                        }
-                    }
-                }
-                Ok((part, sel))
-            });
-            let mut partials = Vec::with_capacity(parts.len());
-            let mut sel = 0usize;
-            for p in parts {
-                let (part, s) = p?;
-                partials.push(part);
-                sel += s;
-            }
-            let (sums, seen) = merge_sum_partials(partials, 1)?;
-            let v = if seen[0] {
-                Value::Lng(sums[0] as i64)
-            } else {
-                Value::Null
-            };
-            Ok((v, sel))
-        }
-        AggFunc::Min | AggFunc::Max => {
-            let parts = scatter(&ranges, |_, r| -> Result<(Value, usize)> {
-                let mut best = Value::Null;
-                let mut sel = 0usize;
-                for i in r {
-                    if let Some(pos) = sel_at(i)? {
-                        sel += 1;
-                        let v = payload.get(pos);
-                        if !v.is_null() && agg_replaces(func, &best, &v) {
-                            best = v;
-                        }
-                    }
-                }
-                Ok((best, sel))
-            });
-            let mut best = Value::Null;
-            let mut sel = 0usize;
-            for p in parts {
-                let (v, s) = p?;
-                sel += s;
-                if !v.is_null() && agg_replaces(func, &best, &v) {
-                    best = v;
-                }
-            }
-            Ok((best, sel))
-        }
-        AggFunc::Avg => unreachable!("AVG filtered by parallel_agg_supported"),
-    }
-}
-
-/// Per-window SUM state: per group, the window's total plus the running
-/// prefix extrema within the window (over post-add values), in i128 so
-/// the window arithmetic itself cannot overflow.
-struct SumPartial {
-    sums: Vec<i128>,
-    min_prefix: Vec<i128>,
-    max_prefix: Vec<i128>,
-    seen: Vec<bool>,
-}
-
-impl SumPartial {
-    fn new(ng: usize) -> Self {
-        SumPartial {
-            sums: vec![0; ng],
-            min_prefix: vec![0; ng],
-            max_prefix: vec![0; ng],
-            seen: vec![false; ng],
-        }
-    }
-
-    fn add(&mut self, g: usize, x: i64) {
-        self.sums[g] += x as i128;
-        self.min_prefix[g] = self.min_prefix[g].min(self.sums[g]);
-        self.max_prefix[g] = self.max_prefix[g].max(self.sums[g]);
-        self.seen[g] = true;
-    }
-}
-
-/// Merge window SUM partials in window order, erroring exactly when the
-/// serial row-order scan would: some running prefix leaves i64 range.
-fn merge_sum_partials(parts: Vec<SumPartial>, ng: usize) -> Result<(Vec<i128>, Vec<bool>)> {
-    let mut base = vec![0i128; ng];
-    let mut seen = vec![false; ng];
-    for p in parts {
-        for g in 0..ng {
-            if base[g] + p.min_prefix[g] < i64::MIN as i128
-                || base[g] + p.max_prefix[g] > i64::MAX as i128
-            {
-                return Err(GdkError::arithmetic("SUM overflow"));
-            }
-            base[g] += p.sums[g];
-            seen[g] |= p.seen[g];
-        }
-    }
-    Ok((base, seen))
-}
-
-/// Serial `MIN`/`MAX` replacement rule: strictly better, first wins ties.
-fn agg_replaces(func: AggFunc, slot: &Value, candidate: &Value) -> bool {
-    match slot.sql_cmp(candidate) {
-        None => true, // slot still NULL
-        Some(ord) => {
-            if func == AggFunc::Min {
-                ord == std::cmp::Ordering::Greater
-            } else {
-                ord == std::cmp::Ordering::Less
-            }
-        }
-    }
-}
-
-/// Can this aggregate go parallel with bit-identical results?
-pub fn parallel_agg_supported(func: AggFunc, input: ScalarType) -> bool {
-    match func {
-        AggFunc::Count | AggFunc::Min | AggFunc::Max => true,
-        // Integral sums widen to lng and are exactly associative; float
-        // sums are order-sensitive and stay serial.
-        AggFunc::Sum => matches!(input, ScalarType::Int | ScalarType::Lng),
-        AggFunc::Avg => false,
-    }
+    fused::project_aggregate_windows(func, payload, cand, cfg.threads_for(cand.len()))
 }
 
 // Compile-time proof that the shared-nothing driver may move these
@@ -1152,6 +402,7 @@ const _: () = {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::GdkError;
 
     fn force(k: usize) -> ParConfig {
         ParConfig {
@@ -1175,182 +426,120 @@ mod tests {
     }
 
     #[test]
-    fn parallel_select_matches_serial() {
-        let b = Bat::from_opt_ints((0..1000).map(|i| (i % 7 != 0).then_some(i % 50)).collect());
-        let serial = select::thetaselect(&b, None, &Value::Int(25), CmpOp::Ge).unwrap();
-        let (par, k) = thetaselect(&b, None, &Value::Int(25), CmpOp::Ge, &force(4)).unwrap();
-        assert_eq!(k, 4);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_project_matches_serial() {
-        let b = Bat::from_strs(
-            (0..500)
-                .map(|i| (i % 5 != 0).then(|| format!("s{}", i % 17)))
-                .collect(),
-        );
-        let cand = Candidates::from_vec((0..500).step_by(3).collect());
-        let serial = crate::project::project(&cand, &b).unwrap();
-        let (par, k) = project(&cand, &b, &force(3)).unwrap();
-        assert_eq!(k, 3);
-        assert_eq!(par.to_values(), serial.to_values());
-    }
-
-    #[test]
-    fn parallel_binop_matches_serial() {
-        let a = Bat::from_opt_ints((0..2000).map(|i| (i % 11 != 0).then_some(i)).collect());
-        let serial = arith::binop(
-            BinOp::Mul,
-            Operand::Col(&a),
-            Operand::Scalar(&Value::Int(3)),
-        )
+    fn map_fills_disjoint_windows_and_reports_the_earliest_error() {
+        let out = map_windows(10, 3, |r, w: &mut [usize]| {
+            for (slot, i) in w.iter_mut().zip(r) {
+                *slot = i * i;
+            }
+            Ok(())
+        })
         .unwrap();
-        let (par, k) = binop(
-            BinOp::Mul,
-            Operand::Col(&a),
-            Operand::Scalar(&Value::Int(3)),
-            &force(8),
-        )
-        .unwrap();
-        assert_eq!(k, 8);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_binop_error_matches_serial() {
-        let a = Bat::from_ints(vec![1; 100]);
-        let z = Bat::from_ints(vec![0; 100]);
-        let serial = arith::binop(BinOp::Div, Operand::Col(&a), Operand::Col(&z)).unwrap_err();
-        let par = binop(BinOp::Div, Operand::Col(&a), Operand::Col(&z), &force(4)).unwrap_err();
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_group_matches_serial() {
-        let b = Bat::from_opt_ints((0..1500).map(|i| (i % 13 != 0).then_some(i % 23)).collect());
-        let serial = crate::group::group_by(&b, None, None).unwrap();
-        let (par, k) = group_by(&b, None, None, &force(5)).unwrap();
-        assert_eq!(k, 5);
-        assert_eq!(par, serial);
-    }
-
-    #[test]
-    fn parallel_fused_select_project_matches_serial() {
-        let b = Bat::from_opt_ints((0..1200).map(|i| (i % 7 != 0).then_some(i % 50)).collect());
-        let p = Bat::from_strs(
-            (0..1200)
-                .map(|i| (i % 5 != 0).then(|| format!("s{}", i % 17)))
-                .collect(),
-        );
-        let serial =
-            crate::fused::theta_select_project(&b, None, &Value::Int(25), CmpOp::Ge, &p).unwrap();
-        for t in [2, 4, 8] {
-            let (par, k) =
-                theta_select_project(&b, None, &Value::Int(25), CmpOp::Ge, &p, &force(t)).unwrap();
-            assert_eq!(k, t);
-            assert_eq!(par.to_values(), serial.to_values(), "threads {t}");
-        }
-        let cand = Candidates::from_vec((0..1200).step_by(3).collect());
-        let serial =
-            crate::fused::theta_select_project(&b, Some(&cand), &Value::Int(25), CmpOp::Lt, &p)
-                .unwrap();
-        let (par, _) =
-            theta_select_project(&b, Some(&cand), &Value::Int(25), CmpOp::Lt, &p, &force(4))
-                .unwrap();
-        assert_eq!(par.to_values(), serial.to_values());
-    }
-
-    #[test]
-    fn parallel_fused_aggregates_match_serial() {
-        let b = Bat::from_opt_ints((0..1500).map(|i| (i % 9 != 0).then_some(i % 40)).collect());
-        let p = Bat::from_opt_ints((0..1500).map(|i| (i % 4 != 0).then_some(i - 700)).collect());
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-            let (serial, sel_s) = crate::fused::theta_select_aggregate(
-                func,
-                &p,
-                &b,
-                None,
-                &Value::Int(20),
-                CmpOp::Lt,
-            )
-            .unwrap();
-            let (par, k, sel_p) =
-                theta_select_aggregate(func, &p, &b, None, &Value::Int(20), CmpOp::Lt, &force(6))
-                    .unwrap();
-            assert_eq!(k, 6, "{func:?}");
-            assert_eq!(par, serial, "{func:?}");
-            assert_eq!(sel_p, sel_s, "{func:?}");
-            let cand = Candidates::from_vec((0..1500).step_by(2).collect());
-            let serial_pa = crate::fused::project_aggregate(func, &p, &cand).unwrap();
-            let (par_pa, _) = project_aggregate(func, &p, &cand, &force(5)).unwrap();
-            assert_eq!(par_pa, serial_pa, "{func:?}");
-        }
-        // AVG stays serial for float determinism.
-        let (_, k, _) = theta_select_aggregate(
-            AggFunc::Avg,
-            &p,
-            &b,
-            None,
-            &Value::Int(20),
-            CmpOp::Lt,
-            &force(6),
-        )
-        .unwrap();
-        assert_eq!(k, 1);
-    }
-
-    #[test]
-    fn parallel_fused_sum_overflow_matches_serial() {
-        let b = Bat::from_ints(vec![1; 300]);
-        let mut vals = vec![0i64; 300];
-        vals[0] = i64::MAX;
-        vals[299] = i64::MAX;
-        let p = Bat::from_lngs(vals);
-        let serial = crate::fused::theta_select_aggregate(
-            AggFunc::Sum,
-            &p,
-            &b,
-            None,
-            &Value::Int(0),
-            CmpOp::Gt,
-        )
+        assert_eq!(out, (0..10).map(|i| i * i).collect::<Vec<_>>());
+        let err = map_windows(10, 5, |r, _: &mut [u8]| {
+            if r.start >= 4 {
+                Err(GdkError::invalid(format!("window at {}", r.start)))
+            } else {
+                Ok(())
+            }
+        })
         .unwrap_err();
-        let par = theta_select_aggregate(
-            AggFunc::Sum,
-            &p,
-            &b,
-            None,
-            &Value::Int(0),
-            CmpOp::Gt,
-            &force(4),
-        )
-        .unwrap_err();
-        assert_eq!(par, serial);
+        assert_eq!(err, GdkError::invalid("window at 4"));
+        assert_eq!(map_windows(0, 4, |_, _: &mut [u8]| Ok(())).unwrap(), vec![]);
     }
 
     #[test]
-    fn parallel_aggregates_match_serial() {
-        let keys = Bat::from_ints((0..1200).map(|i| i % 9).collect());
-        let vals = Bat::from_opt_ints((0..1200).map(|i| (i % 4 != 0).then_some(i - 600)).collect());
-        let g = crate::group::group_by(&keys, None, None).unwrap();
-        for func in [AggFunc::Count, AggFunc::Sum, AggFunc::Min, AggFunc::Max] {
-            let serial = aggregate::grouped(func, &vals, &g).unwrap();
-            let (par, k) = grouped(func, &vals, &g, &force(6)).unwrap();
-            assert_eq!(k, 6, "{func:?}");
-            assert_eq!(par.to_values(), serial.to_values(), "{func:?}");
-            let s_serial = aggregate::scalar(func, &vals).unwrap();
-            let (s_par, _) = scalar(func, &vals, &force(6)).unwrap();
-            assert_eq!(s_par, s_serial, "{func:?}");
-        }
-        // AVG stays serial for float determinism.
-        let (avg, k) = grouped(AggFunc::Avg, &vals, &g, &force(6)).unwrap();
-        assert_eq!(k, 1);
+    fn concat_appends_in_window_order() {
+        let odd = concat_windows(11, 4, |r| Ok(r.filter(|i| i % 2 == 1).collect())).unwrap();
+        assert_eq!(odd, vec![1, 3, 5, 7, 9]);
+    }
+
+    #[test]
+    fn reduce_stops_at_the_first_failing_window() {
+        let fold = |fail_from: usize| {
+            move |seen: &mut Vec<usize>, r: Range<usize>| {
+                for i in r {
+                    if i >= fail_from {
+                        return Err(GdkError::invalid(format!("row {i}")));
+                    }
+                    seen.push(i);
+                }
+                Ok(())
+            }
+        };
+        let merge = |a: &mut Vec<usize>, mut b: Vec<usize>| a.append(&mut b);
+        let (seen, status) = reduce_windows(12, 4, Vec::new(), fold(usize::MAX), merge);
+        assert_eq!((seen, status), ((0..12).collect(), Ok(())));
+        // Rows 7.. fail: windows [6,9) and [9,12) both do, the earlier wins
+        // and nothing after its failing row is merged.
+        let (seen, status) = reduce_windows(12, 4, Vec::new(), fold(7), merge);
+        assert_eq!(seen, (0..7).collect::<Vec<_>>());
+        assert_eq!(status, Err(GdkError::invalid("row 7")));
+    }
+
+    /// Every wrapper reports the window count it used; shapes a kernel
+    /// cannot split or merge exactly report 1.
+    #[test]
+    fn wrappers_report_windows_used() {
+        let ints = Bat::from_opt_ints((0..600).map(|i| (i % 7 != 0).then_some(i % 50)).collect());
+        let strs = Bat::from_strs((0..600).map(|i| Some(format!("s{}", i % 17))).collect());
+        let three = Value::Int(3);
+        let cand = Candidates::from_vec((0..600).step_by(3).collect());
+        let cfg = force(4);
         assert_eq!(
-            avg.to_values(),
-            aggregate::grouped(AggFunc::Avg, &vals, &g)
+            thetaselect(&ints, None, &three, CmpOp::Ge, &cfg).unwrap().1,
+            4
+        );
+        assert_eq!(project(&cand, &strs, &cfg).unwrap().1, 4);
+        assert_eq!(group_by(&strs, None, None, &cfg).unwrap().1, 4);
+        let (col, by) = (Operand::Col(&ints), Operand::Scalar(&three));
+        assert_eq!(binop(BinOp::Mul, col, by, &cfg).unwrap().1, 4);
+        assert_eq!(cmpop(CmpOp::Lt, by, col, &cfg).unwrap().1, 4);
+        // No typed slice kernel for strings: one window.
+        let s = Value::Str("s3".into());
+        assert_eq!(
+            cmpop(CmpOp::Eq, Operand::Col(&strs), Operand::Scalar(&s), &cfg)
                 .unwrap()
-                .to_values()
+                .1,
+            1
+        );
+        let (p, k) = theta_select_project(&ints, None, &three, CmpOp::Gt, &strs, &cfg).unwrap();
+        assert_eq!(
+            (p.len(), k),
+            (
+                ints.to_values()
+                    .iter()
+                    .filter(|v| v.as_i64() > Some(3))
+                    .count(),
+                4
+            )
+        );
+        let g = group::group_by(&ints, None, None).unwrap();
+        for func in [
+            AggFunc::Count,
+            AggFunc::Sum,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ] {
+            // AVG stays serial for float determinism.
+            let want = if func == AggFunc::Avg { 1 } else { 4 };
+            assert_eq!(grouped(func, &ints, &g, &cfg).unwrap().1, want, "{func:?}");
+            assert_eq!(scalar(func, &ints, &cfg).unwrap().1, want, "{func:?}");
+            assert_eq!(
+                project_aggregate(func, &ints, &cand, &cfg).unwrap().1,
+                want,
+                "{func:?}"
+            );
+            let (_, k, _) =
+                theta_select_aggregate(func, &ints, &ints, None, &three, CmpOp::Lt, &cfg).unwrap();
+            assert_eq!(k, want, "{func:?}");
+        }
+        // Below the threshold everything is one window.
+        assert_eq!(
+            scalar(AggFunc::Sum, &ints, &ParConfig::with_threads(4))
+                .unwrap()
+                .1,
+            1
         );
     }
 }

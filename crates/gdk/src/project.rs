@@ -9,75 +9,52 @@ use crate::candidates::Candidates;
 use crate::types::{Oid, OID_NIL};
 use crate::{GdkError, Result};
 
+pub(crate) fn oob(pos: usize, len: usize) -> GdkError {
+    GdkError::invalid(format!("projection oid {pos} out of range (len {len})"))
+}
+
 /// Fetch `b[o]` for every candidate oid `o`, in candidate order.
 pub fn project(cand: &Candidates, b: &Bat) -> Result<Bat> {
+    project_windows(cand, b, 1)
+}
+
+/// [`project`] over `k` windows of the candidate list, each fetching into
+/// its own slice of the output.
+pub(crate) fn project_windows(cand: &Candidates, b: &Bat, k: usize) -> Result<Bat> {
     let len = b.len();
-    let check = |o: Oid| -> Result<usize> {
-        let pos = o as usize;
-        if pos >= len {
-            Err(GdkError::invalid(format!(
-                "projection oid {o} out of range (len {len})"
-            )))
-        } else {
-            Ok(pos)
-        }
+    // `out[i] = at(cand[i])`, or the out-of-range error of the first
+    // candidate beyond the column.
+    fn gather<T: Copy + Default + Send>(
+        cand: &Candidates,
+        len: usize,
+        k: usize,
+        at: impl Fn(usize) -> T + Sync,
+    ) -> Result<Vec<T>> {
+        crate::par::map_windows(cand.len(), k, |r, out| {
+            for (slot, i) in out.iter_mut().zip(r) {
+                let pos = cand.get(i) as usize;
+                if pos >= len {
+                    return Err(oob(pos, len));
+                }
+                *slot = at(pos);
+            }
+            Ok(())
+        })
+    }
+    let data = match b.data() {
+        ColumnData::Void { seq, .. } => ColumnData::Oid(gather(cand, len, k, |p| seq + p as Oid)?),
+        ColumnData::Bit(v) => ColumnData::Bit(gather(cand, len, k, |p| v[p])?),
+        ColumnData::Int(v) => ColumnData::Int(gather(cand, len, k, |p| v[p])?),
+        ColumnData::Lng(v) => ColumnData::Lng(gather(cand, len, k, |p| v[p])?),
+        ColumnData::Dbl(v) => ColumnData::Dbl(gather(cand, len, k, |p| v[p])?),
+        ColumnData::Oid(v) => ColumnData::Oid(gather(cand, len, k, |p| v[p])?),
+        // The dictionary is shared by cloning once; indices stay valid.
+        ColumnData::Str { idx, heap } => ColumnData::Str {
+            idx: gather(cand, len, k, |p| idx[p])?,
+            heap: heap.clone(),
+        },
     };
-    Ok(match b.data() {
-        ColumnData::Void { seq, .. } => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                check(o)?;
-                out.push(seq + o);
-            }
-            Bat::from_oids(out)
-        }
-        ColumnData::Bit(v) => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(v[check(o)?]);
-            }
-            Bat::from_data(ColumnData::Bit(out))
-        }
-        ColumnData::Int(v) => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(v[check(o)?]);
-            }
-            Bat::from_data(ColumnData::Int(out))
-        }
-        ColumnData::Lng(v) => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(v[check(o)?]);
-            }
-            Bat::from_data(ColumnData::Lng(out))
-        }
-        ColumnData::Dbl(v) => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(v[check(o)?]);
-            }
-            Bat::from_data(ColumnData::Dbl(out))
-        }
-        ColumnData::Oid(v) => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(v[check(o)?]);
-            }
-            Bat::from_data(ColumnData::Oid(out))
-        }
-        ColumnData::Str { idx, heap } => {
-            let mut out = Vec::with_capacity(cand.len());
-            for o in cand.iter() {
-                out.push(idx[check(o)?]);
-            }
-            // The dictionary is shared by cloning; indices stay valid.
-            Bat::from_data(ColumnData::Str {
-                idx: out,
-                heap: heap.clone(),
-            })
-        }
-    })
+    Ok(Bat::from_data(data))
 }
 
 /// Fetch `b[o]` for every oid in an *oid BAT* (join result column). Oid nil

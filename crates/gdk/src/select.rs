@@ -54,8 +54,7 @@ pub fn rangeselect(
     anti: bool,
 ) -> Result<Candidates> {
     // Monomorphized per-shape scans: the hot path must not pay a virtual
-    // call per element (the boxed [`range_pred`] exists for the fused
-    // kernels, where one dynamic predicate replaces a whole second scan).
+    // call per element.
     if let ColumnData::Int(vals) = b.data() {
         let lo_i = bound_as_i64(lo)?;
         let hi_i = bound_as_i64(hi)?;
@@ -139,40 +138,6 @@ pub(crate) fn generic_in_range(
         }
     };
     (ge && le) != anti
-}
-
-/// Build the per-position range predicate over `b` as one boxed closure —
-/// used by the fused select→project / select→aggregate kernels, which
-/// interleave the test with a typed payload walk (there the single
-/// dynamic call replaces an entire second scan). The per-element logic is
-/// the same `*_in_range` helpers [`rangeselect`] monomorphizes, so the
-/// qualifying sets cannot drift.
-pub(crate) fn range_pred<'a>(
-    b: &'a Bat,
-    lo: &'a Value,
-    hi: &'a Value,
-    li: bool,
-    hi_incl: bool,
-    anti: bool,
-) -> Result<Box<dyn Fn(usize) -> bool + Send + Sync + 'a>> {
-    if let ColumnData::Int(vals) = b.data() {
-        let lo_i = bound_as_i64(lo)?;
-        let hi_i = bound_as_i64(hi)?;
-        return Ok(Box::new(move |pos: usize| {
-            int_in_range(vals[pos], lo_i, hi_i, li, hi_incl, anti)
-        }));
-    }
-    if let ColumnData::Void { seq, .. } = b.data() {
-        let lo_i = bound_as_i64(lo)?;
-        let hi_i = bound_as_i64(hi)?;
-        let seq = *seq as i64;
-        return Ok(Box::new(move |pos: usize| {
-            i64_in_range(seq + pos as i64, lo_i, hi_i, li, hi_incl, anti)
-        }));
-    }
-    Ok(Box::new(move |pos: usize| {
-        generic_in_range(&b.get(pos), lo, hi, li, hi_incl, anti)
-    }))
 }
 
 pub(crate) fn bound_as_i64(v: &Value) -> Result<Option<i64>> {

@@ -3,9 +3,10 @@
 //! A [`BatSlice`] is a borrowed window `[off, off+len)` over a [`Bat`]'s
 //! tail. It never copies column data: the typed accessors return
 //! sub-slices of the underlying contiguous vectors (exactly the
-//! "consecutive C arrays" property the SciQL paper leans on), which is
-//! what lets the [`crate::par`] driver hand disjoint windows of one
-//! column to worker threads without materialising per-thread BATs.
+//! "consecutive C arrays" property the SciQL paper leans on). The same
+//! property is what lets the kernels hand disjoint `&v[range]` windows of
+//! one column to the [`crate::par`] drivers' worker threads without
+//! materialising per-thread BATs; [`chunk_ranges`] cuts those windows.
 
 use crate::bat::{Bat, ColumnData};
 use crate::strheap::StrHeap;

@@ -122,18 +122,19 @@ impl Value {
     }
 
     /// SQL comparison. NULL compares as `None` (unknown); otherwise numeric
-    /// values compare by magnitude across widths, strings lexicographically.
+    /// values compare by magnitude across widths — integral pairs exactly
+    /// as `i64` (`f64` has only 53 bits of mantissa), anything involving a
+    /// `dbl` as `f64` — and strings lexicographically.
     pub fn sql_cmp(&self, other: &Value) -> Option<Ordering> {
         if self.is_null() || other.is_null() {
             return None;
         }
         match (self, other) {
             (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (Value::Bit(a), Value::Bit(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (x, y) = (a.as_f64()?, b.as_f64()?);
-                x.partial_cmp(&y)
-            }
+            (a, b) => match (a.as_i64(), b.as_i64()) {
+                (Some(x), Some(y)) => Some(x.cmp(&y)),
+                _ => a.as_f64()?.partial_cmp(&b.as_f64()?),
+            },
         }
     }
 
@@ -244,6 +245,15 @@ mod tests {
         assert_eq!(
             Value::Str("b".into()).sql_cmp(&Value::Str("a".into())),
             Some(Ordering::Greater)
+        );
+        // Integral pairs compare exactly, beyond f64's 53-bit mantissa.
+        assert_eq!(
+            Value::Lng((1 << 53) + 1).sql_cmp(&Value::Lng(1 << 53)),
+            Some(Ordering::Greater)
+        );
+        assert_eq!(
+            Value::Lng(1 << 53).sql_cmp(&Value::Dbl((1u64 << 53) as f64)),
+            Some(Ordering::Equal)
         );
     }
 

@@ -522,3 +522,316 @@ fn par_sum_prefix_overflow_and_nan_scalar_match_serial() {
         assert_eq!(got.to_values(), serial.to_values(), "nan-add threads {t}");
     }
 }
+
+// ---------------------------------------------------------------------
+// Thread differentials for the remaining parallel entry points: every
+// element-wise shape (`lng`, `dbl`, mixed widths, scalar on either side,
+// sentinel and NaN scalars) and the fused select→project / select→
+// aggregate kernels — results *and* errors equal the serial kernel's.
+// ---------------------------------------------------------------------
+
+use gdk::{fused, GdkError};
+
+const BIN_OPS: [BinOp; 5] = [BinOp::Add, BinOp::Sub, BinOp::Mul, BinOp::Div, BinOp::Mod];
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+const AGG_FUNCS: [AggFunc; 5] = [
+    AggFunc::Count,
+    AggFunc::Sum,
+    AggFunc::Min,
+    AggFunc::Max,
+    AggFunc::Avg,
+];
+
+/// A kernel result made comparable: the output type plus its values (a
+/// `dbl` nil reads back as NULL, so NaN outputs compare equal), or the
+/// error.
+fn outcome(r: gdk::Result<Bat>) -> Result<(gdk::ScalarType, Vec<Value>), GdkError> {
+    r.map(|b| (b.tail_type(), b.to_values()))
+}
+
+/// Every arithmetic and comparison operator over `a ⊕ b`, at every
+/// thread count, against the serial kernel.
+fn assert_elementwise_matches_serial(a: Operand<'_>, b: Operand<'_>) {
+    for op in BIN_OPS {
+        let serial = outcome(arith::binop(op, a, b));
+        for t in THREAD_COUNTS {
+            let got = outcome(par::binop(op, a, b, &forced(t)).map(|(out, _)| out));
+            assert_eq!(got, serial, "{a:?} {op:?} {b:?} threads {t}");
+        }
+    }
+    for op in CMP_OPS {
+        let serial = outcome(arith::cmpop(op, a, b));
+        for t in THREAD_COUNTS {
+            let got = outcome(par::cmpop(op, a, b, &forced(t)).map(|(out, _)| out));
+            assert_eq!(got, serial, "{a:?} {op:?} {b:?} threads {t}");
+        }
+    }
+}
+
+/// `lng` cells that reach the overflow and division edge cases: small
+/// values, zero, and both ends of the range.
+fn edgy_lngs(max_len: usize) -> impl Strategy<Value = Vec<Option<i64>>> {
+    proptest::collection::vec(
+        proptest::option::weighted(
+            0.8,
+            prop_oneof![
+                -50i64..50,
+                Just(0i64),
+                Just(i64::MAX),
+                Just(i64::MIN + 1),
+                (1i64 << 53)..(1i64 << 53) + 4,
+            ],
+        ),
+        0..max_len,
+    )
+}
+
+fn lng_bat(data: &[Option<i64>]) -> Bat {
+    Bat::from_lngs(
+        data.iter()
+            .map(|v| v.unwrap_or(gdk::types::LNG_NIL))
+            .collect(),
+    )
+}
+
+fn edgy_dbls(max_len: usize) -> impl Strategy<Value = Vec<Option<f64>>> {
+    proptest::collection::vec(
+        proptest::option::weighted(
+            0.8,
+            prop_oneof![(-40i32..40).prop_map(|x| f64::from(x) / 4.0), Just(0.0f64)],
+        ),
+        0..max_len,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `lng` columns against each other and against scalars on either
+    /// side, including the `lng` nil sentinel passed *as a scalar* (a
+    /// number there, not NULL).
+    #[test]
+    fn par_lng_elementwise_matches_serial(data in edgy_lngs(120), s in -3i64..4) {
+        let a = lng_bat(&data);
+        let b = lng_bat(&data.iter().rev().cloned().collect::<Vec<_>>());
+        assert_elementwise_matches_serial(Operand::Col(&a), Operand::Col(&b));
+        for scalar in [Value::Lng(s), Value::Lng(i64::MAX), Value::Lng(gdk::types::LNG_NIL)] {
+            assert_elementwise_matches_serial(Operand::Col(&a), Operand::Scalar(&scalar));
+            assert_elementwise_matches_serial(Operand::Scalar(&scalar), Operand::Col(&a));
+        }
+    }
+
+    /// `dbl` columns, with zero divisors and NaN scalars (a NaN scalar is
+    /// a number, only column cells carry in-band nils).
+    #[test]
+    fn par_dbl_elementwise_matches_serial(data in edgy_dbls(120), s in -3i32..4) {
+        let a = Bat::from_opt_dbls(data.clone());
+        let b = Bat::from_opt_dbls(data.iter().rev().cloned().collect());
+        assert_elementwise_matches_serial(Operand::Col(&a), Operand::Col(&b));
+        for scalar in [Value::Dbl(f64::from(s) / 2.0), Value::Dbl(f64::NAN)] {
+            assert_elementwise_matches_serial(Operand::Col(&a), Operand::Scalar(&scalar));
+            assert_elementwise_matches_serial(Operand::Scalar(&scalar), Operand::Col(&a));
+        }
+    }
+
+    /// Mixed-width operands promote exactly as the serial kernel does:
+    /// `int`×`lng`, `int`×`dbl`, `lng`×`dbl`, column or scalar on either
+    /// side, plus the `int` sentinel as a scalar and SQL NULL.
+    #[test]
+    fn par_mixed_width_elementwise_matches_serial(
+        ints in nil_heavy_ints(120),
+        s in -3i32..4,
+    ) {
+        let n = ints.len();
+        let i = Bat::from_opt_ints(ints.clone());
+        let l = lng_bat(
+            &(0..n).map(|k| (k % 5 != 0).then_some(k as i64 - 7)).collect::<Vec<_>>(),
+        );
+        let d = Bat::from_opt_dbls((0..n).map(|k| (k % 4 != 0).then_some(k as f64 / 2.0)).collect());
+        let i2 = Bat::from_opt_ints(ints.iter().rev().cloned().collect());
+        for (x, y) in [(&i, &i2), (&i, &l), (&l, &i), (&i, &d), (&d, &l)] {
+            assert_elementwise_matches_serial(Operand::Col(x), Operand::Col(y));
+        }
+        let scalars = [
+            Value::Int(s),
+            Value::Lng(i64::from(s)),
+            Value::Dbl(f64::from(s)),
+            Value::Int(gdk::types::INT_NIL),
+            Value::Null,
+        ];
+        for scalar in &scalars {
+            for col in [&i, &l, &d] {
+                assert_elementwise_matches_serial(Operand::Col(col), Operand::Scalar(scalar));
+                assert_elementwise_matches_serial(Operand::Scalar(scalar), Operand::Col(col));
+            }
+        }
+    }
+
+    /// Fused select→project over every payload shape, with and without an
+    /// incoming candidate list, including the out-of-range error a
+    /// too-short payload raises.
+    #[test]
+    fn par_select_project_matches_serial(data in nil_heavy_ints(200), needle in -1000i32..1000) {
+        let n = data.len();
+        let b = Bat::from_opt_ints(data.clone());
+        let ints = Bat::from_opt_ints(data.iter().rev().cloned().collect());
+        let strs = Bat::from_strs(data.iter().map(|v| v.map(|x| format!("k{}", x % 13))).collect());
+        let dbls = Bat::from_opt_dbls(data.iter().map(|v| v.map(|x| f64::from(x) / 8.0)).collect());
+        let void = Bat::dense(3, n);
+        let short = Bat::from_ints(vec![1; n / 2]);
+        let cand = Candidates::from_sorted((0..n as u64).filter(|i| i % 3 != 1).collect());
+        for payload in [&ints, &strs, &dbls, &void, &short] {
+            for c in [None, Some(&cand)] {
+                for op in CMP_OPS {
+                    let val = Value::Int(needle);
+                    let serial = outcome(fused::theta_select_project(&b, c, &val, op, payload));
+                    for t in THREAD_COUNTS {
+                        let got = outcome(
+                            par::theta_select_project(&b, c, &val, op, payload, &forced(t))
+                                .map(|(out, _)| out),
+                        );
+                        prop_assert_eq!(&got, &serial, "{:?} threads {}", op, t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fused select→aggregate and candidate-propagated aggregate: every
+    /// function over `int`, `lng` (prefix overflow) and `dbl` payloads,
+    /// value, qualifying count and error all equal to the serial kernel.
+    #[test]
+    fn par_fused_aggregates_match_serial(
+        data in nil_heavy_ints(200),
+        lngs in edgy_lngs(200),
+        needle in -1000i32..1000,
+    ) {
+        let n = data.len().min(lngs.len());
+        let b = Bat::from_opt_ints(data[..n].to_vec());
+        let ints = Bat::from_opt_ints(data[..n].iter().rev().cloned().collect());
+        let big = lng_bat(&lngs[..n]);
+        let dbls = Bat::from_opt_dbls(data[..n].iter().map(|v| v.map(|x| f64::from(x) / 8.0)).collect());
+        let short = Bat::from_ints(vec![1; n / 2]);
+        let cand = Candidates::from_sorted((0..n as u64).filter(|i| i % 3 != 1).collect());
+        let val = Value::Int(needle);
+        for payload in [&ints, &big, &dbls, &short] {
+            for func in AGG_FUNCS {
+                for c in [None, Some(&cand)] {
+                    for op in [CmpOp::Lt, CmpOp::Ge, CmpOp::Ne] {
+                        let serial = fused::theta_select_aggregate(func, payload, &b, c, &val, op);
+                        for t in THREAD_COUNTS {
+                            let got = par::theta_select_aggregate(
+                                func, payload, &b, c, &val, op, &forced(t),
+                            )
+                            .map(|(v, _, selected)| (v, selected));
+                            prop_assert_eq!(&got, &serial, "{:?} {:?} threads {}", func, op, t);
+                        }
+                    }
+                }
+                let serial = fused::project_aggregate(func, payload, &cand);
+                for t in THREAD_COUNTS {
+                    let got = par::project_aggregate(func, payload, &cand, &forced(t))
+                        .map(|(v, _)| v);
+                    prop_assert_eq!(&got, &serial, "{:?} threads {}", func, t);
+                }
+            }
+        }
+    }
+}
+
+/// Integral comparisons are exact: two `lng` values that differ only
+/// below `f64`'s 53-bit mantissa still order correctly, column × scalar
+/// and column × column, at every thread count.
+#[test]
+fn lng_comparison_is_exact_beyond_f64_precision() {
+    const BIG: i64 = (1 << 53) + 1; // 9007199254740993, not representable in f64
+    let a = Bat::from_lngs(vec![BIG; 64]);
+    let b = Bat::from_lngs(vec![BIG - 1; 64]);
+    let scalar = Value::Lng(BIG - 1);
+    assert_eq!(
+        Value::Lng(BIG).sql_cmp(&scalar),
+        Some(std::cmp::Ordering::Greater)
+    );
+    for t in THREAD_COUNTS {
+        for (rhs, what) in [
+            (Operand::Scalar(&scalar), "col × scalar"),
+            (Operand::Col(&b), "col × col"),
+        ] {
+            let (gt, _) = par::cmpop(CmpOp::Gt, Operand::Col(&a), rhs, &forced(t)).unwrap();
+            let (eq, _) = par::cmpop(CmpOp::Eq, Operand::Col(&a), rhs, &forced(t)).unwrap();
+            assert_eq!(
+                gt.to_values(),
+                vec![Value::Bit(true); 64],
+                "{what} threads {t}"
+            );
+            assert_eq!(
+                eq.to_values(),
+                vec![Value::Bit(false); 64],
+                "{what} threads {t}"
+            );
+        }
+    }
+    assert_eq!(
+        arith::cmpop(CmpOp::Gt, Operand::Col(&a), Operand::Col(&b))
+            .unwrap()
+            .to_values(),
+        vec![Value::Bit(true); 64]
+    );
+}
+
+/// First failing row wins, whichever kind of failure it is: a `SUM`
+/// prefix that overflows *before* an out-of-range projection reports the
+/// overflow, and the other way round, at every thread count.
+#[test]
+fn fused_aggregate_reports_the_first_failing_row() {
+    let n = 96usize;
+    let b = Bat::from_ints(vec![1; n]);
+    let val = Value::Int(0);
+    // Overflow at row 1, payload ends at row 60.
+    let mut early = vec![0i64; 60];
+    early[0] = i64::MAX;
+    early[1] = 1;
+    // Payload ends at row 60 with no overflow before it; rows that would
+    // overflow lie beyond the end and are never reached.
+    let late = vec![1i64; 60];
+    for (payload, want) in [
+        (Bat::from_lngs(early), GdkError::arithmetic("SUM overflow")),
+        (
+            Bat::from_lngs(late),
+            GdkError::invalid("projection oid 60 out of range (len 60)"),
+        ),
+    ] {
+        let serial =
+            fused::theta_select_aggregate(AggFunc::Sum, &payload, &b, None, &val, CmpOp::Gt)
+                .unwrap_err();
+        assert_eq!(serial, want);
+        let cand = Candidates::all(n);
+        assert_eq!(
+            fused::project_aggregate(AggFunc::Sum, &payload, &cand).unwrap_err(),
+            want
+        );
+        for t in THREAD_COUNTS {
+            let cfg = forced(t);
+            let got = par::theta_select_aggregate(
+                AggFunc::Sum,
+                &payload,
+                &b,
+                None,
+                &val,
+                CmpOp::Gt,
+                &cfg,
+            )
+            .unwrap_err();
+            assert_eq!(got, want, "select→aggregate threads {t}");
+            let got = par::project_aggregate(AggFunc::Sum, &payload, &cand, &cfg).unwrap_err();
+            assert_eq!(got, want, "project→aggregate threads {t}");
+        }
+    }
+}

@@ -11,7 +11,7 @@
 //! `sample_size` wall-clock samples and reports min/median/mean ns per
 //! iteration on stdout. When the `CRITERION_JSON_OUT` environment
 //! variable names a file, one JSON line per benchmark is appended to it
-//! (used to record `BENCH_parallel.json` baselines).
+//! (used to record the `BENCH_*.json` baselines).
 
 use std::fmt::Display;
 use std::io::Write as _;

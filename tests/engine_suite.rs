@@ -3,7 +3,7 @@
 //! and error paths.
 
 use gdk::Value;
-use sciql::Connection;
+use sciql::{Connection, SessionConfig};
 
 fn conn() -> Connection {
     Connection::new()
@@ -159,6 +159,38 @@ fn three_valued_logic_in_where() {
             .unwrap(),
         Value::Lng(2)
     );
+}
+
+/// `BIGINT` comparisons are exact beyond `f64`'s 53-bit mantissa: two
+/// values one apart near 2^53 still order correctly, column × column and
+/// column × literal, serial and threaded.
+#[test]
+fn bigint_comparison_is_exact() {
+    let threaded = SessionConfig {
+        threads: 8,
+        parallel_threshold: 1,
+        ..SessionConfig::default()
+    };
+    for cfg in [SessionConfig::serial(), threaded] {
+        let mut c = Connection::with_config(cfg);
+        c.execute_script(
+            "CREATE TABLE big (a BIGINT, b BIGINT); \
+             INSERT INTO big VALUES (9007199254740993, 9007199254740992), \
+                                    (9007199254740992, 9007199254740993), (5, 5);",
+        )
+        .unwrap();
+        let mut one = |sql: &str| c.query(sql).unwrap().scalar().unwrap();
+        assert_eq!(
+            one("SELECT a FROM big WHERE a > b"),
+            Value::Lng(9007199254740993)
+        );
+        assert_eq!(one("SELECT COUNT(*) FROM big WHERE a < b"), Value::Lng(1));
+        assert_eq!(one("SELECT COUNT(*) FROM big WHERE a = b"), Value::Lng(1));
+        assert_eq!(
+            one("SELECT COUNT(*) FROM big WHERE a > 9007199254740992"),
+            Value::Lng(1)
+        );
+    }
 }
 
 #[test]
