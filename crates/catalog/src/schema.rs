@@ -1,6 +1,6 @@
 //! Schema objects: tables, arrays, dimensions, attributes.
 
-use gdk::{ScalarType, Value};
+use gdk::{Bat, Oid, ScalarType, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -71,6 +71,10 @@ impl DimSpec {
     /// The position of dimension value `v`, if `v` is on the grid.
     pub fn index_of(&self, v: i64) -> Option<usize> {
         let d = v.checked_sub(self.start)?;
+        if self.step == 1 {
+            // The common grid, without a division.
+            return (d >= 0 && v < self.stop).then_some(d as usize);
+        }
         if d % self.step != 0 {
             return None;
         }
@@ -182,6 +186,34 @@ impl ArrayDef {
             pos = pos * r.len() + i;
         }
         Some(pos)
+    }
+
+    /// [`ArrayDef::position_of`] for `n` rows of whole columns: `coords`
+    /// holds one column of dimension values per dimension, and row `i`
+    /// lands on cell `Ok(..)[i]`. `Err(row)` names the first row whose
+    /// values are not integral or not on the grid (an unbounded dimension
+    /// has no grid: row 0).
+    pub fn cell_positions(&self, n: usize, coords: &[&Bat]) -> Result<Vec<Oid>, usize> {
+        let mut pos = vec![0 as Oid; n];
+        let mut bad = n;
+        for (d, col) in self.dims.iter().zip(coords) {
+            let Some(r) = d.range else { return Err(0) };
+            let len = r.len() as Oid;
+            for (i, p) in pos[..bad].iter_mut().enumerate() {
+                match col.i64_at(i).and_then(|c| r.index_of(c)) {
+                    Some(ix) => *p = *p * len + ix as Oid,
+                    None => {
+                        bad = i;
+                        break;
+                    }
+                }
+            }
+        }
+        if bad < n {
+            Err(bad)
+        } else {
+            Ok(pos)
+        }
     }
 
     /// Dimension values at a linear cell position.
@@ -427,6 +459,25 @@ mod tests {
         assert_eq!(a.position_of(&[4, 0]), None);
         assert_eq!(a.coords_of(7), Some(vec![1, 3]));
         assert_eq!(a.coords_of(16), None);
+    }
+
+    #[test]
+    fn column_positions_match_position_of() {
+        let a = matrix();
+        let x = Bat::from_lngs(vec![0, 3, 1]);
+        let y = Bat::from_ints(vec![0, 3, 2]);
+        assert_eq!(a.cell_positions(3, &[&x, &y]), Ok(vec![0, 15, 6]));
+        // The first row off the grid, or not integral, is named.
+        let y_off = Bat::from_ints(vec![0, 4, 9]);
+        assert_eq!(a.cell_positions(3, &[&x, &y_off]), Err(1));
+        let x_frac = Bat::from_dbls(vec![0.0, 1.0, 2.0]);
+        assert_eq!(a.cell_positions(3, &[&x_frac, &y]), Err(0));
+        let y_nil = Bat::from_opt_ints(vec![Some(1), Some(1), None]);
+        assert_eq!(a.cell_positions(3, &[&x, &y_nil]), Err(2));
+        assert_eq!(
+            a.cell_positions(0, &[&Bat::from_ints(vec![]); 2]),
+            Ok(vec![])
+        );
     }
 
     #[test]

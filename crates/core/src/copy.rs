@@ -24,10 +24,11 @@ use crate::session::Connection;
 use crate::{EngineError, Result};
 use gdk::codec::{decode_bat, encode_bat};
 use gdk::zonemap::TILE_ROWS;
-use gdk::{Bat, Oid, ScalarType, Value};
+use gdk::{Bat, Candidates, Oid, ScalarType, Value};
 use sciql_parser::ast::CopyFormat;
 use std::io::{BufRead, Read as _};
 use std::path::Path;
+use std::sync::Arc;
 
 /// Magic of the binary COPY file format: `SCPY`, u16 version, u32 column
 /// count, then per column `[u32 len][gdk::codec::encode_bat bytes]`.
@@ -325,10 +326,12 @@ impl Connection {
                     start as usize + rows
                 )));
             }
-            let positions: Vec<Oid> = (start..start + rows as u64).collect();
-            for (attr, b) in batch.iter().enumerate() {
-                a.replace_attr(attr, &positions, b)?;
-            }
+            let at = Candidates::Dense {
+                first: start,
+                len: rows,
+            };
+            let writes = batch.iter().cloned().map(Arc::new).enumerate().collect();
+            a.write_attrs(&at, writes)?;
             return Ok(rows);
         }
         Err(EngineError::msg(format!(

@@ -4,19 +4,148 @@
 //! so INSERT overwrites cells at the given positions, DELETE punches NULL
 //! holes, and UPDATE may use dimensions as bound variables in guarded
 //! (CASE) expressions.
+//!
+//! The executors never leave the column world: a predicate column becomes
+//! a candidate list through the select kernel, SET and SELECT result
+//! columns are converted to their target types whole, and the store
+//! applies one columnar write per statement. Cell statements are
+//! all-or-nothing — every position and every conversion is checked before
+//! the first write.
 
+use crate::result::ResultSet;
 use crate::session::Connection;
-use crate::storage::ArrayStore;
+use crate::storage::{coerce, ArrayStore, ColumnWrites};
 use crate::{EngineError, Result};
-use gdk::{Candidates, Oid, Value};
-use sciql_algebra::{eval_const, BExpr, Binder, Plan};
-use sciql_catalog::{DimSpec, SchemaObject};
+use gdk::arith::CmpOp;
+use gdk::bat::cannot_store;
+use gdk::{project, select, Bat, Candidates, Oid, ScalarType, Value};
+use sciql_algebra::{eval_const, Binder, Plan};
+use sciql_catalog::{ArrayDef, DimSpec, SchemaObject, TableDef};
 use sciql_parser::ast::{Expr, InsertSource};
+use std::sync::Arc;
+
+const NOT_INTEGRAL: &str = "dimension value must be integral";
+
+/// The rows a predicate column selects: its `true` cells (`false` and nil
+/// select nothing).
+fn true_rows(mask: &Bat) -> Result<Candidates> {
+    if mask.tail_type() != ScalarType::Bit {
+        return Ok(Candidates::none());
+    }
+    let hits = select::thetaselect(mask, None, &Value::Bit(true), CmpOp::Eq);
+    Ok(hits?)
+}
+
+/// A failure at `row`, kept if no earlier row has failed: the statement
+/// reports the failure a row-by-row executor would have hit first.
+fn keep_first(
+    failed: &mut Option<(usize, EngineError)>,
+    row: usize,
+    e: impl FnOnce() -> EngineError,
+) {
+    if failed.as_ref().is_none_or(|(r, _)| row < *r) {
+        *failed = Some((row, e()));
+    }
+}
+
+/// The rows an INSERT writes, as groups of aligned columns: a query
+/// result is one group, a VALUES list one single-row group per row (each
+/// value a column of its own type).
+type RowGroups = Vec<Vec<Arc<Bat>>>;
+
+fn group_rows(cols: &[Arc<Bat>]) -> usize {
+    cols.first().map_or(0, |b| b.len())
+}
+
+/// Cell positions and attribute columns (converted to the stored types)
+/// of one group of INSERT rows. `dim_slots` names the group's column per
+/// dimension, `attrs` pairs a column with the attribute it fills. The
+/// earliest failing row fails the group; within a row the dimensions fail
+/// first, then the attributes in column order.
+fn check_cells(
+    store: &ArrayStore,
+    table: &str,
+    cols: &[Arc<Bat>],
+    dim_slots: &[usize],
+    attrs: &[(usize, usize)],
+) -> Result<(Vec<Oid>, ColumnWrites)> {
+    let n = group_rows(cols);
+    if n == 0 {
+        return Ok(Default::default());
+    }
+    let dims = dim_slots
+        .iter()
+        .map(|&s| cols.get(s).map(|b| &**b))
+        .collect::<Option<Vec<_>>>()
+        .ok_or_else(|| EngineError::msg(NOT_INTEGRAL))?;
+    let (pos, mut failed) = match store.def.cell_positions(n, &dims) {
+        Ok(pos) => (pos, None),
+        Err(row) => {
+            let e = match dims
+                .iter()
+                .map(|b| b.i64_at(row))
+                .collect::<Option<Vec<_>>>()
+            {
+                None => EngineError::msg(NOT_INTEGRAL),
+                Some(c) => EngineError::msg(format!(
+                    "cell {c:?} is outside the dimension ranges of {table:?}"
+                )),
+            };
+            (Vec::new(), Some((row, e)))
+        }
+    };
+    let writes = convert_attrs(store, cols, attrs, &mut failed);
+    match failed {
+        Some((_, e)) => Err(e),
+        None => Ok((pos, writes)),
+    }
+}
+
+/// The attribute columns of one group of INSERT rows converted to the
+/// stored types; a failing row is kept in `failed` (see [`keep_first`]).
+fn convert_attrs(
+    store: &ArrayStore,
+    cols: &[Arc<Bat>],
+    attrs: &[(usize, usize)],
+    failed: &mut Option<(usize, EngineError)>,
+) -> ColumnWrites {
+    let mut writes = Vec::with_capacity(attrs.len());
+    for &(slot, attr) in attrs {
+        let ty = store.attrs[attr].tail_type();
+        match cols.get(slot).map(|b| coerce(b, ty)) {
+            Some(Ok(values)) => writes.push((attr, values)),
+            Some(Err(row)) => keep_first(failed, row, || {
+                cannot_store(&cols[slot].get(row), ty).into()
+            }),
+            None => keep_first(failed, 0, || EngineError::msg("row too short")),
+        }
+    }
+    writes
+}
 
 impl Connection {
     // ------------------------------------------------------------------
     // UPDATE
     // ------------------------------------------------------------------
+
+    /// Evaluate `exprs` over every row of `table`, against its current
+    /// state.
+    fn eval_rows(&mut self, table: &str, exprs: &[&Expr]) -> Result<ResultSet> {
+        let plan = {
+            let binder = Binder::new(&self.catalog);
+            let (scan, scope) = binder.scope_for(table)?;
+            let items = exprs
+                .iter()
+                .enumerate()
+                .map(|(i, e)| Ok((format!("e{i}"), binder.bind_expr(&scope, e)?, false)))
+                .collect::<Result<_>>()?;
+            Plan::Project {
+                input: Box::new(scan),
+                items,
+            }
+        };
+        self.run_plan(&plan)
+    }
 
     pub(crate) fn update(
         &mut self,
@@ -28,65 +157,48 @@ impl Connection {
             self.catalog.get(table).map_err(EngineError::Catalog)?,
             SchemaObject::Array(_)
         );
-        // Bind SET expressions and the WHERE predicate over a scan of the
-        // target; evaluate them in one pass (all against the old state).
-        let (plan, targets) = {
-            let binder = Binder::new(&self.catalog);
-            let (scan, scope) = binder.scope_for(table).map_err(EngineError::Algebra)?;
-            let mut items: Vec<(String, BExpr, bool)> = Vec::new();
-            let mut targets: Vec<usize> = Vec::new();
-            for (i, (col, e)) in sets.iter().enumerate() {
-                let target = self.resolve_update_target(table, is_array, col)?;
-                targets.push(target);
-                let bound = binder.bind_expr(&scope, e).map_err(EngineError::Algebra)?;
-                items.push((format!("set_{i}"), bound, false));
-            }
-            if let Some(f) = filter {
-                let bound = binder.bind_expr(&scope, f).map_err(EngineError::Algebra)?;
-                items.push(("pred".into(), bound, false));
-            }
-            (
-                Plan::Project {
-                    input: Box::new(scan),
-                    items,
-                },
-                targets,
-            )
-        };
-        let rs = self.run_plan(&plan)?;
+        let targets = sets
+            .iter()
+            .map(|(col, _)| self.resolve_update_target(table, is_array, col))
+            .collect::<Result<Vec<_>>>()?;
+        // SET expressions and the WHERE predicate in one pass, all against
+        // the old state.
+        let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).chain(filter).collect();
+        let rs = self.eval_rows(table, &exprs)?;
         let n = rs.row_count();
-        let positions: Vec<Oid> = match filter {
-            Some(_) => {
-                let mask = &rs.bats[sets.len()];
-                (0..n)
-                    .filter(|&i| mask.get(i) == Value::Bit(true))
-                    .map(|i| i as Oid)
-                    .collect()
-            }
-            None => (0..n as Oid).collect(),
+        let at = match filter {
+            Some(_) => true_rows(&rs.bats[sets.len()])?,
+            None => Candidates::all(n),
         };
-        if positions.is_empty() {
+        if at.is_empty() {
             return Ok(0);
         }
-        let cand = Candidates::from_sorted(positions.clone());
-        for (k, &target) in targets.iter().enumerate() {
-            let values = gdk::project::project(&cand, &rs.bats[k]).map_err(EngineError::Gdk)?;
-            let key = table.to_ascii_lowercase();
-            if is_array {
-                let store = self
-                    .arrays
-                    .get_mut(&key)
-                    .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?;
-                store.replace_attr(target, &positions, &values)?;
-            } else {
-                let store = self
-                    .tables
-                    .get_mut(&key)
-                    .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
-                store.replace_col(target, &positions, &values)?;
-            }
+        let writes = rs
+            .bats
+            .iter()
+            .zip(targets)
+            .map(|(all, k)| {
+                let values = if at.len() == n {
+                    Arc::clone(all)
+                } else {
+                    Arc::new(project::project(&at, all)?)
+                };
+                Ok((k, values))
+            })
+            .collect::<Result<_>>()?;
+        let key = table.to_ascii_lowercase();
+        if is_array {
+            self.arrays
+                .get_mut(&key)
+                .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?
+                .write_attrs(&at, writes)?;
+        } else {
+            self.tables
+                .get_mut(&key)
+                .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?
+                .write_cols(&at, writes)?;
         }
-        Ok(positions.len())
+        Ok(at.len())
     }
 
     fn resolve_update_target(&self, table: &str, is_array: bool, col: &str) -> Result<usize> {
@@ -119,19 +231,8 @@ impl Connection {
             self.catalog.get(table).map_err(EngineError::Catalog)?,
             SchemaObject::Array(_)
         );
-        let mask = match filter {
-            Some(f) => {
-                let plan = {
-                    let binder = Binder::new(&self.catalog);
-                    let (scan, scope) = binder.scope_for(table).map_err(EngineError::Algebra)?;
-                    let bound = binder.bind_expr(&scope, f).map_err(EngineError::Algebra)?;
-                    Plan::Project {
-                        input: Box::new(scan),
-                        items: vec![("pred".into(), bound, false)],
-                    }
-                };
-                Some(self.run_plan(&plan)?.bats[0].clone())
-            }
+        let hit = match filter {
+            Some(f) => Some(true_rows(&self.eval_rows(table, &[f])?.bats[0])?),
             None => None,
         };
         let key = table.to_ascii_lowercase();
@@ -140,30 +241,21 @@ impl Connection {
                 .arrays
                 .get_mut(&key)
                 .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?;
-            let positions: Vec<Oid> = match &mask {
-                Some(m) => (0..m.len())
-                    .filter(|&i| m.get(i) == Value::Bit(true))
-                    .map(|i| i as Oid)
-                    .collect(),
-                None => (0..store.cell_count() as Oid).collect(),
-            };
-            store.punch_holes(&positions)?;
-            Ok(positions.len())
+            let at = hit.unwrap_or_else(|| Candidates::all(store.cell_count()));
+            store.punch_holes(&at)?;
+            Ok(at.len())
         } else {
             let store = self
                 .tables
                 .get_mut(&key)
                 .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
-            let keep: Vec<Oid> = match &mask {
-                Some(m) => (0..m.len())
-                    .filter(|&i| m.get(i) != Value::Bit(true))
-                    .map(|i| i as Oid)
-                    .collect(),
-                None => vec![],
+            let n = store.row_count();
+            let keep = match hit {
+                Some(hit) => Candidates::all(n).difference(&hit),
+                None => Candidates::none(),
             };
-            let removed = store.row_count() - keep.len();
             store.retain_positions(&keep)?;
-            Ok(removed)
+            Ok(n - keep.len())
         }
     }
 
@@ -177,21 +269,22 @@ impl Connection {
         columns: Option<&[String]>,
         source: &InsertSource,
     ) -> Result<usize> {
-        // Materialise the source rows first (INSERT INTO t SELECT … FROM t
-        // must read the pre-insert state).
-        let rows: Vec<Vec<Value>> = match source {
+        // Read every row first: INSERT INTO t SELECT … FROM t must see the
+        // pre-insert state.
+        let groups: RowGroups = match source {
             InsertSource::Values(rows) => rows
                 .iter()
                 .map(|r| {
                     r.iter()
-                        .map(|e| eval_const(e).map_err(EngineError::Algebra))
+                        .map(|e| {
+                            let v = eval_const(e)?;
+                            let ty = v.scalar_type().unwrap_or(ScalarType::Int);
+                            Ok(Arc::new(Bat::from_values(ty, &[v])?))
+                        })
                         .collect()
                 })
                 .collect::<Result<_>>()?,
-            InsertSource::Select(sel) => {
-                let rs = self.run_select(sel)?;
-                rs.rows().collect()
-            }
+            InsertSource::Select(sel) => vec![self.run_select(sel)?.bats],
         };
         match self
             .catalog
@@ -199,148 +292,179 @@ impl Connection {
             .map_err(EngineError::Catalog)?
             .clone()
         {
-            SchemaObject::Table(def) => {
-                let mapping: Vec<usize> = match columns {
-                    Some(cols) => cols
-                        .iter()
-                        .map(|c| {
-                            def.column_index(c).ok_or_else(|| {
-                                EngineError::msg(format!("table {table:?} has no column {c:?}"))
-                            })
-                        })
-                        .collect::<Result<_>>()?,
-                    None => (0..def.columns.len()).collect(),
-                };
-                let key = table.to_ascii_lowercase();
-                let store = self
-                    .tables
-                    .get_mut(&key)
-                    .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
-                for row in &rows {
-                    if row.len() != mapping.len() {
-                        return Err(EngineError::msg(format!(
-                            "row has {} values, expected {}",
-                            row.len(),
-                            mapping.len()
-                        )));
-                    }
-                    let mut full: Vec<Value> = def
-                        .columns
-                        .iter()
-                        .map(|c| c.default.clone().unwrap_or(Value::Null))
-                        .collect();
-                    for (v, &slot) in row.iter().zip(&mapping) {
-                        let ty = def.columns[slot].ty;
-                        full[slot] = v.cast(ty).ok_or_else(|| {
-                            EngineError::msg(format!(
-                                "value {v} does not fit column {:?} ({ty})",
-                                def.columns[slot].name
-                            ))
-                        })?;
-                    }
-                    store.append_row(&full)?;
-                }
-                Ok(rows.len())
-            }
-            SchemaObject::Array(def) => {
-                // Column mapping: explicit list must cover all dimensions;
-                // positional order is dims then attrs.
-                let ndims = def.dims.len();
-                let (dim_slots, attr_slots): (Vec<usize>, Vec<usize>) = match columns {
-                    Some(cols) => {
-                        let mut dim_slots = vec![usize::MAX; ndims];
-                        let mut attr_slots = Vec::new();
-                        let mut attr_targets = Vec::new();
-                        for (i, c) in cols.iter().enumerate() {
-                            if let Some(k) = def.dim_index(c) {
-                                dim_slots[k] = i;
-                            } else if let Some(k) = def.attr_index(c) {
-                                attr_slots.push(i);
-                                attr_targets.push(k);
-                            } else {
-                                return Err(EngineError::msg(format!(
-                                    "array {table:?} has no column {c:?}"
-                                )));
-                            }
-                        }
-                        if dim_slots.contains(&usize::MAX) {
-                            return Err(EngineError::msg(
-                                "INSERT into an array must supply every dimension",
-                            ));
-                        }
-                        self.insert_array_rows(
-                            table,
-                            &def.name,
-                            &rows,
-                            &dim_slots,
-                            &attr_slots,
-                            &attr_targets,
-                        )?;
-                        return Ok(rows.len());
-                    }
-                    None => {
-                        let arity = rows.first().map_or(ndims, Vec::len);
-                        if arity < ndims + 1 {
-                            return Err(EngineError::msg(format!(
-                                "INSERT into array needs at least {} columns (dims + one attribute)",
-                                ndims + 1
-                            )));
-                        }
-                        let nattrs = (arity - ndims).min(def.attrs.len());
-                        ((0..ndims).collect(), (ndims..ndims + nattrs).collect())
-                    }
-                };
-                let attr_targets: Vec<usize> = (0..attr_slots.len()).collect();
-                self.insert_array_rows(
-                    table,
-                    &def.name,
-                    &rows,
-                    &dim_slots,
-                    &attr_slots,
-                    &attr_targets,
-                )?;
-                Ok(rows.len())
-            }
+            SchemaObject::Table(def) => self.insert_into_table(table, &def, columns, &groups),
+            SchemaObject::Array(def) => self.insert_into_array(table, &def, columns, &groups),
         }
     }
 
-    fn insert_array_rows(
+    /// Table INSERT, one row group at a time: a group is converted whole
+    /// and appended at once, so a query result appends all or nothing,
+    /// while a failing VALUES row leaves the rows before it applied (the
+    /// session then re-syncs the vault).
+    fn insert_into_table(
         &mut self,
         table: &str,
-        _def_name: &str,
-        rows: &[Vec<Value>],
-        dim_slots: &[usize],
-        attr_slots: &[usize],
-        attr_targets: &[usize],
-    ) -> Result<()> {
-        self.ensure_materialised(table, rows, dim_slots)?;
-        let key = table.to_ascii_lowercase();
+        def: &TableDef,
+        columns: Option<&[String]>,
+        groups: &RowGroups,
+    ) -> Result<usize> {
+        let mapping: Vec<usize> = match columns {
+            Some(cols) => cols
+                .iter()
+                .map(|c| {
+                    def.column_index(c).ok_or_else(|| {
+                        EngineError::msg(format!("table {table:?} has no column {c:?}"))
+                    })
+                })
+                .collect::<Result<_>>()?,
+            None => (0..def.columns.len()).collect(),
+        };
+        let store = self
+            .tables
+            .get_mut(&table.to_ascii_lowercase())
+            .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
+        let mut appended = 0;
+        for cols in groups {
+            let n = group_rows(cols);
+            if n == 0 {
+                continue;
+            }
+            if cols.len() != mapping.len() {
+                return Err(EngineError::msg(format!(
+                    "row has {} values, expected {}",
+                    cols.len(),
+                    mapping.len()
+                )));
+            }
+            // Unlisted columns take their defaults.
+            let mut batch = def
+                .columns
+                .iter()
+                .map(|c| Bat::constant(c.ty, n, c.default.as_ref().unwrap_or(&Value::Null)))
+                .collect::<gdk::Result<Vec<_>>>()?;
+            let mut failed = None;
+            for (values, &slot) in cols.iter().zip(&mapping) {
+                let c = &def.columns[slot];
+                match values.coerced(c.ty) {
+                    Ok(v) => batch[slot] = v.into_owned(),
+                    Err(row) => keep_first(&mut failed, row, || {
+                        let v = values.get(row);
+                        EngineError::msg(format!(
+                            "value {v} does not fit column {:?} ({})",
+                            c.name, c.ty
+                        ))
+                    }),
+                }
+            }
+            if let Some((_, e)) = failed {
+                return Err(e);
+            }
+            appended += store.append_batch(&batch)?;
+        }
+        Ok(appended)
+    }
+
+    fn insert_into_array(
+        &mut self,
+        table: &str,
+        def: &ArrayDef,
+        columns: Option<&[String]>,
+        groups: &RowGroups,
+    ) -> Result<usize> {
+        // Column mapping: an explicit list must cover all dimensions;
+        // positional order is dims then attrs.
+        let ndims = def.dims.len();
+        let (dim_slots, attrs): (Vec<usize>, Vec<(usize, usize)>) = match columns {
+            Some(cols) => {
+                let mut dim_slots = vec![usize::MAX; ndims];
+                let mut attrs = Vec::new();
+                for (i, c) in cols.iter().enumerate() {
+                    if let Some(k) = def.dim_index(c) {
+                        dim_slots[k] = i;
+                    } else if let Some(k) = def.attr_index(c) {
+                        attrs.push((i, k));
+                    } else {
+                        return Err(EngineError::msg(format!(
+                            "array {table:?} has no column {c:?}"
+                        )));
+                    }
+                }
+                if dim_slots.contains(&usize::MAX) {
+                    return Err(EngineError::msg(
+                        "INSERT into an array must supply every dimension",
+                    ));
+                }
+                (dim_slots, attrs)
+            }
+            None => {
+                let arity = groups
+                    .iter()
+                    .find(|g| group_rows(g) > 0)
+                    .map_or(ndims, Vec::len);
+                if arity < ndims + 1 {
+                    return Err(EngineError::msg(format!(
+                        "INSERT into array needs at least {} columns (dims + one attribute)",
+                        ndims + 1
+                    )));
+                }
+                let nattrs = (arity - ndims).min(def.attrs.len());
+                (
+                    (0..ndims).collect(),
+                    (0..nattrs).map(|k| (ndims + k, k)).collect(),
+                )
+            }
+        };
+        self.ensure_materialised(table, groups, &dim_slots)?;
         let store = self
             .arrays
-            .get_mut(&key)
+            .get_mut(&table.to_ascii_lowercase())
             .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?;
-        for row in rows {
-            let coords: Vec<i64> = dim_slots
+        // An in-place rewrite (`INSERT INTO a SELECT [x], [y], f(v) FROM a`)
+        // hands back the array's own dimension BATs, so row i is cell i:
+        // no positions to compute or check.
+        if let [cols] = groups.as_slice() {
+            let n = group_rows(cols);
+            let own_grid = dim_slots
                 .iter()
-                .map(|&s| {
-                    row.get(s)
-                        .and_then(Value::as_i64)
-                        .ok_or_else(|| EngineError::msg("dimension value must be integral"))
-                })
-                .collect::<Result<_>>()?;
-            let pos = store.def.position_of(&coords).ok_or_else(|| {
-                EngineError::msg(format!(
-                    "cell {coords:?} is outside the dimension ranges of {table:?}"
-                ))
-            })?;
-            for (&slot, &attr) in attr_slots.iter().zip(attr_targets) {
-                let v = row
-                    .get(slot)
-                    .ok_or_else(|| EngineError::msg("row too short"))?;
-                store.set_attr(attr, pos, v)?;
+                .zip(&store.dims)
+                .all(|(&s, d)| cols.get(s).is_some_and(|c| Arc::ptr_eq(c, d)));
+            if n > 0 && own_grid {
+                let mut failed = None;
+                let writes = convert_attrs(store, cols, &attrs, &mut failed);
+                if let Some((_, e)) = failed {
+                    return Err(e);
+                }
+                store.write_attrs(&Candidates::all(n), writes)?;
+                return Ok(n);
             }
         }
-        Ok(())
+        // Every group is checked before the first write.
+        let mut pos = Vec::new();
+        let mut writes: Option<ColumnWrites> = None;
+        for cols in groups {
+            let (p, w) = check_cells(store, table, cols, &dim_slots, &attrs)?;
+            pos.extend(p);
+            match &mut writes {
+                None => writes = Some(w),
+                Some(acc) => {
+                    for ((_, a), (_, b)) in acc.iter_mut().zip(w) {
+                        Arc::make_mut(a).append_bat(&b)?;
+                    }
+                }
+            }
+        }
+        let n = pos.len();
+        if let Some(mut writes) = writes.filter(|_| n > 0) {
+            let (at, rows) = Candidates::for_scatter(pos);
+            if let Some(rows) = rows {
+                let rows = Bat::from_oids(rows);
+                for (_, v) in &mut writes {
+                    *v = Arc::new(project::project_oids(&rows, v)?);
+                }
+            }
+            store.write_attrs(&at, writes)?;
+        }
+        Ok(n)
     }
 
     /// An unbounded array gets its ranges derived from the first INSERT:
@@ -349,48 +473,41 @@ impl Connection {
     fn ensure_materialised(
         &mut self,
         table: &str,
-        rows: &[Vec<Value>],
+        groups: &RowGroups,
         dim_slots: &[usize],
     ) -> Result<()> {
         let key = table.to_ascii_lowercase();
         if self.arrays.contains_key(&key) {
             return Ok(());
         }
-        let def = self
+        let mut def = self
             .catalog
             .get_array(table)
             .map_err(EngineError::Catalog)?
             .clone();
-        if rows.is_empty() {
+        if groups.iter().all(|g| group_rows(g) == 0) {
             return Err(EngineError::msg(format!(
                 "cannot derive ranges for unbounded array {table:?} from zero rows"
             )));
         }
-        let mut def = def;
-        for (k, d) in def.dims.iter_mut().enumerate() {
+        for (d, &slot) in def.dims.iter_mut().zip(dim_slots) {
             if d.range.is_some() {
                 continue;
             }
-            let mut lo = i64::MAX;
-            let mut hi = i64::MIN;
-            for row in rows {
-                let v = row
-                    .get(dim_slots[k])
-                    .and_then(Value::as_i64)
-                    .ok_or_else(|| EngineError::msg("dimension value must be integral"))?;
-                lo = lo.min(v);
-                hi = hi.max(v);
+            let (mut lo, mut hi) = (i64::MAX, i64::MIN);
+            for g in groups {
+                for i in 0..group_rows(g) {
+                    let v = g.get(slot).and_then(|b| b.i64_at(i));
+                    let v = v.ok_or_else(|| EngineError::msg(NOT_INTEGRAL))?;
+                    (lo, hi) = (lo.min(v), hi.max(v));
+                }
             }
             d.range = Some(DimSpec::new(lo, 1, hi + 1).map_err(EngineError::Catalog)?);
         }
         // Sync the derived ranges into the catalog, then materialise.
-        for (k, d) in def.dims.iter().enumerate() {
+        for d in &def.dims {
             self.catalog
-                .alter_dimension(
-                    table,
-                    &def.dims[k].name.clone(),
-                    d.range.expect("set above"),
-                )
+                .alter_dimension(table, &d.name, d.range.expect("set above"))
                 .map_err(EngineError::Catalog)?;
         }
         let store = ArrayStore::create(def)?;

@@ -618,13 +618,13 @@ impl Connection {
     /// writer — and log it: `text` is the statement's canonical printed
     /// form, appended to the WAL when the statement succeeds.
     ///
-    /// The executors are not atomic: a statement that fails mid-way (a
-    /// multi-row INSERT whose third row does not cast, say) may have
-    /// partially applied. Such a statement is never WAL-logged — replaying
-    /// it would reproduce the error, not the partial effect — so on
-    /// failure the session re-syncs the vault with a checkpoint of the
-    /// actual in-memory state. The same fallback covers a WAL append that
-    /// itself fails after a successful statement.
+    /// Cell statements are all-or-nothing, but a table `INSERT … VALUES`
+    /// applies row by row: one whose third row does not cast has applied
+    /// two. Such a statement is never WAL-logged — replaying it would
+    /// reproduce the error, not the partial effect — so on failure the
+    /// session re-syncs the vault with a checkpoint of the actual
+    /// in-memory state. The same fallback covers a WAL append that itself
+    /// fails after a successful statement.
     pub(crate) fn write_stmt(
         &mut self,
         stmt: &Stmt,

@@ -5,17 +5,78 @@
 //! materialised before first use with `array.series` / `array.filler`.
 //! Columns are reference-counted so a query result can alias storage
 //! without copying; updates go through copy-on-write.
+//!
+//! Every DML statement reaches a store as one columnar write: a candidate
+//! list of positions plus one value column per written column (see
+//! [`ArrayStore::write_attrs`]).
 
 use crate::{EngineError, Result};
+use gdk::bat::cannot_store;
 use gdk::zonemap::TILE_ROWS;
-use gdk::{Bat, Oid, Value};
+use gdk::{project, Bat, Candidates, Oid, ScalarType, Value};
 use sciql_catalog::{ArrayDef, DimSpec, TableDef};
 use sciql_store::ColumnDirt;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Tiles a column of `len` rows occupies (at the vault's tile size).
 pub fn tile_count(len: usize) -> usize {
     len.div_ceil(TILE_ROWS).max(1)
+}
+
+/// One statement's column writes: each column's index with its values,
+/// aligned with the positions the statement writes.
+pub type ColumnWrites = Vec<(usize, Arc<Bat>)>;
+
+/// `values` as a `ty` column — the same `Arc` when no conversion is
+/// needed — or the first row that does not fit.
+pub(crate) fn coerce(values: &Arc<Bat>, ty: ScalarType) -> std::result::Result<Arc<Bat>, usize> {
+    Ok(match values.coerced(ty)? {
+        Cow::Borrowed(_) => Arc::clone(values),
+        Cow::Owned(b) => Arc::new(b),
+    })
+}
+
+/// `writes` converted to the types of the columns they go to. A store
+/// converts before it changes anything, so a value that does not fit
+/// fails the statement and leaves the store as it was.
+fn converted(cols: &[Arc<Bat>], writes: ColumnWrites) -> Result<ColumnWrites> {
+    writes
+        .into_iter()
+        .map(|(k, v)| {
+            let ty = cols[k].tail_type();
+            let cast = coerce(&v, ty).map_err(|row| cannot_store(&v.get(row), ty))?;
+            Ok((k, cast))
+        })
+        .collect()
+}
+
+/// Apply one statement's (converted) writes: each `(k, values)` stores
+/// `values`, aligned with `at`, into column `k`. A column is copied
+/// (copy-on-write) at most once and its dirt marked once per touched
+/// tile; a write covering every cell marks the column all-dirty and
+/// adopts a fixed-width `values` instead of copying it.
+fn write_columns(
+    cols: &mut [Arc<Bat>],
+    dirt: &mut [ColumnDirt],
+    at: &Candidates,
+    writes: ColumnWrites,
+) -> Result<()> {
+    for (k, values) in writes {
+        let col = &mut cols[k];
+        if *at == Candidates::all(col.len()) {
+            if values.hseq == 0 && !col.is_dense() && values.tail_type() != ScalarType::Str {
+                *col = values;
+            } else {
+                Arc::make_mut(col).overwrite(&values)?;
+            }
+            dirt[k].mark_all();
+        } else {
+            Arc::make_mut(col).scatter(at, &values)?;
+            dirt[k].mark_cells(at);
+        }
+    }
+    Ok(())
 }
 
 /// A stored array: materialised dimension BATs plus attribute BATs, all of
@@ -61,10 +122,9 @@ impl ArrayStore {
         let mut attrs = Vec::with_capacity(def.attrs.len());
         for a in &def.attrs {
             let v = a.default.clone().unwrap_or(Value::Null);
-            let v = v
-                .cast(a.ty)
-                .ok_or_else(|| EngineError::msg(format!("default {v} does not fit {}", a.ty)))?;
-            attrs.push(Arc::new(Bat::filler(count, &v).map_err(EngineError::Gdk)?));
+            let bat = Bat::constant(a.ty, count, &v)
+                .map_err(|_| EngineError::msg(format!("default {v} does not fit {}", a.ty)))?;
+            attrs.push(Arc::new(bat));
         }
         let (nd, na) = (dims.len(), attrs.len());
         Ok(ArrayStore {
@@ -91,41 +151,31 @@ impl ArrayStore {
             .collect()
     }
 
-    /// Overwrite one attribute value at a cell position (copy-on-write).
-    pub fn set_attr(&mut self, attr: usize, pos: usize, v: &Value) -> Result<()> {
-        self.dirty_attrs[attr].mark_row(pos, TILE_ROWS);
+    /// Write attribute columns at the cells `at` names: each
+    /// `(attr, values)` pair stores `values` (aligned with `at`) as one
+    /// mutation of the store (see `write_columns`).
+    pub fn write_attrs(&mut self, at: &Candidates, writes: ColumnWrites) -> Result<()> {
+        let writes = converted(&self.attrs, writes)?;
         self.mutations += 1;
-        Arc::make_mut(&mut self.attrs[attr])
-            .set(pos, v)
-            .map_err(EngineError::Gdk)
-    }
-
-    /// Scatter-update one attribute (copy-on-write).
-    pub fn replace_attr(&mut self, attr: usize, positions: &[Oid], values: &Bat) -> Result<()> {
-        for &p in positions {
-            self.dirty_attrs[attr].mark_row(p as usize, TILE_ROWS);
-        }
-        self.mutations += 1;
-        Arc::make_mut(&mut self.attrs[attr])
-            .replace_all(positions, values)
-            .map_err(EngineError::Gdk)
+        write_columns(&mut self.attrs, &mut self.dirty_attrs, at, writes)
     }
 
     /// Punch holes: set every attribute to NULL at the given positions
     /// (the SciQL DELETE, §2: "The DELETE statement creates holes by
     /// assigning a NULL value for all qualified cells").
-    pub fn punch_holes(&mut self, positions: &[Oid]) -> Result<()> {
-        self.mutations += 1;
-        for attr in 0..self.attrs.len() {
-            for &p in positions {
-                self.dirty_attrs[attr].mark_row(p as usize, TILE_ROWS);
-            }
-            let b = Arc::make_mut(&mut self.attrs[attr]);
-            for &p in positions {
-                b.set(p as usize, &Value::Null).map_err(EngineError::Gdk)?;
-            }
-        }
-        Ok(())
+    pub fn punch_holes(&mut self, at: &Candidates) -> Result<()> {
+        let holes = self
+            .attrs
+            .iter()
+            .enumerate()
+            .map(|(k, a)| {
+                Ok((
+                    k,
+                    Arc::new(Bat::constant(a.tail_type(), at.len(), &Value::Null)?),
+                ))
+            })
+            .collect::<Result<_>>()?;
+        self.write_attrs(at, holes)
     }
 
     /// Change one dimension's range (ALTER ARRAY … SET RANGE): rebuild the
@@ -139,28 +189,28 @@ impl ArrayStore {
         let old = std::mem::replace(self, new_store);
         // The rebuild replaced `self` (resetting its counter); keep the
         // mutation count monotonic across the swap.
-        self.mutations = old.mutations + 1;
-        // Copy surviving cells old → new by coordinates.
-        let old_count = old.cell_count();
-        for pos in 0..old_count {
+        self.mutations = old.mutations;
+        // Every surviving cell as a (new position, old position) pair.
+        let mut pairs: Vec<(Oid, Oid)> = Vec::new();
+        for pos in 0..old.cell_count() {
             let coords = old
                 .def
                 .coords_of(pos)
                 .ok_or_else(|| EngineError::msg("corrupt array coordinates"))?;
             if let Some(np) = self.def.position_of(&coords) {
-                for a in 0..old.attrs.len() {
-                    let v = old.attrs[a].get(pos);
-                    self.set_attr(a, np, &v)?;
-                }
+                pairs.push((np as Oid, pos as Oid));
             }
         }
-        Ok(())
-    }
-
-    /// Fetch a whole cell (attribute values) by coordinates.
-    pub fn cell(&self, coords: &[i64]) -> Option<Vec<Value>> {
-        let pos = self.def.position_of(coords)?;
-        Some(self.attrs.iter().map(|a| a.get(pos)).collect())
+        pairs.sort_unstable();
+        let at = Candidates::from_sorted(pairs.iter().map(|p| p.0).collect());
+        let from = Bat::from_oids(pairs.into_iter().map(|p| p.1).collect());
+        let survivors = old
+            .attrs
+            .iter()
+            .enumerate()
+            .map(|(k, a)| Ok((k, Arc::new(project::project_oids(&from, a)?))))
+            .collect::<Result<_>>()?;
+        self.write_attrs(&at, survivors)
     }
 
     /// Mark every column as persisted (called after a checkpoint).
@@ -227,28 +277,9 @@ impl TableStore {
         self.cols.first().map_or(0, |c| c.len())
     }
 
-    /// Append one row (values aligned with the full column list).
-    pub fn append_row(&mut self, row: &[Value]) -> Result<()> {
-        if row.len() != self.cols.len() {
-            return Err(EngineError::msg(format!(
-                "row has {} values, table {:?} has {} columns",
-                row.len(),
-                self.def.name,
-                self.cols.len()
-            )));
-        }
-        let pos = self.row_count();
-        self.mutations += 1;
-        for (k, (c, v)) in self.cols.iter_mut().zip(row).enumerate() {
-            self.dirty_cols[k].mark_row(pos, TILE_ROWS);
-            Arc::make_mut(c).push(v).map_err(EngineError::Gdk)?;
-        }
-        Ok(())
-    }
-
-    /// Append a pre-built batch of rows — the COPY ingest path. `batch`
-    /// holds one aligned BAT per column; only the tiles the new rows land
-    /// in are marked dirty.
+    /// Append a pre-built batch of rows — the COPY and INSERT path.
+    /// `batch` holds one aligned BAT per column; only the tiles the new
+    /// rows land in are marked dirty.
     pub fn append_batch(&mut self, batch: &[Bat]) -> Result<usize> {
         if batch.len() != self.cols.len() {
             return Err(EngineError::msg(format!(
@@ -264,38 +295,35 @@ impl TableStore {
         }
         let start = self.row_count();
         self.mutations += 1;
+        let at = Candidates::Dense {
+            first: start as Oid,
+            len: rows,
+        };
         for (k, (c, b)) in self.cols.iter_mut().zip(batch).enumerate() {
-            for t in (start / TILE_ROWS)..=((start + rows).saturating_sub(1) / TILE_ROWS) {
-                self.dirty_cols[k].mark_tile(t);
-            }
-            Arc::make_mut(c).append_bat(b).map_err(EngineError::Gdk)?;
+            self.dirty_cols[k].mark_cells(&at);
+            Arc::make_mut(c).append_bat(b)?;
         }
         Ok(rows)
     }
 
     /// Keep only the rows at `keep` positions (in order) — the DELETE
     /// executor's rebuild.
-    pub fn retain_positions(&mut self, keep: &[Oid]) -> Result<()> {
+    pub fn retain_positions(&mut self, keep: &Candidates) -> Result<()> {
         self.mutations += 1;
-        let cand = gdk::Candidates::from_sorted(keep.to_vec());
         for (k, c) in self.cols.iter_mut().enumerate() {
             // Every surviving row may shift position: all tiles change.
             self.dirty_cols[k].mark_all();
-            let nb = gdk::project::project(&cand, c).map_err(EngineError::Gdk)?;
-            *c = Arc::new(nb);
+            *c = Arc::new(project::project(keep, c)?);
         }
         Ok(())
     }
 
-    /// Scatter-update one column (UPDATE executor).
-    pub fn replace_col(&mut self, col: usize, positions: &[Oid], values: &Bat) -> Result<()> {
-        for &p in positions {
-            self.dirty_cols[col].mark_row(p as usize, TILE_ROWS);
-        }
+    /// Write columns at the rows `at` names — the UPDATE executor's
+    /// counterpart of [`ArrayStore::write_attrs`].
+    pub fn write_cols(&mut self, at: &Candidates, writes: ColumnWrites) -> Result<()> {
+        let writes = converted(&self.cols, writes)?;
         self.mutations += 1;
-        Arc::make_mut(&mut self.cols[col])
-            .replace_all(positions, values)
-            .map_err(EngineError::Gdk)
+        write_columns(&mut self.cols, &mut self.dirty_cols, at, writes)
     }
 
     /// Mark every column as persisted (called after a checkpoint).
@@ -371,16 +399,67 @@ mod tests {
         assert!(s.attrs[0].iter_values().all(|v| v.is_null()));
     }
 
+    impl ArrayStore {
+        /// A whole cell (attribute values) by coordinates.
+        fn cell(&self, coords: &[i64]) -> Option<Vec<Value>> {
+            let pos = self.def.position_of(coords)?;
+            Some(self.attrs.iter().map(|a| a.get(pos)).collect())
+        }
+    }
+
+    /// Store `v` into attribute 0 of the cell at `coords`.
+    fn set_cell(s: &mut ArrayStore, coords: &[i64], v: Value) {
+        let p = s.def.position_of(coords).unwrap() as Oid;
+        let values = Arc::new(Bat::from_values(ScalarType::Int, &[v]).unwrap());
+        s.write_attrs(&Candidates::from_sorted(vec![p]), vec![(0, values)])
+            .unwrap();
+    }
+
     #[test]
-    fn set_and_punch() {
+    fn write_and_punch() {
         let mut s = ArrayStore::create(matrix_def()).unwrap();
         let alias = s.attrs[0].clone(); // simulate an outstanding result
-        s.set_attr(0, 5, &Value::Int(9)).unwrap();
+        set_cell(&mut s, &[1, 1], Value::Int(9));
         assert_eq!(s.attrs[0].get(5), Value::Int(9));
         assert_eq!(alias.get(5), Value::Int(0), "copy-on-write preserved alias");
-        s.punch_holes(&[5, 6]).unwrap();
+        assert_eq!(
+            s.dirty_attrs[0],
+            ColumnDirt::All,
+            "fresh columns start dirty"
+        );
+        s.punch_holes(&Candidates::from_sorted(vec![5, 6])).unwrap();
         assert!(s.attrs[0].get(5).is_null());
         assert!(s.attrs[0].get(6).is_null());
+        // A write covering every cell adopts a same-typed column outright.
+        let whole = Arc::new(Bat::from_ints((0..16).collect()));
+        s.mark_clean();
+        s.write_attrs(&Candidates::all(16), vec![(0, Arc::clone(&whole))])
+            .unwrap();
+        assert!(Arc::ptr_eq(&s.attrs[0], &whole));
+        assert_eq!(s.dirty_attrs[0], ColumnDirt::All);
+    }
+
+    #[test]
+    fn writes_mark_only_touched_tiles() {
+        let mut def = matrix_def();
+        def.dims[0].range = Some(DimSpec::new(0, 1, 3 * TILE_ROWS as i64).unwrap());
+        def.dims[1].range = Some(DimSpec::new(0, 1, 1).unwrap());
+        let mut s = ArrayStore::create(def).unwrap();
+        s.mark_clean();
+        let t = TILE_ROWS as Oid;
+        let at = Candidates::from_sorted(vec![3, 5, 2 * t + 1]);
+        s.write_attrs(&at, vec![(0, Arc::new(Bat::from_ints(vec![1, 2, 3])))])
+            .unwrap();
+        assert_eq!(s.dirty_attrs[0], ColumnDirt::Tiles(vec![true, false, true]));
+        s.mark_clean();
+        let run = Candidates::Dense {
+            first: t - 1,
+            len: 2,
+        };
+        s.write_attrs(&run, vec![(0, Arc::new(Bat::from_ints(vec![4, 5])))])
+            .unwrap();
+        assert_eq!(s.dirty_attrs[0], ColumnDirt::Tiles(vec![true, true]));
+        assert_eq!(s.attrs[0].get(t as usize), Value::Int(5));
     }
 
     #[test]
@@ -388,10 +467,8 @@ mod tests {
         // Fig 1(c) state on a 4×4 grid, then expand both dims to [-1:1:5).
         let mut s = ArrayStore::create(matrix_def()).unwrap();
         // give cell (0,0) value -3 and (3,3) nil, like Fig 1(c)
-        let p00 = s.def.position_of(&[0, 0]).unwrap();
-        s.set_attr(0, p00, &Value::Int(-3)).unwrap();
-        let p33 = s.def.position_of(&[3, 3]).unwrap();
-        s.set_attr(0, p33, &Value::Null).unwrap();
+        set_cell(&mut s, &[0, 0], Value::Int(-3));
+        set_cell(&mut s, &[3, 3], Value::Null);
         s.re_range(0, DimSpec::new(-1, 1, 5).unwrap()).unwrap();
         s.re_range(1, DimSpec::new(-1, 1, 5).unwrap()).unwrap();
         assert_eq!(s.cell_count(), 36);
@@ -406,11 +483,16 @@ mod tests {
     #[test]
     fn re_range_shrink_drops_cells() {
         let mut s = ArrayStore::create(matrix_def()).unwrap();
-        let p = s.def.position_of(&[3, 0]).unwrap();
-        s.set_attr(0, p, &Value::Int(7)).unwrap();
+        set_cell(&mut s, &[3, 0], Value::Int(7));
+        set_cell(&mut s, &[1, 2], Value::Int(5));
         s.re_range(0, DimSpec::new(0, 1, 2).unwrap()).unwrap();
         assert_eq!(s.cell_count(), 8);
         assert!(s.cell(&[3, 0]).is_none(), "coordinate now out of range");
+        assert_eq!(s.cell(&[1, 2]).unwrap()[0], Value::Int(5));
+        // A reversed grid keeps every value at its coordinates.
+        s.re_range(1, DimSpec::new(3, -1, -1).unwrap()).unwrap();
+        assert_eq!(s.cell(&[1, 2]).unwrap()[0], Value::Int(5));
+        assert_eq!(s.cell(&[0, 3]).unwrap()[0], Value::Int(0));
     }
 
     #[test]
@@ -431,18 +513,28 @@ mod tests {
             ],
         };
         let mut t = TableStore::create(def);
-        t.append_row(&[Value::Int(1), Value::Str("one".into())])
-            .unwrap();
-        t.append_row(&[Value::Int(2), Value::Str("two".into())])
-            .unwrap();
-        t.append_row(&[Value::Int(3), Value::Str("three".into())])
+        let strs = Bat::from_strs(vec![Some("one"), Some("two"), Some("three")]);
+        t.append_batch(&[Bat::from_ints(vec![1, 2, 3]), strs])
             .unwrap();
         assert_eq!(t.row_count(), 3);
-        assert!(t.append_row(&[Value::Int(1)]).is_err());
-        t.retain_positions(&[0, 2]).unwrap();
+        assert!(t.append_batch(&[Bat::from_ints(vec![1])]).is_err());
+        t.retain_positions(&Candidates::from_sorted(vec![0, 2]))
+            .unwrap();
         assert_eq!(t.row_count(), 2);
         assert_eq!(t.cols[0].as_ints().unwrap(), &[1, 3]);
-        t.replace_col(0, &[1], &Bat::from_ints(vec![30])).unwrap();
+        let thirty = Arc::new(Bat::from_ints(vec![30]));
+        t.write_cols(&Candidates::from_sorted(vec![1]), vec![(0, thirty)])
+            .unwrap();
         assert_eq!(t.cols[0].as_ints().unwrap(), &[1, 30]);
+    }
+
+    #[test]
+    fn nil_default_columns_have_the_attribute_type() {
+        let mut def = matrix_def();
+        def.attrs[0].ty = ScalarType::Dbl;
+        def.attrs[0].default = None;
+        let s = ArrayStore::create(def).unwrap();
+        assert_eq!(s.attrs[0].tail_type(), ScalarType::Dbl);
+        assert!(s.attrs[0].iter_values().all(|v| v.is_null()));
     }
 }

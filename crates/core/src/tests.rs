@@ -408,6 +408,72 @@ fn failed_partial_statement_resyncs_durable_state() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn failed_cell_statements_leave_the_array_untouched() {
+    let dir = vault_dir("atomic");
+    {
+        let mut c = Connection::open(&dir).unwrap();
+        c.execute_script(
+            "CREATE ARRAY a (x INT DIMENSION[0:1:3], y INT DIMENSION[0:1:2], v INT DEFAULT 0); \
+             UPDATE a SET v = x * 10 + y;",
+        )
+        .unwrap();
+        let cells = |c: &Connection| c.array_store("a").unwrap().attrs[0].to_values();
+        let before = cells(&c);
+        let gen_before = c.vault_stats().unwrap().generation;
+        // Rows x = 0, 1 shift onto the grid; row x = 2 falls off it.
+        let e = c
+            .execute("INSERT INTO a SELECT [x+1], [y], v FROM a")
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "cell [3, 0] is outside the dimension ranges of \"a\""
+        );
+        assert_eq!(cells(&c), before, "nothing of the failed INSERT applied");
+        // An in-place rewrite (row i is cell i) converts before it writes.
+        let e = c
+            .execute(
+                "INSERT INTO a SELECT [x], [y], \
+                 CASE WHEN x = 2 AND y = 1 THEN 3000000000 ELSE v + 1 END FROM a",
+            )
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "kernel error: type mismatch: cannot store 3000000000 into int BAT"
+        );
+        assert_eq!(cells(&c), before, "nothing of the failed rewrite applied");
+        // Only the last cell overflows the int attribute.
+        let e = c
+            .execute("UPDATE a SET v = CASE WHEN x = 2 AND y = 1 THEN 3000000000 ELSE v + 1 END")
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "kernel error: type mismatch: cannot store 3000000000 into int BAT"
+        );
+        assert_eq!(cells(&c), before, "nothing of the failed UPDATE applied");
+        // Nothing applied, so nothing needed a re-sync checkpoint.
+        assert_eq!(c.vault_stats().unwrap().generation, gen_before);
+    }
+    let c = Connection::open(&dir).unwrap();
+    assert_eq!(
+        c.array_store("a").unwrap().attrs[0].to_values(),
+        [0, 1, 10, 11, 20, 21].map(Value::Int)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn nil_default_attributes_keep_their_declared_type() {
+    let mut c = Connection::new();
+    c.execute("CREATE ARRAY a (x INT DIMENSION[0:1:2], d DOUBLE, s STRING)")
+        .unwrap();
+    c.execute("UPDATE a SET d = 1.5, s = 'abc' WHERE x = 1")
+        .unwrap();
+    let rs = c.query("SELECT d, s FROM a").unwrap();
+    assert_eq!(rs.row(0), vec![Value::Null, Value::Null]);
+    assert_eq!(rs.row(1), vec![Value::Dbl(1.5), Value::Str("abc".into())]);
+}
+
 // ---------------------------------------------------------------------
 // prepared statements with bound parameters (the driver's engine path)
 // ---------------------------------------------------------------------

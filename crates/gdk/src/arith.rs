@@ -9,6 +9,7 @@ use crate::bat::{Bat, ColumnData};
 use crate::types::{dbl_nil, is_dbl_nil, ScalarType, BIT_NIL, INT_NIL, LNG_NIL};
 use crate::value::Value;
 use crate::{GdkError, Result};
+use std::borrow::Cow;
 use std::ops::Range;
 
 /// Binary arithmetic operators.
@@ -408,11 +409,7 @@ pub(crate) fn binop_windows(
         // NULL scalar operand: result is all-nil of the other side's type.
         (Some(x), None) | (None, Some(x)) => {
             let rt = x.promote(x).unwrap_or(x);
-            let mut out = Bat::with_capacity(rt, len);
-            for _ in 0..len {
-                out.push(&Value::Null)?;
-            }
-            return Ok((out, 1));
+            return Ok((Bat::constant(rt, len, &Value::Null)?, 1));
         }
         (None, None) => return Err(GdkError::type_mismatch("untyped operands")),
     };
@@ -560,6 +557,76 @@ fn cmp_holds(op: CmpOp, ord: std::cmp::Ordering) -> bool {
         CmpOp::Gt => ord == Greater,
         CmpOp::Ge => ord != Less,
     }
+}
+
+/// `CASE` over a `bit` mask (`batcalc.ifthenelse`): `then[i]` where
+/// `mask[i]` is true, `otherwise[i]` where it is false or nil (unknown is
+/// not true). Either branch may be a column aligned with the mask or a
+/// broadcast scalar. The result type is the branches' promoted type — the
+/// `then` type when they do not promote, `int` for two NULLs.
+///
+/// `int`/`lng`/`dbl`/`bit` results whose branches convert without loss
+/// run as one slice loop over both branches converted up front; any other
+/// shape converts the selected value cell by cell, so a value that does
+/// not fit fails only where the mask selects it.
+pub fn ifthenelse(mask: &Bat, then: Operand<'_>, otherwise: Operand<'_>) -> Result<Bat> {
+    let bits = mask
+        .as_bits()
+        .ok_or_else(|| GdkError::type_mismatch("ifthenelse mask must be a bit BAT"))?;
+    let n = bits.len();
+    if [then, otherwise]
+        .iter()
+        .any(|o| o.len().is_some_and(|l| l != n))
+    {
+        return Err(GdkError::invalid("ifthenelse branch misaligned with mask"));
+    }
+    let ty = match (then.scalar_type(), otherwise.scalar_type()) {
+        (Some(a), Some(b)) => a.promote(b).unwrap_or(a),
+        (Some(a), None) | (None, Some(a)) => a,
+        (None, None) => ScalarType::Int,
+    };
+    // A scalar branch converts to a one-cell column, which `pick` below
+    // broadcasts.
+    fn column<'b>(o: Operand<'b>, ty: ScalarType) -> Option<Cow<'b, Bat>> {
+        match o {
+            Operand::Col(b) => b.coerced(ty).ok(),
+            Operand::Scalar(v) => Bat::constant(ty, 1, v).ok().map(Cow::Owned),
+        }
+    }
+    if matches!(
+        ty,
+        ScalarType::Int | ScalarType::Lng | ScalarType::Dbl | ScalarType::Bit
+    ) {
+        if let (Some(t), Some(e)) = (column(then, ty), column(otherwise, ty)) {
+            fn pick<T: Copy>(mask: &[i8], t: &[T], e: &[T]) -> Vec<T> {
+                let choose = |m: i8, x: T, y: T| if m == 1 { x } else { y };
+                match (t, e) {
+                    (&[x], &[y]) => mask.iter().map(|&m| choose(m, x, y)).collect(),
+                    (&[x], e) => mask.iter().zip(e).map(|(&m, &y)| choose(m, x, y)).collect(),
+                    (t, &[y]) => mask.iter().zip(t).map(|(&m, &x)| choose(m, x, y)).collect(),
+                    (t, e) => mask
+                        .iter()
+                        .zip(t.iter().zip(e))
+                        .map(|(&m, (&x, &y))| choose(m, x, y))
+                        .collect(),
+                }
+            }
+            let data = match (t.data(), e.data()) {
+                (ColumnData::Int(t), ColumnData::Int(e)) => ColumnData::Int(pick(bits, t, e)),
+                (ColumnData::Lng(t), ColumnData::Lng(e)) => ColumnData::Lng(pick(bits, t, e)),
+                (ColumnData::Dbl(t), ColumnData::Dbl(e)) => ColumnData::Dbl(pick(bits, t, e)),
+                (ColumnData::Bit(t), ColumnData::Bit(e)) => ColumnData::Bit(pick(bits, t, e)),
+                _ => unreachable!("both branches converted to {ty}"),
+            };
+            return Ok(Bat::from_data(data));
+        }
+    }
+    let mut out = Bat::with_capacity(ty, n);
+    for (i, &m) in bits.iter().enumerate() {
+        let branch = if m == 1 { then } else { otherwise };
+        out.push(&branch.value_at(i))?;
+    }
+    Ok(out)
 }
 
 /// Three-valued AND of two bit BATs.

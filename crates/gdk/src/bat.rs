@@ -8,11 +8,13 @@
 //! consecutive C arrays, \[which\] suggested MonetDB as a good basis to
 //! implement SciQL".
 
+use crate::candidates::Candidates;
 use crate::strheap::{StrHeap, STR_NIL_IDX};
 use crate::types::{dbl_nil, is_dbl_nil, Oid, ScalarType, BIT_NIL, INT_NIL, LNG_NIL, OID_NIL};
 use crate::value::Value;
 use crate::zonemap::ZoneMap;
 use crate::{GdkError, Result};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 
 /// Physical tail storage of a BAT.
@@ -209,14 +211,31 @@ impl Bat {
     }
 
     /// `array.filler(cnt, v)` — materialise an attribute BAT holding `cnt`
-    /// copies of the default value `v`.
+    /// copies of the default value `v` (a NULL `v` gives an `int` column).
     pub fn filler(cnt: usize, v: &Value) -> Result<Self> {
-        let ty = v.scalar_type().unwrap_or(ScalarType::Int);
-        let mut b = Bat::with_capacity(ty, cnt);
-        for _ in 0..cnt {
-            b.push(v)?;
+        Self::constant(v.scalar_type().unwrap_or(ScalarType::Int), cnt, v)
+    }
+
+    /// `cnt` copies of `v` stored as tail type `ty` (nils for NULL): `v`
+    /// is cast once, then repeated.
+    pub fn constant(ty: ScalarType, cnt: usize, v: &Value) -> Result<Self> {
+        let mut one = Bat::with_capacity(ty, 1);
+        one.push(v)?;
+        if cnt == 0 {
+            return Ok(Bat::new(ty));
         }
-        Ok(b)
+        Ok(Bat::from_data(match one.data {
+            ColumnData::Bit(x) => ColumnData::Bit(vec![x[0]; cnt]),
+            ColumnData::Int(x) => ColumnData::Int(vec![x[0]; cnt]),
+            ColumnData::Lng(x) => ColumnData::Lng(vec![x[0]; cnt]),
+            ColumnData::Dbl(x) => ColumnData::Dbl(vec![x[0]; cnt]),
+            ColumnData::Oid(x) => ColumnData::Oid(vec![x[0]; cnt]),
+            ColumnData::Str { idx, heap } => ColumnData::Str {
+                idx: vec![idx[0]; cnt],
+                heap,
+            },
+            ColumnData::Void { .. } => unreachable!("with_capacity never builds a void column"),
+        }))
     }
 
     /// Tail type.
@@ -362,6 +381,21 @@ impl Bat {
         }
     }
 
+    /// Cell `i` as an exact integer, the view [`Value::as_i64`] takes of
+    /// `get(i)` without boxing it: `None` for nil and for `dbl` and `str`
+    /// cells.
+    #[inline]
+    pub fn i64_at(&self, i: usize) -> Option<i64> {
+        match &self.data {
+            ColumnData::Void { seq, .. } => Some((seq + i as Oid) as i64),
+            ColumnData::Bit(v) => (v[i] != BIT_NIL).then_some(i64::from(v[i] != 0)),
+            ColumnData::Int(v) => (v[i] != INT_NIL).then_some(i64::from(v[i])),
+            ColumnData::Lng(v) => (v[i] != LNG_NIL).then_some(v[i]),
+            ColumnData::Oid(v) => (v[i] != OID_NIL).then_some(v[i] as i64),
+            ColumnData::Dbl(_) | ColumnData::Str { .. } => None,
+        }
+    }
+
     /// Count of non-nil tuples.
     pub fn count_non_nil(&self) -> usize {
         (0..self.len()).filter(|&i| !self.is_nil_at(i)).count()
@@ -371,9 +405,7 @@ impl Bat {
     /// an error (void columns are virtual).
     pub fn push(&mut self, v: &Value) -> Result<()> {
         let ty = self.tail_type();
-        let cast = v
-            .cast(ty)
-            .ok_or_else(|| GdkError::type_mismatch(format!("cannot store {v} into {ty} BAT")))?;
+        let cast = v.cast(ty).ok_or_else(|| cannot_store(v, ty))?;
         self.zones.take();
         match (&mut self.data, cast) {
             (ColumnData::Void { .. }, _) => {
@@ -405,9 +437,7 @@ impl Bat {
             )));
         }
         let ty = self.tail_type();
-        let cast = v
-            .cast(ty)
-            .ok_or_else(|| GdkError::type_mismatch(format!("cannot store {v} into {ty} BAT")))?;
+        let cast = v.cast(ty).ok_or_else(|| cannot_store(v, ty))?;
         self.zones.take();
         match (&mut self.data, cast) {
             (ColumnData::Void { .. }, _) => {
@@ -430,25 +460,129 @@ impl Bat {
         Ok(())
     }
 
-    /// Scatter-update: for each `(pos, val)` pair set `tail[pos] = val`.
-    pub fn replace_all(&mut self, positions: &[Oid], values: &Bat) -> Result<()> {
-        if positions.len() != values.len() {
+    /// Scatter-update (BATreplace): `tail[at[i]] = values[i]`, each value
+    /// converted as [`Bat::set`] converts it. Every position and every
+    /// conversion is checked before the first cell changes, so a failing
+    /// scatter leaves the column as it was; the first value that does not
+    /// fit names itself in the error.
+    pub fn scatter(&mut self, at: &Candidates, values: &Bat) -> Result<()> {
+        if at.len() != values.len() {
             return Err(GdkError::invalid(format!(
                 "replace: {} positions vs {} values",
-                positions.len(),
+                at.len(),
                 values.len()
             )));
         }
-        for (k, &p) in positions.iter().enumerate() {
-            self.set(p as usize, &values.get(k))?;
+        if at.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let last = at.get(at.len() - 1) as usize;
+        if last >= self.len() {
+            return Err(GdkError::invalid(format!(
+                "replace position {last} out of range (len {})",
+                self.len()
+            )));
+        }
+        self.write_tail(values, TailWrite::At(at))
     }
 
-    /// Append all tuples of `other` (types must be compatible).
+    /// Overwrite every cell: [`Bat::scatter`] over all positions.
+    pub fn overwrite(&mut self, values: &Bat) -> Result<()> {
+        self.scatter(&Candidates::all(self.len()), values)
+    }
+
+    /// Append all tuples of `other`, converted as [`Bat::push`] converts
+    /// one value — all of them or, if one does not fit, none.
     pub fn append_bat(&mut self, other: &Bat) -> Result<()> {
-        for i in 0..other.len() {
-            self.push(&other.get(i))?;
+        if other.is_empty() {
+            return Ok(());
+        }
+        self.write_tail(other, TailWrite::Append)
+    }
+
+    /// This column as tail type `ty`, every cell converted the way
+    /// [`Value::cast`] converts it and nils kept nil: borrowed when no
+    /// conversion is needed, `Err(row)` for the first cell that does not
+    /// fit. The numeric pairs run as typed slice loops; the rest (strings,
+    /// oids, void columns) convert boxed values.
+    pub fn coerced(&self, ty: ScalarType) -> std::result::Result<Cow<'_, Bat>, usize> {
+        if self.tail_type() == ty && !self.is_dense() {
+            return Ok(Cow::Borrowed(self));
+        }
+        use ScalarType as T;
+        let (int_nil, lng_nil, bit_nil) = (|x| x == INT_NIL, |x| x == LNG_NIL, |x| x == BIT_NIL);
+        // `Value::cast` rounds a `dbl` before range-checking it.
+        let dbl_to =
+            |lo: f64, hi: f64| move |x: f64| Some(x.round()).filter(|r| *r >= lo && *r <= hi);
+        let data = match (&self.data, ty) {
+            (ColumnData::Int(v), T::Lng) => {
+                ColumnData::Lng(convert(v, int_nil, LNG_NIL, |x| Some(i64::from(x)))?)
+            }
+            (ColumnData::Int(v), T::Dbl) => {
+                ColumnData::Dbl(convert(v, int_nil, dbl_nil(), |x| Some(f64::from(x)))?)
+            }
+            (ColumnData::Int(v), T::Bit) => {
+                ColumnData::Bit(convert(v, int_nil, BIT_NIL, |x| Some(i8::from(x != 0)))?)
+            }
+            (ColumnData::Lng(v), T::Int) => {
+                ColumnData::Int(convert(v, lng_nil, INT_NIL, |x| i32::try_from(x).ok())?)
+            }
+            (ColumnData::Lng(v), T::Dbl) => {
+                ColumnData::Dbl(convert(v, lng_nil, dbl_nil(), |x| Some(x as f64))?)
+            }
+            (ColumnData::Dbl(v), T::Int) => {
+                let fits = dbl_to(i32::MIN as f64, i32::MAX as f64);
+                ColumnData::Int(convert(v, is_dbl_nil, INT_NIL, |x| {
+                    fits(x).map(|r| r as i32)
+                })?)
+            }
+            (ColumnData::Dbl(v), T::Lng) => {
+                let fits = dbl_to(i64::MIN as f64, i64::MAX as f64);
+                ColumnData::Lng(convert(v, is_dbl_nil, LNG_NIL, |x| {
+                    fits(x).map(|r| r as i64)
+                })?)
+            }
+            (ColumnData::Bit(v), T::Int) => {
+                ColumnData::Int(convert(v, bit_nil, INT_NIL, |x| Some(i32::from(x != 0)))?)
+            }
+            (ColumnData::Bit(v), T::Lng) => {
+                ColumnData::Lng(convert(v, bit_nil, LNG_NIL, |x| Some(i64::from(x != 0)))?)
+            }
+            _ => {
+                let mut out = Bat::with_capacity(ty, self.len());
+                for i in 0..self.len() {
+                    let v = self.get(i).cast(ty).ok_or(i)?;
+                    out.push(&v).map_err(|_| i)?;
+                }
+                return Ok(Cow::Owned(out));
+            }
+        };
+        Ok(Cow::Owned(Bat::from_data(data)))
+    }
+
+    /// Write `src` into this column's tail at `how`, after converting it to
+    /// the tail type. Strings are re-interned into this column's heap.
+    fn write_tail(&mut self, src: &Bat, how: TailWrite<'_>) -> Result<()> {
+        let ty = self.tail_type();
+        let src = src
+            .coerced(ty)
+            .map_err(|row| cannot_store(&src.get(row), ty))?;
+        match (self.data_mut(), src.data()) {
+            (ColumnData::Void { .. }, _) => {
+                return Err(GdkError::invalid(match how {
+                    TailWrite::Append => "cannot append to a void BAT",
+                    TailWrite::At(_) => "cannot update a void BAT",
+                }))
+            }
+            (ColumnData::Bit(d), ColumnData::Bit(s)) => how.apply(d, s),
+            (ColumnData::Int(d), ColumnData::Int(s)) => how.apply(d, s),
+            (ColumnData::Lng(d), ColumnData::Lng(s)) => how.apply(d, s),
+            (ColumnData::Dbl(d), ColumnData::Dbl(s)) => how.apply(d, s),
+            (ColumnData::Oid(d), ColumnData::Oid(s)) => how.apply(d, s),
+            (ColumnData::Str { idx, heap }, ColumnData::Str { idx: s, heap: from }) => {
+                how.apply(idx, &reintern(s, from, heap))
+            }
+            _ => unreachable!("coerced to the tail type"),
         }
         Ok(())
     }
@@ -508,6 +642,70 @@ impl Bat {
     pub fn to_values(&self) -> Vec<Value> {
         self.iter_values().collect()
     }
+}
+
+/// The error [`Bat::set`] raises when `v` does not fit a `ty` column.
+pub fn cannot_store(v: &Value, ty: ScalarType) -> GdkError {
+    GdkError::type_mismatch(format!("cannot store {v} into {ty} BAT"))
+}
+
+/// Where [`Bat::write_tail`] puts a same-typed source tail.
+#[derive(Clone, Copy)]
+enum TailWrite<'a> {
+    /// Overwrite the cells at these positions (aligned with the source).
+    At(&'a Candidates),
+    /// Append after the last cell.
+    Append,
+}
+
+impl TailWrite<'_> {
+    fn apply<T: Copy>(self, dst: &mut Vec<T>, src: &[T]) {
+        match self {
+            TailWrite::At(Candidates::Dense { first, len }) => {
+                let first = *first as usize;
+                dst[first..first + len].copy_from_slice(src);
+            }
+            TailWrite::At(Candidates::List(at)) => {
+                for (&p, &x) in at.iter().zip(src) {
+                    dst[p as usize] = x;
+                }
+            }
+            TailWrite::Append => dst.extend_from_slice(src),
+        }
+    }
+}
+
+/// `idx` (indices into `from`) as indices into `heap`, interning each
+/// distinct string the first time it appears — the order a cell-by-cell
+/// copy would intern them in.
+fn reintern(idx: &[u32], from: &StrHeap, heap: &mut StrHeap) -> Vec<u32> {
+    let mut map = vec![STR_NIL_IDX; from.distinct()];
+    idx.iter()
+        .map(|&i| match from.get(i) {
+            None => STR_NIL_IDX,
+            Some(s) => {
+                let m = &mut map[i as usize];
+                if *m == STR_NIL_IDX {
+                    *m = heap.intern(s);
+                }
+                *m
+            }
+        })
+        .collect()
+}
+
+/// Nil-preserving typed conversion; `Err(row)` for the first cell `f`
+/// rejects.
+fn convert<S: Copy, T: Copy>(
+    src: &[S],
+    is_nil: impl Fn(S) -> bool,
+    nil: T,
+    f: impl Fn(S) -> Option<T>,
+) -> std::result::Result<Vec<T>, usize> {
+    src.iter()
+        .enumerate()
+        .map(|(i, &x)| if is_nil(x) { Ok(nil) } else { f(x).ok_or(i) })
+        .collect()
 }
 
 /// Number of values in the right-open interval `[start, stop)` with `step`.
@@ -600,17 +798,58 @@ mod tests {
     }
 
     #[test]
-    fn set_and_replace_all() {
+    fn set_and_scatter() {
         let mut b = Bat::from_ints(vec![1, 2, 3, 4]);
         b.set(1, &Value::Null).unwrap();
         assert_eq!(b.get(1), Value::Null);
-        b.replace_all(&[0, 3], &Bat::from_ints(vec![9, 8])).unwrap();
+        let at = Candidates::from_sorted(vec![0, 3]);
+        b.scatter(&at, &Bat::from_ints(vec![9, 8])).unwrap();
         assert_eq!(
             b.to_values(),
             vec![Value::Int(9), Value::Null, Value::Int(3), Value::Int(8)]
         );
-        assert!(b.replace_all(&[0], &Bat::from_ints(vec![1, 2])).is_err());
+        assert!(b.scatter(&at, &Bat::from_ints(vec![1])).is_err());
         assert!(b.set(99, &Value::Int(0)).is_err());
+        let past_end = Candidates::from_sorted(vec![2, 4]);
+        assert!(b.scatter(&past_end, &Bat::from_ints(vec![0, 0])).is_err());
+        // A value that does not fit fails the whole scatter, naming itself.
+        let big = Bat::from_lngs(vec![5, 1 << 40]);
+        assert_eq!(
+            b.scatter(&at, &big).unwrap_err(),
+            GdkError::type_mismatch("cannot store 1099511627776 into int BAT")
+        );
+        assert_eq!(b.get(0), Value::Int(9), "nothing written");
+        b.overwrite(&Bat::from_dbls(vec![0.4, 1.6, f64::NAN, -2.5]))
+            .unwrap();
+        assert_eq!(
+            b.to_values(),
+            vec![Value::Int(0), Value::Int(2), Value::Null, Value::Int(-3)]
+        );
+    }
+
+    #[test]
+    fn string_writes_reintern_into_the_target_heap() {
+        let mut b = Bat::from_strs(vec![Some("a"), Some("b"), None]);
+        let src = Bat::from_strs(vec![Some("c"), None, Some("a")]);
+        b.overwrite(&src).unwrap();
+        b.append_bat(&src).unwrap();
+        assert_eq!(b.to_values(), [src.to_values(), src.to_values()].concat());
+        let ColumnData::Str { heap, .. } = b.data() else {
+            panic!("str column")
+        };
+        assert_eq!(heap.iter().collect::<Vec<_>>(), ["a", "b", "c"]);
+    }
+
+    #[test]
+    fn constant_columns() {
+        let d = Bat::constant(ScalarType::Dbl, 3, &Value::Int(2)).unwrap();
+        assert_eq!(d.as_dbls().unwrap(), &[2.0; 3]);
+        let nil = Bat::constant(ScalarType::Lng, 2, &Value::Null).unwrap();
+        assert_eq!(nil.as_lngs().unwrap(), &[LNG_NIL; 2]);
+        assert!(Bat::constant(ScalarType::Int, 2, &Value::Str("x".into())).is_err());
+        assert!(Bat::constant(ScalarType::Str, 0, &Value::Int(1))
+            .unwrap()
+            .is_empty());
     }
 
     #[test]
@@ -626,5 +865,12 @@ mod tests {
         let mut l = Bat::new(ScalarType::Lng);
         l.append_bat(&Bat::from_ints(vec![1, 2])).unwrap();
         assert_eq!(l.as_lngs().unwrap(), &[1i64, 2]);
+        // All or nothing: the second value does not fit an int column.
+        let mut i = Bat::from_ints(vec![7]);
+        assert!(i.append_bat(&Bat::from_lngs(vec![1, 1 << 33])).is_err());
+        assert_eq!(i.as_ints().unwrap(), &[7]);
+        let mut v = Bat::dense(0, 3);
+        assert!(v.append_bat(&Bat::new(ScalarType::OidT)).is_ok());
+        assert!(v.append_bat(&Bat::from_oids(vec![3])).is_err());
     }
 }

@@ -57,6 +57,28 @@ impl Candidates {
         }
     }
 
+    /// The write order of a scatter whose source row `i` is aimed at
+    /// `targets[i]`: the distinct targets as candidates, plus — unless the
+    /// rows already aim in strictly increasing order — the source row that
+    /// feeds each candidate. Of several rows aimed at one target the last
+    /// wins, as if the rows were written one after the other.
+    pub fn for_scatter(targets: Vec<Oid>) -> (Candidates, Option<Vec<Oid>>) {
+        if targets.windows(2).all(|w| w[0] < w[1]) {
+            return (Self::from_sorted(targets), None);
+        }
+        let mut order: Vec<usize> = (0..targets.len()).collect();
+        order.sort_by_key(|&r| targets[r]); // stable: equal targets keep row order
+        let mut rows: Vec<Oid> = Vec::with_capacity(order.len());
+        for r in order {
+            match rows.last_mut() {
+                Some(last) if targets[*last as usize] == targets[r] => *last = r as Oid,
+                _ => rows.push(r as Oid),
+            }
+        }
+        let cells = rows.iter().map(|&r| targets[r as usize]).collect();
+        (Self::from_sorted(cells), Some(rows))
+    }
+
     /// Number of candidates.
     pub fn len(&self) -> usize {
         match self {
@@ -220,6 +242,18 @@ mod tests {
         let c = Candidates::from_vec(vec![1, 3, 5]);
         assert!(matches!(c, Candidates::List(_)));
         assert_eq!(c.to_vec(), vec![1, 3, 5]);
+    }
+
+    #[test]
+    fn scatter_order_keeps_the_last_row_per_target() {
+        assert_eq!(
+            Candidates::for_scatter(vec![2, 3, 4]),
+            (Candidates::Dense { first: 2, len: 3 }, None)
+        );
+        // Rows 0 and 2 both aim at 5; row 2 wins.
+        let (at, rows) = Candidates::for_scatter(vec![5, 1, 5, 3]);
+        assert_eq!(at.to_vec(), vec![1, 3, 5]);
+        assert_eq!(rows, Some(vec![1, 3, 2]));
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod like;
 pub mod par;
 pub mod project;
 pub mod select;
-pub mod slice;
 pub mod sort;
 pub mod strheap;
 pub mod types;
@@ -41,7 +40,6 @@ pub mod zonemap;
 pub use bat::{Bat, ColumnData};
 pub use candidates::Candidates;
 pub use par::ParConfig;
-pub use slice::BatSlice;
 pub use types::{Oid, ScalarType};
 pub use value::Value;
 pub use zonemap::{ZoneEntry, ZoneMap, TILE_ROWS};

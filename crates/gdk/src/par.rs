@@ -22,9 +22,8 @@
 //!   (aggregates; grouping merges window-local group ids with
 //!   `merge_groups`).
 //!
-//! Windows are near-equal and contiguous ([`crate::slice::chunk_ranges`]),
-//! window 0 runs on the calling thread and the rest on scoped threads.
-//! Because windows are processed and merged in input order — and an error
+//! Windows are near-equal and contiguous (`chunk_ranges`), window 0 runs
+//! on the calling thread and the rest on scoped threads. Because windows are processed and merged in input order — and an error
 //! surfaces from the earliest failing window — results and errors are
 //! identical to a serial left-to-right scan (`tests/kernel_properties.rs`
 //! pins this down across thread counts). A kernel whose operand types
@@ -45,7 +44,6 @@ use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
 use crate::group::{Groups, LocalGroups};
 use crate::select;
-use crate::slice::chunk_ranges;
 use crate::types::Oid;
 use crate::value::Value;
 use crate::{fused, group, Result};
@@ -109,6 +107,29 @@ impl ParConfig {
 // ---------------------------------------------------------------------
 // The three window drivers
 // ---------------------------------------------------------------------
+
+/// Split `[0, n)` into `k` near-equal contiguous ranges (the leading
+/// `n % k` ranges are one element longer). `k` is clamped to `[1, n]`
+/// except when `n == 0`, which yields a single empty range.
+// The `vec![0..0]` below really is a one-element vector holding an empty
+// range, not a mistaken attempt to collect a range's elements.
+#[allow(clippy::single_range_in_vec_init)]
+fn chunk_ranges(n: usize, k: usize) -> Vec<Range<usize>> {
+    if n == 0 {
+        return vec![0..0];
+    }
+    let k = k.clamp(1, n);
+    let base = n / k;
+    let extra = n % k;
+    let mut out = Vec::with_capacity(k);
+    let mut start = 0usize;
+    for i in 0..k {
+        let len = base + usize::from(i < extra);
+        out.push(start..start + len);
+        start += len;
+    }
+    out
+}
 
 /// Run `f` on each item, item 0 on the calling thread and every other on
 /// its own scoped thread, and collect the results in item order.
@@ -423,6 +444,15 @@ mod tests {
         assert_eq!(cfg.threads_for(100), 8);
         assert_eq!(ParConfig::serial().threads_for(1 << 20), 1);
         assert_eq!(ParConfig::with_threads(4).threads, 4);
+    }
+
+    #[test]
+    fn chunking() {
+        assert_eq!(chunk_ranges(10, 3), vec![0..4, 4..7, 7..10]);
+        assert_eq!(chunk_ranges(2, 8), vec![0..1, 1..2]);
+        assert_eq!(chunk_ranges(0, 4), vec![0..0]);
+        let total: usize = chunk_ranges(1_000_003, 8).iter().map(|r| r.len()).sum();
+        assert_eq!(total, 1_000_003);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::arith::CmpOp;
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
-use crate::types::Oid;
+use crate::types::{Oid, BIT_NIL};
 use crate::value::Value;
 use crate::{GdkError, Result};
 use std::cmp::Ordering;
@@ -69,6 +69,21 @@ pub fn rangeselect(
         return Ok(scan(b.len(), cand, |pos| {
             i64_in_range(seq + pos as i64, lo_i, hi_i, li, hi_incl, anti)
         }));
+    }
+    // Bit masks (a DML predicate, `x = true`) with integral bounds; any
+    // other bound compares as a boxed value below. A cell is false, true
+    // or nil, so the bounds reduce to which of false/true qualify and the
+    // scan compares bytes.
+    if let (ColumnData::Bit(bits), Ok(lo_i), Ok(hi_i)) =
+        (b.data(), bound_as_i64(lo), bound_as_i64(hi))
+    {
+        let holds = |v: i64| i64_in_range(v, lo_i, hi_i, li, hi_incl, anti);
+        return Ok(match (holds(0), holds(1)) {
+            (false, false) => Hits::default().finish(),
+            (false, true) => scan(b.len(), cand, |pos| bits[pos] != 0 && bits[pos] != BIT_NIL),
+            (true, false) => scan(b.len(), cand, |pos| bits[pos] == 0),
+            (true, true) => scan(b.len(), cand, |pos| bits[pos] != BIT_NIL),
+        });
     }
     Ok(scan(b.len(), cand, |pos| {
         generic_in_range(&b.get(pos), lo, hi, li, hi_incl, anti)
@@ -198,8 +213,10 @@ pub fn mask_to_cands(mask: &Bat, cand: Option<&Candidates>) -> Result<Candidates
     }
 }
 
+/// The qualifying oids in order. A run with no gap stays a dense range;
+/// the oid vector is only built once a gap appears.
 fn scan<F: Fn(usize) -> bool>(len: usize, cand: Option<&Candidates>, pred: F) -> Candidates {
-    let mut out: Vec<Oid> = Vec::new();
+    let mut out = Hits::default();
     match cand {
         None => {
             for pos in 0..len {
@@ -217,7 +234,43 @@ fn scan<F: Fn(usize) -> bool>(len: usize, cand: Option<&Candidates>, pred: F) ->
             }
         }
     }
-    Candidates::from_sorted(out)
+    out.finish()
+}
+
+/// Accumulator of [`scan`]: equal to collecting every hit into a vector
+/// and calling [`Candidates::from_sorted`].
+#[derive(Default)]
+struct Hits {
+    first: Oid,
+    run: usize,
+    list: Option<Vec<Oid>>,
+}
+
+impl Hits {
+    #[inline]
+    fn push(&mut self, o: Oid) {
+        match &mut self.list {
+            Some(v) => v.push(o),
+            None if self.run == 0 => (self.first, self.run) = (o, 1),
+            None if o == self.first + self.run as Oid => self.run += 1,
+            None => {
+                let mut v: Vec<Oid> = (self.first..self.first + self.run as Oid).collect();
+                v.push(o);
+                self.list = Some(v);
+            }
+        }
+    }
+
+    fn finish(self) -> Candidates {
+        match self.list {
+            Some(v) => Candidates::List(v),
+            None if self.run == 0 => Candidates::List(Vec::new()),
+            None => Candidates::Dense {
+                first: self.first,
+                len: self.run,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -320,6 +373,33 @@ mod tests {
         let c = Candidates::from_vec(vec![4, 5, 6, 9]);
         assert_eq!(mask_to_cands(&m, Some(&c)).unwrap().to_vec(), vec![4, 9]);
         assert!(mask_to_cands(&Bat::from_ints(vec![1]), None).is_err());
+    }
+
+    #[test]
+    fn bit_mask_select_stays_dense_without_gaps() {
+        let all = Bat::from_bits(vec![Some(true); 5]);
+        let t = Value::Bit(true);
+        assert_eq!(
+            thetaselect(&all, None, &t, CmpOp::Eq).unwrap(),
+            Candidates::Dense { first: 0, len: 5 }
+        );
+        let m = Bat::from_bits(vec![Some(true), None, Some(false), Some(true)]);
+        assert_eq!(
+            thetaselect(&m, None, &t, CmpOp::Eq).unwrap(),
+            Candidates::List(vec![0, 3])
+        );
+        assert_eq!(
+            thetaselect(&m, None, &t, CmpOp::Ne).unwrap().to_vec(),
+            vec![2],
+            "nil never qualifies"
+        );
+        // A fractional bound compares as a boxed value instead of failing.
+        assert_eq!(
+            thetaselect(&m, None, &Value::Dbl(0.5), CmpOp::Gt)
+                .unwrap()
+                .to_vec(),
+            vec![0, 3]
+        );
     }
 
     #[test]

@@ -835,3 +835,215 @@ fn fused_aggregate_reports_the_first_failing_row() {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Typed write-path kernels against their boxed references: conversion
+// (`Bat::coerced`), scatter / overwrite / append, constant columns, the
+// `bit` select path and `ifthenelse` — values, nil sentinels, NaN and
+// errors alike.
+// ---------------------------------------------------------------------
+
+use gdk::types::{INT_NIL, LNG_NIL};
+use gdk::ScalarType;
+
+const TYPES: [ScalarType; 6] = [
+    ScalarType::Bit,
+    ScalarType::Int,
+    ScalarType::Lng,
+    ScalarType::Dbl,
+    ScalarType::OidT,
+    ScalarType::Str,
+];
+
+/// One column per type from the same edgy cells: `int` (cells beyond its
+/// range become nil), `lng`, `dbl` (halved, so `.5` rounding shows up),
+/// `bit`, `oid` and `str`.
+fn typed_columns(data: &[Option<i64>]) -> Vec<Bat> {
+    vec![
+        Bat::from_opt_ints(
+            data.iter()
+                .map(|v| {
+                    v.and_then(|x| i32::try_from(x).ok())
+                        .filter(|&x| x != INT_NIL)
+                })
+                .collect(),
+        ),
+        lng_bat(data),
+        Bat::from_opt_dbls(data.iter().map(|v| v.map(|x| x as f64 / 2.0)).collect()),
+        Bat::from_bits(data.iter().map(|v| v.map(|x| x % 2 != 0)).collect()),
+        Bat::from_oids(
+            data.iter()
+                .map(|v| v.map_or(gdk::types::OID_NIL, |x| x.unsigned_abs()))
+                .collect(),
+        ),
+        Bat::from_strs(
+            data.iter()
+                .map(|v| v.map(|x| format!("{}", x % 7)))
+                .collect(),
+        ),
+    ]
+}
+
+/// The boxed reference conversion: one `Value::cast` + `push` per cell.
+fn boxed_coerce(b: &Bat, ty: ScalarType) -> Result<Bat, usize> {
+    let mut out = Bat::with_capacity(ty, b.len());
+    for i in 0..b.len() {
+        let v = b.get(i).cast(ty).ok_or(i)?;
+        out.push(&v).map_err(|_| i)?;
+    }
+    Ok(out)
+}
+
+/// Scalars that reach every branch-conversion edge.
+fn edge_scalars() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Int(3),
+        Value::Int(INT_NIL),
+        Value::Lng(LNG_NIL),
+        Value::Lng(3_000_000_000),
+        Value::Dbl(2.5),
+        Value::Dbl(f64::NAN),
+        Value::Bit(true),
+        Value::Str("s".into()),
+    ]
+}
+
+/// The boxed `ifthenelse` reference.
+fn boxed_ifthenelse(bits: &[i8], t: Operand<'_>, e: Operand<'_>) -> gdk::Result<Bat> {
+    let ty_of = |o: &Operand<'_>| match o {
+        Operand::Col(b) => Some(b.tail_type()),
+        Operand::Scalar(v) => v.scalar_type(),
+    };
+    let ty = match (ty_of(&t), ty_of(&e)) {
+        (Some(a), Some(b)) => a.promote(b).unwrap_or(a),
+        (Some(a), None) | (None, Some(a)) => a,
+        (None, None) => ScalarType::Int,
+    };
+    let at = |o: &Operand<'_>, i: usize| match o {
+        Operand::Col(b) => b.get(i),
+        Operand::Scalar(v) => (*v).clone(),
+    };
+    let mut out = Bat::with_capacity(ty, bits.len());
+    for (i, &m) in bits.iter().enumerate() {
+        out.push(&if m == 1 { at(&t, i) } else { at(&e, i) })?;
+    }
+    Ok(out)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `coerced` ≡ a `Value::cast` per cell, for every type pair: same
+    /// result type and values, or the same first failing row.
+    #[test]
+    fn typed_coerce_matches_boxed_cast(data in edgy_lngs(60)) {
+        for src in typed_columns(&data) {
+            for ty in TYPES {
+                let got = src.coerced(ty).map(|b| (b.tail_type(), b.to_values()));
+                let want = boxed_coerce(&src, ty).map(|b| (b.tail_type(), b.to_values()));
+                prop_assert_eq!(got, want, "{:?} -> {:?}", src.tail_type(), ty);
+            }
+        }
+    }
+
+    /// `scatter` and `append_bat` ≡ a `set` / `push` per cell when every
+    /// value fits; otherwise they fail on the first value that does not
+    /// and leave the target untouched.
+    #[test]
+    fn typed_scatter_and_append_match_boxed_writes(data in edgy_lngs(60)) {
+        let cols = typed_columns(&data);
+        let at: Vec<u64> = (0..data.len() as u64).filter(|i| i % 3 != 1).collect();
+        let cand = Candidates::from_sorted(at.clone());
+        for target in &cols {
+            for src in &cols {
+                let values = project::project(&cand, src).unwrap();
+                let mut want = target.clone();
+                let boxed: gdk::Result<()> = at
+                    .iter()
+                    .enumerate()
+                    .try_for_each(|(k, &p)| want.set(p as usize, &values.get(k)));
+                let mut got = target.clone();
+                let typed = got.scatter(&cand, &values);
+                prop_assert_eq!(&typed, &boxed);
+                let want = if boxed.is_ok() { want } else { target.clone() };
+                prop_assert_eq!(got.to_values(), want.to_values());
+
+                let mut want = target.clone();
+                let boxed: gdk::Result<()> = (0..src.len()).try_for_each(|i| want.push(&src.get(i)));
+                let mut got = target.clone();
+                prop_assert_eq!(got.append_bat(src), boxed.clone());
+                let want = if boxed.is_ok() { want } else { target.clone() };
+                prop_assert_eq!(got.to_values(), want.to_values());
+            }
+            if target.len() == data.len() {
+                let mut got = target.clone();
+                got.overwrite(&cols[2]).ok();
+                let mut want = target.clone();
+                let boxed: gdk::Result<()> =
+                    (0..data.len()).try_for_each(|i| want.set(i, &cols[2].get(i)));
+                if boxed.is_ok() {
+                    prop_assert_eq!(got.to_values(), want.to_values());
+                }
+            }
+        }
+    }
+
+    /// `bit` mask selection ≡ the boxed comparison definition.
+    #[test]
+    fn bit_select_matches_boxed_definition(
+        bits in proptest::collection::vec(proptest::option::weighted(0.8, any::<bool>()), 0..120),
+    ) {
+        let mask = Bat::from_bits(bits.clone());
+        for val in [Value::Bit(true), Value::Bit(false), Value::Int(1), Value::Dbl(0.5)] {
+            for op in CMP_OPS {
+                let got = select::thetaselect(&mask, None, &val, op).unwrap().to_vec();
+                let holds = |o: std::cmp::Ordering| match op {
+                    CmpOp::Eq => o.is_eq(),
+                    CmpOp::Ne => o.is_ne(),
+                    CmpOp::Lt => o.is_lt(),
+                    CmpOp::Le => o.is_le(),
+                    CmpOp::Gt => o.is_gt(),
+                    CmpOp::Ge => o.is_ge(),
+                };
+                let want: Vec<u64> = (0..bits.len())
+                    .filter(|&i| mask.get(i).sql_cmp(&val).is_some_and(holds))
+                    .map(|i| i as u64)
+                    .collect();
+                prop_assert_eq!(got, want, "{:?} {:?}", op, val);
+            }
+        }
+    }
+
+    /// `ifthenelse` ≡ the boxed push loop over every branch shape: column
+    /// or scalar, every type, nil sentinels and NaN as scalars.
+    #[test]
+    fn typed_ifthenelse_matches_boxed_loop(data in edgy_lngs(60)) {
+        let cols = typed_columns(&data);
+        let mask = &cols[3];
+        let bits = mask.as_bits().unwrap();
+        let scalars = edge_scalars();
+        let mut branches: Vec<Operand<'_>> = cols.iter().map(Operand::Col).collect();
+        branches.extend(scalars.iter().map(Operand::Scalar));
+        for &t in &branches {
+            for &e in &branches {
+                let got = outcome(arith::ifthenelse(mask, t, e));
+                let want = outcome(boxed_ifthenelse(bits, t, e));
+                prop_assert_eq!(got, want, "{:?} / {:?}", t, e);
+            }
+        }
+    }
+
+    /// Constant columns ≡ `n` pushes of the value.
+    #[test]
+    fn constant_matches_repeated_push(n in 0usize..40) {
+        for ty in TYPES {
+            for v in edge_scalars() {
+                let got = Bat::constant(ty, n, &v).map(|b| b.to_values());
+                let mut want = Bat::with_capacity(ty, n);
+                let boxed = (0..n.max(1)).try_for_each(|_| want.push(&v));
+                prop_assert_eq!(got, boxed.map(|_| want.to_values()[..n].to_vec()), "{:?} {:?}", ty, v);
+            }
+        }
+    }
+}

@@ -197,48 +197,24 @@ pub fn register(r: &mut Registry) {
             return Err(MalError::msg("ifthenelse takes 3 arguments"));
         }
         let mask = args[0].as_bat()?;
-        let bits = mask
+        let n = mask
             .as_bits()
-            .ok_or_else(|| MalError::msg("ifthenelse mask must be a bit BAT"))?;
-        let value_at = |arg: &MalValue, i: usize| -> Result<Value> {
+            .ok_or_else(|| MalError::msg("ifthenelse mask must be a bit BAT"))?
+            .len();
+        fn branch(arg: &MalValue, n: usize) -> Result<Operand<'_>> {
             match arg {
-                MalValue::Scalar(v) => Ok(v.clone()),
-                MalValue::Bat(b) => {
-                    if b.len() != bits.len() {
-                        Err(MalError::msg("ifthenelse branch misaligned with mask"))
-                    } else {
-                        Ok(b.get(i))
-                    }
+                MalValue::Bat(b) if b.len() != n => {
+                    Err(MalError::msg("ifthenelse branch misaligned with mask"))
                 }
+                MalValue::Bat(_) | MalValue::Scalar(_) => operand(arg),
                 other => Err(MalError::msg(format!(
                     "ifthenelse branch must be BAT or scalar, got {}",
                     other.kind()
                 ))),
             }
-        };
-        // Determine output type from the branches.
-        let branch_ty = |arg: &MalValue| -> Option<ScalarType> {
-            match arg {
-                MalValue::Scalar(v) => v.scalar_type(),
-                MalValue::Bat(b) => Some(b.tail_type()),
-                _ => None,
-            }
-        };
-        let ty = match (branch_ty(&args[1]), branch_ty(&args[2])) {
-            (Some(a), Some(b)) => a.promote(b).unwrap_or(a),
-            (Some(a), None) | (None, Some(a)) => a,
-            (None, None) => ScalarType::Int,
-        };
-        let mut out = Bat::with_capacity(ty, bits.len());
-        for (i, &m) in bits.iter().enumerate() {
-            let v = if m == 1 {
-                value_at(&args[1], i)?
-            } else {
-                value_at(&args[2], i)?
-            };
-            out.push(&v)
-                .map_err(|e| MalError::msg(format!("ifthenelse: {e}")))?;
         }
+        let out = arith::ifthenelse(mask, branch(&args[1], n)?, branch(&args[2], n)?)
+            .map_err(|e| MalError::msg(format!("ifthenelse: {e}")))?;
         Ok(vec![MalValue::bat(out)])
     });
 }

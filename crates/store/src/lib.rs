@@ -44,7 +44,7 @@ pub use wal::{read_wal_from, WalRecord};
 
 use gdk::codec::{decode_bat, encode_bat, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
 use gdk::zonemap::{ZoneEntry, ZoneMap, TILE_ROWS};
-use gdk::{Bat, Value};
+use gdk::{Bat, Candidates, Value};
 use sciql_catalog::SchemaObject;
 use snapshot::{read_snapshot, write_snapshot};
 use std::collections::HashMap;
@@ -165,10 +165,24 @@ impl ColumnDirt {
         }
     }
 
-    /// Mark the tile containing `row` (with `tile_rows` rows per tile)
-    /// dirty, growing the flag vector as needed.
-    pub fn mark_row(&mut self, row: usize, tile_rows: usize) {
-        self.mark_tile(row / tile_rows.max(1));
+    /// Mark every tile holding one of the rows `at` dirty, once per tile,
+    /// growing the flag vector as needed.
+    pub fn mark_cells(&mut self, at: &Candidates) {
+        match at {
+            Candidates::Dense { first, len } if *len > 0 => {
+                let first = *first as usize;
+                (first / TILE_ROWS..=(first + len - 1) / TILE_ROWS).for_each(|t| self.mark_tile(t));
+            }
+            _ => {
+                let mut last = None;
+                for t in at.iter().map(|row| row as usize / TILE_ROWS) {
+                    if last != Some(t) {
+                        self.mark_tile(t);
+                        last = Some(t);
+                    }
+                }
+            }
+        }
     }
 
     /// Mark tile `tile` dirty.
