@@ -46,13 +46,16 @@ impl Default for CodegenOptions {
 }
 
 /// Output of generating one plan node.
-struct NodeOut {
+struct NodeOut<'p> {
     /// One MAL variable per output column (aligned BATs).
     cols: Vec<VarId>,
     /// Dense array shape, when the columns are still in cell order.
     shape: Option<Vec<usize>>,
     /// True for the row-less Unit input.
     unit: bool,
+    /// The plan node whose output these columns are, for typing
+    /// expressions over them (set once the node is generated).
+    plan: Option<&'p Plan>,
 }
 
 /// Compile a plan into a MAL program whose results are the plan's schema
@@ -72,12 +75,19 @@ pub fn compile(plan: &Plan, opts: &CodegenOptions) -> Result<Program> {
     Ok(prog)
 }
 
-fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut> {
+fn gen<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Result<NodeOut<'p>> {
+    let mut out = gen_node(prog, plan, opts)?;
+    out.plan = Some(plan);
+    Ok(out)
+}
+
+fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Result<NodeOut<'p>> {
     match plan {
         Plan::Unit => Ok(NodeOut {
             cols: vec![],
             shape: None,
             unit: true,
+            plan: None,
         }),
         Plan::ScanTable { name, schema } => {
             let cols = schema
@@ -98,6 +108,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
         Plan::ScanArray {
@@ -124,6 +135,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: Some(shape.clone()),
                 unit: false,
+                plan: None,
             })
         }
         Plan::Cross { left, right } => {
@@ -162,6 +174,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
         Plan::EquiJoin {
@@ -212,6 +225,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: Some(plan),
             };
             match residual {
                 None => Ok(joined),
@@ -236,6 +250,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                         cols,
                         shape: None,
                         unit: false,
+                        plan: None,
                     })
                 }
             }
@@ -274,6 +289,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
         Plan::Project { input, items } => {
@@ -293,6 +309,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: inp.shape,
                 unit: false,
+                plan: None,
             })
         }
         Plan::Aggregate { input, keys, aggs } => gen_aggregate(prog, input, keys, aggs, opts),
@@ -342,6 +359,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
         Plan::Sort { input, keys } => {
@@ -370,6 +388,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
         Plan::Limit {
@@ -403,6 +422,7 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
                 cols,
                 shape: None,
                 unit: false,
+                plan: None,
             })
         }
     }
@@ -412,13 +432,13 @@ fn gen(prog: &mut Program, plan: &Plan, opts: &CodegenOptions) -> Result<NodeOut
 // aggregation
 // ----------------------------------------------------------------------
 
-fn gen_aggregate(
+fn gen_aggregate<'p>(
     prog: &mut Program,
-    input: &Plan,
+    input: &'p Plan,
     keys: &[BExpr],
     aggs: &[AggCall],
     opts: &CodegenOptions,
-) -> Result<NodeOut> {
+) -> Result<NodeOut<'p>> {
     let inp = gen(prog, input, opts)?;
     if inp.unit {
         return Err(AlgebraError::bind("aggregation requires a FROM clause"));
@@ -454,6 +474,7 @@ fn gen_aggregate(
             cols,
             shape: None,
             unit: false,
+            plan: None,
         });
     }
     // Evaluate keys, group-refine, aggregate.
@@ -500,6 +521,7 @@ fn gen_aggregate(
         cols,
         shape: None,
         unit: false,
+        plan: None,
     })
 }
 
@@ -527,13 +549,13 @@ fn grouped_agg_name(f: AggFunc) -> &'static str {
 // structural grouping (tiling)
 // ----------------------------------------------------------------------
 
-fn gen_tile(
+fn gen_tile<'p>(
     prog: &mut Program,
-    input: &Plan,
+    input: &'p Plan,
     offsets: &[Vec<i64>],
     aggs: &[AggCall],
     opts: &CodegenOptions,
-) -> Result<NodeOut> {
+) -> Result<NodeOut<'p>> {
     let inp = gen(prog, input, opts)?;
     let shape = inp
         .shape
@@ -567,6 +589,7 @@ fn gen_tile(
         cols,
         shape: inp.shape,
         unit: false,
+        plan: None,
     })
 }
 
@@ -1017,7 +1040,11 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
         }
         BExpr::Case { whens, else_ } => {
             let mut acc = emit_expr(prog, inp, else_)?;
-            for (cond, then) in whens.iter().rev() {
+            // Arms whose constant condition folded them away, and the
+            // first one whose condition folded to true.
+            let mut folded = vec![false; whens.len()];
+            let mut taken = None;
+            for (i, (cond, then)) in whens.iter().enumerate().rev() {
                 let c = emit_expr(prog, inp, cond)?;
                 let t = emit_expr(prog, inp, then)?;
                 match c {
@@ -1025,8 +1052,10 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                         // Constant condition: fold immediately (first
                         // matching WHEN wins, so later folds are overridden
                         // by this earlier one).
+                        folded[i] = true;
                         if v.as_bool() == Some(true) {
                             acc = t;
+                            taken = Some(i);
                         }
                     }
                     c @ (Arg::Var(_) | Arg::Param(_)) => {
@@ -1040,21 +1069,58 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                     }
                 }
             }
+            if folded.contains(&true) {
+                // A folded arm still counts towards the CASE's type: when
+                // the arms left over promote to something narrower, cast.
+                let live = BExpr::Case {
+                    whens: whens[..taken.unwrap_or(whens.len())]
+                        .iter()
+                        .zip(&folded)
+                        .filter(|(_, &f)| !f)
+                        .map(|(arm, _)| arm.clone())
+                        .collect(),
+                    else_: Box::new(
+                        taken.map_or_else(|| (**else_).clone(), |i| whens[i].1.clone()),
+                    ),
+                };
+                let tys: Vec<ScalarType> = inp
+                    .plan
+                    .map(|p| p.schema().iter().map(|c| c.ty).collect())
+                    .unwrap_or_default();
+                if let (Ok(ty), Ok(live_ty)) = (e.infer_type(&tys), live.infer_type(&tys)) {
+                    if ty != live_ty {
+                        acc = match acc {
+                            Arg::Const(v) => Arg::Const(v.cast(ty).unwrap_or(v)),
+                            // Cast the broadcast column, not the scalar.
+                            a @ Arg::Param(_) if !inp.unit => {
+                                let bat = force_bat(prog, inp, a)?;
+                                emit_cast(prog, Arg::Var(bat), ty)
+                            }
+                            a => emit_cast(prog, a, ty),
+                        };
+                    }
+                }
+            }
             acc
         }
         BExpr::Cast { e, ty } => {
             let a = emit_expr(prog, inp, e)?;
-            let f = match ty {
-                ScalarType::Int => "int",
-                ScalarType::Lng => "lng",
-                ScalarType::Dbl => "dbl",
-                ScalarType::Str => "str",
-                ScalarType::Bit => "bit",
-                ScalarType::OidT => "oid",
-            };
-            Arg::Var(prog.emit("batcalc", f, vec![a], MalType::Any))
+            emit_cast(prog, a, *ty)
         }
     })
+}
+
+/// Emit a cast of `a` to `ty`.
+fn emit_cast(prog: &mut Program, a: Arg, ty: ScalarType) -> Arg {
+    let f = match ty {
+        ScalarType::Int => "int",
+        ScalarType::Lng => "lng",
+        ScalarType::Dbl => "dbl",
+        ScalarType::Str => "str",
+        ScalarType::Bit => "bit",
+        ScalarType::OidT => "oid",
+    };
+    Arg::Var(prog.emit("batcalc", f, vec![a], MalType::Any))
 }
 
 /// Evaluate a binary operator over two constants, SQL semantics.

@@ -44,7 +44,7 @@ fn table(name: &str, cols: Vec<ColumnMeta>) -> SchemaObject {
 ///
 /// | view | one row per |
 /// |------|-------------|
-/// | `sys.metrics` | registry counter/gauge (name, kind, value, help) |
+/// | `sys.metrics` | registry counter/gauge/histogram (name, kind, value, help) |
 /// | `sys.histograms` | latency histogram bucket (cumulative) |
 /// | `sys.sessions` | live session (id, peer, queries, bytes, uptime) |
 /// | `sys.query_log` | recently executed statement |

@@ -16,6 +16,12 @@
 //! itself makes every previously appended record durable via the
 //! snapshot, so tickets from an older epoch are released immediately
 //! and the committer forgets the stale file handle.
+//!
+//! Whatever made a write durable — a group fsync, a synchronous append,
+//! a checkpoint, or on a replica the execution of a shipped burst — then
+//! publishes the new position on the engine's [`Watermark`]. That one
+//! signal is all the replication shipper and monotonic-read token
+//! waiters block on.
 
 use crate::{EngineError, Result};
 use sciql_store::wal::WalSyncHandle;
@@ -23,6 +29,127 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Instant;
+
+/// Does WAL position `pos` cover the monotonic-read `token`? Both are
+/// `(generation, byte position)`; a later generation covers everything
+/// of an earlier one (the checkpoint that started it made it durable).
+pub fn covers(pos: (u64, u64), token: (u64, u64)) -> bool {
+    pos.0 > token.0 || (pos.0 == token.0 && pos.1 >= token.1)
+}
+
+/// What a waiter last saw of a [`Watermark`].
+#[derive(Debug, Clone, Copy)]
+pub struct Mark {
+    /// Checkpoint generation of the published position.
+    pub generation: u64,
+    /// WAL byte position within that generation.
+    pub pos: u64,
+    /// When this position was published.
+    pub at: Instant,
+    /// Count of [`Watermark::wake`] calls, so a wake between a waiter's
+    /// look and its wait is not lost.
+    wakes: u64,
+}
+
+impl Mark {
+    /// `(generation, byte position)`.
+    pub fn position(&self) -> (u64, u64) {
+        (self.generation, self.pos)
+    }
+}
+
+/// An engine's published WAL watermark: the `(generation, byte
+/// position)` up to which writes are durable (on a primary) or applied
+/// (on a replica), plus a condition variable to wait for it to move.
+/// Reading it never takes the engine lock.
+#[derive(Debug)]
+pub struct Watermark {
+    state: Mutex<Mark>,
+    cv: Condvar,
+}
+
+impl Default for Watermark {
+    fn default() -> Self {
+        Watermark {
+            state: Mutex::new(Mark {
+                generation: 0,
+                pos: 0,
+                at: Instant::now(),
+                wakes: 0,
+            }),
+            cv: Condvar::new(),
+        }
+    }
+}
+
+impl Watermark {
+    fn lock(&self) -> MutexGuard<'_, Mark> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The published `(generation, byte position)`.
+    pub fn get(&self) -> (u64, u64) {
+        self.lock().position()
+    }
+
+    /// The published position with its publish time, as a starting
+    /// point for [`Watermark::wait_past`].
+    pub fn mark(&self) -> Mark {
+        *self.lock()
+    }
+
+    /// Advance to `(generation, pos)` and wake every waiter. A position
+    /// at or behind the published one (an older generation, or a lower
+    /// byte position in the same one) is ignored, so publishers racing
+    /// each other — the group-commit thread, synchronous appends,
+    /// checkpoints — never move the watermark backwards.
+    pub fn publish(&self, generation: u64, pos: u64) {
+        let mut st = self.lock();
+        if covers(st.position(), (generation, pos)) {
+            return;
+        }
+        (st.generation, st.pos, st.at) = (generation, pos, Instant::now());
+        self.cv.notify_all();
+    }
+
+    /// Replace the published position unconditionally and wake every
+    /// waiter: a replica installed a new image, which may sit behind the
+    /// one it replaced.
+    pub fn reset(&self, generation: u64, pos: u64) {
+        let mut st = self.lock();
+        (st.generation, st.pos, st.at) = (generation, pos, Instant::now());
+        self.cv.notify_all();
+    }
+
+    /// Wake every waiter without moving the position (a link ended, a
+    /// server is shutting down: waiters re-check their own conditions).
+    pub fn wake(&self) {
+        self.lock().wakes += 1;
+        self.cv.notify_all();
+    }
+
+    /// Block until the watermark has moved on from `seen` — a new
+    /// position or generation — or [`Watermark::wake`] was called since
+    /// `seen` was taken, or `deadline` passes. Returns what is published
+    /// then.
+    pub fn wait_past(&self, seen: Mark, deadline: Instant) -> Mark {
+        let mut st = self.lock();
+        loop {
+            if st.position() != seen.position() || st.wakes != seen.wakes {
+                return *st;
+            }
+            let now = Instant::now();
+            if now >= deadline {
+                return *st;
+            }
+            st = self
+                .cv
+                .wait_timeout(st, deadline - now)
+                .unwrap_or_else(|e| e.into_inner())
+                .0;
+        }
+    }
+}
 
 /// What a writer owes the disk before its statement may be
 /// acknowledged: make `pos` bytes of WAL generation `epoch` durable.
@@ -67,17 +194,21 @@ pub struct GroupCommitter {
     max_queued: usize,
     /// Lock-free mirror of `pending.len()` for the admission fast path.
     depth: AtomicUsize,
+    /// Where each group fsync publishes the position it made durable.
+    watermark: Arc<Watermark>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl GroupCommitter {
-    /// Start the committer with its dedicated fsync thread.
-    pub fn spawn(max_queued: usize) -> Arc<GroupCommitter> {
+    /// Start the committer with its dedicated fsync thread, publishing
+    /// every durable position on `watermark`.
+    pub fn spawn(max_queued: usize, watermark: Arc<Watermark>) -> Arc<GroupCommitter> {
         let gc = Arc::new(GroupCommitter {
             state: Mutex::new(GcState::default()),
             cv: Condvar::new(),
             max_queued,
             depth: AtomicUsize::new(0),
+            watermark,
             thread: Mutex::new(None),
         });
         let worker = Arc::clone(&gc);
@@ -98,6 +229,7 @@ impl GroupCommitter {
             cv: Condvar::new(),
             max_queued: 1,
             depth: AtomicUsize::new(1),
+            watermark: Arc::default(),
             thread: Mutex::new(None),
         })
     }
@@ -176,16 +308,6 @@ impl GroupCommitter {
         }
     }
 
-    /// The committer's durability watermark: `(epoch, position)` of the
-    /// newest group fsync. Positions appended in older epochs are
-    /// durable via the checkpoint snapshot that rotated them away. The
-    /// replication shipper combines this with the vault's synchronous
-    /// watermark to bound what may be shipped.
-    pub fn durable(&self) -> (u64, u64) {
-        let st = self.lock();
-        (st.epoch, st.durable)
-    }
-
     /// A checkpoint rotated the WAL into generation `epoch`: everything
     /// appended before it is durable via the snapshot, so release every
     /// parked writer and drop the stale file handle.
@@ -247,6 +369,7 @@ impl GroupCommitter {
                 match synced {
                     Ok(()) => {
                         st.durable = st.durable.max(target);
+                        self.watermark.publish(epoch, st.durable);
                         let before = st.pending.len();
                         st.pending.retain(|&p| p > target);
                         let batch = (before - st.pending.len()) as u64;
@@ -262,5 +385,77 @@ impl GroupCommitter {
             }
             self.cv.notify_all();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Duration;
+
+    #[test]
+    fn waiter_wakes_on_publish_well_before_its_deadline() {
+        let wm = Arc::new(Watermark::default());
+        let seen = wm.mark();
+        let publisher = {
+            let wm = Arc::clone(&wm);
+            std::thread::spawn(move || wm.publish(0, 42))
+        };
+        let t0 = Instant::now();
+        let now = wm.wait_past(seen, t0 + Duration::from_secs(2));
+        assert_eq!(now.position(), (0, 42));
+        assert!(
+            t0.elapsed() < Duration::from_millis(100),
+            "{:?}",
+            t0.elapsed()
+        );
+        publisher.join().unwrap();
+    }
+
+    #[test]
+    fn waiter_times_out_at_its_deadline() {
+        let wm = Watermark::default();
+        wm.publish(3, 100);
+        let t0 = Instant::now();
+        let deadline = t0 + Duration::from_millis(50);
+        let now = wm.wait_past(wm.mark(), deadline);
+        assert_eq!(now.position(), (3, 100));
+        assert!(Instant::now() >= deadline);
+        // Publishing behind the watermark neither moves it nor wakes.
+        wm.publish(3, 90);
+        wm.publish(2, 500);
+        assert_eq!(wm.get(), (3, 100));
+    }
+
+    #[test]
+    fn waiter_sees_a_generation_change() {
+        let wm = Arc::new(Watermark::default());
+        wm.publish(1, 900);
+        let seen = wm.mark();
+        let rotate = {
+            let wm = Arc::clone(&wm);
+            std::thread::spawn(move || wm.publish(2, 8))
+        };
+        let now = wm.wait_past(seen, Instant::now() + Duration::from_secs(2));
+        assert_eq!(now.position(), (2, 8));
+        assert!(
+            covers(now.position(), (1, 900)),
+            "a new generation covers the old"
+        );
+        rotate.join().unwrap();
+        // A replica's new image may sit behind the old one: reset moves back.
+        wm.reset(2, 4);
+        assert_eq!(wm.get(), (2, 4));
+    }
+
+    #[test]
+    fn wake_releases_a_waiter_without_moving() {
+        let wm = Arc::new(Watermark::default());
+        let seen = wm.mark();
+        wm.wake();
+        let t0 = Instant::now();
+        let now = wm.wait_past(seen, t0 + Duration::from_secs(2));
+        assert_eq!(now.position(), seen.position());
+        assert!(t0.elapsed() < Duration::from_millis(100));
     }
 }

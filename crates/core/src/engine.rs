@@ -23,7 +23,7 @@
 //! statement a session executes enters through the session runner in
 //! [`crate::exec`], the same one the embedded connection uses.
 
-use crate::commit::GroupCommitter;
+use crate::commit::{covers, GroupCommitter, Watermark};
 use crate::exec::{self, DbView, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::session::{Connection, LastExec, QueryResult, SessionConfig};
@@ -36,6 +36,7 @@ use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_obs::Trace;
 use sciql_parser::ast::Stmt;
+use sciql_store::WalRecord;
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -89,19 +90,6 @@ impl EngineSnapshot {
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
-}
-
-/// One shipped batch of acknowledged WAL records: everything after the
-/// requested position, capped at the primary's durable position.
-#[derive(Debug)]
-pub struct WalBatch {
-    /// Checkpoint generation the byte positions refer to.
-    pub generation: u64,
-    /// The primary's durable position at batch time (also shipped when
-    /// `records` is empty, so replicas can report zero lag).
-    pub durable: u64,
-    /// The records, each carrying its end byte position and payload.
-    pub records: Vec<sciql_store::WalRecord>,
 }
 
 /// A consistent copy of a vault's durable on-disk image — what a
@@ -185,12 +173,19 @@ pub struct SharedEngine {
     /// [`SharedEngine::enable_group_commit`] (the network server turns
     /// it on; embedded use keeps per-statement fsync).
     pub(crate) group: OnceLock<Arc<GroupCommitter>>,
+    /// The published WAL position, shared with the connection's write
+    /// path and the group committer.
+    watermark: Arc<Watermark>,
+    /// The vault directory, for reading the WAL tail without the lock.
+    dir: Option<PathBuf>,
 }
 
 impl SharedEngine {
     /// Share an existing connection (embedded, in-memory or durable).
     pub fn new(conn: Connection) -> Arc<Self> {
         Arc::new(SharedEngine {
+            watermark: Arc::clone(&conn.watermark),
+            dir: conn.vault.as_ref().map(|v| v.dir().to_path_buf()),
             conn: Mutex::new(conn),
             registry: mal::prims::default_registry(),
             stats: AtomicStats::default(),
@@ -236,68 +231,54 @@ impl SharedEngine {
 
     /// The engine's durable WAL position — the monotonic-read token
     /// `(generation, byte position)` stamped onto write acknowledgements
-    /// and the upper bound of what the replication shipper may send.
-    /// Combines the vault's synchronous watermark (recovered content,
-    /// fsyncing appends) with the group committer's, when one is active.
-    /// `(0, 0)` for in-memory engines.
+    /// and the upper bound of what the replication shipper may send. It
+    /// is the published [`Watermark`]: whichever of the group committer,
+    /// a synchronous append or a checkpoint made a write durable moved
+    /// it. Read without the engine lock; `(0, 0)` for in-memory engines.
     pub fn durable_position(&self) -> (u64, u64) {
-        let (gen, floor) = {
-            let conn = self.lock();
-            match conn.vault.as_ref() {
-                Some(v) => (v.generation(), v.wal_durable()),
-                None => return (0, 0),
-            }
-        };
-        (gen, self.group_durable(gen, floor))
+        self.watermark.get()
     }
 
-    /// The group committer's contribution to the durable position for
-    /// generation `gen`, folded over the vault's synchronous `floor`.
-    fn group_durable(&self, gen: u64, floor: u64) -> u64 {
-        match self.group.get() {
-            Some(gc) => {
-                let (epoch, durable) = gc.durable();
-                if epoch == gen {
-                    floor.max(durable)
-                } else {
-                    floor
-                }
-            }
-            None => floor,
-        }
-    }
-
-    /// A replica's durably applied position `(generation, byte
-    /// position)` — its own WAL length, which by byte-parity equals the
-    /// primary's position of the last applied record.
+    /// A replica's applied position `(generation, byte position)`: the
+    /// end of the last shipped burst it has executed, which by byte
+    /// parity is the primary's position of the same record. The same
+    /// published [`Watermark`] as [`SharedEngine::durable_position`] —
+    /// on a replica, a record is published only once it is executed.
     pub fn applied_position(&self) -> (u64, u64) {
-        self.lock().wal_applied()
+        self.watermark.get()
     }
 
-    /// Read the acknowledged WAL records after byte position `from`, for
-    /// shipping to a replica. Records past the durable position are
-    /// withheld — an unacknowledged record must never reach a replica,
-    /// or a primary crash could leave the replica *ahead*. The read runs
-    /// under the connection lock, so the returned batch is a consistent
-    /// prefix of generation `generation`'s log.
-    pub fn wal_records_from(&self, from: u64) -> Result<WalBatch> {
-        let conn = self.lock();
-        let Some(v) = conn.vault.as_ref() else {
+    /// The engine's published WAL position, to wait on: the replication
+    /// shipper waits for it to pass what it has sent, a replica publishes
+    /// each executed burst on it, token-carrying reads wait for it to
+    /// cover their token.
+    pub fn watermark(&self) -> &Watermark {
+        &self.watermark
+    }
+
+    /// Read the WAL records of generation `generation` whose frames lie
+    /// in `[from, to)`, for shipping to a replica. `to` must not exceed
+    /// the durable position: an unacknowledged record must never reach a
+    /// replica, or a primary crash could leave the replica *ahead*. Only
+    /// those bytes are read, and without the engine lock — bytes below
+    /// the durable watermark never change. `Ok(None)` when a checkpoint
+    /// rotated the generation away before or during the read; the caller
+    /// ships a snapshot instead.
+    pub fn wal_tail(&self, generation: u64, from: u64, to: u64) -> Result<Option<Vec<WalRecord>>> {
+        let Some(dir) = &self.dir else {
             return Err(crate::EngineError::msg(
                 "replication requires a persistent engine",
             ));
         };
-        let generation = v.generation();
-        let path = sciql_store::wal_file_path(v.dir(), generation);
-        let durable = self.group_durable(generation, v.wal_durable());
-        let mut records =
-            sciql_store::read_wal_from(&path, from).map_err(crate::EngineError::Store)?;
-        records.retain(|r| r.end <= durable);
-        Ok(WalBatch {
-            generation,
-            durable,
-            records,
-        })
+        let path = sciql_store::wal_file_path(dir, generation);
+        let records = match sciql_store::read_wal_from(&path, from, to) {
+            Ok(records) => records,
+            Err(sciql_store::StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(None)
+            }
+            Err(e) => return Err(crate::EngineError::Store(e)),
+        };
+        Ok((self.watermark.get().0 == generation).then_some(records))
     }
 
     /// A consistent copy of the vault's current durable on-disk image,
@@ -313,7 +294,10 @@ impl SharedEngine {
             ));
         };
         let generation = v.generation();
-        let durable = self.group_durable(generation, v.wal_durable());
+        let durable = match self.watermark.get() {
+            (g, pos) if g == generation => pos,
+            _ => v.wal_durable(),
+        };
         let wal_name = format!("wal-{generation}.log");
         let mut files = Vec::new();
         for rel in v.snapshot_file_set() {
@@ -417,7 +401,7 @@ impl SharedEngine {
     pub fn enable_group_commit(&self, max_queued_writes: usize) {
         let gc = self
             .group
-            .get_or_init(|| GroupCommitter::spawn(max_queued_writes));
+            .get_or_init(|| GroupCommitter::spawn(max_queued_writes, Arc::clone(&self.watermark)));
         self.lock().group_commit = Some(Arc::clone(gc));
     }
 
@@ -584,6 +568,29 @@ impl EngineSession {
     /// session writes on a persistent engine.
     pub fn last_commit_token(&self) -> Option<(u64, u64)> {
         self.state.commit_token
+    }
+
+    /// Hold a read until the engine's published position covers the
+    /// monotonic-read `token` — on a replica, until the writer's
+    /// acknowledged write has been applied — or `deadline` passes.
+    /// Returns whether the token is covered. Every such wait lands in the
+    /// `repl_token_wait_ns` histogram; when the read had to wait, its
+    /// trace opens with a `repl.token_wait` span.
+    pub fn wait_for_token(&mut self, token: (u64, u64), deadline: Instant) -> bool {
+        let t0 = Instant::now();
+        let wm = &self.engine.watermark;
+        let mut seen = wm.mark();
+        let waited = !covers(seen.position(), token);
+        while !covers(seen.position(), token) && Instant::now() < deadline {
+            seen = wm.wait_past(seen, deadline);
+        }
+        let held = t0.elapsed();
+        sciql_obs::global().repl_token_wait_ns.observe(held);
+        let ok = covers(seen.position(), token);
+        if ok && waited {
+            self.state.held = Some((t0, held));
+        }
+        ok
     }
 
     /// Drop a prepared statement; `true` if it existed.

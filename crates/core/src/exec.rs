@@ -47,7 +47,7 @@ use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Parse exactly one statement.
 pub(crate) fn parse_one(sql: &str) -> Result<Stmt> {
@@ -466,6 +466,9 @@ pub(crate) struct SessionState {
     /// `(generation, WAL position)` of this session's newest
     /// acknowledged write — the monotonic-read token its replies carry.
     pub(crate) commit_token: Option<(u64, u64)>,
+    /// A monotonic-read token wait that held the next statement: when it
+    /// started and how long it took. The statement's trace opens with it.
+    pub(crate) held: Option<(Instant, Duration)>,
 }
 
 impl SessionState {
@@ -480,11 +483,19 @@ impl SessionState {
     /// A tracer for the next statement: on when tracing is enabled or
     /// the slow-query log is armed (a fast statement's forced trace is
     /// discarded afterwards); otherwise off, and the clock is never read.
-    fn tracer(&self, label: &str) -> Tracer {
-        if self.trace_enabled || self.slow_query_ns > 0 {
-            Tracer::on(label)
-        } else {
-            Tracer::off()
+    /// A token wait that held the statement becomes its first span.
+    fn tracer(&mut self, label: &str) -> Tracer {
+        let held = self.held.take();
+        if !(self.trace_enabled || self.slow_query_ns > 0) {
+            return Tracer::off();
+        }
+        match held {
+            Some((since, waited)) => {
+                let mut tracer = Tracer::on_since(label, since);
+                tracer.record(SpanId::ROOT, "repl.token_wait", waited);
+                tracer
+            }
+            None => Tracer::on(label),
         }
     }
 

@@ -49,11 +49,11 @@ mod sysview;
 #[cfg(test)]
 mod tests;
 
-pub use commit::{CommitTicket, GroupCommitter};
+pub use commit::{CommitTicket, GroupCommitter, Mark, Watermark};
 pub use copy::write_copy_binary;
 pub use engine::{
     EngineSession, EngineSnapshot, EngineStats, SessionMeter, SessionStats, SharedEngine,
-    VaultImage, WalBatch,
+    VaultImage,
 };
 pub use exec::Prepared;
 pub use result::{ArrayView, ColumnMeta, ResultSet};

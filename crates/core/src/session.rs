@@ -1,7 +1,7 @@
 //! The session: parse → bind → algebra → MAL → optimizers → interpreter,
 //! the full pipeline of the paper's Fig 2.
 
-use crate::commit::{CommitTicket, GroupCommitter};
+use crate::commit::{CommitTicket, GroupCommitter, Watermark};
 use crate::exec::{self, DbView, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::storage::{ArrayStore, TableStore};
@@ -156,6 +156,10 @@ pub struct Connection {
     /// Ticket of the last group-appended statement, awaiting redemption
     /// via [`Connection::take_pending_commit`] outside the engine lock.
     pending_commit: Option<CommitTicket>,
+    /// Where the synchronous write path and checkpoints publish the
+    /// durable WAL position; a [`crate::SharedEngine`] shares it with its
+    /// group committer, its shipper and its token waiters.
+    pub(crate) watermark: Arc<Watermark>,
 }
 
 impl Default for Connection {
@@ -186,6 +190,7 @@ impl Connection {
             read_only: false,
             group_commit: None,
             pending_commit: None,
+            watermark: Arc::default(),
         };
         conn.set_session_config(cfg);
         conn
@@ -273,6 +278,7 @@ impl Connection {
         });
         conn.replaying = false;
         replay?;
+        conn.publish_durable();
         Ok(conn)
     }
 
@@ -301,46 +307,56 @@ impl Connection {
         self.read_only
     }
 
-    /// Append one WAL record shipped off a primary to this replica's own
-    /// log (fsynced — the record survives a crash before it is
-    /// acknowledged upstream), then apply it through the recovery path.
-    /// Returns the replica's applied WAL byte position, which equals the
-    /// primary's position of the same record because WAL framing is
-    /// deterministic.
+    /// Append a burst of WAL records shipped off a primary to this
+    /// replica's own log with one fsync (the records survive a crash
+    /// before they are acknowledged upstream), then apply them in order
+    /// through the recovery path. Returns the replica's WAL byte position
+    /// after the burst, which equals the primary's position of its last
+    /// record because WAL framing is deterministic.
     ///
-    /// The append happens first: if the process dies between append and
-    /// apply, reopening the vault replays the record — exactly-once by
-    /// construction, with no sidecar position file.
-    pub fn apply_replicated(&mut self, payload: &[u8]) -> Result<u64> {
-        let (wal_path, record) = match self.vault.as_ref() {
-            Some(v) => (
-                sciql_store::wal_file_path(v.dir(), v.generation()),
-                v.stats().wal_records as usize,
-            ),
-            None => {
-                return Err(EngineError::msg(
-                    "replication apply requires a persistent connection",
-                ))
-            }
+    /// Records are decoded before anything is appended, so a record the
+    /// replica cannot parse never enters its log. The append happens
+    /// before the apply: if the process dies in between, reopening the
+    /// vault replays the records — exactly-once by construction, with no
+    /// sidecar position file. A record that fails to apply does not stop
+    /// the ones after it; the first failure is returned.
+    pub fn apply_replicated(&mut self, payloads: &[Vec<u8>]) -> Result<u64> {
+        let Some(v) = self.vault.as_ref() else {
+            return Err(EngineError::msg(
+                "replication apply requires a persistent connection",
+            ));
         };
-        let vault = self.vault.as_mut().expect("checked above");
-        let pos = vault.append_raw(payload).map_err(EngineError::Store)?;
-        let op = sciql_store::decode_replay_op(payload, &wal_path, record)
+        let wal_path = sciql_store::wal_file_path(v.dir(), v.generation());
+        let first = v.stats().wal_records as usize;
+        let ops = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| sciql_store::decode_replay_op(p, &wal_path, first + i))
+            .collect::<sciql_store::StoreResult<Vec<_>>>()
             .map_err(EngineError::Store)?;
+        let vault = self.vault.as_mut().expect("checked above");
+        let pos = vault.append_raw(payloads).map_err(EngineError::Store)?;
         let was = self.replaying;
         self.replaying = true;
-        let applied = match &op {
-            ReplayOp::Sql(sql) => self.execute(sql).map(|_| ()),
-            ReplayOp::CopyBatch {
-                target,
-                start,
-                columns,
-            } => self.apply_copy_batch(target, *start, columns),
-        };
+        let mut failed = None;
+        for op in &ops {
+            let applied = match op {
+                ReplayOp::Sql(sql) => self.execute(sql).map(|_| ()),
+                ReplayOp::CopyBatch {
+                    target,
+                    start,
+                    columns,
+                } => self.apply_copy_batch(target, *start, columns),
+            };
+            match applied {
+                Ok(()) => sciql_obs::global().repl_records_applied.inc(),
+                Err(e) => {
+                    failed.get_or_insert(e);
+                }
+            }
+        }
         self.replaying = was;
-        applied?;
-        sciql_obs::global().repl_records_applied.inc();
-        Ok(pos)
+        failed.map_or(Ok(pos), Err)
     }
 
     /// `(generation, WAL byte position)` of the vault — on a replica,
@@ -432,6 +448,7 @@ impl Connection {
         }
         vault.checkpoint(&objects).map_err(EngineError::Store)?;
         let new_gen = vault.generation();
+        self.watermark.publish(new_gen, vault.wal_durable());
         for s in self.arrays.values_mut() {
             s.mark_clean();
         }
@@ -640,7 +657,7 @@ impl Connection {
         // `crate::copy`), so it is excluded from statement-level logging.
         let logged = !matches!(stmt, Stmt::Copy { .. }) && !self.replaying && self.vault.is_some();
         let before = logged.then(|| self.mutation_epoch());
-        match self.dispatch_stmt(stmt) {
+        let outcome = match self.dispatch_stmt(stmt) {
             Ok(result) => {
                 if logged {
                     let sp = tracer.open(SpanId::ROOT, "wal.append");
@@ -672,6 +689,21 @@ impl Connection {
                 }
                 Err(e)
             }
+        };
+        // Replayed records are published by whoever replays them — a
+        // replica only once its whole burst has executed.
+        if !self.replaying {
+            self.publish_durable();
+        }
+        outcome
+    }
+
+    /// Publish the vault's synchronously durable WAL position (fsyncing
+    /// appends: per-statement durability, COPY batches). Under group
+    /// commit the committer publishes what its fsyncs cover.
+    fn publish_durable(&self) {
+        if let Some(v) = &self.vault {
+            self.watermark.publish(v.generation(), v.wal_durable());
         }
     }
 

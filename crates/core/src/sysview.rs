@@ -166,17 +166,22 @@ fn s(v: impl Into<String>) -> Value {
     Value::Str(v.into())
 }
 
-/// `sys.metrics`: one row per registry counter/gauge, with its HELP
-/// text — the relational face of the Prometheus exposition.
+/// `sys.metrics`: one row per registry metric, with its HELP text — the
+/// relational face of the Prometheus exposition. A histogram's value is
+/// its observation count; `sys.histograms` has its buckets.
 fn metrics_rows() -> Vec<Vec<Value>> {
     let snap = sciql_obs::global().snapshot();
     let help = |n: &str| s(sciql_obs::metric_help(n).unwrap_or(""));
-    let mut rows = Vec::with_capacity(snap.counters.len() + snap.gauges.len());
+    let mut rows =
+        Vec::with_capacity(snap.counters.len() + snap.gauges.len() + snap.histograms.len());
     for (n, v) in &snap.counters {
         rows.push(vec![s(n.clone()), s("counter"), lng(*v), help(n)]);
     }
     for (n, v) in &snap.gauges {
         rows.push(vec![s(n.clone()), s("gauge"), Value::Lng(*v), help(n)]);
+    }
+    for (n, h) in &snap.histograms {
+        rows.push(vec![s(n.clone()), s("histogram"), lng(h.count), help(n)]);
     }
     rows
 }

@@ -7,13 +7,15 @@
 //! `std::net`, with no dependency and no interaction with the binary
 //! frame protocol on the main port. Requests are served inline on the
 //! accept thread: a scrape is a few kilobytes, and short socket
-//! timeouts keep a stalled client from pinning the loop.
+//! timeouts keep a stalled client from pinning the loop. The thread
+//! blocks in `accept()`; stopping the endpoint wakes it with a loopback
+//! connection.
 
 use crate::proto::NetResult;
+use crate::stop::{wake_accept, Stop, ACCEPT_RETRY};
 use sciql::SharedEngine;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -41,22 +43,21 @@ impl MetricsEndpoint {
     /// Start serving on a background accept thread.
     pub fn serve(self) -> NetResult<MetricsHandle> {
         let addr = self.local_addr()?;
-        // Poll so the loop notices shutdown without a wake-up connection.
-        self.listener.set_nonblocking(true)?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+        let shutdown = Arc::new(Stop::default());
         let stop = Arc::clone(&shutdown);
         let engine = self.engine;
         let listener = self.listener;
         let accept = std::thread::Builder::new()
             .name("sciql-metrics-http".into())
-            .spawn(move || {
-                while !stop.load(Ordering::SeqCst) {
-                    match listener.accept() {
-                        Ok((stream, _)) => serve_one(stream, &engine),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
-                        }
-                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
+            .spawn(move || loop {
+                let accepted = listener.accept();
+                if stop.is_stopped() {
+                    break;
+                }
+                match accepted {
+                    Ok((stream, _)) => serve_one(stream, &engine),
+                    Err(_) => {
+                        stop.wait(ACCEPT_RETRY);
                     }
                 }
             })
@@ -72,7 +73,7 @@ impl MetricsEndpoint {
 /// Controls a serving [`MetricsEndpoint`].
 pub struct MetricsHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Arc<Stop>,
     accept: Option<JoinHandle<()>>,
 }
 
@@ -82,9 +83,14 @@ impl MetricsHandle {
         self.addr
     }
 
-    /// Request shutdown (idempotent, non-blocking).
+    /// Request shutdown (idempotent, non-blocking): raise the flag and
+    /// wake the blocked accept with a loopback connection.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        if self.shutdown.is_stopped() {
+            return;
+        }
+        self.shutdown.stop();
+        wake_accept(self.addr);
     }
 
     /// [`MetricsHandle::shutdown`], then block until the accept thread

@@ -38,8 +38,10 @@ pub mod client;
 pub mod http;
 pub mod proto;
 pub mod server;
+pub mod stop;
 
 pub use client::{Client, NetReply};
 pub use http::{MetricsEndpoint, MetricsHandle};
 pub use proto::{ExecReport, NetError, NetResult, ReplSnapshotFrame, WalToken, PROTO_VERSION};
 pub use server::{Server, ServerConfig, ServerHandle};
+pub use stop::Stop;

@@ -411,7 +411,7 @@ pub type WalToken = (u64, u64);
 /// generation satisfies any older-generation token: the checkpoint that
 /// rotated the WAL captured everything the token named.
 pub fn token_satisfied(applied: WalToken, required: WalToken) -> bool {
-    applied.0 > required.0 || (applied.0 == required.0 && applied.1 >= required.1)
+    sciql::commit::covers(applied, required)
 }
 
 /// `Query` payload: monotonic-read token (`(0, 0)` = none), then SQL.

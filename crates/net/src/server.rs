@@ -6,17 +6,31 @@
 //! durability when the vault is attached). Shutdown is graceful: the
 //! accept loop stops, in-flight statements finish, idle sessions are
 //! closed, and `ServerHandle::wait` returns once every handler exited.
+//!
+//! The accept loop blocks in `accept()`; a shutdown wakes it with a
+//! loopback connection to its own port. A replication link blocks on
+//! the engine's published WAL watermark and ships the moment a write is
+//! durable.
 
 use crate::proto::{self, FrameBuffer, NetError, NetResult, Op, PAGE_ROWS};
+use crate::stop::{wake_accept, Stop, ACCEPT_RETRY};
 use gdk::codec::Reader;
-use sciql::{EngineSession, ErrorCode, QueryResult, SharedEngine};
+use sciql::{EngineSession, ErrorCode, Mark, QueryResult, SessionMeter, SharedEngine};
 use std::collections::HashMap;
 use std::io::Write as _;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long a read carrying a monotonic-read token may be held before
+/// it is refused with [`ErrorCode::ReplicaLagging`].
+const TOKEN_WAIT: Duration = Duration::from_secs(2);
+
+/// An idle replication link sends a heartbeat after this long without
+/// shipping anything.
+const HEARTBEAT: Duration = Duration::from_millis(500);
 
 /// Server tuning knobs.
 #[derive(Debug, Clone)]
@@ -79,8 +93,21 @@ impl Default for ServerConfig {
 struct Shared {
     engine: Arc<SharedEngine>,
     config: ServerConfig,
-    shutdown: AtomicBool,
+    /// The listening address, for the shutdown's wake-up connection.
+    addr: SocketAddr,
+    shutdown: Stop,
     active_sessions: AtomicU64,
+}
+
+impl Shared {
+    /// Request a graceful shutdown: raise the flag, wake replication
+    /// links parked on the watermark, and unblock the accept loop with a
+    /// loopback connection to the listening port.
+    fn shut_down(&self) {
+        self.shutdown.stop();
+        self.engine.watermark().wake();
+        wake_accept(self.addr);
+    }
 }
 
 /// A bound, not-yet-serving server.
@@ -109,19 +136,20 @@ impl Server {
             engine.enable_group_commit(config.max_queued_writes);
         }
         Ok(Server {
-            listener,
             shared: Arc::new(Shared {
                 engine,
                 config,
-                shutdown: AtomicBool::new(false),
+                addr: listener.local_addr()?,
+                shutdown: Stop::default(),
                 active_sessions: AtomicU64::new(0),
             }),
+            listener,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> NetResult<SocketAddr> {
-        Ok(self.listener.local_addr()?)
+        Ok(self.shared.addr)
     }
 
     /// Start serving on a background accept thread and return a handle
@@ -130,16 +158,18 @@ impl Server {
         let addr = self.local_addr()?;
         let shared = Arc::clone(&self.shared);
         let listener = self.listener;
-        // Accept with a poll interval so the loop notices the shutdown
-        // flag without needing a wake-up connection.
-        listener.set_nonblocking(true)?;
         let handlers: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
         let accept_handlers = Arc::clone(&handlers);
         let accept = std::thread::Builder::new()
             .name("sciql-net-accept".into())
             .spawn(move || {
-                while !shared.shutdown.load(Ordering::SeqCst) {
-                    match listener.accept() {
+                // Blocks in accept(); a shutdown wakes it by connecting.
+                loop {
+                    let accepted = listener.accept();
+                    if shared.shutdown.is_stopped() {
+                        break;
+                    }
+                    match accepted {
                         Ok((stream, peer)) => {
                             // Admission: the session count is claimed
                             // *here*, before the handler thread runs, so
@@ -180,10 +210,9 @@ impl Server {
                                 }
                             }
                         }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(20));
+                        Err(_) => {
+                            shared.shutdown.wait(ACCEPT_RETRY);
                         }
-                        Err(_) => std::thread::sleep(Duration::from_millis(20)),
                     }
                 }
             })
@@ -214,7 +243,7 @@ impl ServerHandle {
     /// Has a shutdown been requested (by [`ServerHandle::shutdown`] or a
     /// client `Shutdown` frame)?
     pub fn shutting_down(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+        self.shared.shutdown.is_stopped()
     }
 
     /// Sessions currently connected.
@@ -225,7 +254,7 @@ impl ServerHandle {
     /// Request a graceful shutdown (idempotent, non-blocking): stop
     /// accepting, let in-flight statements finish, close sessions.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.shut_down();
     }
 
     /// Block until the accept loop and every session handler have
@@ -411,7 +440,7 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
         if !fb.has_complete_frame() && stream.flush_wire().is_err() {
             return SessionEnd::Broken;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.shutdown.is_stopped() {
             return SessionEnd::Shutdown;
         }
         if let Some(limit) = shared.config.idle_timeout {
@@ -502,13 +531,15 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
             }
             Op::Close => return SessionEnd::Closed,
             Op::Shutdown => {
-                shared.shutdown.store(true, Ordering::SeqCst);
+                shared.shut_down();
                 proto::write_frame(stream, &proto::bare(Op::Ok)).ok();
                 return SessionEnd::Shutdown;
             }
             Op::Query => match proto::read_query(body) {
                 Ok((token, sql)) => {
-                    if !wait_for_token(shared, token) {
+                    if token != (0, 0)
+                        && !session.wait_for_token(token, Instant::now() + TOKEN_WAIT)
+                    {
                         lagging_reply(stream, shared, token)
                     } else {
                         let result = session.execute(&sql);
@@ -659,27 +690,8 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
     }
 }
 
-/// Bounded wait for a monotonic-read token. Returns `false` when the
-/// engine has not applied the requested WAL position within ~2 s — the
-/// statement then fails typed ([`ErrorCode::ReplicaLagging`]) instead
-/// of returning stale rows.
-fn wait_for_token(shared: &Shared, token: proto::WalToken) -> bool {
-    if token == (0, 0) {
-        return true;
-    }
-    let deadline = Instant::now() + Duration::from_secs(2);
-    loop {
-        if proto::token_satisfied(shared.engine.applied_position(), token) {
-            return true;
-        }
-        if Instant::now() >= deadline || shared.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-}
-
-/// Answer a token-constrained read the replica cannot serve yet.
+/// Answer a token-constrained read the replica could not serve within
+/// [`TOKEN_WAIT`]: a typed refusal instead of stale rows.
 fn lagging_reply(stream: &mut Wire<'_>, shared: &Shared, token: proto::WalToken) -> bool {
     let (agen, apos) = shared.engine.applied_position();
     proto::write_frame(
@@ -740,14 +752,48 @@ fn ship_snapshot(shared: &Shared, stream: &mut Wire<'_>) -> Result<(u64, u64), S
     Ok((image.generation, image.durable))
 }
 
+/// What a replication link's shipper and its ack reader share.
+struct Link {
+    /// Generation and position shipped so far.
+    generation: u64,
+    shipped: u64,
+    /// The primary's durable position as of the last ship.
+    durable: u64,
+    /// The position the replica last acknowledged as applied.
+    acked: proto::WalToken,
+    /// Why the replica side ended the link, once it has.
+    end: Option<SessionEnd>,
+}
+
+impl Link {
+    /// Publish this link's positions to `sys.replication`.
+    fn publish(&self, peer: &str) {
+        sciql_obs::replication().upsert(sciql_obs::ReplLink {
+            role: sciql_obs::ReplRole::Primary,
+            peer: peer.to_owned(),
+            generation: self.generation,
+            shipped: self.shipped,
+            applied: if self.acked.0 == self.generation {
+                self.acked.1
+            } else {
+                0
+            },
+            durable: self.durable,
+        });
+    }
+}
+
 /// Stream acknowledged WAL records to a connected replica until it
 /// hangs up or the server shuts down. Entered when a session's first
 /// post-handshake frame is `ReplHello` (carrying the replica's applied
 /// position). A replica on another generation — the primary
 /// checkpointed — or ahead of the durable WAL is re-bootstrapped with
-/// a full snapshot; otherwise only records at or below the group
-/// commit's durable watermark are shipped, so a primary crash can
-/// never leave a replica *ahead* of what the primary recovers.
+/// a full snapshot; otherwise only records at or below the durable
+/// watermark are shipped, so a primary crash can never leave a replica
+/// *ahead* of what the primary recovers.
+///
+/// The session thread ships; a second thread reads the replica's
+/// `ReplAck`s and its hangup off a clone of the socket.
 fn serve_replication(
     shared: &Shared,
     stream: &mut Wire<'_>,
@@ -772,85 +818,56 @@ fn serve_replication(
         .peer_addr()
         .map(|a| a.to_string())
         .unwrap_or_else(|_| "?".into());
-    let (mut repl_gen, mut sent) = hello;
-    let mut acked = hello;
-    let mut last_send = Instant::now();
+    let Ok(rx) = stream.inner.stream.try_clone() else {
+        return SessionEnd::Broken;
+    };
+    let (fb, meter) = (std::mem::take(fb), stream.inner.meter.clone());
+    let link = Mutex::new(Link {
+        generation: hello.0,
+        shipped: hello.1,
+        durable: hello.1,
+        acked: hello,
+        end: None,
+    });
+    let end = std::thread::scope(|scope| {
+        let reader = std::thread::Builder::new()
+            .name(format!("sciql-repl-acks-{peer}"))
+            .spawn_scoped(scope, || read_acks(shared, rx, fb, meter, &link, &peer));
+        if reader.is_err() {
+            return SessionEnd::Broken;
+        }
+        let end = ship(shared, stream, hello, &link, &peer);
+        // The reader's blocking read returns once the read side is shut.
+        stream.inner.stream.shutdown(Shutdown::Read).ok();
+        end
+    });
+    sciql_obs::replication().remove(sciql_obs::ReplRole::Primary, &peer);
+    end
+}
+
+/// The replica's half of a link: acknowledgements until it hangs up.
+/// The end of the link wakes the shipper off the watermark.
+fn read_acks(
+    shared: &Shared,
+    mut rx: TcpStream,
+    mut fb: FrameBuffer,
+    meter: SessionMeter,
+    link: &Mutex<Link>,
+    peer: &str,
+) {
+    rx.set_read_timeout(None).ok();
+    let mut rx = Metered {
+        stream: &mut rx,
+        meter,
+    };
     let end = loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break SessionEnd::Shutdown;
-        }
-        let (gen, durable) = shared.engine.durable_position();
-        if gen != repl_gen || sent > durable {
-            match ship_snapshot(shared, stream) {
-                Ok((g, d)) => {
-                    repl_gen = g;
-                    sent = d;
-                    acked = (g, d);
-                    last_send = Instant::now();
-                }
-                Err(ShipError::Engine(e)) => {
-                    proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
-                    stream.flush_wire().ok();
-                    break SessionEnd::Broken;
-                }
-                Err(ShipError::Io) => break SessionEnd::Broken,
-            }
-        } else if durable > sent {
-            let batch = match shared.engine.wal_records_from(sent) {
-                Ok(b) => b,
-                Err(e) => {
-                    proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
-                    stream.flush_wire().ok();
-                    break SessionEnd::Broken;
-                }
-            };
-            // A generation mismatch here means a checkpoint slipped in
-            // between the position read and the file read; the next
-            // iteration sees the new generation and snapshots.
-            if batch.generation == repl_gen {
-                let mut dead = false;
-                for r in &batch.records {
-                    let frame = proto::repl_record(
-                        batch.generation,
-                        batch.durable,
-                        Some((r.end, &r.payload)),
-                    );
-                    if proto::write_frame(stream, &frame).is_err() {
-                        dead = true;
-                        break;
-                    }
-                    sent = r.end;
-                    sciql_obs::global().repl_records_shipped.inc();
-                }
-                last_send = Instant::now();
-                if dead || stream.flush_wire().is_err() {
-                    break SessionEnd::Broken;
-                }
-            }
-        } else if last_send.elapsed() > Duration::from_millis(500) {
-            // Heartbeat: keeps the replica's durable/lag view fresh and
-            // detects a dead peer even when the primary is idle.
-            let hb = proto::repl_record(gen, durable, None);
-            if proto::write_frame(stream, &hb).is_err() || stream.flush_wire().is_err() {
-                break SessionEnd::Broken;
-            }
-            last_send = Instant::now();
-        }
-        sciql_obs::replication().upsert(sciql_obs::ReplLink {
-            role: sciql_obs::ReplRole::Primary,
-            peer: peer.clone(),
-            generation: repl_gen,
-            shipped: sent,
-            applied: if acked.0 == repl_gen { acked.1 } else { 0 },
-            durable,
-        });
-        // Drain replica acknowledgements; the 50 ms socket read timeout
-        // paces the loop when the link is idle.
-        match fb.poll_frame(stream) {
+        match fb.poll_frame(&mut rx) {
             Ok(Some(frame)) => match proto::split(&frame) {
                 Ok((Op::ReplAck, body)) => {
                     if let Ok(pos) = proto::read_repl_position(body) {
-                        acked = pos;
+                        let mut l = link.lock().unwrap_or_else(|e| e.into_inner());
+                        l.acked = pos;
+                        l.publish(peer);
                     }
                 }
                 Ok((Op::Close, _)) => break SessionEnd::Closed,
@@ -863,8 +880,110 @@ fn serve_replication(
             Err(_) => break SessionEnd::Broken,
         }
     };
-    sciql_obs::replication().remove(sciql_obs::ReplRole::Primary, &peer);
-    end
+    link.lock().unwrap_or_else(|e| e.into_inner()).end = Some(end);
+    shared.engine.watermark().wake();
+}
+
+/// The primary's half of a link: park on the watermark until it passes
+/// what was shipped, then ship exactly the new WAL bytes; a heartbeat
+/// when idle.
+fn ship(
+    shared: &Shared,
+    stream: &mut Wire<'_>,
+    hello: proto::WalToken,
+    link: &Mutex<Link>,
+    peer: &str,
+) -> SessionEnd {
+    let watermark = shared.engine.watermark();
+    let (mut repl_gen, mut sent) = hello;
+    let mut last_send = Instant::now();
+    loop {
+        // Look before checking the exits: a wake after this look makes
+        // the wait below return at once.
+        let mark = watermark.mark();
+        if shared.shutdown.is_stopped() {
+            return SessionEnd::Shutdown;
+        }
+        if let Some(end) = link.lock().unwrap_or_else(|e| e.into_inner()).end.take() {
+            return end;
+        }
+        let (gen, durable) = mark.position();
+        let current = gen == repl_gen && sent <= durable;
+        if current && sent == durable {
+            if last_send.elapsed() < HEARTBEAT {
+                watermark.wait_past(mark, last_send + HEARTBEAT);
+                continue;
+            }
+            // Heartbeat: keeps the replica's durable/lag view fresh and
+            // detects a dead peer even when the primary is idle.
+            let hb = proto::repl_record(gen, durable, None);
+            if proto::write_frame(stream, &hb).is_err() || stream.flush_wire().is_err() {
+                return SessionEnd::Broken;
+            }
+        } else {
+            let tail = if current {
+                match ship_tail(shared, stream, mark, sent) {
+                    Ok(tail) => tail,
+                    Err(end) => return end,
+                }
+            } else {
+                None
+            };
+            match tail {
+                Some(end) => sent = end,
+                // Another generation, ahead of the durable WAL, or the
+                // generation rotated away under the tail read: bootstrap.
+                None => match ship_snapshot(shared, stream) {
+                    Ok((g, d)) => {
+                        (repl_gen, sent) = (g, d);
+                        link.lock().unwrap_or_else(|e| e.into_inner()).acked = (g, d);
+                    }
+                    Err(ShipError::Engine(e)) => {
+                        proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
+                        stream.flush_wire().ok();
+                        return SessionEnd::Broken;
+                    }
+                    Err(ShipError::Io) => return SessionEnd::Broken,
+                },
+            }
+        }
+        last_send = Instant::now();
+        let mut l = link.lock().unwrap_or_else(|e| e.into_inner());
+        (l.generation, l.shipped, l.durable) = (repl_gen, sent, durable.max(sent));
+        l.publish(peer);
+    }
+}
+
+/// Ship the WAL records between `sent` and the published durable
+/// position `mark`. Returns the new shipped position, or `None` when the
+/// generation rotated away before or during the read, or no whole
+/// record starts at `sent` (the replica's log does not line up with
+/// this one).
+fn ship_tail(
+    shared: &Shared,
+    stream: &mut Wire<'_>,
+    mark: Mark,
+    sent: u64,
+) -> Result<Option<u64>, SessionEnd> {
+    let (gen, durable) = mark.position();
+    let records = match shared.engine.wal_tail(gen, sent, durable) {
+        Ok(Some(records)) => records,
+        Ok(None) => return Ok(None),
+        Err(e) => {
+            proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
+            stream.flush_wire().ok();
+            return Err(SessionEnd::Broken);
+        }
+    };
+    let m = sciql_obs::global();
+    for r in &records {
+        let frame = proto::repl_record(gen, durable, Some((r.end, &r.payload)));
+        proto::write_frame(stream, &frame).map_err(|_| SessionEnd::Broken)?;
+        m.repl_records_shipped.inc();
+    }
+    m.repl_ship_delay_ns.observe(mark.at.elapsed());
+    stream.flush_wire().map_err(|_| SessionEnd::Broken)?;
+    Ok(records.last().map(|r| r.end))
 }
 
 /// Stream one statement's outcome: `Affected`, an `Error`, or header +

@@ -330,6 +330,8 @@ metrics_struct! {
         wal_fsync_ns: "WAL fsync latency.",
         checkpoint_ns: "Checkpoint duration.",
         group_commit_batch(BATCH_BOUNDS): "Writers retired per group-commit fsync (batch size).",
+        repl_token_wait_ns: "Time a read carrying a monotonic-read token was held until the engine's applied WAL position covered it.",
+        repl_ship_delay_ns: "Time from a durable WAL position being published to the records it covers reaching a replica's socket.",
     }
 }
 

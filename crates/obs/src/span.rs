@@ -63,9 +63,15 @@ pub struct Trace {
 impl Trace {
     /// Start a trace; the root span opens immediately.
     pub fn start(label: impl Into<String>) -> Trace {
+        Trace::start_at(label, Instant::now())
+    }
+
+    /// Start a trace whose root span opened at `epoch` — for a statement
+    /// whose first phase (a wait) was timed before its trace existed.
+    pub fn start_at(label: impl Into<String>, epoch: Instant) -> Trace {
         let label = label.into();
         Trace {
-            epoch: Instant::now(),
+            epoch,
             spans: vec![Span {
                 name: "query".to_owned(),
                 parent: None,
@@ -260,6 +266,14 @@ impl Tracer {
     pub fn on(label: impl Into<String>) -> Tracer {
         Tracer {
             inner: Some(Trace::start(label)),
+        }
+    }
+
+    /// An enabled tracer whose root span opened at `since` (see
+    /// [`Trace::start_at`]).
+    pub fn on_since(label: impl Into<String>, since: Instant) -> Tracer {
+        Tracer {
+            inner: Some(Trace::start_at(label, since)),
         }
     }
 

@@ -21,12 +21,23 @@
 //! bootstraps again. The engine lock is held for the whole swap, so a
 //! concurrent read blocks rather than observing a half-installed image.
 //!
+//! Everything one socket read delivers is applied as one **burst**,
+//! under one engine-lock acquisition: the records are appended to the
+//! replica's WAL, fsynced once, executed in order, and only then is the
+//! burst's end published on the engine's watermark and acknowledged
+//! upstream. The tailer blocks in `read` between bursts; an idle
+//! primary sends heartbeats, which are acknowledged too. [`Replica::stop`]
+//! wakes a tailer blocked in `read` by shutting its socket down. The
+//! two [`ReplicaConfig`] fields are the pause before redialling a lost
+//! primary (`reconnect_backoff`, cut short by a stop) and the client
+//! name sent in the handshake (`name`); acknowledgements need no timer.
+//!
 //! Reads against the replica go through the normal server or embedded
 //! session paths; writes are refused by the engine's read-only guard.
 //! Monotonic reads ride on the v6 wire token: a write acknowledged by
 //! the primary carries its durable WAL position, and a replica read
-//! presenting that token is held (bounded) until the replica has
-//! applied at least that much.
+//! presenting that token waits (bounded) on the watermark until the
+//! replica has applied at least that much.
 //!
 //! ```no_run
 //! use sciql_repl::Replica;
@@ -42,13 +53,13 @@
 
 use sciql::{Connection, SharedEngine};
 use sciql_net::proto::{self, FrameBuffer, Op, ReplSnapshotFrame, WalToken, PROTO_VERSION};
+use sciql_net::Stop;
 use std::io::Write as _;
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Replication errors: the local engine or the link to the primary.
 #[derive(Debug)]
@@ -84,14 +95,12 @@ impl From<sciql_net::NetError> for ReplError {
 /// Replica result type.
 pub type ReplResult<T> = Result<T, ReplError>;
 
-/// Tailer tuning knobs.
+/// Tailer tuning knobs. Acknowledgements need none: the tailer acks
+/// after every applied burst and every heartbeat.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
-    /// How often the replica acknowledges its applied position even
-    /// when nothing new arrived (feeds the primary's `sys.replication`
-    /// view and its lag gauge).
-    pub ack_interval: Duration,
-    /// Delay before redialling a lost primary.
+    /// Delay before redialling a lost primary ([`Replica::stop`] cuts
+    /// it short).
     pub reconnect_backoff: Duration,
     /// Client name announced in the handshake.
     pub name: String,
@@ -100,9 +109,40 @@ pub struct ReplicaConfig {
 impl Default for ReplicaConfig {
     fn default() -> Self {
         ReplicaConfig {
-            ack_interval: Duration::from_millis(200),
             reconnect_backoff: Duration::from_millis(500),
             name: "sciql-replica".into(),
+        }
+    }
+}
+
+/// The tailer's stop signal and its live link to the primary, which a
+/// stop shuts down so a tailer blocked in `read` returns at once.
+#[derive(Debug, Default)]
+struct Control {
+    stop: Stop,
+    link: Mutex<Option<TcpStream>>,
+}
+
+impl Control {
+    /// Keep a handle on `stream` for [`Control::stop`] to shut down.
+    /// `Ok(false)` when the stop came first.
+    fn attach(&self, stream: &TcpStream) -> std::io::Result<bool> {
+        let mut link = self.link.lock().unwrap_or_else(|e| e.into_inner());
+        if self.stop.is_stopped() {
+            return Ok(false);
+        }
+        *link = Some(stream.try_clone()?);
+        Ok(true)
+    }
+
+    /// Raise the stop flag (ending any reconnect backoff) and shut the
+    /// live link down. The flag goes up first, so a link attached
+    /// concurrently is either refused or shut here.
+    fn stop(&self) {
+        self.stop.stop();
+        let link = self.link.lock().unwrap_or_else(|e| e.into_inner()).take();
+        if let Some(s) = link {
+            s.shutdown(Shutdown::Both).ok();
         }
     }
 }
@@ -114,7 +154,7 @@ impl Default for ReplicaConfig {
 pub struct Replica {
     engine: Arc<SharedEngine>,
     primary: String,
-    stop: Arc<AtomicBool>,
+    control: Arc<Control>,
     tailer: Option<JoinHandle<()>>,
 }
 
@@ -134,21 +174,21 @@ impl Replica {
     ) -> ReplResult<Replica> {
         let dir = dir.into();
         let engine = SharedEngine::open_replica(&dir)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let control = Arc::new(Control::default());
         let tailer = {
             let engine = Arc::clone(&engine);
-            let stop = Arc::clone(&stop);
+            let control = Arc::clone(&control);
             let primary = primary_addr.to_string();
             let config = config.clone();
             std::thread::Builder::new()
                 .name("sciql-repl-tailer".into())
-                .spawn(move || tailer_loop(&engine, &primary, &config, &stop))
+                .spawn(move || tailer_loop(&engine, &primary, &config, &control))
                 .expect("spawn replication tailer")
         };
         Ok(Replica {
             engine,
             primary: primary_addr.to_string(),
-            stop,
+            control,
             tailer: Some(tailer),
         })
     }
@@ -164,7 +204,8 @@ impl Replica {
         &self.primary
     }
 
-    /// The replica's durably applied `(generation, WAL bytes)`.
+    /// The replica's applied `(generation, WAL bytes)`: the end of the
+    /// last burst it executed.
     pub fn applied(&self) -> WalToken {
         self.engine.applied_position()
     }
@@ -182,7 +223,7 @@ impl Replica {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
+        self.control.stop();
         if let Some(h) = self.tailer.take() {
             h.join().ok();
         }
@@ -201,11 +242,11 @@ fn tailer_loop(
     engine: &Arc<SharedEngine>,
     primary: &str,
     config: &ReplicaConfig,
-    stop: &AtomicBool,
+    control: &Control,
 ) {
-    while !stop.load(Ordering::SeqCst) {
-        if tail_once(engine, primary, config, stop).is_err() && !stop.load(Ordering::SeqCst) {
-            std::thread::sleep(config.reconnect_backoff);
+    while !control.stop.is_stopped() {
+        if tail_once(engine, primary, config, control).is_err() {
+            control.stop.wait(config.reconnect_backoff);
         }
     }
 }
@@ -227,10 +268,13 @@ fn tail_once(
     engine: &Arc<SharedEngine>,
     primary: &str,
     config: &ReplicaConfig,
-    stop: &AtomicBool,
+    control: &Control,
 ) -> ReplResult<()> {
     let mut stream = TcpStream::connect(primary).map_err(sciql_net::NetError::Io)?;
     stream.set_nodelay(true).ok();
+    if !control.attach(&stream).map_err(sciql_net::NetError::Io)? {
+        return Ok(());
+    }
     proto::write_frame(&mut stream, &proto::hello(&config.name))?;
     let frame = proto::read_frame(&mut stream)?
         .ok_or_else(|| ReplError::Net(sciql_net::NetError::protocol("primary hung up")))?;
@@ -253,50 +297,40 @@ fn tail_once(
             ))))
         }
     }
-    let applied = engine.applied_position();
+    // Resume from what the replica's own WAL holds, executed or not:
+    // those records are on disk and must not be shipped twice.
+    let applied = engine.connection().wal_applied();
     proto::write_frame(&mut stream, &proto::repl_position(Op::ReplHello, applied))?;
-    // Short read timeout: between frames the loop keeps checking the
-    // stop flag and the ack clock.
-    stream
-        .set_read_timeout(Some(Duration::from_millis(50)))
-        .ok();
     let mut fb = FrameBuffer::new();
     let mut bootstrap: Option<Bootstrap<'_>> = None;
     let mut primary_durable = applied.1;
-    let mut last_ack = Instant::now();
     publish(primary, applied, primary_durable);
     loop {
-        if stop.load(Ordering::SeqCst) {
-            proto::write_frame(&mut stream, &proto::bare(Op::Close)).ok();
-            return Ok(());
-        }
-        let frame = match fb.poll_frame(&mut stream) {
-            Ok(Some(f)) => Some(f),
-            Ok(None) => None,
-            Err(e) => return Err(ReplError::Net(e)),
+        // Block until the primary sends something, then take every frame
+        // that read completed.
+        let Some(first) = fb.poll_frame(&mut stream)? else {
+            continue;
         };
-        if let Some(frame) = frame {
-            match proto::split(&frame)? {
+        let mut frames = vec![first];
+        while fb.has_complete_frame() {
+            frames.extend(fb.poll_frame(&mut stream)?);
+        }
+        let mut burst = Burst::default();
+        let mut ack = false;
+        for frame in &frames {
+            match proto::split(frame)? {
                 (Op::ReplRecord, body) => {
                     let (generation, durable, record) = proto::read_repl_record(body)?;
                     primary_durable = durable;
-                    if let Some((end, payload)) = record {
-                        let pos = engine.connection().apply_replicated(&payload)?;
-                        if pos != end {
-                            // Byte parity broken — the stream cannot be
-                            // trusted record-by-record any more. Drop
-                            // the link; the redial announces the
-                            // diverged position and the primary answers
-                            // with a fresh bootstrap.
-                            return Err(ReplError::Net(sciql_net::NetError::protocol(format!(
-                                "replica WAL diverged: applied to byte {pos}, \
-                                 primary says {end} (generation {generation})"
-                            ))));
-                        }
+                    match record {
+                        Some((end, payload)) => burst.push(generation, end, payload),
+                        None => ack = true,
                     }
                 }
                 (Op::ReplSnapshot, body) => {
+                    ack |= burst.apply(engine, bootstrap.is_some())?;
                     let f = proto::read_repl_snapshot(body)?;
+                    ack |= matches!(f, ReplSnapshotFrame::End);
                     apply_snapshot_frame(engine, &mut bootstrap, f)?;
                 }
                 (Op::Error, body) => return Err(ReplError::Net(proto::read_error(body))),
@@ -307,15 +341,64 @@ fn tail_once(
                 }
             }
         }
-        // While a bootstrap holds the engine lock, position reads would
-        // deadlock — and there is nothing meaningful to acknowledge.
-        if bootstrap.is_none() && last_ack.elapsed() >= config.ack_interval {
+        ack |= burst.apply(engine, bootstrap.is_some())?;
+        // While a bootstrap holds the engine lock there is nothing
+        // meaningful to acknowledge.
+        if ack && bootstrap.is_none() {
             let applied = engine.applied_position();
             proto::write_frame(&mut stream, &proto::repl_position(Op::ReplAck, applied))?;
             stream.flush().map_err(sciql_net::NetError::Io)?;
             publish(primary, applied, primary_durable.max(applied.1));
-            last_ack = Instant::now();
         }
+    }
+}
+
+/// The WAL records one socket read delivered, in order.
+#[derive(Default)]
+struct Burst {
+    payloads: Vec<Vec<u8>>,
+    /// Generation and end position of the last record, per the primary.
+    generation: u64,
+    end: u64,
+}
+
+impl Burst {
+    fn push(&mut self, generation: u64, end: u64, payload: Vec<u8>) {
+        self.payloads.push(payload);
+        (self.generation, self.end) = (generation, end);
+    }
+
+    /// Append, fsync and execute the burst under one engine-lock
+    /// acquisition, then publish its end on the watermark — only now
+    /// may a token waiter see it. Returns whether there was anything.
+    fn apply(&mut self, engine: &SharedEngine, bootstrapping: bool) -> ReplResult<bool> {
+        if self.payloads.is_empty() {
+            return Ok(false);
+        }
+        if bootstrapping {
+            return Err(ReplError::Net(sciql_net::NetError::protocol(
+                "WAL record in the middle of a snapshot transfer",
+            )));
+        }
+        let (generation, pos) = {
+            let mut conn = engine.connection();
+            conn.apply_replicated(&self.payloads)?;
+            conn.wal_applied()
+        };
+        self.payloads.clear();
+        if pos != self.end {
+            // Byte parity broken — the stream cannot be trusted record
+            // by record any more. Drop the link; the redial announces
+            // the diverged position and the primary answers with a
+            // fresh bootstrap.
+            return Err(ReplError::Net(sciql_net::NetError::protocol(format!(
+                "replica WAL diverged: applied to byte {pos}, primary says {} \
+                 (generation {})",
+                self.end, self.generation
+            ))));
+        }
+        engine.watermark().publish(generation, pos);
+        Ok(true)
     }
 }
 
@@ -453,8 +536,12 @@ fn apply_snapshot_frame<'a>(
             }
             std::fs::remove_dir_all(&b.staging).ok();
             // Swap the received image in; reopening replays its WAL
-            // through the same recovery path a restart uses.
+            // through the same recovery path a restart uses. The new
+            // image may sit behind the old one, so the watermark is
+            // reset, not advanced.
             *b.guard = Connection::open_replica(&b.dir)?;
+            let (generation, pos) = b.guard.wal_applied();
+            engine.watermark().reset(generation, pos);
         }
     }
     Ok(())

@@ -782,21 +782,24 @@ impl Vault {
         r
     }
 
-    /// Append one already-encoded WAL record payload verbatim and force
-    /// it to disk — the replication replica's apply path. Because WAL
-    /// framing is deterministic, appending the primary's payload
-    /// sequence reproduces the primary's byte offsets exactly, so the
-    /// returned position (the log's byte length after the record) *is*
-    /// the replica's durably applied position. Errors name this vault's
-    /// data dir — the replica's, not the shipping primary's.
-    pub fn append_raw(&mut self, payload: &[u8]) -> StoreResult<u64> {
-        self.wal.append(payload).map_err(|e| {
-            StoreError::corrupt(format!(
-                "replicated record append failed (data dir {}): {e}",
-                self.dir.display()
-            ))
-        })?;
-        sciql_obs::global().wal_appends.inc();
+    /// Append a burst of already-encoded WAL record payloads verbatim,
+    /// in order, and force them to disk with one fsync — the replication
+    /// replica's apply path. Because WAL framing is deterministic,
+    /// appending the primary's payload sequence reproduces the primary's
+    /// byte offsets exactly, so the returned position (the log's byte
+    /// length after the last record) *is* the replica's durable
+    /// position. Errors name this vault's data dir — the replica's, not
+    /// the shipping primary's.
+    pub fn append_raw<P: AsRef<[u8]>>(&mut self, payloads: &[P]) -> StoreResult<u64> {
+        for payload in payloads {
+            self.wal.append(payload.as_ref()).map_err(|e| {
+                StoreError::corrupt(format!(
+                    "replicated record append failed (data dir {}): {e}",
+                    self.dir.display()
+                ))
+            })?;
+            sciql_obs::global().wal_appends.inc();
+        }
         self.synced_to_disk()?;
         self.wal_durable = self.wal.bytes();
         Ok(self.wal.bytes())

@@ -175,22 +175,37 @@ pub fn scan_wal_for(path: &Path, data_dir: Option<&Path>) -> StoreResult<WalScan
     })
 }
 
-/// Read every intact record whose frame ends *after* byte offset `from`,
-/// with end offsets — the primary's WAL-shipping cursor. A torn tail is
-/// not an error here: the file is read while a writer may be mid-append,
-/// and the caller caps shipping at the group-commit durable position
-/// anyway.
-pub fn read_wal_from(path: &Path, from: u64) -> StoreResult<Vec<WalRecord>> {
-    let (mut records, _) = scan_frames(path, None)?;
-    records.retain(|r| r.end > from);
-    Ok(records)
+/// Read the intact records whose frames lie in the byte range
+/// `[from, to)` of the log, with end offsets — the primary's
+/// WAL-shipping tail read. `from` must be a record boundary (the header
+/// length, or some record's end); only the bytes of the range are read
+/// and checksummed, so a ship costs what was written since the last one,
+/// not the whole log. Pass `u64::MAX` as `to` to read to the end of the
+/// file. A torn tail ends the read cleanly; a checksum failure with
+/// intact bytes after it inside the range is corruption, exactly as in
+/// recovery.
+pub fn read_wal_from(path: &Path, from: u64, to: u64) -> StoreResult<Vec<WalRecord>> {
+    if from < HEADER_LEN {
+        // From the top: the header needs checking too.
+        let (mut records, _) = scan_frames(path, None)?;
+        records.retain(|r| r.end <= to);
+        return Ok(records);
+    }
+    let mut file = File::open(path)?;
+    file.seek(SeekFrom::Start(from))?;
+    let mut buf = Vec::new();
+    file.take(to.saturating_sub(from)).read_to_end(&mut buf)?;
+    Ok(parse_frames(&buf, from, path, None)?.0)
+}
+
+fn in_dir(data_dir: Option<&Path>) -> String {
+    match data_dir {
+        Some(d) => format!(" (data dir {})", d.display()),
+        None => String::new(),
+    }
 }
 
 fn scan_frames(path: &Path, data_dir: Option<&Path>) -> StoreResult<(Vec<WalRecord>, u64)> {
-    let in_dir = || match data_dir {
-        Some(d) => format!(" (data dir {})", d.display()),
-        None => String::new(),
-    };
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
     if buf.len() < HEADER_LEN as usize {
@@ -201,7 +216,7 @@ fn scan_frames(path: &Path, data_dir: Option<&Path>) -> StoreResult<(Vec<WalReco
         return Err(StoreError::corrupt(format!(
             "WAL {} has bad magic{}",
             path.display(),
-            in_dir()
+            in_dir(data_dir)
         )));
     }
     let version = u16::from_le_bytes([buf[4], buf[5]]);
@@ -209,11 +224,23 @@ fn scan_frames(path: &Path, data_dir: Option<&Path>) -> StoreResult<(Vec<WalReco
         return Err(StoreError::corrupt(format!(
             "WAL {} has unsupported version {version}{}",
             path.display(),
-            in_dir()
+            in_dir(data_dir)
         )));
     }
+    parse_frames(&buf[HEADER_LEN as usize..], HEADER_LEN, path, data_dir)
+}
+
+/// Parse the frames in `buf`, which holds the log's bytes from file
+/// offset `base` on. Returns the intact records and the file offset the
+/// last one ends at.
+fn parse_frames(
+    buf: &[u8],
+    base: u64,
+    path: &Path,
+    data_dir: Option<&Path>,
+) -> StoreResult<(Vec<WalRecord>, u64)> {
     let mut records: Vec<WalRecord> = Vec::new();
-    let mut pos = HEADER_LEN as usize;
+    let mut pos = 0usize;
     loop {
         if buf.len() - pos < 8 {
             break; // incomplete frame header
@@ -234,23 +261,24 @@ fn scan_frames(path: &Path, data_dir: Option<&Path>) -> StoreResult<(Vec<WalReco
             let frame_end = pos + 8 + len;
             if frame_end < buf.len() {
                 return Err(StoreError::corrupt(format!(
-                    "WAL {} record {} at byte offset {pos} failed its checksum with {} \
+                    "WAL {} record {} at byte offset {} failed its checksum with {} \
                      intact bytes after it — mid-log corruption, not a torn tail{}",
                     path.display(),
                     records.len(),
+                    base + pos as u64,
                     buf.len() - frame_end,
-                    in_dir()
+                    in_dir(data_dir)
                 )));
             }
             break; // torn tail: stop replay at the last sync point
         }
         pos += 8 + len;
         records.push(WalRecord {
-            end: pos as u64,
+            end: base + pos as u64,
             payload: payload.to_vec(),
         });
     }
-    Ok((records, pos as u64))
+    Ok((records, base + pos as u64))
 }
 
 #[cfg(test)]
@@ -361,6 +389,76 @@ mod tests {
         bytes[HEADER_LEN as usize + 9] ^= 0xFF;
         std::fs::write(&p, &bytes).unwrap();
         assert!(matches!(scan_wal(&p), Err(StoreError::Corrupt(_))));
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// A log of `n` records `rec-0 … rec-{n-1}`, synced.
+    fn log_of(name: &str, n: usize) -> (std::path::PathBuf, WalWriter) {
+        let p = tmp(name);
+        let mut w = WalWriter::create(&p).unwrap();
+        for i in 0..n {
+            w.append(format!("rec-{i}").as_bytes()).unwrap();
+        }
+        w.sync().unwrap();
+        (p, w)
+    }
+
+    #[test]
+    fn tail_read_from_mid_log_matches_full_scan() {
+        let (p, w) = log_of("tail-mid.log", 6);
+        let full = read_wal_from(&p, 0, u64::MAX).unwrap();
+        assert_eq!(full.len(), 6);
+        assert_eq!(full.last().unwrap().end, w.bytes());
+        for k in 0..full.len() {
+            let tail = read_wal_from(&p, full[k].end, u64::MAX).unwrap();
+            assert_eq!(tail, full[k + 1..], "tail after record {k}");
+        }
+        // A capped read stops at the cap, on a record boundary.
+        let capped = read_wal_from(&p, full[1].end, full[4].end).unwrap();
+        assert_eq!(capped, full[2..5]);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn tail_read_stops_cleanly_at_a_torn_tail() {
+        let (p, w) = log_of("tail-torn.log", 3);
+        let good = w.bytes();
+        drop(w);
+        let mut f = OpenOptions::new().append(true).open(&p).unwrap();
+        f.write_all(&50u32.to_le_bytes()).unwrap();
+        f.write_all(&0u32.to_le_bytes()).unwrap();
+        f.write_all(b"half a rec").unwrap();
+        drop(f);
+        let full = read_wal_from(&p, 0, u64::MAX).unwrap();
+        assert_eq!(full.len(), 3);
+        assert_eq!(full[2].end, good);
+        let tail = read_wal_from(&p, full[0].end, u64::MAX).unwrap();
+        assert_eq!(tail, full[1..]);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn tail_read_reports_mid_log_corruption() {
+        let (p, w) = log_of("tail-crc.log", 4);
+        let full = read_wal_from(&p, 0, u64::MAX).unwrap();
+        drop(w);
+        // Flip a payload byte of record 2: record 3 stays intact after it.
+        let mut bytes = std::fs::read(&p).unwrap();
+        bytes[full[1].end as usize + 9] ^= 0xFF;
+        std::fs::write(&p, &bytes).unwrap();
+        assert!(matches!(
+            read_wal_from(&p, full[0].end, u64::MAX),
+            Err(StoreError::Corrupt(_))
+        ));
+        assert!(matches!(scan_wal(&p), Err(StoreError::Corrupt(_))));
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn tail_read_at_end_of_file_is_empty() {
+        let (p, w) = log_of("tail-end.log", 2);
+        assert!(read_wal_from(&p, w.bytes(), u64::MAX).unwrap().is_empty());
+        assert!(read_wal_from(&p, w.bytes(), w.bytes()).unwrap().is_empty());
         std::fs::remove_file(&p).ok();
     }
 }

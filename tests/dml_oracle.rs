@@ -692,10 +692,17 @@ fn gen_e(rng: &mut StdRng, names: &[&'static str], depth: u32) -> E {
     }
 }
 
-/// A condition; its left side reads a column, so no condition is a
-/// constant the binder could fold away (a folded `WHEN` drops out of the
-/// `CASE`'s type).
+/// A condition; usually its left side reads a column, sometimes it is
+/// a constant comparison the code generator folds away (the `CASE` keeps
+/// the folded arm's type all the same).
 fn gen_c(rng: &mut StdRng, names: &[&'static str]) -> C {
+    if rng.gen_bool(0.15) {
+        return C::Cmp(
+            E::Int(rng.gen_range(0..4)),
+            pick(rng, &["=", "<>", "<"]),
+            E::Int(rng.gen_range(0..4)),
+        );
+    }
     let col = E::Col(pick(rng, names));
     let cmp = C::Cmp(
         if rng.gen_bool(0.5) {

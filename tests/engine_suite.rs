@@ -193,6 +193,70 @@ fn bigint_comparison_is_exact() {
     }
 }
 
+/// A `WHEN` that folds to a constant drops out of the `CASE`'s
+/// evaluation, not out of its type: the arms still promote together.
+#[test]
+fn case_type_survives_constant_folded_arms() {
+    let mut c = conn();
+    c.execute_script(
+        "CREATE TABLE t (i INT, d DOUBLE); INSERT INTO t VALUES (7, 2.5); \
+         CREATE ARRAY g (x INT DIMENSION[0:1:2], d DOUBLE DEFAULT 0.5, v INT DEFAULT 0);",
+    )
+    .unwrap();
+    for (sql, want) in [
+        // A false arm folded away: the ELSE's int is promoted to double.
+        (
+            "SELECT CASE WHEN 4 = 2 THEN d ELSE 1 END FROM t",
+            Value::Dbl(1.0),
+        ),
+        // A true arm folded in: later arms still count.
+        (
+            "SELECT CASE WHEN 1 = 1 THEN i ELSE d END FROM t",
+            Value::Dbl(7.0),
+        ),
+        (
+            "SELECT CASE WHEN i > 0 THEN i WHEN 2 < 1 THEN d ELSE 3 END FROM t",
+            Value::Dbl(7.0),
+        ),
+        (
+            "SELECT CASE WHEN NULL = 1 THEN d ELSE i END FROM t",
+            Value::Dbl(7.0),
+        ),
+        // Nothing folded, nothing mixed: no cast.
+        (
+            "SELECT CASE WHEN 1 = 1 THEN i ELSE 2 END FROM t",
+            Value::Int(7),
+        ),
+        (
+            "SELECT CASE WHEN i > 0 THEN i ELSE 2 END FROM t",
+            Value::Int(7),
+        ),
+        // Over array cells, too.
+        (
+            "SELECT CASE WHEN 4 = 2 THEN d ELSE x END FROM g WHERE x = 1",
+            Value::Dbl(1.0),
+        ),
+    ] {
+        assert_eq!(c.query(sql).unwrap().scalar().unwrap(), want, "{sql}");
+    }
+    // A bound parameter left over is cast as a column, not as a scalar.
+    c.prepare("p", "SELECT CASE WHEN 4 = 2 THEN d ELSE ? END FROM t")
+        .unwrap();
+    let rs = c
+        .execute_prepared("p", &[Value::Int(4)])
+        .unwrap()
+        .rows()
+        .unwrap();
+    assert_eq!(rs.scalar().unwrap(), Value::Dbl(4.0));
+    // The stored result follows the attribute's type either way.
+    c.execute("UPDATE g SET v = CASE WHEN 4 = 2 THEN d ELSE x + 1 END")
+        .unwrap();
+    assert_eq!(
+        c.query("SELECT SUM(v) FROM g").unwrap().scalar().unwrap(),
+        Value::Lng(3)
+    );
+}
+
 #[test]
 fn expressions_and_functions() {
     let mut c = conn();

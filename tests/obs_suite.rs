@@ -659,3 +659,106 @@ fn metrics_endpoint_serves_during_workload() {
     scrape.stop();
     handle.stop();
 }
+
+/// The replication waits are measured: after one routed write → read,
+/// the primary has timed a ship (`repl_ship_delay_ns`) and the replica a
+/// token-carrying read (`repl_token_wait_ns`) — visible in the registry,
+/// in `sys.metrics`, in `sys.histograms` and in the `/metrics` text.
+#[test]
+fn replication_waits_land_in_both_histograms() {
+    let dir = fresh_dir("replwaits");
+    let primary = SharedEngine::open(dir.join("primary")).unwrap();
+    let phandle = Server::bind(std::sync::Arc::clone(&primary), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let replica =
+        sciql_repro::repl::Replica::connect(dir.join("replica"), &phandle.addr().to_string())
+            .unwrap();
+    let rhandle = Server::bind(std::sync::Arc::clone(replica.engine()), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let mut conn = Sciql::connect(&format!("tcp://{},{}", phandle.addr(), rhandle.addr())).unwrap();
+    conn.execute("CREATE TABLE w (a INT)").unwrap();
+    conn.execute("INSERT INTO w VALUES (1)").unwrap();
+    let mut rows = conn.query("SELECT COUNT(*) FROM w").unwrap();
+    assert_eq!(rows.next_row().unwrap().get::<i64>(0).unwrap(), 1);
+
+    const WAITS: [&str; 2] = ["repl_token_wait_ns", "repl_ship_delay_ns"];
+    let snap = sciql_repro::obs::global().snapshot();
+    for name in WAITS {
+        let h = snap.histogram(name).unwrap();
+        assert!(h.count > 0, "{name} is empty");
+        let counted = conn
+            .query(&format!(
+                "SELECT value FROM sys.metrics WHERE name = '{name}' AND kind = 'histogram'"
+            ))
+            .unwrap()
+            .next_row()
+            .unwrap()
+            .get::<i64>(0)
+            .unwrap();
+        assert!(counted > 0, "sys.metrics: {name}");
+        let inf = conn
+            .query(&format!(
+                "SELECT count FROM sys.histograms WHERE name = '{name}' AND bucket_le_ns IS NULL"
+            ))
+            .unwrap()
+            .next_row()
+            .unwrap()
+            .get::<i64>(0)
+            .unwrap();
+        assert!(inf > 0, "sys.histograms: {name}");
+    }
+    let prom = snap.to_prometheus_text();
+    assert!(prom.contains("# TYPE sciql_repl_token_wait_seconds histogram"));
+    assert!(prom.contains("# TYPE sciql_repl_ship_delay_seconds histogram"));
+
+    conn.close().unwrap();
+    replica.stop();
+    rhandle.stop();
+    phandle.stop();
+}
+
+/// A read held on its monotonic-read token carries the wait as the first
+/// span of its trace, inside the statement's root span.
+#[test]
+fn a_read_held_on_its_token_traces_the_wait() {
+    use std::time::{Duration, Instant};
+
+    let engine = SharedEngine::in_memory();
+    let mut s = engine.session();
+    s.execute("CREATE TABLE t (a INT)").unwrap();
+    s.set_tracing(true);
+    // Nothing will ever publish (0, 0) → (0, 64) but this thread: the
+    // read must wait for it.
+    let publisher = {
+        let engine = std::sync::Arc::clone(&engine);
+        std::thread::spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            engine.watermark().publish(0, 64);
+        })
+    };
+    assert!(s.wait_for_token((0, 64), Instant::now() + Duration::from_secs(2)));
+    publisher.join().unwrap();
+    s.query("SELECT COUNT(*) FROM t").unwrap();
+    let trace = s.last_trace().expect("tracing is on");
+    trace.check().unwrap();
+    let wait = &trace.spans()[1];
+    assert_eq!(wait.name, "repl.token_wait", "{}", trace.render());
+    assert!(wait.dur_ns >= 20_000_000, "{}", trace.render());
+    // Only the read that waited carries it.
+    s.query("SELECT COUNT(*) FROM t").unwrap();
+    let next = s.last_trace().unwrap();
+    assert!(next.spans().iter().all(|sp| sp.name != "repl.token_wait"));
+    // A token the engine already covers is not a wait.
+    assert!(s.wait_for_token((0, 64), Instant::now()));
+    s.query("SELECT COUNT(*) FROM t").unwrap();
+    assert!(s
+        .last_trace()
+        .unwrap()
+        .spans()
+        .iter()
+        .all(|sp| sp.name != "repl.token_wait"));
+}

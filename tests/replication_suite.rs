@@ -70,22 +70,23 @@ fn assert_twin_vaults(a: &Path, b: &Path, context: &str) {
     }
 }
 
-/// Poll until the replica's applied position reaches the primary's
-/// durable one (or fail loudly after a generous deadline).
+/// Block on the replica's watermark until its applied position reaches
+/// the primary's durable one (or fail loudly after a generous deadline).
 fn wait_caught_up(primary: &Arc<SharedEngine>, replica: &Replica, context: &str) {
     let deadline = Instant::now() + Duration::from_secs(30);
+    let applied = replica.engine().watermark();
     loop {
+        let seen = applied.mark();
         let durable = primary.durable_position();
-        if replica.applied() == durable {
+        if seen.position() == durable {
             return;
         }
         assert!(
             Instant::now() < deadline,
-            "{context}: replica stuck at {:?}, primary durable {:?}",
-            replica.applied(),
-            durable
+            "{context}: replica stuck at {:?}, primary durable {durable:?}",
+            seen.position()
         );
-        std::thread::sleep(Duration::from_millis(10));
+        applied.wait_past(seen, deadline);
     }
 }
 
@@ -359,6 +360,66 @@ fn routed_driver_reads_own_writes_via_replica() {
     }
     drop(phandle.wait());
     drop(rhandle.wait());
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
+
+/// Shipping is driven by the durable watermark, not by a poll, so a
+/// routed read that follows its write is served by the replica without
+/// ever running out the `ReplicaLagging` bound — 200 times in a row.
+#[test]
+fn routed_reads_after_writes_never_lag() {
+    let primary_dir = fresh_dir("nolag-primary");
+    let replica_dir = fresh_dir("nolag-replica");
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let phandle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let paddr = phandle.addr().to_string();
+    let replica = Replica::connect(&replica_dir, &paddr).unwrap();
+    let rhandle = Server::bind(Arc::clone(replica.engine()), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let mut conn = Sciql::connect(&format!("tcp://{paddr},{}", rhandle.addr())).unwrap();
+    conn.execute("CREATE TABLE seq (n INT)").unwrap();
+    for i in 0..200i64 {
+        conn.execute(&format!("INSERT INTO seq VALUES ({i})"))
+            .unwrap();
+        let mut rows = conn
+            .query("SELECT COUNT(*) FROM seq")
+            .unwrap_or_else(|e| panic!("read after write {i}: {e}"));
+        assert_eq!(rows.next_row().unwrap().get::<i64>(0).unwrap(), i + 1);
+    }
+    conn.close().unwrap();
+    replica.stop();
+    rhandle.stop();
+    phandle.stop();
+    drop(engine);
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
+
+/// The tailer blocks in `read` on an idle link; `Replica::stop` wakes it
+/// by shutting the socket down, so stopping takes well under a second.
+#[test]
+fn replica_stop_on_an_idle_link_is_prompt() {
+    let primary_dir = fresh_dir("idle-primary");
+    let replica_dir = fresh_dir("idle-replica");
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let replica = Replica::connect(&replica_dir, &handle.addr().to_string()).unwrap();
+    wait_caught_up(&engine, &replica, "idle link");
+    let t0 = Instant::now();
+    replica.stop();
+    let took = t0.elapsed();
+    assert!(took < Duration::from_secs(1), "Replica::stop took {took:?}");
+    handle.stop();
+    drop(engine);
     std::fs::remove_dir_all(&primary_dir).ok();
     std::fs::remove_dir_all(&replica_dir).ok();
 }
