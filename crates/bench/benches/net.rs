@@ -1,6 +1,8 @@
-//! Network benchmark: wire round-trip latency and result-streaming
-//! throughput of the `sciql-net` server over loopback, with the embedded
-//! engine as the no-network baseline.
+//! Network benchmark: the `sciql-net` server's write path over loopback,
+//! the N-client group-commit gauntlet and replication. Round trips and
+//! result streaming are measured end to end by `benchmark/`'s
+//! `tcp-stream` workload (`net.rtt_us`, `stmt.select_4k`,
+//! `net.tcp_over_embedded`), not here.
 //!
 //! Run with `CRITERION_JSON_OUT=BENCH_net.json cargo bench -p sciql-bench
 //! --bench net` to record a baseline.
@@ -17,7 +19,6 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
 const SIDE: usize = 64;
-const CELLS: usize = SIDE * SIDE; // 4096 rows streamed by the big SELECT
 
 /// One served engine with the benchmark schema.
 fn served() -> (ServerHandle, Client) {
@@ -37,43 +38,6 @@ fn served() -> (ServerHandle, Client) {
         .unwrap();
     let client = Client::connect(handle.addr()).unwrap();
     (handle, client)
-}
-
-/// Pure protocol round trip (ping/pong): the floor every query pays.
-fn bench_roundtrip(c: &mut Criterion) {
-    let mut g = c.benchmark_group("net/roundtrip");
-    let (handle, mut client) = served();
-    g.bench_function(BenchmarkId::from_parameter("ping"), |b| {
-        b.iter(|| client.ping().unwrap())
-    });
-    // Smallest possible query: parse + snapshot + 1×1 result over the wire.
-    g.bench_function(BenchmarkId::from_parameter("select_scalar"), |b| {
-        b.iter(|| black_box(client.query("SELECT 1 + 1").unwrap()))
-    });
-    client.shutdown_server().unwrap();
-    handle.wait();
-    g.finish();
-}
-
-/// Streaming a 4096-row result: header + pages + reassembly, vs the
-/// embedded engine answering the same query with no wire in between.
-fn bench_streaming(c: &mut Criterion) {
-    let mut g = c.benchmark_group("net/stream");
-    g.throughput(Throughput::Elements(CELLS as u64));
-    let (handle, mut client) = served();
-    g.bench_function(BenchmarkId::from_parameter("select_4k_rows_net"), |b| {
-        b.iter(|| black_box(client.query("SELECT x, y, v FROM big").unwrap()))
-    });
-    let engine = {
-        client.shutdown_server().unwrap();
-        handle.wait()
-    };
-    let mut embedded = engine.session();
-    g.bench_function(
-        BenchmarkId::from_parameter("select_4k_rows_embedded"),
-        |b| b.iter(|| black_box(embedded.query("SELECT x, y, v FROM big").unwrap())),
-    );
-    g.finish();
 }
 
 /// Write path over the wire: the per-statement cost a remote client pays
@@ -370,9 +334,9 @@ fn append_json_line(line: &str) {
 criterion_group! {
     name = benches;
     config = sciql_bench::criterion_config();
-    targets = bench_roundtrip, bench_streaming, bench_writes, bench_concurrency, bench_replication
+    targets = bench_writes, bench_concurrency, bench_replication
 }
 fn main() {
-    sciql_bench::emit_meta("net", &[("rows_streamed", 4096), ("concurrency_stmts_per_client_round", 7), ("replication_read_batch", 12)], "sciql-net loopback round-trip/streaming/write benchmarks plus the N-client group-commit concurrency gauntlet and the replication catch-up / read fan-out pair; embedded twin measures the no-wire path");
+    sciql_bench::emit_meta("net", &[("concurrency_stmts_per_client_round", 7), ("replication_read_batch", 12)], "sciql-net loopback write benchmark plus the N-client group-commit concurrency gauntlet and the replication catch-up / read fan-out pair");
     benches();
 }

@@ -49,9 +49,6 @@ const TRACKED: &[(&str, &str)] = &[
         "persistence/recovery/cold_open_checkpoint",
     ),
     ("BENCH_store.json", "persistence/dml/insert_durable"),
-    ("BENCH_net.json", "net/roundtrip/ping"),
-    ("BENCH_net.json", "net/roundtrip/select_scalar"),
-    ("BENCH_net.json", "net/stream/select_4k_rows_net"),
     ("BENCH_driver.json", "driver/cells_1k/prepared"),
     ("BENCH_driver.json", "driver/cells_1k/unprepared"),
     ("BENCH_driver.json", "driver/cells_256k/prepared"),

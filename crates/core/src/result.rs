@@ -1,8 +1,10 @@
 //! Query results: tabular column sets with SciQL array metadata.
 
 use crate::{EngineError, Result};
-use gdk::{Bat, ScalarType, Value};
+use gdk::strheap::StrHeap;
+use gdk::{Bat, ColumnData, ScalarType, Value};
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Metadata of one result column.
@@ -160,21 +162,64 @@ impl ResultSet {
         out
     }
 
-    /// Encode rows `[start, start+n)` as one wire page: `u32` row count,
-    /// then the values row-major through [`gdk::codec::encode_value`]
-    /// (which preserves nils and the NaN sentinel bit-exactly).
+    /// Encode rows `[start, start+n)` as one wire page (see
+    /// [`ResultSet::put_page`]).
     pub fn encode_page(&self, start: usize, n: usize) -> Vec<u8> {
-        use gdk::codec::{encode_value, put_u32};
-        let end = (start + n).min(self.row_count());
-        let start = start.min(end);
+        let end = start.saturating_add(n).min(self.row_count());
         let mut out = Vec::new();
-        put_u32(&mut out, (end - start) as u32);
-        for r in start..end {
-            for b in &self.bats {
-                encode_value(&b.get(r), &mut out);
+        self.put_page(start.min(end)..end, &mut out);
+        out
+    }
+
+    /// Append rows `rows` as one page body: `u32` row count, then each
+    /// column's slice of those rows as a [`gdk::codec::put_column`] body
+    /// — the vault tile encoding, nil sentinels and double bit patterns
+    /// in place, strings with a page-local dictionary, a void column as
+    /// its sequence.
+    pub fn put_page(&self, rows: Range<usize>, out: &mut Vec<u8>) {
+        use gdk::codec::{put_column, put_u32, StrDict};
+        put_u32(
+            out,
+            u32::try_from(rows.len()).expect("a page holds fewer than 2^32 rows"),
+        );
+        for b in &self.bats {
+            put_column(b.data(), rows.clone(), StrDict::Used, out);
+        }
+    }
+
+    /// Rows in the page that starts at row `start`: at most `max_rows`,
+    /// and the page closes once its cells reach `max_bytes` (it always
+    /// holds at least one row, so a single oversized row still travels).
+    /// Fixed-width rows divide the byte bound; string columns add each
+    /// row's string bytes.
+    pub fn page_rows(&self, start: usize, max_rows: usize, max_bytes: usize) -> usize {
+        let max_rows = max_rows.max(1).min(self.row_count().saturating_sub(start));
+        let fixed: usize = self.bats.iter().map(|b| cell_width(b.data())).sum();
+        let strs: Vec<(&[u32], &StrHeap)> = self
+            .bats
+            .iter()
+            .filter_map(|b| match b.data() {
+                ColumnData::Str { idx, heap } => Some((&idx[..], heap)),
+                _ => None,
+            })
+            .collect();
+        if strs.is_empty() {
+            return match fixed {
+                0 => max_rows,
+                w => max_rows.min(max_bytes.div_ceil(w).max(1)),
+            };
+        }
+        let mut bytes = 0;
+        for n in 0..max_rows {
+            if n > 0 && bytes >= max_bytes {
+                return n;
+            }
+            bytes += fixed;
+            for (idx, heap) in &strs {
+                bytes += heap.get(idx[start + n]).map_or(0, str::len);
             }
         }
-        out
+        max_rows
     }
 
     /// Split the whole result into pages of at most `rows_per_page` rows.
@@ -184,12 +229,9 @@ impl ResultSet {
     }
 
     /// Lazily encode the result as wire pages bounded by **both** row
-    /// count and encoded size: a page closes once it holds `max_rows`
-    /// rows *or* its body exceeds `max_bytes` (it always holds at least
-    /// one row, so a single oversized row can still exceed the soft
-    /// byte bound). The server streams these one at a time — nothing
-    /// beyond the current page is materialised, and wide string rows
-    /// cannot balloon a fixed-row-count page past the frame limit.
+    /// count and encoded size, as [`ResultSet::page_rows`] cuts them.
+    /// Nothing beyond the current page is materialised, and wide string
+    /// rows cannot balloon a fixed-row-count page past the frame limit.
     pub fn pages(&self, max_rows: usize, max_bytes: usize) -> PageIter<'_> {
         PageIter {
             rs: self,
@@ -255,35 +297,34 @@ impl Iterator for PageIter<'_> {
     type Item = Vec<u8>;
 
     fn next(&mut self) -> Option<Vec<u8>> {
-        use gdk::codec::{encode_value, put_u32};
-        let total = self.rs.row_count();
-        if self.row >= total {
+        let n = self.rs.page_rows(self.row, self.max_rows, self.max_bytes);
+        if n == 0 {
             return None;
         }
-        let mut body = Vec::new();
-        let mut n: u32 = 0;
-        while self.row < total && (n as usize) < self.max_rows {
-            if n > 0 && body.len() >= self.max_bytes {
-                break;
-            }
-            for b in &self.rs.bats {
-                encode_value(&b.get(self.row), &mut body);
-            }
-            n += 1;
-            self.row += 1;
-        }
-        let mut out = Vec::with_capacity(4 + body.len());
-        put_u32(&mut out, n);
-        out.extend_from_slice(&body);
+        let mut out = Vec::new();
+        self.rs.put_page(self.row..self.row + n, &mut out);
+        self.row += n;
         Some(out)
+    }
+}
+
+/// Bytes one cell of `data` occupies in a page, string bytes aside.
+fn cell_width(data: &ColumnData) -> usize {
+    match data {
+        ColumnData::Void { .. } => 0,
+        ColumnData::Bit(_) => 1,
+        ColumnData::Int(_) | ColumnData::Str { .. } => 4,
+        ColumnData::Lng(_) | ColumnData::Dbl(_) | ColumnData::Oid(_) => 8,
     }
 }
 
 /// Reassembles a [`ResultSet`] from its wire encoding: construct from the
 /// header frame, feed result pages in order, then [`ResultSetBuilder::finish`].
 /// The `sciql-net` client uses this; round-tripping through
-/// [`ResultSet::encode_header`] / [`ResultSet::encode_pages`] is value- and
-/// type-exact.
+/// [`ResultSet::encode_header`] / [`ResultSet::encode_pages`] is
+/// bit-exact (double bit patterns included) and keeps each column's
+/// header type. Pages append their column bodies to the typed vectors
+/// directly, never through boxed values.
 #[derive(Debug)]
 pub struct ResultSetBuilder {
     columns: Vec<ColumnMeta>,
@@ -297,8 +338,9 @@ impl ResultSetBuilder {
         let mut r = Reader::new(bytes);
         let decode = |r: &mut Reader<'_>| -> gdk::codec::CodecResult<(Vec<ColumnMeta>, Vec<Bat>)> {
             let ncols = r.u16()? as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            let mut bats = Vec::with_capacity(ncols);
+            // No capacity up front: the count is only as good as the
+            // bytes that follow it.
+            let (mut columns, mut bats) = (Vec::new(), Vec::new());
             for _ in 0..ncols {
                 let name = r.str()?;
                 let ty = type_from_tag(r.u8()?)?;
@@ -321,25 +363,46 @@ impl ResultSetBuilder {
     }
 
     /// Append one page of rows (inverse of [`ResultSet::encode_page`]);
-    /// returns the number of rows added.
+    /// returns the number of rows added. The whole page is decoded and
+    /// checked before any column grows, so a malformed page leaves the
+    /// builder as it was.
     pub fn push_page(&mut self, bytes: &[u8]) -> Result<usize> {
-        use gdk::codec::{decode_value, Reader};
+        use gdk::codec::{read_column, Reader};
+        let malformed =
+            |e: &dyn std::fmt::Display| EngineError::msg(format!("malformed result page: {e}"));
         let mut r = Reader::new(bytes);
-        let nrows = r
-            .u32()
-            .map_err(|e| EngineError::msg(format!("malformed result page: {e}")))?
-            as usize;
-        for _ in 0..nrows {
-            for b in &mut self.bats {
-                let v = decode_value(&mut r)
-                    .map_err(|e| EngineError::msg(format!("malformed result page: {e}")))?;
-                b.push(&v).map_err(EngineError::Gdk)?;
+        let rows = r.u32().map_err(|e| malformed(&e))? as usize;
+        let mut cols = Vec::with_capacity(self.columns.len());
+        for (k, meta) in self.columns.iter().enumerate() {
+            let col = Bat::from_data(read_column(&mut r).map_err(|e| malformed(&e))?);
+            if col.len() != rows {
+                let n = col.len();
+                return Err(malformed(&format!("column {k} holds {n} of {rows} rows")));
             }
+            // A page column is the result column's own slice, so its type
+            // is the header's (a void column's is `oid`).
+            if col.tail_type() != meta.ty {
+                let (page, header) = (col.tail_type(), meta.ty);
+                return Err(malformed(&format!(
+                    "column {k} is {page} on the page, {header} in the header"
+                )));
+            }
+            cols.push(col);
         }
         if r.remaining() != 0 {
             return Err(EngineError::msg("trailing bytes after result page"));
         }
-        Ok(nrows)
+        for (dst, col) in self.bats.iter().zip(&cols) {
+            if !continues(dst, col) {
+                return Err(malformed(
+                    &"a void column's pages must continue its sequence",
+                ));
+            }
+        }
+        for (dst, col) in self.bats.iter_mut().zip(cols) {
+            append_page_column(dst, col)?;
+        }
+        Ok(rows)
     }
 
     /// Rows received so far.
@@ -354,6 +417,39 @@ impl ResultSetBuilder {
             bats: self.bats.into_iter().map(Arc::new).collect(),
         }
     }
+}
+
+/// Can page column `col` follow the rows already in `dst`? A void column
+/// travels as its sequence, so its pages must continue that sequence —
+/// and may never be materialised here: a void body is 17 bytes whatever
+/// its length claims.
+fn continues(dst: &Bat, col: &Bat) -> bool {
+    match (dst.data(), col.data()) {
+        _ if dst.is_empty() => true,
+        (&ColumnData::Void { seq, len }, &ColumnData::Void { seq: next, .. }) => {
+            seq + len as u64 == next
+        }
+        (ColumnData::Void { .. }, _) | (_, ColumnData::Void { .. }) => false,
+        _ => true,
+    }
+}
+
+/// Append a page column that [`continues`] `dst`: the first page is
+/// adopted as it is, a void column grows its sequence, any other column
+/// appends its typed vector — so a multi-page result decodes to the
+/// columns it was.
+fn append_page_column(dst: &mut Bat, col: Bat) -> Result<()> {
+    if dst.is_empty() {
+        *dst = col;
+        return Ok(());
+    }
+    if let (&ColumnData::Void { seq, len }, &ColumnData::Void { len: more, .. }) =
+        (dst.data(), col.data())
+    {
+        *dst = Bat::dense(seq, len + more);
+        return Ok(());
+    }
+    dst.append_bat(&col).map_err(EngineError::Gdk)
 }
 
 /// A dense array view of a coerced result (one entry per cell, row-major).
@@ -614,6 +710,92 @@ mod tests {
         long.push(0);
         let mut b2 = ResultSetBuilder::from_header(&header).unwrap();
         assert!(b2.push_page(&long).is_err(), "trailing bytes");
+    }
+
+    fn one_column(ty: ScalarType, bat: Bat) -> ResultSet {
+        ResultSet {
+            columns: vec![ColumnMeta {
+                name: "c".into(),
+                ty,
+                dimensional: false,
+            }],
+            bats: vec![Arc::new(bat)],
+        }
+    }
+
+    fn roundtrip(r: &ResultSet, rows_per_page: usize) -> ResultSet {
+        let mut b = ResultSetBuilder::from_header(&r.encode_header()).unwrap();
+        for p in r.encode_pages(rows_per_page) {
+            b.push_page(&p).unwrap();
+        }
+        b.finish()
+    }
+
+    #[test]
+    fn void_columns_stay_void_across_pages() {
+        let r = one_column(ScalarType::OidT, Bat::dense(40, 10));
+        let pages = r.encode_pages(3);
+        assert_eq!(pages.len(), 4);
+        assert!(
+            pages.iter().all(|p| p.len() == 4 + 17),
+            "a void page is its sequence"
+        );
+        assert_eq!(roundtrip(&r, 3).bats[0].data(), r.bats[0].data());
+        // A page that does not continue the sequence, or a void page
+        // after materialised oids, is malformed — never materialised.
+        let header = r.encode_header();
+        let mut b = ResultSetBuilder::from_header(&header).unwrap();
+        b.push_page(&r.encode_page(0, 3)).unwrap();
+        assert!(b.push_page(&r.encode_page(5, 3)).is_err());
+        let oids = one_column(ScalarType::OidT, Bat::from_oids(vec![1, 2]));
+        let mut b = ResultSetBuilder::from_header(&header).unwrap();
+        b.push_page(&oids.encode_page(0, 2)).unwrap();
+        assert!(b.push_page(&r.encode_page(0, 3)).is_err());
+    }
+
+    #[test]
+    fn double_bit_patterns_survive_the_wire() {
+        let payload = f64::from_bits(0x7ff8_0000_dead_beef);
+        let r = one_column(
+            ScalarType::Dbl,
+            Bat::from_dbls(vec![1.5, payload, f64::NAN]),
+        );
+        let back = roundtrip(&r, 2);
+        let bits = |rs: &ResultSet| -> Vec<u64> {
+            rs.bats[0]
+                .as_dbls()
+                .unwrap()
+                .iter()
+                .map(|x| x.to_bits())
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&r));
+        assert_eq!(back.get(1, 0), Value::Null, "any NaN is nil");
+    }
+
+    #[test]
+    fn page_columns_must_have_the_header_type() {
+        let ints = one_column(ScalarType::Int, Bat::from_ints(vec![1, 2]));
+        let lng_header = one_column(ScalarType::Lng, Bat::new(ScalarType::Lng)).encode_header();
+        let mut b = ResultSetBuilder::from_header(&lng_header).unwrap();
+        let err = b
+            .push_page(&ints.encode_page(0, 2))
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("int on the page, lng in the header"), "{err}");
+        assert_eq!(b.row_count(), 0, "a refused page adds nothing");
+    }
+
+    #[test]
+    fn page_rows_follow_the_byte_bound() {
+        assert_eq!(rs().page_rows(0, 1024, 100), 3, "capped by the rows left");
+        // 4-byte rows: a 100-byte bound closes a page at 25 rows.
+        let big = one_column(ScalarType::Int, Bat::from_ints(vec![0; 100]));
+        assert_eq!(big.page_rows(0, 1024, 100), 25);
+        assert_eq!(big.page_rows(90, 1024, 100), 10);
+        assert_eq!(big.page_rows(0, 7, 100), 7);
+        assert_eq!(big.page_rows(0, 7, 0), 1, "at least one row");
+        assert_eq!(big.page_rows(100, 7, 100), 0);
     }
 
     #[test]

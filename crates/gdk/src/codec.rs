@@ -8,14 +8,21 @@
 //! corrupted file is detected at load time instead of silently producing
 //! wrong answers.
 //!
+//! The typed payload between that framing is one column *body*
+//! ([`put_column`] / [`read_column`]), and it is the only column
+//! encoding in the system: vault tiles, binary COPY files and the result
+//! pages `sciql-net` streams are all made of it.
+//!
 //! All integers are little-endian. Doubles travel as their IEEE-754 bit
 //! pattern (`f64::to_bits`), which preserves the NaN nil sentinel exactly.
 
 use crate::bat::{Bat, ColumnData};
-use crate::strheap::StrHeap;
+use crate::strheap::{StrHeap, STR_NIL_IDX};
 use crate::types::ScalarType;
 use crate::value::Value;
+use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// Magic prefix of an encoded column.
 pub const BAT_MAGIC: [u8; 4] = *b"SBAT";
@@ -275,7 +282,8 @@ pub fn decode_value(r: &mut Reader<'_>) -> CodecResult<Value> {
 }
 
 // ---------------------------------------------------------------------------
-// Columns.
+// Column bodies: the one typed encoding of vault tiles, binary COPY files
+// and result pages.
 // ---------------------------------------------------------------------------
 
 const TAG_VOID: u8 = 0;
@@ -286,61 +294,146 @@ const TAG_DBL: u8 = 4;
 const TAG_OID: u8 = 5;
 const TAG_STR: u8 = 6;
 
-/// Encode a whole column: magic, version, head sequence, typed payload
-/// and trailing CRC-32 of everything before it.
+/// Which dictionary a string column body carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StrDict {
+    /// The column's heap as stored, every entry in index order: a
+    /// whole-column body is then the vault tile payload byte for byte.
+    Stored,
+    /// Only the entries the encoded rows use, numbered in first-use
+    /// order — what a result page carries, so a page never drags along
+    /// the heap of the column it was projected from.
+    Used,
+}
+
+/// Append rows `rows` of `data` as one column body: a type tag, then
+/// either `seq:u64 len:u64` for a void column (its sequence from
+/// `rows.start` on) or `n:u64` and the `n` cells as little-endian
+/// fixed-width values — nil sentinels in place, doubles as their IEEE
+/// bits — where a string column's cells are `u32` dictionary indices
+/// followed by the dictionary (`count:u64`, then length-prefixed
+/// entries; see [`StrDict`]).
+pub fn put_column(data: &ColumnData, rows: Range<usize>, dict: StrDict, out: &mut Vec<u8>) {
+    match data {
+        ColumnData::Void { seq, .. } => {
+            put_u8(out, TAG_VOID);
+            put_u64(out, seq + rows.start as u64);
+            put_u64(out, rows.len() as u64);
+        }
+        ColumnData::Bit(v) => put_fixed(out, TAG_BIT, &v[rows], |x| [*x as u8]),
+        ColumnData::Int(v) => put_fixed(out, TAG_INT, &v[rows], |x| x.to_le_bytes()),
+        ColumnData::Lng(v) => put_fixed(out, TAG_LNG, &v[rows], |x| x.to_le_bytes()),
+        ColumnData::Dbl(v) => put_fixed(out, TAG_DBL, &v[rows], |x| x.to_bits().to_le_bytes()),
+        ColumnData::Oid(v) => put_fixed(out, TAG_OID, &v[rows], |x| x.to_le_bytes()),
+        ColumnData::Str { idx, heap } => match dict {
+            StrDict::Stored => {
+                put_fixed(out, TAG_STR, &idx[rows], |x| x.to_le_bytes());
+                encode_strheap(heap, out);
+            }
+            StrDict::Used => {
+                let mut local: HashMap<u32, u32> = HashMap::new();
+                let mut used: Vec<&str> = Vec::new();
+                let idx: Vec<u32> = idx[rows]
+                    .iter()
+                    .map(|&i| match heap.get(i) {
+                        None => STR_NIL_IDX,
+                        Some(s) => *local.entry(i).or_insert_with(|| {
+                            used.push(s);
+                            used.len() as u32 - 1
+                        }),
+                    })
+                    .collect();
+                put_fixed(out, TAG_STR, &idx, |x| x.to_le_bytes());
+                put_u64(out, used.len() as u64);
+                for s in used {
+                    put_str(out, s);
+                }
+            }
+        },
+    }
+}
+
+/// Tag, count, then each value's `W` bytes.
+fn put_fixed<T, const W: usize>(
+    out: &mut Vec<u8>,
+    tag: u8,
+    vals: &[T],
+    bytes: impl Fn(&T) -> [u8; W],
+) {
+    put_u8(out, tag);
+    put_u64(out, vals.len() as u64);
+    let at = out.len();
+    out.resize(at + vals.len() * W, 0);
+    for (dst, x) in out[at..].chunks_exact_mut(W).zip(vals) {
+        dst.copy_from_slice(&bytes(x));
+    }
+}
+
+/// Read one column body written by [`put_column`]. Every count is
+/// checked against the bytes that remain before anything is allocated;
+/// an unknown tag, a void sequence running past `u64::MAX` and a string
+/// index beyond its dictionary are errors.
+pub fn read_column(r: &mut Reader<'_>) -> CodecResult<ColumnData> {
+    Ok(match r.u8()? {
+        TAG_VOID => {
+            let seq = r.u64()?;
+            let len = r.read_len()?;
+            if seq.checked_add(len as u64).is_none() {
+                return Err(CodecError::Invalid(format!(
+                    "void sequence {seq} + {len} overflows"
+                )));
+            }
+            ColumnData::Void { seq, len }
+        }
+        TAG_BIT => ColumnData::Bit(read_fixed(r, |[b]: [u8; 1]| b as i8)?),
+        TAG_INT => ColumnData::Int(read_fixed(r, i32::from_le_bytes)?),
+        TAG_LNG => ColumnData::Lng(read_fixed(r, i64::from_le_bytes)?),
+        TAG_DBL => ColumnData::Dbl(read_fixed(r, |b| f64::from_bits(u64::from_le_bytes(b)))?),
+        TAG_OID => ColumnData::Oid(read_fixed(r, u64::from_le_bytes)?),
+        TAG_STR => {
+            let idx = read_fixed(r, u32::from_le_bytes)?;
+            let heap = decode_strheap(r)?;
+            if let Some(&i) = idx
+                .iter()
+                .find(|&&i| i != STR_NIL_IDX && i as usize >= heap.distinct())
+            {
+                return Err(CodecError::Invalid(format!(
+                    "string index {i} beyond heap of {} entries",
+                    heap.distinct()
+                )));
+            }
+            ColumnData::Str { idx, heap }
+        }
+        other => return Err(CodecError::Invalid(format!("unknown column tag {other}"))),
+    })
+}
+
+/// A count, then that many `W`-byte values converted in one pass over
+/// bytes [`Reader::take`] has already proven present.
+fn read_fixed<T, const W: usize>(
+    r: &mut Reader<'_>,
+    from: impl Fn([u8; W]) -> T,
+) -> CodecResult<Vec<T>> {
+    let n = r.read_len()?;
+    let bytes = r.take(n.checked_mul(W).ok_or(CodecError::Truncated)?)?;
+    Ok(bytes
+        .chunks_exact(W)
+        .map(|c| {
+            let mut a = [0u8; W];
+            a.copy_from_slice(c);
+            from(a)
+        })
+        .collect())
+}
+
+/// Encode a whole column: magic, version, head sequence, its
+/// [`put_column`] body and a trailing CRC-32 of everything before it.
 pub fn encode_bat(b: &Bat) -> Vec<u8> {
     let mut out = Vec::with_capacity(32 + b.len() * 8);
     out.extend_from_slice(&BAT_MAGIC);
     put_u16(&mut out, BAT_VERSION);
     put_u64(&mut out, b.hseq);
-    match b.data() {
-        ColumnData::Void { seq, len } => {
-            put_u8(&mut out, TAG_VOID);
-            put_u64(&mut out, *seq);
-            put_u64(&mut out, *len as u64);
-        }
-        ColumnData::Bit(v) => {
-            put_u8(&mut out, TAG_BIT);
-            put_u64(&mut out, v.len() as u64);
-            out.extend(v.iter().map(|&x| x as u8));
-        }
-        ColumnData::Int(v) => {
-            put_u8(&mut out, TAG_INT);
-            put_u64(&mut out, v.len() as u64);
-            for &x in v {
-                put_u32(&mut out, x as u32);
-            }
-        }
-        ColumnData::Lng(v) => {
-            put_u8(&mut out, TAG_LNG);
-            put_u64(&mut out, v.len() as u64);
-            for &x in v {
-                put_i64(&mut out, x);
-            }
-        }
-        ColumnData::Dbl(v) => {
-            put_u8(&mut out, TAG_DBL);
-            put_u64(&mut out, v.len() as u64);
-            for &x in v {
-                put_u64(&mut out, x.to_bits());
-            }
-        }
-        ColumnData::Oid(v) => {
-            put_u8(&mut out, TAG_OID);
-            put_u64(&mut out, v.len() as u64);
-            for &x in v {
-                put_u64(&mut out, x);
-            }
-        }
-        ColumnData::Str { idx, heap } => {
-            put_u8(&mut out, TAG_STR);
-            put_u64(&mut out, idx.len() as u64);
-            for &i in idx {
-                put_u32(&mut out, i);
-            }
-            encode_strheap(heap, &mut out);
-        }
-    }
+    put_column(b.data(), 0..b.len(), StrDict::Stored, &mut out);
     let crc = crc32(&out);
     put_u32(&mut out, crc);
     out
@@ -368,67 +461,7 @@ pub fn decode_bat(bytes: &[u8]) -> CodecResult<Bat> {
         return Err(CodecError::UnsupportedVersion(version));
     }
     let hseq = r.u64()?;
-    let data = match r.u8()? {
-        TAG_VOID => {
-            let seq = r.u64()?;
-            let len = r.read_len()?;
-            ColumnData::Void { seq, len }
-        }
-        TAG_BIT => {
-            let n = r.read_len()?;
-            ColumnData::Bit(r.take(n)?.iter().map(|&x| x as i8).collect())
-        }
-        TAG_INT => {
-            let n = r.read_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u32()? as i32);
-            }
-            ColumnData::Int(v)
-        }
-        TAG_LNG => {
-            let n = r.read_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.i64()?);
-            }
-            ColumnData::Lng(v)
-        }
-        TAG_DBL => {
-            let n = r.read_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(f64::from_bits(r.u64()?));
-            }
-            ColumnData::Dbl(v)
-        }
-        TAG_OID => {
-            let n = r.read_len()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(r.u64()?);
-            }
-            ColumnData::Oid(v)
-        }
-        TAG_STR => {
-            let n = r.read_len()?;
-            let mut idx = Vec::with_capacity(n);
-            for _ in 0..n {
-                idx.push(r.u32()?);
-            }
-            let heap = decode_strheap(&mut r)?;
-            for &i in &idx {
-                if i != crate::strheap::STR_NIL_IDX && i as usize >= heap.distinct() {
-                    return Err(CodecError::Invalid(format!(
-                        "string index {i} beyond heap of {} entries",
-                        heap.distinct()
-                    )));
-                }
-            }
-            ColumnData::Str { idx, heap }
-        }
-        other => return Err(CodecError::Invalid(format!("unknown column tag {other}"))),
-    };
+    let data = read_column(&mut r)?;
     if r.remaining() != 0 {
         return Err(CodecError::Invalid(format!(
             "{} trailing bytes after column payload",
@@ -470,7 +503,6 @@ pub fn decode_strheap(r: &mut Reader<'_>) -> CodecResult<StrHeap> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::strheap::STR_NIL_IDX;
     use crate::types::{dbl_nil, BIT_NIL, INT_NIL, LNG_NIL, OID_NIL};
 
     /// Nil-aware bit-exact column equality: type, head sequence, density,
@@ -613,6 +645,109 @@ mod tests {
             assert_eq!(&decode_value(&mut r).unwrap(), v);
         }
         assert_eq!(r.remaining(), 0);
+    }
+
+    /// Tile (and binary COPY) bytes are a storage format: these are the
+    /// bytes every column type encoded to before tiles and result pages
+    /// shared one body codec, and vaults written then must keep opening.
+    #[test]
+    fn encode_bat_bytes_are_pinned() {
+        let mut void = Bat::dense(5, 3);
+        void.hseq = 7;
+        let mut heap = StrHeap::new();
+        let (a, _unused, empty) = (heap.intern("a"), heap.intern("zz"), heap.intern(""));
+        let cases = [
+            (
+                void,
+                "5342415401000700000000000000000500000000000000030000000000000043a80cca",
+            ),
+            (
+                Bat::from_bits(vec![Some(true), Some(false), None]),
+                "5342415401000000000000000000010300000000000000010080f1d47042",
+            ),
+            (
+                Bat::from_ints(vec![1, -2, INT_NIL]),
+                "534241540100000000000000000002030000000000000001000000feffffff0000008017e8ff6d",
+            ),
+            (
+                Bat::from_lngs(vec![1 << 40, LNG_NIL]),
+                "534241540100000000000000000003020000000000000000000000000100000000000000000080\
+                 802cc5e3",
+            ),
+            (
+                Bat::from_dbls(vec![
+                    2.5,
+                    dbl_nil(),
+                    f64::from_bits(0x7ff8_0000_0000_0001),
+                    -0.0,
+                ]),
+                "53424154010000000000000000000404000000000000000000000000000440000000000000f87f\
+                 010000000000f87f0000000000000080a3624c70",
+            ),
+            (
+                Bat::from_oids(vec![0, 9, OID_NIL]),
+                "534241540100000000000000000005030000000000000000000000000000000900000000000000\
+                 ffffffffffffffff6fd20a7f",
+            ),
+            (
+                Bat::from_data(ColumnData::Str {
+                    idx: vec![a, STR_NIL_IDX, empty, a],
+                    heap,
+                }),
+                "534241540100000000000000000006040000000000000000000000ffffffff0200000000000000\
+                 03000000000000000100000061020000007a7a000000003789ec12",
+            ),
+        ];
+        for (b, want) in cases {
+            let got: String = encode_bat(&b).iter().map(|x| format!("{x:02x}")).collect();
+            assert_eq!(got, want, "{:?}", b.tail_type());
+        }
+    }
+
+    #[test]
+    fn column_bodies_of_a_row_range() {
+        let s = Bat::from_strs(vec![Some("x"), Some("y"), None, Some("y"), Some("z")]);
+        let mut out = Vec::new();
+        put_column(s.data(), 1..4, StrDict::Used, &mut out);
+        let back = Bat::from_data(read_column(&mut Reader::new(&out)).unwrap());
+        assert_eq!(back.to_values(), s.to_values()[1..4]);
+        let ColumnData::Str { heap, .. } = back.data() else {
+            panic!("str column")
+        };
+        assert_eq!(
+            heap.iter().collect::<Vec<_>>(),
+            ["y"],
+            "only the used entries"
+        );
+
+        let mut out = Vec::new();
+        put_column(Bat::dense(10, 8).data(), 3..6, StrDict::Used, &mut out);
+        let back = read_column(&mut Reader::new(&out)).unwrap();
+        assert_eq!(back, ColumnData::Void { seq: 13, len: 3 });
+
+        let ints = Bat::from_ints(vec![4, INT_NIL, -1]);
+        let mut out = Vec::new();
+        put_column(ints.data(), 2..3, StrDict::Used, &mut out);
+        assert_eq!(
+            read_column(&mut Reader::new(&out)).unwrap(),
+            ColumnData::Int(vec![-1])
+        );
+    }
+
+    #[test]
+    fn hostile_column_bodies_are_rejected() {
+        // A count far beyond the bytes present, one that overflows the
+        // byte length, a void sequence past u64::MAX, an unknown tag.
+        let mut huge = vec![TAG_LNG];
+        huge.extend_from_slice(&u64::MAX.to_le_bytes());
+        let mut big = vec![TAG_INT];
+        big.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        let mut void = vec![TAG_VOID];
+        void.extend_from_slice(&u64::MAX.to_le_bytes());
+        void.extend_from_slice(&2u64.to_le_bytes());
+        for bytes in [huge, big, void, vec![9]] {
+            assert!(read_column(&mut Reader::new(&bytes)).is_err(), "{bytes:?}");
+        }
     }
 
     #[test]

@@ -47,7 +47,7 @@ pub struct Client {
     /// *next* request would silently return wrong results — so every
     /// further call fails instead. Statement errors do not poison.
     broken: bool,
-    /// Monotonic-read token sent with every `Query` (v6). `(0, 0)`
+    /// Monotonic-read token sent with every `Query`. `(0, 0)`
     /// means unconstrained; a replica holds a constrained read until it
     /// has applied at least this WAL position.
     read_token: proto::WalToken,
@@ -250,15 +250,17 @@ impl Client {
     }
 
     /// [`Client::bind`] + [`Client::exec_bound`] pipelined: both frames
-    /// go out back-to-back and both replies are read afterwards, so a
-    /// bound re-execution costs one round trip, not two. If the bind is
-    /// refused, the exec answer (also an error — the values never
+    /// go out in one socket write and both replies are read afterwards,
+    /// so a bound re-execution costs one round trip, not two. If the
+    /// bind is refused, the exec answer (also an error — the values never
     /// staged) is drained to keep the reply stream aligned and the bind
     /// error is returned.
     pub fn execute_bound(&mut self, name: &str, params: &[gdk::Value]) -> NetResult<NetReply> {
         self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::bind(name, params))?;
-            proto::write_frame(&mut c.stream, &proto::exec_bound(name))?;
+            let mut batch = Vec::new();
+            proto::write_frame(&mut batch, &proto::bind(name, params))?;
+            proto::write_frame(&mut batch, &proto::exec_bound(name))?;
+            std::io::Write::write_all(&mut c.stream, &batch)?;
             let frame = c.expect_frame()?;
             let bind_err = match proto::split(&frame)? {
                 (Op::Ok, _) => None,

@@ -1,10 +1,11 @@
-//! The wire protocol: length-prefixed, versioned frames.
+//! The wire protocol, version 7: length-prefixed frames.
 //!
 //! Every frame is `u32` little-endian payload length, then the payload;
 //! the payload's first byte is the opcode. Strings and integers inside
 //! payloads use `gdk::codec`'s primitives (length-prefixed UTF-8,
-//! little-endian fixed-width ints) — the same encoding the durable vault
-//! uses, so one codec serves disk and wire.
+//! little-endian fixed-width ints), and a result page carries its
+//! columns as [`gdk::codec::put_column`] bodies — the encoding of the
+//! durable vault's tiles, so one codec serves disk and wire.
 //!
 //! ```text
 //! frame    := len:u32  payload[len]
@@ -14,8 +15,8 @@
 //!   0x01 Hello   ver:u16 client:str      0x81 HelloOk  ver:u16 server:str sid:u64
 //!   0x02 Query   epoch:u64 pos:u64 sql:str   0x82 Error    code:u16 message:str
 //!   0x03 Prepare name:str sql:str        0x83 Affected n:u64 epoch:u64 pos:u64
-//!   0x04 ExecPrepared name:str           0x84 ResultHeader  <ResultSet::encode_header>
-//!   0x05 Ping                            0x85 ResultPage    <ResultSet::encode_page>
+//!   0x04 ExecPrepared name:str           0x84 ResultHeader  ncols:u16 (name:str tag:u8 dim:u8)*
+//!   0x05 Ping                            0x85 ResultPage    rows:u32 (tag:u8 body)*ncols
 //!   0x06 Close                           0x86 ResultDone    rows:u64 pages:u32
 //!   0x07 Shutdown                        0x87 Pong
 //!   0x08 Stats                           0x88 Ok       (Shutdown ack)
@@ -29,7 +30,12 @@
 //!   0x10 ReplAck    gen:u64 pos:u64
 //! ```
 //!
-//! Since v6, `Query` carries a monotonic-read token ahead of the SQL
+//! A `ResultPage` column body is `seq:u64 len:u64` for a void column
+//! and otherwise `n:u64` plus `n` fixed-width cells (nil sentinels in
+//! place, doubles as IEEE bits); a string column's cells are `u32`
+//! indices into a page-local dictionary that follows them.
+//!
+//! `Query` carries a monotonic-read token ahead of the SQL
 //! (`epoch:u64 pos:u64 sql:str`; `(0,0)` = none) and `Affected` carries
 //! the write's durable WAL position (`n:u64 epoch:u64 pos:u64`) — the
 //! token a later replica read presents to guarantee read-your-writes.
@@ -58,25 +64,10 @@ use sciql::ErrorCode;
 use std::fmt;
 use std::io::{self, Read, Write};
 
-/// Protocol version spoken by this build. A server answers a `Hello`
-/// carrying a *newer* version with the highest version it speaks; the
-/// client decides whether to continue (our client requires an exact
-/// match). Version 2 added `Stats`/`StatsReply`; version 3 added stable
-/// error codes in `Error`, the `Bind`/`ExecBound`/`StmtOk` frames for
-/// bound-parameter prepared statements, and `plan_cache_hits` in
-/// `StatsReply`. Version 4 added `tuples_produced` to `StatsReply` and
-/// the observability frames: `Metrics`/`MetricsReply` (engine-wide
-/// counter/gauge/histogram snapshot), `TraceEnable` (per-session query
-/// tracing) and `TraceFetch`/`TraceReply` (rendered span tree of the
-/// session's most recent traced statement). Version 5 added per-
-/// histogram bucket bounds to `MetricsReply` (the group-commit
-/// batch-size histogram is count-valued, not latency-valued) and the
-/// `ServerBusy`/`QuotaExceeded` admission-control error codes. Version
-/// 6 added WAL-shipping replication — the
-/// `ReplHello`/`ReplRecord`/`ReplAck`/`ReplSnapshot` frames, a
-/// monotonic-read token in `Query`, the durable WAL position in
-/// `Affected`, and the `ReplicaLagging` error code.
-pub const PROTO_VERSION: u16 = 6;
+/// Protocol version spoken by this build. A server answers every
+/// `Hello` with the version it speaks; the client requires an exact
+/// match.
+pub const PROTO_VERSION: u16 = 7;
 
 /// Upper bound on a single frame (64 MiB): a defence against a corrupt
 /// or hostile length prefix allocating unbounded memory, not a result
@@ -264,16 +255,35 @@ impl From<io::Error> for NetError {
 /// Net result type.
 pub type NetResult<T> = std::result::Result<T, NetError>;
 
-/// Write one frame (length prefix + payload) and flush.
+/// Write one frame (length prefix + payload) in a single write, then
+/// flush — on a `TCP_NODELAY` socket two writes would be two segments.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> NetResult<()> {
-    let len = u32::try_from(payload.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME)
-        .ok_or_else(|| NetError::protocol("outgoing frame exceeds MAX_FRAME"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    put_frame(&mut frame, |p| p.extend_from_slice(payload))?;
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
+}
+
+/// Append one frame to `out` with its payload written in place by
+/// `payload` (opcode first): the length prefix is reserved, then
+/// patched. Returns the payload length; a payload over [`MAX_FRAME`] is
+/// taken back out of `out` and refused.
+pub fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) -> NetResult<usize> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    payload(out);
+    let len = out.len() - at - 4;
+    match u32::try_from(len).ok().filter(|&l| l <= MAX_FRAME) {
+        Some(l) => {
+            out[at..at + 4].copy_from_slice(&l.to_le_bytes());
+            Ok(len)
+        }
+        None => {
+            out.truncate(at);
+            Err(NetError::protocol("outgoing frame exceeds MAX_FRAME"))
+        }
+    }
 }
 
 /// Read one complete frame, blocking. Returns `None` on a clean EOF at a
@@ -964,14 +974,6 @@ pub fn result_done(rows: u64, pages: u32) -> Vec<u8> {
     p
 }
 
-/// Prefix `body` with `op` (result header/page frames wrap core's bytes).
-pub fn wrap(op: Op, body: &[u8]) -> Vec<u8> {
-    let mut p = Vec::with_capacity(1 + body.len());
-    p.push(op as u8);
-    p.extend_from_slice(body);
-    p
-}
-
 /// Split a received payload into opcode and body.
 pub fn split(payload: &[u8]) -> NetResult<(Op, &[u8])> {
     let (&first, body) = payload
@@ -999,6 +1001,49 @@ mod tests {
         let f2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(split(&f2).unwrap().0, Op::Ping);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
+    }
+
+    /// Length and payload leave in one `write` call, so a request on a
+    /// `TCP_NODELAY` socket is one segment, not two.
+    #[test]
+    fn a_frame_is_one_write() {
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let payloads = [
+            query((0, 0), "SELECT 1"),
+            bind("s", &[gdk::Value::Int(7)]),
+            exec_bound("s"),
+        ];
+        let mut w = Counting::default();
+        for (i, p) in payloads.iter().enumerate() {
+            write_frame(&mut w, p).unwrap();
+            assert_eq!(w.writes, i + 1, "frame {i}");
+        }
+        let mut r = &w.bytes[..];
+        for p in &payloads {
+            assert_eq!(&read_frame(&mut r).unwrap().unwrap(), p);
+        }
+    }
+
+    #[test]
+    fn put_frame_patches_the_length() {
+        let mut out = vec![0xAA];
+        let n = put_frame(&mut out, |p| p.extend_from_slice(&[Op::Pong as u8, 1, 2])).unwrap();
+        assert_eq!(n, 3);
+        assert_eq!(out, [0xAA, 3, 0, 0, 0, Op::Pong as u8, 1, 2]);
     }
 
     #[test]

@@ -37,9 +37,10 @@ const HEARTBEAT: Duration = Duration::from_millis(500);
 pub struct ServerConfig {
     /// Rows per result page.
     pub page_rows: usize,
-    /// Soft byte bound per result page: a page closes once its body
-    /// exceeds this, so wide string rows cannot balloon a page past the
-    /// wire's frame limit. Keep it well under `proto::MAX_FRAME`.
+    /// Soft byte bound per result page: a page closes once its cells
+    /// reach this (see `ResultSet::page_rows`), so wide string rows
+    /// cannot balloon a page past the wire's frame limit. Keep it well
+    /// under `proto::MAX_FRAME`.
     pub page_bytes: usize,
     /// Close a session after this long without wire activity
     /// (`None` = never).
@@ -1000,23 +1001,40 @@ fn answer(
             proto::write_frame(stream, &proto::affected(n as u64, token)).is_ok()
         }
         Ok(QueryResult::Rows(rs)) => {
+            // The quota counts header and page bodies, opcodes aside.
             let header = rs.encode_header();
             let mut sent = header.len();
-            if proto::write_frame(stream, &proto::wrap(Op::ResultHeader, &header)).is_err() {
+            let framed = proto::put_frame(&mut stream.out, |p| {
+                p.push(Op::ResultHeader as u8);
+                p.extend_from_slice(&header);
+            });
+            if framed.is_err() {
                 return false;
             }
-            // Stream pages lazily — only the page in flight is ever
-            // materialised, and each closes at page_rows rows *or*
-            // page_bytes of body, whichever comes first, so no row mix
-            // can push a frame past MAX_FRAME.
+            // Each page is encoded once, straight into the reply buffer,
+            // and closes at page_rows rows *or* page_bytes of cells,
+            // whichever comes first, so no row mix can push a frame past
+            // MAX_FRAME; the buffer goes out whenever it passes
+            // WIRE_FLUSH_BYTES, so only about one flush worth of pages is
+            // ever held.
             let limit = shared.config.max_result_bytes_per_session;
-            let mut npages: u32 = 0;
-            for page in rs.pages(shared.config.page_rows, shared.config.page_bytes) {
-                sent += page.len();
+            let (total, mut row, mut npages) = (rs.row_count(), 0, 0u32);
+            while row < total {
+                let n = rs.page_rows(row, shared.config.page_rows, shared.config.page_bytes);
+                let at = stream.out.len();
+                let Ok(len) = proto::put_frame(&mut stream.out, |p| {
+                    p.push(Op::ResultPage as u8);
+                    rs.put_page(row..row + n, p);
+                }) else {
+                    return false;
+                };
+                sent += len - 1;
                 if limit > 0 && sent > limit {
-                    // Quota: cut the stream with a typed mid-stream
-                    // error (wire-legal inside a result stream). Only
-                    // the statement fails; the session stays aligned.
+                    // Quota: take the page back and cut the stream with
+                    // a typed mid-stream error (wire-legal inside a
+                    // result stream). Only the statement fails; the
+                    // session stays aligned.
+                    stream.out.truncate(at);
                     return proto::write_frame(
                         stream,
                         &proto::error(
@@ -1029,12 +1047,13 @@ fn answer(
                     )
                     .is_ok();
                 }
-                if proto::write_frame(stream, &proto::wrap(Op::ResultPage, &page)).is_err() {
+                if stream.flush().is_err() {
                     return false;
                 }
+                row += n;
                 npages += 1;
             }
-            proto::write_frame(stream, &proto::result_done(rs.row_count() as u64, npages)).is_ok()
+            proto::write_frame(stream, &proto::result_done(total as u64, npages)).is_ok()
         }
     }
 }

@@ -443,7 +443,7 @@ impl ScalarI64 for ResultSet {
     }
 }
 
-/// Protocol v3: prepared statements with bound parameters over the wire.
+/// Prepared statements with bound parameters over the wire.
 /// Bind values round-trip bit-exactly, re-execution hits the server-side
 /// plan cache, and server errors carry the same stable code the embedded
 /// engine produces.

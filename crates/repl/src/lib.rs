@@ -34,7 +34,7 @@
 //!
 //! Reads against the replica go through the normal server or embedded
 //! session paths; writes are refused by the engine's read-only guard.
-//! Monotonic reads ride on the v6 wire token: a write acknowledged by
+//! Monotonic reads ride on the wire's read token: a write acknowledged by
 //! the primary carries its durable WAL position, and a replica read
 //! presenting that token waits (bounded) on the watermark until the
 //! replica has applied at least that much.

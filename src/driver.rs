@@ -8,7 +8,7 @@
 //! |-----|---------|
 //! | `mem:` | local: embedded in-memory [`sciql::Connection`] |
 //! | `file:<path>` | local: embedded durable connection over the vault at `<path>` (WAL + checkpoints + crash recovery) |
-//! | `tcp://host:port` | remote [`sciql_net::Client`] speaking protocol v6 |
+//! | `tcp://host:port` | remote [`sciql_net::Client`] speaking wire protocol v7 |
 //! | `tcp://primary,replica1,…` | routed: writes to the primary, SELECTs round-robin over the replicas with monotonic-read tokens |
 //!
 //! [`Sciql::attach`] opens the other kind of local connection: a session
@@ -446,7 +446,7 @@ impl Transport for Local {
     }
 }
 
-/// Network transport: a protocol-v6 [`Client`].
+/// Network transport: a wire-protocol [`Client`].
 struct Tcp {
     client: Option<Client>,
 }

@@ -1,0 +1,317 @@
+//! Byte-mutation fuzzing of the decoders that read untrusted bytes: the
+//! result header and page decoders a client runs on whatever its socket
+//! delivers, and the tile decoder a vault runs on whatever its disk
+//! holds. Truncation at every offset, a flipped byte at every offset,
+//! hostile counts, dictionary indices past the heap and unknown column
+//! tags must each come back as `Err` (a flip may also land on another
+//! well-formed input) — never as a panic — and no decoder may allocate
+//! more than its input could justify before `Reader::take` has proven
+//! the bytes exist.
+
+use gdk::codec::{crc32, decode_bat, encode_bat};
+use gdk::strheap::StrHeap;
+use gdk::types::{dbl_nil, INT_NIL, LNG_NIL, OID_NIL};
+use gdk::{Bat, ColumnData, ScalarType};
+use sciql::result::{ColumnMeta, ResultSet, ResultSetBuilder};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
+
+/// The system allocator, recording the largest single request the
+/// current thread makes.
+struct Tracking;
+
+thread_local! {
+    static LARGEST: Cell<usize> = const { Cell::new(0) };
+}
+
+fn note(size: usize) {
+    let _ = LARGEST.try_with(|m| m.set(m.get().max(size)));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`.
+unsafe impl GlobalAlloc for Tracking {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: Tracking = Tracking;
+
+/// Run one decode of `input`: it must not panic, and no allocation may
+/// exceed what `input.len()` bytes can stand for (a generous multiple
+/// covers dictionary hash tables and vector growth; a count taken on
+/// trust would ask for gigabytes). Returns whether it succeeded.
+fn probe<T, E>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> Result<T, E>) -> bool {
+    LARGEST.with(|m| m.set(0));
+    let ok = catch_unwind(AssertUnwindSafe(|| decode(input).is_ok()))
+        .unwrap_or_else(|_| panic!("{what}: decoder panicked on {input:02x?}"));
+    let largest = LARGEST.with(Cell::get);
+    let bound = 64 * input.len() + (64 << 10);
+    assert!(
+        largest <= bound,
+        "{what}: allocated {largest} bytes for a {}-byte input",
+        input.len()
+    );
+    ok
+}
+
+/// Every prefix shorter than the input fails; every single-byte flip is
+/// survived.
+fn mutate(what: &str, input: &[u8], decode: impl Fn(&[u8]) -> bool) {
+    for cut in 0..input.len() {
+        let prefix = &input[..cut];
+        assert!(
+            !probe(what, prefix, |b| decode(b).then_some(()).ok_or(())),
+            "{what}: accepted a truncation at byte {cut}"
+        );
+    }
+    for at in 0..input.len() {
+        for flip in [0xFF, 0x01, 0x80] {
+            let mut bytes = input.to_vec();
+            bytes[at] ^= flip;
+            probe(what, &bytes, |b| decode(b).then_some(()).ok_or(()));
+        }
+    }
+}
+
+fn meta(name: &str, ty: ScalarType) -> ColumnMeta {
+    ColumnMeta {
+        name: name.into(),
+        ty,
+        dimensional: false,
+    }
+}
+
+/// One column of every type, with nils, a NaN payload, duplicate and
+/// empty strings and a void column.
+fn every_type() -> ResultSet {
+    let n = 7;
+    let strs = ["dup", "", "dup", "x", "", "dup", "wide"];
+    ResultSet {
+        columns: vec![
+            meta("b", ScalarType::Bit),
+            meta("i", ScalarType::Int),
+            meta("l", ScalarType::Lng),
+            meta("d", ScalarType::Dbl),
+            meta("o", ScalarType::OidT),
+            meta("s", ScalarType::Str),
+            meta("v", ScalarType::OidT),
+        ],
+        bats: vec![
+            Bat::from_bits((0..n).map(|i| (i % 3 != 0).then_some(i % 2 == 0)).collect()),
+            Bat::from_ints(
+                (0..n as i32)
+                    .map(|i| if i == 2 { INT_NIL } else { i - 3 })
+                    .collect(),
+            ),
+            Bat::from_lngs(
+                (0..n as i64)
+                    .map(|i| if i == 4 { LNG_NIL } else { i << 40 })
+                    .collect(),
+            ),
+            Bat::from_dbls(
+                (0..n)
+                    .map(|i| match i {
+                        1 => dbl_nil(),
+                        5 => f64::from_bits(0x7ff8_0000_0000_0042),
+                        _ => i as f64 / 4.0,
+                    })
+                    .collect(),
+            ),
+            Bat::from_oids(
+                (0..n as u64)
+                    .map(|i| if i == 3 { OID_NIL } else { i * 9 })
+                    .collect(),
+            ),
+            Bat::from_strs(
+                strs.iter()
+                    .enumerate()
+                    .map(|(i, s)| (i != 3).then_some(*s))
+                    .collect(),
+            ),
+            Bat::dense(100, n),
+        ]
+        .into_iter()
+        .map(Arc::new)
+        .collect(),
+    }
+}
+
+fn push(header: &[u8], page: &[u8]) -> bool {
+    let mut b = ResultSetBuilder::from_header(header).expect("well-formed header");
+    b.push_page(page).is_ok()
+}
+
+#[test]
+fn result_headers_survive_mutation() {
+    let header = every_type().encode_header();
+    assert!(ResultSetBuilder::from_header(&header).is_ok());
+    mutate("from_header", &header, |b| {
+        ResultSetBuilder::from_header(b).is_ok()
+    });
+    // A column count far beyond the bytes that follow it.
+    let mut hostile = u16::MAX.to_le_bytes().to_vec();
+    hostile.extend_from_slice(&header[2..]);
+    assert!(!probe(
+        "from_header",
+        &hostile,
+        ResultSetBuilder::from_header
+    ));
+}
+
+#[test]
+fn result_pages_survive_mutation() {
+    let rs = every_type();
+    let header = rs.encode_header();
+    let pages = rs.encode_pages(3);
+    assert_eq!(pages.len(), 3);
+    for page in &pages {
+        assert!(push(&header, page));
+        mutate("push_page", page, |b| push(&header, b));
+    }
+}
+
+/// Hand-built pages for a one-column header of type `ty`.
+fn page_for(ty: ScalarType, page: &[u8]) -> bool {
+    let rs = ResultSet {
+        columns: vec![meta("c", ty)],
+        bats: vec![Arc::new(Bat::new(ty))],
+    };
+    probe("push_page", page, |p| {
+        ResultSetBuilder::from_header(&rs.encode_header())
+            .unwrap()
+            .push_page(p)
+    })
+}
+
+fn cat(parts: &[&[u8]]) -> Vec<u8> {
+    parts.concat()
+}
+
+#[test]
+fn hostile_row_counts_are_refused() {
+    let max32 = u32::MAX.to_le_bytes();
+    let max64 = u64::MAX.to_le_bytes();
+    // u32::MAX rows in a 9-byte page.
+    assert!(!page_for(ScalarType::Int, &cat(&[&max32, &[2], &max32])));
+    // The column agrees with the page, but its cells are not there.
+    let n = (u32::MAX as u64).to_le_bytes();
+    for (ty, tag) in [
+        (ScalarType::Bit, 1),
+        (ScalarType::Int, 2),
+        (ScalarType::Lng, 3),
+        (ScalarType::Dbl, 4),
+        (ScalarType::OidT, 5),
+        (ScalarType::Str, 6),
+    ] {
+        assert!(!page_for(ty, &cat(&[&max32, &[tag], &n])), "{ty}");
+        assert!(!page_for(ty, &cat(&[&max32, &[tag], &max64])), "{ty}");
+    }
+    // A void column may claim any length — but it must match the page,
+    // fit its sequence, and be the header's type.
+    let void = |seq: u64, len: u64| cat(&[&max32, &[0], &seq.to_le_bytes(), &len.to_le_bytes()]);
+    assert!(page_for(ScalarType::OidT, &void(7, u32::MAX as u64)));
+    assert!(!page_for(
+        ScalarType::OidT,
+        &void(u64::MAX - 3, u32::MAX as u64)
+    ));
+    assert!(!page_for(ScalarType::OidT, &void(7, 5)));
+    assert!(!page_for(ScalarType::Int, &void(7, u32::MAX as u64)));
+    // A header with no columns cannot turn a row count into memory.
+    let none = ResultSet {
+        columns: vec![],
+        bats: vec![],
+    };
+    let mut b = ResultSetBuilder::from_header(&none.encode_header()).unwrap();
+    assert!(probe("push_page", &max32, |p| b.push_page(p)));
+}
+
+#[test]
+fn string_indices_beyond_the_page_heap_are_refused() {
+    let rows = 2u32.to_le_bytes();
+    let count = 2u64.to_le_bytes();
+    let heap = cat(&[&1u64.to_le_bytes(), &1u32.to_le_bytes(), b"a"]);
+    let idx = |i: u32| cat(&[&0u32.to_le_bytes(), &i.to_le_bytes()]);
+    let page = |i: u32| cat(&[&rows, &[6], &count, &idx(i), &heap]);
+    assert!(
+        page_for(ScalarType::Str, &page(u32::MAX)),
+        "nil is no index"
+    );
+    for bad in [1, 2, u32::MAX - 1] {
+        assert!(!page_for(ScalarType::Str, &page(bad)), "index {bad}");
+    }
+}
+
+#[test]
+fn unknown_column_tags_are_refused() {
+    let rs = every_type();
+    let header = rs.encode_header();
+    let page = rs.encode_page(0, 2);
+    // The first column body starts right after the row count.
+    for tag in 7..=u8::MAX {
+        let mut bad = page.clone();
+        bad[4] = tag;
+        assert!(!probe("push_page", &bad, |p| {
+            ResultSetBuilder::from_header(&header).unwrap().push_page(p)
+        }));
+    }
+    let mut tile = encode_bat(&Bat::from_ints(vec![1, 2]));
+    tile[14] = 7;
+    restamp(&mut tile);
+    assert!(!probe("decode_bat", &tile, decode_bat));
+}
+
+/// Recompute a tile's trailing checksum after editing its content.
+fn restamp(tile: &mut [u8]) {
+    let n = tile.len();
+    let crc = crc32(&tile[..n - 4]);
+    tile[n - 4..].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn tiles_survive_mutation() {
+    let rs = every_type();
+    let mut tiles: Vec<Bat> = rs.bats.iter().map(|b| (**b).clone()).collect();
+    let mut heap = StrHeap::new();
+    let (a, _) = (heap.intern("a"), heap.intern("unreferenced"));
+    tiles.push(Bat::from_data(ColumnData::Str {
+        idx: vec![a, a],
+        heap,
+    }));
+    for tile in &tiles {
+        let bytes = encode_bat(tile);
+        assert!(decode_bat(&bytes).is_ok());
+        // The checksum catches every flip; with the checksum re-stamped
+        // the structural decoder itself must hold.
+        mutate("decode_bat", &bytes, |b| decode_bat(b).is_ok());
+        for at in 0..bytes.len() - 4 {
+            let mut flipped = bytes.clone();
+            flipped[at] ^= 0xFF;
+            restamp(&mut flipped);
+            probe("decode_bat", &flipped, decode_bat);
+        }
+    }
+    // Hostile counts behind a valid checksum.
+    for (tag, count) in [(2u8, u64::MAX), (3, 1 << 61), (6, u32::MAX as u64)] {
+        let mut tile = cat(&[b"SBAT", &1u16.to_le_bytes(), &0u64.to_le_bytes(), &[tag]]);
+        tile.extend_from_slice(&count.to_le_bytes());
+        tile.extend_from_slice(&[0; 4]);
+        restamp(&mut tile);
+        assert!(!probe("decode_bat", &tile, decode_bat), "tag {tag}");
+    }
+}

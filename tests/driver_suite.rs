@@ -5,18 +5,23 @@
 //! for bound-parameter prepared statements across `mem:` (embedded) vs
 //! `tcp://` (served) transports × opt_level {0, 2} × threads {1, 8},
 //! plus a property test that random parameter values round-trip through
-//! protocol-v3 `Bind` frames bit-exactly (nil sentinels and strings
+//! `Bind` frames bit-exactly (nil sentinels and strings
 //! included). A second differential pins what a statement leaves
 //! *behind* — query-log rows, execution report, trace shape — as
 //! identical over `mem:`, `Sciql::attach` and `tcp://`.
 
 use proptest::prelude::*;
 use sciql_repro::driver::{Conn, Rows, Sciql, SciqlError};
-use sciql_repro::gdk::Value;
+use sciql_repro::gdk::types::{LNG_NIL, OID_NIL};
+use sciql_repro::gdk::{Bat, ColumnData, ScalarType, Value};
 use sciql_repro::net::proto;
-use sciql_repro::net::Server;
+use sciql_repro::net::{Server, ServerConfig};
 use sciql_repro::params;
-use sciql_repro::sciql::{Connection, ErrorCode, SessionConfig, SharedEngine};
+use sciql_repro::sciql::result::ResultSetBuilder;
+use sciql_repro::sciql::{
+    write_copy_binary, ColumnMeta, Connection, ErrorCode, ResultSet, SessionConfig, SharedEngine,
+};
+use std::sync::Arc;
 
 mod common;
 use common::shape;
@@ -407,6 +412,169 @@ proptest! {
         let reencoded = proto::bind(&dname, &dvalues);
         prop_assert_eq!(reencoded, payload);
     }
+}
+
+// ---------------------------------------------------------------------
+// result pages: tcp answers are the embedded columns, cell for cell
+// ---------------------------------------------------------------------
+
+/// Rows of the `every` table.
+const EVERY_ROWS: usize = 3000;
+
+/// One column per type, nils in every nullable column, NaN payloads
+/// besides the canonical nil, nil/duplicate/empty strings, and wide
+/// strings that split result pages by bytes.
+fn every_type_columns() -> Vec<Bat> {
+    let n = EVERY_ROWS;
+    let pool = ["", "dup", "Δδ", "it's", "dup"];
+    vec![
+        Bat::from_ints((0..n as i32).collect()),
+        Bat::from_bits((0..n).map(|k| (k % 3 != 2).then_some(k % 2 == 0)).collect()),
+        Bat::from_opt_ints(
+            (0..n as i32)
+                .map(|k| (k % 11 != 0).then_some(k * 7 - 5))
+                .collect(),
+        ),
+        Bat::from_data(ColumnData::Lng(
+            (0..n as i64)
+                .map(|k| if k % 13 == 0 { LNG_NIL } else { (k << 33) - 1 })
+                .collect(),
+        )),
+        Bat::from_dbls(
+            (0..n)
+                .map(|k| match k % 17 {
+                    0 => f64::NAN,
+                    5 => f64::from_bits(0x7ff8_0000_0000_0000 | k as u64),
+                    9 => f64::from_bits(0xfff0_0000_0000_0001 + k as u64),
+                    12 => -0.0,
+                    _ => k as f64 / 8.0,
+                })
+                .collect(),
+        ),
+        Bat::from_oids(
+            (0..n as u64)
+                .map(|k| if k % 23 == 0 { OID_NIL } else { k * 3 })
+                .collect(),
+        ),
+        Bat::from_strs(
+            (0..n)
+                .map(|k| (k % 5 != 1).then_some(pool[k % 7 % 5]))
+                .collect(),
+        ),
+        Bat::from_strs(
+            (0..n)
+                .map(|k| Some(format!("{k:04}-").repeat(400)))
+                .collect(),
+        ),
+    ]
+}
+
+/// The typed column exactly, except that doubles compare by bit pattern
+/// (NaN is not equal to itself) and strings by their resolved values (a
+/// page carries its own dictionary, not the stored heap's numbering).
+fn assert_same_column(tcp: &Bat, embedded: &Bat, what: &str) {
+    let resolved = |b: &Bat| -> Vec<Option<String>> {
+        let ColumnData::Str { idx, heap } = b.data() else {
+            unreachable!()
+        };
+        idx.iter()
+            .map(|&i| heap.get(i).map(str::to_owned))
+            .collect()
+    };
+    match (tcp.data(), embedded.data()) {
+        (ColumnData::Dbl(a), ColumnData::Dbl(b)) => {
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b), "{what}");
+        }
+        (ColumnData::Str { .. }, ColumnData::Str { .. }) => {
+            assert_eq!(resolved(tcp), resolved(embedded), "{what}")
+        }
+        (a, b) => assert_eq!(a, b, "{what}"),
+    }
+    for r in 0..embedded.len() {
+        assert_eq!(tcp.get(r), embedded.get(r), "{what} row {r}");
+    }
+}
+
+fn assert_same_result(tcp: &ResultSet, embedded: &ResultSet, what: &str) {
+    assert_eq!(tcp.columns, embedded.columns, "{what}");
+    assert_eq!(tcp.row_count(), embedded.row_count(), "{what}");
+    for (c, (t, e)) in tcp.bats.iter().zip(&embedded.bats).enumerate() {
+        assert_same_column(t, e, &format!("{what}, column {c}"));
+    }
+}
+
+/// A result fetched over tcp is the embedded result: the same typed
+/// column for every type (nil sentinels and NaN payloads bit for bit,
+/// nil/duplicate/empty strings, an oid column over three pages), at 1,
+/// 1023, 1024 and 1025 rows around the 1024-row page, and for wide
+/// strings whose pages close on the byte bound.
+#[test]
+fn tcp_results_equal_embedded_results_for_every_type() {
+    let path = std::env::temp_dir().join(format!("sciql-every-{}.scpy", std::process::id()));
+    write_copy_binary(&path, &every_type_columns()).unwrap();
+    let engine = SharedEngine::in_memory();
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let mut tcp = Sciql::connect(&format!("tcp://{}", handle.addr())).unwrap();
+    tcp.execute(
+        "CREATE TABLE every (k INT, b BOOLEAN, i INT, l BIGINT, d DOUBLE, o OID, \
+         s VARCHAR, w VARCHAR)",
+    )
+    .unwrap();
+    let copied = tcp
+        .execute(&format!(
+            "COPY every FROM '{}' (FORMAT binary)",
+            path.display()
+        ))
+        .unwrap();
+    assert_eq!(copied, EVERY_ROWS as u64);
+    std::fs::remove_file(&path).ok();
+    let mut embedded = Sciql::attach(&engine);
+
+    let mut statements: Vec<String> = [1, 1023, 1024, 1025, EVERY_ROWS]
+        .iter()
+        .map(|n| format!("SELECT k, b, i, l, d, o, s FROM every WHERE k < {n}"))
+        .collect();
+    statements.push("SELECT k, w FROM every WHERE k < 1100".into());
+    for sql in &statements {
+        let t = tcp.query(sql).unwrap().into_result_set();
+        let e = embedded.query(sql).unwrap().into_result_set();
+        assert_same_result(&t, &e, sql);
+    }
+    // The wide statement really crossed as byte-bounded pages.
+    let wide = embedded.query(&statements[5]).unwrap().into_result_set();
+    let page_bytes = ServerConfig::default().page_bytes;
+    assert!(wide.page_rows(0, proto::PAGE_ROWS, page_bytes) < proto::PAGE_ROWS);
+
+    tcp.shutdown_server().unwrap();
+    handle.wait();
+}
+
+/// No SQL statement yields a void column, so this one goes through the
+/// page codec directly, split the way the server splits it: it arrives
+/// as the same void column, not as materialised oids.
+#[test]
+fn void_columns_cross_pages_as_void() {
+    let rs = ResultSet {
+        columns: vec![ColumnMeta {
+            name: "o".into(),
+            ty: ScalarType::OidT,
+            dimensional: false,
+        }],
+        bats: vec![Arc::new(Bat::dense(77, 3 * proto::PAGE_ROWS + 1))],
+    };
+    let mut b = ResultSetBuilder::from_header(&rs.encode_header()).unwrap();
+    let page_bytes = ServerConfig::default().page_bytes;
+    let mut pages = 0;
+    for page in rs.pages(proto::PAGE_ROWS, page_bytes) {
+        b.push_page(&page).unwrap();
+        pages += 1;
+    }
+    assert_eq!(pages, 4);
+    assert_same_result(&b.finish(), &rs, "void");
 }
 
 /// Statement handles are pinned to the connection that prepared them —
