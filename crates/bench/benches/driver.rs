@@ -48,7 +48,11 @@ fn bench_prepared_vs_unprepared(c: &mut Criterion) {
             .unwrap();
         conn.query_bound(&stmt, &[Value::Int(1), Value::Int(9)])
             .unwrap();
-        assert_eq!(conn.last_plan_cache_hits().unwrap(), 1, "cache must hit");
+        assert_eq!(
+            conn.last_report().unwrap().plan_cache_hits,
+            1,
+            "cache must hit"
+        );
         let mut g = c.benchmark_group("driver");
         let mut flip = 0i32;
         g.bench_function(BenchmarkId::new(label, "prepared"), |b| {

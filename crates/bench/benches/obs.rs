@@ -63,8 +63,8 @@ fn bench_sysview_scan(c: &mut Criterion) {
     g.finish();
 }
 
-/// Snapshot the global registry and render it both ways — the cost of
-/// one `\metrics` / Prometheus scrape.
+/// Snapshot the global registry and render it — the cost of one
+/// Prometheus scrape.
 fn bench_metrics_snapshot(c: &mut Criterion) {
     // Make the histograms non-trivial so rendering does real work.
     let m = sciql_obs::global();
@@ -75,7 +75,7 @@ fn bench_metrics_snapshot(c: &mut Criterion) {
     g.bench_function(BenchmarkId::from_parameter("snapshot_render"), |b| {
         b.iter(|| {
             let snap = sciql_obs::global().snapshot();
-            black_box((snap.render_table(), snap.to_prometheus_text()))
+            black_box(snap.to_prometheus_text())
         })
     });
     g.finish();

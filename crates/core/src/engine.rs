@@ -493,12 +493,12 @@ impl EngineSession {
     }
 
     /// Statistics of this session's most recent statement.
-    pub fn last_exec(&self) -> LastExec {
-        self.state.last.clone()
+    pub fn last_exec(&self) -> &LastExec {
+        &self.state.last
     }
 
     /// Enable or disable per-statement span tracing for this session
-    /// (the protocol's `TraceEnable` frame and the repl's `\trace`).
+    /// (the tracing bit of a protocol request and the repl's `\trace`).
     pub fn set_tracing(&mut self, on: bool) {
         self.state.set_tracing(on);
     }

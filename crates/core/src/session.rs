@@ -549,8 +549,8 @@ impl Connection {
     }
 
     /// Statistics of the last executed SELECT.
-    pub fn last_exec(&self) -> LastExec {
-        self.session.last.clone()
+    pub fn last_exec(&self) -> &LastExec {
+        &self.session.last
     }
 
     /// The catalog (read-only view).

@@ -205,7 +205,7 @@ fn parallel_session_matches_serial_and_reports_threads() {
         let rows_b: Vec<_> = b.rows().collect();
         assert_eq!(rows_a, rows_b, "parallel result differs for {q:?}");
 
-        let stats = par.last_exec().exec;
+        let stats = &par.last_exec().exec;
         assert_eq!(
             stats.per_instr_threads.len(),
             stats.instructions,
@@ -220,7 +220,7 @@ fn parallel_session_matches_serial_and_reports_threads() {
                 .any(|(_, threads)| *threads > 1));
         }
         // Serial session must never fan out.
-        let serial_stats = serial.last_exec().exec;
+        let serial_stats = &serial.last_exec().exec;
         assert_eq!(serial_stats.par_instructions, 0);
         assert_eq!(serial_stats.max_threads.max(1), 1);
     }

@@ -1,5 +1,6 @@
 //! The blocking client: connect, handshake, send statements, reassemble
-//! paged results into a [`ResultSet`].
+//! paged results into a [`ResultSet`], and keep the report and trace
+//! each answer's trailer carries.
 
 use crate::proto::{self, NetError, NetResult, Op, PROTO_VERSION};
 use gdk::codec::Reader;
@@ -54,6 +55,11 @@ pub struct Client {
     /// The newest durable WAL position acknowledged by this session's
     /// writes — what a write's `Affected` reply carried last.
     last_token: proto::WalToken,
+    /// Ask the server to trace each statement (bit 0 of the request's
+    /// `flags`).
+    tracing: bool,
+    /// The trailer of the last statement answer.
+    last: proto::Trailer,
 }
 
 impl Client {
@@ -79,6 +85,8 @@ impl Client {
             broken: false,
             read_token: (0, 0),
             last_token: (0, 0),
+            tracing: false,
+            last: proto::Trailer::default(),
         };
         proto::write_frame(&mut client.stream, &proto::hello(name))?;
         let frame = client.expect_frame()?;
@@ -103,7 +111,7 @@ impl Client {
                     .map_err(|_| NetError::protocol("malformed HelloOk"))?;
                 Ok(client)
             }
-            Op::Error => Err(proto::read_error(body)),
+            Op::Error => Err(proto::read_error(body)?.0),
             other => Err(NetError::protocol(format!(
                 "expected HelloOk, got {other:?}"
             ))),
@@ -163,8 +171,8 @@ impl Client {
     /// Execute one statement.
     pub fn execute(&mut self, sql: &str) -> NetResult<NetReply> {
         self.exchange(|c| {
-            let token = c.read_token;
-            proto::write_frame(&mut c.stream, &proto::query(token, sql))?;
+            let payload = proto::query(c.tracing, c.read_token, sql);
+            proto::write_frame(&mut c.stream, &payload)?;
             c.read_reply()
         })
     }
@@ -186,7 +194,7 @@ impl Client {
         self.exchange(|c| {
             let mut batch = Vec::new();
             for sql in sqls {
-                proto::write_frame(&mut batch, &proto::query(c.read_token, sql))?;
+                proto::write_frame(&mut batch, &proto::query(c.tracing, c.read_token, sql))?;
             }
             std::io::Write::write_all(&mut c.stream, &batch)?;
             let mut replies = Vec::with_capacity(sqls.len());
@@ -210,75 +218,21 @@ impl Client {
             let frame = c.expect_frame()?;
             match proto::split(&frame)? {
                 (Op::StmtOk, body) => proto::read_stmt_ok(body),
-                (Op::Error, body) => Err(proto::read_error(body)),
+                (Op::Error, body) => Err(proto::read_error(body)?.0),
                 (op, _) => Err(NetError::protocol(format!("expected StmtOk, got {op:?}"))),
             }
         })
     }
 
-    /// Execute a statement previously stashed with [`Client::prepare`]
-    /// (no parameters; use [`Client::execute_bound`] to bind values).
-    pub fn execute_prepared(&mut self, name: &str) -> NetResult<NetReply> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::exec_prepared(name))?;
-            c.read_reply()
-        })
-    }
-
-    /// Stage bound parameter values for a prepared statement (slot
-    /// order). The values travel codec-encoded and bit-exact; they stay
-    /// staged until the next [`Client::bind`] for the same name.
-    pub fn bind(&mut self, name: &str, params: &[gdk::Value]) -> NetResult<()> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::bind(name, params))?;
-            let frame = c.expect_frame()?;
-            match proto::split(&frame)? {
-                (Op::Ok, _) => Ok(()),
-                (Op::Error, body) => Err(proto::read_error(body)),
-                (op, _) => Err(NetError::protocol(format!("expected Ok, got {op:?}"))),
-            }
-        })
-    }
-
-    /// Execute a prepared statement with the values staged by the last
-    /// [`Client::bind`] (server-side cached plan, no re-planning).
-    pub fn exec_bound(&mut self, name: &str) -> NetResult<NetReply> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::exec_bound(name))?;
-            c.read_reply()
-        })
-    }
-
-    /// [`Client::bind`] + [`Client::exec_bound`] pipelined: both frames
-    /// go out in one socket write and both replies are read afterwards,
-    /// so a bound re-execution costs one round trip, not two. If the
-    /// bind is refused, the exec answer (also an error — the values never
-    /// staged) is drained to keep the reply stream aligned and the bind
-    /// error is returned.
+    /// Execute a prepared statement with slot-ordered values (none for
+    /// a statement without parameters): one `ExecBound` frame against
+    /// the server's cached plan, no re-planning. The values travel
+    /// codec-encoded and bit-exact.
     pub fn execute_bound(&mut self, name: &str, params: &[gdk::Value]) -> NetResult<NetReply> {
         self.exchange(|c| {
-            let mut batch = Vec::new();
-            proto::write_frame(&mut batch, &proto::bind(name, params))?;
-            proto::write_frame(&mut batch, &proto::exec_bound(name))?;
-            std::io::Write::write_all(&mut c.stream, &batch)?;
-            let frame = c.expect_frame()?;
-            let bind_err = match proto::split(&frame)? {
-                (Op::Ok, _) => None,
-                (Op::Error, body) => Some(proto::read_error(body)),
-                (op, _) => {
-                    return Err(NetError::protocol(format!("expected Ok, got {op:?}")));
-                }
-            };
-            let reply = c.read_reply();
-            match (bind_err, reply) {
-                // Bind refused: the exec answer is a statement error
-                // too; report the root cause. A transport-level failure
-                // on the second read still wins so the poison discipline
-                // sees it.
-                (Some(e), Ok(_) | Err(NetError::Server { .. })) => Err(e),
-                (Some(_), Err(other)) => Err(other),
-                (None, r) => r,
-            }
+            let payload = proto::exec_bound(c.tracing, name, params);
+            proto::write_frame(&mut c.stream, &payload)?;
+            c.read_reply()
         })
     }
 
@@ -286,11 +240,13 @@ impl Client {
     pub fn deallocate(&mut self, name: &str) -> NetResult<bool> {
         self.exchange(|c| {
             proto::write_frame(&mut c.stream, &proto::deallocate(name))?;
-            match c.read_reply()? {
-                NetReply::Affected(n) => Ok(n > 0),
-                other => Err(NetError::protocol(format!(
-                    "unexpected Deallocate reply {other:?}"
-                ))),
+            // Not a statement: its trailer does not replace the last
+            // report and trace, as an embedded deallocation leaves them.
+            let frame = c.expect_frame()?;
+            match proto::split(&frame)? {
+                (Op::Affected, body) => Ok(proto::read_affected(body)?.0 > 0),
+                (Op::Error, body) => Err(proto::read_error(body)?.0),
+                (op, _) => Err(NetError::protocol(format!("expected Affected, got {op:?}"))),
             }
         })
     }
@@ -307,70 +263,27 @@ impl Client {
         })
     }
 
-    /// Execution report for this session's most recent statement: the
-    /// interpreter counters and the optimizer pipeline's pass summary
-    /// (what a local `LastExec` would show).
-    pub fn last_stats(&mut self) -> NetResult<proto::ExecReport> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::bare(Op::Stats))?;
-            let frame = c.expect_frame()?;
-            match proto::split(&frame)? {
-                (Op::StatsReply, body) => proto::read_stats_reply(body),
-                (Op::Error, body) => Err(proto::read_error(body)),
-                (op, _) => Err(NetError::protocol(format!(
-                    "expected StatsReply, got {op:?}"
-                ))),
-            }
-        })
+    /// Execution report of this session's most recent statement, as the
+    /// last statement answer's trailer carried it (what a local
+    /// `LastExec` would show). No round trip.
+    pub fn last_report(&self) -> proto::ExecReport {
+        self.last.report
     }
 
-    /// Snapshot of the server's engine-wide metrics registry: query
-    /// counters by kind, latency histograms (query, WAL fsync,
-    /// checkpoint), plan-cache hit/miss, tile churn, live sessions and
-    /// wire byte counts.
-    pub fn metrics(&mut self) -> NetResult<sciql_obs::MetricsSnapshot> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::bare(Op::Metrics))?;
-            let frame = c.expect_frame()?;
-            match proto::split(&frame)? {
-                (Op::MetricsReply, body) => proto::read_metrics_reply(body),
-                (Op::Error, body) => Err(proto::read_error(body)),
-                (op, _) => Err(NetError::protocol(format!(
-                    "expected MetricsReply, got {op:?}"
-                ))),
-            }
-        })
+    /// Ask the server to trace every following statement (or stop).
+    /// Switching off drops the last trace, as an embedded session does.
+    /// No round trip: the setting rides on each request.
+    pub fn set_tracing(&mut self, on: bool) {
+        self.tracing = on;
+        if !on {
+            self.last.trace = None;
+        }
     }
 
-    /// Switch per-session query tracing on or off server-side. While
-    /// on, every statement this session executes records a span tree;
-    /// fetch the latest with [`Client::fetch_trace`].
-    pub fn set_tracing(&mut self, on: bool) -> NetResult<()> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::trace_enable(on))?;
-            let frame = c.expect_frame()?;
-            match proto::split(&frame)? {
-                (Op::Ok, _) => Ok(()),
-                (Op::Error, body) => Err(proto::read_error(body)),
-                (op, _) => Err(NetError::protocol(format!("expected Ok, got {op:?}"))),
-            }
-        })
-    }
-
-    /// The rendered span tree of this session's most recent traced
-    /// statement, or `None` when tracing was off / nothing ran yet.
-    pub fn fetch_trace(&mut self) -> NetResult<Option<String>> {
-        self.exchange(|c| {
-            proto::write_frame(&mut c.stream, &proto::bare(Op::TraceFetch))?;
-            let frame = c.expect_frame()?;
-            match proto::split(&frame)? {
-                (Op::TraceReply, body) => proto::read_trace_reply(body),
-                (Op::Error, body) => Err(proto::read_error(body)),
-                (op, _) => Err(NetError::protocol(format!(
-                    "expected TraceReply, got {op:?}"
-                ))),
-            }
-        })
+    /// The rendered span tree of this session's most recent statement,
+    /// or `None` when tracing was off. No round trip.
+    pub fn last_trace(&self) -> Option<&str> {
+        self.last.trace.as_deref()
     }
 
     /// Ask the server to shut down gracefully (in-flight statements of
@@ -393,19 +306,39 @@ impl Client {
         proto::read_frame(&mut self.stream)?.ok_or_else(|| NetError::protocol("server hung up"))
     }
 
-    /// Read one statement answer: `Affected`, `Error`, `Ok` (mapped to
-    /// `Affected(0)`), or header + pages + done.
+    /// Take a statement answer's trailer as this session's last report
+    /// and trace.
+    fn settle(&mut self, mut trailer: proto::Trailer) {
+        if !self.tracing {
+            trailer.trace = None;
+        }
+        self.last = trailer;
+    }
+
+    /// Decode a statement's `Error` answer and settle its trailer.
+    fn statement_error(&mut self, body: &[u8]) -> NetError {
+        match proto::read_error(body) {
+            Ok((e, trailer)) => {
+                self.settle(trailer);
+                e
+            }
+            Err(malformed) => malformed,
+        }
+    }
+
+    /// Read one statement answer: `Affected`, `Error`, or header + pages
+    /// + done.
     fn read_reply(&mut self) -> NetResult<NetReply> {
         let frame = self.expect_frame()?;
         let (op, body) = proto::split(&frame)?;
         match op {
-            Op::Error => Err(proto::read_error(body)),
-            Op::Ok => Ok(NetReply::Affected(0)),
+            Op::Error => Err(self.statement_error(body)),
             Op::Affected => {
-                let (n, token) = proto::read_affected(body)?;
+                let (n, token, trailer) = proto::read_affected(body)?;
                 if token != (0, 0) {
                     self.last_token = token;
                 }
+                self.settle(trailer);
                 Ok(NetReply::Affected(n))
             }
             Op::ResultHeader => {
@@ -423,13 +356,7 @@ impl Client {
                             pages_seen += 1;
                         }
                         Op::ResultDone => {
-                            let mut r = Reader::new(body);
-                            let rows = r
-                                .u64()
-                                .map_err(|_| NetError::protocol("malformed ResultDone"))?;
-                            let pages = r
-                                .u32()
-                                .map_err(|_| NetError::protocol("malformed ResultDone"))?;
+                            let (rows, pages, trailer) = proto::read_result_done(body)?;
                             if pages != pages_seen || rows != builder.row_count() as u64 {
                                 return Err(NetError::protocol(format!(
                                     "result stream torn: server sent {rows} rows in {pages} \
@@ -437,9 +364,10 @@ impl Client {
                                     builder.row_count()
                                 )));
                             }
+                            self.settle(trailer);
                             return Ok(NetReply::Rows(builder.finish()));
                         }
-                        Op::Error => return Err(proto::read_error(body)),
+                        Op::Error => return Err(self.statement_error(body)),
                         other => {
                             return Err(NetError::protocol(format!(
                                 "unexpected {other:?} inside a result stream"

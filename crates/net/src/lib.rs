@@ -42,6 +42,8 @@ pub mod stop;
 
 pub use client::{Client, NetReply};
 pub use http::{MetricsEndpoint, MetricsHandle};
-pub use proto::{ExecReport, NetError, NetResult, ReplSnapshotFrame, WalToken, PROTO_VERSION};
+pub use proto::{
+    ExecReport, NetError, NetResult, ReplSnapshotFrame, Trailer, WalToken, PROTO_VERSION,
+};
 pub use server::{Server, ServerConfig, ServerHandle};
 pub use stop::Stop;

@@ -1,4 +1,4 @@
-//! The wire protocol, version 7: length-prefixed frames.
+//! The wire protocol, version 8: length-prefixed frames.
 //!
 //! Every frame is `u32` little-endian payload length, then the payload;
 //! the payload's first byte is the opcode. Strings and integers inside
@@ -10,24 +10,23 @@
 //! ```text
 //! frame    := len:u32  payload[len]
 //! payload  := opcode:u8 body
+//! trailer  := report:12×u64 has_trace:u8 [trace:str]
 //!
-//! client → server                      server → client
-//!   0x01 Hello   ver:u16 client:str      0x81 HelloOk  ver:u16 server:str sid:u64
-//!   0x02 Query   epoch:u64 pos:u64 sql:str   0x82 Error    code:u16 message:str
-//!   0x03 Prepare name:str sql:str        0x83 Affected n:u64 epoch:u64 pos:u64
-//!   0x04 ExecPrepared name:str           0x84 ResultHeader  ncols:u16 (name:str tag:u8 dim:u8)*
-//!   0x05 Ping                            0x85 ResultPage    rows:u32 (tag:u8 body)*ncols
-//!   0x06 Close                           0x86 ResultDone    rows:u64 pages:u32
-//!   0x07 Shutdown                        0x87 Pong
-//!   0x08 Stats                           0x88 Ok       (Shutdown ack)
-//!   0x09 Bind    name:str n:u16 value*   0x89 StatsReply    12×u64 (see [`ExecReport`])
-//!   0x0A ExecBound name:str              0x8A StmtOk   nparams:u16 (Prepare ack)
-//!   0x0B Deallocate name:str             0x8B MetricsReply  <MetricsSnapshot>
-//!   0x0C Metrics                         0x8C TraceReply    has:u8 text:str
-//!   0x0D TraceEnable on:u8               0x8D ReplRecord  gen:u64 durable:u64
-//!   0x0E TraceFetch                                        has:u8 [end:u64 payload]
-//!   0x0F ReplHello  gen:u64 pos:u64      0x8E ReplSnapshot kind:u8 body
-//!   0x10 ReplAck    gen:u64 pos:u64
+//! client → server                           server → client
+//!   0x01 Hello     ver:u16 client:str         0x81 HelloOk      ver:u16 server:str sid:u64
+//!   0x02 Query     flags:u8 epoch:u64 pos:u64 sql:str
+//!                                             0x82 Error        code:u16 message:str trailer
+//!   0x03 Prepare   name:str sql:str           0x83 Affected     n:u64 epoch:u64 pos:u64 trailer
+//!   0x05 Ping                                 0x84 ResultHeader ncols:u16 (name:str tag:u8 dim:u8)*
+//!   0x06 Close                                0x85 ResultPage   rows:u32 (tag:u8 body)*ncols
+//!   0x07 Shutdown                             0x86 ResultDone   rows:u64 pages:u32 trailer
+//!   0x0A ExecBound flags:u8 name:str n:u16 value*
+//!                                             0x87 Pong
+//!   0x0B Deallocate name:str                  0x88 Ok           (Shutdown ack)
+//!   0x0F ReplHello gen:u64 pos:u64            0x8A StmtOk       nparams:u16 (Prepare ack)
+//!   0x10 ReplAck   gen:u64 pos:u64            0x8D ReplRecord   gen:u64 durable:u64
+//!                                                               has:u8 [end:u64 payload]
+//!                                             0x8E ReplSnapshot kind:u8 body
 //! ```
 //!
 //! A `ResultPage` column body is `seq:u64 len:u64` for a void column
@@ -35,30 +34,35 @@
 //! place, doubles as IEEE bits); a string column's cells are `u32`
 //! indices into a page-local dictionary that follows them.
 //!
-//! `Query` carries a monotonic-read token ahead of the SQL
-//! (`epoch:u64 pos:u64 sql:str`; `(0,0)` = none) and `Affected` carries
-//! the write's durable WAL position (`n:u64 epoch:u64 pos:u64`) — the
-//! token a later replica read presents to guarantee read-your-writes.
-//! The replication frames stream a primary's acknowledged WAL to a
-//! replica: the replica opens with `ReplHello` (its applied position),
-//! the primary answers with `ReplRecord`s (payload-less ones are
-//! durable-position heartbeats) or a multi-frame `ReplSnapshot`
-//! bootstrap (Begin → per-file File/Chunk… → End) when the replica's
-//! generation no longer exists on the primary, and the replica
-//! acknowledges applied positions with `ReplAck`.
-//!
 //! A query answer is either one `Error`, one `Affected`, or a
 //! `ResultHeader`, zero or more `ResultPage`s and a closing `ResultDone`.
+//! Each of the three closing frames ends with a [`Trailer`]: the
+//! session's [`ExecReport`] and, while the session traces, the rendered
+//! span tree of its last statement — so a client's report and trace
+//! cost no round trip of their own. `Query` and `ExecBound` carry a
+//! `flags` byte whose bit 0 asks for tracing; any other bit is a
+//! protocol error.
+//!
+//! `Query` carries a monotonic-read token ahead of the SQL
+//! (`(0,0)` = none) and `Affected` carries the write's durable WAL
+//! position — the token a later replica read presents to guarantee
+//! read-your-writes. The replication frames stream a primary's
+//! acknowledged WAL to a replica: the replica opens with `ReplHello`
+//! (its applied position), the primary answers with `ReplRecord`s
+//! (payload-less ones are durable-position heartbeats) or a multi-frame
+//! `ReplSnapshot` bootstrap (Begin → per-file File/Chunk… → End) when
+//! the replica's generation no longer exists on the primary, and the
+//! replica acknowledges applied positions with `ReplAck`.
+//!
 //! The handshake (`Hello`/`HelloOk`) must be the first exchange on a
 //! connection; the server rejects anything else with `Error` and hangs up.
 //!
-//! Prepared statements with parameters: `Prepare` compiles the statement
-//! server-side (acked by `StmtOk` with the bind-slot count), `Bind`
-//! stages codec-encoded scalar values in the session (refused for names
-//! that were never prepared), `ExecBound` executes the statement with
-//! the staged values, and `Deallocate` frees it — re-executions reuse
-//! the server's cached plan, so only `Bind` + `ExecBound` round trips
-//! repeat, never parsing or optimisation.
+//! Prepared statements: `Prepare` compiles the statement server-side
+//! (acked by `StmtOk` with the bind-slot count), `ExecBound` executes
+//! it with codec-encoded scalar values (`n = 0` for none), and
+//! `Deallocate` frees it — re-executions reuse the server's cached
+//! plan, so one `ExecBound` round trip repeats, never parsing or
+//! optimisation.
 
 use sciql::ErrorCode;
 use std::fmt;
@@ -67,7 +71,7 @@ use std::io::{self, Read, Write};
 /// Protocol version spoken by this build. A server answers every
 /// `Hello` with the version it speaks; the client requires an exact
 /// match.
-pub const PROTO_VERSION: u16 = 7;
+pub const PROTO_VERSION: u16 = 8;
 
 /// Upper bound on a single frame (64 MiB): a defence against a corrupt
 /// or hostile length prefix allocating unbounded memory, not a result
@@ -86,30 +90,18 @@ pub enum Op {
     Hello = 0x01,
     /// Execute one SQL statement.
     Query = 0x02,
-    /// Stash a named statement text in the session.
+    /// Compile a named statement in the session.
     Prepare = 0x03,
-    /// Execute a stashed statement.
-    ExecPrepared = 0x04,
     /// Liveness probe.
     Ping = 0x05,
     /// Orderly session end.
     Close = 0x06,
     /// Ask the server to shut down gracefully.
     Shutdown = 0x07,
-    /// Request the session's last-statement execution report.
-    Stats = 0x08,
-    /// Stage bound parameter values for a prepared statement.
-    Bind = 0x09,
-    /// Execute a prepared statement with the staged values.
+    /// Execute a prepared statement with the values the frame carries.
     ExecBound = 0x0A,
-    /// Drop a prepared statement (and its staged values).
+    /// Drop a prepared statement.
     Deallocate = 0x0B,
-    /// Request an engine-wide metrics snapshot.
-    Metrics = 0x0C,
-    /// Switch per-session query tracing on or off.
-    TraceEnable = 0x0D,
-    /// Fetch the rendered span tree of the last traced statement.
-    TraceFetch = 0x0E,
     /// Replica handshake: announce the applied WAL position and switch
     /// the session into replication streaming.
     ReplHello = 0x0F,
@@ -129,16 +121,10 @@ pub enum Op {
     ResultDone = 0x86,
     /// Ping answer.
     Pong = 0x87,
-    /// Generic acknowledgement.
+    /// Shutdown acknowledgement.
     Ok = 0x88,
-    /// Execution report for the session's most recent statement.
-    StatsReply = 0x89,
     /// Prepare acknowledgement carrying the statement's bind-slot count.
     StmtOk = 0x8A,
-    /// Engine-wide metrics snapshot.
-    MetricsReply = 0x8B,
-    /// Rendered span tree (or "none recorded") answer to `TraceFetch`.
-    TraceReply = 0x8C,
     /// One shipped WAL record (or a payload-less durable-position
     /// heartbeat) from primary to replica.
     ReplRecord = 0x8D,
@@ -153,17 +139,11 @@ impl Op {
             0x01 => Op::Hello,
             0x02 => Op::Query,
             0x03 => Op::Prepare,
-            0x04 => Op::ExecPrepared,
             0x05 => Op::Ping,
             0x06 => Op::Close,
             0x07 => Op::Shutdown,
-            0x08 => Op::Stats,
-            0x09 => Op::Bind,
             0x0A => Op::ExecBound,
             0x0B => Op::Deallocate,
-            0x0C => Op::Metrics,
-            0x0D => Op::TraceEnable,
-            0x0E => Op::TraceFetch,
             0x0F => Op::ReplHello,
             0x10 => Op::ReplAck,
             0x81 => Op::HelloOk,
@@ -174,10 +154,7 @@ impl Op {
             0x86 => Op::ResultDone,
             0x87 => Op::Pong,
             0x88 => Op::Ok,
-            0x89 => Op::StatsReply,
             0x8A => Op::StmtOk,
-            0x8B => Op::MetricsReply,
-            0x8C => Op::TraceReply,
             0x8D => Op::ReplRecord,
             0x8E => Op::ReplSnapshot,
             _ => return None,
@@ -424,23 +401,35 @@ pub fn token_satisfied(applied: WalToken, required: WalToken) -> bool {
     sciql::commit::covers(applied, required)
 }
 
-/// `Query` payload: monotonic-read token (`(0, 0)` = none), then SQL.
-pub fn query(token: WalToken, sql: &str) -> Vec<u8> {
-    let mut p = vec![Op::Query as u8];
+/// Read a request's `flags` byte: bit 0 asks for tracing, and any other
+/// bit is refused.
+fn read_flags(r: &mut gdk::codec::Reader<'_>, what: &str) -> NetResult<bool> {
+    match r.u8() {
+        Ok(0) => Ok(false),
+        Ok(1) => Ok(true),
+        _ => Err(NetError::protocol(format!("malformed {what}: flags"))),
+    }
+}
+
+/// `Query` payload: the tracing flag, the monotonic-read token
+/// (`(0, 0)` = none), then SQL.
+pub fn query(trace: bool, token: WalToken, sql: &str) -> Vec<u8> {
+    let mut p = vec![Op::Query as u8, trace as u8];
     gdk::codec::put_u64(&mut p, token.0);
     gdk::codec::put_u64(&mut p, token.1);
     gdk::codec::put_str(&mut p, sql);
     p
 }
 
-/// Decode a `Query` body into its token and SQL text.
-pub fn read_query(body: &[u8]) -> NetResult<(WalToken, String)> {
+/// Decode a `Query` body into its tracing flag, token and SQL text.
+pub fn read_query(body: &[u8]) -> NetResult<(bool, WalToken, String)> {
     let mut r = gdk::codec::Reader::new(body);
+    let trace = read_flags(&mut r, "Query")?;
     let bad = |_| NetError::protocol("malformed Query");
     let epoch = r.u64().map_err(bad)?;
     let pos = r.u64().map_err(bad)?;
     let sql = r.str().map_err(bad)?;
-    Ok(((epoch, pos), sql))
+    Ok((trace, (epoch, pos), sql))
 }
 
 /// `Prepare` payload.
@@ -451,18 +440,11 @@ pub fn prepare(name: &str, sql: &str) -> Vec<u8> {
     p
 }
 
-/// `ExecPrepared` payload.
-pub fn exec_prepared(name: &str) -> Vec<u8> {
-    let mut p = vec![Op::ExecPrepared as u8];
-    gdk::codec::put_str(&mut p, name);
-    p
-}
-
-/// `Bind` payload: statement name plus slot-ordered scalar values,
-/// encoded with the same versioned value codec the vault and the result
-/// pages use (bit-exact round trip, nil sentinels included).
-pub fn bind(name: &str, values: &[gdk::Value]) -> Vec<u8> {
-    let mut p = vec![Op::Bind as u8];
+/// `ExecBound` payload: the tracing flag, the statement name and its
+/// slot-ordered scalar values, encoded with the same versioned value
+/// codec the vault uses (bit-exact round trip, nil sentinels included).
+pub fn exec_bound(trace: bool, name: &str, values: &[gdk::Value]) -> Vec<u8> {
+    let mut p = vec![Op::ExecBound as u8, trace as u8];
     gdk::codec::put_str(&mut p, name);
     gdk::codec::put_u16(&mut p, values.len() as u16);
     for v in values {
@@ -471,24 +453,23 @@ pub fn bind(name: &str, values: &[gdk::Value]) -> Vec<u8> {
     p
 }
 
-/// Decode a `Bind` body into the statement name and its values.
-pub fn read_bind(body: &[u8]) -> NetResult<(String, Vec<gdk::Value>)> {
+/// Decode an `ExecBound` body into its tracing flag, the statement name
+/// and the values. A value takes at least one byte, so the count cannot
+/// reserve more than the bytes that follow it.
+pub fn read_exec_bound(body: &[u8]) -> NetResult<(bool, String, Vec<gdk::Value>)> {
     let mut r = gdk::codec::Reader::new(body);
-    let bad = |_| NetError::protocol("malformed Bind");
+    let trace = read_flags(&mut r, "ExecBound")?;
+    let bad = |_| NetError::protocol("malformed ExecBound");
     let name = r.str().map_err(bad)?;
     let n = r.u16().map_err(bad)? as usize;
-    let mut values = Vec::with_capacity(n);
+    let mut values = Vec::with_capacity(n.min(r.remaining()));
     for _ in 0..n {
         values.push(gdk::codec::decode_value(&mut r).map_err(bad)?);
     }
-    Ok((name, values))
-}
-
-/// `ExecBound` payload.
-pub fn exec_bound(name: &str) -> Vec<u8> {
-    let mut p = vec![Op::ExecBound as u8];
-    gdk::codec::put_str(&mut p, name);
-    p
+    if r.remaining() != 0 {
+        return Err(NetError::protocol("malformed ExecBound: trailing bytes"));
+    }
+    Ok((trace, name, values))
 }
 
 /// `Deallocate` payload (answered with `Affected(1)` if the statement
@@ -513,181 +494,52 @@ pub fn read_stmt_ok(body: &[u8]) -> NetResult<u16> {
         .map_err(|_| NetError::protocol("malformed StmtOk"))
 }
 
-/// `TraceEnable` payload.
-pub fn trace_enable(on: bool) -> Vec<u8> {
-    vec![Op::TraceEnable as u8, on as u8]
-}
-
-/// Decode a `TraceEnable` body.
-pub fn read_trace_enable(body: &[u8]) -> NetResult<bool> {
-    match body {
-        [0] => Ok(false),
-        [1] => Ok(true),
-        _ => Err(NetError::protocol("malformed TraceEnable")),
-    }
-}
-
-/// `TraceReply` payload: the rendered span tree of the session's last
-/// traced statement, or `None` when nothing was recorded.
-pub fn trace_reply(text: Option<&str>) -> Vec<u8> {
-    let mut p = vec![Op::TraceReply as u8];
-    match text {
-        None => gdk::codec::put_u8(&mut p, 0),
-        Some(t) => {
-            gdk::codec::put_u8(&mut p, 1);
-            gdk::codec::put_str(&mut p, t);
-        }
-    }
-    p
-}
-
-/// Decode a `TraceReply` body.
-pub fn read_trace_reply(body: &[u8]) -> NetResult<Option<String>> {
-    let mut r = gdk::codec::Reader::new(body);
-    let bad = |_| NetError::protocol("malformed TraceReply");
-    match r.u8().map_err(bad)? {
-        0 => Ok(None),
-        1 => Ok(Some(r.str().map_err(bad)?)),
-        _ => Err(NetError::protocol("malformed TraceReply")),
-    }
-}
-
-/// `MetricsReply` payload: the full [`sciql_obs::MetricsSnapshot`] — named
-/// counters, gauges and latency histograms — with the same codec
-/// primitives every other frame uses.
-pub fn metrics_reply(snap: &sciql_obs::MetricsSnapshot) -> Vec<u8> {
-    let mut p = vec![Op::MetricsReply as u8];
-    gdk::codec::put_u32(&mut p, snap.counters.len() as u32);
-    for (n, v) in &snap.counters {
-        gdk::codec::put_str(&mut p, n);
-        gdk::codec::put_u64(&mut p, *v);
-    }
-    gdk::codec::put_u32(&mut p, snap.gauges.len() as u32);
-    for (n, v) in &snap.gauges {
-        gdk::codec::put_str(&mut p, n);
-        gdk::codec::put_i64(&mut p, *v);
-    }
-    gdk::codec::put_u32(&mut p, snap.histograms.len() as u32);
-    for (n, h) in &snap.histograms {
-        gdk::codec::put_str(&mut p, n);
-        gdk::codec::put_u32(&mut p, h.bounds.len() as u32);
-        for &b in &h.bounds {
-            gdk::codec::put_u64(&mut p, b);
-        }
-        gdk::codec::put_u32(&mut p, h.counts.len() as u32);
-        for &c in &h.counts {
-            gdk::codec::put_u64(&mut p, c);
-        }
-        gdk::codec::put_u64(&mut p, h.count);
-        gdk::codec::put_u64(&mut p, h.sum_ns);
-    }
-    p
-}
-
-/// Decode a `MetricsReply` body.
-pub fn read_metrics_reply(body: &[u8]) -> NetResult<sciql_obs::MetricsSnapshot> {
-    let mut r = gdk::codec::Reader::new(body);
-    let bad = |_| NetError::protocol("malformed MetricsReply");
-    let nc = r.u32().map_err(bad)? as usize;
-    let mut counters = Vec::with_capacity(nc);
-    for _ in 0..nc {
-        let n = r.str().map_err(bad)?;
-        let v = r.u64().map_err(bad)?;
-        counters.push((n, v));
-    }
-    let ng = r.u32().map_err(bad)? as usize;
-    let mut gauges = Vec::with_capacity(ng);
-    for _ in 0..ng {
-        let n = r.str().map_err(bad)?;
-        let v = r.i64().map_err(bad)?;
-        gauges.push((n, v));
-    }
-    let nh = r.u32().map_err(bad)? as usize;
-    let mut histograms = Vec::with_capacity(nh);
-    for _ in 0..nh {
-        let n = r.str().map_err(bad)?;
-        let nbounds = r.u32().map_err(bad)? as usize;
-        if nbounds > sciql_obs::LATENCY_BOUNDS_NS.len() {
-            return Err(NetError::protocol("malformed MetricsReply: bound count"));
-        }
-        let mut bounds = Vec::with_capacity(nbounds);
-        for _ in 0..nbounds {
-            bounds.push(r.u64().map_err(bad)?);
-        }
-        let nb = r.u32().map_err(bad)? as usize;
-        if nb > sciql_obs::LATENCY_BOUNDS_NS.len() + 1 {
-            return Err(NetError::protocol("malformed MetricsReply: bucket count"));
-        }
-        let mut counts = Vec::with_capacity(nb);
-        for _ in 0..nb {
-            counts.push(r.u64().map_err(bad)?);
-        }
-        let count = r.u64().map_err(bad)?;
-        let sum_ns = r.u64().map_err(bad)?;
-        histograms.push((
-            n,
-            sciql_obs::HistogramSnapshot {
-                bounds,
-                counts,
-                count,
-                sum_ns,
-            },
-        ));
-    }
-    Ok(sciql_obs::MetricsSnapshot {
-        counters,
-        gauges,
-        histograms,
-    })
-}
-
 /// Bare single-opcode payload (`Ping`, `Close`, `Shutdown`, `Pong`, `Ok`).
 pub fn bare(op: Op) -> Vec<u8> {
     vec![op as u8]
 }
 
-/// `Error` payload: stable code + message.
-pub fn error(code: ErrorCode, message: &str) -> Vec<u8> {
+/// `Error` payload: stable code, message and trailer.
+pub fn error(code: ErrorCode, message: &str, trailer: &Trailer) -> Vec<u8> {
     let mut p = vec![Op::Error as u8];
     gdk::codec::put_u16(&mut p, code.as_u16());
     gdk::codec::put_str(&mut p, message);
+    put_trailer(&mut p, trailer);
     p
 }
 
-/// Decode an `Error` body into a [`NetError::Server`].
-pub fn read_error(body: &[u8]) -> NetError {
+/// Decode an `Error` body into the [`NetError::Server`] it reports and
+/// its trailer.
+pub fn read_error(body: &[u8]) -> NetResult<(NetError, Trailer)> {
     let mut r = gdk::codec::Reader::new(body);
-    match (r.u16(), r.str()) {
-        (Ok(code), Ok(message)) => NetError::Server {
-            code: ErrorCode::from_u16(code),
-            message,
-        },
-        _ => NetError::Server {
-            code: ErrorCode::Protocol,
-            message: "malformed Error frame".into(),
-        },
-    }
+    let bad = |_| NetError::protocol("malformed Error");
+    let code = ErrorCode::from_u16(r.u16().map_err(bad)?);
+    let message = r.str().map_err(bad)?;
+    let trailer = read_trailer(r.take(r.remaining()).map_err(bad)?)?;
+    Ok((NetError::Server { code, message }, trailer))
 }
 
-/// `Affected` payload: the count plus the session's newest durable WAL
+/// `Affected` payload: the count, the session's newest durable WAL
 /// position — the monotonic-read token the client hands to replica
-/// reads (`(0, 0)` on in-memory engines).
-pub fn affected(n: u64, token: WalToken) -> Vec<u8> {
+/// reads (`(0, 0)` on in-memory engines) — and the trailer.
+pub fn affected(n: u64, token: WalToken, trailer: &Trailer) -> Vec<u8> {
     let mut p = vec![Op::Affected as u8];
     gdk::codec::put_u64(&mut p, n);
     gdk::codec::put_u64(&mut p, token.0);
     gdk::codec::put_u64(&mut p, token.1);
+    put_trailer(&mut p, trailer);
     p
 }
 
-/// Decode an `Affected` body into the count and its token.
-pub fn read_affected(body: &[u8]) -> NetResult<(u64, WalToken)> {
+/// Decode an `Affected` body into the count, its token and the trailer.
+pub fn read_affected(body: &[u8]) -> NetResult<(u64, WalToken, Trailer)> {
     let mut r = gdk::codec::Reader::new(body);
     let bad = |_| NetError::protocol("malformed Affected");
     let n = r.u64().map_err(bad)?;
     let epoch = r.u64().map_err(bad)?;
     let pos = r.u64().map_err(bad)?;
-    Ok((n, (epoch, pos)))
+    let trailer = read_trailer(r.take(r.remaining()).map_err(bad)?)?;
+    Ok((n, (epoch, pos), trailer))
 }
 
 /// `ReplHello` / `ReplAck` payload: the replica's applied position.
@@ -821,7 +673,7 @@ pub fn read_repl_snapshot(body: &[u8]) -> NetResult<ReplSnapshotFrame> {
 }
 
 /// Execution report for a session's most recent statement, as carried by
-/// `StatsReply`: the interpreter counters plus the optimizer pipeline's
+/// every [`Trailer`]: the interpreter counters plus the optimizer pipeline's
 /// `PassStats` highlights, so a remote `\timing` shows the same numbers
 /// as an embedded one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -855,8 +707,8 @@ pub struct ExecReport {
 
 impl ExecReport {
     /// Build the report from the engine's last-statement record — the
-    /// one conversion both the server's `Stats` handler and the
-    /// embedded driver use, so the two transports can never drift.
+    /// one conversion both the server's trailers and the embedded
+    /// driver use, so the two transports can never drift.
     pub fn from_last_exec(last: &sciql::LastExec) -> ExecReport {
         ExecReport {
             instructions: last.exec.instructions as u64,
@@ -896,11 +748,23 @@ impl ExecReport {
     }
 }
 
-/// `StatsReply` payload.
-pub fn stats_reply(report: &ExecReport) -> Vec<u8> {
+/// What closes every statement answer (`Affected`, `ResultDone`,
+/// `Error`): the session's last execution report and, while the session
+/// traces, the rendered span tree of its last statement.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Trailer {
+    /// The session's most recent execution.
+    pub report: ExecReport,
+    /// The rendered span tree, when the statement was traced.
+    pub trace: Option<String>,
+}
+
+/// Append a trailer: the report's 12 `u64`s, then `has_trace:u8` and
+/// the trace text.
+pub fn put_trailer(p: &mut Vec<u8>, trailer: &Trailer) {
     // Exhaustive destructuring, deliberately without `..`: adding a
     // field to `ExecReport` refuses to compile until it is wired
-    // through the codec here (and in `read_stats_reply`).
+    // through the codec here (and in `read_trailer`).
     let ExecReport {
         instructions,
         par_instructions,
@@ -914,8 +778,7 @@ pub fn stats_reply(report: &ExecReport) -> Vec<u8> {
         plan_cache_hits,
         tiles_skipped,
         tuples_produced,
-    } = *report;
-    let mut p = vec![Op::StatsReply as u8];
+    } = trailer.report;
     for v in [
         instructions,
         par_instructions,
@@ -930,20 +793,24 @@ pub fn stats_reply(report: &ExecReport) -> Vec<u8> {
         tiles_skipped,
         tuples_produced,
     ] {
-        gdk::codec::put_u64(&mut p, v);
+        gdk::codec::put_u64(p, v);
     }
-    p
+    match &trailer.trace {
+        None => gdk::codec::put_u8(p, 0),
+        Some(text) => {
+            gdk::codec::put_u8(p, 1);
+            gdk::codec::put_str(p, text);
+        }
+    }
 }
 
-/// Decode a `StatsReply` body. Rejects a body whose length does not
-/// match this build's field count exactly, so a half-wired field shows
-/// up as a loud protocol error rather than silent zeros.
-pub fn read_stats_reply(body: &[u8]) -> NetResult<ExecReport> {
+/// Decode a trailer that fills `body` exactly: a short body or trailing
+/// bytes (a field-count drift between peer builds) is a protocol error,
+/// never silently zeroed fields.
+pub fn read_trailer(body: &[u8]) -> NetResult<Trailer> {
     let mut r = gdk::codec::Reader::new(body);
-    let mut next = || {
-        r.u64()
-            .map_err(|_| NetError::protocol("malformed StatsReply"))
-    };
+    let bad = |_| NetError::protocol("malformed trailer");
+    let mut next = || r.u64().map_err(bad);
     let report = ExecReport {
         instructions: next()?,
         par_instructions: next()?,
@@ -958,20 +825,35 @@ pub fn read_stats_reply(body: &[u8]) -> NetResult<ExecReport> {
         tiles_skipped: next()?,
         tuples_produced: next()?,
     };
+    let trace = match r.u8().map_err(bad)? {
+        0 => None,
+        1 => Some(r.str().map_err(bad)?),
+        _ => return Err(NetError::protocol("malformed trailer: trace flag")),
+    };
     if r.remaining() != 0 {
-        return Err(NetError::protocol(
-            "malformed StatsReply: trailing bytes (field-count drift between peer builds?)",
-        ));
+        return Err(NetError::protocol("malformed trailer: trailing bytes"));
     }
-    Ok(report)
+    Ok(Trailer { report, trace })
 }
 
-/// `ResultDone` payload.
-pub fn result_done(rows: u64, pages: u32) -> Vec<u8> {
+/// `ResultDone` payload: the row and page counts the client checks its
+/// reassembly against, then the trailer.
+pub fn result_done(rows: u64, pages: u32, trailer: &Trailer) -> Vec<u8> {
     let mut p = vec![Op::ResultDone as u8];
     gdk::codec::put_u64(&mut p, rows);
     gdk::codec::put_u32(&mut p, pages);
+    put_trailer(&mut p, trailer);
     p
+}
+
+/// Decode a `ResultDone` body into rows, pages and the trailer.
+pub fn read_result_done(body: &[u8]) -> NetResult<(u64, u32, Trailer)> {
+    let mut r = gdk::codec::Reader::new(body);
+    let bad = |_| NetError::protocol("malformed ResultDone");
+    let rows = r.u64().map_err(bad)?;
+    let pages = r.u32().map_err(bad)?;
+    let trailer = read_trailer(r.take(r.remaining()).map_err(bad)?)?;
+    Ok((rows, pages, trailer))
 }
 
 /// Split a received payload into opcode and body.
@@ -991,13 +873,16 @@ mod tests {
     #[test]
     fn frame_roundtrip() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &query((0, 0), "SELECT 1")).unwrap();
+        write_frame(&mut wire, &query(false, (0, 0), "SELECT 1")).unwrap();
         write_frame(&mut wire, &bare(Op::Ping)).unwrap();
         let mut r = &wire[..];
         let f1 = read_frame(&mut r).unwrap().unwrap();
         let (op, body) = split(&f1).unwrap();
         assert_eq!(op, Op::Query);
-        assert_eq!(read_query(body).unwrap(), ((0, 0), "SELECT 1".into()));
+        assert_eq!(
+            read_query(body).unwrap(),
+            (false, (0, 0), "SELECT 1".into())
+        );
         let f2 = read_frame(&mut r).unwrap().unwrap();
         assert_eq!(split(&f2).unwrap().0, Op::Ping);
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF");
@@ -1023,9 +908,8 @@ mod tests {
             }
         }
         let payloads = [
-            query((0, 0), "SELECT 1"),
-            bind("s", &[gdk::Value::Int(7)]),
-            exec_bound("s"),
+            query(false, (0, 0), "SELECT 1"),
+            exec_bound(true, "s", &[gdk::Value::Int(7)]),
         ];
         let mut w = Counting::default();
         for (i, p) in payloads.iter().enumerate() {
@@ -1064,7 +948,7 @@ mod tests {
     #[test]
     fn frame_buffer_reassembles_split_frames() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &query((0, 0), "SELECT 42")).unwrap();
+        write_frame(&mut wire, &query(false, (0, 0), "SELECT 42")).unwrap();
         let mut fb = FrameBuffer::new();
         // Feed one byte at a time: no frame until the last byte arrives.
         let mut got = None;
@@ -1083,14 +967,20 @@ mod tests {
 
     #[test]
     fn replication_frames_roundtrip() {
-        let f = query((3, 512), "SELECT 1");
+        let f = query(true, (3, 512), "SELECT 1");
         let (op, body) = split(&f).unwrap();
         assert_eq!(op, Op::Query);
-        assert_eq!(read_query(body).unwrap(), ((3, 512), "SELECT 1".into()));
+        assert_eq!(
+            read_query(body).unwrap(),
+            (true, (3, 512), "SELECT 1".into())
+        );
 
-        let f = affected(7, (2, 99));
+        let f = affected(7, (2, 99), &Trailer::default());
         let (_, body) = split(&f).unwrap();
-        assert_eq!(read_affected(body).unwrap(), (7, (2, 99)));
+        assert_eq!(
+            read_affected(body).unwrap(),
+            (7, (2, 99), Trailer::default())
+        );
 
         let f = repl_position(Op::ReplHello, (1, 64));
         let (op, body) = split(&f).unwrap();
@@ -1135,7 +1025,7 @@ mod tests {
     #[test]
     fn mid_frame_hangup_is_detected() {
         let mut wire = Vec::new();
-        write_frame(&mut wire, &query((0, 0), "SELECT 1")).unwrap();
+        write_frame(&mut wire, &query(false, (0, 0), "SELECT 1")).unwrap();
         wire.truncate(wire.len() - 2);
         let mut fb = FrameBuffer::new();
         let mut r = &wire[..];

@@ -16,7 +16,6 @@ use crate::proto::{self, FrameBuffer, NetError, NetResult, Op, PAGE_ROWS};
 use crate::stop::{wake_accept, Stop, ACCEPT_RETRY};
 use gdk::codec::Reader;
 use sciql::{EngineSession, ErrorCode, Mark, QueryResult, SessionMeter, SharedEngine};
-use std::collections::HashMap;
 use std::io::Write as _;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -302,9 +301,10 @@ enum SessionEnd {
 fn refuse(mut stream: TcpStream, config: &ServerConfig, why: &str) {
     stream.set_write_timeout(config.write_timeout).ok();
     stream.set_nodelay(true).ok();
+    let message = format!("connection refused: {why}");
     proto::write_frame(
         &mut stream,
-        &proto::error(ErrorCode::ServerBusy, &format!("connection refused: {why}")),
+        &proto::error(ErrorCode::ServerBusy, &message, &proto::Trailer::default()),
     )
     .ok();
 }
@@ -422,17 +422,41 @@ fn serve_session(shared: &Shared, mut stream: TcpStream) {
         SessionEnd::Idle => Some("idle timeout exceeded"),
     };
     if let Some(msg) = farewell {
-        proto::write_frame(&mut wire, &proto::error(ErrorCode::Connection, msg)).ok();
+        refuse_request(&mut wire, &session, ErrorCode::Connection, msg);
     }
     wire.flush_wire().ok();
     gauge.dec();
 }
 
+/// The trailer closing a reply: the session's last report, plus its
+/// trace when the reply answers a statement of a tracing session.
+fn trailer(session: &EngineSession, statement: bool) -> proto::Trailer {
+    proto::Trailer {
+        report: proto::ExecReport::from_last_exec(session.last_exec()),
+        trace: match session.last_trace() {
+            Some(t) if statement && session.tracing() => Some(t.render()),
+            _ => None,
+        },
+    }
+}
+
+/// An `Error` frame outside a statement (handshake, malformed request,
+/// farewell): the session's unchanged report and no trace. Returns
+/// `false`, for the callers that end the session on it.
+fn refuse_request(
+    stream: &mut Wire<'_>,
+    session: &EngineSession,
+    code: ErrorCode,
+    message: &str,
+) -> bool {
+    let frame = proto::error(code, message, &trailer(session, false));
+    proto::write_frame(stream, &frame).ok();
+    false
+}
+
 fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSession) -> SessionEnd {
     let mut fb = FrameBuffer::new();
     let mut greeted = false;
-    // Parameter values staged by Bind frames, per prepared-statement name.
-    let mut bound: HashMap<String, Vec<gdk::Value>> = HashMap::new();
     let mut last_activity = Instant::now();
     loop {
         // Pipelining: replies stay coalesced while the client still has
@@ -469,30 +493,21 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
         let (op, body) = match proto::split(&frame) {
             Ok(x) => x,
             Err(e) => {
-                proto::write_frame(stream, &proto::error(ErrorCode::Protocol, &e.to_string())).ok();
+                refuse_request(stream, session, ErrorCode::Protocol, &e.to_string());
                 return SessionEnd::Broken;
             }
         };
         if !greeted {
-            if op != Op::Hello {
-                proto::write_frame(
-                    stream,
-                    &proto::error(
-                        ErrorCode::Protocol,
-                        "handshake required: first frame must be Hello",
-                    ),
-                )
-                .ok();
-                return SessionEnd::Broken;
-            }
             let mut r = Reader::new(body);
-            let ok = r.u16().is_ok() && r.str().is_ok();
-            if !ok {
-                proto::write_frame(
-                    stream,
-                    &proto::error(ErrorCode::Protocol, "malformed Hello"),
-                )
-                .ok();
+            let refusal = if op != Op::Hello {
+                Some("handshake required: first frame must be Hello")
+            } else if r.u16().is_err() || r.str().is_err() {
+                Some("malformed Hello")
+            } else {
+                None
+            };
+            if let Some(why) = refusal {
+                refuse_request(stream, session, ErrorCode::Protocol, why);
                 return SessionEnd::Broken;
             }
             // Versioning: we always answer with the version we speak;
@@ -507,29 +522,6 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
         }
         let ok = match op {
             Op::Ping => proto::write_frame(stream, &proto::bare(Op::Pong)).is_ok(),
-            Op::Stats => {
-                let report = proto::ExecReport::from_last_exec(&session.last_exec());
-                proto::write_frame(stream, &proto::stats_reply(&report)).is_ok()
-            }
-            Op::Metrics => {
-                let snap = sciql_obs::global().snapshot();
-                proto::write_frame(stream, &proto::metrics_reply(&snap)).is_ok()
-            }
-            Op::TraceEnable => match proto::read_trace_enable(body) {
-                Ok(on) => {
-                    session.set_tracing(on);
-                    proto::write_frame(stream, &proto::bare(Op::Ok)).is_ok()
-                }
-                Err(e) => {
-                    proto::write_frame(stream, &proto::error(ErrorCode::Protocol, &e.to_string()))
-                        .ok();
-                    false
-                }
-            },
-            Op::TraceFetch => {
-                let text = session.last_trace().map(|t| t.render());
-                proto::write_frame(stream, &proto::trace_reply(text.as_deref())).is_ok()
-            }
             Op::Close => return SessionEnd::Closed,
             Op::Shutdown => {
                 shared.shut_down();
@@ -537,124 +529,52 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
                 return SessionEnd::Shutdown;
             }
             Op::Query => match proto::read_query(body) {
-                Ok((token, sql)) => {
+                Ok((trace, token, sql)) => {
+                    session.set_tracing(trace);
                     if token != (0, 0)
                         && !session.wait_for_token(token, Instant::now() + TOKEN_WAIT)
                     {
-                        lagging_reply(stream, shared, token)
+                        lagging_reply(stream, shared, session, token)
                     } else {
                         let result = session.execute(&sql);
-                        let reply_token = session.last_commit_token().unwrap_or((0, 0));
-                        answer(stream, shared, result, reply_token)
+                        answer(stream, shared, session, result)
                     }
                 }
-                Err(_) => {
-                    proto::write_frame(
-                        stream,
-                        &proto::error(ErrorCode::Protocol, "malformed Query"),
-                    )
-                    .ok();
-                    false
+                Err(e) => refuse_request(stream, session, ErrorCode::Protocol, &e.to_string()),
+            },
+            Op::ExecBound => match proto::read_exec_bound(body) {
+                Ok((trace, name, values)) => {
+                    session.set_tracing(trace);
+                    let result = session.execute_prepared(&name, &values);
+                    answer(stream, shared, session, result)
                 }
+                Err(e) => refuse_request(stream, session, ErrorCode::Protocol, &e.to_string()),
             },
             Op::Prepare => {
                 let mut r = Reader::new(body);
                 match (r.str(), r.str()) {
                     (Ok(name), Ok(sql)) => match session.prepare(&name, &sql) {
                         Ok(nparams) => {
-                            bound.remove(&name.to_ascii_lowercase());
                             proto::write_frame(stream, &proto::stmt_ok(nparams as u16)).is_ok()
                         }
                         Err(e) => {
-                            proto::write_frame(stream, &proto::error(e.code(), &e.to_string()))
-                                .is_ok()
+                            let frame =
+                                proto::error(e.code(), &e.to_string(), &trailer(session, false));
+                            proto::write_frame(stream, &frame).is_ok()
                         }
                     },
-                    _ => {
-                        proto::write_frame(
-                            stream,
-                            &proto::error(ErrorCode::Protocol, "malformed Prepare"),
-                        )
-                        .ok();
-                        false
-                    }
+                    _ => refuse_request(stream, session, ErrorCode::Protocol, "malformed Prepare"),
                 }
             }
-            Op::ExecPrepared => match Reader::new(body).str() {
-                Ok(name) => {
-                    let result = session.execute_prepared(&name, &[]);
-                    let reply_token = session.last_commit_token().unwrap_or((0, 0));
-                    answer(stream, shared, result, reply_token)
-                }
-                Err(_) => {
-                    proto::write_frame(
-                        stream,
-                        &proto::error(ErrorCode::Protocol, "malformed ExecPrepared"),
-                    )
-                    .ok();
-                    false
-                }
-            },
-            Op::Bind => match proto::read_bind(body) {
-                // Binding requires an existing prepared statement: a
-                // typo'd name fails here (not later at ExecBound), and
-                // the staged-values map stays bounded by the session's
-                // prepared set.
-                Ok((name, values)) => {
-                    if session.has_prepared(&name) {
-                        bound.insert(name.to_ascii_lowercase(), values);
-                        proto::write_frame(stream, &proto::bare(Op::Ok)).is_ok()
-                    } else {
-                        proto::write_frame(
-                            stream,
-                            &proto::error(
-                                ErrorCode::Statement,
-                                &format!("no prepared statement named {name:?}"),
-                            ),
-                        )
-                        .is_ok()
-                    }
-                }
-                Err(e) => {
-                    proto::write_frame(stream, &proto::error(ErrorCode::Protocol, &e.to_string()))
-                        .ok();
-                    false
-                }
-            },
             Op::Deallocate => match Reader::new(body).str() {
                 Ok(name) => {
-                    bound.remove(&name.to_ascii_lowercase());
                     let existed = session.deallocate(&name);
-                    let reply_token = session.last_commit_token().unwrap_or((0, 0));
-                    proto::write_frame(stream, &proto::affected(existed as u64, reply_token))
-                        .is_ok()
+                    let token = session.last_commit_token().unwrap_or((0, 0));
+                    let frame = proto::affected(existed as u64, token, &trailer(session, false));
+                    proto::write_frame(stream, &frame).is_ok()
                 }
                 Err(_) => {
-                    proto::write_frame(
-                        stream,
-                        &proto::error(ErrorCode::Protocol, "malformed Deallocate"),
-                    )
-                    .ok();
-                    false
-                }
-            },
-            Op::ExecBound => match Reader::new(body).str() {
-                Ok(name) => {
-                    let params = bound
-                        .get(&name.to_ascii_lowercase())
-                        .cloned()
-                        .unwrap_or_default();
-                    let result = session.execute_prepared(&name, &params);
-                    let reply_token = session.last_commit_token().unwrap_or((0, 0));
-                    answer(stream, shared, result, reply_token)
-                }
-                Err(_) => {
-                    proto::write_frame(
-                        stream,
-                        &proto::error(ErrorCode::Protocol, "malformed ExecBound"),
-                    )
-                    .ok();
-                    false
+                    refuse_request(stream, session, ErrorCode::Protocol, "malformed Deallocate")
                 }
             },
             Op::ReplHello => {
@@ -664,26 +584,17 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
                 return match proto::read_repl_position(body) {
                     Ok(pos) => serve_replication(shared, stream, &mut fb, pos),
                     Err(e) => {
-                        proto::write_frame(
-                            stream,
-                            &proto::error(ErrorCode::Protocol, &e.to_string()),
-                        )
-                        .ok();
+                        refuse_request(stream, session, ErrorCode::Protocol, &e.to_string());
                         SessionEnd::Broken
                     }
                 };
             }
-            other => {
-                proto::write_frame(
-                    stream,
-                    &proto::error(
-                        ErrorCode::Protocol,
-                        &format!("unexpected client opcode {other:?}"),
-                    ),
-                )
-                .ok();
-                false
-            }
+            other => refuse_request(
+                stream,
+                session,
+                ErrorCode::Protocol,
+                &format!("unexpected client opcode {other:?}"),
+            ),
         };
         if !ok {
             return SessionEnd::Broken;
@@ -693,20 +604,24 @@ fn session_loop(shared: &Shared, stream: &mut Wire<'_>, session: &mut EngineSess
 
 /// Answer a token-constrained read the replica could not serve within
 /// [`TOKEN_WAIT`]: a typed refusal instead of stale rows.
-fn lagging_reply(stream: &mut Wire<'_>, shared: &Shared, token: proto::WalToken) -> bool {
+fn lagging_reply(
+    stream: &mut Wire<'_>,
+    shared: &Shared,
+    session: &EngineSession,
+    token: proto::WalToken,
+) -> bool {
     let (agen, apos) = shared.engine.applied_position();
-    proto::write_frame(
-        stream,
-        &proto::error(
-            ErrorCode::ReplicaLagging,
-            &format!(
-                "replica lagging: applied WAL position ({agen}, {apos}) has not reached \
-                 the requested read token ({}, {}) — retry, or read from the primary",
-                token.0, token.1
-            ),
-        ),
-    )
-    .is_ok()
+    let message = format!(
+        "replica lagging: applied WAL position ({agen}, {apos}) has not reached \
+         the requested read token ({}, {}) — retry, or read from the primary",
+        token.0, token.1
+    );
+    let frame = proto::error(
+        ErrorCode::ReplicaLagging,
+        &message,
+        &trailer(session, false),
+    );
+    proto::write_frame(stream, &frame).is_ok()
 }
 
 /// A snapshot transfer's two failure modes.
@@ -802,14 +717,12 @@ fn serve_replication(
     hello: proto::WalToken,
 ) -> SessionEnd {
     if !shared.engine.is_persistent() {
-        proto::write_frame(
-            stream,
-            &proto::error(
-                ErrorCode::Statement,
-                "replication requires a persistent (vault-backed) primary",
-            ),
-        )
-        .ok();
+        let frame = proto::error(
+            ErrorCode::Statement,
+            "replication requires a persistent (vault-backed) primary",
+            &proto::Trailer::default(),
+        );
+        proto::write_frame(stream, &frame).ok();
         stream.flush_wire().ok();
         return SessionEnd::Closed;
     }
@@ -940,7 +853,9 @@ fn ship(
                         link.lock().unwrap_or_else(|e| e.into_inner()).acked = (g, d);
                     }
                     Err(ShipError::Engine(e)) => {
-                        proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
+                        let frame =
+                            proto::error(e.code(), &e.to_string(), &proto::Trailer::default());
+                        proto::write_frame(stream, &frame).ok();
                         stream.flush_wire().ok();
                         return SessionEnd::Broken;
                     }
@@ -971,7 +886,8 @@ fn ship_tail(
         Ok(Some(records)) => records,
         Ok(None) => return Ok(None),
         Err(e) => {
-            proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).ok();
+            let frame = proto::error(e.code(), &e.to_string(), &proto::Trailer::default());
+            proto::write_frame(stream, &frame).ok();
             stream.flush_wire().ok();
             return Err(SessionEnd::Broken);
         }
@@ -988,17 +904,19 @@ fn ship_tail(
 }
 
 /// Stream one statement's outcome: `Affected`, an `Error`, or header +
-/// pages + done. Returns `false` when the socket died.
+/// pages + done, each closing frame carrying the session's trailer.
+/// Returns `false` when the socket died.
 fn answer(
     stream: &mut Wire<'_>,
     shared: &Shared,
+    session: &EngineSession,
     result: sciql::Result<QueryResult>,
-    token: proto::WalToken,
 ) -> bool {
-    match result {
-        Err(e) => proto::write_frame(stream, &proto::error(e.code(), &e.to_string())).is_ok(),
+    let frame = match result {
+        Err(e) => proto::error(e.code(), &e.to_string(), &trailer(session, true)),
         Ok(QueryResult::Affected(n)) => {
-            proto::write_frame(stream, &proto::affected(n as u64, token)).is_ok()
+            let token = session.last_commit_token().unwrap_or((0, 0));
+            proto::affected(n as u64, token, &trailer(session, true))
         }
         Ok(QueryResult::Rows(rs)) => {
             // The quota counts header and page bodies, opcodes aside.
@@ -1035,17 +953,11 @@ fn answer(
                     // result stream). Only the statement fails; the
                     // session stays aligned.
                     stream.out.truncate(at);
-                    return proto::write_frame(
-                        stream,
-                        &proto::error(
-                            ErrorCode::QuotaExceeded,
-                            &format!(
-                                "result set exceeds max_result_bytes_per_session \
-                                 ({limit} bytes)"
-                            ),
-                        ),
-                    )
-                    .is_ok();
+                    let message =
+                        format!("result set exceeds max_result_bytes_per_session ({limit} bytes)");
+                    let frame =
+                        proto::error(ErrorCode::QuotaExceeded, &message, &trailer(session, true));
+                    return proto::write_frame(stream, &frame).is_ok();
                 }
                 if stream.flush().is_err() {
                     return false;
@@ -1053,7 +965,8 @@ fn answer(
                 row += n;
                 npages += 1;
             }
-            proto::write_frame(stream, &proto::result_done(total as u64, npages)).is_ok()
+            proto::result_done(total as u64, npages, &trailer(session, true))
         }
-    }
+    };
+    proto::write_frame(stream, &frame).is_ok()
 }

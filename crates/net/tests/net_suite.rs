@@ -68,11 +68,11 @@ fn statement_roundtrips() {
     // Prepared texts are session-scoped.
     c.prepare("q", "SELECT COUNT(*) FROM m WHERE v > 3")
         .unwrap();
-    let rs = c.execute_prepared("q").unwrap().rows().unwrap();
+    let rs = c.execute_bound("q", &[]).unwrap().rows().unwrap();
     assert_eq!(rs.row_count(), 1);
     let mut other = Client::connect(handle.addr()).unwrap();
     assert!(matches!(
-        other.execute_prepared("q"),
+        other.execute_bound("q", &[]),
         Err(NetError::Server { .. })
     ));
     other.close().unwrap();
@@ -80,22 +80,24 @@ fn statement_roundtrips() {
     handle.wait();
 }
 
-/// Small-page streaming: many pages reassemble exactly.
+/// Every statement answer carries the session's execution report and,
+/// while the client traces, the statement's span tree.
 #[test]
-fn stats_frame_reports_last_execution() {
+fn trailers_report_last_execution() {
     let handle = Server::bind(SharedEngine::in_memory(), "127.0.0.1:0")
         .unwrap()
         .serve()
         .unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
-    // Before any statement: an all-zero report, not an error.
-    let empty = c.last_stats().unwrap();
-    assert_eq!(empty.instructions, 0);
+    // Before any statement: an all-zero report and no trace.
+    assert_eq!(c.last_report().instructions, 0);
+    assert_eq!(c.last_trace(), None);
     c.execute("CREATE ARRAY m (x INT DIMENSION[0:1:8], y INT DIMENSION[0:1:8], v INT DEFAULT 0)")
         .unwrap();
     c.execute("UPDATE m SET v = x + y").unwrap();
+    c.set_tracing(true);
     c.query("SELECT SUM(v) FROM m WHERE x > 2").unwrap();
-    let stats = c.last_stats().unwrap();
+    let stats = c.last_report();
     assert!(stats.instructions > 0);
     assert!(
         stats.instrs_after_opt < stats.instrs_before_opt,
@@ -104,12 +106,57 @@ fn stats_frame_reports_last_execution() {
     assert!(stats.fused >= 2, "candprop + selectagg fused: {stats:?}");
     assert!(stats.intermediates_avoided >= 2, "{stats:?}");
     assert!(stats.bytes_not_materialized > 0, "{stats:?}");
+    let trace = c.last_trace().expect("tracing is on");
+    assert!(trace.starts_with("trace: SELECT"), "{trace}");
+    // Switching tracing off drops the trace, as an embedded session does.
+    c.set_tracing(false);
+    assert_eq!(c.last_trace(), None);
+    c.query("SELECT COUNT(*) FROM m").unwrap();
+    assert_eq!(c.last_trace(), None);
     // The report is per-session: a fresh client starts at zero again.
     let mut c2 = Client::connect(handle.addr()).unwrap();
-    assert_eq!(c2.last_stats().unwrap().instructions, 0);
+    c2.ping().unwrap();
+    assert_eq!(c2.last_report().instructions, 0);
     c.close().unwrap();
     c2.close().unwrap();
     handle.stop();
+}
+
+/// The tracing request rides on the statement's own frame and the
+/// report and trace on its answer: reading them afterwards needs no
+/// further frame, so they still answer once the server has hung up.
+#[test]
+fn report_and_trace_cost_no_round_trip() {
+    use sciql_net::proto::{self, Op};
+    use std::net::TcpListener;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let trailer = proto::Trailer {
+        report: sciql_net::ExecReport {
+            instructions: 7,
+            ..Default::default()
+        },
+        trace: Some("trace: SELECT 1".into()),
+    };
+    let sent = trailer.clone();
+    let fake = std::thread::spawn(move || {
+        let (mut s, _) = listener.accept().unwrap();
+        let _hello = proto::read_frame(&mut s).unwrap().unwrap();
+        proto::write_frame(&mut s, &proto::hello_ok("fake", 1)).unwrap();
+        let query = proto::read_frame(&mut s).unwrap().unwrap();
+        let (op, body) = proto::split(&query).unwrap();
+        assert_eq!(op, Op::Query);
+        assert!(proto::read_query(body).unwrap().0, "tracing bit set");
+        proto::write_frame(&mut s, &proto::affected(0, (0, 0), &sent)).unwrap();
+        // Hang up: any further request would fail.
+    });
+    let mut c = Client::connect(addr).unwrap();
+    c.set_tracing(true);
+    assert!(matches!(c.execute("SELECT 1"), Ok(NetReply::Affected(0))));
+    fake.join().unwrap();
+    assert_eq!(c.last_report(), trailer.report);
+    assert_eq!(c.last_trace(), trailer.trace.as_deref());
+    assert!(c.ping().is_err(), "the server is gone");
 }
 
 #[test]
@@ -348,7 +395,7 @@ fn handshake_is_mandatory_and_versioned() {
         .unwrap();
     // Skipping Hello gets an Error and a hangup.
     let mut raw = std::net::TcpStream::connect(handle.addr()).unwrap();
-    proto::write_frame(&mut raw, &proto::query((0, 0), "SELECT 1")).unwrap();
+    proto::write_frame(&mut raw, &proto::query(false, (0, 0), "SELECT 1")).unwrap();
     let reply = proto::read_frame(&mut raw).unwrap().unwrap();
     let (op, _) = proto::split(&reply).unwrap();
     assert_eq!(op, Op::Error);
@@ -477,12 +524,12 @@ fn bound_prepared_statements_over_the_wire() {
     }
     // The second-and-later bound executions reused the cached plan.
     c.execute_bound("q", &[Value::Lng(5)]).unwrap();
-    let stats = c.last_stats().unwrap();
+    let stats = c.last_report();
     assert_eq!(stats.plan_cache_hits, 1, "server-side plan cache hit");
     // Unbound parameter: a typed Param error, session survives.
     c.prepare("q2", "SELECT COUNT(*) FROM m WHERE v < ?")
         .unwrap();
-    match c.exec_bound("q2") {
+    match c.execute_bound("q2", &[]) {
         Err(NetError::Server { code, .. }) => assert_eq!(code, sciql::ErrorCode::Param),
         other => panic!("expected Param error, got {other:?}"),
     }
@@ -510,11 +557,11 @@ fn bound_prepared_statements_over_the_wire() {
     handle.wait();
 }
 
-/// Bind hygiene: staging values for a name that was never prepared is
-/// refused (bounding the staged-values map and failing typos early),
-/// and Deallocate frees server-side statements.
+/// Executing a name that was never prepared is a `Statement` error that
+/// leaves the session usable, and Deallocate frees server-side
+/// statements.
 #[test]
-fn bind_requires_prepared_statement_and_deallocate_frees_it() {
+fn exec_bound_requires_prepared_statement_and_deallocate_frees_it() {
     use gdk::Value;
     let handle = Server::bind(SharedEngine::in_memory(), "127.0.0.1:0")
         .unwrap()
@@ -522,27 +569,20 @@ fn bind_requires_prepared_statement_and_deallocate_frees_it() {
         .unwrap();
     let mut c = Client::connect(handle.addr()).unwrap();
     c.execute("CREATE TABLE t (a INT)").unwrap();
-    // Bind to a never-prepared name: refused with a Statement error.
-    match c.bind("ghost", &[Value::Int(1)]) {
-        Err(NetError::Server { code, .. }) => assert_eq!(code, sciql::ErrorCode::Statement),
-        other => panic!("expected Statement error, got {other:?}"),
-    }
-    // The pipelined execute_bound reports the bind refusal as the root
-    // cause and leaves the session usable.
     match c.execute_bound("ghost", &[Value::Int(1)]) {
         Err(NetError::Server { code, .. }) => assert_eq!(code, sciql::ErrorCode::Statement),
         other => panic!("expected Statement error, got {other:?}"),
     }
     assert!(!c.is_broken());
-    // Prepared → bound → executed → deallocated → gone.
+    // Prepared → executed → deallocated → gone.
     c.prepare("q", "SELECT COUNT(*) FROM t WHERE a = ?")
         .unwrap();
     c.execute_bound("q", &[Value::Int(1)]).unwrap();
     assert!(c.deallocate("q").unwrap());
     assert!(!c.deallocate("q").unwrap(), "second deallocate is a no-op");
-    match c.bind("q", &[Value::Int(1)]) {
+    match c.execute_bound("q", &[Value::Int(1)]) {
         Err(NetError::Server { code, .. }) => assert_eq!(code, sciql::ErrorCode::Statement),
-        other => panic!("deallocated name must refuse binds, got {other:?}"),
+        other => panic!("deallocated name must refuse execution, got {other:?}"),
     }
     c.shutdown_server().unwrap();
     handle.wait();

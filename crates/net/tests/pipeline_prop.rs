@@ -72,7 +72,7 @@ fn run(sqls: &[&str], pipelined: bool) -> Vec<Vec<u8>> {
     if pipelined {
         let mut batch = Vec::new();
         for sql in sqls {
-            proto::write_frame(&mut batch, &proto::query((0, 0), sql)).unwrap();
+            proto::write_frame(&mut batch, &proto::query(false, (0, 0), sql)).unwrap();
         }
         s.write_all(&batch).unwrap();
         for _ in sqls {
@@ -80,7 +80,7 @@ fn run(sqls: &[&str], pipelined: bool) -> Vec<Vec<u8>> {
         }
     } else {
         for sql in sqls {
-            proto::write_frame(&mut s, &proto::query((0, 0), sql)).unwrap();
+            proto::write_frame(&mut s, &proto::query(false, (0, 0), sql)).unwrap();
             replies.push(read_statement_reply(&mut s));
         }
     }

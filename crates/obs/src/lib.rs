@@ -13,10 +13,11 @@
 //! * **Engine-wide metrics** ([`metrics`]): a global lock-free registry
 //!   of atomic counters, gauges, and fixed-bucket latency histograms fed
 //!   by core/store/net — queries by kind, query/fsync/checkpoint latency
-//!   (p50/p95/p99), tile churn, plan-cache hit ratio, live sessions,
-//!   bytes in/out. A [`MetricsSnapshot`] travels over the wire and
-//!   renders either as a human table or in Prometheus text exposition
-//!   format.
+//!   (p50/p95/p99), tile churn, plan-cache hits and misses, live
+//!   sessions, bytes in/out. A [`MetricsSnapshot`] is what the
+//!   `sys.metrics` and `sys.histograms` views read — introspection is
+//!   SQL, on every transport — and renders in Prometheus text
+//!   exposition format for the HTTP scrape endpoint.
 //!
 //! * **Query history** ([`qlog`]): a fixed-capacity ring of
 //!   [`QueryRecord`]s — one per executed statement, with wall time,

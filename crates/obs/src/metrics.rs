@@ -5,10 +5,9 @@
 //! fed by core (queries by kind, query latency, plan cache), store
 //! (WAL appends/fsyncs, checkpoints, tile churn), and net (sessions,
 //! bytes in/out). Reading is a relaxed-atomic [`Metrics::snapshot`];
-//! the snapshot is plain data that travels over the wire and renders
-//! as a human table ([`MetricsSnapshot::render_table`]) or in
-//! Prometheus text exposition format
-//! ([`MetricsSnapshot::to_prometheus_text`]).
+//! the snapshot is plain data that backs the `sys.metrics` and
+//! `sys.histograms` views and renders in Prometheus text exposition
+//! format ([`MetricsSnapshot::to_prometheus_text`]).
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::time::Duration;
@@ -164,11 +163,10 @@ impl Histogram {
     }
 }
 
-/// Plain-data copy of a [`Histogram`]; this is what crosses the wire.
+/// Plain-data copy of a [`Histogram`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct HistogramSnapshot {
-    /// Upper bounds of the finite buckets. Empty in snapshots from
-    /// older peers — readers fall back to [`LATENCY_BOUNDS_NS`].
+    /// Upper bounds of the finite buckets.
     pub bounds: Vec<u64>,
     /// Per-bucket counts, aligned with `bounds` plus a final `+Inf`
     /// bucket.
@@ -183,11 +181,7 @@ pub struct HistogramSnapshot {
 impl HistogramSnapshot {
     /// The finite bucket bounds this snapshot was recorded over.
     pub fn bounds(&self) -> &[u64] {
-        if self.bounds.is_empty() {
-            &LATENCY_BOUNDS_NS
-        } else {
-            &self.bounds
-        }
+        &self.bounds
     }
 
     /// Estimate the `q`-quantile (0..=1) as the upper bound of the
@@ -342,8 +336,7 @@ pub fn global() -> &'static Metrics {
     &GLOBAL
 }
 
-/// Plain-data copy of the whole registry; travels over the wire as the
-/// `MetricsReply` frame payload.
+/// Plain-data copy of the whole registry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` counters, in registry order.
@@ -374,48 +367,6 @@ impl MetricsSnapshot {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
-    }
-
-    /// Plan-cache hit ratio in `[0, 1]`, or `None` before any lookup.
-    pub fn plan_cache_hit_ratio(&self) -> Option<f64> {
-        let hits = self.counter("plan_cache_hits")?;
-        let misses = self.counter("plan_cache_misses")?;
-        let total = hits + misses;
-        (total > 0).then(|| hits as f64 / total as f64)
-    }
-
-    /// Human-readable table for the repl's `\metrics`.
-    pub fn render_table(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        for (n, v) in &self.counters {
-            let _ = writeln!(out, "{n:<24} {v}");
-        }
-        for (n, v) in &self.gauges {
-            let _ = writeln!(out, "{n:<24} {v}");
-        }
-        if let Some(r) = self.plan_cache_hit_ratio() {
-            let _ = writeln!(out, "{:<24} {:.1}%", "plan_cache_hit_ratio", r * 100.0);
-        }
-        for (n, h) in &self.histograms {
-            // Histograms named `*_ns` hold latencies; others (batch
-            // sizes) hold plain counts and render undecorated.
-            let fmt: fn(u64) -> String = if n.ends_with("_ns") {
-                crate::span::fmt_ns
-            } else {
-                |v| v.to_string()
-            };
-            let _ = writeln!(
-                out,
-                "{n:<24} count={} mean={} p50={} p95={} p99={}",
-                h.count,
-                fmt(h.mean_ns()),
-                fmt(h.p50_ns()),
-                fmt(h.p95_ns()),
-                fmt(h.p99_ns()),
-            );
-        }
-        out
     }
 
     /// Prometheus text exposition format (`sciql_` prefix; `# HELP` /

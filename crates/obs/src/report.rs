@@ -1,14 +1,15 @@
 //! The one renderer for per-statement execution reports.
 //!
 //! The repl's `\timing` and the driver both feed an [`ExecSummary`]
-//! (built from the wire-format stats reply) through
+//! (built from the execution report a reply's trailer carries) through
 //! [`render_exec_summary`], so an embedded session and a `tcp://`
 //! session print byte-identical reports for the same numbers.
 
 use std::fmt::Write as _;
 
 /// Transport-agnostic statement execution summary. Mirrors the wire
-/// stats reply one-to-one, plus the optional client-measured wall time.
+/// execution report one-to-one, plus the optional client-measured wall
+/// time.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecSummary {
     /// Client-side wall time, milliseconds (if measured).

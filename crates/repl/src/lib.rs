@@ -290,7 +290,7 @@ fn tail_once(
                 }));
             }
         }
-        (Op::Error, body) => return Err(ReplError::Net(proto::read_error(body))),
+        (Op::Error, body) => return Err(ReplError::Net(proto::read_error(body)?.0)),
         (op, _) => {
             return Err(ReplError::Net(sciql_net::NetError::protocol(format!(
                 "expected HelloOk, got {op:?}"
@@ -333,7 +333,7 @@ fn tail_once(
                     ack |= matches!(f, ReplSnapshotFrame::End);
                     apply_snapshot_frame(engine, &mut bootstrap, f)?;
                 }
-                (Op::Error, body) => return Err(ReplError::Net(proto::read_error(body))),
+                (Op::Error, body) => return Err(ReplError::Net(proto::read_error(body)?.0)),
                 (op, _) => {
                     return Err(ReplError::Net(sciql_net::NetError::protocol(format!(
                         "unexpected {op:?} on a replication link"

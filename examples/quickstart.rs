@@ -94,7 +94,7 @@ fn main() {
     for threshold in [0i64, 2, 4] {
         let mut rows = conn.query_bound(&stmt, params![threshold]).unwrap();
         let n: i64 = rows.next_row().unwrap().get(0).unwrap();
-        let hit = conn.last_plan_cache_hits().unwrap();
+        let hit = conn.last_report().unwrap().plan_cache_hits;
         println!("  v >= {threshold}: {n} cell(s)   (plan cache hit: {hit})");
     }
 

@@ -31,8 +31,8 @@
 //! With `--metrics-addr <addr>`
 //! the server also exposes a plain-HTTP scrape endpoint: `GET /metrics`
 //! serves the live Prometheus exposition, `GET /healthz` a health
-//! report; clients can always fetch the snapshot live with `\metrics` or
-//! query the `sys.metrics` view.
+//! report; clients read the same registry live with `\metrics`, a
+//! query of the `sys.metrics` view.
 //!
 //! Commands:
 //!   <SciQL statement>;          execute (multi-line until ';')
@@ -47,12 +47,12 @@
 //!   \stats                      storage + vault counters (embedded only)
 //!   \timing                     toggle per-statement wall time, thread counts,
 //!                               optimizer stats and the plan-cache flag
-//!                               (fetched over the wire when remote)
+//!                               (carried by each answer when remote)
 //!   \trace on|off               toggle per-statement span-tree tracing; each
 //!                               statement then prints its trace (works over
-//!                               tcp:// too — the server records, you fetch)
-//!   \metrics                    engine-wide metrics snapshot (the server's
-//!                               registry when remote)
+//!                               tcp:// too — the trace rides on the answer)
+//!   \metrics                    engine-wide metrics: a sys.metrics query (the
+//!                               server's registry when remote)
 //!   \slow <ms>|off              flag statements at least this slow in
 //!                               sys.query_log and keep their span trace
 //!                               (embedded only; servers set it via config)
@@ -404,10 +404,12 @@ fn repl_loop(mut conn: Conn) {
                     continue;
                 }
                 "\\metrics" => {
-                    match conn.metrics() {
-                        Ok(snap) => print!("{}", snap.render_table()),
-                        Err(e) => println!("error: {e}"),
-                    }
+                    run_script(
+                        &mut conn,
+                        "SELECT name, kind, value FROM sys.metrics ORDER BY name",
+                        false,
+                        false,
+                    );
                     prompt();
                     continue;
                 }

@@ -8,7 +8,7 @@
 //! |-----|---------|
 //! | `mem:` | local: embedded in-memory [`sciql::Connection`] |
 //! | `file:<path>` | local: embedded durable connection over the vault at `<path>` (WAL + checkpoints + crash recovery) |
-//! | `tcp://host:port` | remote [`sciql_net::Client`] speaking wire protocol v7 |
+//! | `tcp://host:port` | remote [`sciql_net::Client`] speaking wire protocol v8 |
 //! | `tcp://primary,replica1,…` | routed: writes to the primary, SELECTs round-robin over the replicas with monotonic-read tokens |
 //!
 //! [`Sciql::attach`] opens the other kind of local connection: a session
@@ -21,8 +21,8 @@
 //! [`Conn::prepare`] compiles a statement with `?` / `:name`
 //! placeholders once, and each [`Conn::query_bound`] /
 //! [`Conn::execute_bound`] fills the parameter slots without re-parsing
-//! or re-optimising (embedded: an in-process plan cache; remote:
-//! `Bind`/`ExecBound` frames against the server's cache). Errors from
+//! or re-optimising (embedded: an in-process plan cache; remote: one
+//! `ExecBound` frame against the server's cache). Errors from
 //! every layer unify into [`SciqlError`] with stable [`ErrorCode`]s, so
 //! a parse error looks the same whether it happened in-process or on a
 //! server.
@@ -263,8 +263,8 @@ trait Transport {
     }
 
     /// Execution report of the most recent statement (the same numbers
-    /// whether they were measured in-process or fetched over the wire
-    /// with a `Stats` frame).
+    /// whether they were measured in-process or carried by the last
+    /// answer's trailer).
     fn last_report(&mut self) -> Result<sciql_net::ExecReport>;
 
     /// Ask a remote server to shut down gracefully (TCP only).
@@ -275,12 +275,6 @@ trait Transport {
         )))
     }
 
-    /// Engine-wide metrics snapshot: the in-process global registry for
-    /// local transports, a `Metrics` frame round trip for TCP.
-    fn metrics(&mut self) -> Result<sciql_obs::MetricsSnapshot> {
-        Ok(sciql_obs::global().snapshot())
-    }
-
     /// Switch per-statement query tracing on or off for this connection.
     fn set_tracing(&mut self, on: bool) -> Result<()>;
 
@@ -289,9 +283,9 @@ trait Transport {
     fn last_trace_text(&mut self) -> Result<Option<String>>;
 }
 
-/// Render the repl-style storage report for a connection; `last` is the
-/// reporting session's most recent execution.
-fn storage_report_of(conn: &Connection, last: &sciql::LastExec) -> String {
+/// Render the repl-style storage report for a connection; `skipped` is
+/// the tiles the reporting session's most recent query skipped.
+fn storage_report_of(conn: &Connection, skipped: usize) -> String {
     use sciql_catalog::SchemaObject;
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -351,8 +345,7 @@ fn storage_report_of(conn: &Connection, last: &sciql::LastExec) -> String {
     }
     let _ = writeln!(
         out,
-        "scan:  last query skipped {} tile(s) via zone maps",
-        last.exec.tiles_skipped
+        "scan:  last query skipped {skipped} tile(s) via zone maps"
     );
     out
 }
@@ -394,8 +387,8 @@ impl Local {
 
     /// The repl-style report of stored objects and vault health.
     fn storage_report(&mut self) -> String {
-        let last = on_session!(self, s => s.last_exec());
-        self.with_connection(|c| storage_report_of(c, &last))
+        let skipped = on_session!(self, s => s.last_exec().exec.tiles_skipped);
+        self.with_connection(|c| storage_report_of(c, skipped))
     }
 }
 
@@ -435,7 +428,7 @@ impl Transport for Local {
     }
     fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
         let last = on_session!(self, s => s.last_exec());
-        Ok(sciql_net::ExecReport::from_last_exec(&last))
+        Ok(sciql_net::ExecReport::from_last_exec(last))
     }
     fn set_tracing(&mut self, on: bool) -> Result<()> {
         on_session!(self, s => s.set_tracing(on));
@@ -494,7 +487,7 @@ impl Transport for Tcp {
         Ok(self.client()?.ping()?)
     }
     fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
-        Ok(self.client()?.last_stats()?)
+        Ok(self.client()?.last_report())
     }
     fn shutdown_server(&mut self) -> Result<()> {
         let c = self
@@ -503,14 +496,12 @@ impl Transport for Tcp {
             .ok_or_else(|| SciqlError::Connection("connection is closed".into()))?;
         Ok(c.shutdown_server()?)
     }
-    fn metrics(&mut self) -> Result<sciql_obs::MetricsSnapshot> {
-        Ok(self.client()?.metrics()?)
-    }
     fn set_tracing(&mut self, on: bool) -> Result<()> {
-        Ok(self.client()?.set_tracing(on)?)
+        self.client()?.set_tracing(on);
+        Ok(())
     }
     fn last_trace_text(&mut self) -> Result<Option<String>> {
-        Ok(self.client()?.fetch_trace()?)
+        Ok(self.client()?.last_trace().map(str::to_owned))
     }
 }
 
@@ -532,11 +523,15 @@ fn is_read_sql(sql: &str) -> bool {
 /// monotonic-read token from the primary's most recent write
 /// acknowledgement — so a read that follows a write never observes a
 /// replica state older than that write. All-read batches fan out across
-/// every replica concurrently.
+/// every replica concurrently. Report and trace come from the endpoint
+/// that answered last.
 struct Routed {
     primary: Tcp,
     replicas: Vec<Tcp>,
     next: usize,
+    /// The endpoint that answered the last statement: 0 is the primary,
+    /// `i + 1` replica `i`.
+    last: usize,
 }
 
 impl Routed {
@@ -546,9 +541,29 @@ impl Routed {
         let token = self.primary.client()?.last_token();
         let idx = self.next % self.replicas.len();
         self.next = self.next.wrapping_add(1);
+        self.last = idx + 1;
         let c = self.replicas[idx].client()?;
         c.set_read_token(token);
         Ok(c)
+    }
+
+    /// Every endpoint, the primary first.
+    fn endpoints(&mut self) -> impl Iterator<Item = &mut Tcp> {
+        std::iter::once(&mut self.primary).chain(self.replicas.iter_mut())
+    }
+
+    /// The endpoint that answered the last statement.
+    fn answered(&mut self) -> &mut Tcp {
+        match self.last {
+            0 => &mut self.primary,
+            i => &mut self.replicas[i - 1],
+        }
+    }
+
+    /// Run `f` on the primary, which then answered last.
+    fn on_primary<R>(&mut self, f: impl FnOnce(&mut Tcp) -> R) -> R {
+        self.last = 0;
+        f(&mut self.primary)
     }
 }
 
@@ -557,24 +572,25 @@ impl Transport for Routed {
         if is_read_sql(sql) && !self.replicas.is_empty() {
             Ok(Outcome::from_net_reply(self.read_client()?.execute(sql)?))
         } else {
-            self.primary.execute(sql)
+            self.on_primary(|p| p.execute(sql))
         }
     }
     fn execute_batch(&mut self, sqls: &[&str]) -> Result<Vec<Result<Outcome>>> {
         // Mixed batches keep their statement order observable only on
         // one session — route them whole to the primary.
         if self.replicas.is_empty() || !sqls.iter().all(|s| is_read_sql(s)) {
-            return self.primary.execute_batch(sqls);
+            return self.on_primary(|p| p.execute_batch(sqls));
         }
         let token = self.primary.client()?.last_token();
         // Stride the batch across every endpoint — the primary serves
         // reads too (it trivially satisfies any token it issued): each
         // slice pipelines on its own connection, so the batch costs the
         // slowest slice, not the sum of all round trips.
-        let mut targets: Vec<&mut Tcp> = std::iter::once(&mut self.primary)
-            .chain(self.replicas.iter_mut())
-            .collect();
-        let n = targets.len();
+        let n = self.replicas.len() + 1;
+        if let Some(last_slot) = sqls.len().checked_sub(1) {
+            self.last = last_slot % n;
+        }
+        let mut targets: Vec<&mut Tcp> = self.endpoints().collect();
         let mut assigned: Vec<Vec<usize>> = vec![Vec::new(); n];
         for i in 0..sqls.len() {
             assigned[i % n].push(i);
@@ -630,7 +646,7 @@ impl Transport for Routed {
         self.primary.prepare(name, sql)
     }
     fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<Outcome> {
-        self.primary.execute_prepared(name, params)
+        self.on_primary(|p| p.execute_prepared(name, params))
     }
     fn deallocate(&mut self, name: &str) -> Result<bool> {
         self.primary.deallocate(name)
@@ -645,26 +661,19 @@ impl Transport for Routed {
         self.primary.close()
     }
     fn ping(&mut self) -> Result<()> {
-        self.primary.ping()?;
-        for r in &mut self.replicas {
-            r.ping()?;
-        }
-        Ok(())
+        self.endpoints().try_for_each(Tcp::ping)
     }
     fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
-        self.primary.last_report()
+        self.answered().last_report()
     }
     fn shutdown_server(&mut self) -> Result<()> {
         self.primary.shutdown_server()
     }
-    fn metrics(&mut self) -> Result<sciql_obs::MetricsSnapshot> {
-        self.primary.metrics()
-    }
     fn set_tracing(&mut self, on: bool) -> Result<()> {
-        self.primary.set_tracing(on)
+        self.endpoints().try_for_each(|e| e.set_tracing(on))
     }
     fn last_trace_text(&mut self) -> Result<Option<String>> {
-        self.primary.last_trace_text()
+        self.answered().last_trace_text()
     }
 }
 
@@ -735,6 +744,7 @@ impl Sciql {
                         primary,
                         replicas,
                         next: 0,
+                        last: 0,
                     })
                 }
             }
@@ -918,12 +928,6 @@ impl Conn {
         Ok(())
     }
 
-    /// Plan-cache hits of the most recent statement on this connection
-    /// (1 = the execution reused a compiled plan).
-    pub fn last_plan_cache_hits(&mut self) -> Result<u64> {
-        Ok(self.transport.last_report()?.plan_cache_hits)
-    }
-
     /// The local session behind this connection, or the refusal of
     /// `what` (a subject and its verb) naming the transport.
     fn local(&mut self, what: &str) -> Result<&mut Local> {
@@ -973,7 +977,8 @@ impl Conn {
 
     /// Execution report of this connection's most recent statement —
     /// interpreter counters, optimizer pass summary and the plan-cache
-    /// flag, identical in shape across transports.
+    /// flag, identical in shape across transports. Over `tcp://` it is
+    /// the last answer's trailer: no round trip.
     pub fn last_report(&mut self) -> Result<sciql_net::ExecReport> {
         self.transport.last_report()
     }
@@ -985,18 +990,10 @@ impl Conn {
         self.transport.shutdown_server()
     }
 
-    /// Engine-wide metrics snapshot: query counters by kind, latency
-    /// histograms (query, WAL fsync, checkpoint), plan-cache hit/miss,
-    /// tile churn, live sessions and wire byte counts. For `tcp://`
-    /// connections the numbers come from the *server's* registry over a
-    /// `Metrics` frame; for embedded transports from this process.
-    pub fn metrics(&mut self) -> Result<sciql_obs::MetricsSnapshot> {
-        self.transport.metrics()
-    }
-
     /// Switch per-statement query tracing on or off. While on, every
     /// statement records a span tree readable with
-    /// [`Conn::last_trace_text`] (the repl's `\trace on`).
+    /// [`Conn::last_trace_text`] (the repl's `\trace on`). Over `tcp://`
+    /// the setting rides on each request and the trace on each answer.
     pub fn set_tracing(&mut self, on: bool) -> Result<()> {
         self.transport.set_tracing(on)
     }

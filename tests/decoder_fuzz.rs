@@ -1,7 +1,8 @@
 //! Byte-mutation fuzzing of the decoders that read untrusted bytes: the
 //! result header and page decoders a client runs on whatever its socket
-//! delivers, and the tile decoder a vault runs on whatever its disk
-//! holds. Truncation at every offset, a flipped byte at every offset,
+//! delivers, the request and reply frame decoders of both ends of the
+//! wire, and the tile decoder a vault runs on whatever its disk holds.
+//! Truncation at every offset, a flipped byte at every offset,
 //! hostile counts, dictionary indices past the heap and unknown column
 //! tags must each come back as `Err` (a flip may also land on another
 //! well-formed input) — never as a panic — and no decoder may allocate
@@ -11,8 +12,10 @@
 use gdk::codec::{crc32, decode_bat, encode_bat};
 use gdk::strheap::StrHeap;
 use gdk::types::{dbl_nil, INT_NIL, LNG_NIL, OID_NIL};
-use gdk::{Bat, ColumnData, ScalarType};
+use gdk::{Bat, ColumnData, ScalarType, Value};
 use sciql::result::{ColumnMeta, ResultSet, ResultSetBuilder};
+use sciql::ErrorCode;
+use sciql_net::proto::{self, ExecReport, Op, ReplSnapshotFrame, Trailer};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -73,10 +76,18 @@ fn probe<T, E>(what: &str, input: &[u8], decode: impl FnOnce(&[u8]) -> Result<T,
 /// Every prefix shorter than the input fails; every single-byte flip is
 /// survived.
 fn mutate(what: &str, input: &[u8], decode: impl Fn(&[u8]) -> bool) {
+    mutate_with(what, input, true, decode);
+}
+
+/// Every prefix and every single-byte flip is survived; with `strict`,
+/// every prefix shorter than the input must also fail (a format whose
+/// last field runs to the end of its input cannot promise that).
+fn mutate_with(what: &str, input: &[u8], strict: bool, decode: impl Fn(&[u8]) -> bool) {
     for cut in 0..input.len() {
         let prefix = &input[..cut];
+        let ok = probe(what, prefix, |b| decode(b).then_some(()).ok_or(()));
         assert!(
-            !probe(what, prefix, |b| decode(b).then_some(()).ok_or(())),
+            !(strict && ok),
             "{what}: accepted a truncation at byte {cut}"
         );
     }
@@ -314,4 +325,122 @@ fn tiles_survive_mutation() {
         restamp(&mut tile);
         assert!(!probe("decode_bat", &tile, decode_bat), "tag {tag}");
     }
+}
+
+/// The request and reply frames of protocol v8, cut and flipped at every
+/// offset: each decoder answers `Err` or `Ok`, never panics, and stays
+/// within the allocation bound.
+#[test]
+fn wire_frames_survive_mutation() {
+    let trailer = Trailer {
+        report: ExecReport {
+            instructions: 9,
+            plan_cache_hits: 1,
+            tuples_produced: 1 << 40,
+            ..ExecReport::default()
+        },
+        trace: Some("trace: SELECT 1\n  parse 1.0µs".into()),
+    };
+    let values = [
+        Value::Null,
+        Value::Int(-3),
+        Value::Str("it's".into()),
+        Value::Dbl(f64::NAN),
+    ];
+    type Decode = fn(&[u8]) -> bool;
+    // (decoder, frame, decode the body, does every cut fail?) — a
+    // record or chunk runs to the end of its frame, so a cut there can
+    // leave another well-formed frame.
+    let cases: Vec<(&str, Vec<u8>, Decode, bool)> = vec![
+        (
+            "read_query",
+            proto::query(true, (3, 9), "SELECT 1"),
+            |b| proto::read_query(b).is_ok(),
+            true,
+        ),
+        (
+            "read_exec_bound",
+            proto::exec_bound(true, "q", &values),
+            |b| proto::read_exec_bound(b).is_ok(),
+            true,
+        ),
+        (
+            "read_affected",
+            proto::affected(2, (1, 64), &trailer),
+            |b| proto::read_affected(b).is_ok(),
+            true,
+        ),
+        (
+            "read_error",
+            proto::error(ErrorCode::Exec, "boom", &trailer),
+            |b| proto::read_error(b).is_ok(),
+            true,
+        ),
+        (
+            "read_result_done",
+            proto::result_done(5, 1, &trailer),
+            |b| proto::read_result_done(b).is_ok(),
+            true,
+        ),
+        (
+            "read_stmt_ok",
+            proto::stmt_ok(3),
+            |b| proto::read_stmt_ok(b).is_ok(),
+            true,
+        ),
+        (
+            "read_repl_position",
+            proto::repl_position(Op::ReplAck, (2, 80)),
+            |b| proto::read_repl_position(b).is_ok(),
+            true,
+        ),
+        (
+            "read_repl_record",
+            proto::repl_record(4, 200, None),
+            |b| proto::read_repl_record(b).is_ok(),
+            false,
+        ),
+        (
+            "read_repl_record",
+            proto::repl_record(4, 200, Some((180, b"payload"))),
+            |b| proto::read_repl_record(b).is_ok(),
+            false,
+        ),
+    ];
+    let snapshots = [
+        ReplSnapshotFrame::Begin {
+            generation: 2,
+            durable: 4096,
+            files: 3,
+        },
+        ReplSnapshotFrame::File {
+            name: "cols/c7.col".into(),
+            size: 12,
+        },
+        ReplSnapshotFrame::Chunk(vec![1, 2, 3]),
+        ReplSnapshotFrame::End,
+    ];
+    let snapshot_cases = snapshots.iter().map(|f| {
+        let decode: Decode = |b| proto::read_repl_snapshot(b).is_ok();
+        ("read_repl_snapshot", proto::repl_snapshot(f), decode, false)
+    });
+    for (what, frame, decode, strict) in cases.into_iter().chain(snapshot_cases) {
+        let body = &frame[1..];
+        assert!(decode(body), "{what}: the well-formed body");
+        mutate_with(what, body, strict, decode);
+        mutate_with("split", &frame, false, |p| proto::split(p).is_ok());
+    }
+    let mut bytes = Vec::new();
+    proto::put_trailer(&mut bytes, &trailer);
+    mutate("read_trailer", &bytes, |b| proto::read_trailer(b).is_ok());
+}
+
+/// `ExecBound` claiming 65 535 values with none present: the count must
+/// not reserve room for values whose bytes never arrived.
+#[test]
+fn exec_bound_claiming_65535_values_with_none_present() {
+    let mut body = vec![0];
+    gdk::codec::put_str(&mut body, "q");
+    body.extend_from_slice(&u16::MAX.to_le_bytes());
+    assert!(!probe("read_exec_bound", &body, proto::read_exec_bound));
 }

@@ -5,7 +5,7 @@
 //! for bound-parameter prepared statements across `mem:` (embedded) vs
 //! `tcp://` (served) transports × opt_level {0, 2} × threads {1, 8},
 //! plus a property test that random parameter values round-trip through
-//! `Bind` frames bit-exactly (nil sentinels and strings
+//! `ExecBound` frames bit-exactly (nil sentinels and strings
 //! included). A second differential pins what a statement leaves
 //! *behind* — query-log rows, execution report, trace shape — as
 //! identical over `mem:`, `Sciql::attach` and `tcp://`.
@@ -124,8 +124,9 @@ fn bound_params_byte_identical_across_transports() {
                     );
                     if i > 0 {
                         // Re-execution hit the plan cache on both sides.
-                        assert_eq!(local.last_plan_cache_hits().unwrap(), 1, "{sql}");
-                        assert_eq!(remote.last_plan_cache_hits().unwrap(), 1, "{sql}");
+                        for conn in [&mut local, &mut remote] {
+                            assert_eq!(conn.last_report().unwrap().plan_cache_hits, 1, "{sql}");
+                        }
                     }
                 }
             }
@@ -370,7 +371,7 @@ fn connect_rejects_bad_urls() {
 }
 
 // ---------------------------------------------------------------------
-// property: Bind frames round-trip bit-exactly
+// property: ExecBound frames round-trip bit-exactly
 // ---------------------------------------------------------------------
 
 fn value_strategy() -> BoxedStrategy<Value> {
@@ -391,25 +392,34 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random parameter vectors (nil sentinels, strings with quotes,
-    /// NaN doubles) survive the Bind frame encode/decode bit-exactly:
+    /// NaN doubles) survive the ExecBound frame encode/decode bit-exactly:
     /// re-encoding the decoded values reproduces the original payload
-    /// byte for byte.
+    /// byte for byte. Of the random `flags` bytes only bit 0 (trace) is
+    /// defined; any other bit is refused.
     #[test]
     fn bind_frames_roundtrip_bit_exactly(
         values in proptest::collection::vec(value_strategy(), 0..8),
         name in "[a-z][a-z0-9_]{0,12}",
+        flags in any::<u8>(),
     ) {
-        let payload = proto::bind(&name, &values);
+        let mut payload = proto::exec_bound(false, &name, &values);
+        payload[1] = flags;
         let (op, body) = proto::split(&payload)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
-        prop_assert_eq!(op, proto::Op::Bind);
-        let (dname, dvalues) = proto::read_bind(body)
+        prop_assert_eq!(op, proto::Op::ExecBound);
+        let decoded = proto::read_exec_bound(body);
+        if flags > 1 {
+            prop_assert!(decoded.is_err(), "flags {:#04x} accepted", flags);
+            return Ok(());
+        }
+        let (trace, dname, dvalues) = decoded
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
+        prop_assert_eq!(trace, flags == 1);
         prop_assert_eq!(&dname, &name);
         prop_assert_eq!(dvalues.len(), values.len());
         // Bit-exactness: the re-encoded payload is identical (this also
         // covers NaN, which is not == to itself at the Value level).
-        let reencoded = proto::bind(&dname, &dvalues);
+        let reencoded = proto::exec_bound(trace, &dname, &dvalues);
         prop_assert_eq!(reencoded, payload);
     }
 }

@@ -3,23 +3,24 @@
 //! Pins the four load-bearing guarantees of the tracing/metrics
 //! subsystem:
 //!
-//! * `StatsReply` round-trips **every** `ExecReport` field bit-exactly
-//!   (distinct sentinel values catch field swaps; length checks catch
-//!   half-wired fields).
+//! * The reply trailer round-trips **every** `ExecReport` field
+//!   bit-exactly, with and without a trace (distinct sentinel values
+//!   catch field swaps; length checks catch half-wired fields).
 //! * Tracing is invisible in results: the same query yields
 //!   byte-identical wire pages with tracing off and on, across
 //!   optimizer levels and thread counts.
 //! * `EXPLAIN ANALYZE` produces the same span-tree *shape* (names +
 //!   nesting) whether the statement runs embedded or over `tcp://`;
 //!   only the measured values may differ.
-//! * `Conn::metrics()` over the wire reports WAL fsync counts and
-//!   latency plus the plan-cache hit ratio after a scripted workload.
+//! * `sys.metrics` and `sys.histograms` over the wire report WAL fsync
+//!   counts and latency plus plan-cache hits after a scripted workload.
 
 use sciql::{write_copy_binary, Connection, SessionConfig, SharedEngine};
 use sciql_repro::driver::{Conn, Rows, Sciql};
 use sciql_repro::gdk::Bat;
 use sciql_repro::net::proto;
 use sciql_repro::net::Server;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -50,13 +51,14 @@ fn wire_bytes(rows: &Rows) -> Vec<u8> {
     bytes
 }
 
-/// Every `ExecReport` field survives the `StatsReply` codec, and the
-/// runtime guards complement the compile-time exhaustive-destructure
-/// guard in `proto::stats_reply`: the payload length is exactly the
-/// field count, and both trailing garbage and truncation are loud
-/// protocol errors rather than silently dropped or zeroed fields.
+/// Every `ExecReport` field survives the trailer codec, with and without
+/// a trace, on each frame that closes an answer; and the runtime guards
+/// complement the compile-time exhaustive-destructure guard in
+/// `proto::put_trailer`: the encoding is exactly the field count plus the
+/// trace, and both trailing garbage and truncation are loud protocol
+/// errors rather than silently dropped or zeroed fields.
 #[test]
-fn stats_reply_roundtrips_every_field() {
+fn trailer_roundtrips_every_field() {
     // Distinct sentinel per field: any swap or misordering in either
     // codec direction breaks the equality below.
     let report = proto::ExecReport {
@@ -73,25 +75,36 @@ fn stats_reply_roundtrips_every_field() {
         tiles_skipped: 111,
         tuples_produced: 112,
     };
-    let payload = proto::stats_reply(&report);
-    assert_eq!(payload[0], proto::Op::StatsReply as u8);
-    // 12 u64 fields: if this assertion fires you added an ExecReport
-    // field — update it *and* the sentinel struct above.
-    assert_eq!(payload.len(), 1 + 12 * 8, "StatsReply field-count drift");
+    for trace in [None, Some("trace: SELECT 1\n  parse 1.0µs".to_owned())] {
+        let trailer = proto::Trailer { report, trace };
+        let mut bytes = Vec::new();
+        proto::put_trailer(&mut bytes, &trailer);
+        // 12 u64 fields and the trace flag: if this assertion fires you
+        // added an ExecReport field — update it *and* the sentinels above.
+        let text = trailer.trace.as_ref().map_or(0, |t| 4 + t.len());
+        assert_eq!(bytes.len(), 12 * 8 + 1 + text, "trailer field-count drift");
+        assert_eq!(proto::read_trailer(&bytes).unwrap(), trailer);
 
-    let back = proto::read_stats_reply(&payload[1..]).unwrap();
-    assert_eq!(back, report);
+        let mut long = bytes.clone();
+        long.push(0);
+        assert!(
+            proto::read_trailer(&long).is_err(),
+            "trailing bytes must be rejected"
+        );
+        for cut in 0..bytes.len() {
+            assert!(
+                proto::read_trailer(&bytes[..cut]).is_err(),
+                "truncation at byte {cut} must be rejected"
+            );
+        }
 
-    let mut long = payload[1..].to_vec();
-    long.push(0);
-    assert!(
-        proto::read_stats_reply(&long).is_err(),
-        "trailing bytes must be rejected"
-    );
-    assert!(
-        proto::read_stats_reply(&payload[1..payload.len() - 1]).is_err(),
-        "truncated payload must be rejected"
-    );
+        let affected = proto::affected(3, (1, 2), &trailer);
+        assert_eq!(proto::read_affected(&affected[1..]).unwrap().2, trailer);
+        let done = proto::result_done(4, 1, &trailer);
+        assert_eq!(proto::read_result_done(&done[1..]).unwrap().2, trailer);
+        let error = proto::error(sciql::ErrorCode::Exec, "boom", &trailer);
+        assert_eq!(proto::read_error(&error[1..]).unwrap().1, trailer);
+    }
 }
 
 /// Tracing must never change what a query returns: with the tracer on,
@@ -222,9 +235,21 @@ fn explain_analyze_shape_identical_across_transports() {
     handle.wait();
 }
 
+/// `sys.metrics` read through `conn`: metric name → value (a
+/// histogram's value is its observation count).
+fn sys_metrics(conn: &mut Conn) -> HashMap<String, i64> {
+    let mut rows = conn.query("SELECT name, value FROM sys.metrics").unwrap();
+    let mut out = HashMap::new();
+    while let Some(row) = rows.next_row() {
+        out.insert(row.get::<String>(0).unwrap(), row.get::<i64>(1).unwrap());
+    }
+    out
+}
+
 /// The other acceptance criterion: after a scripted workload against a
-/// durable server, `Conn::metrics()` over the wire reports the fsync
-/// count and latency histogram and the plan-cache hit ratio.
+/// durable server, `sys.metrics` and `sys.histograms` read over the wire
+/// report the fsync count and latency histogram, plan-cache hits and
+/// this connection's own session and bytes.
 #[test]
 fn metrics_over_the_wire_report_fsyncs_and_plan_cache() {
     let dir = fresh_dir("metrics");
@@ -249,35 +274,52 @@ fn metrics_over_the_wire_report_fsyncs_and_plan_cache() {
             .unwrap();
         assert!(rows.row_count() > 0);
     }
+    assert_eq!(conn.last_report().unwrap().plan_cache_hits, 1);
 
-    let snap = conn.metrics().unwrap();
-    let fsyncs = snap.counter("wal_fsyncs").unwrap();
-    assert!(fsyncs > 0, "durable workload must fsync");
-    assert!(snap.counter("wal_appends").unwrap() > 0);
-    let h = snap.histogram("wal_fsync_ns").unwrap();
-    assert!(h.count > 0, "fsync latency histogram is empty");
-    assert!(h.sum_ns > 0, "fsyncs take nonzero time");
-    assert_eq!(
-        h.counts.iter().sum::<u64>(),
-        h.count,
-        "bucket counts must sum to the total"
-    );
-
-    let ratio = snap
-        .plan_cache_hit_ratio()
-        .expect("plan cache was exercised");
-    assert!(ratio > 0.0 && ratio <= 1.0, "hit ratio {ratio}");
-    assert!(snap.counter("plan_cache_hits").unwrap() >= 1);
-
+    let m = sys_metrics(&mut conn);
+    assert!(m["wal_fsyncs"] > 0, "durable workload must fsync");
+    assert!(m["wal_appends"] > 0);
+    assert!(m["plan_cache_hits"] >= 1);
     // The server side of this very connection shows up too.
-    assert!(snap.counter("sessions_opened").unwrap() >= 1);
-    assert!(snap.counter("bytes_in").unwrap() > 0);
-    assert!(snap.counter("bytes_out").unwrap() > 0);
-    assert!(snap.gauge("sessions_open").unwrap() >= 1);
+    assert!(m["sessions_opened"] >= 1);
+    assert!(m["bytes_in"] > 0);
+    assert!(m["bytes_out"] > 0);
+    assert!(m["sessions_open"] >= 1);
 
-    // And the snapshot renders in both human and Prometheus form.
-    assert!(snap.render_table().contains("wal_fsyncs"));
-    let prom = snap.to_prometheus_text();
+    // The fsync latency histogram's cumulative buckets end in the +Inf
+    // bucket, whose count is the histogram's total — read between two
+    // equal totals, so no concurrent fsync slips in.
+    let total = |conn: &mut Conn| sys_metrics(conn)["wal_fsync_ns"];
+    let mut ok = false;
+    for _ in 0..50 {
+        let before = total(&mut conn);
+        let mut rows = conn
+            .query("SELECT bucket_le_ns, count FROM sys.histograms WHERE name = 'wal_fsync_ns'")
+            .unwrap();
+        let mut buckets = Vec::new();
+        while let Some(row) = rows.next_row() {
+            buckets.push((
+                row.get::<Option<i64>>(0).unwrap(),
+                row.get::<i64>(1).unwrap(),
+            ));
+        }
+        if total(&mut conn) != before {
+            continue; // another test fsynced in between — retry
+        }
+        assert!(before > 0, "fsync latency histogram is empty");
+        assert!(buckets.windows(2).all(|w| w[0].1 <= w[1].1), "{buckets:?}");
+        assert_eq!(
+            buckets.last(),
+            Some(&(None, before)),
+            "bucket counts must sum to the total"
+        );
+        ok = true;
+        break;
+    }
+    assert!(ok, "wal_fsync_ns never quiesced across 50 attempts");
+
+    // The same registry renders in Prometheus form.
+    let prom = sciql_repro::obs::global().snapshot().to_prometheus_text();
     assert!(prom.contains("# TYPE sciql_wal_fsyncs_total counter"));
     assert!(prom.contains("sciql_wal_fsync_seconds_bucket{le=\"+Inf\"}"));
 
@@ -285,10 +327,11 @@ fn metrics_over_the_wire_report_fsyncs_and_plan_cache() {
     handle.wait();
 }
 
-/// The `sys.metrics` view and `Conn::metrics()` are two faces of the
+/// The `sys.metrics` view and the registry snapshot are two faces of the
 /// same registry: for counters no concurrent test mutates (the wal/
 /// checkpoint family is only touched by WAL work we control), the view
-/// scanned over tcp:// must report exactly the snapshot's values.
+/// scanned over tcp:// must report exactly the values of the snapshot
+/// taken in this process, which also hosts the server.
 #[test]
 fn sys_metrics_view_matches_metrics_snapshot_over_tcp() {
     let engine = SharedEngine::in_memory();
@@ -310,13 +353,13 @@ fn sys_metrics_view_matches_metrics_snapshot_over_tcp() {
     let sql = "SELECT name, value FROM sys.metrics ORDER BY name";
     let mut ok = false;
     for _ in 0..50 {
-        let before = conn.metrics().unwrap();
+        let before = sciql_repro::obs::global().snapshot();
         let mut rows = conn.query(sql).unwrap();
         let mut seen = std::collections::HashMap::new();
         while let Some(row) = rows.next_row() {
             seen.insert(row.get::<String>(0).unwrap(), row.get::<i64>(1).unwrap());
         }
-        let after = conn.metrics().unwrap();
+        let after = sciql_repro::obs::global().snapshot();
         if STABLE.iter().any(|n| before.counter(n) != after.counter(n)) {
             continue; // another test's WAL work raced the read — retry
         }
@@ -324,7 +367,7 @@ fn sys_metrics_view_matches_metrics_snapshot_over_tcp() {
             assert_eq!(
                 seen.get(*n).copied(),
                 before.counter(n).map(|v| v as i64),
-                "sys.metrics diverges from Conn::metrics() on {n}"
+                "sys.metrics diverges from the registry snapshot on {n}"
             );
         }
         // The view carries every registered counter and gauge, typed.

@@ -364,6 +364,52 @@ fn routed_driver_reads_own_writes_via_replica() {
     std::fs::remove_dir_all(&replica_dir).ok();
 }
 
+/// A routed connection reports the statement its last answer came from:
+/// after a SELECT served by the replica, the trace and the execution
+/// report are that SELECT's, not the primary's previous write's.
+#[test]
+fn routed_report_and_trace_come_from_the_answering_endpoint() {
+    let primary_dir = fresh_dir("answered-primary");
+    let replica_dir = fresh_dir("answered-replica");
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let phandle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let paddr = phandle.addr().to_string();
+    let replica = Replica::connect(&replica_dir, &paddr).unwrap();
+    let rhandle = Server::bind(Arc::clone(replica.engine()), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let mut conn = Sciql::connect(&format!("tcp://{paddr},{}", rhandle.addr())).unwrap();
+    conn.execute("CREATE TABLE answered (n INT)").unwrap();
+    conn.execute("INSERT INTO answered VALUES (1), (2), (3)")
+        .unwrap();
+    conn.set_tracing(true).unwrap();
+
+    const SQL: &str = "SELECT COUNT(*) FROM answered";
+    let mut rows = conn.query(SQL).unwrap();
+    assert_eq!(rows.next_row().unwrap().get::<i64>(0).unwrap(), 3);
+    let trace = conn.last_trace_text().unwrap().expect("tracing is on");
+    assert!(trace.starts_with("trace: SELECT"), "{trace}");
+    let mut direct = Sciql::attach(replica.engine());
+    direct.query(SQL).unwrap();
+    assert_eq!(conn.last_report().unwrap(), direct.last_report().unwrap());
+
+    // A fanned-out read batch reports from the endpoint of its last slot.
+    conn.run_batch(&[SQL; 3]).unwrap();
+    let trace = conn.last_trace_text().unwrap().expect("tracing is on");
+    assert!(trace.starts_with("trace: SELECT"), "{trace}");
+
+    conn.close().unwrap();
+    replica.stop();
+    drop(rhandle.stop());
+    drop(phandle.stop());
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
+
 /// Shipping is driven by the durable watermark, not by a poll, so a
 /// routed read that follows its write is served by the replica without
 /// ever running out the `ReplicaLagging` bound — 200 times in a row.
