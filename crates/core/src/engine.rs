@@ -597,11 +597,6 @@ impl EngineSession {
     pub fn deallocate(&mut self, name: &str) -> bool {
         self.state.prepared.remove(name)
     }
-
-    /// Is a statement of this name prepared in this session?
-    pub fn has_prepared(&self, name: &str) -> bool {
-        self.state.prepared.contains(name)
-    }
 }
 
 impl Drop for EngineSession {

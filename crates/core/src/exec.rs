@@ -196,11 +196,6 @@ impl PreparedSet {
     pub(crate) fn remove(&mut self, name: &str) -> bool {
         self.map.remove(&*prepared_key(name)).is_some()
     }
-
-    /// Is a statement of this name prepared?
-    pub(crate) fn contains(&self, name: &str) -> bool {
-        self.map.contains_key(&*prepared_key(name))
-    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,4 +1,4 @@
-//! `net-gauntlet` — the CI concurrency gauntlet workload.
+//! `net_gauntlet` — the CI concurrency gauntlet workload.
 //!
 //! Drives a running `sciql-net` server with a fleet of pipelined
 //! clients (default 64) and checks the two invariants group commit and
@@ -17,9 +17,10 @@
 //!   later write of.
 //!
 //! ```text
-//! net-gauntlet run    --addr 127.0.0.1:15432 [--clients 64] [--rounds 40]
-//!                     [--tolerate-disconnect]
-//! net-gauntlet verify --db path/to/vault [--rows 64]
+//! cargo build --release --example net_gauntlet
+//! target/release/examples/net_gauntlet run    --addr 127.0.0.1:15432
+//!                     [--clients 64] [--rounds 40] [--tolerate-disconnect]
+//! target/release/examples/net_gauntlet verify --db path/to/vault [--rows 64]
 //! ```
 //!
 //! `--tolerate-disconnect` lets the `kill -9` phase of the CI job reuse
@@ -43,8 +44,8 @@ fn main() {
         Some("verify") => verify(&args[1..]),
         _ => {
             eprintln!(
-                "usage: net-gauntlet run --addr HOST:PORT [--clients N] [--rounds N] \
-                 [--tolerate-disconnect]\n       net-gauntlet verify --db DIR [--rows N]"
+                "usage: net_gauntlet run --addr HOST:PORT [--clients N] [--rounds N] \
+                 [--tolerate-disconnect]\n       net_gauntlet verify --db DIR [--rows N]"
             );
             2
         }
@@ -63,7 +64,7 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match flag(args, name) {
         Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("net-gauntlet: bad value for {name}: {raw}");
+            eprintln!("net_gauntlet: bad value for {name}: {raw}");
             std::process::exit(2);
         }),
         None => default,
@@ -81,7 +82,7 @@ fn as_i64(v: &Value) -> i64 {
 
 fn run(args: &[String]) -> i32 {
     let Some(addr) = flag(args, "--addr").map(str::to_owned) else {
-        eprintln!("net-gauntlet run: --addr is required");
+        eprintln!("net_gauntlet run: --addr is required");
         return 2;
     };
     let clients: usize = parse(args, "--clients", 64);
@@ -94,7 +95,7 @@ fn run(args: &[String]) -> i32 {
     let mut admin = match Client::connect_named(&addr, "gauntlet-admin") {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("net-gauntlet: cannot connect to {addr}: {e}");
+            eprintln!("net_gauntlet: cannot connect to {addr}: {e}");
             return 1;
         }
     };
@@ -204,7 +205,7 @@ fn run(args: &[String]) -> i32 {
 
 fn verify(args: &[String]) -> i32 {
     let Some(db) = flag(args, "--db") else {
-        eprintln!("net-gauntlet verify: --db is required");
+        eprintln!("net_gauntlet verify: --db is required");
         return 2;
     };
     let rows: i64 = parse(args, "--rows", ROWS as i64);

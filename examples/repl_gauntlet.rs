@@ -1,4 +1,4 @@
-//! `repl-gauntlet` — the CI replication gauntlet workload.
+//! `repl_gauntlet` — the CI replication gauntlet workload.
 //!
 //! Drives a primary `sciql-net` server that is being tailed by live
 //! replicas (started separately, e.g. via the repl example's
@@ -16,8 +16,10 @@
 //!   values) — the replica is a twin, not an approximation.
 //!
 //! ```text
-//! repl-gauntlet write  --addr 127.0.0.1:15532 [--writers 4] [--per-writer 1500]
-//! repl-gauntlet verify --primary 127.0.0.1:15532 \
+//! cargo build --release --example repl_gauntlet
+//! target/release/examples/repl_gauntlet write  --addr 127.0.0.1:15532
+//!                      [--writers 4] [--per-writer 1500]
+//! target/release/examples/repl_gauntlet verify --primary 127.0.0.1:15532 \
 //!                      --replicas 127.0.0.1:15533,127.0.0.1:15534 \
 //!                      [--writers 4] [--per-writer 1500] [--timeout-s 120]
 //! ```
@@ -33,8 +35,8 @@ fn main() {
         Some("verify") => verify(&args[1..]),
         _ => {
             eprintln!(
-                "usage: repl-gauntlet write --addr HOST:PORT [--writers N] [--per-writer N]\n\
-                 \x20      repl-gauntlet verify --primary HOST:PORT --replicas A,B,… \
+                "usage: repl_gauntlet write --addr HOST:PORT [--writers N] [--per-writer N]\n\
+                 \x20      repl_gauntlet verify --primary HOST:PORT --replicas A,B,… \
                  [--writers N] [--per-writer N] [--timeout-s N]"
             );
             2
@@ -54,7 +56,7 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 fn parse<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> T {
     match flag(args, name) {
         Some(raw) => raw.parse().unwrap_or_else(|_| {
-            eprintln!("repl-gauntlet: bad value for {name}: {raw}");
+            eprintln!("repl_gauntlet: bad value for {name}: {raw}");
             std::process::exit(2);
         }),
         None => default,
@@ -74,16 +76,16 @@ fn as_i64(v: &Value) -> i64 {
 /// acked `(who, seq)` rows in pipelined batches.
 fn write(args: &[String]) -> i32 {
     let Some(addr) = flag(args, "--addr").map(str::to_owned) else {
-        eprintln!("repl-gauntlet write: --addr is required");
+        eprintln!("repl_gauntlet write: --addr is required");
         return 2;
     };
     let writers: usize = parse(args, "--writers", 4);
     let per_writer: usize = parse(args, "--per-writer", 1500);
 
-    let mut admin = match Client::connect_named(&addr, "repl-gauntlet-admin") {
+    let mut admin = match Client::connect_named(&addr, "repl_gauntlet-admin") {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("repl-gauntlet: cannot connect to {addr}: {e}");
+            eprintln!("repl_gauntlet: cannot connect to {addr}: {e}");
             return 1;
         }
     };
@@ -122,11 +124,11 @@ fn write(args: &[String]) -> i32 {
         match h.join() {
             Ok(Ok(())) => {}
             Ok(Err(e)) => {
-                eprintln!("repl-gauntlet: {e}");
+                eprintln!("repl_gauntlet: {e}");
                 failed = true;
             }
             Err(_) => {
-                eprintln!("repl-gauntlet: writer panicked");
+                eprintln!("repl_gauntlet: writer panicked");
                 failed = true;
             }
         }
@@ -157,11 +159,11 @@ fn dump_oplog(c: &mut Client, who: &str) -> Result<Vec<String>, String> {
 /// row-for-row-equality invariants.
 fn verify(args: &[String]) -> i32 {
     let Some(primary) = flag(args, "--primary").map(str::to_owned) else {
-        eprintln!("repl-gauntlet verify: --primary is required");
+        eprintln!("repl_gauntlet verify: --primary is required");
         return 2;
     };
     let Some(replicas) = flag(args, "--replicas") else {
-        eprintln!("repl-gauntlet verify: --replicas is required");
+        eprintln!("repl_gauntlet verify: --replicas is required");
         return 2;
     };
     let replicas: Vec<String> = replicas
@@ -178,7 +180,7 @@ fn verify(args: &[String]) -> i32 {
     let mut pc = match Client::connect_named(&primary, "repl-verify-primary") {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("repl-gauntlet: cannot connect to primary {primary}: {e}");
+            eprintln!("repl_gauntlet: cannot connect to primary {primary}: {e}");
             return 1;
         }
     };
@@ -186,18 +188,18 @@ fn verify(args: &[String]) -> i32 {
     let primary_count = match pc.query(count_sql) {
         Ok(rs) => as_i64(&rs.row(0)[0]),
         Err(e) => {
-            eprintln!("repl-gauntlet: primary count: {e}");
+            eprintln!("repl_gauntlet: primary count: {e}");
             return 1;
         }
     };
     if primary_count != expected {
-        eprintln!("repl-gauntlet: primary holds {primary_count} rows, expected {expected}");
+        eprintln!("repl_gauntlet: primary holds {primary_count} rows, expected {expected}");
         return 1;
     }
     let primary_rows = match dump_oplog(&mut pc, "primary") {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("repl-gauntlet: {e}");
+            eprintln!("repl_gauntlet: {e}");
             return 1;
         }
     };
@@ -207,7 +209,7 @@ fn verify(args: &[String]) -> i32 {
         let mut rc = match Client::connect_named(addr, "repl-verify-replica") {
             Ok(c) => c,
             Err(e) => {
-                eprintln!("repl-gauntlet: cannot connect to replica {addr}: {e}");
+                eprintln!("repl_gauntlet: cannot connect to replica {addr}: {e}");
                 return 1;
             }
         };
@@ -218,7 +220,7 @@ fn verify(args: &[String]) -> i32 {
             let n = match rc.query(count_sql) {
                 Ok(rs) => as_i64(&rs.row(0)[0]),
                 Err(e) => {
-                    eprintln!("repl-gauntlet: replica {addr} count: {e}");
+                    eprintln!("repl_gauntlet: replica {addr} count: {e}");
                     return 1;
                 }
             };
@@ -227,7 +229,7 @@ fn verify(args: &[String]) -> i32 {
             }
             if Instant::now() > deadline {
                 eprintln!(
-                    "repl-gauntlet: replica {addr} stuck at {n}/{expected} rows after {}s",
+                    "repl_gauntlet: replica {addr} stuck at {n}/{expected} rows after {}s",
                     timeout.as_secs()
                 );
                 return 1;
@@ -242,13 +244,13 @@ fn verify(args: &[String]) -> i32 {
         {
             Ok(rs) => rs,
             Err(e) => {
-                eprintln!("repl-gauntlet: replica {addr} per-writer: {e}");
+                eprintln!("repl_gauntlet: replica {addr} per-writer: {e}");
                 return 1;
             }
         };
         if per.row_count() as i64 != writers {
             eprintln!(
-                "repl-gauntlet: replica {addr} saw {} writers, expected {writers}",
+                "repl_gauntlet: replica {addr} saw {} writers, expected {writers}",
                 per.row_count()
             );
             return 1;
@@ -262,7 +264,7 @@ fn verify(args: &[String]) -> i32 {
             );
             if n != per_writer || lo != 0 || hi != per_writer - 1 {
                 eprintln!(
-                    "repl-gauntlet: replica {addr} writer {who} has a gap: \
+                    "repl_gauntlet: replica {addr} writer {who} has a gap: \
                      count={n} min={lo} max={hi}, want count={per_writer} min=0 max={}",
                     per_writer - 1
                 );
@@ -273,7 +275,7 @@ fn verify(args: &[String]) -> i32 {
         let replica_rows = match dump_oplog(&mut rc, addr) {
             Ok(r) => r,
             Err(e) => {
-                eprintln!("repl-gauntlet: {e}");
+                eprintln!("repl_gauntlet: {e}");
                 return 1;
             }
         };
@@ -283,7 +285,7 @@ fn verify(args: &[String]) -> i32 {
                 .zip(&replica_rows)
                 .position(|(a, b)| a != b);
             eprintln!(
-                "repl-gauntlet: replica {addr} diverged from the primary \
+                "repl_gauntlet: replica {addr} diverged from the primary \
                  (first differing row index: {diverged:?}, lengths {} vs {})",
                 primary_rows.len(),
                 replica_rows.len()

@@ -109,8 +109,9 @@ fn trailer_roundtrips_every_field() {
 
 /// Tracing must never change what a query returns: with the tracer on,
 /// result pages stay byte-identical to the untraced run, at every
-/// optimizer level × thread count. (The ≤5% wall-clock bound for the
-/// *off* direction is enforced by bench-guard's `EXPECT_CLOSE` gate.)
+/// optimizer level × thread count; with it off, no trace is recorded.
+/// (Every timed pass of the end-to-end benchmark runs with tracing off,
+/// so any dormant tracing cost lands in its `round_p50_ms`.)
 #[test]
 fn tracing_leaves_results_byte_identical() {
     const QUERIES: &[&str] = &[
@@ -147,6 +148,73 @@ fn tracing_leaves_results_byte_identical() {
             }
         }
     }
+}
+
+/// The span names of a rendered trace, one per span line (the header
+/// line `trace: …` excluded).
+fn span_names(trace: &str) -> Vec<&str> {
+    trace
+        .lines()
+        .skip(1)
+        .filter_map(|line| line.split_whitespace().next())
+        .collect()
+}
+
+/// A prepared statement's cached plan skips the whole planning pipeline:
+/// the ad-hoc text traces `parse`, `bind`, `rewrite`, `codegen` and
+/// `optimize`, while the second execution of the same text prepared
+/// traces only `mal` and `result`, and reports one plan-cache hit. Holds
+/// embedded and over `tcp://`.
+#[test]
+fn prepared_reexecution_traces_no_planning_spans() {
+    const PLANNING: [&str; 5] = ["parse", "bind", "rewrite", "codegen", "optimize"];
+    const SQL: &str = "SELECT [x], v FROM m WHERE v > 3";
+    let handle = Server::bind(SharedEngine::in_memory(), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    for url in ["mem:".to_owned(), format!("tcp://{}", handle.addr())] {
+        let mut conn = Sciql::connect(&url).unwrap();
+        conn.execute("CREATE ARRAY m (x INT DIMENSION[0:1:16], v INT DEFAULT 0)")
+            .unwrap();
+        conn.execute("UPDATE m SET v = x").unwrap();
+        conn.set_tracing(true).unwrap();
+
+        let adhoc = conn.query(SQL).unwrap();
+        let trace = conn.last_trace_text().unwrap().expect("ad-hoc trace");
+        let names = span_names(&trace);
+        for phase in PLANNING.iter().chain(&["mal", "result"]) {
+            assert!(
+                names.contains(phase),
+                "{url}: ad-hoc lacks {phase}:\n{trace}"
+            );
+        }
+
+        let stmt = conn.prepare(SQL).unwrap();
+        let first = conn.query_bound(&stmt, &[]).unwrap();
+        let second = conn.query_bound(&stmt, &[]).unwrap();
+        assert_eq!(conn.last_report().unwrap().plan_cache_hits, 1, "{url}");
+        let trace = conn.last_trace_text().unwrap().expect("prepared trace");
+        let names = span_names(&trace);
+        for phase in ["mal", "result"] {
+            assert!(
+                names.contains(&phase),
+                "{url}: cached lacks {phase}:\n{trace}"
+            );
+        }
+        for phase in PLANNING {
+            assert!(
+                !names.contains(&phase),
+                "{url}: cached plans {phase}:\n{trace}"
+            );
+        }
+        assert_eq!(wire_bytes(&adhoc), wire_bytes(&first), "{url}");
+        assert_eq!(wire_bytes(&adhoc), wire_bytes(&second), "{url}");
+        if url.starts_with("tcp") {
+            conn.shutdown_server().unwrap();
+        }
+    }
+    handle.wait();
 }
 
 fn text_rows(mut rows: Rows) -> Vec<String> {
