@@ -10,14 +10,15 @@ use crate::bexpr::{AggCall, BExpr};
 use crate::plan::Plan;
 use crate::{AlgebraError, Result};
 use gdk::aggregate::AggFunc;
+use gdk::arith::{BinOp as GBinOp, CmpOp};
 use gdk::{ScalarType, Value};
-use mal::{Arg, MalType, Program, VarId};
+use mal::{Arg, MalType, Prim, Program, VarId};
 use sciql_parser::ast::BinOp;
 
 /// Code-generation options: the candidate-pushdown ablation switch plus
 /// the session's execution settings, which ride through codegen to the
-/// interpreter (generated instructions carry the parallel-safe mark;
-/// `par` sizes the slice driver that honours it).
+/// interpreter (`par` sizes the slice driver that parallel-safe opcodes
+/// run on).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CodegenOptions {
     /// Compile simple `col <op> const` conjunctions into `thetaselect`
@@ -94,8 +95,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 .iter()
                 .map(|c| {
                     prog.emit(
-                        "sql",
-                        "bind",
+                        Prim::Bind,
                         vec![
                             Arg::Const(Value::Str(name.clone())),
                             Arg::Const(Value::Str(c.name.clone())),
@@ -121,8 +121,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 .iter()
                 .map(|c| {
                     prog.emit(
-                        "sql",
-                        "bind",
+                        Prim::Bind,
                         vec![
                             Arg::Const(Value::Str(name.clone())),
                             Arg::Const(Value::Str(c.name.clone())),
@@ -145,8 +144,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 return Err(AlgebraError::internal("cross product over empty schema"));
             };
             let oids = prog.emit_multi(
-                "algebra",
-                "crossproduct",
+                Prim::CrossProduct,
                 vec![Arg::Var(l0), Arg::Var(r0)],
                 &[
                     MalType::Bat(ScalarType::OidT),
@@ -156,16 +154,14 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
             let mut cols = Vec::with_capacity(l.cols.len() + r.cols.len());
             for &c in &l.cols {
                 cols.push(prog.emit(
-                    "algebra",
-                    "projection",
+                    Prim::Projection,
                     vec![Arg::Var(oids[0]), Arg::Var(c)],
                     MalType::Any,
                 ));
             }
             for &c in &r.cols {
                 cols.push(prog.emit(
-                    "algebra",
-                    "projection",
+                    Prim::Projection,
                     vec![Arg::Var(oids[1]), Arg::Var(c)],
                     MalType::Any,
                 ));
@@ -196,8 +192,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 args.push(Arg::Var(rv));
             }
             let oids = prog.emit_multi(
-                "algebra",
-                "joinn",
+                Prim::JoinN,
                 args,
                 &[
                     MalType::Bat(ScalarType::OidT),
@@ -207,16 +202,14 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
             let mut cols = Vec::with_capacity(l.cols.len() + r.cols.len());
             for &c in &l.cols {
                 cols.push(prog.emit(
-                    "algebra",
-                    "projection",
+                    Prim::Projection,
                     vec![Arg::Var(oids[0]), Arg::Var(c)],
                     MalType::Any,
                 ));
             }
             for &c in &r.cols {
                 cols.push(prog.emit(
-                    "algebra",
-                    "projection",
+                    Prim::Projection,
                     vec![Arg::Var(oids[1]), Arg::Var(c)],
                     MalType::Any,
                 ));
@@ -232,15 +225,13 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 Some(pred) => {
                     let mask = emit_expr(prog, &joined, pred)?;
                     let mask = force_bat(prog, &joined, mask)?;
-                    let cand =
-                        prog.emit("algebra", "maskselect", vec![Arg::Var(mask)], MalType::Cand);
+                    let cand = prog.emit(Prim::MaskSelect, vec![Arg::Var(mask)], MalType::Cand);
                     let cols = joined
                         .cols
                         .iter()
                         .map(|&c| {
                             prog.emit(
-                                "algebra",
-                                "projection",
+                                Prim::Projection,
                                 vec![Arg::Var(cand), Arg::Var(c)],
                                 MalType::Any,
                             )
@@ -270,7 +261,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 None => {
                     let mask = emit_expr(prog, &inp, pred)?;
                     let mask = force_bat(prog, &inp, mask)?;
-                    prog.emit("algebra", "maskselect", vec![Arg::Var(mask)], MalType::Cand)
+                    prog.emit(Prim::MaskSelect, vec![Arg::Var(mask)], MalType::Cand)
                 }
             };
             let cols = inp
@@ -278,8 +269,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 .iter()
                 .map(|&c| {
                     prog.emit(
-                        "algebra",
-                        "projection",
+                        Prim::Projection,
                         vec![Arg::Var(cand), Arg::Var(c)],
                         MalType::Any,
                     )
@@ -299,7 +289,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 let a = emit_expr(prog, &inp, e)?;
                 let v = if inp.unit {
                     let scalar = arg_to_var_scalar(prog, a);
-                    prog.emit("bat", "single", vec![Arg::Var(scalar)], MalType::Any)
+                    prog.emit(Prim::Single, vec![Arg::Var(scalar)], MalType::Any)
                 } else {
                     force_bat(prog, &inp, a)?
                 };
@@ -323,23 +313,16 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
             if inp.cols.is_empty() {
                 return Ok(inp);
             }
-            let mut g = prog.emit(
-                "group",
-                "group",
-                vec![Arg::Var(inp.cols[0])],
-                MalType::Groups,
-            );
+            let mut g = prog.emit(Prim::Group, vec![Arg::Var(inp.cols[0])], MalType::Groups);
             for &c in &inp.cols[1..] {
                 g = prog.emit(
-                    "group",
-                    "subgroup",
+                    Prim::SubGroup,
                     vec![Arg::Var(c), Arg::Var(g)],
                     MalType::Groups,
                 );
             }
             let ext = prog.emit(
-                "group",
-                "extents",
+                Prim::Extents,
                 vec![Arg::Var(g)],
                 MalType::Bat(ScalarType::OidT),
             );
@@ -348,8 +331,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 .iter()
                 .map(|&c| {
                     prog.emit(
-                        "algebra",
-                        "projection",
+                        Prim::Projection,
                         vec![Arg::Var(ext), Arg::Var(c)],
                         MalType::Any,
                     )
@@ -371,14 +353,13 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 args.push(Arg::Var(v));
                 args.push(Arg::Const(Value::Bit(*desc)));
             }
-            let perm = prog.emit("algebra", "sortperm", args, MalType::Bat(ScalarType::OidT));
+            let perm = prog.emit(Prim::SortPerm, args, MalType::Bat(ScalarType::OidT));
             let cols = inp
                 .cols
                 .iter()
                 .map(|&c| {
                     prog.emit(
-                        "algebra",
-                        "projection",
+                        Prim::Projection,
                         vec![Arg::Var(perm), Arg::Var(c)],
                         MalType::Any,
                     )
@@ -407,8 +388,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
                 .iter()
                 .map(|&c| {
                     prog.emit(
-                        "algebra",
-                        "slice",
+                        Prim::Slice,
                         vec![
                             Arg::Var(c),
                             Arg::Const(Value::Lng(lo)),
@@ -453,8 +433,7 @@ fn gen_aggregate<'p>(
                 // COUNT(*): a never-nil constant column.
                 let t = inp.cols[0];
                 Ok(prog.emit(
-                    "batcalc",
-                    "fill",
+                    Prim::Fill,
                     vec![Arg::Var(t), Arg::Const(Value::Int(1))],
                     MalType::Bat(ScalarType::Int),
                 ))
@@ -466,9 +445,8 @@ fn gen_aggregate<'p>(
         let mut cols = Vec::with_capacity(aggs.len());
         for a in aggs {
             let arg = agg_arg(prog, &inp, a)?;
-            let f = scalar_agg_name(a.func);
-            let s = prog.emit("aggr", f, vec![Arg::Var(arg)], MalType::Any);
-            cols.push(prog.emit("bat", "single", vec![Arg::Var(s)], MalType::Any));
+            let s = prog.emit(Prim::Agg(a.func), vec![Arg::Var(arg)], MalType::Any);
+            cols.push(prog.emit(Prim::Single, vec![Arg::Var(s)], MalType::Any));
         }
         return Ok(NodeOut {
             cols,
@@ -483,39 +461,34 @@ fn gen_aggregate<'p>(
         let a = emit_expr(prog, &inp, k)?;
         key_vars.push(force_bat(prog, &inp, a)?);
     }
-    let mut g = prog.emit(
-        "group",
-        "group",
-        vec![Arg::Var(key_vars[0])],
-        MalType::Groups,
-    );
+    let mut g = prog.emit(Prim::Group, vec![Arg::Var(key_vars[0])], MalType::Groups);
     for &k in &key_vars[1..] {
         g = prog.emit(
-            "group",
-            "subgroup",
+            Prim::SubGroup,
             vec![Arg::Var(k), Arg::Var(g)],
             MalType::Groups,
         );
     }
     let ext = prog.emit(
-        "group",
-        "extents",
+        Prim::Extents,
         vec![Arg::Var(g)],
         MalType::Bat(ScalarType::OidT),
     );
     let mut cols = Vec::with_capacity(keys.len() + aggs.len());
     for &k in &key_vars {
         cols.push(prog.emit(
-            "algebra",
-            "projection",
+            Prim::Projection,
             vec![Arg::Var(ext), Arg::Var(k)],
             MalType::Any,
         ));
     }
     for a in aggs {
         let arg = agg_arg(prog, &inp, a)?;
-        let f = grouped_agg_name(a.func);
-        cols.push(prog.emit("aggr", f, vec![Arg::Var(arg), Arg::Var(g)], MalType::Any));
+        cols.push(prog.emit(
+            Prim::SubAgg(a.func),
+            vec![Arg::Var(arg), Arg::Var(g)],
+            MalType::Any,
+        ));
     }
     Ok(NodeOut {
         cols,
@@ -523,26 +496,6 @@ fn gen_aggregate<'p>(
         unit: false,
         plan: None,
     })
-}
-
-fn scalar_agg_name(f: AggFunc) -> &'static str {
-    match f {
-        AggFunc::Sum => "sum",
-        AggFunc::Avg => "avg",
-        AggFunc::Count => "count",
-        AggFunc::Min => "min",
-        AggFunc::Max => "max",
-    }
-}
-
-fn grouped_agg_name(f: AggFunc) -> &'static str {
-    match f {
-        AggFunc::Sum => "subsum",
-        AggFunc::Avg => "subavg",
-        AggFunc::Count => "subcount",
-        AggFunc::Min => "submin",
-        AggFunc::Max => "submax",
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -574,8 +527,7 @@ fn gen_tile<'p>(
             }
             None => (
                 prog.emit(
-                    "batcalc",
-                    "fill",
+                    Prim::Fill,
                     vec![Arg::Var(inp.cols[0]), Arg::Const(Value::Int(1))],
                     MalType::Bat(ScalarType::Int),
                 ),
@@ -620,57 +572,49 @@ fn gen_tile_agg(
         AggFunc::Sum | AggFunc::Count | AggFunc::Avg => {
             // Accumulate wide: dbl for dbl inputs, lng otherwise (dodging
             // int overflow).
-            let (wide_name, wide_ty, zero) = if arg_ty == ScalarType::Dbl {
-                ("dbl", ScalarType::Dbl, Value::Dbl(0.0))
+            let (wide_ty, zero) = if arg_ty == ScalarType::Dbl {
+                (ScalarType::Dbl, Value::Dbl(0.0))
             } else {
-                ("lng", ScalarType::Lng, Value::Lng(0))
+                (ScalarType::Lng, Value::Lng(0))
             };
             let wide = prog.emit(
-                "batcalc",
-                wide_name,
+                Prim::Cast(wide_ty),
                 vec![Arg::Var(arg)],
                 MalType::Bat(wide_ty),
             );
             let mut sum = prog.emit(
-                "batcalc",
-                "fill",
+                Prim::Fill,
                 vec![Arg::Var(wide), Arg::Const(zero.clone())],
                 MalType::Bat(wide_ty),
             );
             let mut cnt = prog.emit(
-                "batcalc",
-                "fill",
+                Prim::Fill,
                 vec![Arg::Var(wide), Arg::Const(Value::Lng(0))],
                 MalType::Bat(ScalarType::Lng),
             );
             for off in offsets {
                 let s = prog.emit(
-                    "array",
-                    "shift",
+                    Prim::Shift,
                     shift_args(wide, shape, off),
                     MalType::Bat(wide_ty),
                 );
                 let m = prog.emit(
-                    "batcalc",
-                    "isnil",
+                    Prim::IsNil,
                     vec![Arg::Var(s)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let contrib = prog.emit(
-                    "batcalc",
-                    "ifthenelse",
+                    Prim::IfThenElse,
                     vec![Arg::Var(m), Arg::Const(zero.clone()), Arg::Var(s)],
                     MalType::Bat(wide_ty),
                 );
                 sum = prog.emit(
-                    "batcalc",
-                    "add",
+                    Prim::Bin(GBinOp::Add),
                     vec![Arg::Var(sum), Arg::Var(contrib)],
                     MalType::Bat(ScalarType::Lng),
                 );
                 let one = prog.emit(
-                    "batcalc",
-                    "ifthenelse",
+                    Prim::IfThenElse,
                     vec![
                         Arg::Var(m),
                         Arg::Const(Value::Lng(0)),
@@ -679,54 +623,46 @@ fn gen_tile_agg(
                     MalType::Bat(ScalarType::Lng),
                 );
                 cnt = prog.emit(
-                    "batcalc",
-                    "add",
+                    Prim::Bin(GBinOp::Add),
                     vec![Arg::Var(cnt), Arg::Var(one)],
                     MalType::Bat(ScalarType::Lng),
                 );
             }
             let empty = prog.emit(
-                "batcalc",
-                "eq",
+                Prim::Cmp(CmpOp::Eq),
                 vec![Arg::Var(cnt), Arg::Const(Value::Lng(0))],
                 MalType::Bat(ScalarType::Bit),
             );
             Ok(match func {
                 AggFunc::Count => cnt,
                 AggFunc::Sum => prog.emit(
-                    "batcalc",
-                    "ifthenelse",
+                    Prim::IfThenElse,
                     vec![Arg::Var(empty), Arg::Const(Value::Null), Arg::Var(sum)],
                     MalType::Bat(ScalarType::Lng),
                 ),
                 AggFunc::Avg => {
                     let sumd = prog.emit(
-                        "batcalc",
-                        "dbl",
+                        Prim::Cast(ScalarType::Dbl),
                         vec![Arg::Var(sum)],
                         MalType::Bat(ScalarType::Dbl),
                     );
                     let cntd = prog.emit(
-                        "batcalc",
-                        "dbl",
+                        Prim::Cast(ScalarType::Dbl),
                         vec![Arg::Var(cnt)],
                         MalType::Bat(ScalarType::Dbl),
                     );
                     let safe = prog.emit(
-                        "batcalc",
-                        "ifthenelse",
+                        Prim::IfThenElse,
                         vec![Arg::Var(empty), Arg::Const(Value::Dbl(1.0)), Arg::Var(cntd)],
                         MalType::Bat(ScalarType::Dbl),
                     );
                     let avg = prog.emit(
-                        "batcalc",
-                        "div",
+                        Prim::Bin(GBinOp::Div),
                         vec![Arg::Var(sumd), Arg::Var(safe)],
                         MalType::Bat(ScalarType::Dbl),
                     );
                     prog.emit(
-                        "batcalc",
-                        "ifthenelse",
+                        Prim::IfThenElse,
                         vec![Arg::Var(empty), Arg::Const(Value::Null), Arg::Var(avg)],
                         MalType::Bat(ScalarType::Dbl),
                     )
@@ -736,52 +672,48 @@ fn gen_tile_agg(
         }
         AggFunc::Min | AggFunc::Max => {
             let mut acc = prog.emit(
-                "array",
-                "shift",
+                Prim::Shift,
                 shift_args(arg, shape, &offsets[0]),
                 MalType::Any,
             );
             for off in &offsets[1..] {
-                let s = prog.emit("array", "shift", shift_args(arg, shape, off), MalType::Any);
+                let s = prog.emit(Prim::Shift, shift_args(arg, shape, off), MalType::Any);
                 let s_ok = prog.emit(
-                    "batcalc",
-                    "isnil",
+                    Prim::IsNil,
                     vec![Arg::Var(s)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let s_ok = prog.emit(
-                    "batcalc",
-                    "not",
+                    Prim::Not,
                     vec![Arg::Var(s_ok)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let acc_nil = prog.emit(
-                    "batcalc",
-                    "isnil",
+                    Prim::IsNil,
                     vec![Arg::Var(acc)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let better = prog.emit(
-                    "batcalc",
-                    if func == AggFunc::Min { "lt" } else { "gt" },
+                    Prim::Cmp(if func == AggFunc::Min {
+                        CmpOp::Lt
+                    } else {
+                        CmpOp::Gt
+                    }),
                     vec![Arg::Var(s), Arg::Var(acc)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let take = prog.emit(
-                    "batcalc",
-                    "or",
+                    Prim::Or,
                     vec![Arg::Var(acc_nil), Arg::Var(better)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 let cond = prog.emit(
-                    "batcalc",
-                    "and",
+                    Prim::And,
                     vec![Arg::Var(s_ok), Arg::Var(take)],
                     MalType::Bat(ScalarType::Bit),
                 );
                 acc = prog.emit(
-                    "batcalc",
-                    "ifthenelse",
+                    Prim::IfThenElse,
                     vec![Arg::Var(cond), Arg::Var(s), Arg::Var(acc)],
                     MalType::Any,
                 );
@@ -830,7 +762,7 @@ fn gen_filter_candidates(prog: &mut Program, inp: &NodeOut, pred: &BExpr) -> Res
             }
         });
         args.push(Arg::Const(Value::Str(opname.into())));
-        cand = Some(prog.emit("algebra", "thetaselect", args, MalType::Cand));
+        cand = Some(prog.emit(Prim::ThetaSelect, args, MalType::Cand));
     }
     Ok(cand)
 }
@@ -894,21 +826,22 @@ fn flip(op: BinOp) -> BinOp {
 // expressions
 // ----------------------------------------------------------------------
 
-fn batcalc_name(op: BinOp) -> &'static str {
+/// The `batcalc` opcode of a binary SQL operator.
+fn binop_prim(op: BinOp) -> Prim {
     match op {
-        BinOp::Add => "add",
-        BinOp::Sub => "sub",
-        BinOp::Mul => "mul",
-        BinOp::Div => "div",
-        BinOp::Mod => "mod",
-        BinOp::Eq => "eq",
-        BinOp::Ne => "ne",
-        BinOp::Lt => "lt",
-        BinOp::Le => "le",
-        BinOp::Gt => "gt",
-        BinOp::Ge => "ge",
-        BinOp::And => "and",
-        BinOp::Or => "or",
+        BinOp::Add => Prim::Bin(GBinOp::Add),
+        BinOp::Sub => Prim::Bin(GBinOp::Sub),
+        BinOp::Mul => Prim::Bin(GBinOp::Mul),
+        BinOp::Div => Prim::Bin(GBinOp::Div),
+        BinOp::Mod => Prim::Bin(GBinOp::Mod),
+        BinOp::Eq => Prim::Cmp(CmpOp::Eq),
+        BinOp::Ne => Prim::Cmp(CmpOp::Ne),
+        BinOp::Lt => Prim::Cmp(CmpOp::Lt),
+        BinOp::Le => Prim::Cmp(CmpOp::Le),
+        BinOp::Gt => Prim::Cmp(CmpOp::Gt),
+        BinOp::Ge => Prim::Cmp(CmpOp::Ge),
+        BinOp::And => Prim::And,
+        BinOp::Or => Prim::Or,
     }
 }
 
@@ -930,7 +863,7 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                 AlgebraError::bind("relative cell reference used where cell alignment is lost")
             })?;
             let v = inp.cols[*col];
-            Arg::Var(prog.emit("array", "shift", shift_args(v, shape, deltas), MalType::Any))
+            Arg::Var(prog.emit(Prim::Shift, shift_args(v, shape, deltas), MalType::Any))
         }
         BExpr::Bin { op, l, r } => {
             let la = emit_expr(prog, inp, l)?;
@@ -947,32 +880,26 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                 let lv = force_bit_bat(prog, inp, la)?;
                 let rv = force_bit_bat(prog, inp, ra)?;
                 Arg::Var(prog.emit(
-                    "batcalc",
-                    batcalc_name(*op),
+                    binop_prim(*op),
                     vec![Arg::Var(lv), Arg::Var(rv)],
                     MalType::Bat(ScalarType::Bit),
                 ))
             } else {
-                Arg::Var(prog.emit("batcalc", batcalc_name(*op), vec![la, ra], MalType::Any))
+                Arg::Var(prog.emit(binop_prim(*op), vec![la, ra], MalType::Any))
             }
         }
         BExpr::Neg(x) => {
             let a = emit_expr(prog, inp, x)?;
-            Arg::Var(prog.emit("batcalc", "neg", vec![a], MalType::Any))
+            Arg::Var(prog.emit(Prim::Neg, vec![a], MalType::Any))
         }
         BExpr::Not(x) => {
             let a = emit_expr(prog, inp, x)?;
             let v = force_bit_bat(prog, inp, a)?;
-            Arg::Var(prog.emit(
-                "batcalc",
-                "not",
-                vec![Arg::Var(v)],
-                MalType::Bat(ScalarType::Bit),
-            ))
+            Arg::Var(prog.emit(Prim::Not, vec![Arg::Var(v)], MalType::Bat(ScalarType::Bit)))
         }
         BExpr::Abs(x) => {
             let a = emit_expr(prog, inp, x)?;
-            Arg::Var(prog.emit("batcalc", "abs", vec![a], MalType::Any))
+            Arg::Var(prog.emit(Prim::Abs, vec![a], MalType::Any))
         }
         BExpr::IsNull { e, negated } => {
             let a = emit_expr(prog, inp, e)?;
@@ -983,15 +910,13 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                     // stays aligned with the input columns.
                     let v = force_bat(prog, inp, a)?;
                     let m = prog.emit(
-                        "batcalc",
-                        "isnil",
+                        Prim::IsNil,
                         vec![Arg::Var(v)],
                         MalType::Bat(ScalarType::Bit),
                     );
                     if *negated {
                         Arg::Var(prog.emit(
-                            "batcalc",
-                            "not",
+                            Prim::Not,
                             vec![Arg::Var(m)],
                             MalType::Bat(ScalarType::Bit),
                         ))
@@ -1020,15 +945,13 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                 a @ (Arg::Var(_) | Arg::Param(_)) => {
                     let v = force_bat(prog, inp, a)?;
                     let m = prog.emit(
-                        "batcalc",
-                        "like",
+                        Prim::Like,
                         vec![Arg::Var(v), Arg::Const(Value::Str(pattern.clone()))],
                         MalType::Bat(ScalarType::Bit),
                     );
                     if *negated {
                         Arg::Var(prog.emit(
-                            "batcalc",
-                            "not",
+                            Prim::Not,
                             vec![Arg::Var(m)],
                             MalType::Bat(ScalarType::Bit),
                         ))
@@ -1061,8 +984,7 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
                     c @ (Arg::Var(_) | Arg::Param(_)) => {
                         let mask = force_bit_bat(prog, inp, c)?;
                         acc = Arg::Var(prog.emit(
-                            "batcalc",
-                            "ifthenelse",
+                            Prim::IfThenElse,
                             vec![Arg::Var(mask), t, acc],
                             MalType::Any,
                         ));
@@ -1112,29 +1034,15 @@ fn emit_expr(prog: &mut Program, inp: &NodeOut, e: &BExpr) -> Result<Arg> {
 
 /// Emit a cast of `a` to `ty`.
 fn emit_cast(prog: &mut Program, a: Arg, ty: ScalarType) -> Arg {
-    let f = match ty {
-        ScalarType::Int => "int",
-        ScalarType::Lng => "lng",
-        ScalarType::Dbl => "dbl",
-        ScalarType::Str => "str",
-        ScalarType::Bit => "bit",
-        ScalarType::OidT => "oid",
-    };
-    Arg::Var(prog.emit("batcalc", f, vec![a], MalType::Any))
+    Arg::Var(prog.emit(Prim::Cast(ty), vec![a], MalType::Any))
 }
 
 /// Evaluate a binary operator over two constants, SQL semantics.
 fn fold_const_bin(op: BinOp, l: &Value, r: &Value) -> Result<Option<Value>> {
-    use gdk::arith::BinOp as GOp;
     Ok(Some(match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-            let gop = match op {
-                BinOp::Add => GOp::Add,
-                BinOp::Sub => GOp::Sub,
-                BinOp::Mul => GOp::Mul,
-                BinOp::Div => GOp::Div,
-                BinOp::Mod => GOp::Mod,
-                _ => unreachable!(),
+            let Prim::Bin(gop) = binop_prim(op) else {
+                unreachable!("arithmetic operators map to batcalc arithmetic")
             };
             gdk::arith::scalar_binop(gop, l, r).map_err(AlgebraError::Gdk)?
         }
@@ -1176,7 +1084,7 @@ fn force_bat(prog: &mut Program, inp: &NodeOut, a: Arg) -> Result<VarId> {
             let t = *inp.cols.first().ok_or_else(|| {
                 AlgebraError::internal("cannot broadcast a constant without input columns")
             })?;
-            Ok(prog.emit("batcalc", "fill", vec![Arg::Var(t), a], MalType::Any))
+            Ok(prog.emit(Prim::Fill, vec![Arg::Var(t), a], MalType::Any))
         }
     }
 }
@@ -1195,7 +1103,7 @@ fn force_bit_bat(prog: &mut Program, inp: &NodeOut, a: Arg) -> Result<VarId> {
 fn arg_to_var_scalar(prog: &mut Program, a: Arg) -> VarId {
     match a {
         Arg::Var(v) => v,
-        a @ (Arg::Const(_) | Arg::Param(_)) => prog.emit("language", "pass", vec![a], MalType::Any),
+        a @ (Arg::Const(_) | Arg::Param(_)) => prog.emit(Prim::Pass, vec![a], MalType::Any),
     }
 }
 

@@ -31,7 +31,6 @@ use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::{SessionRow, SysData};
 use crate::Result;
 use gdk::Value;
-use mal::Registry;
 use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_obs::Trace;
@@ -74,9 +73,8 @@ impl EngineSnapshot {
 
     /// Read access to this image, for the executor. No engine lock is
     /// held; concurrent snapshots execute in parallel.
-    pub(crate) fn view<'a>(&'a self, registry: &'a Registry) -> DbView<'a> {
+    pub(crate) fn view(&self) -> DbView<'_> {
         DbView {
-            registry,
             opt_config: self.opt_config,
             codegen: &self.codegen,
             catalog: &self.catalog,
@@ -162,9 +160,6 @@ impl SessionMeter {
 /// vault-backed) single [`Connection`].
 pub struct SharedEngine {
     conn: Mutex<Connection>,
-    /// Immutable primitive registry shared by every snapshot reader (the
-    /// per-connection registry stays private to the write path).
-    pub(crate) registry: Registry,
     pub(crate) stats: AtomicStats,
     next_session: AtomicU64,
     /// Open sessions, in creation order (the `sys.sessions` view).
@@ -187,7 +182,6 @@ impl SharedEngine {
             watermark: Arc::clone(&conn.watermark),
             dir: conn.vault.as_ref().map(|v| v.dir().to_path_buf()),
             conn: Mutex::new(conn),
-            registry: mal::prims::default_registry(),
             stats: AtomicStats::default(),
             next_session: AtomicU64::new(1),
             sessions: Mutex::new(Vec::new()),
@@ -657,7 +651,7 @@ mod tests {
                 Stmt::Select(s) => s,
                 _ => unreachable!(),
             };
-        let view = snap.view(&engine.registry);
+        let view = snap.view();
         let (rs, _) = exec::execute_select(&sel, &view, &mut sciql_obs::Tracer::off()).unwrap();
         assert_eq!(rs.scalar().unwrap().as_i64(), Some(0), "pre-write image");
         let mut s = engine.session();

@@ -35,9 +35,7 @@ use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::{self, SysData};
 use crate::{EngineError, Result};
 use gdk::{Bat, Value};
-use mal::{
-    Binder as MalBinder, ExecStats, Interpreter, MalValue, OptConfig, PassStats, Program, Registry,
-};
+use mal::{Binder as MalBinder, ExecStats, Interpreter, MalValue, OptConfig, PassStats, Program};
 use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, ColInfo, Plan};
 use sciql_catalog::Catalog;
 use sciql_obs::{SpanId, Trace, Tracer};
@@ -207,7 +205,6 @@ impl PreparedSet {
 /// Nothing here is `&mut`, which is what lets many snapshot readers run
 /// concurrently while writes serialize elsewhere.
 pub(crate) struct DbView<'a> {
-    pub(crate) registry: &'a Registry,
     pub(crate) opt_config: OptConfig,
     pub(crate) codegen: &'a CodegenOptions,
     pub(crate) catalog: &'a Catalog,
@@ -231,7 +228,7 @@ fn compile_plan(
     tracer.note(sp, "instrs", before as u64);
     tracer.close(sp);
     let sp = tracer.open(SpanId::ROOT, "optimize");
-    let report = mal::optimise_traced(&mut prog, view.registry, view.opt_config, tracer, sp);
+    let report = mal::optimise_traced(&mut prog, view.opt_config, tracer, sp);
     let after = prog.instrs.len();
     tracer.note(sp, "instrs", after as u64);
     tracer.close(sp);
@@ -261,7 +258,7 @@ fn run_program(
         arrays: view.arrays,
         tables,
     };
-    let interp = Interpreter::with_config(view.registry, &storage, view.codegen.par);
+    let interp = Interpreter::with_config(&storage, view.codegen.par);
     let sp = tracer.open(SpanId::ROOT, "mal");
     let ran = interp.run_traced(prog, params, tracer, sp);
     tracer.close(sp);
@@ -420,13 +417,12 @@ pub(crate) fn explain_select(
     sel: &SelectStmt,
     catalog: &Catalog,
     codegen: &CodegenOptions,
-    registry: &Registry,
     opt_config: OptConfig,
 ) -> Result<String> {
     let plan = rewrite(Binder::new(catalog).bind_select(sel)?);
     let mut prog = compile(&plan, codegen)?;
     let before = prog.to_text();
-    mal::optimise(&mut prog, registry, opt_config);
+    mal::optimise_traced(&mut prog, opt_config, &mut Tracer::off(), SpanId::ROOT);
     let after = prog.to_text();
     Ok(format!(
         "-- logical plan\n{}\n-- MAL (generated)\n{before}\n-- MAL (optimised)\n{after}",
@@ -570,7 +566,7 @@ impl Reach<'_> {
             Reach::Shared(sess) => {
                 let engine = &sess.engine;
                 engine.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                f(&mut sess.state, &engine.snapshot().view(&engine.registry))
+                f(&mut sess.state, &engine.snapshot().view())
             }
         }
     }
@@ -786,13 +782,7 @@ fn run_read(
             rs
         }
         Some(false) => {
-            let text = explain_select(
-                sel,
-                view.catalog,
-                view.codegen,
-                view.registry,
-                view.opt_config,
-            )?;
+            let text = explain_select(sel, view.catalog, view.codegen, view.opt_config)?;
             // Nothing ran: the previous statement's numbers are not this one's.
             state.last = LastExec::default();
             text_rows("explain", text.lines().map(str::to_owned))

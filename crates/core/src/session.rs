@@ -8,7 +8,7 @@ use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::SysData;
 use crate::{EngineError, Result};
 use gdk::{Bat, Value};
-use mal::{ExecStats, OptConfig, PassStats, Registry};
+use mal::{ExecStats, OptConfig, PassStats};
 use sciql_algebra::{CodegenOptions, Plan};
 use sciql_catalog::Catalog;
 use sciql_catalog::SchemaObject;
@@ -128,12 +128,11 @@ impl SessionConfig {
 }
 
 /// A SciQL session over an in-memory database: catalog + BAT storage +
-/// MAL machinery.
+/// MAL pipeline settings.
 pub struct Connection {
     pub(crate) catalog: Catalog,
     pub(crate) arrays: HashMap<String, ArrayStore>,
     pub(crate) tables: HashMap<String, TableStore>,
-    registry: Registry,
     pub(crate) opt_config: OptConfig,
     pub(crate) codegen: CodegenOptions,
     /// The connection's own (embedded) session. Sessions of a
@@ -181,7 +180,6 @@ impl Connection {
             catalog: Catalog::new(),
             arrays: HashMap::new(),
             tables: HashMap::new(),
-            registry: mal::prims::default_registry(),
             opt_config: OptConfig::default(),
             codegen: CodegenOptions::default(),
             session: SessionState::default(),
@@ -537,7 +535,6 @@ impl Connection {
     /// live stores — embedded reads run in place, no snapshot.
     pub(crate) fn split(&mut self) -> (&mut SessionState, DbView<'_>) {
         let view = DbView {
-            registry: &self.registry,
             opt_config: self.opt_config,
             codegen: &self.codegen,
             catalog: &self.catalog,
@@ -817,13 +814,7 @@ impl Connection {
             },
             _ => return Err(EngineError::msg("EXPLAIN supports SELECT statements")),
         };
-        exec::explain_select(
-            &sel,
-            &self.catalog,
-            &self.codegen,
-            &self.registry,
-            self.opt_config,
-        )
+        exec::explain_select(&sel, &self.catalog, &self.codegen, self.opt_config)
     }
 
     /// Run a SELECT through the full pipeline (the `INSERT … SELECT`

@@ -1,16 +1,18 @@
 //! The MAL interpreter.
 //!
-//! Executes a [`Program`] instruction by instruction against the primitive
-//! [`Registry`]. Stored BATs enter a program through `sql.bind` instructions
-//! resolved by a caller-provided [`Binder`] (the engine's catalog adapter).
+//! Executes a [`Program`] instruction by instruction, handing each
+//! instruction's [`Prim`] opcode straight to [`crate::prims::call`]:
+//! dispatch is one `match`, with no name lookup. Stored BATs enter a
+//! program through `sql.bind` instructions resolved by a caller-provided
+//! [`Binder`] (the engine's catalog adapter).
 //!
-//! Shared values are `Arc`-counted so BAT-level instructions marked
-//! parallel-safe by the code generator can fan out across the slice
+//! Shared values are `Arc`-counted so instructions whose opcode is
+//! parallel-safe ([`Prim::parallel_safe`]) can fan out across the slice
 //! drivers in [`gdk::par`] without copying columns; [`ExecStats`] records
 //! the worker-thread count of every executed instruction.
 
-use crate::ir::{Arg, Instr, Program, VarId};
-use crate::registry::{ExecCtx, Registry};
+use crate::ir::{Arg, Instr, Prim, Program, VarId};
+use crate::registry::ExecCtx;
 use crate::{MalError, Result};
 use gdk::group::Groups;
 use gdk::{Bat, Candidates, ParConfig, Value};
@@ -133,9 +135,9 @@ pub struct ExecStats {
     /// Column tiles that zone-map consultation let selections skip
     /// without scanning (see [`gdk::zonemap`]).
     pub tiles_skipped: usize,
-    /// Per executed instruction: qualified primitive name and the number
-    /// of worker threads its kernel used (1 = serial).
-    pub per_instr_threads: Vec<(String, usize)>,
+    /// Per executed instruction: its opcode and the number of worker
+    /// threads its kernel used (1 = serial).
+    pub per_instr_threads: Vec<(Prim, usize)>,
 }
 
 /// Per-instruction outcome: output values, worker-thread count,
@@ -145,26 +147,20 @@ type InstrOutcome = (Vec<MalValue>, usize, (usize, usize), usize);
 
 /// The interpreter.
 pub struct Interpreter<'a> {
-    registry: &'a Registry,
     binder: &'a dyn Binder,
     par: ParConfig,
 }
 
 impl<'a> Interpreter<'a> {
-    /// New serial interpreter over a primitive registry and a storage
-    /// binder.
-    pub fn new(registry: &'a Registry, binder: &'a dyn Binder) -> Self {
-        Self::with_config(registry, binder, ParConfig::serial())
+    /// New serial interpreter over a storage binder.
+    pub fn new(binder: &'a dyn Binder) -> Self {
+        Self::with_config(binder, ParConfig::serial())
     }
 
     /// Interpreter that dispatches parallel-safe BAT instructions through
     /// the [`gdk::par`] slice driver with the given configuration.
-    pub fn with_config(registry: &'a Registry, binder: &'a dyn Binder, par: ParConfig) -> Self {
-        Interpreter {
-            registry,
-            binder,
-            par,
-        }
+    pub fn with_config(binder: &'a dyn Binder, par: ParConfig) -> Self {
+        Interpreter { binder, par }
     }
 
     /// Run the program, returning its labelled result columns.
@@ -216,7 +212,7 @@ impl<'a> Interpreter<'a> {
         let mut stats = ExecStats::default();
         for (idx, ins) in prog.instrs.iter().enumerate() {
             let sp = if tracer.is_on() {
-                tracer.open(parent, &format!("[{idx:02}] {}", ins.qualified()))
+                tracer.open(parent, &format!("[{idx:02}] {}", ins.op.name()))
             } else {
                 SpanId::ROOT
             };
@@ -230,11 +226,11 @@ impl<'a> Interpreter<'a> {
             stats.intermediates_avoided += avoided;
             stats.bytes_not_materialized += avoided_bytes;
             stats.tiles_skipped += tiles_skipped;
-            stats.per_instr_threads.push((ins.qualified(), threads));
+            stats.per_instr_threads.push((ins.op, threads));
             if outs.len() != ins.results.len() {
                 return Err(MalError::msg(format!(
                     "{} returned {} results, expected {}",
-                    ins.qualified(),
+                    ins.op.name(),
                     outs.len(),
                     ins.results.len()
                 )));
@@ -293,13 +289,13 @@ impl<'a> Interpreter<'a> {
                     MalError::msg(format!(
                         "variable {} used before assignment in {}",
                         prog.vars[*vid].name,
-                        ins.qualified()
+                        ins.op.name()
                     ))
                 })?),
             }
         }
         // sql.bind is special: routed to the storage binder.
-        if ins.module == "sql" && ins.function == "bind" {
+        if ins.op == Prim::Bind {
             let obj = args
                 .first()
                 .ok_or_else(|| MalError::msg("sql.bind needs (object, column)"))?
@@ -315,10 +311,9 @@ impl<'a> Interpreter<'a> {
             };
             return Ok((vec![self.binder.bind(&obj, &col)?], 1, (0, 0), 0));
         }
-        let prim = self.registry.lookup(&ins.module, &ins.function)?;
-        // Only instructions the code generator marked parallel-safe see
-        // the parallel configuration; everything else runs serially.
-        let ctx = if ins.parallel_ok {
+        // Only parallel-safe opcodes see the parallel configuration;
+        // everything else runs serially.
+        let ctx = if ins.op.parallel_safe() {
             ExecCtx::new(self.par)
         } else {
             // Serial execution still honours the session's zone-skip
@@ -329,8 +324,8 @@ impl<'a> Interpreter<'a> {
                 ..ParConfig::serial()
             })
         };
-        let outs =
-            prim(&args, &ctx).map_err(|e| MalError::msg(format!("{}: {e}", ins.qualified())))?;
+        let outs = crate::prims::call(ins.op, &args, &ctx)
+            .map_err(|e| MalError::msg(format!("{}: {e}", ins.op.name())))?;
         Ok((outs, ctx.threads_used(), ctx.avoided(), ctx.tiles_skipped()))
     }
 }
@@ -368,19 +363,15 @@ pub type ResultVar = VarId;
 mod tests {
     use super::*;
     use crate::ir::{Arg, MalType, Program};
-    use crate::registry::Registry;
+    use gdk::aggregate::AggFunc;
+    use gdk::arith::BinOp;
     use gdk::ScalarType;
-
-    fn reg() -> Registry {
-        crate::prims::default_registry()
-    }
 
     #[test]
     fn run_series_program() {
         let mut p = Program::new("t");
         let x = p.emit(
-            "array",
-            "series",
+            Prim::Series,
             vec![
                 Arg::Const(Value::Int(0)),
                 Arg::Const(Value::Int(1)),
@@ -391,8 +382,7 @@ mod tests {
             MalType::Bat(ScalarType::Int),
         );
         p.add_result("x", x);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let out = interp.run(&p).unwrap();
         assert_eq!(out.len(), 1);
         let b = out[0].1.as_bat().unwrap();
@@ -404,14 +394,12 @@ mod tests {
         let mut p = Program::new("bad");
         let v = p.new_var(MalType::Bat(ScalarType::Int));
         let r2 = p.emit(
-            "aggr",
-            "count",
+            Prim::Agg(AggFunc::Count),
             vec![Arg::Var(v)],
             MalType::Scalar(ScalarType::Lng),
         );
         p.add_result("n", r2);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         assert!(interp.run(&p).is_err());
     }
 
@@ -419,8 +407,7 @@ mod tests {
     fn bind_without_storage_fails() {
         let mut p = Program::new("b");
         let v = p.emit(
-            "sql",
-            "bind",
+            Prim::Bind,
             vec![
                 Arg::Const(Value::Str("m".into())),
                 Arg::Const(Value::Str("v".into())),
@@ -428,8 +415,7 @@ mod tests {
             MalType::Bat(ScalarType::Int),
         );
         p.add_result("v", v);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let err = interp.run(&p).unwrap_err();
         assert!(err.to_string().contains("m.v"), "{err}");
     }
@@ -440,26 +426,22 @@ mod tests {
         // offending primitive and nothing is returned.
         let mut p = Program::new("boom");
         let a = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Const(Value::Lng(4)), Arg::Const(Value::Int(8))],
             MalType::Bat(ScalarType::Int),
         );
         let d = p.emit(
-            "batcalc",
-            "div",
+            Prim::Bin(BinOp::Div),
             vec![Arg::Var(a), Arg::Const(Value::Int(0))],
             MalType::Bat(ScalarType::Int),
         );
         let s = p.emit(
-            "aggr",
-            "sum",
+            Prim::Agg(AggFunc::Sum),
             vec![Arg::Var(d)],
             MalType::Scalar(ScalarType::Lng),
         );
         p.add_result("total", s);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let err = interp.run(&p).unwrap_err();
         assert!(err.to_string().contains("batcalc.div"), "{err}");
         assert!(err.to_string().contains("division by zero"), "{err}");
@@ -470,33 +452,19 @@ mod tests {
         // algebra.join returns two results; declaring one must fail.
         let mut p = Program::new("arity");
         let a = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Const(Value::Lng(2)), Arg::Const(Value::Int(1))],
             MalType::Bat(ScalarType::Int),
         );
         let one = p.emit(
-            "algebra",
-            "join",
+            Prim::Join,
             vec![Arg::Var(a), Arg::Var(a)],
             MalType::Bat(ScalarType::OidT),
         );
         p.add_result("l", one);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let err = interp.run(&p).unwrap_err();
         assert!(err.to_string().contains("2 results"), "{err}");
-    }
-
-    #[test]
-    fn unknown_primitive_is_a_clean_error() {
-        let mut p = Program::new("nope");
-        let v = p.emit("voodoo", "conjure", vec![], MalType::Any);
-        p.add_result("v", v);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
-        let err = interp.run(&p).unwrap_err();
-        assert!(err.to_string().contains("voodoo.conjure"), "{err}");
     }
 
     #[test]
@@ -504,20 +472,17 @@ mod tests {
         // Passing a candidate list where a BAT is expected.
         let mut p = Program::new("ty");
         let c = p.emit(
-            "algebra",
-            "densecand",
+            Prim::DenseCand,
             vec![Arg::Const(Value::Lng(0)), Arg::Const(Value::Lng(3))],
             MalType::Cand,
         );
         let s = p.emit(
-            "aggr",
-            "sum",
+            Prim::Agg(AggFunc::Sum),
             vec![Arg::Var(c)],
             MalType::Scalar(ScalarType::Lng),
         );
         p.add_result("s", s);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let err = interp.run(&p).unwrap_err();
         assert!(err.to_string().contains("expected BAT"), "{err}");
     }
@@ -528,22 +493,19 @@ mod tests {
         // different count/value bindings, no recompilation.
         let mut p = Program::new("par");
         let x = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Param(0), Arg::Param(1)],
             MalType::Bat(ScalarType::Int),
         );
         let s = p.emit(
-            "aggr",
-            "sum",
+            Prim::Agg(AggFunc::Sum),
             vec![Arg::Var(x)],
             MalType::Scalar(ScalarType::Lng),
         );
         p.add_result("s", s);
         p.declare_param(0, Some(ScalarType::Lng));
         p.declare_param(1, Some(ScalarType::Int));
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let sum = |params: &[Value]| {
             interp.run_with_params(&p, params).unwrap()[0]
                 .1
@@ -570,14 +532,12 @@ mod tests {
     fn stats_count_instructions() {
         let mut p = Program::new("s");
         let x = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Const(Value::Lng(10)), Arg::Const(Value::Int(7))],
             MalType::Bat(ScalarType::Int),
         );
         p.add_result("x", x);
-        let r = reg();
-        let interp = Interpreter::new(&r, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let (_, stats) = interp.run_with_stats(&p).unwrap();
         assert_eq!(stats.instructions, 1);
         assert_eq!(stats.tuples_produced, 10);

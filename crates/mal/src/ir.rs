@@ -1,11 +1,17 @@
 //! MAL program representation.
 //!
 //! A MAL program is a straight-line sequence of instructions in (near) SSA
-//! form: each instruction calls a primitive `module.function(args…)` and
+//! form: each instruction applies one [`Prim`] opcode to its arguments and
 //! assigns its results to fresh variables. This mirrors the textual MAL of
 //! MonetDB, which is "the target language for all MonetDB query compiler
-//! front-ends" (paper §3).
+//! front-ends" (paper §3): [`Prim::name`] gives each opcode its
+//! `module.function` spelling for EXPLAIN text, trace spans and errors.
+//! Like MonetDB's MAL type-checker, which binds each instruction's
+//! function address before execution, an instruction names its kernel
+//! once, when it is emitted; the interpreter never looks a name up.
 
+use gdk::aggregate::AggFunc;
+use gdk::arith::{BinOp, CmpOp};
 use gdk::{ScalarType, Value};
 use std::fmt;
 
@@ -63,57 +69,217 @@ pub enum Arg {
     Param(usize),
 }
 
+/// A MAL opcode: the closed set of primitives the interpreter runs. The
+/// parameterised variants carry the `gdk` operator their kernel takes.
+/// [`crate::prims::call`] dispatches each variant to its kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Prim {
+    /// `sql.bind(object, column)` — a stored column, resolved through the
+    /// interpreter's [`crate::Binder`].
+    Bind,
+    /// `language.pass(v)` — identity (alias), removed by the optimizer.
+    Pass,
+    /// `array.series(start, step, stop, N, M)` — a dimension BAT (paper §3).
+    Series,
+    /// `array.filler(cnt, v)` — a constant attribute BAT (paper §3).
+    Filler,
+    /// `array.shift(v, sizes…, deltas…)` — positional cell shift.
+    Shift,
+    /// `algebra.thetaselect(b, [cand,] val, op)` :cand.
+    ThetaSelect,
+    /// `algebra.select(b, [cand,] lo, hi, li, hi_incl, anti)` :cand.
+    Select,
+    /// `algebra.selectnonnil(b [, cand])` :cand.
+    SelectNonNil,
+    /// `algebra.selectnil(b [, cand])` :cand.
+    SelectNil,
+    /// `algebra.maskselect(mask [, cand])` :cand.
+    MaskSelect,
+    /// `algebra.selectproject(b, [cand,] val, op, payload)` — fused
+    /// thetaselect + projection.
+    SelectProject,
+    /// `algebra.projection(cand|oids, b)`.
+    Projection,
+    /// `algebra.join(l, r [, lcand, rcand])` :(oids, oids).
+    Join,
+    /// `algebra.joinn(l1, r1, l2, r2, …)` — multi-key equi-join.
+    JoinN,
+    /// `algebra.leftjoin(l, r [, lcand, rcand])`.
+    LeftJoin,
+    /// `algebra.semijoin(l, r [, lcand, rcand])` :cand.
+    SemiJoin,
+    /// `algebra.crossproduct(l, r [, lcand, rcand])` :(oids, oids).
+    CrossProduct,
+    /// `algebra.slice(b, lo, hi)` — positions `[lo, hi)`.
+    Slice,
+    /// `algebra.sort(b, desc, nils_last)` :(sorted, permutation).
+    Sort,
+    /// `algebra.sortperm(key1, desc1, …)` — the ORDER BY permutation.
+    SortPerm,
+    /// `algebra.count(b)` — tuple count, nils included.
+    Count,
+    /// `algebra.candlist(oids)` — sorted oid BAT to candidates.
+    CandList,
+    /// `algebra.densecand(first, len)` — dense candidate range.
+    DenseCand,
+    /// `batcalc.add` … `batcalc.mod` — element-wise arithmetic.
+    Bin(BinOp),
+    /// `batcalc.eq` … `batcalc.ge` — element-wise comparison.
+    Cmp(CmpOp),
+    /// `batcalc.int` … `batcalc.oid` — cast to the named type.
+    Cast(ScalarType),
+    /// `batcalc.and(a, b)` over bit BATs.
+    And,
+    /// `batcalc.or(a, b)` over bit BATs.
+    Or,
+    /// `batcalc.not(a)` over a bit BAT.
+    Not,
+    /// `batcalc.isnil(b)` — nil mask.
+    IsNil,
+    /// `batcalc.neg(v)`.
+    Neg,
+    /// `batcalc.abs(v)`.
+    Abs,
+    /// `batcalc.like(col, pattern)` — SQL LIKE mask.
+    Like,
+    /// `batcalc.fill(template, v)` — constant column aligned with
+    /// `template`.
+    Fill,
+    /// `batcalc.ifthenelse(mask, then, else)` — the CASE kernel.
+    IfThenElse,
+    /// `bat.new(type)` — empty BAT.
+    New,
+    /// `bat.dense(seq, len)` — void BAT.
+    Dense,
+    /// `bat.materialise(b)` — void to explicit oids.
+    Materialise,
+    /// `bat.single(v)` — one-tuple BAT.
+    Single,
+    /// `group.group(b [, cand])` :grp.
+    Group,
+    /// `group.subgroup(b, prev [, cand])` :grp.
+    SubGroup,
+    /// `group.extents(g)` — representative oid per group.
+    Extents,
+    /// `group.extentcand(g)` — extents as a candidate list.
+    ExtentCand,
+    /// `aggr.subsum` … `aggr.submax` — one tuple per group.
+    SubAgg(AggFunc),
+    /// `aggr.sum` … `aggr.max(vals [, cand])` — one scalar.
+    Agg(AggFunc),
+    /// `aggr.selectagg(func, payload, b, [cand,] val, op)` — fused
+    /// select→project→aggregate.
+    SelectAgg,
+}
+
+impl Prim {
+    /// The `module.function` spelling, as printed by EXPLAIN, trace spans
+    /// and error messages.
+    pub fn name(self) -> &'static str {
+        use Prim::*;
+        match self {
+            Bind => "sql.bind",
+            Pass => "language.pass",
+            Series => "array.series",
+            Filler => "array.filler",
+            Shift => "array.shift",
+            ThetaSelect => "algebra.thetaselect",
+            Select => "algebra.select",
+            SelectNonNil => "algebra.selectnonnil",
+            SelectNil => "algebra.selectnil",
+            MaskSelect => "algebra.maskselect",
+            SelectProject => "algebra.selectproject",
+            Projection => "algebra.projection",
+            Join => "algebra.join",
+            JoinN => "algebra.joinn",
+            LeftJoin => "algebra.leftjoin",
+            SemiJoin => "algebra.semijoin",
+            CrossProduct => "algebra.crossproduct",
+            Slice => "algebra.slice",
+            Sort => "algebra.sort",
+            SortPerm => "algebra.sortperm",
+            Count => "algebra.count",
+            CandList => "algebra.candlist",
+            DenseCand => "algebra.densecand",
+            Bin(BinOp::Add) => "batcalc.add",
+            Bin(BinOp::Sub) => "batcalc.sub",
+            Bin(BinOp::Mul) => "batcalc.mul",
+            Bin(BinOp::Div) => "batcalc.div",
+            Bin(BinOp::Mod) => "batcalc.mod",
+            Cmp(CmpOp::Eq) => "batcalc.eq",
+            Cmp(CmpOp::Ne) => "batcalc.ne",
+            Cmp(CmpOp::Lt) => "batcalc.lt",
+            Cmp(CmpOp::Le) => "batcalc.le",
+            Cmp(CmpOp::Gt) => "batcalc.gt",
+            Cmp(CmpOp::Ge) => "batcalc.ge",
+            Cast(ScalarType::Int) => "batcalc.int",
+            Cast(ScalarType::Lng) => "batcalc.lng",
+            Cast(ScalarType::Dbl) => "batcalc.dbl",
+            Cast(ScalarType::Str) => "batcalc.str",
+            Cast(ScalarType::Bit) => "batcalc.bit",
+            Cast(ScalarType::OidT) => "batcalc.oid",
+            And => "batcalc.and",
+            Or => "batcalc.or",
+            Not => "batcalc.not",
+            IsNil => "batcalc.isnil",
+            Neg => "batcalc.neg",
+            Abs => "batcalc.abs",
+            Like => "batcalc.like",
+            Fill => "batcalc.fill",
+            IfThenElse => "batcalc.ifthenelse",
+            New => "bat.new",
+            Dense => "bat.dense",
+            Materialise => "bat.materialise",
+            Single => "bat.single",
+            Group => "group.group",
+            SubGroup => "group.subgroup",
+            Extents => "group.extents",
+            ExtentCand => "group.extentcand",
+            SubAgg(AggFunc::Sum) => "aggr.subsum",
+            SubAgg(AggFunc::Avg) => "aggr.subavg",
+            SubAgg(AggFunc::Count) => "aggr.subcount",
+            SubAgg(AggFunc::Min) => "aggr.submin",
+            SubAgg(AggFunc::Max) => "aggr.submax",
+            Agg(AggFunc::Sum) => "aggr.sum",
+            Agg(AggFunc::Avg) => "aggr.avg",
+            Agg(AggFunc::Count) => "aggr.count",
+            Agg(AggFunc::Min) => "aggr.min",
+            Agg(AggFunc::Max) => "aggr.max",
+            SelectAgg => "aggr.selectagg",
+        }
+    }
+
+    /// Is this a pure BAT-level kernel with a slice-parallel
+    /// implementation behind it? (Eligibility only — the kernel still
+    /// falls back to serial for unsupported shapes or short inputs.) The
+    /// interpreter hands every other instruction a serial context.
+    pub fn parallel_safe(self) -> bool {
+        use Prim::*;
+        match self {
+            ThetaSelect | Select | Projection | SelectProject | Bin(_) | Cmp(_) | Group
+            | SubGroup | SelectAgg => true,
+            SubAgg(f) | Agg(f) => f != AggFunc::Avg,
+            _ => false,
+        }
+    }
+
+    /// Is this primitive free of side effects (safe to constant-fold, CSE
+    /// and dead-code-eliminate)? Only `sql.bind`, which reads storage, is
+    /// not.
+    pub fn is_pure(self) -> bool {
+        self != Prim::Bind
+    }
+}
+
 /// One MAL instruction: `(r1, r2, …) := module.function(arg, …)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instr {
     /// Result variables.
     pub results: Vec<VarId>,
-    /// Primitive module, e.g. `algebra`, `batcalc`, `array`.
-    pub module: String,
-    /// Primitive name, e.g. `thetaselect`, `projection`, `series`.
-    pub function: String,
+    /// The primitive applied.
+    pub op: Prim,
     /// Arguments.
     pub args: Vec<Arg>,
-    /// May the interpreter run this instruction through the parallel
-    /// slice driver? Set at emission time (i.e. by the code generator)
-    /// from [`parallel_safe`]; the interpreter hands instructions without
-    /// the mark a serial execution context.
-    pub parallel_ok: bool,
-}
-
-impl Instr {
-    /// Fully-qualified primitive name.
-    pub fn qualified(&self) -> String {
-        format!("{}.{}", self.module, self.function)
-    }
-}
-
-/// Is this primitive a pure BAT-level kernel with a slice-parallel
-/// implementation behind it? (Eligibility only — the kernel still falls
-/// back to serial for unsupported shapes or short inputs.)
-pub fn parallel_safe(module: &str, function: &str) -> bool {
-    matches!(
-        (module, function),
-        (
-            "algebra",
-            "thetaselect" | "select" | "projection" | "selectproject"
-        ) | (
-            "batcalc",
-            "add" | "sub" | "mul" | "div" | "mod" | "eq" | "ne" | "lt" | "le" | "gt" | "ge"
-        ) | ("group", "group" | "subgroup")
-            | (
-                "aggr",
-                "subsum"
-                    | "subcount"
-                    | "submin"
-                    | "submax"
-                    | "sum"
-                    | "count"
-                    | "min"
-                    | "max"
-                    | "selectagg"
-            )
-    )
 }
 
 /// A complete MAL program.
@@ -166,33 +332,23 @@ impl Program {
 
     /// Append an instruction producing one result of type `ty`; returns the
     /// result variable.
-    pub fn emit(&mut self, module: &str, function: &str, args: Vec<Arg>, ty: MalType) -> VarId {
+    pub fn emit(&mut self, op: Prim, args: Vec<Arg>, ty: MalType) -> VarId {
         let r = self.new_var(ty);
         self.instrs.push(Instr {
             results: vec![r],
-            module: module.to_owned(),
-            function: function.to_owned(),
+            op,
             args,
-            parallel_ok: parallel_safe(module, function),
         });
         r
     }
 
     /// Append an instruction with multiple results.
-    pub fn emit_multi(
-        &mut self,
-        module: &str,
-        function: &str,
-        args: Vec<Arg>,
-        tys: &[MalType],
-    ) -> Vec<VarId> {
+    pub fn emit_multi(&mut self, op: Prim, args: Vec<Arg>, tys: &[MalType]) -> Vec<VarId> {
         let results: Vec<VarId> = tys.iter().map(|&t| self.new_var(t)).collect();
         self.instrs.push(Instr {
             results: results.clone(),
-            module: module.to_owned(),
-            function: function.to_owned(),
+            op,
             args,
-            parallel_ok: parallel_safe(module, function),
         });
         results
     }
@@ -221,7 +377,8 @@ impl Program {
                 }
                 out.push_str(" := ");
             }
-            out.push_str(&format!("{}.{}(", ins.module, ins.function));
+            out.push_str(ins.op.name());
+            out.push('(');
             let args: Vec<String> = ins
                 .args
                 .iter()
@@ -272,14 +429,6 @@ impl Program {
     }
 }
 
-/// Is a primitive free of side effects (safe to CSE / dead-code-eliminate)?
-pub fn is_pure(module: &str, function: &str) -> bool {
-    !matches!(
-        (module, function),
-        ("bat", "append") | ("bat", "replace") | ("io", _) | ("sql", "bind")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,8 +437,7 @@ mod tests {
     fn build_and_print() {
         let mut p = Program::new("q1");
         let b = p.emit(
-            "array",
-            "series",
+            Prim::Series,
             vec![
                 Arg::Const(Value::Int(0)),
                 Arg::Const(Value::Int(1)),
@@ -309,10 +457,9 @@ mod tests {
     #[test]
     fn multi_result_instruction() {
         let mut p = Program::new("j");
-        let l = p.emit("bat", "new", vec![], MalType::Bat(ScalarType::Int));
+        let l = p.emit(Prim::New, vec![], MalType::Bat(ScalarType::Int));
         let rs = p.emit_multi(
-            "algebra",
-            "join",
+            Prim::Join,
             vec![Arg::Var(l), Arg::Var(l)],
             &[
                 MalType::Bat(ScalarType::OidT),
@@ -325,21 +472,34 @@ mod tests {
 
     #[test]
     fn purity_classification() {
-        assert!(is_pure("algebra", "thetaselect"));
-        assert!(is_pure("batcalc", "add"));
-        assert!(!is_pure("bat", "append"));
-        assert!(!is_pure("io", "print"));
-        assert!(!is_pure("sql", "bind"));
+        assert!(Prim::ThetaSelect.is_pure());
+        assert!(Prim::Bin(BinOp::Add).is_pure());
+        assert!(!Prim::Bind.is_pure());
+    }
+
+    #[test]
+    fn parallel_safety_classification() {
+        assert!(Prim::Bin(BinOp::Mod).parallel_safe());
+        assert!(Prim::Agg(AggFunc::Sum).parallel_safe());
+        assert!(!Prim::Agg(AggFunc::Avg).parallel_safe());
+        assert!(!Prim::SubAgg(AggFunc::Avg).parallel_safe());
+        assert!(!Prim::IfThenElse.parallel_safe());
+        assert!(!Prim::Bind.parallel_safe());
+    }
+
+    #[test]
+    fn names_are_module_dot_function() {
+        assert_eq!(Prim::Cast(ScalarType::OidT).name(), "batcalc.oid");
+        assert_eq!(Prim::SubAgg(AggFunc::Count).name(), "aggr.subcount");
+        assert_eq!(Prim::Cmp(CmpOp::Ge).name(), "batcalc.ge");
     }
 
     #[test]
     fn uses_iterates_vars_only() {
         let ins = Instr {
             results: vec![0],
-            module: "m".into(),
-            function: "f".into(),
+            op: Prim::Pass,
             args: vec![Arg::Var(3), Arg::Const(Value::Int(1)), Arg::Var(5)],
-            parallel_ok: false,
         };
         let u: Vec<VarId> = Program::uses(&ins).collect();
         assert_eq!(u, vec![3, 5]);

@@ -4,11 +4,12 @@
 //! language for all MonetDB query compiler front-ends" (paper §3). This
 //! crate provides:
 //!
-//! * [`ir::Program`] — straight-line SSA-ish instruction sequences with a
-//!   MAL-text printer for `EXPLAIN`;
-//! * [`interp::Interpreter`] — executes programs against the primitive
-//!   [`registry::Registry`], resolving `sql.bind` through a caller-supplied
-//!   [`interp::Binder`];
+//! * [`ir::Program`] — straight-line SSA-ish instruction sequences over
+//!   the closed [`ir::Prim`] opcode set, with a MAL-text printer for
+//!   `EXPLAIN`;
+//! * [`interp::Interpreter`] — executes programs by dispatching each
+//!   opcode to its kernel through one `match` ([`prims::call`]),
+//!   resolving `sql.bind` through a caller-supplied [`interp::Binder`];
 //! * [`prims`] — the standard library (`algebra`, `batcalc`, `group`,
 //!   `aggr`, `bat`, and the paper's new `array.series` / `array.filler`);
 //! * [`opt`] — the optimizer pipeline (constant folding, CSE, alias
@@ -25,7 +26,7 @@ pub mod prims;
 pub mod registry;
 
 pub use interp::{Binder, EmptyBinder, ExecStats, Interpreter, MalValue};
-pub use ir::{Arg, Instr, MalType, Program, VarId};
+pub use ir::{Arg, Instr, MalType, Prim, Program, VarId};
 pub use opt::{optimise, optimise_traced, OptConfig, PassStats};
 pub use registry::Registry;
 
@@ -43,7 +44,7 @@ pub enum MalError {
     /// A bound value could not be coerced to its slot's declared type:
     /// `(slot, detail)`.
     BadParam(usize, String),
-    /// Interpreter/registry error.
+    /// Interpreter or primitive error.
     Msg(String),
 }
 

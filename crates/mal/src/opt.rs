@@ -27,8 +27,8 @@
 //! and reports what it did in [`PassStats`].
 
 use crate::interp::MalValue;
-use crate::ir::{is_pure, parallel_safe, Arg, Instr, Program, VarId};
-use crate::registry::Registry;
+use crate::ir::{Arg, Instr, Prim, Program, VarId};
+use crate::registry::{ExecCtx, Registry};
 use sciql_obs::{SpanId, Tracer};
 
 use std::collections::{HashMap, HashSet};
@@ -145,16 +145,18 @@ impl OptConfig {
     }
 }
 
-/// Run the configured pipeline in place; returns a report.
+/// Run the configured pipeline in place; returns a report. The
+/// [`Registry`] argument is ignored: it remains only so the standalone
+/// `benchmark/` crate keeps compiling (see [`Registry`]).
 pub fn optimise(prog: &mut Program, registry: &Registry, cfg: OptConfig) -> PassStats {
-    optimise_traced(prog, registry, cfg, &mut Tracer::off(), SpanId::ROOT)
+    let _ = registry;
+    optimise_traced(prog, cfg, &mut Tracer::off(), SpanId::ROOT)
 }
 
 /// [`optimise`] with a per-pass span recorded under `parent` (each pass
 /// is annotated with its rewrite count).
 pub fn optimise_traced(
     prog: &mut Program,
-    registry: &Registry,
     cfg: OptConfig,
     tracer: &mut Tracer,
     parent: SpanId,
@@ -177,9 +179,7 @@ pub fn optimise_traced(
         tracer.close(sp);
         n
     };
-    report.folded = pass(tracer, cfg.constfold, "pass:constfold", &mut |p| {
-        constfold(p, registry)
-    });
+    report.folded = pass(tracer, cfg.constfold, "pass:constfold", &mut constfold);
     report.cse_hits = pass(tracer, cfg.cse, "pass:cse", &mut cse);
     report.aliases_removed = pass(tracer, cfg.alias, "pass:alias", &mut alias_removal);
     // DCE runs before the fusion passes so dead projections (columns a
@@ -252,7 +252,7 @@ fn prog_len_guard(n: usize) -> usize {
 /// Constant folding. Only scalar-result primitives are folded, and never
 /// instructions producing a program result variable (results must stay
 /// materialised).
-fn constfold(prog: &mut Program, registry: &Registry) -> usize {
+fn constfold(prog: &mut Program) -> usize {
     let result_vars: std::collections::HashSet<VarId> =
         prog.results.iter().map(|(_, v)| *v).collect();
     let mut subst: HashMap<VarId, Arg> = HashMap::new();
@@ -268,12 +268,22 @@ fn constfold(prog: &mut Program, registry: &Registry) -> usize {
                 }
             }
         }
-        let foldable = is_pure(&ins.module, &ins.function)
+        // BAT constructors may produce large BATs: never folded.
+        let constructor = matches!(
+            ins.op,
+            Prim::Series
+                | Prim::Filler
+                | Prim::Shift
+                | Prim::New
+                | Prim::Dense
+                | Prim::Materialise
+                | Prim::Single
+        );
+        let foldable = ins.op.is_pure()
+            && !constructor
             && ins.results.len() == 1
             && !result_vars.contains(&ins.results[0])
-            && ins.args.iter().all(|a| matches!(a, Arg::Const(_)))
-            && ins.module != "array" // may produce large BATs
-            && ins.module != "bat";
+            && ins.args.iter().all(|a| matches!(a, Arg::Const(_)));
         if foldable {
             let args: Vec<MalValue> = ins
                 .args
@@ -286,13 +296,11 @@ fn constfold(prog: &mut Program, registry: &Registry) -> usize {
                     Arg::Var(_) | Arg::Param(_) => unreachable!("checked all-const above"),
                 })
                 .collect();
-            if let Ok(prim) = registry.lookup(&ins.module, &ins.function) {
-                if let Ok(outs) = prim(&args, &crate::registry::ExecCtx::serial()) {
-                    if let [MalValue::Scalar(v)] = outs.as_slice() {
-                        subst.insert(ins.results[0], Arg::Const(v.clone()));
-                        folded += 1;
-                        continue;
-                    }
+            if let Ok(outs) = crate::prims::call(ins.op, &args, &ExecCtx::serial()) {
+                if let [MalValue::Scalar(v)] = outs.as_slice() {
+                    subst.insert(ins.results[0], Arg::Const(v.clone()));
+                    folded += 1;
+                    continue;
                 }
             }
         }
@@ -305,8 +313,8 @@ fn constfold(prog: &mut Program, registry: &Registry) -> usize {
 
 /// Common sub-expression elimination over pure instructions.
 fn cse(prog: &mut Program) -> usize {
-    // Key: (module, function, rendered args). Values are result vars.
-    let mut seen: HashMap<String, Vec<VarId>> = HashMap::new();
+    // Key: (opcode, rendered args). Values are result vars.
+    let mut seen: HashMap<(Prim, String), Vec<VarId>> = HashMap::new();
     let mut subst: HashMap<VarId, Arg> = HashMap::new();
     let mut kept: Vec<Instr> = Vec::with_capacity(prog.instrs.len());
     let mut hits = 0usize;
@@ -319,11 +327,11 @@ fn cse(prog: &mut Program) -> usize {
                 }
             }
         }
-        if !is_pure(&ins.module, &ins.function) {
+        if !ins.op.is_pure() {
             kept.push(ins);
             continue;
         }
-        let key = format!("{}.{}({:?})", ins.module, ins.function, ins.args);
+        let key = (ins.op, format!("{:?}", ins.args));
         match seen.get(&key) {
             Some(prev) if prev.len() == ins.results.len() => {
                 for (old, new) in ins.results.iter().zip(prev) {
@@ -348,11 +356,7 @@ fn alias_removal(prog: &mut Program) -> usize {
     let mut kept: Vec<Instr> = Vec::with_capacity(prog.instrs.len());
     let mut removed = 0usize;
     for ins in std::mem::take(&mut prog.instrs) {
-        if ins.module == "language"
-            && ins.function == "pass"
-            && ins.results.len() == 1
-            && ins.args.len() == 1
-        {
+        if ins.op == Prim::Pass && ins.results.len() == 1 && ins.args.len() == 1 {
             subst.insert(ins.results[0], ins.args[0].clone());
             removed += 1;
         } else {
@@ -373,7 +377,7 @@ fn dce(prog: &mut Program) -> usize {
     }
     let mut keep: Vec<bool> = vec![true; prog.instrs.len()];
     for (i, ins) in prog.instrs.iter().enumerate().rev() {
-        let needed = !is_pure(&ins.module, &ins.function) || ins.results.iter().any(|&r| live[r]);
+        let needed = !ins.op.is_pure() || ins.results.iter().any(|&r| live[r]);
         keep[i] = needed;
         if needed {
             for u in Program::uses(ins) {
@@ -417,13 +421,9 @@ fn producers(prog: &Program) -> Vec<Option<usize>> {
     p
 }
 
-/// Is this a scalar aggregate function the fusion passes understand?
+/// Is this a scalar aggregate the fusion passes understand?
 fn scalar_agg(ins: &Instr) -> bool {
-    ins.module == "aggr"
-        && matches!(
-            ins.function.as_str(),
-            "sum" | "avg" | "count" | "min" | "max"
-        )
+    matches!(ins.op, Prim::Agg(_))
 }
 
 fn remove_instrs(prog: &mut Program, removed: &HashSet<usize>) {
@@ -458,7 +458,7 @@ fn candprop(prog: &mut Program) -> usize {
         }
         let Some(j) = producer[p] else { continue };
         let pj = &prog.instrs[j];
-        if pj.module != "algebra" || pj.function != "projection" || pj.args.len() != 2 {
+        if pj.op != Prim::Projection || pj.args.len() != 2 {
             continue;
         }
         let Arg::Var(c) = pj.args[0] else { continue };
@@ -486,7 +486,7 @@ fn fuse_select_project(prog: &mut Program) -> usize {
     let mut removed: HashSet<usize> = HashSet::new();
     let mut edits: Vec<(usize, Vec<Arg>)> = Vec::new();
     for (i, ins) in prog.instrs.iter().enumerate() {
-        if ins.module != "algebra" || ins.function != "projection" || ins.args.len() != 2 {
+        if ins.op != Prim::Projection || ins.args.len() != 2 {
             continue;
         }
         let Arg::Var(c) = ins.args[0] else { continue };
@@ -495,7 +495,7 @@ fn fuse_select_project(prog: &mut Program) -> usize {
         }
         let Some(j) = producer[c] else { continue };
         let theta = &prog.instrs[j];
-        if theta.module != "algebra" || theta.function != "thetaselect" {
+        if theta.op != Prim::ThetaSelect {
             continue;
         }
         // selectproject args = thetaselect args + payload.
@@ -507,8 +507,7 @@ fn fuse_select_project(prog: &mut Program) -> usize {
     let hits = edits.len();
     for (i, args) in edits {
         let ins = &mut prog.instrs[i];
-        ins.function = "selectproject".into();
-        ins.parallel_ok = parallel_safe("algebra", "selectproject");
+        ins.op = Prim::SelectProject;
         ins.args = args;
     }
     remove_instrs(prog, &removed);
@@ -534,7 +533,10 @@ fn fuse_select_aggregate(prog: &mut Program) -> usize {
         if !scalar_agg(ins) {
             continue;
         }
-        let func = Arg::Const(gdk::Value::Str(ins.function.clone()));
+        // selectagg names its aggregate by the function part of
+        // `aggr.<f>`.
+        let (_, f) = ins.op.name().split_once('.').expect("module.function");
+        let func = Arg::Const(gdk::Value::Str(f.to_owned()));
         match ins.args.as_slice() {
             // aggr.f(payload, cand) — candprop already ran.
             [payload, Arg::Var(c)] => {
@@ -543,7 +545,7 @@ fn fuse_select_aggregate(prog: &mut Program) -> usize {
                 }
                 let Some(j) = producer[*c] else { continue };
                 let theta = &prog.instrs[j];
-                if theta.module != "algebra" || theta.function != "thetaselect" {
+                if theta.op != Prim::ThetaSelect {
                     continue;
                 }
                 // selectagg args = (func, payload) + thetaselect args.
@@ -559,7 +561,7 @@ fn fuse_select_aggregate(prog: &mut Program) -> usize {
                 }
                 let Some(j) = producer[*p] else { continue };
                 let sp = &prog.instrs[j];
-                if sp.module != "algebra" || sp.function != "selectproject" {
+                if sp.op != Prim::SelectProject {
                     continue;
                 }
                 let (payload, theta_args) = sp.args.split_last().expect("selectproject args");
@@ -574,8 +576,7 @@ fn fuse_select_aggregate(prog: &mut Program) -> usize {
     let hits = edits.len();
     for (i, args) in edits {
         let ins = &mut prog.instrs[i];
-        ins.function = "selectagg".into();
-        ins.parallel_ok = parallel_safe("aggr", "selectagg");
+        ins.op = Prim::SelectAgg;
         ins.args = args;
     }
     remove_instrs(prog, &removed);
@@ -587,27 +588,29 @@ mod tests {
     use super::*;
     use crate::interp::{EmptyBinder, Interpreter};
     use crate::ir::MalType;
-    use crate::prims::default_registry;
+    use gdk::aggregate::AggFunc;
+    use gdk::arith::BinOp;
     use gdk::{ScalarType, Value};
+
+    fn optimise(p: &mut Program, cfg: OptConfig) -> PassStats {
+        optimise_traced(p, cfg, &mut Tracer::off(), SpanId::ROOT)
+    }
 
     /// x = 2+3; y = 2+3; z = series(0,1,x,1,1); dead = 9*9; result z
     fn sample() -> Program {
         let mut p = Program::new("opt");
         let x = p.emit(
-            "batcalc",
-            "add",
+            Prim::Bin(BinOp::Add),
             vec![Arg::Const(Value::Int(2)), Arg::Const(Value::Int(3))],
             MalType::Scalar(ScalarType::Int),
         );
         let y = p.emit(
-            "batcalc",
-            "add",
+            Prim::Bin(BinOp::Add),
             vec![Arg::Const(Value::Int(2)), Arg::Const(Value::Int(3))],
             MalType::Scalar(ScalarType::Int),
         );
         let z = p.emit(
-            "array",
-            "series",
+            Prim::Series,
             vec![
                 Arg::Const(Value::Int(0)),
                 Arg::Const(Value::Int(1)),
@@ -618,8 +621,7 @@ mod tests {
             MalType::Bat(ScalarType::Int),
         );
         let _dead = p.emit(
-            "batcalc",
-            "mul",
+            Prim::Bin(BinOp::Mul),
             vec![Arg::Const(Value::Int(9)), Arg::Var(y)],
             MalType::Scalar(ScalarType::Int),
         );
@@ -629,26 +631,24 @@ mod tests {
 
     #[test]
     fn full_pipeline_shrinks_program() {
-        let reg = default_registry();
         let mut p = sample();
         let before = p.instrs.len();
-        let report = optimise(&mut p, &reg, OptConfig::default());
+        let report = optimise(&mut p, OptConfig::default());
         assert!(report.total_removed() > 0);
         assert!(p.instrs.len() < before);
         // Only the series instruction should remain.
         assert_eq!(p.instrs.len(), 1);
-        assert_eq!(p.instrs[0].qualified(), "array.series");
+        assert_eq!(p.instrs[0].op, Prim::Series);
         // Its stop argument should now be the constant 5.
         assert_eq!(p.instrs[0].args[2], Arg::Const(Value::Int(5)));
     }
 
     #[test]
     fn optimised_program_same_answer() {
-        let reg = default_registry();
         let mut p = sample();
-        let interp = Interpreter::new(&reg, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let plain = interp.run(&p).unwrap();
-        optimise(&mut p, &reg, OptConfig::default());
+        optimise(&mut p, OptConfig::default());
         let opt = interp.run(&p).unwrap();
         assert_eq!(
             plain[0].1.as_bat().unwrap().to_values(),
@@ -659,11 +659,9 @@ mod tests {
 
     #[test]
     fn cse_only() {
-        let reg = default_registry();
         let mut p = sample();
         let report = optimise(
             &mut p,
-            &reg,
             OptConfig {
                 cse: true,
                 ..OptConfig::none()
@@ -674,53 +672,46 @@ mod tests {
 
     #[test]
     fn dce_keeps_side_effects() {
-        let reg = default_registry();
         let mut p = Program::new("se");
-        // io.print is impure; it must survive DCE even though unused.
-        let v = p.new_var(MalType::Scalar(ScalarType::Int));
-        p.instrs.push(Instr {
-            results: vec![v],
-            module: "io".into(),
-            function: "print".into(),
-            args: vec![Arg::Const(Value::Int(1))],
-            parallel_ok: false,
-        });
-        optimise(&mut p, &reg, OptConfig::default());
+        // sql.bind reads storage; it must survive DCE even though unused.
+        p.emit(
+            Prim::Bind,
+            vec![
+                Arg::Const(Value::Str("m".into())),
+                Arg::Const(Value::Str("v".into())),
+            ],
+            MalType::Bat(ScalarType::Int),
+        );
+        optimise(&mut p, OptConfig::default());
         assert_eq!(p.instrs.len(), 1);
     }
 
     #[test]
     fn alias_chains_resolve() {
-        let reg = default_registry();
         let mut p = Program::new("al");
         let a = p.emit(
-            "batcalc",
-            "add",
+            Prim::Bin(BinOp::Add),
             vec![Arg::Const(Value::Int(1)), Arg::Const(Value::Int(1))],
             MalType::Scalar(ScalarType::Int),
         );
         let b = p.emit(
-            "language",
-            "pass",
+            Prim::Pass,
             vec![Arg::Var(a)],
             MalType::Scalar(ScalarType::Int),
         );
         let c = p.emit(
-            "language",
-            "pass",
+            Prim::Pass,
             vec![Arg::Var(b)],
             MalType::Scalar(ScalarType::Int),
         );
         let d = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Const(Value::Lng(2)), Arg::Var(c)],
             MalType::Bat(ScalarType::Int),
         );
         p.add_result("d", d);
         optimise(
             &mut p,
-            &reg,
             OptConfig {
                 alias: true,
                 dce: true,
@@ -733,17 +724,15 @@ mod tests {
 
     /// bind-free stand-in for a compiled `SELECT f(v) FROM t WHERE x > 1`:
     /// fillers for the columns, a theta chain, projections, an aggregate.
-    fn select_agg_program(agg: &str) -> Program {
+    fn select_agg_program(agg: AggFunc) -> Program {
         let mut p = Program::new("fs");
         let x = p.emit(
-            "array",
-            "filler",
+            Prim::Filler,
             vec![Arg::Const(Value::Lng(6)), Arg::Const(Value::Int(2))],
             MalType::Bat(ScalarType::Int),
         );
         let v = p.emit(
-            "array",
-            "series",
+            Prim::Series,
             vec![
                 Arg::Const(Value::Int(0)),
                 Arg::Const(Value::Int(1)),
@@ -754,8 +743,7 @@ mod tests {
             MalType::Bat(ScalarType::Int),
         );
         let c = p.emit(
-            "algebra",
-            "thetaselect",
+            Prim::ThetaSelect,
             vec![
                 Arg::Var(x),
                 Arg::Const(Value::Int(1)),
@@ -764,14 +752,12 @@ mod tests {
             MalType::Cand,
         );
         let pv = p.emit(
-            "algebra",
-            "projection",
+            Prim::Projection,
             vec![Arg::Var(c), Arg::Var(v)],
             MalType::Bat(ScalarType::Int),
         );
         let s = p.emit(
-            "aggr",
-            agg,
+            Prim::Agg(agg),
             vec![Arg::Var(pv)],
             MalType::Scalar(ScalarType::Lng),
         );
@@ -781,11 +767,9 @@ mod tests {
 
     #[test]
     fn candprop_rewrites_aggregate_over_projection() {
-        let reg = default_registry();
-        let mut p = select_agg_program("sum");
+        let mut p = select_agg_program(AggFunc::Sum);
         let report = optimise(
             &mut p,
-            &reg,
             OptConfig {
                 candprop: true,
                 ..OptConfig::none()
@@ -796,18 +780,20 @@ mod tests {
         assert!(!text.contains("algebra.projection"), "{text}");
         assert!(text.contains("aggr.sum"), "{text}");
         // The aggregate now takes (payload, cand).
-        let agg = p.instrs.iter().find(|i| i.function == "sum").unwrap();
+        let agg = p
+            .instrs
+            .iter()
+            .find(|i| i.op == Prim::Agg(AggFunc::Sum))
+            .unwrap();
         assert_eq!(agg.args.len(), 2);
     }
 
     #[test]
     fn select_project_fuses_single_consumer_only() {
-        let reg = default_registry();
         // Single consumer: fuses.
-        let mut p = select_agg_program("sum");
+        let mut p = select_agg_program(AggFunc::Sum);
         let report = optimise(
             &mut p,
-            &reg,
             OptConfig {
                 fuse_select_project: true,
                 ..OptConfig::none()
@@ -818,21 +804,19 @@ mod tests {
         assert!(text.contains("algebra.selectproject"), "{text}");
         assert!(!text.contains("thetaselect"), "{text}");
         // Two consumers: the candidate list stays shared, no fusion.
-        let mut p2 = select_agg_program("sum");
+        let mut p2 = select_agg_program(AggFunc::Sum);
         let c = match p2.instrs[2].results.as_slice() {
             [c] => *c,
             _ => unreachable!(),
         };
         let extra = p2.emit(
-            "algebra",
-            "projection",
+            Prim::Projection,
             vec![Arg::Var(c), Arg::Var(0)],
             MalType::Bat(ScalarType::Int),
         );
         p2.add_result("extra", extra);
         let report = optimise(
             &mut p2,
-            &reg,
             OptConfig {
                 fuse_select_project: true,
                 ..OptConfig::none()
@@ -843,36 +827,39 @@ mod tests {
 
     #[test]
     fn full_pipeline_fuses_select_aggregate() {
-        let reg = default_registry();
-        for agg in ["sum", "count", "min", "max", "avg"] {
+        for agg in [
+            AggFunc::Sum,
+            AggFunc::Count,
+            AggFunc::Min,
+            AggFunc::Max,
+            AggFunc::Avg,
+        ] {
             let mut p = select_agg_program(agg);
             let plain = {
-                let interp = Interpreter::new(&reg, &EmptyBinder);
+                let interp = Interpreter::new(&EmptyBinder);
                 interp.run(&p).unwrap()
             };
-            let report = optimise(&mut p, &reg, OptConfig::full());
-            assert_eq!(report.fusions(), 2, "{agg}: candprop then selectagg");
+            let report = optimise(&mut p, OptConfig::full());
+            assert_eq!(report.fusions(), 2, "{agg:?}: candprop then selectagg");
             let text = p.to_text();
-            assert!(text.contains("aggr.selectagg"), "{agg}: {text}");
-            assert!(!text.contains("thetaselect"), "{agg}: {text}");
-            assert!(!text.contains("projection"), "{agg}: {text}");
-            let interp = Interpreter::new(&reg, &EmptyBinder);
+            assert!(text.contains("aggr.selectagg"), "{agg:?}: {text}");
+            assert!(!text.contains("thetaselect"), "{agg:?}: {text}");
+            assert!(!text.contains("projection"), "{agg:?}: {text}");
+            let interp = Interpreter::new(&EmptyBinder);
             let opt = interp.run(&p).unwrap();
             assert_eq!(
                 plain[0].1.as_scalar().unwrap(),
                 opt[0].1.as_scalar().unwrap(),
-                "{agg}"
+                "{agg:?}"
             );
         }
     }
 
     #[test]
     fn fusion_without_candprop_goes_through_selectproject() {
-        let reg = default_registry();
-        let mut p = select_agg_program("count");
+        let mut p = select_agg_program(AggFunc::Count);
         let report = optimise(
             &mut p,
-            &reg,
             OptConfig {
                 fuse_select_project: true,
                 fuse_select_aggregate: true,
@@ -896,8 +883,7 @@ mod tests {
 
     #[test]
     fn shared_projection_keeps_both_readers_correct() {
-        let reg = default_registry();
-        let mut p = select_agg_program("sum");
+        let mut p = select_agg_program(AggFunc::Sum);
         // A second aggregate over the same projection: candprop must not
         // claim it (two readers), and whatever the later passes do the
         // answers must not change.
@@ -906,15 +892,14 @@ mod tests {
             _ => unreachable!(),
         };
         let s2 = p.emit(
-            "aggr",
-            "count",
+            Prim::Agg(AggFunc::Count),
             vec![Arg::Var(pv)],
             MalType::Scalar(ScalarType::Lng),
         );
         p.add_result("n", s2);
-        let interp = Interpreter::new(&reg, &EmptyBinder);
+        let interp = Interpreter::new(&EmptyBinder);
         let plain = interp.run(&p).unwrap();
-        let report = optimise(&mut p, &reg, OptConfig::full());
+        let report = optimise(&mut p, OptConfig::full());
         assert_eq!(report.candprop, 0, "projection has two readers");
         let opt = interp.run(&p).unwrap();
         for (a, b) in plain.iter().zip(&opt) {

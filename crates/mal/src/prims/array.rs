@@ -6,7 +6,6 @@
 //! ```
 
 use crate::interp::MalValue;
-use crate::registry::Registry;
 use crate::{MalError, Result};
 use gdk::{Bat, Value};
 
@@ -18,68 +17,65 @@ fn arg_i64(args: &[MalValue], i: usize, what: &str) -> Result<i64> {
         .ok_or_else(|| MalError::msg(format!("argument {i} ({what}) must be integral")))
 }
 
-/// Register the `array` module.
-pub fn register(r: &mut Registry) {
-    r.register("array", "series", |args, _ctx| {
-        if args.len() != 5 {
-            return Err(MalError::msg(
-                "array.series(start, step, stop, N, M) takes 5 arguments",
-            ));
-        }
-        let start = arg_i64(args, 0, "start")?;
-        let step = arg_i64(args, 1, "step")?;
-        let stop = arg_i64(args, 2, "stop")?;
-        let n = usize::try_from(arg_i64(args, 3, "N")?)
-            .map_err(|_| MalError::msg("N must be non-negative"))?;
-        let m = usize::try_from(arg_i64(args, 4, "M")?)
-            .map_err(|_| MalError::msg("M must be non-negative"))?;
-        Ok(vec![MalValue::bat(Bat::series(start, step, stop, n, m)?)])
-    });
+pub(super) fn series(args: &[MalValue]) -> Result<Vec<MalValue>> {
+    if args.len() != 5 {
+        return Err(MalError::msg(
+            "array.series(start, step, stop, N, M) takes 5 arguments",
+        ));
+    }
+    let start = arg_i64(args, 0, "start")?;
+    let step = arg_i64(args, 1, "step")?;
+    let stop = arg_i64(args, 2, "stop")?;
+    let n = usize::try_from(arg_i64(args, 3, "N")?)
+        .map_err(|_| MalError::msg("N must be non-negative"))?;
+    let m = usize::try_from(arg_i64(args, 4, "M")?)
+        .map_err(|_| MalError::msg("M must be non-negative"))?;
+    Ok(vec![MalValue::bat(Bat::series(start, step, stop, n, m)?)])
+}
 
-    r.register("array", "filler", |args, _ctx| {
-        if args.len() != 2 {
-            return Err(MalError::msg("array.filler(cnt, v) takes 2 arguments"));
-        }
-        let cnt = usize::try_from(arg_i64(args, 0, "cnt")?)
-            .map_err(|_| MalError::msg("cnt must be non-negative"))?;
-        let v = args[1].as_scalar()?;
-        Ok(vec![MalValue::bat(Bat::filler(cnt, v)?)])
-    });
+pub(super) fn filler(args: &[MalValue]) -> Result<Vec<MalValue>> {
+    if args.len() != 2 {
+        return Err(MalError::msg("array.filler(cnt, v) takes 2 arguments"));
+    }
+    let cnt = usize::try_from(arg_i64(args, 0, "cnt")?)
+        .map_err(|_| MalError::msg("cnt must be non-negative"))?;
+    let v = args[1].as_scalar()?;
+    Ok(vec![MalValue::bat(Bat::filler(cnt, v)?)])
+}
 
-    // array.shift(v, n_0, …, n_{k-1}, d_0, …, d_{k-1}) — positional shift of
-    // an attribute BAT laid out in row-major cell order over a k-dimensional
-    // array of shape (n_0, …, n_{k-1}). Output position p holds the value at
-    // the cell displaced by (d_0, …, d_{k-1}); cells outside the array
-    // dimension ranges come out nil, which is exactly the paper's rule that
-    // out-of-range cells "are ignored by the aggregation functions".
-    r.register("array", "shift", |args, _ctx| {
-        if args.len() < 3 || (args.len() - 1) % 2 != 0 {
-            return Err(MalError::msg(
-                "array.shift(v, sizes…, deltas…) needs 1+2k arguments",
-            ));
+/// `array.shift(v, n_0, …, n_{k-1}, d_0, …, d_{k-1})` — positional shift of
+/// an attribute BAT laid out in row-major cell order over a k-dimensional
+/// array of shape (n_0, …, n_{k-1}). Output position p holds the value at
+/// the cell displaced by (d_0, …, d_{k-1}); cells outside the array
+/// dimension ranges come out nil, which is exactly the paper's rule that
+/// out-of-range cells "are ignored by the aggregation functions".
+pub(super) fn shift(args: &[MalValue]) -> Result<Vec<MalValue>> {
+    if args.len() < 3 || !(args.len() - 1).is_multiple_of(2) {
+        return Err(MalError::msg(
+            "array.shift(v, sizes…, deltas…) needs 1+2k arguments",
+        ));
+    }
+    let k = (args.len() - 1) / 2;
+    let v = args[0].as_bat()?;
+    let mut sizes = Vec::with_capacity(k);
+    let mut deltas = Vec::with_capacity(k);
+    for i in 0..k {
+        let n = arg_i64(args, 1 + i, "size")?;
+        if n < 0 {
+            return Err(MalError::msg("array.shift sizes must be non-negative"));
         }
-        let k = (args.len() - 1) / 2;
-        let v = args[0].as_bat()?;
-        let mut sizes = Vec::with_capacity(k);
-        let mut deltas = Vec::with_capacity(k);
-        for i in 0..k {
-            let n = arg_i64(args, 1 + i, "size")?;
-            if n < 0 {
-                return Err(MalError::msg("array.shift sizes must be non-negative"));
-            }
-            sizes.push(n as usize);
-            deltas.push(arg_i64(args, 1 + k + i, "delta")?);
-        }
-        let total: usize = sizes.iter().product();
-        if v.len() != total {
-            return Err(MalError::msg(format!(
-                "array.shift: BAT has {} tuples but shape implies {}",
-                v.len(),
-                total
-            )));
-        }
-        Ok(vec![MalValue::bat(shift_bat(v, &sizes, &deltas)?)])
-    });
+        sizes.push(n as usize);
+        deltas.push(arg_i64(args, 1 + k + i, "delta")?);
+    }
+    let total: usize = sizes.iter().product();
+    if v.len() != total {
+        return Err(MalError::msg(format!(
+            "array.shift: BAT has {} tuples but shape implies {}",
+            v.len(),
+            total
+        )));
+    }
+    Ok(vec![MalValue::bat(shift_bat(v, &sizes, &deltas)?)])
 }
 
 /// Core of `array.shift`: row-major positional shift with nil padding.
@@ -196,18 +192,21 @@ fn shift_generic(v: &Bat, sizes: &[usize], deltas: &[i64]) -> crate::Result<Bat>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prims::default_registry;
+    use crate::registry::ExecCtx;
+    use crate::Prim;
+
+    fn call(op: Prim, args: &[MalValue]) -> Result<Vec<MalValue>> {
+        crate::prims::call(op, args, &ExecCtx::serial())
+    }
     use gdk::Value;
 
     #[test]
     fn series_primitive() {
-        let r = default_registry();
-        let f = r.lookup("array", "series").unwrap();
         let args: Vec<MalValue> = [0, 1, 4, 1, 4]
             .iter()
             .map(|&v| MalValue::Scalar(Value::Int(v)))
             .collect();
-        let out = f(&args, &crate::registry::ExecCtx::serial()).unwrap();
+        let out = call(Prim::Series, &args).unwrap();
         let b = out[0].as_bat().unwrap();
         assert_eq!(
             b.as_ints().unwrap(),
@@ -217,14 +216,12 @@ mod tests {
 
     #[test]
     fn filler_primitive() {
-        let r = default_registry();
-        let f = r.lookup("array", "filler").unwrap();
-        let out = f(
+        let out = call(
+            Prim::Filler,
             &[
                 MalValue::Scalar(Value::Lng(3)),
                 MalValue::Scalar(Value::Dbl(0.5)),
             ],
-            &crate::registry::ExecCtx::serial(),
         )
         .unwrap();
         assert_eq!(
@@ -316,8 +313,6 @@ mod tests {
 
     #[test]
     fn shift_primitive_checks_shape() {
-        let r = default_registry();
-        let f = r.lookup("array", "shift").unwrap();
         let v = MalValue::bat(Bat::from_ints(vec![1, 2, 3]));
         // shape 2×2 ≠ 3 tuples
         let args = [
@@ -327,25 +322,18 @@ mod tests {
             MalValue::Scalar(Value::Int(0)),
             MalValue::Scalar(Value::Int(0)),
         ];
-        assert!(f(&args, &crate::registry::ExecCtx::serial()).is_err());
+        assert!(call(Prim::Shift, &args).is_err());
     }
 
     #[test]
     fn arity_errors() {
-        let r = default_registry();
-        let f = r.lookup("array", "series").unwrap();
-        assert!(f(
-            &[MalValue::Scalar(Value::Int(0))],
-            &crate::registry::ExecCtx::serial()
-        )
-        .is_err());
-        let f = r.lookup("array", "filler").unwrap();
-        assert!(f(
+        assert!(call(Prim::Series, &[MalValue::Scalar(Value::Int(0))]).is_err());
+        assert!(call(
+            Prim::Filler,
             &[
                 MalValue::Scalar(Value::Lng(-1)),
                 MalValue::Scalar(Value::Int(0))
-            ],
-            &crate::registry::ExecCtx::serial()
+            ]
         )
         .is_err());
     }

@@ -1,10 +1,8 @@
-//! Primitive registry: maps `module.function` to Rust implementations.
+//! The per-instruction execution context every primitive receives, and
+//! the empty [`Registry`] kept for one out-of-workspace caller.
 
-use crate::interp::MalValue;
-use crate::{MalError, Result};
 use gdk::ParConfig;
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Per-instruction execution context handed to every primitive: the
 /// parallel-driver configuration plus a channel for reporting how many
@@ -13,7 +11,7 @@ use std::collections::HashMap;
 #[derive(Debug)]
 pub struct ExecCtx {
     /// Parallel kernel configuration for this instruction. Instructions
-    /// the code generator did not mark parallel-safe receive
+    /// whose opcode is not [`crate::Prim::parallel_safe`] receive
     /// [`ParConfig::serial`].
     pub par: ParConfig,
     threads_used: Cell<usize>,
@@ -83,70 +81,17 @@ impl Default for ExecCtx {
     }
 }
 
-/// A MAL primitive: takes evaluated arguments and the execution context,
-/// returns result values.
-pub type PrimFn = Box<dyn Fn(&[MalValue], &ExecCtx) -> Result<Vec<MalValue>> + Send + Sync>;
-
-/// Registry of primitives keyed by `(module, function)`.
-#[derive(Default)]
-pub struct Registry {
-    prims: HashMap<(String, String), PrimFn>,
-}
-
-impl Registry {
-    /// Empty registry.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Register a primitive. Re-registration replaces (used by tests to
-    /// stub primitives).
-    pub fn register(
-        &mut self,
-        module: &str,
-        function: &str,
-        f: impl Fn(&[MalValue], &ExecCtx) -> Result<Vec<MalValue>> + Send + Sync + 'static,
-    ) {
-        self.prims
-            .insert((module.to_owned(), function.to_owned()), Box::new(f));
-    }
-
-    /// Look up a primitive.
-    pub fn lookup(&self, module: &str, function: &str) -> Result<&PrimFn> {
-        self.prims
-            .get(&(module.to_owned(), function.to_owned()))
-            .ok_or_else(|| MalError::msg(format!("unknown MAL primitive {module}.{function}")))
-    }
-
-    /// Number of registered primitives.
-    pub fn len(&self) -> usize {
-        self.prims.len()
-    }
-
-    /// True when no primitives are registered.
-    pub fn is_empty(&self) -> bool {
-        self.prims.is_empty()
-    }
-}
+/// An empty stand-in for the retired primitive registry. Primitives are
+/// [`crate::Prim`] opcodes dispatched by [`crate::prims::call`], so nothing
+/// in the workspace reads this. It is kept only because the standalone
+/// `benchmark/` crate still names it and passes it to
+/// [`crate::optimise`]; it goes once that caller drops it.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Registry;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gdk::Value;
-
-    #[test]
-    fn register_and_lookup() {
-        let mut r = Registry::new();
-        assert!(r.is_empty());
-        r.register("m", "f", |_args, _ctx| {
-            Ok(vec![MalValue::Scalar(Value::Int(1))])
-        });
-        assert_eq!(r.len(), 1);
-        let f = r.lookup("m", "f").unwrap();
-        let out = f(&[], &ExecCtx::serial()).unwrap();
-        assert!(matches!(out[0], MalValue::Scalar(Value::Int(1))));
-        assert!(r.lookup("m", "missing").is_err());
-    }
 
     #[test]
     fn ctx_reports_threads() {

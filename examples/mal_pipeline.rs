@@ -4,10 +4,18 @@
 //! `array.filler`, (2) a hand-written MAL program run through the
 //! interpreter, and (3) what the optimizer pipeline removes.
 //!
+//! Each instruction carries a typed [`Prim`] opcode, fixed when it is
+//! emitted; the interpreter dispatches it to its kernel with one
+//! `match`, and `Prim::name` gives the `module.function` text printed
+//! below.
+//!
 //! Run with: `cargo run --example mal_pipeline`
 
+use gdk::aggregate::AggFunc;
+use gdk::arith::BinOp;
 use gdk::{Bat, ScalarType, Value};
-use mal::{Arg, EmptyBinder, Interpreter, MalType, OptConfig, Program};
+use mal::{Arg, EmptyBinder, Interpreter, MalType, OptConfig, Prim, Program};
+use sciql_obs::{SpanId, Tracer};
 
 fn main() {
     // --- Fig 3: the matrix stored as three BATs -----------------------
@@ -23,8 +31,7 @@ fn main() {
     println!("\n== a MAL program (sum of v over x > 1)");
     let mut p = Program::new("demo");
     let xv = p.emit(
-        "array",
-        "series",
+        Prim::Series,
         vec![
             Arg::Const(Value::Int(0)),
             Arg::Const(Value::Int(1)),
@@ -35,14 +42,12 @@ fn main() {
         MalType::Bat(ScalarType::Int),
     );
     let vv = p.emit(
-        "array",
-        "filler",
+        Prim::Filler,
         vec![Arg::Const(Value::Lng(16)), Arg::Const(Value::Int(7))],
         MalType::Bat(ScalarType::Int),
     );
     let cand = p.emit(
-        "algebra",
-        "thetaselect",
+        Prim::ThetaSelect,
         vec![
             Arg::Var(xv),
             Arg::Const(Value::Int(1)),
@@ -51,35 +56,42 @@ fn main() {
         MalType::Cand,
     );
     let vals = p.emit(
-        "algebra",
-        "projection",
+        Prim::Projection,
         vec![Arg::Var(cand), Arg::Var(vv)],
         MalType::Bat(ScalarType::Int),
     );
     let sum = p.emit(
-        "aggr",
-        "sum",
+        Prim::Agg(AggFunc::Sum),
         vec![Arg::Var(vals)],
         MalType::Scalar(ScalarType::Lng),
     );
     // dead code for the optimizer to find:
     let _unused = p.emit(
-        "batcalc",
-        "add",
+        Prim::Bin(BinOp::Add),
         vec![Arg::Const(Value::Int(2)), Arg::Const(Value::Int(2))],
         MalType::Scalar(ScalarType::Int),
     );
     p.add_result("total", sum);
     println!("{}", p.to_text());
 
-    let registry = mal::prims::default_registry();
-    let interp = Interpreter::new(&registry, &EmptyBinder);
-    let out = interp.run(&p).unwrap();
+    let interp = Interpreter::new(&EmptyBinder);
+    let (out, stats) = interp.run_with_stats(&p).unwrap();
     println!("  result: total = {:?}", out[0].1.as_scalar().unwrap());
+    let ops: Vec<&str> = stats
+        .per_instr_threads
+        .iter()
+        .map(|(op, _)| op.name())
+        .collect();
+    println!("  opcodes executed: {}", ops.join(", "));
 
     // --- The optimizer pipeline ---------------------------------------
     println!("== after the optimizer pipeline");
-    let report = mal::optimise(&mut p, &registry, OptConfig::default());
+    let report = mal::optimise_traced(
+        &mut p,
+        OptConfig::default(),
+        &mut Tracer::off(),
+        SpanId::ROOT,
+    );
     println!("{}", p.to_text());
     println!(
         "  removed {} instructions (folded {}, cse {}, aliases {}, dead {})",

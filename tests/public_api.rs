@@ -4,8 +4,11 @@
 //! The tests scrape every public item declaration out of `src/driver.rs`
 //! (snapshot `tests/snapshots/driver_api.txt`) and out of
 //! `crates/core/src/{session,engine,exec}.rs` (snapshot
-//! `tests/snapshots/core_session_api.txt`) and compare the normalized
-//! lists against the committed snapshots. A future PR that renames,
+//! `tests/snapshots/core_session_api.txt`), and out of the MAL layer's
+//! program, interpreter, optimizer and primitive-library modules
+//! (snapshot `tests/snapshots/mal_api.txt`, which also covers the entry
+//! points the out-of-workspace `benchmark/` crate calls), and compare
+//! the normalized lists against the committed snapshots. A future PR that renames,
 //! removes or re-types a public item fails here and must consciously
 //! update the snapshot (regenerate with
 //! `UPDATE_API_SNAPSHOT=1 cargo test --test public_api`).
@@ -112,6 +115,23 @@ fn core_session_api_matches_snapshot() {
             "crates/core/src/exec.rs",
         ],
         "core_session_api.txt",
+    );
+}
+
+/// The MAL layer: program representation, interpreter, optimizer entry
+/// points and the primitive library.
+#[test]
+fn mal_api_matches_snapshot() {
+    check_snapshot(
+        "mal::{ir, interp, opt, registry, prims}",
+        &[
+            "crates/mal/src/ir.rs",
+            "crates/mal/src/interp.rs",
+            "crates/mal/src/opt.rs",
+            "crates/mal/src/registry.rs",
+            "crates/mal/src/prims/mod.rs",
+        ],
+        "mal_api.txt",
     );
 }
 
