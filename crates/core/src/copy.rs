@@ -97,7 +97,7 @@ fn read_copy_binary(path: &str, ncols: usize) -> Result<Vec<Bat>> {
 
 /// Split one CSV line into `(field, was_quoted)` pairs: comma-separated,
 /// double-quote quoting with `""` as the escaped quote.
-fn split_csv_line(line: &str) -> Vec<(String, bool)> {
+fn csv_fields(line: &str) -> Vec<(String, bool)> {
     let mut fields = Vec::new();
     let mut cur = String::new();
     let mut quoted = false;
@@ -157,13 +157,13 @@ impl Connection {
         format: CopyFormat,
     ) -> Result<usize> {
         let key = target.to_ascii_lowercase();
-        let (canonical, types, is_table) = if let Some(t) = self.tables.get(&key) {
+        let (canonical, types, is_table) = if let Some(t) = self.image.tables.get(&key) {
             (
                 t.def.name.clone(),
                 t.def.columns.iter().map(|c| c.ty).collect::<Vec<_>>(),
                 true,
             )
-        } else if let Some(a) = self.arrays.get(&key) {
+        } else if let Some(a) = self.image.arrays.get(&key) {
             (
                 a.def.name.clone(),
                 a.def.attrs.iter().map(|c| c.ty).collect::<Vec<_>>(),
@@ -178,7 +178,7 @@ impl Connection {
         // arrays overwrite cells front-to-back in row-major order.
         let next_start = |conn: &Connection, total: usize| -> u64 {
             if is_table {
-                conn.tables[&key].row_count() as u64
+                conn.image.tables[&key].row_count() as u64
             } else {
                 total as u64
             }
@@ -220,7 +220,7 @@ impl Connection {
                     if line.trim().is_empty() {
                         continue;
                     }
-                    let fields = split_csv_line(&line);
+                    let fields = csv_fields(&line);
                     if fields.len() != types.len() {
                         return Err(EngineError::msg(format!(
                             "COPY source {path:?} line {}: {} fields, target has {} columns",
@@ -254,7 +254,7 @@ impl Connection {
             }
         }
         if !is_table {
-            let cells = self.arrays[&key].cell_count();
+            let cells = self.image.arrays[&key].cell_count();
             if total != cells {
                 return Err(EngineError::msg(format!(
                     "COPY into array {target:?} supplied {total} rows, array has {cells} cells \
@@ -298,9 +298,9 @@ impl Connection {
     /// Storage-order column names of a COPY target (tables: columns;
     /// arrays: attributes — dimensions are generated, never ingested).
     fn column_names(&self, key: &str) -> Result<Vec<String>> {
-        if let Some(t) = self.tables.get(key) {
+        if let Some(t) = self.image.tables.get(key) {
             Ok(t.def.columns.iter().map(|c| c.name.clone()).collect())
-        } else if let Some(a) = self.arrays.get(key) {
+        } else if let Some(a) = self.image.arrays.get(key) {
             Ok(a.def.attrs.iter().map(|c| c.name.clone()).collect())
         } else {
             Err(EngineError::msg(format!("COPY target {key:?} vanished")))
@@ -308,7 +308,8 @@ impl Connection {
     }
 
     fn apply_batch_in_memory(&mut self, key: &str, start: u64, batch: &[Bat]) -> Result<usize> {
-        if let Some(t) = self.tables.get_mut(key) {
+        if self.image.tables.contains_key(key) {
+            let t = self.table_mut(key)?;
             if t.row_count() as u64 != start {
                 return Err(EngineError::msg(format!(
                     "COPY batch for table {key:?} starts at row {start}, table has {} rows",
@@ -317,7 +318,8 @@ impl Connection {
             }
             return t.append_batch(batch);
         }
-        if let Some(a) = self.arrays.get_mut(key) {
+        if self.image.arrays.contains_key(key) {
+            let a = self.array_mut(key)?;
             let rows = batch.first().map_or(0, |b| b.len());
             let cells = a.cell_count();
             if (start as usize) + rows > cells {
@@ -342,14 +344,14 @@ impl Connection {
     /// Build fresh zone maps on the target's columns so tile-skipping
     /// scans work immediately after ingest.
     fn install_zone_maps(&mut self, key: &str) {
-        if let Some(t) = self.tables.get(key) {
+        if let Some(t) = self.image.tables.get(key) {
             for c in &t.cols {
                 if !c.is_empty() {
                     c.ensure_zone_map(TILE_ROWS);
                 }
             }
         }
-        if let Some(a) = self.arrays.get(key) {
+        if let Some(a) = self.image.arrays.get(key) {
             for c in a.dims.iter().chain(&a.attrs) {
                 if !c.is_empty() {
                     c.ensure_zone_map(TILE_ROWS);
@@ -367,21 +369,18 @@ mod tests {
     fn csv_line_splitting() {
         let plain = |s: &str| (s.to_owned(), false);
         assert_eq!(
-            split_csv_line("1,2,3"),
+            csv_fields("1,2,3"),
             vec![plain("1"), plain("2"), plain("3")]
         );
         assert_eq!(
-            split_csv_line(r#"1,"a,b","say ""hi""""#),
+            csv_fields(r#"1,"a,b","say ""hi""""#),
             vec![
                 plain("1"),
                 ("a,b".into(), true),
                 (r#"say "hi""#.into(), true)
             ]
         );
-        assert_eq!(
-            split_csv_line("x,,z"),
-            vec![plain("x"), plain(""), plain("z")]
-        );
+        assert_eq!(csv_fields("x,,z"), vec![plain("x"), plain(""), plain("z")]);
     }
 
     #[test]

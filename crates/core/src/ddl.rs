@@ -7,6 +7,7 @@ use gdk::{ScalarType, Value};
 use sciql_algebra::eval_const;
 use sciql_catalog::{ArrayDef, ColumnMeta, DimSpec, DimensionDef, SchemaObject, TableDef};
 use sciql_parser::ast::{ColumnDef, ColumnKind, DimRange};
+use std::sync::Arc;
 
 fn parse_type(name: &str) -> Result<ScalarType> {
     ScalarType::from_sql_name(name)
@@ -57,11 +58,13 @@ impl Connection {
             name: name.to_owned(),
             columns: cols,
         };
-        self.catalog
+        let image = self.image_mut();
+        image
+            .catalog
             .create(SchemaObject::Table(def.clone()))
             .map_err(EngineError::Catalog)?;
-        self.tables
-            .insert(name.to_ascii_lowercase(), TableStore::create(def));
+        let store = Arc::new(TableStore::create(def));
+        image.tables.insert(name.to_ascii_lowercase(), store);
         Ok(())
     }
 
@@ -109,22 +112,29 @@ impl Connection {
             dims,
             attrs,
         };
-        self.catalog
+        self.image_mut()
+            .catalog
             .create(SchemaObject::Array(def.clone()))
             .map_err(EngineError::Catalog)?;
-        if def.is_fixed() {
-            let store = ArrayStore::create(def)?;
-            let cells = store.cell_count();
-            self.arrays.insert(name.to_ascii_lowercase(), store);
-            Ok(cells)
-        } else {
-            Ok(0)
+        self.materialise(def)
+    }
+
+    /// Build a fixed array's storage and install it; returns the number
+    /// of materialised cells (0 for an array that is not fixed yet).
+    pub(crate) fn materialise(&mut self, def: ArrayDef) -> Result<usize> {
+        if !def.is_fixed() {
+            return Ok(0);
         }
+        let key = def.name.to_ascii_lowercase();
+        let store = ArrayStore::create(def)?;
+        let cells = store.cell_count();
+        self.image_mut().arrays.insert(key, Arc::new(store));
+        Ok(cells)
     }
 
     pub(crate) fn drop_object(&mut self, name: &str, array: bool) -> Result<()> {
         let obj = self
-            .catalog
+            .catalog()
             .get(name)
             .map_err(EngineError::Catalog)?
             .clone();
@@ -141,12 +151,14 @@ impl Connection {
             }
             _ => {}
         }
-        self.catalog
+        let image = self.image_mut();
+        image
+            .catalog
             .drop_object(name)
             .map_err(EngineError::Catalog)?;
         let key = name.to_ascii_lowercase();
-        self.arrays.remove(&key);
-        self.tables.remove(&key);
+        image.arrays.remove(&key);
+        image.tables.remove(&key);
         Ok(())
     }
 
@@ -159,34 +171,23 @@ impl Connection {
         range: &DimRange,
     ) -> Result<usize> {
         let spec = eval_dim_range(range)?;
-        self.catalog
+        let catalog = &mut self.image_mut().catalog;
+        catalog
             .alter_dimension(array, dimension, spec)
             .map_err(EngineError::Catalog)?;
-        let def = self
-            .catalog
+        let def = catalog
             .get_array(array)
             .map_err(EngineError::Catalog)?
             .clone();
-        let key = array.to_ascii_lowercase();
-        match self.arrays.get_mut(&key) {
-            Some(store) => {
-                let k = def
-                    .dim_index(dimension)
-                    .ok_or_else(|| EngineError::msg("dimension vanished"))?;
-                store.re_range(k, spec)?;
-                Ok(store.cell_count())
-            }
-            None => {
-                // Previously unbounded array: materialise if now fixed.
-                if def.is_fixed() {
-                    let store = ArrayStore::create(def)?;
-                    let cells = store.cell_count();
-                    self.arrays.insert(key, store);
-                    Ok(cells)
-                } else {
-                    Ok(0)
-                }
-            }
+        if !self.image.arrays.contains_key(&array.to_ascii_lowercase()) {
+            // Previously unbounded array: materialise if now fixed.
+            return self.materialise(def);
         }
+        let k = def
+            .dim_index(dimension)
+            .ok_or_else(|| EngineError::msg("dimension vanished"))?;
+        let store = self.array_mut(array)?;
+        store.re_range(k, spec)?;
+        Ok(store.cell_count())
     }
 }

@@ -132,7 +132,7 @@ impl Connection {
     /// state.
     fn eval_rows(&mut self, table: &str, exprs: &[&Expr]) -> Result<ResultSet> {
         let plan = {
-            let binder = Binder::new(&self.catalog);
+            let binder = Binder::new(self.catalog());
             let (scan, scope) = binder.scope_for(table)?;
             let items = exprs
                 .iter()
@@ -154,7 +154,7 @@ impl Connection {
         filter: Option<&Expr>,
     ) -> Result<usize> {
         let is_array = matches!(
-            self.catalog.get(table).map_err(EngineError::Catalog)?,
+            self.catalog().get(table).map_err(EngineError::Catalog)?,
             SchemaObject::Array(_)
         );
         let targets = sets
@@ -186,23 +186,16 @@ impl Connection {
                 Ok((k, values))
             })
             .collect::<Result<_>>()?;
-        let key = table.to_ascii_lowercase();
         if is_array {
-            self.arrays
-                .get_mut(&key)
-                .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?
-                .write_attrs(&at, writes)?;
+            self.array_mut(table)?.write_attrs(&at, writes)?;
         } else {
-            self.tables
-                .get_mut(&key)
-                .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?
-                .write_cols(&at, writes)?;
+            self.table_mut(table)?.write_cols(&at, writes)?;
         }
         Ok(at.len())
     }
 
     fn resolve_update_target(&self, table: &str, is_array: bool, col: &str) -> Result<usize> {
-        match self.catalog.get(table).map_err(EngineError::Catalog)? {
+        match self.catalog().get(table).map_err(EngineError::Catalog)? {
             SchemaObject::Array(a) => {
                 if a.dim_index(col).is_some() {
                     return Err(EngineError::msg(format!(
@@ -228,27 +221,20 @@ impl Connection {
 
     pub(crate) fn delete(&mut self, table: &str, filter: Option<&Expr>) -> Result<usize> {
         let is_array = matches!(
-            self.catalog.get(table).map_err(EngineError::Catalog)?,
+            self.catalog().get(table).map_err(EngineError::Catalog)?,
             SchemaObject::Array(_)
         );
         let hit = match filter {
             Some(f) => Some(true_rows(&self.eval_rows(table, &[f])?.bats[0])?),
             None => None,
         };
-        let key = table.to_ascii_lowercase();
         if is_array {
-            let store = self
-                .arrays
-                .get_mut(&key)
-                .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?;
+            let store = self.array_mut(table)?;
             let at = hit.unwrap_or_else(|| Candidates::all(store.cell_count()));
             store.punch_holes(&at)?;
             Ok(at.len())
         } else {
-            let store = self
-                .tables
-                .get_mut(&key)
-                .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
+            let store = self.table_mut(table)?;
             let n = store.row_count();
             let keep = match hit {
                 Some(hit) => Candidates::all(n).difference(&hit),
@@ -287,7 +273,7 @@ impl Connection {
             InsertSource::Select(sel) => vec![self.run_select(sel)?.bats],
         };
         match self
-            .catalog
+            .catalog()
             .get(table)
             .map_err(EngineError::Catalog)?
             .clone()
@@ -319,10 +305,7 @@ impl Connection {
                 .collect::<Result<_>>()?,
             None => (0..def.columns.len()).collect(),
         };
-        let store = self
-            .tables
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| EngineError::msg(format!("no such table {table:?}")))?;
+        let store = self.table_mut(table)?;
         let mut appended = 0;
         for cols in groups {
             let n = group_rows(cols);
@@ -415,10 +398,7 @@ impl Connection {
             }
         };
         self.ensure_materialised(table, groups, &dim_slots)?;
-        let store = self
-            .arrays
-            .get_mut(&table.to_ascii_lowercase())
-            .ok_or_else(|| EngineError::msg(format!("array {table:?} not materialised")))?;
+        let store = self.array_mut(table)?;
         // An in-place rewrite (`INSERT INTO a SELECT [x], [y], f(v) FROM a`)
         // hands back the array's own dimension BATs, so row i is cell i:
         // no positions to compute or check.
@@ -476,12 +456,11 @@ impl Connection {
         groups: &RowGroups,
         dim_slots: &[usize],
     ) -> Result<()> {
-        let key = table.to_ascii_lowercase();
-        if self.arrays.contains_key(&key) {
+        if self.image.arrays.contains_key(&table.to_ascii_lowercase()) {
             return Ok(());
         }
         let mut def = self
-            .catalog
+            .catalog()
             .get_array(table)
             .map_err(EngineError::Catalog)?
             .clone();
@@ -505,13 +484,13 @@ impl Connection {
             d.range = Some(DimSpec::new(lo, 1, hi + 1).map_err(EngineError::Catalog)?);
         }
         // Sync the derived ranges into the catalog, then materialise.
+        let catalog = &mut self.image_mut().catalog;
         for d in &def.dims {
-            self.catalog
+            catalog
                 .alter_dimension(table, &d.name, d.range.expect("set above"))
                 .map_err(EngineError::Catalog)?;
         }
-        let store = ArrayStore::create(def)?;
-        self.arrays.insert(key, store);
+        self.materialise(def)?;
         Ok(())
     }
 }

@@ -6,16 +6,20 @@
 //! N sessions (local threads or `sciql-net` socket handlers) share it
 //! concurrently:
 //!
-//! * **Reads** take a brief lock to clone an [`EngineSnapshot`] — the
-//!   catalog plus `Arc` bumps of every column — then run the whole
+//! * **Reads** take the engine lock just long enough to clone the `Arc`
+//!   of the connection's image — one reference-count bump, whatever the
+//!   number of objects — into an [`EngineSnapshot`], then run the whole
 //!   Fig-2 pipeline *outside* the lock. Readers never block each other,
 //!   and a long scan never blocks a writer. Every statement sees a
 //!   consistent point-in-time image: no torn reads, ever.
 //! * **Writes** serialize through the single [`Connection`], which keeps
 //!   the vault's single-writer WAL discipline: an acknowledged mutating
-//!   statement is fsynced before the lock is released. Copy-on-write
-//!   (`Arc::make_mut`) in the stores means in-flight snapshot readers
-//!   keep their image while the writer installs new column versions.
+//!   statement is fsynced before the lock is released. A write goes
+//!   through `Arc::make_mut` on the image, then on the store it changes,
+//!   then on each column it changes. An image no reader holds is written
+//!   in place. While a reader holds it, the writer copies the image's
+//!   shell (the catalog and one `Arc` per store), the written store's
+//!   column list, and the columns it writes; the reader keeps its image.
 //!
 //! Per-session state (statement counters, [`LastExec`] stats, prepared
 //! statements with their compiled-plan caches, the tracing flag) lives
@@ -24,69 +28,34 @@
 //! [`crate::exec`], the same one the embedded connection uses.
 
 use crate::commit::{covers, GroupCommitter, Watermark};
-use crate::exec::{self, DbView, Reach, Request, SessionState};
+use crate::exec::{self, Image, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::session::{Connection, LastExec, QueryResult, SessionConfig};
-use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::{SessionRow, SysData};
 use crate::Result;
 use gdk::Value;
-use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_obs::Trace;
 use sciql_parser::ast::Stmt;
 use sciql_store::WalRecord;
-use std::borrow::Cow;
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
-/// A consistent point-in-time image of the database: the catalog plus
-/// `Arc`-shared column references. Cloning columns is a reference-count
-/// bump — a snapshot of a million-cell array costs a few pointer copies.
+/// A consistent point-in-time image of the database: the writer's
+/// published image, shared by `Arc`. Taking one is a reference-count
+/// bump under the engine lock; holding one makes the writer copy what it
+/// changes (see the module docs), so a snapshot never sees a later write.
 #[derive(Debug, Clone)]
 pub struct EngineSnapshot {
-    catalog: Catalog,
-    arrays: HashMap<String, ArrayStore>,
-    tables: HashMap<String, TableStore>,
-    opt_config: mal::OptConfig,
-    codegen: CodegenOptions,
-    /// Out-of-store state the `sys.*` views surface (vault stats, live
-    /// sessions) — captured with the snapshot so a system-view scan is
-    /// as consistent as any other read.
-    sys: SysData,
+    pub(crate) image: Arc<Image>,
 }
 
 impl EngineSnapshot {
-    fn of(conn: &Connection) -> Self {
-        EngineSnapshot {
-            catalog: conn.catalog.clone(),
-            arrays: conn.arrays.clone(),
-            tables: conn.tables.clone(),
-            opt_config: conn.opt_config,
-            codegen: conn.codegen,
-            sys: conn.sys_data(),
-        }
-    }
-
-    /// Read access to this image, for the executor. No engine lock is
-    /// held; concurrent snapshots execute in parallel.
-    pub(crate) fn view(&self) -> DbView<'_> {
-        DbView {
-            opt_config: self.opt_config,
-            codegen: &self.codegen,
-            catalog: &self.catalog,
-            arrays: &self.arrays,
-            tables: &self.tables,
-            sys: Cow::Borrowed(&self.sys),
-        }
-    }
-
     /// The catalog as of this snapshot.
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.image.catalog
     }
 }
 
@@ -341,9 +310,19 @@ impl SharedEngine {
 
     /// Take a consistent point-in-time snapshot (brief lock).
     pub fn snapshot(&self) -> EngineSnapshot {
-        let mut snap = EngineSnapshot::of(&self.lock());
-        snap.sys.sessions = self.session_rows();
-        snap
+        EngineSnapshot {
+            image: Arc::clone(&self.lock().image),
+        }
+    }
+
+    /// The state the `sys.*` views surface: the vault's counters (a
+    /// second brief lock) and the live sessions.
+    pub(crate) fn sys_data(&self) -> SysData {
+        let vault = self.lock().vault_stats();
+        SysData {
+            vault,
+            sessions: self.session_rows(),
+        }
     }
 
     fn sessions_lock(&self) -> MutexGuard<'_, Vec<Arc<SessionInfo>>> {
@@ -651,8 +630,13 @@ mod tests {
                 Stmt::Select(s) => s,
                 _ => unreachable!(),
             };
-        let view = snap.view();
-        let (rs, _) = exec::execute_select(&sel, &view, &mut sciql_obs::Tracer::off()).unwrap();
+        let (rs, _) = exec::execute_select(
+            &sel,
+            &snap.image,
+            &SysData::default,
+            &mut sciql_obs::Tracer::off(),
+        )
+        .unwrap();
         assert_eq!(rs.scalar().unwrap().as_i64(), Some(0), "pre-write image");
         let mut s = engine.session();
         let n = s
@@ -661,6 +645,36 @@ mod tests {
             .scalar()
             .unwrap();
         assert_eq!(n.as_i64(), Some(16), "fresh snapshot sees the write");
+    }
+
+    /// With no reader alive, a partial UPDATE writes its column in place
+    /// (`write_columns`' scatter arm). While a snapshot is held, the
+    /// writer copies the column and the snapshot keeps the old values.
+    #[test]
+    fn a_column_is_copied_only_while_a_reader_holds_it() {
+        let engine = seeded();
+        let column = || Arc::as_ptr(&engine.connection().array_store("m").unwrap().attrs[0]);
+        let mut s = engine.session();
+        s.query("SELECT COUNT(*) FROM m WHERE v > 2").unwrap();
+        let before = column();
+        s.execute("UPDATE m SET v = 7 WHERE x = 1").unwrap();
+        assert_eq!(column(), before, "no reader alive: written in place");
+        let snap = engine.snapshot();
+        s.execute("UPDATE m SET v = 8 WHERE x = 1").unwrap();
+        assert_ne!(column(), before, "a held snapshot: copied");
+        let sel = match sciql_parser::parse_statement("SELECT COUNT(*) FROM m WHERE v = 7").unwrap()
+        {
+            Stmt::Select(s) => s,
+            _ => unreachable!(),
+        };
+        let (rs, _) = exec::execute_select(
+            &sel,
+            &snap.image,
+            &SysData::default,
+            &mut sciql_obs::Tracer::off(),
+        )
+        .unwrap();
+        assert_eq!(rs.scalar().unwrap().as_i64(), Some(4), "snapshot keeps 7s");
     }
 
     #[test]

@@ -200,65 +200,70 @@ impl PreparedSet {
 // the Fig-2 pipeline tail, split for plan caching
 // ---------------------------------------------------------------------
 
-/// Read access to one consistent image of the database: the embedded
-/// connection's live stores, or an [`EngineSnapshot`]'s `Arc` clones.
-/// Nothing here is `&mut`, which is what lets many snapshot readers run
-/// concurrently while writes serialize elsewhere.
-pub(crate) struct DbView<'a> {
+/// The database a statement reads: the catalog, the stores and the
+/// pipeline settings. A [`Connection`] owns it as an `Arc<Image>`. An
+/// exclusive read borrows it; a shared read takes an `Arc` clone under
+/// the engine lock and executes outside it. Writes go through
+/// `Arc::make_mut`, on the image and then on the one store they change,
+/// so a write copies a store's column list only while a reader holds it.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Image {
+    pub(crate) catalog: Catalog,
+    pub(crate) arrays: HashMap<String, Arc<ArrayStore>>,
+    pub(crate) tables: HashMap<String, Arc<TableStore>>,
     pub(crate) opt_config: OptConfig,
-    pub(crate) codegen: &'a CodegenOptions,
-    pub(crate) catalog: &'a Catalog,
-    pub(crate) arrays: &'a HashMap<String, ArrayStore>,
-    pub(crate) tables: &'a HashMap<String, TableStore>,
-    /// Out-of-store state the `sys.*` views surface.
-    pub(crate) sys: Cow<'a, SysData>,
+    pub(crate) codegen: CodegenOptions,
 }
+
+/// Builds the state the `sys.*` views surface, for the rare plan that
+/// scans one.
+pub(crate) type Sys<'a> = &'a dyn Fn() -> SysData;
 
 /// Compile + optimise a logical plan, with `codegen` and per-pass
 /// `optimize` spans. Returns the program, the optimizer's per-pass
 /// stats and the instruction counts before/after optimization.
 fn compile_plan(
     plan: &Plan,
-    view: &DbView<'_>,
+    image: &Image,
     tracer: &mut Tracer,
 ) -> Result<(Program, PassStats, usize, usize)> {
     let sp = tracer.open(SpanId::ROOT, "codegen");
-    let mut prog: Program = compile(plan, view.codegen)?;
+    let mut prog: Program = compile(plan, &image.codegen)?;
     let before = prog.instrs.len();
     tracer.note(sp, "instrs", before as u64);
     tracer.close(sp);
     let sp = tracer.open(SpanId::ROOT, "optimize");
-    let report = mal::optimise_traced(&mut prog, view.opt_config, tracer, sp);
+    let report = mal::optimise_traced(&mut prog, image.opt_config, tracer, sp);
     let after = prog.instrs.len();
     tracer.note(sp, "instrs", after as u64);
     tracer.close(sp);
     Ok((prog, report, before, after))
 }
 
-/// Execute a compiled program against the view's stores (plus freshly
+/// Execute a compiled program against the image's stores (plus freshly
 /// synthesized `sys_views`), filling its parameter slots from `params`,
 /// and shape the outputs into a [`ResultSet`] using the plan's schema.
 fn run_program(
     prog: &Program,
     schema: &[ColInfo],
     sys_views: &[String],
-    view: &DbView<'_>,
+    image: &Image,
+    sys: Sys<'_>,
     params: &[Value],
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, ExecStats)> {
     let augmented;
     let tables = if sys_views.is_empty() {
-        view.tables
+        &image.tables
     } else {
-        augmented =
-            sysview::augment_tables(sys_views, view.catalog, view.arrays, view.tables, &view.sys)?;
+        augmented = sysview::augment_tables(sys_views, image, &sys())?;
         &augmented
     };
     let storage = StorageBinder {
-        arrays: view.arrays,
+        arrays: &image.arrays,
         tables,
     };
-    let interp = Interpreter::with_config(&storage, view.codegen.par);
+    let interp = Interpreter::with_config(&storage, image.codegen.par);
     let sp = tracer.open(SpanId::ROOT, "mal");
     let ran = interp.run_traced(prog, params, tracer, sp);
     tracer.close(sp);
@@ -330,23 +335,25 @@ fn plan_select(sel: &SelectStmt, catalog: &Catalog, tracer: &mut Tracer) -> Resu
 /// Run an ad-hoc SELECT through the full Fig-2 pipeline.
 pub(crate) fn execute_select(
     sel: &SelectStmt,
-    view: &DbView<'_>,
+    image: &Image,
+    sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let plan = plan_select(sel, view.catalog, tracer)?;
-    execute_plan(&plan, view, tracer)
+    let plan = plan_select(sel, &image.catalog, tracer)?;
+    execute_plan(&plan, image, sys, tracer)
 }
 
 /// Compile and execute a logical plan in one go (the unprepared path;
 /// also used by the DML executors).
 pub(crate) fn execute_plan(
     plan: &Plan,
-    view: &DbView<'_>,
+    image: &Image,
+    sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let (prog, report, before, after) = compile_plan(plan, view, tracer)?;
+    let (prog, report, before, after) = compile_plan(plan, image, tracer)?;
     let sys_views = sysview::sys_scans(plan);
-    let (rs, exec) = run_program(&prog, &plan.schema(), &sys_views, view, &[], tracer)?;
+    let (rs, exec) = run_program(&prog, &plan.schema(), &sys_views, image, sys, &[], tracer)?;
     let last = LastExec {
         exec,
         opt: report,
@@ -362,7 +369,8 @@ pub(crate) fn execute_plan(
 fn execute_prepared_select(
     prep: &mut Prepared,
     params: &[Value],
-    view: &DbView<'_>,
+    image: &Image,
+    sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
     let Stmt::Select(sel) = &prep.stmt else {
@@ -370,20 +378,20 @@ fn execute_prepared_select(
             "execute_prepared_select requires a SELECT statement",
         ));
     };
-    let hit = prep.cache_valid(view.catalog.version(), view.opt_config, view.codegen);
+    let hit = prep.cache_valid(image.catalog.version(), image.opt_config, &image.codegen);
     let m = sciql_obs::global();
     if hit {
         m.plan_cache_hits.inc();
     } else {
         m.plan_cache_misses.inc();
-        let plan = plan_select(sel, view.catalog, tracer)?;
-        let (prog, opt_report, instrs_before, instrs_after) = compile_plan(&plan, view, tracer)?;
+        let plan = plan_select(sel, &image.catalog, tracer)?;
+        let (prog, opt_report, instrs_before, instrs_after) = compile_plan(&plan, image, tracer)?;
         prep.cache = Some(CachedPlan {
             prog,
             schema: plan.schema(),
-            catalog_version: view.catalog.version(),
-            opt_config: view.opt_config,
-            codegen: *view.codegen,
+            catalog_version: image.catalog.version(),
+            opt_config: image.opt_config,
+            codegen: image.codegen,
             opt_report,
             instrs_before,
             instrs_after,
@@ -398,7 +406,8 @@ fn execute_prepared_select(
         &cache.prog,
         &cache.schema,
         &cache.sys_views,
-        view,
+        image,
+        sys,
         params,
         tracer,
     )?;
@@ -413,16 +422,12 @@ fn execute_prepared_select(
 }
 
 /// EXPLAIN: the logical plan and the generated and optimised MAL text.
-pub(crate) fn explain_select(
-    sel: &SelectStmt,
-    catalog: &Catalog,
-    codegen: &CodegenOptions,
-    opt_config: OptConfig,
-) -> Result<String> {
-    let plan = rewrite(Binder::new(catalog).bind_select(sel)?);
-    let mut prog = compile(&plan, codegen)?;
+pub(crate) fn explain_select(sel: &SelectStmt, image: &Image) -> Result<String> {
+    let plan = rewrite(Binder::new(&image.catalog).bind_select(sel)?);
+    let mut prog = compile(&plan, &image.codegen)?;
     let before = prog.to_text();
-    mal::optimise_traced(&mut prog, opt_config, &mut Tracer::off(), SpanId::ROOT);
+    let cfg = image.opt_config;
+    mal::optimise_traced(&mut prog, cfg, &mut Tracer::off(), SpanId::ROOT);
     let after = prog.to_text();
     Ok(format!(
         "-- logical plan\n{}\n-- MAL (generated)\n{before}\n-- MAL (optimised)\n{after}",
@@ -554,19 +559,20 @@ impl Reach<'_> {
         }
     }
 
-    /// Run `f` against one consistent image of the database: the live
-    /// stores when exclusive, a fresh snapshot (taken under a brief
-    /// lock, read outside it) when shared.
-    fn read<R>(&mut self, f: impl FnOnce(&mut SessionState, &DbView<'_>) -> R) -> R {
+    /// Run `f` against one consistent image of the database: the
+    /// connection's own when exclusive, an `Arc` of the engine's (taken
+    /// under a brief lock, read outside it) when shared.
+    fn read<R>(&mut self, f: impl FnOnce(&mut SessionState, &Image, Sys<'_>) -> R) -> R {
         match self {
             Reach::Exclusive(conn) => {
-                let (state, view) = conn.split();
-                f(state, &view)
+                let vault = conn.vault.as_ref();
+                f(&mut conn.session, &conn.image, &|| SysData::of(vault))
             }
             Reach::Shared(sess) => {
                 let engine = &sess.engine;
                 engine.stats.snapshot_reads.fetch_add(1, Ordering::Relaxed);
-                f(&mut sess.state, &engine.snapshot().view())
+                let snap = engine.snapshot();
+                f(&mut sess.state, &snap.image, &|| engine.sys_data())
             }
         }
     }
@@ -636,9 +642,9 @@ fn resolve(reach: &mut Reach<'_>, req: Request<'_>) -> Result<QueryResult> {
             }
             let (text, kind) = (prep.sql().to_owned(), stmt_kind(prep.statement()));
             observed(reach, text, kind, None, |reach, _, tracer| {
-                reach.read(|state, view| {
+                reach.read(|state, image, sys| {
                     let prep = state.prepared.get_mut(name)?;
-                    let (rs, last) = execute_prepared_select(prep, params, view, tracer)?;
+                    let (rs, last) = execute_prepared_select(prep, params, image, sys, tracer)?;
                     state.last = last;
                     Ok(QueryResult::Rows(rs))
                 })
@@ -669,7 +675,7 @@ fn execute_stmt(
         parse_tracer,
         |reach, text, tracer| match stmt {
             Stmt::Select(_) | Stmt::Explain { .. } => {
-                reach.read(|state, view| run_read(state, view, stmt, tracer))
+                reach.read(|state, image, sys| run_read(state, image, sys, stmt, tracer))
             }
             _ => run_write(reach, stmt, text, tracer),
         },
@@ -763,7 +769,8 @@ fn stmt_kind(stmt: &Stmt) -> (&'static str, &'static sciql_obs::Counter) {
 /// row set, so it travels over the wire like any other query result.
 fn run_read(
     state: &mut SessionState,
-    view: &DbView<'_>,
+    image: &Image,
+    sys: Sys<'_>,
     stmt: &Stmt,
     tracer: &mut Tracer,
 ) -> Result<QueryResult> {
@@ -777,19 +784,19 @@ fn run_read(
     };
     let rs = match explain {
         None => {
-            let (rs, last) = execute_select(sel, view, tracer)?;
+            let (rs, last) = execute_select(sel, image, sys, tracer)?;
             state.last = last;
             rs
         }
         Some(false) => {
-            let text = explain_select(sel, view.catalog, view.codegen, view.opt_config)?;
+            let text = explain_select(sel, image)?;
             // Nothing ran: the previous statement's numbers are not this one's.
             state.last = LastExec::default();
             text_rows("explain", text.lines().map(str::to_owned))
         }
         Some(true) => {
             let mut measured = Tracer::on(sel.to_string());
-            let (rs, last) = execute_select(sel, view, &mut measured)?;
+            let (rs, last) = execute_select(sel, image, sys, &mut measured)?;
             state.last = last;
             let mut trace = measured.finish().expect("tracing was on");
             trace.note(SpanId::ROOT, "rows", rs.row_count() as u64);
@@ -838,8 +845,8 @@ fn run_write(
 
 /// Resolves `sql.bind` against the session storage.
 struct StorageBinder<'a> {
-    arrays: &'a HashMap<String, ArrayStore>,
-    tables: &'a HashMap<String, TableStore>,
+    arrays: &'a HashMap<String, Arc<ArrayStore>>,
+    tables: &'a HashMap<String, Arc<TableStore>>,
 }
 
 impl MalBinder for StorageBinder<'_> {

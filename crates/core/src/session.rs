@@ -2,7 +2,7 @@
 //! the full pipeline of the paper's Fig 2.
 
 use crate::commit::{CommitTicket, GroupCommitter, Watermark};
-use crate::exec::{self, DbView, Reach, Request, SessionState};
+use crate::exec::{self, Image, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::SysData;
@@ -15,8 +15,6 @@ use sciql_catalog::SchemaObject;
 use sciql_obs::{SpanId, Trace, Tracer};
 use sciql_parser::ast::{SelectStmt, Stmt};
 use sciql_store::{CheckpointColumn, CheckpointObject, ColumnDirt, ReplayOp, Vault, VaultStats};
-use std::borrow::Cow;
-use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -130,11 +128,10 @@ impl SessionConfig {
 /// A SciQL session over an in-memory database: catalog + BAT storage +
 /// MAL pipeline settings.
 pub struct Connection {
-    pub(crate) catalog: Catalog,
-    pub(crate) arrays: HashMap<String, ArrayStore>,
-    pub(crate) tables: HashMap<String, TableStore>,
-    pub(crate) opt_config: OptConfig,
-    pub(crate) codegen: CodegenOptions,
+    /// The database: what every read sees and every write changes (see
+    /// [`Image`]). A [`crate::SharedEngine`] publishes it to its readers
+    /// by `Arc` clone.
+    pub(crate) image: Arc<Image>,
     /// The connection's own (embedded) session. Sessions of a
     /// [`crate::SharedEngine`] bring their own state and use this
     /// connection only as the single writer.
@@ -177,11 +174,7 @@ impl Connection {
     /// Fresh empty session with an explicit execution configuration.
     pub fn with_config(cfg: SessionConfig) -> Self {
         let mut conn = Connection {
-            catalog: Catalog::new(),
-            arrays: HashMap::new(),
-            tables: HashMap::new(),
-            opt_config: OptConfig::default(),
-            codegen: CodegenOptions::default(),
+            image: Arc::default(),
             session: SessionState::default(),
             vault: None,
             replaying: false,
@@ -209,8 +202,10 @@ impl Connection {
     pub fn open_with_config(path: impl AsRef<Path>, cfg: SessionConfig) -> Result<Self> {
         let (vault, recovered) = Vault::open(path).map_err(EngineError::Store)?;
         let mut conn = Self::with_config(cfg);
+        let image = conn.image_mut();
         for obj in recovered.objects {
-            conn.catalog
+            image
+                .catalog
                 .create(obj.def.clone())
                 .map_err(EngineError::Catalog)?;
             let key = obj.def.name().to_ascii_lowercase();
@@ -229,16 +224,16 @@ impl Connection {
                     let mut bats: Vec<Arc<Bat>> =
                         cols.into_iter().map(|c| Arc::new(c.bat)).collect();
                     let attrs = bats.split_off(nd);
-                    conn.arrays.insert(
+                    image.arrays.insert(
                         key,
-                        ArrayStore {
+                        Arc::new(ArrayStore {
                             def,
                             dims: bats,
                             attrs,
                             dirty_dims: vec![ColumnDirt::Clean; nd],
                             dirty_attrs: vec![ColumnDirt::Clean; na],
                             mutations: 0,
-                        },
+                        }),
                     );
                 }
                 (SchemaObject::Table(def), Some(cols)) => {
@@ -251,14 +246,14 @@ impl Connection {
                         )));
                     }
                     let n = cols.len();
-                    conn.tables.insert(
+                    image.tables.insert(
                         key,
-                        TableStore {
+                        Arc::new(TableStore {
                             def,
                             cols: cols.into_iter().map(|c| Arc::new(c.bat)).collect(),
                             dirty_cols: vec![ColumnDirt::Clean; n],
                             mutations: 0,
-                        },
+                        }),
                     );
                 }
                 (_, None) => {} // catalog-only (unmaterialised array)
@@ -406,11 +401,12 @@ impl Connection {
                 "checkpoint requires a persistent connection (Connection::open)",
             ));
         };
-        let mut objects: Vec<CheckpointObject<'_>> = Vec::with_capacity(self.catalog.len());
-        for obj in self.catalog.iter() {
+        let image = &self.image;
+        let mut objects: Vec<CheckpointObject<'_>> = Vec::with_capacity(image.catalog.len());
+        for obj in image.catalog.iter() {
             let key = obj.name().to_ascii_lowercase();
             let columns = match obj {
-                SchemaObject::Array(def) => self.arrays.get(&key).map(|s| {
+                SchemaObject::Array(def) => image.arrays.get(&key).map(|s| {
                     def.dims
                         .iter()
                         .zip(&s.dims)
@@ -429,7 +425,7 @@ impl Connection {
                         ))
                         .collect()
                 }),
-                SchemaObject::Table(def) => self.tables.get(&key).map(|s| {
+                SchemaObject::Table(def) => image.tables.get(&key).map(|s| {
                     def.columns
                         .iter()
                         .zip(&s.cols)
@@ -447,11 +443,14 @@ impl Connection {
         vault.checkpoint(&objects).map_err(EngineError::Store)?;
         let new_gen = vault.generation();
         self.watermark.publish(new_gen, vault.wal_durable());
-        for s in self.arrays.values_mut() {
-            s.mark_clean();
+        // Only dirty stores are marked clean, so a clean store that a
+        // reader holds is not copied.
+        let image = self.image_mut();
+        for s in image.arrays.values_mut().filter(|s| s.dirty_columns() > 0) {
+            Arc::make_mut(s).mark_clean();
         }
-        for s in self.tables.values_mut() {
-            s.mark_clean();
+        for s in image.tables.values_mut().filter(|s| s.dirty_columns() > 0) {
+            Arc::make_mut(s).mark_clean();
         }
         if let Some(gc) = &self.group_commit {
             // The rotation is the epoch boundary: the snapshot made every
@@ -466,7 +465,7 @@ impl Connection {
     /// Configure the MAL optimizer pipeline per pass (finer-grained than
     /// `SessionConfig::opt_level`; used by the ablation bench and tests).
     pub fn set_optimizer(&mut self, cfg: OptConfig) {
-        self.opt_config = cfg;
+        self.image_mut().opt_config = cfg;
     }
 
     /// Configure code generation (candidate-pushdown ablation switch).
@@ -474,7 +473,7 @@ impl Connection {
     /// [`Connection::set_session_config`].
     pub fn set_codegen(&mut self, cfg: CodegenOptions) {
         let keep = self.session_config();
-        self.codegen = cfg;
+        self.image_mut().codegen = cfg;
         self.set_session_config(keep);
     }
 
@@ -485,25 +484,27 @@ impl Connection {
     /// a custom [`Connection::set_optimizer`] ablation survives
     /// unrelated reconfiguration (e.g. a thread-count change).
     pub fn set_session_config(&mut self, cfg: SessionConfig) {
-        self.codegen.par = gdk::ParConfig {
+        let image = self.image_mut();
+        image.codegen.par = gdk::ParConfig {
             threads: cfg.threads.max(1),
             parallel_threshold: cfg.parallel_threshold,
             zone_skip: cfg.zone_skip,
         };
-        if cfg.opt_level != self.codegen.opt_level {
-            self.opt_config = OptConfig::level(cfg.opt_level);
+        if cfg.opt_level != image.codegen.opt_level {
+            image.opt_config = OptConfig::level(cfg.opt_level);
         }
-        self.codegen.opt_level = cfg.opt_level;
+        image.codegen.opt_level = cfg.opt_level;
         self.session.slow_query_ns = cfg.slow_query_ns;
     }
 
     /// The session's current execution configuration.
     pub fn session_config(&self) -> SessionConfig {
-        let par = self.codegen.par;
+        let codegen = &self.image.codegen;
+        let par = codegen.par;
         SessionConfig {
             threads: par.threads,
             parallel_threshold: par.parallel_threshold,
-            opt_level: self.codegen.opt_level,
+            opt_level: codegen.opt_level,
             zone_skip: par.zone_skip,
             slow_query_ns: self.session.slow_query_ns,
         }
@@ -522,27 +523,26 @@ impl Connection {
         self.session.slow_query_ns
     }
 
-    /// Out-of-snapshot state the `sys.*` synthesizers need (vault
-    /// counters; the shared engine adds its session registry).
-    pub(crate) fn sys_data(&self) -> SysData {
-        SysData {
-            vault: self.vault_stats(),
-            sessions: Vec::new(),
-        }
+    /// The image for writing. Unshared, it is written in place; while a
+    /// reader holds it, the writer first gets its own copy of the shell:
+    /// the catalog and an `Arc` bump per store.
+    pub(crate) fn image_mut(&mut self) -> &mut Image {
+        Arc::make_mut(&mut self.image)
     }
 
-    /// The connection's own session state next to read access to its
-    /// live stores — embedded reads run in place, no snapshot.
-    pub(crate) fn split(&mut self) -> (&mut SessionState, DbView<'_>) {
-        let view = DbView {
-            opt_config: self.opt_config,
-            codegen: &self.codegen,
-            catalog: &self.catalog,
-            arrays: &self.arrays,
-            tables: &self.tables,
-            sys: Cow::Owned(self.sys_data()),
-        };
-        (&mut self.session, view)
+    /// Array store `name` for writing. Only this store is copied (its
+    /// column `Arc`s and its dirt) when a reader still holds it.
+    pub(crate) fn array_mut(&mut self, name: &str) -> Result<&mut ArrayStore> {
+        let store = self.image_mut().arrays.get_mut(&name.to_ascii_lowercase());
+        let missing = || EngineError::msg(format!("array {name:?} not materialised"));
+        store.map(Arc::make_mut).ok_or_else(missing)
+    }
+
+    /// Table store `name` for writing (see [`Connection::array_mut`]).
+    pub(crate) fn table_mut(&mut self, name: &str) -> Result<&mut TableStore> {
+        let store = self.image_mut().tables.get_mut(&name.to_ascii_lowercase());
+        let missing = || EngineError::msg(format!("no such table {name:?}"));
+        store.map(Arc::make_mut).ok_or_else(missing)
     }
 
     /// Statistics of the last executed SELECT.
@@ -552,7 +552,7 @@ impl Connection {
 
     /// The catalog (read-only view).
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        &self.image.catalog
     }
 
     /// Execute one statement.
@@ -735,13 +735,12 @@ impl Connection {
     /// schema version plus every store's monotonic mutation counter.
     /// Unchanged fingerprint ⇒ the statement had no effect.
     fn mutation_epoch(&self) -> (u64, u64) {
-        let stores: u64 = self
-            .arrays
-            .values()
-            .map(|s| s.mutations)
-            .chain(self.tables.values().map(|s| s.mutations))
+        let image = &self.image;
+        let arrays = image.arrays.values().map(|s| s.mutations);
+        let stores: u64 = arrays
+            .chain(image.tables.values().map(|s| s.mutations))
             .sum();
-        (self.catalog.version(), stores)
+        (image.catalog.version(), stores)
     }
 
     fn dispatch_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
@@ -814,23 +813,23 @@ impl Connection {
             },
             _ => return Err(EngineError::msg("EXPLAIN supports SELECT statements")),
         };
-        exec::explain_select(&sel, &self.catalog, &self.codegen, self.opt_config)
+        exec::explain_select(&sel, &self.image)
     }
 
     /// Run a SELECT through the full pipeline (the `INSERT … SELECT`
     /// executor's source).
     pub fn run_select(&mut self, sel: &SelectStmt) -> Result<ResultSet> {
-        let (state, view) = self.split();
-        let (rs, last) = exec::execute_select(sel, &view, &mut Tracer::off())?;
-        state.last = last;
+        let sys = || SysData::of(self.vault.as_ref());
+        let (rs, last) = exec::execute_select(sel, &self.image, &sys, &mut Tracer::off())?;
+        self.session.last = last;
         Ok(rs)
     }
 
     /// Compile and execute a logical plan (the DML executors' reads).
     pub(crate) fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
-        let (state, view) = self.split();
-        let (rs, last) = exec::execute_plan(plan, &view, &mut Tracer::off())?;
-        state.last = last;
+        let sys = || SysData::of(self.vault.as_ref());
+        let (rs, last) = exec::execute_plan(plan, &self.image, &sys, &mut Tracer::off())?;
+        self.session.last = last;
         Ok(rs)
     }
 
@@ -876,12 +875,16 @@ impl Connection {
                 )));
             }
         }
-        self.catalog
+        let image = self.image_mut();
+        image
+            .catalog
             .create(SchemaObject::Array(def.clone()))
             .map_err(EngineError::Catalog)?;
         let mut store = ArrayStore::create(def)?;
         store.attrs = attrs.into_iter().map(|(_, b)| Arc::new(b)).collect();
-        self.arrays.insert(name.to_ascii_lowercase(), store);
+        image
+            .arrays
+            .insert(name.to_ascii_lowercase(), Arc::new(store));
         // A bulk load bypasses SQL, so it cannot be replayed from the
         // logical WAL — snapshot it immediately instead.
         if self.vault.is_some() && !self.replaying {
@@ -893,15 +896,19 @@ impl Connection {
     /// Direct read access to a stored array (tests, demos and the image
     /// pipeline use this to avoid the SQL round trip).
     pub fn array_store(&self, name: &str) -> Result<&ArrayStore> {
-        self.arrays
+        self.image
+            .arrays
             .get(&name.to_ascii_lowercase())
+            .map(Arc::as_ref)
             .ok_or_else(|| EngineError::msg(format!("array {name:?} is not materialised")))
     }
 
     /// Direct read access to a stored table.
     pub fn table_store(&self, name: &str) -> Result<&TableStore> {
-        self.tables
+        self.image
+            .tables
             .get(&name.to_ascii_lowercase())
+            .map(Arc::as_ref)
             .ok_or_else(|| EngineError::msg(format!("no such table {name:?}")))
     }
 }

@@ -5,8 +5,9 @@
 //! *contents* are built here, as ordinary BAT-backed [`TableStore`]s,
 //! at the moment a plan that references them executes. The executor
 //! ([`crate::exec`]) walks the bound plan for `sys.`-prefixed table
-//! scans and, when it finds any, runs against an augmented copy of the
-//! session's table map — a few `Arc` bumps plus the synthesized views.
+//! scans and, only when it finds any, gathers the [`SysData`] and runs
+//! against an augmented copy of the image's table map — a few `Arc`
+//! bumps plus the synthesized views.
 //!
 //! Because the views materialise as plain columns, every relational
 //! operator composes with them (WHERE, LIKE, ORDER BY, GROUP BY,
@@ -14,19 +15,20 @@
 //! stance that the engine's own state should be reachable *through the
 //! query language*, applied to the reproduction's observability layer.
 
+use crate::exec::Image;
 use crate::storage::{ArrayStore, TableStore};
 use crate::{EngineError, Result};
 use gdk::zonemap::{ZoneMap, TILE_ROWS};
 use gdk::{Bat, Value};
 use sciql_algebra::Plan;
 use sciql_catalog::{Catalog, SchemaObject, TableDef};
-use sciql_store::{ColumnDirt, VaultStats};
+use sciql_store::{ColumnDirt, Vault, VaultStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
 /// One live session's counters, as a `sys.sessions` row. The shared
-/// engine's session registry produces these at snapshot time; an
-/// embedded [`crate::Connection`] reports none.
+/// engine's session registry produces these when a read scans
+/// `sys.sessions`; an embedded [`crate::Connection`] reports none.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct SessionRow {
     /// Session id (unique within the engine's lifetime).
@@ -43,15 +45,25 @@ pub(crate) struct SessionRow {
     pub uptime_ns: u64,
 }
 
-/// Everything the synthesizers need beyond the store maps: state that
-/// lives outside the snapshot (vault counters, the live session
-/// registry) captured at the same instant as the column `Arc`s.
+/// Everything the synthesizers need beyond the image: state that lives
+/// outside it (vault counters, the live session registry), gathered
+/// when a plan that scans `sys.*` executes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SysData {
     /// Vault counters, when the engine is persistent.
     pub vault: Option<VaultStats>,
     /// Live sessions (shared engine only).
     pub sessions: Vec<SessionRow>,
+}
+
+impl SysData {
+    /// What a connection reports on its own: its vault's counters.
+    pub(crate) fn of(vault: Option<&Vault>) -> SysData {
+        SysData {
+            vault: vault.map(Vault::stats),
+            sessions: Vec::new(),
+        }
+    }
 }
 
 /// Lowercased names of every `sys.*` table the plan scans (deduplicated;
@@ -87,34 +99,23 @@ fn collect_scans(plan: &Plan, out: &mut Vec<String>) {
     }
 }
 
-/// The session's table map, extended with a freshly synthesized store
+/// The image's table map, extended with a freshly synthesized store
 /// for every system view in `names`. Cloning the map is cheap: each
-/// stored column is an `Arc` bump.
+/// store is an `Arc` bump.
 pub(crate) fn augment_tables(
     names: &[String],
-    catalog: &Catalog,
-    arrays: &HashMap<String, ArrayStore>,
-    tables: &HashMap<String, TableStore>,
+    image: &Image,
     sys: &SysData,
-) -> Result<HashMap<String, TableStore>> {
-    let mut augmented = tables.clone();
+) -> Result<HashMap<String, Arc<TableStore>>> {
+    let mut augmented = image.tables.clone();
     for name in names {
-        augmented.insert(
-            name.clone(),
-            synthesize(name, catalog, arrays, tables, sys)?,
-        );
+        augmented.insert(name.clone(), Arc::new(synthesize(name, image, sys)?));
     }
     Ok(augmented)
 }
 
 /// Build one system view's contents as a [`TableStore`].
-pub(crate) fn synthesize(
-    name: &str,
-    catalog: &Catalog,
-    arrays: &HashMap<String, ArrayStore>,
-    tables: &HashMap<String, TableStore>,
-    sys: &SysData,
-) -> Result<TableStore> {
+pub(crate) fn synthesize(name: &str, image: &Image, sys: &SysData) -> Result<TableStore> {
     let Some(SchemaObject::Table(def)) = sciql_catalog::sysview::get(name) else {
         return Err(EngineError::msg(format!("unknown system view {name:?}")));
     };
@@ -123,9 +124,9 @@ pub(crate) fn synthesize(
         "sys.histograms" => histogram_rows(),
         "sys.sessions" => session_rows(&sys.sessions),
         "sys.query_log" => query_log_rows(),
-        "sys.tables" => table_rows(catalog),
-        "sys.columns" => column_rows(catalog),
-        "sys.tiles" => tile_rows(arrays, tables),
+        "sys.tables" => table_rows(&image.catalog),
+        "sys.columns" => column_rows(&image.catalog),
+        "sys.tiles" => tile_rows(&image.arrays, &image.tables),
         "sys.wal" => wal_rows(sys.vault.as_ref()),
         "sys.replication" => replication_rows(),
         other => {
@@ -321,8 +322,8 @@ fn column_rows(catalog: &Catalog) -> Vec<Vec<Value>> {
 /// zone-skipping scan consults. Values project to doubles; string
 /// columns report NULL bounds.
 fn tile_rows(
-    arrays: &HashMap<String, ArrayStore>,
-    tables: &HashMap<String, TableStore>,
+    arrays: &HashMap<String, Arc<ArrayStore>>,
+    tables: &HashMap<String, Arc<TableStore>>,
 ) -> Vec<Vec<Value>> {
     let mut rows = Vec::new();
     let mut push_column = |object: &str, column: &str, bat: &Bat| {
@@ -435,7 +436,7 @@ mod tests {
         let sys = SysData::default();
         for def in sciql_catalog::sysview::definitions() {
             let name = def.name();
-            let store = synthesize(name, conn.catalog(), &conn.arrays, &conn.tables, &sys).unwrap();
+            let store = synthesize(name, &conn.image, &sys).unwrap();
             assert_eq!(store.cols.len(), object_column_count(def), "{name}");
             let rows = store.row_count();
             for (c, meta) in store.cols.iter().zip(match def {
@@ -455,14 +456,7 @@ mod tests {
             "CREATE ARRAY m (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], v INT DEFAULT 0)",
         )
         .unwrap();
-        let store = synthesize(
-            "sys.tiles",
-            conn.catalog(),
-            &conn.arrays,
-            &conn.tables,
-            &SysData::default(),
-        )
-        .unwrap();
+        let store = synthesize("sys.tiles", &conn.image, &SysData::default()).unwrap();
         let (total, _) = conn.array_store("m").unwrap().tile_stats();
         assert_eq!(store.row_count(), total, "one sys.tiles row per tile");
     }

@@ -359,6 +359,31 @@ fn attach_shares_an_engine() {
     assert_eq!(b.transport_kind(), "engine");
 }
 
+/// With no reader alive, a partial UPDATE on `mem:` writes the stored
+/// column in place: the column keeps its address.
+#[test]
+fn unshared_partial_update_writes_in_place() {
+    let mut conn = Sciql::connect("mem:").unwrap();
+    conn.execute(
+        "CREATE ARRAY a (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], v INT DEFAULT 0)",
+    )
+    .unwrap();
+    drop(conn.query("SELECT v FROM a WHERE x = 1").unwrap());
+    let column = |conn: &mut Conn| {
+        let store = conn
+            .embedded_connection()
+            .unwrap()
+            .array_store("a")
+            .unwrap();
+        Arc::as_ptr(&store.attrs[0])
+    };
+    let before = column(&mut conn);
+    assert_eq!(conn.execute("UPDATE a SET v = 7 WHERE x = 1").unwrap(), 4);
+    assert_eq!(column(&mut conn), before);
+    let mut rows = conn.query("SELECT COUNT(*) FROM a WHERE v = 7").unwrap();
+    assert_eq!(rows.next_row().unwrap().get::<i64>(0).unwrap(), 4);
+}
+
 /// Bad URLs fail with the Connection code, not a panic.
 #[test]
 fn connect_rejects_bad_urls() {

@@ -3,7 +3,7 @@
 //!
 //! The tests scrape every public item declaration out of `src/driver.rs`
 //! (snapshot `tests/snapshots/driver_api.txt`) and out of
-//! `crates/core/src/{session,engine,exec}.rs` (snapshot
+//! `crates/core/src/{session,engine,exec,storage}.rs` (snapshot
 //! `tests/snapshots/core_session_api.txt`), and out of the MAL layer's
 //! program, interpreter, optimizer and primitive-library modules
 //! (snapshot `tests/snapshots/mal_api.txt`, which also covers the entry
@@ -18,7 +18,9 @@ use std::path::PathBuf;
 
 /// Extract normalized public item signatures from a Rust source file:
 /// `pub fn/struct/enum/trait/type` declarations (and exported macros),
-/// captured up to the opening brace or semicolon, whitespace-collapsed.
+/// captured up to the opening brace or semicolon, whitespace-collapsed,
+/// plus each `pub` field of a `pub struct` as
+/// `pub struct Name { pub field: Type }`.
 fn public_items(source: &str) -> Vec<String> {
     const STARTERS: &[&str] = &[
         "pub fn ",
@@ -31,8 +33,32 @@ fn public_items(source: &str) -> Vec<String> {
     let mut capture: Option<String> = None;
     // A macro is public only under `#[macro_export]`.
     let mut exported = false;
+    // The struct whose body the scan is in, when that struct is public.
+    let mut public_struct: Option<&str> = None;
     for raw in source.lines() {
         let line = raw.trim();
+        match line.split_once("struct ") {
+            Some((head, rest)) if head.is_empty() || head.starts_with("pub") => {
+                public_struct = (head == "pub ")
+                    .then(|| {
+                        rest.split(|c: char| !c.is_alphanumeric() && c != '_')
+                            .next()
+                    })
+                    .flatten();
+            }
+            _ => {}
+        }
+        if let (None, Some(name), Some((field, ty))) = (
+            &capture,
+            public_struct,
+            line.strip_prefix("pub ").and_then(|f| f.split_once(':')),
+        ) {
+            if field.chars().all(|c| c.is_alphanumeric() || c == '_') {
+                let ty = ty.trim().trim_end_matches(',');
+                items.push(format!("pub struct {name} {{ pub {field}: {ty} }}"));
+                continue;
+            }
+        }
         if capture.is_none()
             && (STARTERS.iter().any(|s| line.starts_with(s))
                 || (exported && line.starts_with("macro_rules! ")))
@@ -104,7 +130,8 @@ fn driver_public_api_matches_snapshot() {
 }
 
 /// The statement entry points underneath the driver: `Connection`,
-/// `SharedEngine` / `EngineSession` and the shared executor.
+/// `SharedEngine` / `EngineSession`, the shared executor, and the store
+/// structs whose fields the out-of-workspace `benchmark/` crate reads.
 #[test]
 fn core_session_api_matches_snapshot() {
     check_snapshot(
@@ -113,6 +140,7 @@ fn core_session_api_matches_snapshot() {
             "crates/core/src/session.rs",
             "crates/core/src/engine.rs",
             "crates/core/src/exec.rs",
+            "crates/core/src/storage.rs",
         ],
         "core_session_api.txt",
     );
@@ -156,4 +184,16 @@ fn scraper_sees_the_core_surface() {
         );
     }
     assert!(items.len() >= 40, "suspiciously few items: {}", items.len());
+    // The store fields `benchmark/` reads are part of the guarded surface.
+    let source = std::fs::read_to_string(root.join("crates/core/src/storage.rs")).unwrap();
+    let items = public_items(&source);
+    for needle in [
+        "pub struct ArrayStore { pub dims: Vec<Arc<Bat>> }",
+        "pub struct ArrayStore { pub attrs: Vec<Arc<Bat>> }",
+    ] {
+        assert!(
+            items.iter().any(|i| i == needle),
+            "scraper lost {needle:?}; items: {items:#?}"
+        );
+    }
 }
