@@ -3,6 +3,13 @@
 use gdk::{Bat, Oid, ScalarType, Value};
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// The source of every [`Catalog::version`]: one process-wide counter, so
+/// no two schema states share a version, not even across catalogs — a
+/// replica bootstrap replaces its engine's whole catalog, and a plan
+/// cached against the old one must not match the new one.
+static NEXT_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// Errors raised by catalog operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -302,7 +309,7 @@ impl Catalog {
             return Err(CatalogError::AlreadyExists(obj.name().to_owned()));
         }
         self.objects.insert(key, obj);
-        self.version += 1;
+        self.bump_version();
         Ok(())
     }
 
@@ -312,15 +319,22 @@ impl Catalog {
             .objects
             .remove(&Self::key(name))
             .ok_or_else(|| CatalogError::NotFound(name.to_owned()))?;
-        self.version += 1;
+        self.bump_version();
         Ok(obj)
     }
 
-    /// A counter bumped by every successful schema change (create, drop,
-    /// dimension alteration) — lets callers detect "did anything change?"
-    /// without diffing object lists.
+    /// The schema's version: 0 for an empty, never-changed catalog, and
+    /// a fresh value after every successful schema change (create, drop,
+    /// dimension alteration). The value is unique in the process, so
+    /// equal versions mean the same schema even across catalog
+    /// instances: callers detect "did anything change?" without diffing
+    /// object lists.
     pub fn version(&self) -> u64 {
         self.version
+    }
+
+    fn bump_version(&mut self) {
+        self.version = NEXT_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Look up an object. Names in the reserved `sys.` schema fall
@@ -375,7 +389,7 @@ impl Catalog {
             .dim_index(dim)
             .ok_or_else(|| CatalogError::NotFound(format!("{array}.{dim}")))?;
         a.dims[k].range = Some(range);
-        self.version += 1;
+        self.bump_version();
         Ok(())
     }
 
