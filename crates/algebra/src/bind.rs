@@ -164,12 +164,27 @@ pub fn linear_offset(e: &Expr, var: &str) -> Result<i64> {
 /// The binder.
 pub struct Binder<'a> {
     catalog: &'a Catalog,
+    slot_types: &'a [ScalarType],
 }
 
 impl<'a> Binder<'a> {
     /// New binder over a catalog.
     pub fn new(catalog: &'a Catalog) -> Self {
-        Binder { catalog }
+        Binder {
+            catalog,
+            slot_types: &[],
+        }
+    }
+
+    /// Type placeholder slot `k` as `slot_types[k]` instead of by its
+    /// context. A slot that holds a lifted literal takes the literal's
+    /// own type, so the plan compares exactly as the literal would.
+    pub fn with_slot_types(self, slot_types: &'a [ScalarType]) -> Self {
+        Binder { slot_types, ..self }
+    }
+
+    fn slot_type(&self, slot: usize) -> Option<ScalarType> {
+        self.slot_types.get(slot).copied()
     }
 
     /// Bind a full SELECT statement into a plan. Returns the plan; its
@@ -678,7 +693,6 @@ impl<'a> Binder<'a> {
 
     /// Structural recursion over non-leaf expression shapes; `rec` binds
     /// the children in the caller's context.
-    #[allow(clippy::only_used_in_recursion)]
     fn bind_scalar_parts(
         &self,
         scope: &Scope,
@@ -689,7 +703,7 @@ impl<'a> Binder<'a> {
         // column or literal adopts that sibling's type, so `v < ?`
         // compiles to the same typed kernel call as `v < 3`. A parameter
         // with no typed sibling stays untyped (the kernels coerce the
-        // scalar at run time).
+        // scalar at run time). A slot typed up front keeps its type.
         let hint = |sibling: &Expr| -> Option<ScalarType> {
             match sibling {
                 Expr::Column { qualifier, name } => scope
@@ -707,7 +721,7 @@ impl<'a> Binder<'a> {
             match e {
                 Expr::Param(p) => Ok(BExpr::Param {
                     slot: p.slot,
-                    ty: hint(sibling),
+                    ty: self.slot_type(p.slot).or_else(|| hint(sibling)),
                 }),
                 other => rec(other),
             }
@@ -716,7 +730,7 @@ impl<'a> Binder<'a> {
             Expr::Literal(l) => Ok(BExpr::Const(literal_value(l))),
             Expr::Param(p) => Ok(BExpr::Param {
                 slot: p.slot,
-                ty: None,
+                ty: self.slot_type(p.slot),
             }),
             Expr::Column { qualifier, name } => {
                 scope.resolve(qualifier.as_deref(), name).map(BExpr::Col)

@@ -10,13 +10,27 @@
 //! the session's bookkeeping. README § *Statement lifecycle* states the
 //! contract and names the test pinning each invariant.
 //!
-//! A [`Prepared`] carries the parsed AST plus, for SELECTs, a cached
-//! plan: the bound, optimised MAL program compiled **once** with
-//! [`mal::Arg::Param`] slots where the statement had `?`/`:name`
-//! placeholders. Re-executing the statement fills the slots with the
-//! caller's values and runs the cached program directly — no re-parse,
-//! no re-bind, no re-optimise. The cache is invalidated by schema
-//! changes (catalog version) and by execution reconfiguration (optimizer
+//! Every SELECT, prepared or ad hoc, runs a cached plan when it can: the
+//! bound, optimised MAL program compiled **once** with
+//! [`mal::Arg::Param`] slots, which each execution fills with its own
+//! values — no re-bind, no re-optimise.
+//!
+//! - A [`Prepared`] SELECT keeps its plan, with a slot for each
+//!   `?`/`:name` placeholder; re-executing it also skips the parse.
+//! - An ad-hoc SELECT (text or script, on any transport) is looked up in
+//!   the session's bounded `PlanCache` under its lifted form
+//!   ([`SelectStmt::lift_literals`]): every literal that is a direct
+//!   operand of `=`, `<>`, `<`, `<=`, `>`, `>=` or a `BETWEEN` bound in
+//!   the WHERE clause becomes a slot typed as the literal itself, so the
+//!   next statement that differs only in those literals reruns the plan.
+//!   `NULL` and literals anywhere else (projections, `CASE`, `IN`
+//!   lists, slices, tiles, `LIMIT`) are part of the key.
+//! - `EXPLAIN` and `EXPLAIN ANALYZE` plan the statement as written, so
+//!   they show the unlifted plan; `sys.query_log` logs the statement
+//!   with its own literals.
+//!
+//! A cached plan is invalidated by schema changes (catalog version,
+//! unique in the process) and by execution reconfiguration (optimizer
 //! level, thread count), never by data changes: programs reference
 //! stored columns by name through `sql.bind`, so a cached plan always
 //! sees the current column versions.
@@ -34,8 +48,9 @@ use crate::session::{text_rows, Connection, LastExec, QueryResult};
 use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::{self, SysData};
 use crate::{EngineError, Result};
-use gdk::{Bat, Value};
+use gdk::{Bat, ScalarType, Value};
 use mal::{Binder as MalBinder, ExecStats, Interpreter, MalValue, OptConfig, PassStats, Program};
+use sciql_algebra::bind::literal_value;
 use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, ColInfo, Plan};
 use sciql_catalog::Catalog;
 use sciql_obs::{SpanId, Trace, Tracer};
@@ -66,8 +81,9 @@ pub struct Prepared {
     cache: Option<CachedPlan>,
 }
 
-/// The compiled-once artefact of a prepared SELECT, plus everything the
-/// validity check needs.
+/// The compiled-once artefact of a cached SELECT (a prepared statement,
+/// or an ad-hoc statement's lifted form), plus everything the validity
+/// check needs.
 #[derive(Debug, Clone)]
 struct CachedPlan {
     prog: Program,
@@ -130,20 +146,6 @@ impl Prepared {
         matches!(self.stmt, Stmt::Select(_))
     }
 
-    /// Does the cached plan match the current engine state?
-    fn cache_valid(
-        &self,
-        catalog_version: u64,
-        opt_config: OptConfig,
-        codegen: &CodegenOptions,
-    ) -> bool {
-        self.cache.as_ref().is_some_and(|c| {
-            c.catalog_version == catalog_version
-                && c.opt_config == opt_config
-                && c.codegen == *codegen
-        })
-    }
-
     /// Fail unless enough parameter values are bound.
     pub fn check_params(&self, params: &[Value]) -> Result<()> {
         if params.len() < self.params.len() {
@@ -170,6 +172,40 @@ fn prepared_key(name: &str) -> Cow<'_, str> {
         Cow::Owned(name.to_ascii_lowercase())
     } else {
         Cow::Borrowed(name)
+    }
+}
+
+/// Most ad-hoc SELECT plans one session keeps; past it, the least
+/// recently used one goes.
+const PLAN_CACHE_CAPACITY: usize = 256;
+
+/// A session's ad-hoc SELECT plans, keyed on the statement's lifted form
+/// (see [`SelectStmt::lift_literals`]) and the types of its lifted
+/// literals.
+#[derive(Debug, Default)]
+pub(crate) struct PlanCache {
+    map: HashMap<PlanKey, (u64, CachedPlan)>,
+    /// Bumped on every insert; an entry's stamp says when it last ran.
+    clock: u64,
+}
+
+type PlanKey = (String, Vec<ScalarType>);
+
+impl PlanCache {
+    /// Take out the plan for `key`, if any; [`PlanCache::put`] returns it.
+    fn take(&mut self, key: &PlanKey) -> Option<CachedPlan> {
+        self.map.remove(key).map(|(_, plan)| plan)
+    }
+
+    fn put(&mut self, key: PlanKey, plan: CachedPlan) {
+        if self.map.len() >= PLAN_CACHE_CAPACITY {
+            let oldest = self.map.iter().min_by_key(|(_, (stamp, _))| *stamp);
+            if let Some(oldest) = oldest.map(|(k, _)| k.clone()) {
+                self.map.remove(&oldest);
+            }
+        }
+        self.clock += 1;
+        self.map.insert(key, (self.clock, plan));
     }
 }
 
@@ -321,10 +357,18 @@ fn run_program(
 }
 
 /// Bind + rewrite a SELECT into a logical plan, under `bind` and
-/// `rewrite` spans.
-fn plan_select(sel: &SelectStmt, catalog: &Catalog, tracer: &mut Tracer) -> Result<Plan> {
+/// `rewrite` spans. Placeholder slot `k` is typed `slot_types[k]` when
+/// given, by its context otherwise.
+fn plan_select(
+    sel: &SelectStmt,
+    catalog: &Catalog,
+    slot_types: &[ScalarType],
+    tracer: &mut Tracer,
+) -> Result<Plan> {
     let sp = tracer.open(SpanId::ROOT, "bind");
-    let bound = Binder::new(catalog).bind_select(sel);
+    let bound = Binder::new(catalog)
+        .with_slot_types(slot_types)
+        .bind_select(sel);
     tracer.close(sp);
     let sp = tracer.open(SpanId::ROOT, "rewrite");
     let plan = rewrite(bound?);
@@ -332,14 +376,15 @@ fn plan_select(sel: &SelectStmt, catalog: &Catalog, tracer: &mut Tracer) -> Resu
     Ok(plan)
 }
 
-/// Run an ad-hoc SELECT through the full Fig-2 pipeline.
+/// Run a SELECT through the full Fig-2 pipeline, past every plan cache
+/// (`EXPLAIN ANALYZE`, `INSERT … SELECT`).
 pub(crate) fn execute_select(
     sel: &SelectStmt,
     image: &Image,
     sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let plan = plan_select(sel, &image.catalog, tracer)?;
+    let plan = plan_select(sel, &image.catalog, &[], tracer)?;
     execute_plan(&plan, image, sys, tracer)
 }
 
@@ -363,30 +408,17 @@ pub(crate) fn execute_plan(
     Ok((rs, last))
 }
 
-/// Execute a prepared SELECT with bound parameters. Reuses the cached
-/// compiled plan when it is still valid — `ExecStats::plan_cache_hits`
-/// reports which path ran.
-fn execute_prepared_select(
-    prep: &mut Prepared,
-    params: &[Value],
-    image: &Image,
-    sys: Sys<'_>,
-    tracer: &mut Tracer,
-) -> Result<(ResultSet, LastExec)> {
-    let Stmt::Select(sel) = &prep.stmt else {
-        return Err(EngineError::msg(
-            "execute_prepared_select requires a SELECT statement",
-        ));
-    };
-    let hit = prep.cache_valid(image.catalog.version(), image.opt_config, &image.codegen);
-    let m = sciql_obs::global();
-    if hit {
-        m.plan_cache_hits.inc();
-    } else {
-        m.plan_cache_misses.inc();
-        let plan = plan_select(sel, &image.catalog, tracer)?;
+impl CachedPlan {
+    /// Plan and compile `sel` against `image`.
+    fn compile(
+        sel: &SelectStmt,
+        slot_types: &[ScalarType],
+        image: &Image,
+        tracer: &mut Tracer,
+    ) -> Result<CachedPlan> {
+        let plan = plan_select(sel, &image.catalog, slot_types, tracer)?;
         let (prog, opt_report, instrs_before, instrs_after) = compile_plan(&plan, image, tracer)?;
-        prep.cache = Some(CachedPlan {
+        Ok(CachedPlan {
             prog,
             schema: plan.schema(),
             catalog_version: image.catalog.version(),
@@ -396,9 +428,40 @@ fn execute_prepared_select(
             instrs_before,
             instrs_after,
             sys_views: sysview::sys_scans(&plan),
-        });
+        })
     }
-    let cache = prep.cache.as_ref().expect("compiled above");
+
+    /// Was the plan compiled against `image`'s schema and settings?
+    fn valid_for(&self, image: &Image) -> bool {
+        self.catalog_version == image.catalog.version()
+            && self.opt_config == image.opt_config
+            && self.codegen == image.codegen
+    }
+}
+
+/// Execute `sel` through the plan in `slot`, compiling it into the slot
+/// first unless the plan there is still valid for `image`.
+/// `ExecStats::plan_cache_hits` reports which path ran. `params` fill
+/// the plan's placeholder slots; `slot_types` types those a lifted
+/// literal left (a prepared statement's take their type from context).
+fn execute_cached(
+    slot: &mut Option<CachedPlan>,
+    sel: &SelectStmt,
+    slot_types: &[ScalarType],
+    params: &[Value],
+    image: &Image,
+    sys: Sys<'_>,
+    tracer: &mut Tracer,
+) -> Result<(ResultSet, LastExec)> {
+    let hit = slot.as_ref().is_some_and(|c| c.valid_for(image));
+    let m = sciql_obs::global();
+    if hit {
+        m.plan_cache_hits.inc();
+    } else {
+        m.plan_cache_misses.inc();
+        *slot = Some(CachedPlan::compile(sel, slot_types, image, tracer)?);
+    }
+    let cache = slot.as_ref().expect("compiled above");
     if tracer.is_on() {
         tracer.note(SpanId::ROOT, "plan_cache_hit", u64::from(hit));
     }
@@ -419,6 +482,52 @@ fn execute_prepared_select(
         instrs_after_opt: cache.instrs_after,
     };
     Ok((rs, last))
+}
+
+/// Execute a prepared SELECT with bound parameters, reusing its compiled
+/// plan while that is still valid.
+fn execute_prepared_select(
+    prep: &mut Prepared,
+    params: &[Value],
+    image: &Image,
+    sys: Sys<'_>,
+    tracer: &mut Tracer,
+) -> Result<(ResultSet, LastExec)> {
+    let Stmt::Select(sel) = &prep.stmt else {
+        return Err(EngineError::msg(
+            "execute_prepared_select requires a SELECT statement",
+        ));
+    };
+    execute_cached(&mut prep.cache, sel, &[], params, image, sys, tracer)
+}
+
+/// Execute an ad-hoc SELECT through the session's plan cache: its lifted
+/// form is planned once, and every later statement that differs from it
+/// only in lifted literals runs that plan with its own literals bound.
+fn execute_adhoc_select(
+    plans: &mut PlanCache,
+    sel: &SelectStmt,
+    image: &Image,
+    sys: Sys<'_>,
+    tracer: &mut Tracer,
+) -> Result<(ResultSet, LastExec)> {
+    let Some((lifted, literals)) = sel.lift_literals() else {
+        // Placeholders of its own: nothing binds them, so let the
+        // pipeline report the unbound slot as it always has.
+        return execute_select(sel, image, sys, tracer);
+    };
+    let values: Vec<Value> = literals.iter().map(literal_value).collect();
+    let types = values
+        .iter()
+        .map(|v| v.scalar_type().expect("NULL is never lifted"))
+        .collect();
+    let key = (lifted.to_string(), types);
+    let mut slot = plans.take(&key);
+    let result = execute_cached(&mut slot, &lifted, &key.1, &values, image, sys, tracer);
+    if let Some(plan) = slot {
+        plans.put(key, plan);
+    }
+    result
 }
 
 /// EXPLAIN: the logical plan and the generated and optimised MAL text.
@@ -448,8 +557,10 @@ pub(crate) struct SessionState {
     pub(crate) id: u64,
     /// Statistics of the most recent statement.
     pub(crate) last: LastExec,
-    /// Named prepared statements (compiled-once plan cache for SELECTs).
+    /// Named prepared statements (a SELECT keeps its compiled plan).
     pub(crate) prepared: PreparedSet,
+    /// Compiled plans of ad-hoc SELECTs, by lifted form.
+    pub(crate) plans: PlanCache,
     /// When set, every statement records a span trace.
     pub(crate) trace_enabled: bool,
     /// The span tree of the most recent traced statement.
@@ -784,7 +895,7 @@ fn run_read(
     };
     let rs = match explain {
         None => {
-            let (rs, last) = execute_select(sel, image, sys, tracer)?;
+            let (rs, last) = execute_adhoc_select(&mut state.plans, sel, image, sys, tracer)?;
             state.last = last;
             rs
         }

@@ -298,8 +298,8 @@ metrics_struct! {
         queries_dml: "Successfully executed DML statements (INSERT/UPDATE/DELETE/COPY).",
         queries_ddl: "Successfully executed DDL statements.",
         queries_failed: "Statements that failed with an error.",
-        plan_cache_hits: "Plan-cache hits on prepared-statement execution.",
-        plan_cache_misses: "Plan-cache misses (compiles).",
+        plan_cache_hits: "SELECTs, prepared or ad hoc, that reran a cached plan.",
+        plan_cache_misses: "SELECTs, prepared or ad hoc, that compiled a plan.",
         wal_appends: "WAL records appended.",
         wal_fsyncs: "WAL fsyncs issued.",
         wal_fsyncs_saved: "Commits that rode another writer's group fsync instead of paying their own.",

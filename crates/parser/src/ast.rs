@@ -677,6 +677,93 @@ impl SelectStmt {
             o.expr.walk(f);
         }
     }
+
+    /// The statement with its comparison literals lifted out, for plan
+    /// caching: statements that differ only in those literals lift to
+    /// the same statement. A literal is lifted where it is a direct
+    /// operand of `=`, `<>`, `<`, `<=`, `>` or `>=`, or a `BETWEEN` bound,
+    /// in the WHERE clause, and its other operand reads a column (so
+    /// `1 = 1` still folds). It becomes a `?` placeholder, numbered in
+    /// pre-order, and comes back in slot order; a negated number is
+    /// lifted as its negative value. `NULL` and every literal anywhere
+    /// else (projections, `CASE`, `IN` lists, slices, tiles, `LIMIT`)
+    /// stay in place. `None` when the statement has placeholders of its
+    /// own.
+    pub fn lift_literals(&self) -> Option<(SelectStmt, Vec<Literal>)> {
+        let mut has_params = false;
+        self.walk_exprs(&mut |e| has_params |= matches!(e, Expr::Param(_)));
+        if has_params {
+            return None;
+        }
+        let mut lifted = self.clone();
+        let mut literals = Vec::new();
+        if let Some(w) = &mut lifted.where_clause {
+            lift_comparisons(w, &mut literals);
+        }
+        Some((lifted, literals))
+    }
+}
+
+/// Does the expression read a column or a cell?
+fn reads_column(e: &Expr) -> bool {
+    let mut found = false;
+    e.walk(&mut |e| found |= matches!(e, Expr::Column { .. } | Expr::Cell { .. }));
+    found
+}
+
+/// Lift the comparison literals of a WHERE predicate (see
+/// [`SelectStmt::lift_literals`]), descending through the boolean and
+/// comparison structure only.
+fn lift_comparisons(e: &mut Expr, out: &mut Vec<Literal>) {
+    match e {
+        Expr::Binary { op, lhs, rhs } => {
+            if op.is_comparison() {
+                let (lhs_reads, rhs_reads) = (reads_column(lhs), reads_column(rhs));
+                if rhs_reads {
+                    lift_operand(lhs, out);
+                }
+                if lhs_reads {
+                    lift_operand(rhs, out);
+                }
+            }
+            lift_comparisons(lhs, out);
+            lift_comparisons(rhs, out);
+        }
+        Expr::Between { expr, lo, hi, .. } => {
+            if reads_column(expr) {
+                lift_operand(lo, out);
+                lift_operand(hi, out);
+            }
+            lift_comparisons(expr, out);
+        }
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => lift_comparisons(expr, out),
+        _ => {}
+    }
+}
+
+/// Replace a non-NULL literal operand by the next placeholder slot.
+fn lift_operand(e: &mut Expr, out: &mut Vec<Literal>) {
+    let literal = match e {
+        Expr::Literal(Literal::Null) => return,
+        Expr::Literal(l) => l.clone(),
+        Expr::Unary {
+            op: UnaryOp::Neg,
+            expr,
+        } => match **expr {
+            Expr::Literal(Literal::Int(v)) => match v.checked_neg() {
+                Some(v) => Literal::Int(v),
+                None => return,
+            },
+            Expr::Literal(Literal::Float(v)) => Literal::Float(-v),
+            _ => return,
+        },
+        _ => return,
+    };
+    *e = Expr::Param(ParamRef {
+        slot: out.len(),
+        name: None,
+    });
+    out.push(literal);
 }
 
 impl Stmt {
@@ -906,6 +993,38 @@ mod tests {
             else_: None,
         };
         assert!(nested.contains_aggregate());
+    }
+
+    #[test]
+    fn lifts_only_where_comparison_literals() {
+        let sql = "SELECT v + 1 FROM m WHERE x = 3 AND -y BETWEEN -2 AND 2.5 AND 1 = 1 \
+                   AND 'a' <> s AND w = NULL AND v IN (1, 2) \
+                   AND CASE WHEN v > 7 THEN TRUE END LIMIT 5";
+        let Stmt::Select(sel) = crate::parse_statement(sql).unwrap() else {
+            panic!("a SELECT")
+        };
+        let (lifted, literals) = sel.lift_literals().unwrap();
+        assert_eq!(
+            literals,
+            [
+                Literal::Int(3),
+                Literal::Int(-2),
+                Literal::Float(2.5),
+                Literal::Str("a".into())
+            ]
+        );
+        assert_eq!(
+            lifted.to_string(),
+            "SELECT (v + 1) FROM m WHERE (((((((x = ?) AND ((-(y)) BETWEEN (?) AND (?))) \
+             AND (1 = 1)) AND (? <> s)) AND (w = NULL)) AND ((v) IN (1, 2))) \
+             AND CASE WHEN (v > 7) THEN TRUE END) LIMIT 5"
+        );
+        let Stmt::Select(with_param) =
+            crate::parse_statement("SELECT v FROM m WHERE x = ?").unwrap()
+        else {
+            panic!("a SELECT")
+        };
+        assert!(with_param.lift_literals().is_none());
     }
 
     #[test]

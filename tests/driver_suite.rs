@@ -145,8 +145,9 @@ struct ScriptFootprint {
     log: Vec<(String, String, i64, bool, bool)>,
 }
 
-/// Ad-hoc SELECT, prepared SELECT (plan-cache miss, then hit), UPDATE,
-/// prepared UPDATE and a failing statement, with tracing on.
+/// Ad-hoc SELECT twice with different literals and prepared SELECT
+/// (each a plan-cache miss, then a hit), UPDATE, prepared UPDATE and a
+/// failing statement, with tracing on.
 fn run_parity_script(conn: &mut Conn) -> ScriptFootprint {
     conn.execute("CREATE TABLE parity_kv (k INT, v INT)")
         .unwrap();
@@ -172,8 +173,11 @@ fn run_parity_script(conn: &mut Conn) -> ScriptFootprint {
         let lines: Vec<String> = trace.lines().map(str::to_owned).collect();
         steps.push((outcome, conn.last_report().unwrap(), shape(&lines)));
     };
-    let rows = conn.query("SELECT v FROM parity_kv WHERE k >= 2").unwrap();
-    step(conn, format!("{} rows", rows.row_count()));
+    for lo in [2, 3] {
+        let sql = format!("SELECT v FROM parity_kv WHERE k >= {lo}");
+        let rows = conn.query(&sql).unwrap();
+        step(conn, format!("{} rows", rows.row_count()));
+    }
     for bound in [15, 25] {
         let mut rows = conn.query_bound(&count, params![bound]).unwrap();
         let n: i64 = rows.next_row().unwrap().get(0).unwrap();
@@ -222,11 +226,12 @@ fn script_footprint_identical_across_transports() {
     let mut remote = Sciql::connect(&format!("tcp://{}", handle.addr())).unwrap();
 
     let embedded = run_parity_script(&mut local);
-    assert_eq!(embedded.steps.len(), 6);
-    assert_eq!(embedded.log.len(), 6, "{:#?}", embedded.log);
+    assert_eq!(embedded.steps.len(), 7);
+    assert_eq!(embedded.log.len(), 7, "{:#?}", embedded.log);
     let hits: Vec<bool> = embedded.log.iter().map(|r| r.3).collect();
-    assert_eq!(hits, [false, false, true, false, false, false]);
-    assert!(!embedded.log[5].4, "the failing statement logs its error");
+    assert_eq!(hits, [false, true, false, true, false, false, false]);
+    assert_eq!(embedded.steps[1].1.plan_cache_hits, 1, "ad-hoc hit");
+    assert!(!embedded.log[6].4, "the failing statement logs its error");
     assert_eq!(embedded, run_parity_script(&mut attached), "mem: vs attach");
     assert_eq!(embedded, run_parity_script(&mut remote), "mem: vs tcp://");
 
