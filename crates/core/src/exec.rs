@@ -177,7 +177,7 @@ fn prepared_key(name: &str) -> Cow<'_, str> {
 
 /// Most ad-hoc SELECT plans one session keeps; past it, the least
 /// recently used one goes.
-const PLAN_CACHE_CAPACITY: usize = 256;
+pub(crate) const PLAN_CACHE_CAPACITY: usize = 256;
 
 /// A session's ad-hoc SELECT plans, keyed on the statement's lifted form
 /// (see [`SelectStmt::lift_literals`]) and the types of its lifted

@@ -546,6 +546,25 @@ fn prepared_select_reuses_cached_plan() {
 }
 
 #[test]
+fn adhoc_plan_cache_keeps_the_most_recently_run_plans() {
+    use crate::exec::PLAN_CACHE_CAPACITY;
+    let mut c = fig1_connection();
+    let hit = |c: &mut Connection, i: usize| {
+        // A projection literal stays in the key: one plan per `i`.
+        c.query(&format!("SELECT v + {i} FROM m WHERE x > 1"))
+            .unwrap();
+        c.last_exec().exec.plan_cache_hits == 1
+    };
+    for i in 0..PLAN_CACHE_CAPACITY {
+        assert!(!hit(&mut c, i));
+    }
+    assert!(hit(&mut c, 0), "nothing evicted while the cache fits");
+    assert!(!hit(&mut c, PLAN_CACHE_CAPACITY));
+    assert!(hit(&mut c, 0), "the plan run last is kept");
+    assert!(!hit(&mut c, 1), "the plan run longest ago went");
+}
+
+#[test]
 fn prepared_select_cache_invalidated_by_reconfig() {
     let mut c = fig1_connection();
     c.prepare("q", "SELECT SUM(v) FROM m WHERE x > ?").unwrap();

@@ -1025,6 +1025,18 @@ mod tests {
             panic!("a SELECT")
         };
         assert!(with_param.lift_literals().is_none());
+        // The parser folds `-5` itself; a built AST may not have.
+        let negated = |e: Expr| Expr::Unary {
+            op: UnaryOp::Neg,
+            expr: Box::new(e),
+        };
+        let built = SelectStmt {
+            where_clause: Some(Expr::bin(BinOp::Gt, Expr::col("x"), negated(Expr::int(5)))),
+            ..with_param
+        };
+        let (lifted, literals) = built.lift_literals().unwrap();
+        assert_eq!(literals, [Literal::Int(-5)]);
+        assert_eq!(lifted.to_string(), "SELECT v FROM m WHERE (x > ?)");
     }
 
     #[test]
