@@ -57,6 +57,28 @@ pub struct Bat {
     /// Optional per-tile zone map (see [`crate::zonemap`]). Installed by
     /// bulk ingest and checkpoint load, dropped by any tail mutation.
     zones: OnceLock<Arc<ZoneMap>>,
+    /// The arithmetic form of a column [`Bat::series`] generated, kept
+    /// until a tail mutation drops it, like `zones`.
+    shape: Option<Shape>,
+}
+
+/// The five numbers of `array.series(start, step, stop, n, m)`: cell `i`
+/// holds `start + step * ((i / n) % count)`, and there are
+/// `count * n * m` cells. A selection over a column with a shape finds
+/// its hits by arithmetic instead of reading the column
+/// ([`crate::select`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    /// First value.
+    pub start: i64,
+    /// Distance between consecutive values (non-zero).
+    pub step: i64,
+    /// Number of distinct values.
+    pub count: usize,
+    /// Times each value repeats consecutively.
+    pub n: usize,
+    /// Times the whole sequence repeats.
+    pub m: usize,
 }
 
 // Zone maps are derived statistics: two BATs are equal iff their logical
@@ -90,6 +112,7 @@ impl Bat {
             hseq: 0,
             data,
             zones: OnceLock::new(),
+            shape: None,
         }
     }
 
@@ -99,6 +122,7 @@ impl Bat {
             hseq: 0,
             data: ColumnData::Void { seq, len },
             zones: OnceLock::new(),
+            shape: None,
         }
     }
 
@@ -108,6 +132,7 @@ impl Bat {
             hseq: 0,
             data,
             zones: OnceLock::new(),
+            shape: None,
         }
     }
 
@@ -178,36 +203,42 @@ impl Bat {
     /// Generates the values `start, start+step, …` in `[start, stop)`; each
     /// value is repeated `n` times consecutively, and the whole sequence is
     /// repeated `m` times (Fig 3 of the paper: a 4×4 array's `x` dimension is
-    /// `series(0,1,4,4,1)`, its `y` dimension `series(0,1,4,1,4)`).
+    /// `series(0,1,4,4,1)`, its `y` dimension `series(0,1,4,1,4)`). The BAT
+    /// keeps the five numbers as its [`Shape`].
     pub fn series(start: i64, step: i64, stop: i64, n: usize, m: usize) -> Result<Self> {
         if step == 0 {
             return Err(GdkError::invalid("series step must be non-zero"));
         }
         let count = crate::bat::series_len(start, step, stop);
-        let total = count
+        count
             .checked_mul(n)
             .and_then(|v| v.checked_mul(m))
             .ok_or_else(|| GdkError::invalid("series size overflow"))?;
-        let mut out: Vec<i64> = Vec::with_capacity(total);
-        for _ in 0..m {
-            let mut v = start;
-            for _ in 0..count {
-                for _ in 0..n {
-                    out.push(v);
-                }
-                v += step;
-            }
-        }
+        // Every value lies in `[start, stop)`, so the wrapping arithmetic
+        // never actually wraps.
+        let value = |j: usize| start.wrapping_add(step.wrapping_mul(j as i64));
+        let (lowest, highest) = match count {
+            0 => (0, 0),
+            c if step > 0 => (start, value(c - 1)),
+            c => (value(c - 1), start),
+        };
         // Dimension values that fit in `int` are stored as int, matching the
         // paper's `array.series(...) :bat[:oid,:int]` signature.
-        if out
-            .iter()
-            .all(|&v| v > i32::MIN as i64 && v <= i32::MAX as i64)
-        {
-            Ok(Bat::from_ints(out.into_iter().map(|v| v as i32).collect()))
+        let mut b = if lowest > i32::MIN as i64 && highest <= i32::MAX as i64 {
+            Bat::from_ints(repeated((0..count).map(|j| value(j) as i32), n, m))
         } else {
-            Ok(Bat::from_lngs(out))
-        }
+            Bat::from_lngs(repeated((0..count).map(value), n, m))
+        };
+        // A cell holding the nil sentinel reads as NULL, which the
+        // arithmetic form would not know.
+        b.shape = (lowest != LNG_NIL).then_some(Shape {
+            start,
+            step,
+            count,
+            n,
+            m,
+        });
+        Ok(b)
     }
 
     /// `array.filler(cnt, v)` — materialise an attribute BAT holding `cnt`
@@ -277,8 +308,20 @@ impl Bat {
     /// Mutably borrow the raw column data. Drops any installed zone map —
     /// the caller may rewrite the tail arbitrarily.
     pub fn data_mut(&mut self) -> &mut ColumnData {
-        self.zones.take();
+        self.touched();
         &mut self.data
+    }
+
+    /// Drop what a tail mutation makes stale: the zone map and the shape.
+    fn touched(&mut self) {
+        self.zones.take();
+        self.shape = None;
+    }
+
+    /// The arithmetic form of this column, while its tail is still what
+    /// [`Bat::series`] generated.
+    pub fn shape(&self) -> Option<&Shape> {
+        self.shape.as_ref()
     }
 
     /// Take ownership of the raw column data.
@@ -406,7 +449,7 @@ impl Bat {
     pub fn push(&mut self, v: &Value) -> Result<()> {
         let ty = self.tail_type();
         let cast = v.cast(ty).ok_or_else(|| cannot_store(v, ty))?;
-        self.zones.take();
+        self.touched();
         match (&mut self.data, cast) {
             (ColumnData::Void { .. }, _) => {
                 return Err(GdkError::invalid("cannot append to a void BAT"))
@@ -438,7 +481,7 @@ impl Bat {
         }
         let ty = self.tail_type();
         let cast = v.cast(ty).ok_or_else(|| cannot_store(v, ty))?;
-        self.zones.take();
+        self.touched();
         match (&mut self.data, cast) {
             (ColumnData::Void { .. }, _) => {
                 return Err(GdkError::invalid("cannot update a void BAT"))
@@ -708,6 +751,22 @@ fn convert<S: Copy, T: Copy>(
         .collect()
 }
 
+/// `values`, each repeated `n` times, the whole repeated `m` times.
+fn repeated<T: Copy>(values: impl Iterator<Item = T>, n: usize, m: usize) -> Vec<T> {
+    let mut out = Vec::new();
+    if m > 0 {
+        for v in values {
+            out.extend(std::iter::repeat_n(v, n));
+        }
+        let period = out.len();
+        out.reserve(period * (m - 1));
+        for _ in 1..m {
+            out.extend_from_within(..period);
+        }
+    }
+    out
+}
+
 /// Number of values in the right-open interval `[start, stop)` with `step`.
 pub fn series_len(start: i64, step: i64, stop: i64) -> usize {
     if step > 0 {
@@ -736,6 +795,32 @@ mod tests {
         let yi: Vec<i32> = y.as_ints().unwrap().to_vec();
         assert_eq!(xi, vec![0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3]);
         assert_eq!(yi, vec![0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn series_matches_the_cell_loop() {
+        let big = 1i64 << 40;
+        for (start, step, stop) in [(0, 1, 5), (7, -3, -6), (-big, big, big), (3, 2, 3)] {
+            for (n, m) in [(1, 1), (3, 2), (0, 4), (2, 0)] {
+                let mut want = Vec::new();
+                for _ in 0..m {
+                    for j in 0..series_len(start, step, stop) as i64 {
+                        want.extend(std::iter::repeat_n(Value::from(start + step * j), n));
+                    }
+                }
+                let b = Bat::series(start, step, stop, n, m).unwrap();
+                let got: Vec<Value> = b
+                    .iter_values()
+                    .map(|v| Value::from(v.as_i64().unwrap()))
+                    .collect();
+                assert_eq!(got, want, "series({start}, {step}, {stop}, {n}, {m})");
+                assert_eq!(
+                    b.tail_type() == ScalarType::Int,
+                    start.abs() < big,
+                    "{start}"
+                );
+            }
+        }
     }
 
     #[test]

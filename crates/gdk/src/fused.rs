@@ -16,13 +16,15 @@
 //! Predicates use the same `*_in_range` helpers the selection scan
 //! monomorphizes — so the qualifying sets cannot drift — dispatched here
 //! through the `with_range_pred!` macro so each shape gets a concrete closure
-//! (no virtual call per element on the hot path).
+//! (no virtual call per element on the hot path). A selection column with
+//! a [`crate::bat::Shape`] is not read at all: its hits come from
+//! [`crate::select`]'s arithmetic, and the kernel walks them serially.
 
 use crate::aggregate::{with_agg_push, AggFunc, AggState};
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
 use crate::project::oob;
-use crate::select::theta_bounds;
+use crate::select::{shape_select, theta_bounds};
 use crate::types::ScalarType;
 use crate::value::Value;
 use crate::Result;
@@ -37,20 +39,15 @@ macro_rules! with_range_pred {
         let b = $b;
         match b.data() {
             ColumnData::Int(vals) => {
-                let lo_i = crate::select::bound_as_i64($lo)?;
-                let hi_i = crate::select::bound_as_i64($hi)?;
-                let $pred = |pos: usize| {
-                    crate::select::int_in_range(vals[pos], lo_i, hi_i, $li, $hi_incl, $anti)
-                };
+                let range = crate::select::int_range($lo, $hi, $li, $hi_incl)?;
+                let $pred = |pos: usize| crate::select::int_in_range(vals[pos], range, $anti);
                 $body
             }
             ColumnData::Void { seq, .. } => {
-                let lo_i = crate::select::bound_as_i64($lo)?;
-                let hi_i = crate::select::bound_as_i64($hi)?;
+                let range = crate::select::int_range($lo, $hi, $li, $hi_incl)?;
                 let seq = *seq as i64;
-                let $pred = |pos: usize| {
-                    crate::select::i64_in_range(seq + pos as i64, lo_i, hi_i, $li, $hi_incl, $anti)
-                };
+                let $pred =
+                    |pos: usize| crate::select::i64_in_range(seq + pos as i64, range, $anti);
                 $body
             }
             _ => {
@@ -142,6 +139,9 @@ pub(crate) fn theta_select_project_windows(
         return Ok((crate::project::project(&Candidates::none(), payload)?, 1));
     }
     let (lo, hi, li, hi_incl, anti) = theta_bounds(val, op);
+    if let Some(hits) = shape_select(b, cand, &lo, &hi, li, hi_incl, anti) {
+        return Ok((crate::project::project(&hits, payload)?, 1));
+    }
     let out = with_range_pred!(b, &lo, &hi, li, hi_incl, anti, |pred| {
         select_project_with(b.len(), cand, payload, k, pred)
     })?;
@@ -279,6 +279,9 @@ pub(crate) fn theta_select_aggregate_windows(
         return select_aggregate_with(func, payload, 0, None, 1, |_| false);
     }
     let (lo, hi, li, hi_incl, anti) = theta_bounds(val, op);
+    if let Some(hits) = shape_select(b, cand, &lo, &hi, li, hi_incl, anti) {
+        return select_aggregate_with(func, payload, usize::MAX, Some(&hits), 1, |_| true);
+    }
     with_range_pred!(b, &lo, &hi, li, hi_incl, anti, |pred| {
         select_aggregate_with(func, payload, b.len(), cand, k, pred)
     })

@@ -37,7 +37,7 @@ pub mod types;
 pub mod value;
 pub mod zonemap;
 
-pub use bat::{Bat, ColumnData};
+pub use bat::{Bat, ColumnData, Shape};
 pub use candidates::Candidates;
 pub use par::ParConfig;
 pub use types::{Oid, ScalarType};

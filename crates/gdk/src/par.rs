@@ -34,7 +34,9 @@
 //!
 //! Inputs shorter than [`ParConfig::parallel_threshold`] run as one
 //! window, as does any shape a kernel cannot merge exactly — float
-//! `SUM`/`AVG` stay serial because float addition is not associative.
+//! `SUM`/`AVG` stay serial because float addition is not associative —
+//! and any selection over a column with a [`crate::bat::Shape`], which
+//! reads no cell.
 //! Each wrapper reports the window count actually used so the MAL
 //! interpreter can record per-instruction parallelism in its `ExecStats`.
 
@@ -292,6 +294,10 @@ pub fn rangeselect(
     anti: bool,
     cfg: &ParConfig,
 ) -> Result<(Candidates, usize)> {
+    // A column with a shape is answered by arithmetic: nothing to split.
+    if let Some(hits) = select::shape_select(b, cand, lo, hi, li, hi_incl, anti) {
+        return Ok((hits, 1));
+    }
     let n = cand.map_or(b.len(), Candidates::len);
     let k = cfg.threads_for(n);
     if k == 1 {

@@ -5,7 +5,7 @@
 //! candidate list. Nil values never qualify (SQL semantics).
 
 use crate::arith::CmpOp;
-use crate::bat::{Bat, ColumnData};
+use crate::bat::{Bat, ColumnData, Shape};
 use crate::candidates::Candidates;
 use crate::types::{Oid, BIT_NIL};
 use crate::value::Value;
@@ -44,6 +44,7 @@ pub(crate) fn theta_bounds(val: &Value, op: CmpOp) -> (Value, Value, bool, bool,
 /// Range-select: tuples whose tail lies in the interval between `lo` and
 /// `hi`; a NULL bound means unbounded on that side. `li`/`hi_incl` control
 /// bound inclusivity; `anti` negates the predicate (nils still excluded).
+/// A column with a [`Shape`] is answered by arithmetic, without reading it.
 pub fn rangeselect(
     b: &Bat,
     cand: Option<&Candidates>,
@@ -53,31 +54,30 @@ pub fn rangeselect(
     hi_incl: bool,
     anti: bool,
 ) -> Result<Candidates> {
+    if let Some(hits) = shape_select(b, cand, lo, hi, li, hi_incl, anti) {
+        return Ok(hits);
+    }
     // Monomorphized per-shape scans: the hot path must not pay a virtual
     // call per element.
     if let ColumnData::Int(vals) = b.data() {
-        let lo_i = bound_as_i64(lo)?;
-        let hi_i = bound_as_i64(hi)?;
+        let range = int_range(lo, hi, li, hi_incl)?;
         return Ok(scan(b.len(), cand, |pos| {
-            int_in_range(vals[pos], lo_i, hi_i, li, hi_incl, anti)
+            int_in_range(vals[pos], range, anti)
         }));
     }
     if let ColumnData::Void { seq, .. } = b.data() {
-        let lo_i = bound_as_i64(lo)?;
-        let hi_i = bound_as_i64(hi)?;
+        let range = int_range(lo, hi, li, hi_incl)?;
         let seq = *seq as i64;
         return Ok(scan(b.len(), cand, |pos| {
-            i64_in_range(seq + pos as i64, lo_i, hi_i, li, hi_incl, anti)
+            i64_in_range(seq + pos as i64, range, anti)
         }));
     }
-    // Bit masks (a DML predicate, `x = true`) with integral bounds; any
+    // Bit masks (a DML predicate, `x = true`) with numeric bounds; any
     // other bound compares as a boxed value below. A cell is false, true
     // or nil, so the bounds reduce to which of false/true qualify and the
     // scan compares bytes.
-    if let (ColumnData::Bit(bits), Ok(lo_i), Ok(hi_i)) =
-        (b.data(), bound_as_i64(lo), bound_as_i64(hi))
-    {
-        let holds = |v: i64| i64_in_range(v, lo_i, hi_i, li, hi_incl, anti);
+    if let (ColumnData::Bit(bits), Ok(range)) = (b.data(), int_range(lo, hi, li, hi_incl)) {
+        let holds = |v: i64| i64_in_range(v, range, anti);
         return Ok(match (holds(0), holds(1)) {
             (false, false) => Hits::default().finish(),
             (false, true) => scan(b.len(), cand, |pos| bits[pos] != 0 && bits[pos] != BIT_NIL),
@@ -92,33 +92,15 @@ pub fn rangeselect(
 
 /// Int-column element test (nil sentinel never qualifies).
 #[inline]
-pub(crate) fn int_in_range(
-    x: i32,
-    lo_i: Option<i64>,
-    hi_i: Option<i64>,
-    li: bool,
-    hi_incl: bool,
-    anti: bool,
-) -> bool {
-    if x == crate::types::INT_NIL {
-        return false;
-    }
-    i64_in_range(x as i64, lo_i, hi_i, li, hi_incl, anti)
+pub(crate) fn int_in_range(x: i32, range: (i64, i64), anti: bool) -> bool {
+    x != crate::types::INT_NIL && i64_in_range(x as i64, range, anti)
 }
 
-/// Integral range test shared by the int and void fast paths.
+/// Integral range test shared by the int and void fast paths, over an
+/// [`int_range`].
 #[inline]
-pub(crate) fn i64_in_range(
-    x: i64,
-    lo_i: Option<i64>,
-    hi_i: Option<i64>,
-    li: bool,
-    hi_incl: bool,
-    anti: bool,
-) -> bool {
-    let ge = lo_i.is_none_or(|l| if li { x >= l } else { x > l });
-    let le = hi_i.is_none_or(|h| if hi_incl { x <= h } else { x < h });
-    (ge && le) != anti
+pub(crate) fn i64_in_range(x: i64, (l, h): (i64, i64), anti: bool) -> bool {
+    (l <= x && x <= h) != anti
 }
 
 /// Generic (boxed-value) range test.
@@ -155,18 +137,163 @@ pub(crate) fn generic_in_range(
     (ge && le) != anti
 }
 
-pub(crate) fn bound_as_i64(v: &Value) -> Result<Option<i64>> {
-    if v.is_null() {
-        return Ok(None);
+/// The integers `x` with `lo <(=) x <(=) hi`, compared the way
+/// [`Value::sql_cmp`] compares an integer with each bound, as the
+/// inclusive range `(l, h)`; `l > h` when no integer qualifies. A
+/// fractional bound compares as `f64` does: `x > 2.5` is `x >= 3`, and
+/// `x = 2.5` holds for no `x`. A NULL bound is unbounded; a non-numeric
+/// one is an error.
+pub(crate) fn int_range(lo: &Value, hi: &Value, li: bool, hi_incl: bool) -> Result<(i64, i64)> {
+    const NONE: (i64, i64) = (i64::MAX, i64::MIN);
+    let holds =
+        |x: i64, bound: &Value, side: Ordering, incl: bool| match Value::Lng(x).sql_cmp(bound) {
+            Some(Ordering::Equal) => incl,
+            o => o == Some(side),
+        };
+    let l = match lo {
+        Value::Null => Some(i64::MIN),
+        Value::Dbl(_) => least(|x| holds(x, lo, Ordering::Greater, li)),
+        _ => numeric(lo)?.checked_add(i64::from(!li)),
+    };
+    let h = match hi {
+        Value::Null => Some(i64::MAX),
+        // One less than the least `x` above the bound.
+        Value::Dbl(_) => match least(|x| !holds(x, hi, Ordering::Less, hi_incl)) {
+            None => Some(i64::MAX),
+            Some(above) => above.checked_sub(1),
+        },
+        _ => numeric(hi)?.checked_sub(i64::from(!hi_incl)),
+    };
+    Ok(match (l, h) {
+        (Some(l), Some(h)) => (l, h),
+        _ => NONE,
+    })
+}
+
+/// An integral bound, or the error a non-numeric one raises.
+fn numeric(v: &Value) -> Result<i64> {
+    v.as_i64()
+        .ok_or_else(|| GdkError::type_mismatch("non-numeric bound on int select"))
+}
+
+/// The least `x` for which `up` holds, `up` being false below some point
+/// and true from there on; `None` when it never holds.
+fn least(up: impl Fn(i64) -> bool) -> Option<i64> {
+    // `up(b)` holds and `up(a)` does not, or `a` is below every i64.
+    let (mut a, mut b) = (i64::MIN as i128 - 1, i64::MAX as i128);
+    if !up(i64::MAX) {
+        return None;
     }
-    match v {
-        Value::Dbl(_) => Err(GdkError::type_mismatch(
-            "fractional bound on int select; cast first",
-        )),
-        other => other
-            .as_i64()
-            .map(Some)
-            .ok_or_else(|| GdkError::type_mismatch("non-numeric bound on int select")),
+    while b - a > 1 {
+        let mid = a + (b - a) / 2;
+        if up(mid as i64) {
+            b = mid;
+        } else {
+            a = mid;
+        }
+    }
+    Some(b as i64)
+}
+
+/// The hits of a range predicate over a column with a [`Shape`], found
+/// by arithmetic without reading the column: equal to the scan of the
+/// same values. `None` when `b` has no shape or a bound is not numeric;
+/// the caller then scans, and reports the error the column's type gives.
+pub(crate) fn shape_select(
+    b: &Bat,
+    cand: Option<&Candidates>,
+    lo: &Value,
+    hi: &Value,
+    li: bool,
+    hi_incl: bool,
+    anti: bool,
+) -> Option<Candidates> {
+    let s = b.shape()?;
+    let range = int_range(lo, hi, li, hi_incl).ok()?;
+    Some(shaped(s, cand, range, anti))
+}
+
+/// [`shape_select`] once the bounds are an [`int_range`].
+fn shaped(s: &Shape, cand: Option<&Candidates>, range: (i64, i64), anti: bool) -> Candidates {
+    let period = s.count * s.n;
+    let total = period * s.m;
+    // Each repetition of the sequence holds the same hits: the offsets
+    // of the qualifying values, or for `anti` the offsets around them.
+    let (ja, jb) = value_indices(s, range);
+    let (a, z) = (ja * s.n, jb * s.n);
+    let runs = if anti {
+        [(0, a), (z, period)]
+    } else {
+        [(a, z), (0, 0)]
+    };
+    let mut out = Hits::default();
+    match cand {
+        _ if total == 0 => {}
+        None => {
+            for base in (0..total).step_by(period) {
+                for (x, y) in runs {
+                    out.push_run((base + x) as Oid, y.saturating_sub(x));
+                }
+            }
+        }
+        Some(Candidates::Dense { first, len }) => {
+            let (lo, hi) = (
+                (*first as usize).min(total),
+                (*first as usize + len).min(total),
+            );
+            let mut base = lo - lo % period;
+            while base < hi {
+                for (x, y) in runs {
+                    let (x, y) = ((base + x).max(lo), (base + y).min(hi));
+                    out.push_run(x as Oid, y.saturating_sub(x));
+                }
+                base += period;
+            }
+        }
+        Some(Candidates::List(list)) => {
+            let mut base = 0;
+            for &o in list {
+                let o = o as usize;
+                if o >= total {
+                    break;
+                }
+                while o >= base + period {
+                    base += period;
+                }
+                if runs.iter().any(|&(x, y)| base + x <= o && o < base + y) {
+                    out.push(o as Oid);
+                }
+            }
+        }
+    }
+    out.finish()
+}
+
+/// The indices `ja..jb` of the values `start + step * j` (`j < count`)
+/// that lie in the inclusive `range`.
+fn value_indices(s: &Shape, (l, h): (i64, i64)) -> (usize, usize) {
+    let (start, step) = (s.start as i128, s.step as i128);
+    // `start + step*j >= l` bounds j from below for a positive step and
+    // from above for a negative one; likewise `<= h`.
+    let (from, to) = if step > 0 { (l, h) } else { (h, l) };
+    let ja = -floor_div(start - from as i128, step);
+    let jb = floor_div(to as i128 - start, step) + 1;
+    let ja = ja.clamp(0, s.count as i128) as usize;
+    let jb = jb.clamp(0, s.count as i128) as usize;
+    if l > h || ja >= jb {
+        (0, 0)
+    } else {
+        (ja, jb)
+    }
+}
+
+/// `a / b` rounded towards negative infinity.
+fn floor_div(a: i128, b: i128) -> i128 {
+    let q = a / b;
+    if a % b != 0 && (a < 0) != (b < 0) {
+        q - 1
+    } else {
+        q
     }
 }
 
@@ -258,6 +385,18 @@ impl Hits {
                 v.push(o);
                 self.list = Some(v);
             }
+        }
+    }
+
+    /// Push the oids `first .. first + len`.
+    fn push_run(&mut self, first: Oid, len: usize) {
+        match &mut self.list {
+            _ if len == 0 => {}
+            None if self.run == 0 => (self.first, self.run) = (first, len),
+            None if first == self.first + self.run as Oid => self.run += len,
+            list => list
+                .get_or_insert_with(|| (self.first..self.first + self.run as Oid).collect())
+                .extend(first..first + len as Oid),
         }
     }
 
@@ -403,8 +542,92 @@ mod tests {
     }
 
     #[test]
-    fn fractional_bound_rejected() {
-        let b = ints();
-        assert!(thetaselect(&b, None, &Value::Dbl(1.5), CmpOp::Gt).is_err());
+    fn fractional_bounds_compare_like_sql_cmp() {
+        let b = ints(); // 5, nil, -3, 8, 0, 5
+        let sel = |v: f64, op| thetaselect(&b, None, &Value::Dbl(v), op).unwrap().to_vec();
+        assert_eq!(sel(2.5, CmpOp::Gt), vec![0, 3, 5], "x > 2.5 is x >= 3");
+        assert_eq!(sel(2.5, CmpOp::Le), vec![2, 4]);
+        assert_eq!(sel(-3.0, CmpOp::Le), vec![2], "an integral double is exact");
+        assert_eq!(sel(5.5, CmpOp::Eq), Vec::<Oid>::new(), "no int equals 5.5");
+        assert_eq!(
+            sel(5.5, CmpOp::Ne),
+            vec![0, 2, 3, 4, 5],
+            "nil still excluded"
+        );
+        assert_eq!(sel(f64::NAN, CmpOp::Lt), Vec::<Oid>::new());
+        assert_eq!(sel(1e300, CmpOp::Lt), vec![0, 2, 3, 4, 5]);
+        let v = Bat::dense(10, 4);
+        let got = thetaselect(&v, None, &Value::Dbl(11.5), CmpOp::Ge).unwrap();
+        assert_eq!(got.to_vec(), vec![2, 3]);
+        assert!(thetaselect(&b, None, &Value::Str("x".into()), CmpOp::Gt).is_err());
+    }
+
+    #[test]
+    fn int_range_normalises_every_bound_kind() {
+        let r = |lo: Value, hi: Value, li, hi_incl| int_range(&lo, &hi, li, hi_incl).unwrap();
+        assert_eq!(
+            r(Value::Null, Value::Null, true, true),
+            (i64::MIN, i64::MAX)
+        );
+        assert_eq!(r(Value::Int(3), Value::Lng(9), false, false), (4, 8));
+        assert_eq!(r(Value::Dbl(-2.5), Value::Dbl(2.5), true, true), (-2, 2));
+        let (l, h) = r(Value::Lng(i64::MAX), Value::Null, false, true);
+        assert!(l > h, "nothing lies above i64::MAX");
+        let (l, h) = r(Value::Dbl(f64::NAN), Value::Null, true, true);
+        assert!(l > h, "NaN compares with nothing");
+    }
+
+    /// Every shaped selection equals the scan of the same values.
+    #[test]
+    fn shaped_selects_match_the_scan() {
+        let cands = [
+            None,
+            Some(Candidates::Dense { first: 3, len: 20 }),
+            Some(Candidates::from_vec(vec![0, 4, 5, 11, 17, 29, 30, 99])),
+        ];
+        for (start, step, stop, n, m) in [(0, 1, 4, 2, 3), (7, -2, -4, 1, 5), (-3, 3, 9, 3, 1)] {
+            let shaped = Bat::series(start, step, stop, n, m).unwrap();
+            assert!(shaped.shape().is_some());
+            let plain = Bat::from_data(shaped.data().clone());
+            for cand in &cands {
+                for v in [-5.0, -1.0, 0.0, 1.5, 2.0, 3.0, 7.0] {
+                    for op in [
+                        CmpOp::Eq,
+                        CmpOp::Ne,
+                        CmpOp::Lt,
+                        CmpOp::Le,
+                        CmpOp::Gt,
+                        CmpOp::Ge,
+                    ] {
+                        let val = Value::Dbl(v);
+                        assert_eq!(
+                            thetaselect(&shaped, cand.as_ref(), &val, op),
+                            thetaselect(&plain, cand.as_ref(), &val, op),
+                            "series({start},{step},{stop},{n},{m}) {op:?} {v} {cand:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_shape_gives_ranges_and_lasts_until_a_write() {
+        // x of a 4x4 array: 0 0 0 0 1 1 1 1 …; y: 0 1 2 3 0 1 2 3 …
+        let x = Bat::series(0, 1, 4, 4, 1).unwrap();
+        let y = Bat::series(0, 1, 4, 1, 4).unwrap();
+        let row = thetaselect(&x, None, &Value::Int(2), CmpOp::Eq).unwrap();
+        assert_eq!(row, Candidates::Dense { first: 8, len: 4 });
+        let cell = thetaselect(&y, Some(&row), &Value::Int(1), CmpOp::Eq).unwrap();
+        assert_eq!(cell, Candidates::Dense { first: 9, len: 1 });
+        let not_one = thetaselect(&y, None, &Value::Int(0), CmpOp::Ne).unwrap();
+        assert_eq!(
+            not_one.to_vec(),
+            vec![1, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14, 15]
+        );
+        let mut written = x.clone();
+        assert!(written.shape().is_some(), "a copy keeps the shape");
+        written.set(0, &Value::Int(9)).unwrap();
+        assert!(written.shape().is_none(), "a write drops it");
     }
 }

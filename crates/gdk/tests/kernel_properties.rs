@@ -1047,3 +1047,97 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// Shaped selections: a column `Bat::series` generated carries its five
+// numbers, and a selection over it is answered by arithmetic. It must
+// equal the scan of the same values without a shape, in results and in
+// errors, at every thread count.
+// ---------------------------------------------------------------------
+
+/// Comparison values of every kind a selection may meet: NULL, ints,
+/// values beyond `int`, fractional and huge doubles, NaN and a string.
+fn bound(pick: usize, k: i64, frac: f64) -> Value {
+    match pick % 9 {
+        0 => Value::Null,
+        1 => Value::Int(k as i32),
+        2 => Value::Lng(k * (1 << 33)),
+        3 => Value::Dbl(k as f64 + frac),
+        4 => Value::Dbl(k as f64),
+        5 => Value::Dbl(if k < 0 { -1e300 } else { 1e300 }),
+        6 => Value::Lng(if k < 0 { i64::MIN } else { i64::MAX }),
+        7 => Value::Dbl(f64::NAN),
+        _ => Value::Str("k".into()),
+    }
+}
+
+/// A candidate list over a column of `len` rows: none, a dense range or
+/// a sorted list, either of which may reach past the column.
+fn cands_for(kind: usize, len: usize, seed: u64) -> Option<Candidates> {
+    let first = seed % (len as u64 + 3);
+    match kind % 3 {
+        0 => None,
+        1 => Some(Candidates::Dense {
+            first,
+            len: (seed / 7) as usize % (len + 4),
+        }),
+        _ => Some(Candidates::from_vec(
+            (0..len as u64 + 4)
+                .filter(|i| !(i * 7 + seed).is_multiple_of(3))
+                .collect(),
+        )),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn shaped_selects_match_the_scan(
+        big in proptest::bool::weighted(0.3),
+        start in -40i64..40,
+        step in prop_oneof![-5i64..0, 2i64..6, Just(1i64)],
+        count in 0i64..14,
+        n in 0usize..4,
+        m in 0usize..4,
+        picks in proptest::collection::vec((0usize..9, -60i64..60, 0.05f64..0.95), 2),
+        flags in (0usize..8, 0usize..3, 0u64..1000),
+    ) {
+        let start = if big { start + (1 << 40) } else { start };
+        let shaped = Bat::series(start, step, start + step * count, n, m).unwrap();
+        prop_assert!(shaped.shape().is_some());
+        let plain = Bat::from_data(shaped.data().clone());
+        let len = plain.len();
+        let (lo, hi) = (bound(picks[0].0, picks[0].1, picks[0].2), bound(picks[1].0, picks[1].1, picks[1].2));
+        let (li, hi_incl, anti) = (flags.0 & 1 == 1, flags.0 & 2 == 2, flags.0 & 4 == 4);
+        let cand = cands_for(flags.1, len, flags.2);
+        let c = cand.as_ref();
+        let payload = Bat::from_ints((0..(len + flags.2 as usize % 3).saturating_sub(1) as i32).collect());
+        for t in THREAD_COUNTS {
+            let cfg = forced(t);
+            let range = |b: &Bat| par::rangeselect(b, c, &lo, &hi, li, hi_incl, anti, &cfg).map(|r| r.0);
+            prop_assert_eq!(range(&shaped), range(&plain), "range threads {}", t);
+            for op in CMP_OPS {
+                let theta = |b: &Bat| par::thetaselect(b, c, &lo, op, &cfg).map(|r| r.0);
+                prop_assert_eq!(theta(&shaped), theta(&plain), "{:?} threads {}", op, t);
+                let sp = |b: &Bat| outcome(par::theta_select_project(b, c, &lo, op, &payload, &cfg).map(|r| r.0));
+                prop_assert_eq!(sp(&shaped), sp(&plain), "selectproject {:?} threads {}", op, t);
+                for func in AGG_FUNCS {
+                    let sa = |b: &Bat| par::theta_select_aggregate(func, &payload, b, c, &lo, op, &cfg)
+                        .map(|(v, _, selected)| (v, selected));
+                    prop_assert_eq!(sa(&shaped), sa(&plain), "selectagg {:?} {:?} threads {}", func, op, t);
+                }
+            }
+        }
+        // The serial kernels agree too, and a shaped select with a
+        // numeric bound reads no column and so spawns no thread.
+        prop_assert_eq!(
+            select::rangeselect(&shaped, c, &lo, &hi, li, hi_incl, anti),
+            select::rangeselect(&plain, c, &lo, &hi, li, hi_incl, anti)
+        );
+        if !matches!(hi, Value::Str(_)) {
+            let (_, threads) = par::thetaselect(&shaped, c, &hi, CmpOp::Ge, &forced(8)).unwrap();
+            prop_assert_eq!(threads, 1);
+        }
+    }
+}

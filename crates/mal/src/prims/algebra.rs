@@ -38,8 +38,9 @@ fn as_bool(v: &Value, what: &str) -> Result<bool> {
 
 /// Consult `b`'s zone map and narrow an unrestricted theta-selection to
 /// the tiles that may hold qualifying rows. Only fires when no explicit
-/// candidate list restricts the scan already and the session has
-/// zone-skipping enabled; results are identical either way.
+/// candidate list restricts the scan already, the session has
+/// zone-skipping enabled and `b` has no [`gdk::Shape`] (its selection
+/// reads no tile at all); results are identical either way.
 pub(crate) fn zone_restrict_theta(
     ctx: &ExecCtx,
     b: &Bat,
@@ -47,7 +48,7 @@ pub(crate) fn zone_restrict_theta(
     val: &Value,
     op: CmpOp,
 ) -> Option<Arc<Candidates>> {
-    if cand.is_none() && ctx.par.zone_skip {
+    if cand.is_none() && ctx.par.zone_skip && b.shape().is_none() {
         if let Some((zc, skipped)) = zonemap::restrict_theta(b, val, op) {
             ctx.note_tiles_skipped(skipped);
             return Some(Arc::new(zc));
@@ -68,7 +69,7 @@ fn zone_restrict_range(
     hi_incl: bool,
     anti: bool,
 ) -> Option<Arc<Candidates>> {
-    if cand.is_none() && ctx.par.zone_skip {
+    if cand.is_none() && ctx.par.zone_skip && b.shape().is_none() {
         if let Some((zc, skipped)) = zonemap::restrict_range(b, lo, hi, li, hi_incl, anti) {
             ctx.note_tiles_skipped(skipped);
             return Some(Arc::new(zc));

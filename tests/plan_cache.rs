@@ -56,10 +56,7 @@ const LITERALS: &[&str] = &[
 ];
 
 /// The statements above that fail (on both plans).
-const EXPECTED_ERRORS: &[&str] = &[
-    "SELECT v FROM matrix WHERE v > 2.5",
-    "SELECT v / (x - x) FROM matrix WHERE x > 1",
-];
+const EXPECTED_ERRORS: &[&str] = &["SELECT v / (x - x) FROM matrix WHERE x > 1"];
 
 /// The same statement with every lifted literal changed (and of the same
 /// type), so it shares the first statement's plan.
