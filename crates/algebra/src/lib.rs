@@ -15,7 +15,7 @@ pub mod rewrite;
 
 pub use bexpr::{AggCall, BExpr};
 pub use bind::{array_shape, eval_const, linear_offset, Binder, Scope};
-pub use malgen::{compile, CodegenOptions};
+pub use malgen::{compile, compile_cells, CodegenOptions};
 pub use plan::{ColInfo, Plan};
 pub use rewrite::rewrite;
 

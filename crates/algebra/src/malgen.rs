@@ -248,39 +248,7 @@ fn gen_node<'p>(prog: &mut Program, plan: &'p Plan, opts: &CodegenOptions) -> Re
         }
         Plan::Filter { input, pred } => {
             let inp = gen(prog, input, opts)?;
-            if inp.unit {
-                return Err(AlgebraError::internal("cannot filter the Unit input"));
-            }
-            let cand = if opts.candidate_pushdown {
-                gen_filter_candidates(prog, &inp, pred)?
-            } else {
-                None
-            };
-            let cand = match cand {
-                Some(c) => c,
-                None => {
-                    let mask = emit_expr(prog, &inp, pred)?;
-                    let mask = force_bat(prog, &inp, mask)?;
-                    prog.emit(Prim::MaskSelect, vec![Arg::Var(mask)], MalType::Cand)
-                }
-            };
-            let cols = inp
-                .cols
-                .iter()
-                .map(|&c| {
-                    prog.emit(
-                        Prim::Projection,
-                        vec![Arg::Var(cand), Arg::Var(c)],
-                        MalType::Any,
-                    )
-                })
-                .collect();
-            Ok(NodeOut {
-                cols,
-                shape: None,
-                unit: false,
-                plan: None,
-            })
+            Ok(gen_filter(prog, &inp, pred, opts)?.1)
         }
         Plan::Project { input, items } => {
             let inp = gen(prog, input, opts)?;
@@ -726,6 +694,96 @@ fn gen_tile_agg(
 // ----------------------------------------------------------------------
 // filters
 // ----------------------------------------------------------------------
+
+/// Lower a filter over `inp`: the candidate list of the rows `pred`
+/// selects, and `inp`'s columns at those rows.
+fn gen_filter<'p>(
+    prog: &mut Program,
+    inp: &NodeOut<'p>,
+    pred: &BExpr,
+    opts: &CodegenOptions,
+) -> Result<(VarId, NodeOut<'p>)> {
+    if inp.unit {
+        return Err(AlgebraError::internal("cannot filter the Unit input"));
+    }
+    let cand = if opts.candidate_pushdown {
+        gen_filter_candidates(prog, inp, pred)?
+    } else {
+        None
+    };
+    let cand = match cand {
+        Some(c) => c,
+        None => {
+            // A constant predicate (`WHERE NULL`) broadcasts as a bit.
+            let mask = emit_expr(prog, inp, pred)?;
+            let mask = force_bit_bat(prog, inp, mask)?;
+            prog.emit(Prim::MaskSelect, vec![Arg::Var(mask)], MalType::Cand)
+        }
+    };
+    let cols = inp
+        .cols
+        .iter()
+        .map(|&c| {
+            prog.emit(
+                Prim::Projection,
+                vec![Arg::Var(cand), Arg::Var(c)],
+                MalType::Any,
+            )
+        })
+        .collect();
+    // The rows keep the input's schema.
+    let rows = NodeOut {
+        cols,
+        shape: None,
+        unit: false,
+        plan: inp.plan,
+    };
+    Ok((cand, rows))
+}
+
+/// Compile the read of a cell statement (`UPDATE`, `DELETE`) over `scan`:
+/// the rows `pred` selects, lowered as a [`Plan::Filter`]'s predicate
+/// is, as the candidate-list result `at` (absent without a predicate),
+/// then each of `items` at those rows as `e0`, `e1`, …. An item that
+/// reads a neighbouring cell needs the whole aligned scan, so it is
+/// computed over every row and projected.
+pub fn compile_cells(
+    scan: &Plan,
+    pred: Option<&BExpr>,
+    items: &[BExpr],
+    opts: &CodegenOptions,
+) -> Result<Program> {
+    let mut prog = Program::new("cells");
+    let inp = gen(&mut prog, scan, opts)?;
+    let filtered = pred
+        .map(|p| gen_filter(&mut prog, &inp, p, opts))
+        .transpose()?;
+    if let Some((cand, _)) = &filtered {
+        prog.add_result("at", *cand);
+    }
+    for (i, e) in items.iter().enumerate() {
+        let v = match &filtered {
+            Some((_, rows)) if !e.contains_shift() => {
+                let a = emit_expr(&mut prog, rows, e)?;
+                force_bat(&mut prog, rows, a)?
+            }
+            _ => {
+                let a = emit_expr(&mut prog, &inp, e)?;
+                let all = force_bat(&mut prog, &inp, a)?;
+                match &filtered {
+                    Some((cand, _)) => prog.emit(
+                        Prim::Projection,
+                        vec![Arg::Var(*cand), Arg::Var(all)],
+                        MalType::Any,
+                    ),
+                    None => all,
+                }
+            }
+        };
+        prog.add_result(format!("e{i}"), v);
+    }
+    Ok(prog)
+}
 
 /// Try the candidate-chain fast path: a conjunction of `col <op> const`
 /// predicates compiles to chained `thetaselect` calls.

@@ -5,36 +5,26 @@
 //! holes, and UPDATE may use dimensions as bound variables in guarded
 //! (CASE) expressions.
 //!
-//! The executors never leave the column world: a predicate column becomes
-//! a candidate list through the select kernel, SET and SELECT result
-//! columns are converted to their target types whole, and the store
-//! applies one columnar write per statement. Cell statements are
+//! The executors never leave the column world: a WHERE becomes a
+//! candidate list the way a SELECT's filter does, before any SET
+//! expression runs, and SET runs only at those rows; SET and SELECT
+//! result columns are converted to their target types whole, and the
+//! store applies one columnar write per statement. Cell statements are
 //! all-or-nothing — every position and every conversion is checked before
 //! the first write.
 
-use crate::result::ResultSet;
 use crate::session::Connection;
 use crate::storage::{coerce, ArrayStore, ColumnWrites};
 use crate::{EngineError, Result};
-use gdk::arith::CmpOp;
 use gdk::bat::cannot_store;
-use gdk::{project, select, Bat, Candidates, Oid, ScalarType, Value};
-use sciql_algebra::{eval_const, Binder, Plan};
+use gdk::{project, Bat, Candidates, Oid, ScalarType, Value};
+use mal::MalValue;
+use sciql_algebra::{compile_cells, eval_const, Binder};
 use sciql_catalog::{ArrayDef, DimSpec, SchemaObject, TableDef};
 use sciql_parser::ast::{Expr, InsertSource};
 use std::sync::Arc;
 
 const NOT_INTEGRAL: &str = "dimension value must be integral";
-
-/// The rows a predicate column selects: its `true` cells (`false` and nil
-/// select nothing).
-fn true_rows(mask: &Bat) -> Result<Candidates> {
-    if mask.tail_type() != ScalarType::Bit {
-        return Ok(Candidates::none());
-    }
-    let hits = select::thetaselect(mask, None, &Value::Bit(true), CmpOp::Eq);
-    Ok(hits?)
-}
 
 /// A failure at `row`, kept if no earlier row has failed: the statement
 /// reports the failure a row-by-row executor would have hit first.
@@ -128,23 +118,38 @@ impl Connection {
     // UPDATE
     // ------------------------------------------------------------------
 
-    /// Evaluate `exprs` over every row of `table`, against its current
-    /// state.
-    fn eval_rows(&mut self, table: &str, exprs: &[&Expr]) -> Result<ResultSet> {
-        let plan = {
+    /// The rows `filter` selects in `table` (every row without one) and
+    /// `exprs` at those rows, against its current state. The WHERE runs
+    /// first, through the path a SELECT's takes, so an expression is
+    /// evaluated, and can fail, only on the rows it selects.
+    fn select_rows(
+        &mut self,
+        table: &str,
+        exprs: &[&Expr],
+        filter: Option<&Expr>,
+    ) -> Result<(Candidates, Vec<Arc<Bat>>)> {
+        let prog = {
             let binder = Binder::new(self.catalog());
             let (scan, scope) = binder.scope_for(table)?;
+            let bind = |e: &Expr| binder.bind_expr(&scope, e);
             let items = exprs
                 .iter()
-                .enumerate()
-                .map(|(i, e)| Ok((format!("e{i}"), binder.bind_expr(&scope, e)?, false)))
-                .collect::<Result<_>>()?;
-            Plan::Project {
-                input: Box::new(scan),
-                items,
-            }
+                .map(|e| bind(e))
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let pred = filter.map(bind).transpose()?;
+            compile_cells(&scan, pred.as_ref(), &items, &self.image.codegen)?
         };
-        self.run_plan(&plan)
+        let mut outs = self.run_cells(prog)?.into_iter();
+        let at = match filter.and_then(|_| outs.next()) {
+            Some(MalValue::Cand(c)) => Some(Arc::unwrap_or_clone(c)),
+            Some(v) => return Err(EngineError::msg(format!("cell positions: {}", v.kind()))),
+            None => None,
+        };
+        let values = outs
+            .map(|v| Ok(Arc::clone(v.as_bat()?)))
+            .collect::<Result<Vec<_>>>()?;
+        let n = values.first().map_or(0, |b| b.len());
+        Ok((at.unwrap_or_else(|| Candidates::all(n)), values))
     }
 
     pub(crate) fn update(
@@ -161,31 +166,12 @@ impl Connection {
             .iter()
             .map(|(col, _)| self.resolve_update_target(table, is_array, col))
             .collect::<Result<Vec<_>>>()?;
-        // SET expressions and the WHERE predicate in one pass, all against
-        // the old state.
-        let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).chain(filter).collect();
-        let rs = self.eval_rows(table, &exprs)?;
-        let n = rs.row_count();
-        let at = match filter {
-            Some(_) => true_rows(&rs.bats[sets.len()])?,
-            None => Candidates::all(n),
-        };
+        let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).collect();
+        let (at, values) = self.select_rows(table, &exprs, filter)?;
         if at.is_empty() {
             return Ok(0);
         }
-        let writes = rs
-            .bats
-            .iter()
-            .zip(targets)
-            .map(|(all, k)| {
-                let values = if at.len() == n {
-                    Arc::clone(all)
-                } else {
-                    Arc::new(project::project(&at, all)?)
-                };
-                Ok((k, values))
-            })
-            .collect::<Result<_>>()?;
+        let writes = targets.into_iter().zip(values).collect();
         if is_array {
             self.array_mut(table)?.write_attrs(&at, writes)?;
         } else {
@@ -225,7 +211,7 @@ impl Connection {
             SchemaObject::Array(_)
         );
         let hit = match filter {
-            Some(f) => Some(true_rows(&self.eval_rows(table, &[f])?.bats[0])?),
+            Some(f) => Some(self.select_rows(table, &[], Some(f))?.0),
             None => None,
         };
         if is_array {

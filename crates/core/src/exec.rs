@@ -265,36 +265,52 @@ fn compile_plan(
 ) -> Result<(Program, PassStats, usize, usize)> {
     let sp = tracer.open(SpanId::ROOT, "codegen");
     let mut prog: Program = compile(plan, &image.codegen)?;
-    let before = prog.instrs.len();
-    tracer.note(sp, "instrs", before as u64);
+    tracer.note(sp, "instrs", prog.instrs.len() as u64);
     tracer.close(sp);
-    let sp = tracer.open(SpanId::ROOT, "optimize");
-    let report = mal::optimise_traced(&mut prog, image.opt_config, tracer, sp);
-    let after = prog.instrs.len();
-    tracer.note(sp, "instrs", after as u64);
-    tracer.close(sp);
+    let (report, before, after) = optimise(&mut prog, image, tracer);
     Ok((prog, report, before, after))
 }
 
-/// Execute a compiled program against the image's stores (plus freshly
-/// synthesized `sys_views`), filling its parameter slots from `params`,
-/// and shape the outputs into a [`ResultSet`] using the plan's schema.
-fn run_program(
-    prog: &Program,
-    schema: &[ColInfo],
-    sys_views: &[String],
+/// Run the session's optimizer pipeline over `prog` under an `optimize`
+/// span: the per-pass stats and the instruction counts before/after.
+fn optimise(prog: &mut Program, image: &Image, tracer: &mut Tracer) -> (PassStats, usize, usize) {
+    let before = prog.instrs.len();
+    let sp = tracer.open(SpanId::ROOT, "optimize");
+    let report = mal::optimise_traced(prog, image.opt_config, tracer, sp);
+    let after = prog.instrs.len();
+    tracer.note(sp, "instrs", after as u64);
+    tracer.close(sp);
+    (report, before, after)
+}
+
+/// Optimise and run the read of a cell statement
+/// ([`sciql_algebra::compile_cells`]): its results in order, as MAL
+/// values.
+pub(crate) fn execute_cells(
+    mut prog: Program,
     image: &Image,
-    sys: Sys<'_>,
+    tracer: &mut Tracer,
+) -> Result<(Vec<MalValue>, LastExec)> {
+    let (opt, before, after) = optimise(&mut prog, image, tracer);
+    let (outs, exec) = run_mal(&prog, &image.tables, image, &[], tracer)?;
+    let last = LastExec {
+        exec,
+        opt,
+        instrs_before_opt: before,
+        instrs_after_opt: after,
+    };
+    Ok((outs.into_iter().map(|(_, v)| v).collect(), last))
+}
+
+/// Interpret `prog` over the image's arrays and `tables` under a `mal`
+/// span, filling its parameter slots from `params`.
+fn run_mal(
+    prog: &Program,
+    tables: &HashMap<String, Arc<TableStore>>,
+    image: &Image,
     params: &[Value],
     tracer: &mut Tracer,
-) -> Result<(ResultSet, ExecStats)> {
-    let augmented;
-    let tables = if sys_views.is_empty() {
-        &image.tables
-    } else {
-        augmented = sysview::augment_tables(sys_views, image, &sys())?;
-        &augmented
-    };
+) -> Result<(Vec<(String, MalValue)>, ExecStats)> {
     let storage = StorageBinder {
         arrays: &image.arrays,
         tables,
@@ -321,6 +337,29 @@ fn run_program(
             );
         }
     }
+    Ok((outs, exec))
+}
+
+/// Execute a compiled program against the image's stores (plus freshly
+/// synthesized `sys_views`), filling its parameter slots from `params`,
+/// and shape the outputs into a [`ResultSet`] using the plan's schema.
+fn run_program(
+    prog: &Program,
+    schema: &[ColInfo],
+    sys_views: &[String],
+    image: &Image,
+    sys: Sys<'_>,
+    params: &[Value],
+    tracer: &mut Tracer,
+) -> Result<(ResultSet, ExecStats)> {
+    let augmented;
+    let tables = if sys_views.is_empty() {
+        &image.tables
+    } else {
+        augmented = sysview::augment_tables(sys_views, image, &sys())?;
+        &augmented
+    };
+    let (outs, exec) = run_mal(prog, tables, image, params, tracer)?;
     let sp = tracer.open(SpanId::ROOT, "result");
     let mut columns = Vec::with_capacity(schema.len());
     let mut bats: Vec<Arc<Bat>> = Vec::with_capacity(schema.len());
@@ -385,19 +424,8 @@ pub(crate) fn execute_select(
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
     let plan = plan_select(sel, &image.catalog, &[], tracer)?;
-    execute_plan(&plan, image, sys, tracer)
-}
-
-/// Compile and execute a logical plan in one go (the unprepared path;
-/// also used by the DML executors).
-pub(crate) fn execute_plan(
-    plan: &Plan,
-    image: &Image,
-    sys: Sys<'_>,
-    tracer: &mut Tracer,
-) -> Result<(ResultSet, LastExec)> {
-    let (prog, report, before, after) = compile_plan(plan, image, tracer)?;
-    let sys_views = sysview::sys_scans(plan);
+    let (prog, report, before, after) = compile_plan(&plan, image, tracer)?;
+    let sys_views = sysview::sys_scans(&plan);
     let (rs, exec) = run_program(&prog, &plan.schema(), &sys_views, image, sys, &[], tracer)?;
     let last = LastExec {
         exec,

@@ -8,8 +8,8 @@ use crate::storage::{ArrayStore, TableStore};
 use crate::sysview::SysData;
 use crate::{EngineError, Result};
 use gdk::{Bat, Value};
-use mal::{ExecStats, OptConfig, PassStats};
-use sciql_algebra::{CodegenOptions, Plan};
+use mal::{ExecStats, MalValue, OptConfig, PassStats, Program};
+use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_catalog::SchemaObject;
 use sciql_obs::{SpanId, Trace, Tracer};
@@ -221,20 +221,19 @@ impl Connection {
                             nd + na
                         )));
                     }
-                    let mut bats: Vec<Arc<Bat>> =
-                        cols.into_iter().map(|c| Arc::new(c.bat)).collect();
-                    let attrs = bats.split_off(nd);
-                    image.arrays.insert(
-                        key,
-                        Arc::new(ArrayStore {
-                            def,
-                            dims: bats,
-                            attrs,
-                            dirty_dims: vec![ColumnDirt::Clean; nd],
-                            dirty_attrs: vec![ColumnDirt::Clean; na],
-                            mutations: 0,
-                        }),
-                    );
+                    let cells = def.cell_count().unwrap_or(0);
+                    if let Some(c) = cols.iter().find(|c| c.bat.len() != cells) {
+                        return Err(EngineError::msg(format!(
+                            "recovered array {:?} has a column of {} cells, schema says {cells}",
+                            def.name,
+                            c.bat.len()
+                        )));
+                    }
+                    // The stored dimension columns are regenerated, so
+                    // they carry their shapes.
+                    let attrs = cols.into_iter().skip(nd).map(|c| Arc::new(c.bat)).collect();
+                    let store = ArrayStore::with_attrs(def, attrs, ColumnDirt::Clean)?;
+                    image.arrays.insert(key, Arc::new(store));
                 }
                 (SchemaObject::Table(def), Some(cols)) => {
                     if cols.len() != def.columns.len() {
@@ -825,12 +824,12 @@ impl Connection {
         Ok(rs)
     }
 
-    /// Compile and execute a logical plan (the DML executors' reads).
-    pub(crate) fn run_plan(&mut self, plan: &Plan) -> Result<ResultSet> {
-        let sys = || SysData::of(self.vault.as_ref());
-        let (rs, last) = exec::execute_plan(plan, &self.image, &sys, &mut Tracer::off())?;
+    /// Optimise and run the read of a cell statement (the DML
+    /// executors'): its results in order.
+    pub(crate) fn run_cells(&mut self, prog: Program) -> Result<Vec<MalValue>> {
+        let (outs, last) = exec::execute_cells(prog, &self.image, &mut Tracer::off())?;
         self.session.last = last;
-        Ok(rs)
+        Ok(outs)
     }
 
     /// Bulk-load an array directly from column data — the reproduction's
@@ -880,8 +879,8 @@ impl Connection {
             .catalog
             .create(SchemaObject::Array(def.clone()))
             .map_err(EngineError::Catalog)?;
-        let mut store = ArrayStore::create(def)?;
-        store.attrs = attrs.into_iter().map(|(_, b)| Arc::new(b)).collect();
+        let attrs = attrs.into_iter().map(|(_, b)| Arc::new(b)).collect();
+        let store = ArrayStore::with_attrs(def, attrs, ColumnDirt::All)?;
         image
             .arrays
             .insert(name.to_ascii_lowercase(), Arc::new(store));

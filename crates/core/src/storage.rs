@@ -111,14 +111,6 @@ impl ArrayStore {
                 def.name
             ))
         })?;
-        let mut dims = Vec::with_capacity(def.dims.len());
-        for (k, d) in def.dims.iter().enumerate() {
-            let r = d.range.expect("cell_count implies fixed");
-            let (n, m) = def.series_factors(k).expect("fixed array");
-            dims.push(Arc::new(
-                Bat::series(r.start, r.step, r.stop, n, m).map_err(EngineError::Gdk)?,
-            ));
-        }
         let mut attrs = Vec::with_capacity(def.attrs.len());
         for a in &def.attrs {
             let v = a.default.clone().unwrap_or(Value::Null);
@@ -126,13 +118,33 @@ impl ArrayStore {
                 .map_err(|_| EngineError::msg(format!("default {v} does not fit {}", a.ty)))?;
             attrs.push(Arc::new(bat));
         }
-        let (nd, na) = (dims.len(), attrs.len());
+        Self::with_attrs(def, attrs, ColumnDirt::All)
+    }
+
+    /// A store of `def`'s fixed grid holding `attrs`, every column with
+    /// dirt `dirt`. The dimension columns are generated (Fig 3's
+    /// `array.series`), so each carries its shape and a selection on a
+    /// dimension is arithmetic.
+    pub(crate) fn with_attrs(
+        def: ArrayDef,
+        attrs: Vec<Arc<Bat>>,
+        dirt: ColumnDirt,
+    ) -> Result<Self> {
+        let dims = (def.dims.iter().enumerate())
+            .map(|(k, d)| {
+                let fixed = d.range.zip(def.series_factors(k));
+                let (r, (n, m)) = fixed.ok_or_else(|| {
+                    EngineError::msg(format!("array {:?} has unbounded dimensions", def.name))
+                })?;
+                Ok(Arc::new(Bat::series(r.start, r.step, r.stop, n, m)?))
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(ArrayStore {
+            dirty_dims: vec![dirt.clone(); dims.len()],
+            dirty_attrs: vec![dirt; attrs.len()],
             def,
             dims,
             attrs,
-            dirty_dims: vec![ColumnDirt::All; nd],
-            dirty_attrs: vec![ColumnDirt::All; na],
             mutations: 0,
         })
     }

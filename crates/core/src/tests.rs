@@ -682,3 +682,120 @@ fn non_finite_params_cannot_brick_the_wal() {
     assert_eq!(n.as_i64(), Some(1), "replay sees exactly the finite row");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_point_read_on_dimensions_selects_serially() {
+    use crate::SessionConfig;
+    let mut c = Connection::with_config(SessionConfig {
+        threads: 8,
+        ..SessionConfig::default()
+    });
+    c.execute(
+        "CREATE ARRAY a (x INT DIMENSION[0:1:256], y INT DIMENSION[0:1:256], v INT DEFAULT 0)",
+    )
+    .unwrap();
+    c.execute("UPDATE a SET v = x * 1000 + y").unwrap();
+    let rs = c
+        .query("EXPLAIN ANALYZE SELECT v FROM a WHERE x = 3 AND y = 4")
+        .unwrap();
+    let lines: Vec<String> = rs.rows().map(|r| r[0].to_string()).collect();
+    let selects: Vec<&String> = (lines.iter())
+        .filter(|l| l.contains("] algebra.") && l.contains("select"))
+        .collect();
+    assert_eq!(selects.len(), 2, "{lines:#?}");
+    for l in selects {
+        assert!(
+            l.contains(" threads=1"),
+            "a dimension select fanned out: {l}"
+        );
+    }
+    let v = c.query("SELECT v FROM a WHERE x = 3 AND y = 4").unwrap();
+    assert_eq!(v.scalar().unwrap(), Value::Int(3004));
+}
+
+#[test]
+fn cell_statements_fail_only_on_rows_they_select() {
+    let mut c = Connection::new();
+    c.execute_script(
+        "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (3), (5); \
+         CREATE ARRAY g (x INT DIMENSION[0:1:4], v INT DEFAULT 0);",
+    )
+    .unwrap();
+    // `a * 1000000000` overflows INT on a = 3 and a = 5, which the WHERE
+    // excludes.
+    assert_eq!(
+        c.execute("UPDATE t SET a = a * 1000000000 WHERE a = 1")
+            .unwrap()
+            .affected()
+            .unwrap(),
+        1
+    );
+    let a = c.query("SELECT a FROM t").unwrap();
+    assert_eq!(a.bats[0].to_values(), [1000000000, 3, 5].map(Value::Int));
+    assert_eq!(
+        c.execute("UPDATE g SET v = 2147483647 + x WHERE x = 0")
+            .unwrap()
+            .affected()
+            .unwrap(),
+        1
+    );
+    assert_eq!(
+        c.array_store("g").unwrap().attrs[0].to_values(),
+        [2147483647, 0, 0, 0].map(Value::Int)
+    );
+    // A selected row that overflows still fails the statement.
+    assert!(c
+        .execute("UPDATE g SET v = 2147483647 + x WHERE x = 1")
+        .is_err());
+    assert!(c
+        .execute("UPDATE t SET a = a * 1000000000 WHERE a > 1")
+        .is_err());
+    // A NULL predicate selects nothing, in DML as in a SELECT.
+    let none = c
+        .execute("UPDATE t SET a = a * 1000000000 WHERE NULL")
+        .unwrap();
+    assert_eq!(none.affected().unwrap(), 0);
+    assert_eq!(
+        c.query("SELECT a FROM t WHERE NULL").unwrap().row_count(),
+        0
+    );
+}
+
+#[test]
+fn fractional_bounds_on_integer_columns_compare_exactly() {
+    let mut c = Connection::new();
+    c.execute_script(
+        "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2), (3), (4), (NULL); \
+         CREATE ARRAY g (x INT DIMENSION[4:-1:0], v INT DEFAULT 0);",
+    )
+    .unwrap();
+    let col = |c: &mut Connection, sql: &str| c.query(sql).unwrap().bats[0].to_values();
+    assert_eq!(
+        col(&mut c, "SELECT a FROM t WHERE a > 2.5"),
+        [3, 4].map(Value::Int)
+    );
+    assert_eq!(
+        col(&mut c, "SELECT a FROM t WHERE a <= 2.5"),
+        [1, 2].map(Value::Int)
+    );
+    assert!(col(&mut c, "SELECT a FROM t WHERE a = 2.5").is_empty());
+    assert_eq!(col(&mut c, "SELECT a FROM t WHERE a <> 2.5").len(), 4);
+    // The same bound on a dimension, read and written: x runs 4, 3, 2, 1.
+    assert_eq!(
+        col(&mut c, "SELECT x FROM g WHERE x > 2.5"),
+        [4, 3].map(Value::Int)
+    );
+    let n = c.execute("UPDATE g SET v = 1 WHERE x > 2.5").unwrap();
+    assert_eq!(n.affected().unwrap(), 2);
+    assert_eq!(
+        c.execute("DELETE FROM t WHERE a = 2.5")
+            .unwrap()
+            .affected()
+            .unwrap(),
+        0
+    );
+    assert_eq!(
+        c.array_store("g").unwrap().attrs[0].to_values(),
+        [1, 1, 0, 0].map(Value::Int)
+    );
+}

@@ -9,17 +9,22 @@
 //! `Affected` count or the error text must agree, at optimizer levels 0
 //! and 2 × 1 and 8 threads.
 //!
-//! Only the store casts may fail: the generator rejects a statement
-//! whose expressions overflow anywhere, because the engine evaluates
-//! expressions over whole columns. After a failed statement the model
-//! adopts the engine's state, so this suite compares what a failure
-//! reports, not what it leaves behind (`core::tests` pins that cell DML
-//! leaves nothing behind).
+//! A statement's WHERE runs first, on every row; its other expressions
+//! run only on the rows the WHERE selects, in the model as in the
+//! engine. The generator writes expressions that overflow on some rows
+//! (`2147483645 + x`, `x * 1000000000`) and keeps a statement whose
+//! overflow falls only on rows its WHERE excludes: such a statement must
+//! succeed. Only the store casts may fail: the generator rejects a
+//! statement that overflows in its WHERE or on a selected row. After a
+//! failed statement the model adopts the engine's state, so this suite
+//! compares what a failure reports, not what it leaves behind
+//! (`core::tests` pins that cell DML leaves nothing behind).
 
 use gdk::{ScalarType, Value};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sciql::{Connection, QueryResult, SessionConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 const DIM_NAMES: [&str; 3] = ["x", "y", "z"];
 /// The attributes of both arrays: name, type, default.
@@ -56,6 +61,11 @@ enum C {
 /// The model's overflow signal: the generator rejects such statements.
 #[derive(Debug)]
 struct Overflow;
+
+/// Rows on which an expression overflowed but which the statement's
+/// WHERE excluded, so the statement went ahead (only [`script`] reads
+/// it, by difference).
+static EXCLUDED_OVERFLOWS: AtomicUsize = AtomicUsize::new(0);
 
 type Cell = Option<Value>;
 
@@ -170,6 +180,40 @@ impl E {
     }
 }
 
+impl E {
+    /// Does the expression read a column?
+    fn reads(&self) -> bool {
+        match self {
+            E::Col(_) => true,
+            E::Int(_) | E::Lng(_) | E::Dbl(_) | E::Null => false,
+            E::Bin(a, _, b) => a.reads() || b.reads(),
+            E::Case(arms, other) => {
+                other.reads() || arms.iter().any(|(c, e)| c.reads() || e.reads())
+            }
+        }
+    }
+
+    /// The overflow of a part that reads no column: the engine computes
+    /// such a part once, whichever rows the statement selects.
+    fn check_constants(&self) -> Result<(), Overflow> {
+        match self {
+            E::Bin(a, _, b) if self.reads() => {
+                a.check_constants()?;
+                b.check_constants()
+            }
+            E::Case(arms, other) => {
+                for (c, e) in arms {
+                    c.check_constants()?;
+                    e.check_constants()?;
+                }
+                other.check_constants()
+            }
+            e if !e.reads() => e.eval(&|_| None).map(|_| ()),
+            _ => Ok(()),
+        }
+    }
+}
+
 fn arith(x: &Value, op: char, y: &Value) -> Result<Value, Overflow> {
     let i64_op = |a: i64, b: i64| match op {
         '+' => a.checked_add(b),
@@ -205,6 +249,20 @@ impl C {
         match self {
             C::Cmp(a, op, b) => format!("{} {op} {}", a.sql(), b.sql()),
             C::And(a, b) => format!("({} AND {})", a.sql(), b.sql()),
+        }
+    }
+
+    fn reads(&self) -> bool {
+        match self {
+            C::Cmp(a, _, b) => a.reads() || b.reads(),
+            C::And(a, b) => a.reads() || b.reads(),
+        }
+    }
+
+    fn check_constants(&self) -> Result<(), Overflow> {
+        match self {
+            C::Cmp(a, _, b) => a.check_constants().and(b.check_constants()),
+            C::And(a, b) => a.check_constants().and(b.check_constants()),
         }
     }
 
@@ -456,27 +514,39 @@ impl Stmt {
 type Hits = Vec<(usize, Vec<Cell>)>;
 
 /// The rows of `n` (read through `lookup(row, name)`) that `filter`
-/// selects, with `es` evaluated on each. Every expression is evaluated on
-/// every row, so an overflow anywhere rejects the statement.
+/// selects, with `es` evaluated on each. The filter is evaluated on every
+/// row, the expressions only on the rows it selects: an overflow in the
+/// filter, on a selected row or in a part that reads no column rejects
+/// the statement; one on an excluded row is only counted.
 fn scan(
     n: usize,
     lookup: impl Fn(usize, &str) -> Cell,
     es: &[&E],
     filter: &Option<C>,
 ) -> Result<Hits, Overflow> {
+    for e in es {
+        e.check_constants()?;
+    }
+    if let Some(c) = filter {
+        c.check_constants()?;
+    }
     let mut out = Vec::new();
     for row in 0..n {
         let env = |name: &str| lookup(row, name);
-        let vals = es
-            .iter()
-            .map(|e| e.eval(&env))
-            .collect::<Result<Vec<_>, _>>()?;
         let hit = match filter {
             Some(c) => c.eval(&env)? == Some(true),
             None => true,
         };
-        if hit {
-            out.push((row, vals));
+        let vals = es
+            .iter()
+            .map(|e| e.eval(&env))
+            .collect::<Result<Vec<_>, _>>();
+        match (hit, vals) {
+            (true, vals) => out.push((row, vals?)),
+            (false, Err(Overflow)) => {
+                EXCLUDED_OVERFLOWS.fetch_add(1, Ordering::Relaxed);
+            }
+            (false, Ok(_)) => {}
         }
     }
     Ok(out)
@@ -720,20 +790,25 @@ fn gen_c(rng: &mut StdRng, names: &[&'static str]) -> C {
     }
 }
 
-/// No filter, a random one, or (rarely) one nothing passes.
+/// No filter, a random one, one on a single value of the first column,
+/// or (rarely) one nothing passes.
 fn gen_filter(rng: &mut StdRng, names: &[&'static str]) -> Option<C> {
     match rng.gen_range(0..20) {
-        0..=9 => None,
-        10 => Some(C::Cmp(E::Col(names[0]), ">", E::Int(1000))),
+        0..=6 => None,
+        7 => Some(C::Cmp(E::Col(names[0]), ">", E::Int(1000))),
+        8..=12 => Some(C::Cmp(E::Col(names[0]), "=", lit(rng.gen_range(-3..4)))),
         _ => Some(gen_c(rng, names)),
     }
 }
 
 /// A value to store: sometimes `lng` or `dbl`, so the store cast rounds
-/// or overflows.
+/// or overflows, and sometimes an `int` sum or product that overflows on
+/// some rows.
 fn gen_value(rng: &mut StdRng, names: &[&'static str], null_ok: bool) -> E {
     let e = gen_e(rng, names, 2);
-    match rng.gen_range(0..12) {
+    match rng.gen_range(0..16) {
+        6 | 7 => bin(E::Int(2_147_483_645), '+', E::Col(pick(rng, names))),
+        8 | 9 => bin(E::Col(pick(rng, names)), '*', E::Int(1_000_000_000)),
         0 => bin(e, '+', E::Lng(3_000_000_000)),
         1 => bin(e, '*', E::Dbl(1e10)),
         2 => bin(e, '+', E::Dbl(0.5)),
@@ -893,31 +968,35 @@ fn configs() -> Vec<SessionConfig> {
 }
 
 /// One seed's starting state and statement script, generated against the
-/// model alone so every configuration runs the same script. A statement
-/// whose expressions overflow is drawn again.
-fn script(seed: u64) -> (Model, Vec<Stmt>) {
+/// model alone so every configuration runs the same script, plus how
+/// many of its statements overflow only on rows their WHERE excludes. A
+/// statement that overflows anywhere else is drawn again.
+fn script(seed: u64) -> (Model, Vec<Stmt>, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
     let start = gen_world(&mut rng);
     let mut model = start.clone();
-    let mut steps = Vec::new();
+    let (mut steps, mut excluded) = (Vec::new(), 0);
     while steps.len() < STMTS {
         let stmt = gen_stmt(&mut rng, &model);
         let mut next = model.clone();
+        let before = EXCLUDED_OVERFLOWS.load(Ordering::Relaxed);
         if let Ok(outcome) = next.apply(&stmt) {
+            excluded += usize::from(EXCLUDED_OVERFLOWS.load(Ordering::Relaxed) > before);
             if outcome.is_ok() {
                 model = next;
             }
             steps.push(stmt);
         }
     }
-    (start, steps)
+    (start, steps, excluded)
 }
 
 #[test]
 fn cell_dml_matches_the_naive_model() {
-    let (mut failures, mut statements) = (0, 0);
+    let (mut failures, mut statements, mut excluded) = (0, 0, 0);
     for seed in 0..SEEDS {
-        let (start, steps) = script(seed);
+        let (start, steps, overflowing) = script(seed);
+        excluded += overflowing;
         for cfg in configs() {
             let mut conn = Connection::with_config(cfg);
             for a in &start.arrays {
@@ -968,5 +1047,9 @@ fn cell_dml_matches_the_naive_model() {
     assert!(
         failures > 0 && failures < statements / 2,
         "{failures} of {statements} statements failed"
+    );
+    assert!(
+        excluded >= SEEDS as usize / 4,
+        "only {excluded} statements overflow on rows their WHERE excludes"
     );
 }

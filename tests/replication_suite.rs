@@ -553,3 +553,91 @@ fn replica_stop_releases_vault_lock() {
     std::fs::remove_dir_all(&primary_dir).ok();
     std::fs::remove_dir_all(&replica_dir).ok();
 }
+
+/// Cell statements that only run WHERE-first, each with its affected
+/// count: SET expressions that overflow on rows the WHERE excludes,
+/// fractional bounds on integer columns, and dimension predicates on an
+/// array whose dimensions start off zero and step backwards
+/// (x: 5, 3, 1, -1, -3; y: -3 … 1).
+const WHERE_FIRST_SCRIPT: &[(&str, u64)] = &[
+    ("UPDATE g SET v = 2147483647 + y WHERE y = 0", 5),
+    ("UPDATE g SET v = x * 1000000000 WHERE x = 1", 5),
+    ("UPDATE t SET a = a * 1000000000 WHERE a = 1", 1),
+    ("UPDATE g SET v = v + 1 WHERE x > 2.5 AND y <= -1.5", 4),
+    ("UPDATE g SET v = -v WHERE x < 0 AND y BETWEEN -2 AND 1", 8),
+    ("DELETE FROM g WHERE x = -3 AND y = 1", 1),
+    ("DELETE FROM t WHERE a = 2.5", 0),
+    ("DELETE FROM t WHERE a < 4.5", 1),
+    ("UPDATE g SET v = 7 WHERE x <> 3 AND y = -3", 4),
+    ("UPDATE g SET v = 2147483647 + x WHERE x = 0", 0),
+];
+
+/// The WHERE-first statements replay like any other: the WAL written on
+/// a primary (with a checkpoint midway) recovers to what an
+/// uninterrupted twin holds, and a replica applying the shipped records
+/// ends with a byte-identical vault.
+#[test]
+fn where_first_cell_statements_replay_byte_identically() {
+    let primary_dir = fresh_dir("wf-primary");
+    let replica_dir = fresh_dir("wf-replica");
+    let twin_dir = fresh_dir("wf-twin");
+    let setup = [
+        "CREATE ARRAY g (x INT DIMENSION[5:-2:-5], y INT DIMENSION[-3:1:2], v INT DEFAULT 0)",
+        "CREATE TABLE t (a INT)",
+        "INSERT INTO t VALUES (1), (3), (5)",
+    ];
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let twin = SharedEngine::open(&twin_dir).unwrap();
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let addr = handle.addr().to_string();
+    let mut conn = Sciql::connect(&format!("tcp://{addr}")).unwrap();
+    let replica = Replica::connect(&replica_dir, &addr).unwrap();
+    for sql in setup {
+        conn.execute(sql).unwrap();
+        twin.session().execute(sql).unwrap();
+    }
+    for (i, &(sql, affected)) in WHERE_FIRST_SCRIPT.iter().enumerate() {
+        assert_eq!(conn.execute(sql).unwrap(), affected, "{sql}");
+        twin.session().execute(sql).unwrap();
+        if i == WHERE_FIRST_SCRIPT.len() / 2 {
+            engine.checkpoint().unwrap();
+        }
+    }
+    wait_caught_up(&engine, &replica, "where-first");
+    let reads = ["SELECT [x], [y], v FROM g", "SELECT a FROM t"];
+    for sql in reads {
+        assert_eq!(
+            select_bytes(&engine, sql),
+            select_bytes(replica.engine(), sql),
+            "replica: {sql}"
+        );
+    }
+    replica.stop();
+    conn.shutdown_server().unwrap();
+    drop(conn);
+    drop(engine);
+    drop(handle.wait());
+    assert_twin_vaults(&primary_dir, &replica_dir, "where-first replica");
+    // Recovery replays the WAL tail past the checkpoint.
+    let reopened = SharedEngine::open(&primary_dir).unwrap();
+    for sql in reads {
+        assert_eq!(
+            select_bytes(&reopened, sql),
+            select_bytes(&twin, sql),
+            "reopened vs twin: {sql}"
+        );
+    }
+    let v = reopened
+        .session()
+        .query("SELECT v FROM g WHERE x = -1 AND y = 0")
+        .unwrap();
+    assert_eq!(v.row(0), vec![Value::Int(-2147483647)]);
+    drop(reopened);
+    drop(twin);
+    for d in [&primary_dir, &replica_dir, &twin_dir] {
+        std::fs::remove_dir_all(d).ok();
+    }
+}
