@@ -178,9 +178,7 @@ impl E {
             }
         })
     }
-}
 
-impl E {
     /// Does the expression read a column?
     fn reads(&self) -> bool {
         match self {
