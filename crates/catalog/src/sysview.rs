@@ -50,7 +50,7 @@ fn table(name: &str, cols: Vec<ColumnMeta>) -> SchemaObject {
 /// | `sys.query_log` | recently executed statement |
 /// | `sys.tables` | catalog object |
 /// | `sys.columns` | column/dimension of a catalog object |
-/// | `sys.tiles` | storage tile with its zone-map entry |
+/// | `sys.tiles` | stored tile (table column or array attribute) with its zone-map entry |
 /// | `sys.wal` | the vault (position, appends, fsyncs, generation) |
 /// | `sys.replication` | live replication link (role, peer, positions, lag) |
 pub fn definitions() -> &'static [SchemaObject] {

@@ -341,22 +341,14 @@ impl Connection {
         )))
     }
 
-    /// Build fresh zone maps on the target's columns so tile-skipping
-    /// scans work immediately after ingest.
+    /// Build fresh zone maps on the target's stored columns (a table's
+    /// columns, an array's attributes) so tile-skipping scans work
+    /// immediately after ingest.
     fn install_zone_maps(&mut self, key: &str) {
-        if let Some(t) = self.image.tables.get(key) {
-            for c in &t.cols {
-                if !c.is_empty() {
-                    c.ensure_zone_map(TILE_ROWS);
-                }
-            }
-        }
-        if let Some(a) = self.image.arrays.get(key) {
-            for c in a.dims.iter().chain(&a.attrs) {
-                if !c.is_empty() {
-                    c.ensure_zone_map(TILE_ROWS);
-                }
-            }
+        let cols = (self.image.tables.get(key).map(|t| &t.cols))
+            .or_else(|| self.image.arrays.get(key).map(|a| &a.attrs));
+        for c in cols.into_iter().flatten().filter(|c| !c.is_empty()) {
+            c.ensure_zone_map(TILE_ROWS);
         }
     }
 }

@@ -11,7 +11,7 @@ use gdk::{Bat, Value};
 use mal::{ExecStats, MalValue, OptConfig, PassStats, Program};
 use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
-use sciql_catalog::SchemaObject;
+use sciql_catalog::{ColumnMeta, SchemaObject};
 use sciql_obs::{SpanId, Trace, Tracer};
 use sciql_parser::ast::{SelectStmt, Stmt};
 use sciql_store::{CheckpointColumn, CheckpointObject, ColumnDirt, ReplayOp, Vault, VaultStats};
@@ -208,54 +208,49 @@ impl Connection {
                 .catalog
                 .create(obj.def.clone())
                 .map_err(EngineError::Catalog)?;
-            let key = obj.def.name().to_ascii_lowercase();
-            match (obj.def, obj.columns) {
-                (SchemaObject::Array(def), Some(cols)) => {
-                    let nd = def.dims.len();
-                    let na = def.attrs.len();
-                    if cols.len() != nd + na {
-                        return Err(EngineError::msg(format!(
-                            "recovered array {:?} has {} columns, schema says {}",
-                            def.name,
-                            cols.len(),
-                            nd + na
-                        )));
-                    }
+            let Some(cols) = obj.columns else {
+                continue; // catalog-only (unmaterialised array)
+            };
+            // The vault holds attributes and table columns only: a
+            // dimension is its `DimSpec`, regenerated with its shape.
+            let (kind, stored) = match &obj.def {
+                SchemaObject::Array(def) => ("array", def.attrs.len()),
+                SchemaObject::Table(def) => ("table", def.columns.len()),
+            };
+            let name = obj.def.name();
+            if cols.len() != stored {
+                return Err(EngineError::msg(format!(
+                    "recovered {kind} {name:?} has {} columns, schema says {stored}",
+                    cols.len()
+                )));
+            }
+            let key = name.to_ascii_lowercase();
+            let cols: Vec<Arc<Bat>> = cols.into_iter().map(|c| Arc::new(c.bat)).collect();
+            match obj.def {
+                SchemaObject::Array(def) => {
                     let cells = def.cell_count().unwrap_or(0);
-                    if let Some(c) = cols.iter().find(|c| c.bat.len() != cells) {
+                    if let Some(c) = cols.iter().find(|c| c.len() != cells) {
                         return Err(EngineError::msg(format!(
                             "recovered array {:?} has a column of {} cells, schema says {cells}",
                             def.name,
-                            c.bat.len()
+                            c.len()
                         )));
                     }
-                    // The stored dimension columns are regenerated, so
-                    // they carry their shapes.
-                    let attrs = cols.into_iter().skip(nd).map(|c| Arc::new(c.bat)).collect();
-                    let store = ArrayStore::with_attrs(def, attrs, ColumnDirt::Clean)?;
+                    let store = ArrayStore::with_attrs(def, cols, ColumnDirt::Clean)?;
                     image.arrays.insert(key, Arc::new(store));
                 }
-                (SchemaObject::Table(def), Some(cols)) => {
-                    if cols.len() != def.columns.len() {
-                        return Err(EngineError::msg(format!(
-                            "recovered table {:?} has {} columns, schema says {}",
-                            def.name,
-                            cols.len(),
-                            def.columns.len()
-                        )));
-                    }
-                    let n = cols.len();
+                SchemaObject::Table(def) => {
+                    let dirty_cols = vec![ColumnDirt::Clean; cols.len()];
                     image.tables.insert(
                         key,
                         Arc::new(TableStore {
                             def,
-                            cols: cols.into_iter().map(|c| Arc::new(c.bat)).collect(),
-                            dirty_cols: vec![ColumnDirt::Clean; n],
+                            cols,
+                            dirty_cols,
                             mutations: 0,
                         }),
                     );
                 }
-                (_, None) => {} // catalog-only (unmaterialised array)
             }
         }
         conn.vault = Some(vault);
@@ -379,12 +374,13 @@ impl Connection {
         }
     }
 
-    /// Write a checkpoint: every dirty *tile* (tracked per tile by the
-    /// copy-on-write update paths in [`ArrayStore`]/[`TableStore`]) is
-    /// rewritten, clean tiles keep their files, the catalog snapshot —
-    /// including each tile's zone map — is refreshed, and the WAL is
-    /// rotated. After this returns, recovery no longer needs the old
-    /// log.
+    /// Write a checkpoint: every dirty *tile* of an array attribute or a
+    /// table column (tracked per tile by the copy-on-write update paths
+    /// in [`ArrayStore`]/[`TableStore`]) is rewritten, clean tiles keep
+    /// their files, the catalog snapshot — including each tile's zone
+    /// map — is refreshed, and the WAL is rotated. Dimensions are not
+    /// written: opening the vault regenerates them from their `DimSpec`.
+    /// After this returns, recovery no longer needs the old log.
     pub fn checkpoint(&mut self) -> Result<()> {
         if self.read_only {
             // A checkpoint rotates the WAL generation; a replica's
@@ -401,44 +397,18 @@ impl Connection {
             ));
         };
         let image = &self.image;
-        let mut objects: Vec<CheckpointObject<'_>> = Vec::with_capacity(image.catalog.len());
-        for obj in image.catalog.iter() {
-            let key = obj.name().to_ascii_lowercase();
-            let columns = match obj {
-                SchemaObject::Array(def) => image.arrays.get(&key).map(|s| {
-                    def.dims
-                        .iter()
-                        .zip(&s.dims)
-                        .zip(&s.dirty_dims)
-                        .map(|((d, bat), dirt)| CheckpointColumn {
-                            name: d.name.as_str(),
-                            bat,
-                            dirt: dirt.clone(),
-                        })
-                        .chain(def.attrs.iter().zip(&s.attrs).zip(&s.dirty_attrs).map(
-                            |((a, bat), dirt)| CheckpointColumn {
-                                name: a.name.as_str(),
-                                bat,
-                                dirt: dirt.clone(),
-                            },
-                        ))
-                        .collect()
-                }),
-                SchemaObject::Table(def) => image.tables.get(&key).map(|s| {
-                    def.columns
-                        .iter()
-                        .zip(&s.cols)
-                        .zip(&s.dirty_cols)
-                        .map(|((c, bat), dirt)| CheckpointColumn {
-                            name: c.name.as_str(),
-                            bat,
-                            dirt: dirt.clone(),
-                        })
-                        .collect()
-                }),
-            };
-            objects.push(CheckpointObject { def: obj, columns });
-        }
+        let objects: Vec<CheckpointObject<'_>> = (image.catalog.iter())
+            .map(|obj| {
+                let key = obj.name().to_ascii_lowercase();
+                let columns = match obj {
+                    SchemaObject::Array(def) => (image.arrays.get(&key))
+                        .map(|s| stored_columns(&def.attrs, &s.attrs, &s.dirty_attrs)),
+                    SchemaObject::Table(def) => (image.tables.get(&key))
+                        .map(|s| stored_columns(&def.columns, &s.cols, &s.dirty_cols)),
+                };
+                CheckpointObject { def: obj, columns }
+            })
+            .collect();
         vault.checkpoint(&objects).map_err(EngineError::Store)?;
         let new_gen = vault.generation();
         self.watermark.publish(new_gen, vault.wal_durable());
@@ -926,4 +896,20 @@ pub(crate) fn text_rows(column: &str, lines: impl IntoIterator<Item = String>) -
         }],
         bats: vec![Arc::new(bat)],
     }
+}
+
+/// The columns a checkpoint hands the vault for one store: an array's
+/// attributes or a table's columns, each with its tile dirt.
+fn stored_columns<'a>(
+    metas: &'a [ColumnMeta],
+    bats: &'a [Arc<Bat>],
+    dirt: &[ColumnDirt],
+) -> Vec<CheckpointColumn<'a>> {
+    (metas.iter().zip(bats).zip(dirt))
+        .map(|((c, bat), dirt)| CheckpointColumn {
+            name: c.name.as_str(),
+            bat,
+            dirt: dirt.clone(),
+        })
+        .collect()
 }

@@ -80,7 +80,8 @@ fn write_columns(
 }
 
 /// A stored array: materialised dimension BATs plus attribute BATs, all of
-/// length `cell_count`, in row-major cell order.
+/// length `cell_count`, in row-major cell order. Only the attributes are
+/// persisted; the dimensions are regenerated from the definition.
 #[derive(Debug, Clone)]
 pub struct ArrayStore {
     /// Definition (kept in sync with the catalog).
@@ -89,11 +90,11 @@ pub struct ArrayStore {
     pub dims: Vec<Arc<Bat>>,
     /// One BAT per attribute (Fig 3: generated by `array.filler`).
     pub attrs: Vec<Arc<Bat>>,
-    /// Per-dimension dirt: which tiles changed since the vault last
-    /// checkpointed the column? Freshly created columns start all-dirty.
-    pub dirty_dims: Vec<ColumnDirt>,
-    /// Per-attribute dirt (the copy-on-write update paths mark the
-    /// touched tiles so a checkpoint rewrites only what changed).
+    /// Per-attribute dirt: which tiles changed since the vault last
+    /// checkpointed the column? The copy-on-write update paths mark the
+    /// touched tiles so a checkpoint rewrites only what changed.
+    /// Dimensions have none: they are generated from their `DimSpec`,
+    /// never stored.
     pub dirty_attrs: Vec<ColumnDirt>,
     /// Monotonic count of mutations applied to this store (unlike the
     /// dirty flags, this moves on *every* write, letting the session
@@ -121,8 +122,8 @@ impl ArrayStore {
         Self::with_attrs(def, attrs, ColumnDirt::All)
     }
 
-    /// A store of `def`'s fixed grid holding `attrs`, every column with
-    /// dirt `dirt`. The dimension columns are generated (Fig 3's
+    /// A store of `def`'s fixed grid holding `attrs`, every attribute
+    /// with dirt `dirt`. The dimension columns are generated (Fig 3's
     /// `array.series`), so each carries its shape and a selection on a
     /// dimension is arithmetic.
     pub(crate) fn with_attrs(
@@ -140,7 +141,6 @@ impl ArrayStore {
             })
             .collect::<Result<Vec<_>>>()?;
         Ok(ArrayStore {
-            dirty_dims: vec![dirt.clone(); dims.len()],
             dirty_attrs: vec![dirt; attrs.len()],
             def,
             dims,
@@ -225,33 +225,32 @@ impl ArrayStore {
         self.write_attrs(&at, survivors)
     }
 
-    /// Mark every column as persisted (called after a checkpoint).
+    /// Mark every attribute as persisted (called after a checkpoint).
     pub fn mark_clean(&mut self) {
-        self.dirty_dims
-            .iter_mut()
-            .for_each(|d| *d = ColumnDirt::Clean);
-        self.dirty_attrs
-            .iter_mut()
-            .for_each(|d| *d = ColumnDirt::Clean);
+        self.dirty_attrs.fill(ColumnDirt::Clean);
     }
 
     /// Number of columns a checkpoint would touch.
     pub fn dirty_columns(&self) -> usize {
-        self.dirty_dims
-            .iter()
-            .chain(&self.dirty_attrs)
-            .filter(|d| d.any_dirty())
-            .count()
+        dirty_columns(&self.dirty_attrs)
     }
 
-    /// `(total tiles, dirty tiles)` across all columns.
+    /// `(total tiles, dirty tiles)` across the stored (attribute) columns.
     pub fn tile_stats(&self) -> (usize, usize) {
-        let n = tile_count(self.cell_count());
-        let dirts = self.dirty_dims.iter().chain(&self.dirty_attrs);
-        let total = n * (self.dims.len() + self.attrs.len());
-        let dirty = dirts.map(|d| d.dirty_count(n)).sum();
-        (total, dirty)
+        tile_stats(self.cell_count(), &self.dirty_attrs)
     }
+}
+
+/// How many of the columns with dirt `dirt` a checkpoint would touch.
+fn dirty_columns(dirt: &[ColumnDirt]) -> usize {
+    dirt.iter().filter(|d| d.any_dirty()).count()
+}
+
+/// `(total tiles, dirty tiles)` of the stored columns with dirt `dirt`,
+/// each `rows` long.
+fn tile_stats(rows: usize, dirt: &[ColumnDirt]) -> (usize, usize) {
+    let n = tile_count(rows);
+    (n * dirt.len(), dirt.iter().map(|d| d.dirty_count(n)).sum())
 }
 
 /// A stored table: one BAT per column, aligned.
@@ -340,22 +339,17 @@ impl TableStore {
 
     /// Mark every column as persisted (called after a checkpoint).
     pub fn mark_clean(&mut self) {
-        self.dirty_cols
-            .iter_mut()
-            .for_each(|d| *d = ColumnDirt::Clean);
+        self.dirty_cols.fill(ColumnDirt::Clean);
     }
 
     /// Number of columns a checkpoint would touch.
     pub fn dirty_columns(&self) -> usize {
-        self.dirty_cols.iter().filter(|d| d.any_dirty()).count()
+        dirty_columns(&self.dirty_cols)
     }
 
     /// `(total tiles, dirty tiles)` across all columns.
     pub fn tile_stats(&self) -> (usize, usize) {
-        let n = tile_count(self.row_count());
-        let total = n * self.cols.len();
-        let dirty = self.dirty_cols.iter().map(|d| d.dirty_count(n)).sum();
-        (total, dirty)
+        tile_stats(self.row_count(), &self.dirty_cols)
     }
 }
 

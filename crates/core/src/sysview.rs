@@ -317,10 +317,11 @@ fn column_rows(catalog: &Catalog) -> Vec<Vec<Value>> {
     rows
 }
 
-/// `sys.tiles`: the per-tile zone map of every stored column, built
-/// with the vault's tile size — the same min/max/nil statistics the
-/// zone-skipping scan consults. Values project to doubles; string
-/// columns report NULL bounds.
+/// `sys.tiles`: the per-tile zone map of every stored column — table
+/// columns and array attributes; dimensions are generated, so they have
+/// no tiles — built with the vault's tile size, the same min/max/nil
+/// statistics the zone-skipping scan consults. Values project to
+/// doubles; string columns report NULL bounds.
 fn tile_rows(
     arrays: &HashMap<String, Arc<ArrayStore>>,
     tables: &HashMap<String, Arc<TableStore>>,
@@ -350,9 +351,6 @@ fn tile_rows(
     anames.sort();
     for key in anames {
         let a = &arrays[key];
-        for (d, bat) in a.def.dims.iter().zip(&a.dims) {
-            push_column(&a.def.name, &d.name, bat);
-        }
         for (c, bat) in a.def.attrs.iter().zip(&a.attrs) {
             push_column(&a.def.name, &c.name, bat);
         }
@@ -459,5 +457,8 @@ mod tests {
         let store = synthesize("sys.tiles", &conn.image, &SysData::default()).unwrap();
         let (total, _) = conn.array_store("m").unwrap().tile_stats();
         assert_eq!(store.row_count(), total, "one sys.tiles row per tile");
+        // Dimensions are generated, never stored: only `v` has tiles.
+        let columns: Vec<Value> = store.cols[1].iter_values().collect();
+        assert_eq!(columns, vec![s("v")], "sys.tiles lists stored tiles only");
     }
 }

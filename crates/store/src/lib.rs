@@ -8,9 +8,11 @@
 //! * **Checkpoints** — a catalog snapshot (schemas + dimension specs,
 //!   via `sciql-catalog`'s binary serde) plus column data split into
 //!   fixed-size **tiles** (one checksummed `gdk::codec` frame per tile).
-//!   The snapshot records each tile's zone-map statistics (row count,
-//!   nil count, min/max), and a clean tile keeps its file across
-//!   checkpoints — only dirty tiles are rewritten.
+//!   The columns are table columns and array attributes: a dimension is
+//!   its spec in the catalog, never data. The snapshot records each
+//!   tile's zone-map statistics (row count, nil count, min/max), and a
+//!   clean tile keeps its file across checkpoints — only dirty tiles are
+//!   rewritten.
 //! * **Write-ahead log** — an append-only log of the mutating operations
 //!   acknowledged since the last checkpoint (statement text or COPY
 //!   ingest batches), with per-record checksums and explicit sync points.
@@ -230,7 +232,7 @@ impl ColumnDirt {
 /// map from the snapshot installed).
 #[derive(Debug)]
 pub struct RecoveredColumn {
-    /// Column name (dimension, attribute or table column).
+    /// Column name (array attribute or table column).
     pub name: String,
     /// Loaded column data.
     pub bat: Bat,
@@ -241,8 +243,8 @@ pub struct RecoveredColumn {
 pub struct RecoveredObject {
     /// Schema definition.
     pub def: SchemaObject,
-    /// Columns in storage order (arrays: dims then attrs), or `None` for
-    /// catalog-only objects.
+    /// Columns in storage order (arrays: attributes; tables: columns), or
+    /// `None` for catalog-only objects.
     pub columns: Option<Vec<RecoveredColumn>>,
 }
 
@@ -290,7 +292,8 @@ pub struct CheckpointColumn<'a> {
 pub struct CheckpointObject<'a> {
     /// Schema definition.
     pub def: &'a SchemaObject,
-    /// Columns in storage order, or `None` for catalog-only objects.
+    /// Columns in storage order (arrays: attributes; tables: columns), or
+    /// `None` for catalog-only objects.
     pub columns: Option<Vec<CheckpointColumn<'a>>>,
 }
 
@@ -487,9 +490,10 @@ fn col_key(object: &str, column: &str) -> String {
     )
 }
 
-/// Split `bat` into its checkpoint tile plan: the tile size plus one
-/// zone entry per tile. An empty column still gets one empty tile so its
-/// type survives the round-trip.
+/// Split a stored column (an attribute or table column — the engine
+/// hands over no dimensions) into its checkpoint tile plan: the tile
+/// size plus one zone entry per tile. An empty column still gets one
+/// empty tile so its type survives the round-trip.
 fn tile_plan(bat: &Bat) -> (u32, Vec<ZoneEntry>) {
     let zm = bat.ensure_zone_map(TILE_ROWS);
     if zm.entries.is_empty() {

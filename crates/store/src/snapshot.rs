@@ -24,7 +24,10 @@ use std::io::Read as _;
 use std::path::Path;
 
 const SNAP_MAGIC: [u8; 4] = *b"SNAP";
-const SNAP_VERSION: u16 = 2;
+/// Format version. Version 3 stores an array's attributes only (its
+/// dimensions are their specs in the catalog); older snapshots, which also
+/// stored dimension columns, are refused by this number.
+const SNAP_VERSION: u16 = 3;
 
 /// One tile of a persisted column: the file id of its encoded BAT
 /// fragment plus the zone-map statistics recorded at checkpoint time.
@@ -46,7 +49,7 @@ pub struct SnapshotTile {
 /// its tiles in row order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotColumn {
-    /// Column name (dimension, attribute or table column).
+    /// Column name (array attribute or table column).
     pub name: String,
     /// Tile size (rows per tile) used to split this column.
     pub tile_rows: u32,
@@ -55,7 +58,7 @@ pub struct SnapshotColumn {
 }
 
 /// One object in a snapshot: its definition and, when materialised, the
-/// ordered column list (arrays: dimensions then attributes).
+/// ordered column list (arrays: attributes; tables: columns).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SnapshotObject {
     /// Schema definition.

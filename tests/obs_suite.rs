@@ -714,6 +714,31 @@ fn sys_tiles_agrees_with_store_accounting() {
     let row = rows.next_row().expect("sys.wal has one row when durable");
     assert_eq!(row.get::<i64>(0).unwrap() as u64, stats.wal_bytes);
     assert_eq!(row.get::<i64>(1).unwrap() as u64, stats.generation);
+
+    // An array's dimensions are generated, never stored: they have no
+    // tiles, and the view lists exactly the tile files the vault holds.
+    conn.execute(
+        "CREATE ARRAY grid (x INT DIMENSION[0:1:128], y INT DIMENSION[0:1:96], v INT DEFAULT 1)",
+    )
+    .unwrap();
+    let count = |conn: &mut Conn, sql: &str| {
+        conn.query(sql)
+            .unwrap()
+            .row(0)
+            .unwrap()
+            .get::<i64>(0)
+            .unwrap() as usize
+    };
+    let dims = "SELECT COUNT(*) FROM sys.tiles WHERE object = 'grid' AND column <> 'v'";
+    assert_eq!(count(&mut conn, dims), 0, "dimensions have no tiles");
+    // 128 × 96 cells span two tiles of v.
+    let grid = "SELECT COUNT(*) FROM sys.tiles WHERE object = 'grid'";
+    assert_eq!(count(&mut conn, grid), 2);
+    conn.checkpoint().unwrap();
+    let stats = conn.embedded_connection().unwrap().vault_stats().unwrap();
+    assert_eq!(stats.columns, 3, "ev.k, ev.v and grid.v");
+    let all = "SELECT COUNT(*) FROM sys.tiles";
+    assert_eq!(count(&mut conn, all), stats.tile_files);
 }
 
 /// Acceptance criterion: the HTTP scrape endpoint answers with the live

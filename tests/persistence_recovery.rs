@@ -203,3 +203,157 @@ fn shared_engine_drop_releases_vault_lock() {
     assert!(!lock.exists(), "engine drop must remove LOCK");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Why opening the vault at `dir` fails.
+fn open_error(dir: &std::path::Path) -> String {
+    match Connection::open(dir) {
+        Ok(_) => panic!("vault {} opened", dir.display()),
+        Err(e) => e.to_string(),
+    }
+}
+
+/// Number of tile files in the vault's `cols/` directory.
+fn tile_files(dir: &std::path::Path) -> usize {
+    std::fs::read_dir(dir.join("cols")).unwrap().count()
+}
+
+/// A vault stores attribute tiles only: an array's dimensions are their
+/// `DimSpec`s, never data — not at the first checkpoint, not after a
+/// re-range — and the regenerated dimensions still carry their shape.
+#[test]
+fn nothing_of_a_dimension_reaches_disk() {
+    use gdk::{zonemap::TILE_ROWS, Value};
+    let dir = fresh_dir();
+    let cfg = sciql::SessionConfig {
+        threads: 4,
+        parallel_threshold: 1,
+        ..sciql::SessionConfig::default()
+    };
+    const READS: [&str; 2] = [
+        "SELECT [x], [y], [z], v, w FROM cube",
+        "SELECT [i], [j], g FROM grid",
+    ];
+    let pages = |c: &mut Connection| {
+        READS.map(|q| {
+            let rs = c.query(q).unwrap();
+            (rs.encode_header(), rs.encode_pages(1000))
+        })
+    };
+    let before = {
+        let mut c = Connection::open_with_config(&dir, cfg).unwrap();
+        c.execute_script(
+            "CREATE ARRAY cube (x INT DIMENSION[40:-1:0], y INT DIMENSION[-2:1:18], \
+             z INT DIMENSION[10:2:32], v INT DEFAULT 1, w DOUBLE DEFAULT 0.5); \
+             CREATE ARRAY grid (i INT DIMENSION[0:1:3], j INT DIMENSION[-1:1:2], g INT DEFAULT 7); \
+             UPDATE cube SET v = x * 100 + y, w = z * 0.25 WHERE y > 0;",
+        )
+        .unwrap();
+        c.checkpoint().unwrap();
+        // 40 × 20 × 11 = 8800 cells: two tiles for each of cube's two
+        // attributes, plus grid's one.
+        let tiles = 2 * 8800usize.div_ceil(TILE_ROWS) + 1;
+        assert_eq!(tile_files(&dir), tiles);
+        let stats = c.vault_stats().unwrap();
+        assert_eq!((stats.columns, stats.tile_files), (3, tiles));
+        // 90 × 20 × 11 = 19800 cells after the re-range.
+        c.execute("ALTER ARRAY cube ALTER DIMENSION x SET RANGE [80:-1:-10]")
+            .unwrap();
+        c.checkpoint().unwrap();
+        let tiles = 2 * 19800usize.div_ceil(TILE_ROWS) + 1;
+        assert_eq!(tile_files(&dir), tiles);
+        let stats = c.vault_stats().unwrap();
+        assert_eq!((stats.columns, stats.tile_files), (3, tiles));
+        pages(&mut c)
+    };
+    let mut c = Connection::open_with_config(&dir, cfg).unwrap();
+    assert!(pages(&mut c) == before, "pages differ after reopen");
+    // A point read on regenerated dimensions is arithmetic: no select
+    // fans out, although every instruction may.
+    for (sql, n) in [
+        ("SELECT v, w FROM cube WHERE x = -3 AND y = 4 AND z = 12", 3),
+        ("SELECT g FROM grid WHERE i = 1 AND j = 0", 2),
+    ] {
+        let rs = c.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+        let lines: Vec<String> = rs.rows().map(|r| r[0].to_string()).collect();
+        let selects: Vec<&String> = (lines.iter())
+            .filter(|l| l.contains("] algebra.") && l.contains("select"))
+            .collect();
+        assert_eq!(selects.len(), n, "{lines:#?}");
+        for l in selects {
+            assert!(l.contains(" threads=1"), "a dimension select fanned out: {l}");
+        }
+    }
+    // A cell the UPDATE wrote, and one the re-range added.
+    for (sql, want) in [
+        ("x = 3 AND y = 4 AND z = 12", [Value::Int(304), Value::Dbl(3.0)]),
+        ("x = -3 AND y = 4 AND z = 12", [Value::Int(1), Value::Dbl(0.5)]),
+    ] {
+        let rs = c.query(&format!("SELECT v, w FROM cube WHERE {sql}")).unwrap();
+        assert_eq!(rs.rows().collect::<Vec<_>>(), vec![want.to_vec()], "{sql}");
+    }
+    drop(c);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A snapshot in an older format is refused by its version number, with
+/// the file named — never misread as a column-count mismatch.
+#[test]
+fn an_older_snapshot_version_is_refused() {
+    let dir = fresh_dir();
+    {
+        let mut c = Connection::open(&dir).unwrap();
+        c.execute("CREATE ARRAY m (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+            .unwrap();
+        c.checkpoint().unwrap();
+    }
+    // Rewrite the version field (after the 4-byte magic) to 2 and reseal
+    // the trailing CRC, so only the version is wrong.
+    let snap = dir.join("snapshot-1.cat");
+    let mut bytes = std::fs::read(&snap).unwrap();
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let body = bytes.len() - 4;
+    let crc = gdk::codec::crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&snap, bytes).unwrap();
+    let err = open_error(&dir);
+    assert!(
+        err.contains("snapshot-1.cat") && err.contains("unsupported version 2"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// An attribute tile that does not cover the array's cells is refused
+/// with the array named.
+#[test]
+fn an_attribute_of_the_wrong_length_is_refused() {
+    use sciql_store::{CheckpointColumn, CheckpointObject, ColumnDirt, Vault};
+    let dir = fresh_dir();
+    let def = {
+        let mut c = Connection::open(&dir).unwrap();
+        c.execute("CREATE ARRAY m (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+            .unwrap();
+        c.catalog().get("m").unwrap().clone()
+    };
+    {
+        // Checkpoint the array with three cells of `v` where it has four.
+        let (mut vault, _) = Vault::open(&dir).unwrap();
+        let short = gdk::Bat::from_ints(vec![1, 2, 3]);
+        let v = CheckpointColumn {
+            name: "v",
+            bat: &short,
+            dirt: ColumnDirt::All,
+        };
+        let m = CheckpointObject {
+            def: &def,
+            columns: Some(vec![v]),
+        };
+        vault.checkpoint(&[m]).unwrap();
+    }
+    let err = open_error(&dir);
+    assert!(
+        err.contains("recovered array \"m\" has a column of 3 cells, schema says 4"),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
