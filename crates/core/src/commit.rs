@@ -1,33 +1,39 @@
-//! Group commit: one fsync amortised over many concurrent writers.
+//! Group commit: one fsync amortised over many concurrent writers, led
+//! by the writers themselves.
 //!
-//! Under per-statement durability every acknowledged mutation pays its
-//! own WAL fsync — correct, but at 64 concurrent writers the disk does
-//! 64 identical flushes where one would do. Group commit decouples the
-//! *append* (serialized under the engine's connection lock) from the
-//! *sync point*: a writer appends its WAL record without syncing, takes
-//! a [`CommitTicket`] naming the log position its durability requires,
-//! releases the connection lock, and parks on the [`GroupCommitter`].
-//! A dedicated commit thread fsyncs the shared log file once and wakes
-//! every writer whose position the flush covered. The durability
-//! contract is unchanged: no statement is acknowledged to its client
-//! before its WAL record is on stable storage.
+//! Every logged write — DDL, DML, each COPY batch — has one commit
+//! sequence. The *append* is serialized on the connection (the single
+//! writer): the WAL record is written without syncing and the writer
+//! takes a [`CommitTicket`] naming the log position its durability
+//! requires. The *sync point* comes after the writer lock is released:
+//! the session runner redeems the ticket with
+//! [`GroupCommitter::wait_durable`] before acknowledging the statement.
+//!
+//! There is no commit thread. A waiter whose position is not yet durable
+//! and that finds no fsync in flight becomes the *leader*: it fsyncs the
+//! log once, up to the highest position requested so far, and retires
+//! every waiter that flush covered. Writers arriving during the flush
+//! park; the first still uncovered leads the next one. A lone writer
+//! therefore pays exactly one inline fsync, and N concurrent writers
+//! share far fewer. No statement is acknowledged to its client before
+//! its WAL record is on stable storage.
 //!
 //! WAL rotation (a checkpoint) is the epoch boundary: the checkpoint
 //! itself makes every previously appended record durable via the
-//! snapshot, so tickets from an older epoch are released immediately
-//! and the committer forgets the stale file handle.
+//! snapshot, so tickets from an older epoch are released immediately,
+//! the stale file handle is forgotten, and a leader still flushing the
+//! old log changes nothing of the new epoch.
 //!
-//! Whatever made a write durable — a group fsync, a synchronous append,
-//! a checkpoint, or on a replica the execution of a shipped burst — then
-//! publishes the new position on the engine's [`Watermark`]. That one
-//! signal is all the replication shipper and monotonic-read token
-//! waiters block on.
+//! Whatever made a write durable — a group fsync, a checkpoint, opening
+//! the vault, or on a replica the execution of a shipped burst — then
+//! publishes the new position on the engine's [`Watermark`], the only
+//! durable position there is. That one signal is all the replication
+//! shipper and monotonic-read token waiters block on.
 
 use crate::{EngineError, Result};
 use sciql_store::wal::WalSyncHandle;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// Does WAL position `pos` cover the monotonic-read `token`? Both are
@@ -101,8 +107,8 @@ impl Watermark {
     /// Advance to `(generation, pos)` and wake every waiter. A position
     /// at or behind the published one (an older generation, or a lower
     /// byte position in the same one) is ignored, so publishers racing
-    /// each other — the group-commit thread, synchronous appends,
-    /// checkpoints — never move the watermark backwards.
+    /// each other — a group-commit leader, a checkpoint — never move
+    /// the watermark backwards.
     pub fn publish(&self, generation: u64, pos: u64) {
         let mut st = self.lock();
         if covers(st.position(), (generation, pos)) {
@@ -175,67 +181,66 @@ struct GcState {
     requested: u64,
     /// Highest position known durable in `epoch`.
     durable: u64,
-    /// Positions of writers parked for `epoch`, in append order.
+    /// Positions of writers parked for `epoch`, in arrival order.
     pending: Vec<u64>,
+    /// A leader is fsyncing `epoch`'s log.
+    flushing: bool,
     /// A group fsync failed: durability for this epoch cannot be
     /// promised until a checkpoint starts a new one.
     sync_failed: Option<String>,
-    shutdown: bool,
+    /// Fsyncs led in `epoch`.
+    #[cfg(test)]
+    fsyncs: u64,
 }
 
-/// The shared group-commit coordinator: writer registration, the
-/// dedicated fsync thread, and the write-queue admission gate.
+/// The shared group-commit coordinator: writer registration, leader
+/// election for the fsync, and the write-queue admission gate. Every
+/// [`crate::Connection`] owns one; a [`crate::SharedEngine`] shares its
+/// connection's.
 #[derive(Debug)]
 pub struct GroupCommitter {
     state: Mutex<GcState>,
     cv: Condvar,
     /// Writers allowed in the commit queue before admission control
     /// refuses new ones with [`EngineError::Busy`] (`0` = unlimited).
-    max_queued: usize,
+    max_queued: AtomicUsize,
     /// Lock-free mirror of `pending.len()` for the admission fast path.
     depth: AtomicUsize,
     /// Where each group fsync publishes the position it made durable.
     watermark: Arc<Watermark>,
-    thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl GroupCommitter {
-    /// Start the committer with its dedicated fsync thread, publishing
-    /// every durable position on `watermark`.
-    pub fn spawn(max_queued: usize, watermark: Arc<Watermark>) -> Arc<GroupCommitter> {
-        let gc = Arc::new(GroupCommitter {
-            state: Mutex::new(GcState::default()),
+    /// A committer with an unbounded queue, publishing every durable
+    /// position on `watermark`.
+    pub(crate) fn new(watermark: Arc<Watermark>) -> GroupCommitter {
+        GroupCommitter {
+            state: Mutex::default(),
             cv: Condvar::new(),
-            max_queued,
+            max_queued: AtomicUsize::new(0),
             depth: AtomicUsize::new(0),
             watermark,
-            thread: Mutex::new(None),
-        });
-        let worker = Arc::clone(&gc);
-        let handle = std::thread::Builder::new()
-            .name("sciql-group-commit".into())
-            .spawn(move || worker.run())
-            .expect("spawn group-commit thread");
-        *gc.thread.lock().unwrap_or_else(|e| e.into_inner()) = Some(handle);
-        gc
+        }
     }
 
-    /// A committer without an fsync thread whose queue is full: one
-    /// writer is parked and nothing will ever release it.
+    /// A committer whose queue is full: one writer counts as parked and
+    /// nothing will ever release it.
     #[cfg(test)]
-    pub(crate) fn saturated() -> Arc<GroupCommitter> {
-        Arc::new(GroupCommitter {
-            state: Mutex::new(GcState::default()),
-            cv: Condvar::new(),
-            max_queued: 1,
-            depth: AtomicUsize::new(1),
-            watermark: Arc::default(),
-            thread: Mutex::new(None),
-        })
+    pub(crate) fn saturated() -> GroupCommitter {
+        let gc = GroupCommitter::new(Arc::default());
+        gc.set_max_queued(1);
+        gc.depth.store(1, Ordering::Relaxed);
+        gc
     }
 
     fn lock(&self) -> MutexGuard<'_, GcState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Bound the commit queue: beyond `max_queued` parked writers, new
+    /// writes are refused by [`GroupCommitter::admit`] (`0` = unlimited).
+    pub(crate) fn set_max_queued(&self, max_queued: usize) {
+        self.max_queued.store(max_queued, Ordering::Relaxed);
     }
 
     /// Writers currently parked in the commit queue.
@@ -247,10 +252,10 @@ impl GroupCommitter {
     /// queue is full; nothing has been executed and the client may
     /// simply retry.
     pub fn admit(&self) -> Result<()> {
-        if self.max_queued > 0 && self.depth.load(Ordering::Relaxed) >= self.max_queued {
+        let max = self.max_queued.load(Ordering::Relaxed);
+        if max > 0 && self.queue_depth() >= max {
             return Err(EngineError::Busy(format!(
-                "write queue full ({} writers pending durability)",
-                self.max_queued
+                "write queue full ({max} writers pending durability)"
             )));
         }
         Ok(())
@@ -265,47 +270,92 @@ impl GroupCommitter {
 
     /// Block until the ticket's WAL position is durable (or its epoch
     /// has been superseded by a checkpoint, which makes it durable by
-    /// snapshot). Called *after* releasing the connection lock, so
-    /// concurrent writers pile onto one fsync instead of serialising.
+    /// snapshot), leading the fsync when none is in flight. Called
+    /// *after* releasing the connection lock, so concurrent writers pile
+    /// onto one fsync instead of serialising.
     pub fn wait_durable(&self, ticket: CommitTicket) -> Result<()> {
         let mut st = self.lock();
         if ticket.epoch > st.epoch {
-            // First writer of a new WAL generation: previous-epoch
-            // waiters were already released by the rotation.
-            st.epoch = ticket.epoch;
-            st.handle = Some(ticket.handle);
-            st.requested = ticket.pos;
-            st.durable = 0;
-            st.sync_failed = None;
-            st.pending.clear();
-        } else if ticket.epoch == st.epoch {
-            st.requested = st.requested.max(ticket.pos);
-            if st.handle.is_none() {
-                st.handle = Some(ticket.handle);
-            }
-        } else {
+            // First writer of a new WAL generation: earlier waiters were
+            // released by the rotation.
+            *st = GcState {
+                epoch: ticket.epoch,
+                ..GcState::default()
+            };
+        } else if ticket.epoch < st.epoch {
             // A checkpoint rotated the WAL after this append; the
             // snapshot already made the effect durable.
             return Ok(());
         }
+        if st.durable >= ticket.pos {
+            // An fsync that started after this append covered it.
+            sciql_obs::global().wal_fsyncs_saved.inc();
+            return Ok(());
+        }
+        st.handle.get_or_insert(ticket.handle);
+        st.requested = st.requested.max(ticket.pos);
         st.pending.push(ticket.pos);
         self.set_depth(&st);
-        self.cv.notify_all();
         loop {
             if st.epoch > ticket.epoch || st.durable >= ticket.pos {
                 return Ok(());
             }
-            if st.shutdown || st.sync_failed.is_some() {
+            if let Some(why) = &st.sync_failed {
+                let err = EngineError::msg(format!("group commit failed: {why}"));
                 st.pending.retain(|&p| p != ticket.pos);
                 self.set_depth(&st);
-                let why = st
-                    .sync_failed
-                    .clone()
-                    .unwrap_or_else(|| "engine shut down before the commit was durable".into());
-                return Err(EngineError::msg(format!("group commit failed: {why}")));
+                return Err(err);
             }
-            st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
+            st = if st.flushing {
+                self.cv.wait(st).unwrap_or_else(|e| e.into_inner())
+            } else {
+                self.lead(st)
+            };
         }
+    }
+
+    /// Fsync as the leader: the epoch's log once, up to the highest
+    /// requested position, with the state lock dropped meanwhile. Then
+    /// publish what became durable, retire every waiter it covered, and
+    /// wake the rest — writers that arrived *during* the fsync batch
+    /// into the next one, which is the whole trick.
+    fn lead<'a>(&'a self, mut st: MutexGuard<'a, GcState>) -> MutexGuard<'a, GcState> {
+        let (epoch, target) = (st.epoch, st.requested);
+        let handle = st.handle.clone().expect("a parked writer installed it");
+        st.flushing = true;
+        #[cfg(test)]
+        {
+            st.fsyncs += 1;
+        }
+        drop(st);
+        let m = sciql_obs::global();
+        let t0 = Instant::now();
+        let synced = handle.sync();
+        m.wal_fsyncs.inc();
+        m.wal_fsync_ns.observe(t0.elapsed());
+        let mut st = self.lock();
+        // A checkpoint that rotated this epoch away released its waiters
+        // already; the new epoch's state is not this leader's to touch.
+        if st.epoch == epoch {
+            st.flushing = false;
+            match synced {
+                Ok(()) => {
+                    st.durable = target;
+                    self.watermark.publish(epoch, target);
+                    let before = st.pending.len();
+                    st.pending.retain(|&p| p > target);
+                    // At least the leader itself.
+                    let batch = (before - st.pending.len()) as u64;
+                    m.group_commits.inc();
+                    m.wal_fsyncs_saved.add(batch - 1);
+                    m.group_commit_batch.observe_ns(batch);
+                    self.set_depth(&st);
+                }
+                Err(e) => st.sync_failed = Some(e.to_string()),
+            }
+        }
+        self.cv.notify_all();
+        st
     }
 
     /// A checkpoint rotated the WAL into generation `epoch`: everything
@@ -314,75 +364,11 @@ impl GroupCommitter {
     pub fn advance_epoch(&self, epoch: u64) {
         let mut st = self.lock();
         if epoch > st.epoch {
-            st.epoch = epoch;
-            st.handle = None;
-            st.requested = 0;
-            st.durable = 0;
-            st.sync_failed = None;
-            st.pending.clear();
+            *st = GcState {
+                epoch,
+                ..GcState::default()
+            };
             self.set_depth(&st);
-            self.cv.notify_all();
-        }
-    }
-
-    /// Stop the fsync thread (any parked writer is failed, not left
-    /// hanging) and join it.
-    pub fn stop(&self) {
-        {
-            let mut st = self.lock();
-            st.shutdown = true;
-            self.cv.notify_all();
-        }
-        let handle = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(h) = handle {
-            let _ = h.join();
-        }
-    }
-
-    /// The dedicated commit thread: whenever writers are parked, fsync
-    /// the epoch's log once up to the highest requested position, then
-    /// wake everyone that flush covered. Writers arriving *during* the
-    /// fsync batch into the next one — that is the whole trick.
-    fn run(&self) {
-        let m = sciql_obs::global();
-        let mut st = self.lock();
-        loop {
-            if st.shutdown {
-                self.cv.notify_all();
-                return;
-            }
-            let work = st.sync_failed.is_none() && st.requested > st.durable && st.handle.is_some();
-            if !work {
-                st = self.cv.wait(st).unwrap_or_else(|e| e.into_inner());
-                continue;
-            }
-            let epoch = st.epoch;
-            let target = st.requested;
-            let handle = st.handle.clone().expect("checked above");
-            drop(st);
-            let t0 = Instant::now();
-            let synced = handle.sync();
-            m.wal_fsyncs.inc();
-            m.wal_fsync_ns.observe(t0.elapsed());
-            st = self.lock();
-            if st.epoch == epoch {
-                match synced {
-                    Ok(()) => {
-                        st.durable = st.durable.max(target);
-                        self.watermark.publish(epoch, st.durable);
-                        let before = st.pending.len();
-                        st.pending.retain(|&p| p > target);
-                        let batch = (before - st.pending.len()) as u64;
-                        if batch > 0 {
-                            m.group_commits.inc();
-                            m.wal_fsyncs_saved.add(batch - 1);
-                            m.group_commit_batch.observe_ns(batch);
-                        }
-                        self.set_depth(&st);
-                    }
-                    Err(e) => st.sync_failed = Some(e.to_string()),
-                }
-            }
             self.cv.notify_all();
         }
     }
@@ -457,5 +443,131 @@ mod tests {
         let now = wm.wait_past(seen, t0 + Duration::from_secs(2));
         assert_eq!(now.position(), seen.position());
         assert!(t0.elapsed() < Duration::from_millis(100));
+    }
+
+    /// A group committer over a fresh WAL file in its own temp dir.
+    struct Log {
+        dir: std::path::PathBuf,
+        wal: sciql_store::wal::WalWriter,
+        gc: Arc<GroupCommitter>,
+        wm: Arc<Watermark>,
+    }
+
+    impl Log {
+        fn new(tag: &str) -> Log {
+            let dir = std::env::temp_dir().join(format!(
+                "sciql-commit-{tag}-{}-{:?}",
+                std::process::id(),
+                std::thread::current().id()
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let wal = sciql_store::wal::WalWriter::create(&dir.join("wal-0.log")).unwrap();
+            let wm = Arc::new(Watermark::default());
+            let gc = Arc::new(GroupCommitter::new(Arc::clone(&wm)));
+            Log { dir, wal, gc, wm }
+        }
+
+        /// Append one record and take its ticket, as a writer does.
+        fn ticket(&mut self, epoch: u64) -> CommitTicket {
+            self.wal.append(b"UPDATE m SET v = 1").unwrap();
+            let handle = self.wal.sync_handle().unwrap();
+            let pos = self.wal.bytes();
+            CommitTicket { epoch, pos, handle }
+        }
+
+        fn fsyncs(&self) -> u64 {
+            self.gc.lock().fsyncs
+        }
+
+        /// Pretend a leader's fsync is in flight, so redeemers park.
+        fn hold_flush(&self) {
+            self.gc.lock().flushing = true;
+        }
+
+        /// Redeem every ticket on its own thread; returns once all of
+        /// them are parked in the queue.
+        fn park(&self, tickets: Vec<CommitTicket>) -> Vec<std::thread::JoinHandle<Result<()>>> {
+            let n = tickets.len();
+            let waiters = tickets
+                .into_iter()
+                .map(|t| {
+                    let gc = Arc::clone(&self.gc);
+                    std::thread::spawn(move || gc.wait_durable(t))
+                })
+                .collect();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.gc.queue_depth() < n {
+                assert!(
+                    Instant::now() < deadline,
+                    "writers led past a flush in flight"
+                );
+                std::thread::yield_now();
+            }
+            waiters
+        }
+    }
+
+    impl Drop for Log {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    #[test]
+    fn concurrent_redeemers_share_one_fsync() {
+        let mut log = Log::new("group");
+        let tickets: Vec<CommitTicket> = (0..8).map(|_| log.ticket(0)).collect();
+        let highest = tickets.last().unwrap().pos;
+        // Everyone arrives while a flush is in flight; when it ends, the
+        // first waiter to wake leads one fsync that covers them all.
+        log.hold_flush();
+        let waiters = log.park(tickets);
+        {
+            let mut st = log.gc.lock();
+            st.flushing = false;
+            log.gc.cv.notify_all();
+        }
+        for w in waiters {
+            w.join().unwrap().unwrap();
+        }
+        assert_eq!(log.fsyncs(), 1, "one fsync for 8 writers");
+        assert!(covers(log.wm.get(), (0, highest)));
+        assert_eq!(log.gc.queue_depth(), 0);
+    }
+
+    #[test]
+    fn a_lone_writer_pays_one_fsync_per_ticket() {
+        let mut log = Log::new("lone");
+        for n in 1..=3 {
+            let t = log.ticket(0);
+            let pos = t.pos;
+            log.gc.wait_durable(t).unwrap();
+            assert_eq!(log.fsyncs(), n);
+            assert_eq!(log.wm.get(), (0, pos));
+        }
+        assert_eq!(log.gc.queue_depth(), 0);
+    }
+
+    #[test]
+    fn advance_epoch_releases_parked_writers() {
+        let mut log = Log::new("epoch");
+        let tickets: Vec<CommitTicket> = (0..3).map(|_| log.ticket(0)).collect();
+        log.hold_flush();
+        let waiters = log.park(tickets);
+        // The checkpoint's snapshot made every parked record durable.
+        log.gc.advance_epoch(1);
+        for w in waiters {
+            w.join().unwrap().unwrap();
+        }
+        assert_eq!(log.gc.queue_depth(), 0);
+        assert_eq!(log.fsyncs(), 0, "the rotation, not an fsync, released them");
+        // An old-epoch ticket is already durable; a new one leads.
+        let stale = log.ticket(0);
+        log.gc.wait_durable(stale).unwrap();
+        let t = log.ticket(1);
+        let pos = t.pos;
+        log.gc.wait_durable(t).unwrap();
+        assert_eq!(log.fsyncs(), 1);
+        assert_eq!(log.wm.get(), (1, pos));
     }
 }

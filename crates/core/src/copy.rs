@@ -5,9 +5,11 @@
 //! rows): each batch is appended to the target's columns in memory (only
 //! the tiles the new rows land in are marked dirty) and logged as **one**
 //! WAL record — a `CopyBatch` carrying the encoded column fragments — so
-//! a million-row load costs hundreds of WAL syncs instead of a million,
+//! a million-row load costs hundreds of WAL records instead of a million,
 //! and recovery replays the batches bit-for-bit without re-reading the
-//! source file.
+//! source file. The records are appended unsynced; the COPY's commit
+//! ticket is its last batch's position, so the whole load costs the
+//! fsync of one write.
 //!
 //! Targets: a **table** appends the rows; an **array** overwrites its
 //! attribute values in row-major cell order and requires exactly
@@ -16,9 +18,10 @@
 //! checkpoint round trip).
 //!
 //! Batches are the atomicity unit: a parse error in batch *n* leaves
-//! batches `0..n` applied *and logged*, so durable state never diverges
-//! from memory — mirroring the partial-application contract of the other
-//! DML executors (see [`Connection::execute_stmt`]).
+//! batches `0..n` applied *and logged*, and the COPY's ticket is redeemed
+//! on error too, so durable state never diverges from memory — mirroring
+//! the partial-application contract of the other DML executors (see
+//! [`Connection::execute_stmt`]).
 
 use crate::session::Connection;
 use crate::{EngineError, Result};
@@ -266,17 +269,19 @@ impl Connection {
         Ok(total)
     }
 
-    /// Apply one batch in memory and log it as a single WAL record.
+    /// Apply one batch in memory and log it as a single WAL record,
+    /// unsynced: the COPY's ticket is its last batch's position.
     fn ingest_batch(&mut self, canonical: &str, start: u64, batch: &[Bat]) -> Result<usize> {
         let key = canonical.to_ascii_lowercase();
         let rows = self.apply_batch_in_memory(&key, start, batch)?;
         if self.vault.is_some() && !self.replaying {
             let names = self.column_names(&key)?;
             let cols: Vec<(String, &Bat)> = names.into_iter().zip(batch.iter()).collect();
-            if let Some(v) = self.vault.as_mut() {
-                v.append_copy_batch(canonical, start, &cols)
-                    .map_err(EngineError::Store)?;
-            }
+            let vault = self.vault.as_mut().expect("checked above");
+            let pos = vault
+                .append_copy_batch(canonical, start, &cols)
+                .map_err(EngineError::Store)?;
+            self.stage_commit(pos).map_err(EngineError::Store)?;
         }
         Ok(rows)
     }

@@ -13,8 +13,10 @@
 //!   and a long scan never blocks a writer. Every statement sees a
 //!   consistent point-in-time image: no torn reads, ever.
 //! * **Writes** serialize through the single [`Connection`], which keeps
-//!   the vault's single-writer WAL discipline: an acknowledged mutating
-//!   statement is fsynced before the lock is released. A write goes
+//!   the vault's single-writer WAL discipline: a mutating statement
+//!   appends its WAL record under the lock and is made durable by the
+//!   group committer after the lock is released, before it is
+//!   acknowledged. A write goes
 //!   through `Arc::make_mut` on the image, then on the store it changes,
 //!   then on each column it changes. An image no reader holds is written
 //!   in place. While a reader holds it, the writer copies the image's
@@ -40,7 +42,7 @@ use sciql_parser::ast::Stmt;
 use sciql_store::WalRecord;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// A consistent point-in-time image of the database: the writer's
@@ -126,17 +128,17 @@ impl SessionMeter {
 
 /// A process-wide engine shared by N concurrent sessions: many readers
 /// over `Arc` column snapshots, writes serialized through the (optionally
-/// vault-backed) single [`Connection`].
+/// vault-backed) single [`Connection`] and made durable by its group
+/// committer.
 pub struct SharedEngine {
     conn: Mutex<Connection>,
     pub(crate) stats: AtomicStats,
     next_session: AtomicU64,
     /// Open sessions, in creation order (the `sys.sessions` view).
     sessions: Mutex<Vec<Arc<SessionInfo>>>,
-    /// Group-commit coordinator, spawned lazily by
-    /// [`SharedEngine::enable_group_commit`] (the network server turns
-    /// it on; embedded use keeps per-statement fsync).
-    pub(crate) group: OnceLock<Arc<GroupCommitter>>,
+    /// The connection's group committer, reached without the lock for
+    /// admission and the durability wait.
+    pub(crate) group: Arc<GroupCommitter>,
     /// The published WAL position, shared with the connection's write
     /// path and the group committer.
     watermark: Arc<Watermark>,
@@ -149,12 +151,12 @@ impl SharedEngine {
     pub fn new(conn: Connection) -> Arc<Self> {
         Arc::new(SharedEngine {
             watermark: Arc::clone(&conn.watermark),
+            group: Arc::clone(&conn.group_commit),
             dir: conn.vault.as_ref().map(|v| v.dir().to_path_buf()),
             conn: Mutex::new(conn),
             stats: AtomicStats::default(),
             next_session: AtomicU64::new(1),
             sessions: Mutex::new(Vec::new()),
-            group: OnceLock::new(),
         })
     }
 
@@ -195,9 +197,9 @@ impl SharedEngine {
     /// The engine's durable WAL position — the monotonic-read token
     /// `(generation, byte position)` stamped onto write acknowledgements
     /// and the upper bound of what the replication shipper may send. It
-    /// is the published [`Watermark`]: whichever of the group committer,
-    /// a synchronous append or a checkpoint made a write durable moved
-    /// it. Read without the engine lock; `(0, 0)` for in-memory engines.
+    /// is the published [`Watermark`]: whichever of the group committer
+    /// or a checkpoint made a write durable moved it. Read without the
+    /// engine lock; `(0, 0)` for in-memory engines.
     pub fn durable_position(&self) -> (u64, u64) {
         self.watermark.get()
     }
@@ -256,11 +258,11 @@ impl SharedEngine {
                 "replication requires a persistent engine",
             ));
         };
+        // The watermark is on the vault's generation: opening and every
+        // checkpoint publish there, under this lock.
         let generation = v.generation();
-        let durable = match self.watermark.get() {
-            (g, pos) if g == generation => pos,
-            _ => v.wal_durable(),
-        };
+        let (published, durable) = self.watermark.get();
+        debug_assert_eq!(published, generation, "watermark behind the vault");
         let wal_name = format!("wal-{generation}.log");
         let mut files = Vec::new();
         for rel in v.snapshot_file_set() {
@@ -362,31 +364,17 @@ impl SharedEngine {
         self.lock().checkpoint()
     }
 
-    /// Switch the engine's write path to **group commit**: mutating
-    /// statements append their WAL record under the connection lock but
-    /// wait for durability *outside* it, on a dedicated commit thread
-    /// that batches concurrent writers into one fsync. The durability
-    /// contract is unchanged — a statement is still durable before it
-    /// is acknowledged — only the fsync is shared. `max_queued_writes`
-    /// bounds the commit queue; beyond it new writes are refused with
-    /// [`crate::EngineError::Busy`] (`0` = unbounded). Idempotent; the
-    /// first call's bound wins.
-    pub fn enable_group_commit(&self, max_queued_writes: usize) {
-        let gc = self
-            .group
-            .get_or_init(|| GroupCommitter::spawn(max_queued_writes, Arc::clone(&self.watermark)));
-        self.lock().group_commit = Some(Arc::clone(gc));
+    /// Bound the group-commit queue: while `max_queued_writes` writers
+    /// await durability, new writes are refused with
+    /// [`crate::EngineError::Busy`] before executing (`0` = unbounded,
+    /// the default).
+    pub fn set_max_queued_writes(&self, max_queued_writes: usize) {
+        self.group.set_max_queued(max_queued_writes);
     }
 
-    /// Is group commit enabled on this engine?
-    pub fn group_commit_enabled(&self) -> bool {
-        self.group.get().is_some()
-    }
-
-    /// Writers currently parked in the group-commit queue (0 when group
-    /// commit is off).
+    /// Writers currently parked in the group-commit queue.
     pub fn write_queue_depth(&self) -> usize {
-        self.group.get().map_or(0, |g| g.queue_depth())
+        self.group.queue_depth()
     }
 
     /// Is the engine backed by a durable vault?
@@ -401,14 +389,6 @@ impl SharedEngine {
             statements: self.stats.statements.load(Ordering::Relaxed),
             snapshot_reads: self.stats.snapshot_reads.load(Ordering::Relaxed),
             rows_returned: self.stats.rows_returned.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for SharedEngine {
-    fn drop(&mut self) {
-        if let Some(gc) = self.group.get() {
-            gc.stop();
         }
     }
 }
@@ -494,7 +474,7 @@ impl EngineSession {
     /// Execute one statement. SELECTs and EXPLAINs run on a lock-free
     /// snapshot (many sessions in parallel); everything else serializes
     /// through the engine's single-writer connection and is durable — by
-    /// its own fsync or a shared group commit — before this returns.
+    /// a group-commit fsync it may share — before this returns.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult> {
         exec::run(&mut Reach::Shared(self), Request::Sql(sql))
     }
@@ -594,15 +574,18 @@ impl std::fmt::Debug for EngineSession {
 mod tests {
     use super::*;
 
-    fn seeded() -> Arc<SharedEngine> {
-        let engine = SharedEngine::in_memory();
-        let mut s = engine.session();
-        s.execute(
+    fn seeded_connection() -> Connection {
+        let mut conn = Connection::new();
+        conn.execute(
             "CREATE ARRAY m (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], v INT DEFAULT 0)",
         )
         .unwrap();
-        s.execute("UPDATE m SET v = x + y").unwrap();
-        engine
+        conn.execute("UPDATE m SET v = x + y").unwrap();
+        conn
+    }
+
+    fn seeded() -> Arc<SharedEngine> {
+        SharedEngine::new(seeded_connection())
     }
 
     #[test]
@@ -717,8 +700,9 @@ mod tests {
     /// every write still lets them answer.
     #[test]
     fn explain_reads_a_snapshot_even_when_writes_are_refused() {
-        let engine = seeded();
-        engine.group.set(GroupCommitter::saturated()).unwrap();
+        let mut conn = seeded_connection();
+        conn.group_commit = Arc::new(GroupCommitter::saturated());
+        let engine = SharedEngine::new(conn);
         let mut s = engine.session();
         assert!(matches!(
             s.execute("UPDATE m SET v = 1"),

@@ -645,11 +645,11 @@ impl SessionState {
 /// A session plus its way to reach the database.
 pub(crate) enum Reach<'a> {
     /// The connection's own session: its stores are read in place and
-    /// each write is fsynced before it returns.
+    /// each write is made durable before it returns.
     Exclusive(&'a mut Connection),
     /// A session over a shared engine: reads run on a point-in-time
     /// snapshot outside the engine lock, writes go through the locked
-    /// single writer and (when enabled) the group-commit queue.
+    /// single writer and the group-commit queue.
     Shared(&'a mut EngineSession),
 }
 
@@ -724,10 +724,10 @@ impl Reach<'_> {
         }
     }
 
-    fn group_committer(&self) -> Option<Arc<GroupCommitter>> {
+    fn group_committer(&self) -> Arc<GroupCommitter> {
         match self {
-            Reach::Exclusive(conn) => conn.group_commit.clone(),
-            Reach::Shared(sess) => sess.engine.group.get().cloned(),
+            Reach::Exclusive(conn) => Arc::clone(&conn.group_commit),
+            Reach::Shared(sess) => Arc::clone(&sess.engine.group),
         }
     }
 }
@@ -952,8 +952,9 @@ fn run_read(
 /// the single writer (under the engine lock, when shared); the
 /// durability wait *after* the lock is released and *before* the
 /// statement is acknowledged, so concurrent writers share one fsync.
-/// Without a group committer the append itself fsyncs and there is
-/// nothing to wait for.
+/// A statement that logged nothing (in memory, or failed) has no ticket
+/// and nothing to wait for; a failed COPY that logged its earlier
+/// batches waits for them too.
 fn run_write(
     reach: &mut Reach<'_>,
     stmt: &Stmt,
@@ -961,9 +962,7 @@ fn run_write(
     tracer: &mut Tracer,
 ) -> Result<QueryResult> {
     let group = reach.group_committer();
-    if let Some(gc) = &group {
-        gc.admit()?;
-    }
+    group.admit()?;
     let (result, last, position, ticket) = reach.with_writer(|conn| {
         let result = conn.write_stmt(stmt, text, tracer);
         // The DML executors leave their plan's statistics on the
@@ -976,9 +975,9 @@ fn run_write(
     if result.is_ok() && position != (0, 0) {
         state.commit_token = Some(position);
     }
-    match (ticket, group) {
-        (Some(ticket), Some(gc)) => gc.wait_durable(ticket).and(result),
-        _ => result,
+    match ticket {
+        Some(ticket) => group.wait_durable(ticket).and(result),
+        None => result,
     }
 }
 

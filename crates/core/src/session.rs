@@ -145,16 +145,15 @@ pub struct Connection {
     /// refused; the only write path is [`Connection::apply_replicated`],
     /// which replays records shipped off a primary's WAL.
     pub(crate) read_only: bool,
-    /// Group-commit coordinator, when the owning [`crate::SharedEngine`]
-    /// enabled it. `None` (embedded default) keeps the classic
-    /// per-statement fsync.
-    pub(crate) group_commit: Option<Arc<GroupCommitter>>,
-    /// Ticket of the last group-appended statement, awaiting redemption
-    /// via [`Connection::take_pending_commit`] outside the engine lock.
+    /// Makes every logged write durable; shared with the owning
+    /// [`crate::SharedEngine`], whose sessions redeem their tickets on it.
+    pub(crate) group_commit: Arc<GroupCommitter>,
+    /// Ticket of the last logged write, awaiting redemption by the
+    /// session runner outside the writer lock.
     pending_commit: Option<CommitTicket>,
-    /// Where the synchronous write path and checkpoints publish the
-    /// durable WAL position; a [`crate::SharedEngine`] shares it with its
-    /// group committer, its shipper and its token waiters.
+    /// The durable WAL position, published by opening the vault, by the
+    /// group committer and by checkpoints; a [`crate::SharedEngine`]
+    /// shares it with its shipper and its token waiters.
     pub(crate) watermark: Arc<Watermark>,
 }
 
@@ -173,15 +172,16 @@ impl Connection {
 
     /// Fresh empty session with an explicit execution configuration.
     pub fn with_config(cfg: SessionConfig) -> Self {
+        let watermark = Arc::default();
         let mut conn = Connection {
             image: Arc::default(),
             session: SessionState::default(),
             vault: None,
             replaying: false,
             read_only: false,
-            group_commit: None,
+            group_commit: Arc::new(GroupCommitter::new(Arc::clone(&watermark))),
             pending_commit: None,
-            watermark: Arc::default(),
+            watermark,
         };
         conn.set_session_config(cfg);
         conn
@@ -255,17 +255,12 @@ impl Connection {
         }
         conn.vault = Some(vault);
         conn.replaying = true;
-        let replay: Result<()> = recovered.ops.iter().try_for_each(|op| match op {
-            ReplayOp::Sql(sql) => conn.execute(sql).map(|_| ()),
-            ReplayOp::CopyBatch {
-                target,
-                start,
-                columns,
-            } => conn.apply_copy_batch(target, *start, columns),
-        });
+        let replay: Result<()> = recovered.ops.iter().try_for_each(|op| conn.replay(op));
         conn.replaying = false;
         replay?;
-        conn.publish_durable();
+        // Everything recovered is on disk: the watermark starts there.
+        let (generation, pos) = conn.wal_applied();
+        conn.watermark.publish(generation, pos);
         Ok(conn)
     }
 
@@ -327,15 +322,7 @@ impl Connection {
         self.replaying = true;
         let mut failed = None;
         for op in &ops {
-            let applied = match op {
-                ReplayOp::Sql(sql) => self.execute(sql).map(|_| ()),
-                ReplayOp::CopyBatch {
-                    target,
-                    start,
-                    columns,
-                } => self.apply_copy_batch(target, *start, columns),
-            };
-            match applied {
+            match self.replay(op) {
                 Ok(()) => sciql_obs::global().repl_records_applied.inc(),
                 Err(e) => {
                     failed.get_or_insert(e);
@@ -344,6 +331,18 @@ impl Connection {
         }
         self.replaying = was;
         failed.map_or(Ok(pos), Err)
+    }
+
+    /// Re-execute one logged operation (recovery, replication apply).
+    fn replay(&mut self, op: &ReplayOp) -> Result<()> {
+        match op {
+            ReplayOp::Sql(sql) => self.execute(sql).map(|_| ()),
+            ReplayOp::CopyBatch {
+                target,
+                start,
+                columns,
+            } => self.apply_copy_batch(target, *start, columns),
+        }
     }
 
     /// `(generation, WAL byte position)` of the vault — on a replica,
@@ -411,7 +410,7 @@ impl Connection {
             .collect();
         vault.checkpoint(&objects).map_err(EngineError::Store)?;
         let new_gen = vault.generation();
-        self.watermark.publish(new_gen, vault.wal_durable());
+        self.watermark.publish(new_gen, vault.wal_position());
         // Only dirty stores are marked clean, so a clean store that a
         // reader holds is not copied.
         let image = self.image_mut();
@@ -421,18 +420,17 @@ impl Connection {
         for s in image.tables.values_mut().filter(|s| s.dirty_columns() > 0) {
             Arc::make_mut(s).mark_clean();
         }
-        if let Some(gc) = &self.group_commit {
-            // The rotation is the epoch boundary: the snapshot made every
-            // previously appended record durable, so parked group-commit
-            // writers are released and the stale WAL handle dropped.
-            gc.advance_epoch(new_gen);
-        }
+        // The rotation is the epoch boundary: the snapshot made every
+        // previously appended record durable, so parked writers are
+        // released and the stale WAL handle dropped.
+        self.group_commit.advance_epoch(new_gen);
         self.pending_commit = None;
         Ok(())
     }
 
     /// Configure the MAL optimizer pipeline per pass (finer-grained than
-    /// `SessionConfig::opt_level`; used by the ablation bench and tests).
+    /// `SessionConfig::opt_level`; the optimizer tests switch single
+    /// passes off with it).
     pub fn set_optimizer(&mut self, cfg: OptConfig) {
         self.image_mut().opt_config = cfg;
     }
@@ -591,8 +589,9 @@ impl Connection {
     ///
     /// On a persistent connection, every *mutating* statement that
     /// succeeds is appended to the write-ahead log (as its canonical
-    /// printed text — the parser's printer round-trips) and synced
-    /// before this returns: an acknowledged statement survives a crash.
+    /// printed text — the parser's printer round-trips) and made durable
+    /// by the group committer before this returns: an acknowledged
+    /// statement survives a crash.
     pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
         exec::run(&mut Reach::Exclusive(self), Request::Stmt(stmt))
     }
@@ -623,11 +622,13 @@ impl Connection {
         // `crate::copy`), so it is excluded from statement-level logging.
         let logged = !matches!(stmt, Stmt::Copy { .. }) && !self.replaying && self.vault.is_some();
         let before = logged.then(|| self.mutation_epoch());
-        let outcome = match self.dispatch_stmt(stmt) {
+        match self.dispatch_stmt(stmt) {
             Ok(result) => {
                 if logged {
                     let sp = tracer.open(SpanId::ROOT, "wal.append");
-                    let append = self.log_statement(text);
+                    let vault = self.vault.as_mut().expect("logged statements have a vault");
+                    let append = (vault.append_statement_nosync(text))
+                        .and_then(|pos| self.stage_commit(pos));
                     tracer.close(sp);
                     if append.is_err() {
                         // The WAL is unavailable; a checkpoint captures the
@@ -655,48 +656,26 @@ impl Connection {
                 }
                 Err(e)
             }
-        };
-        // Replayed records are published by whoever replays them — a
-        // replica only once its whole burst has executed.
-        if !self.replaying {
-            self.publish_durable();
-        }
-        outcome
-    }
-
-    /// Publish the vault's synchronously durable WAL position (fsyncing
-    /// appends: per-statement durability, COPY batches). Under group
-    /// commit the committer publishes what its fsyncs cover.
-    fn publish_durable(&self) {
-        if let Some(v) = &self.vault {
-            self.watermark.publish(v.generation(), v.wal_durable());
         }
     }
 
-    /// Append an acknowledged statement to the WAL. Per-statement
-    /// durability fsyncs before returning; under group commit the record
-    /// is appended unsynced and a [`CommitTicket`] is stashed for the
-    /// session runner to redeem — *outside* the connection lock — before
-    /// the statement is acknowledged to its client.
-    fn log_statement(&mut self, text: &str) -> sciql_store::StoreResult<()> {
-        let grouped = self.group_commit.is_some();
-        let vault = self.vault.as_mut().expect("logged statements have a vault");
-        if !grouped {
-            return vault.append_statement(text);
-        }
-        let pos = vault.append_statement_nosync(text)?;
+    /// Stage the ticket of a WAL record just appended up to `pos` — it
+    /// replaces any earlier one of the same statement, as a COPY's last
+    /// batch covers its first. The session runner takes it with
+    /// [`Connection::take_pending_commit`] and redeems it on the
+    /// [`GroupCommitter`] once the writer lock is released, before the
+    /// statement is acknowledged.
+    pub(crate) fn stage_commit(&mut self, pos: u64) -> sciql_store::StoreResult<()> {
+        let vault = self.vault.as_ref().expect("logged writes have a vault");
         let handle = vault.wal_sync_handle()?;
         let epoch = vault.generation();
         self.pending_commit = Some(CommitTicket { epoch, pos, handle });
         Ok(())
     }
 
-    /// Take the [`CommitTicket`] of the statement just executed, if the
-    /// session runs under group commit. The caller must redeem it with
-    /// [`GroupCommitter::wait_durable`] before acknowledging the
-    /// statement, and must do so after releasing the connection lock so
-    /// concurrent writers share the fsync.
-    pub fn take_pending_commit(&mut self) -> Option<CommitTicket> {
+    /// Take the [`CommitTicket`] of the statement just executed, if it
+    /// logged anything.
+    pub(crate) fn take_pending_commit(&mut self) -> Option<CommitTicket> {
         self.pending_commit.take()
     }
 

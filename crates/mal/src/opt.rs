@@ -34,8 +34,9 @@ use sciql_obs::{SpanId, Tracer};
 use std::collections::{HashMap, HashSet};
 
 /// What each pass did. Threaded through the engine's `LastExec` so the
-/// REPL's `\timing`, the net protocol's stats frame and the
-/// optimizer-ablation bench can surface it.
+/// REPL's `\timing`, the execution report of the net protocol's
+/// statement trailer and the benchmark's per-layer `mal.*` counts can
+/// surface it.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PassStats {
     /// Instructions folded to constants.

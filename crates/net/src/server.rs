@@ -64,13 +64,7 @@ pub struct ServerConfig {
     /// Admission bound on the group-commit queue: a write arriving while
     /// this many writers already await the group fsync is refused with
     /// [`ErrorCode::ServerBusy`] *before* executing (`0` = unlimited).
-    /// Only meaningful with [`ServerConfig::group_commit`].
     pub max_queued_writes: usize,
-    /// Commit concurrent writers' WAL records with one shared fsync
-    /// (group commit) instead of one fsync per statement. Durability is
-    /// identical — a statement is acknowledged only once its WAL bytes
-    /// are on disk — but N concurrent writers cost ~1 fsync, not N.
-    pub group_commit: bool,
 }
 
 impl Default for ServerConfig {
@@ -84,7 +78,6 @@ impl Default for ServerConfig {
             max_sessions: 1024,
             max_result_bytes_per_session: 0,
             max_queued_writes: 4096,
-            group_commit: true,
         }
     }
 }
@@ -130,11 +123,7 @@ impl Server {
         config: ServerConfig,
     ) -> NetResult<Server> {
         let listener = TcpListener::bind(addr)?;
-        // Group commit only means something when there is a WAL to
-        // fsync; an in-memory engine skips the committer thread.
-        if config.group_commit && engine.is_persistent() {
-            engine.enable_group_commit(config.max_queued_writes);
-        }
+        engine.set_max_queued_writes(config.max_queued_writes);
         Ok(Server {
             shared: Arc::new(Shared {
                 engine,

@@ -724,7 +724,7 @@ fn group_commit_acked_writes_survive_recovery() {
         .unwrap_or(0);
     assert!(
         group_commits_after > group_commits_before,
-        "the group-commit thread must have fsynced at least once"
+        "a group-commit leader must have fsynced at least once"
     );
     handle.shutdown();
     drop(handle.wait()); // release the vault; nothing checkpointed since the writes

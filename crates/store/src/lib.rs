@@ -472,12 +472,6 @@ pub struct Vault {
     /// been written (before the MANIFEST switch), simulating a crash
     /// mid-checkpoint. One-shot.
     fault_after_tiles: Option<u64>,
-    /// WAL byte position known durable via a *synchronous* path:
-    /// everything recovered at open plus every fsyncing append. Group
-    /// commit appends past this; its coordinator owns those positions'
-    /// durability (see `sciql-core`'s committer), so the replication
-    /// shipper combines both watermarks.
-    wal_durable: u64,
     /// Held for the vault's lifetime; releases `LOCK` on drop.
     _lock: LockGuard,
 }
@@ -544,7 +538,6 @@ impl Vault {
             write_snapshot(&Self::snapshot_path(&dir, 0), &SnapshotData::default())?;
             let wal = WalWriter::create(&Self::wal_path(&dir, 0))?;
             write_file_durably(&manifest, b"sciql-store v1\ngen 0\n")?;
-            let wal_durable = wal.bytes();
             let vault = Vault {
                 dir,
                 gen: 0,
@@ -554,7 +547,6 @@ impl Vault {
                 tiles_rewritten: 0,
                 tiles_reused: 0,
                 fault_after_tiles: None,
-                wal_durable,
                 _lock: lock,
             };
             return Ok((
@@ -615,7 +607,6 @@ impl Vault {
             // (the WAL is created first), but tolerate a missing log.
             (Vec::new(), WalWriter::create(&wal_path)?)
         };
-        let wal_durable = wal.bytes();
         let vault = Vault {
             dir,
             gen,
@@ -625,7 +616,6 @@ impl Vault {
             tiles_rewritten: 0,
             tiles_reused: 0,
             fault_after_tiles: None,
-            wal_durable,
             _lock: lock,
         };
         // A crash between the MANIFEST switch and a checkpoint's cleanup
@@ -739,23 +729,9 @@ impl Vault {
         )))
     }
 
-    /// Append one acknowledged statement to the WAL and force it to disk.
-    /// When this returns `Ok`, the statement survives a crash.
-    pub fn append_statement(&mut self, sql: &str) -> StoreResult<()> {
-        let mut payload = Vec::with_capacity(1 + sql.len());
-        payload.push(TAG_SQL);
-        payload.extend_from_slice(sql.as_bytes());
-        self.wal.append(&payload)?;
-        sciql_obs::global().wal_appends.inc();
-        self.synced_to_disk()?;
-        self.wal_durable = self.wal.bytes();
-        Ok(())
-    }
-
-    /// Append one statement to the WAL *without* forcing it to disk —
-    /// the group-commit half of [`Vault::append_statement`]. Returns the
-    /// log's byte position after the record: once any later fsync of
-    /// this generation's log covers that position (see
+    /// Append one statement to the WAL *without* forcing it to disk.
+    /// Returns the log's byte position after the record: once any later
+    /// fsync of this generation's log covers that position (see
     /// [`Vault::wal_sync_handle`]), the statement survives a crash. The
     /// caller owns durability; nothing may be acknowledged before then.
     pub fn append_statement_nosync(&mut self, sql: &str) -> StoreResult<u64> {
@@ -767,10 +743,11 @@ impl Vault {
         Ok(self.wal.bytes())
     }
 
-    /// A shareable fsync handle on the *current* generation's WAL, for a
-    /// group-commit thread. Invalidated (harmlessly) by the next
-    /// [`Vault::checkpoint`], which rotates the log after making every
-    /// appended record durable via the snapshot itself.
+    /// A shareable fsync handle on the *current* generation's WAL, for
+    /// the group committer to fsync outside the writer's lock.
+    /// Invalidated (harmlessly) by the next [`Vault::checkpoint`], which
+    /// rotates the log after making every appended record durable via
+    /// the snapshot itself.
     pub fn wal_sync_handle(&self) -> StoreResult<wal::WalSyncHandle> {
         self.wal.sync_handle()
     }
@@ -805,22 +782,14 @@ impl Vault {
             sciql_obs::global().wal_appends.inc();
         }
         self.synced_to_disk()?;
-        self.wal_durable = self.wal.bytes();
         Ok(self.wal.bytes())
     }
 
     /// Byte length of the current generation's WAL — the position a
-    /// write is durable at once an fsync covers it.
+    /// write is durable at once an fsync covers it. Everything recovered
+    /// at open and everything before a checkpoint is durable.
     pub fn wal_position(&self) -> u64 {
         self.wal.bytes()
-    }
-
-    /// WAL byte position durable via synchronous appends (recovered
-    /// content plus fsyncing appends). Under group commit the true
-    /// durable position may be higher — the coordinator's fsyncs are
-    /// not visible here.
-    pub fn wal_durable(&self) -> u64 {
-        self.wal_durable
     }
 
     /// The files that constitute this vault's current durable image, as
@@ -848,21 +817,21 @@ impl Vault {
         files
     }
 
-    /// Append one COPY ingest batch to the WAL and force it to disk:
-    /// `columns` are the batch's rows (one fragment per column in storage
-    /// order) appended to `target` at row offset `start`.
+    /// Append one COPY ingest batch to the WAL *without* forcing it to
+    /// disk: `columns` are the batch's rows (one fragment per column in
+    /// storage order) appended to `target` at row offset `start`. Returns
+    /// the log's byte position after the record, which the caller makes
+    /// durable as for [`Vault::append_statement_nosync`].
     pub fn append_copy_batch(
         &mut self,
         target: &str,
         start: u64,
         columns: &[(String, &Bat)],
-    ) -> StoreResult<()> {
+    ) -> StoreResult<u64> {
         self.wal
             .append(&encode_copy_batch(target, start, columns))?;
         sciql_obs::global().wal_appends.inc();
-        self.synced_to_disk()?;
-        self.wal_durable = self.wal.bytes();
-        Ok(())
+        Ok(self.wal.bytes())
     }
 
     /// Write a new checkpoint generation: dirty (or never-persisted)
@@ -969,7 +938,6 @@ impl Vault {
         // garbage now.
         self.gen = new_gen;
         self.wal = new_wal;
-        self.wal_durable = self.wal.bytes();
         self.refs = new_refs;
         self.tiles_rewritten = written;
         self.tiles_reused = reused;
@@ -1082,7 +1050,9 @@ mod tests {
         let dir = tmp_dir("gc");
         {
             let (mut vault, _) = Vault::open(&dir).unwrap();
-            vault.append_statement("CREATE TABLE t (a INT)").unwrap();
+            vault
+                .append_statement_nosync("CREATE TABLE t (a INT)")
+                .unwrap();
         }
         // Simulate a checkpoint that crashed after writing its files but
         // before the MANIFEST switch, plus debris from older crashes.
@@ -1206,7 +1176,9 @@ mod tests {
         let dir = tmp_dir("copywal");
         {
             let (mut vault, _) = Vault::open(&dir).unwrap();
-            vault.append_statement("CREATE TABLE t (a INT)").unwrap();
+            vault
+                .append_statement_nosync("CREATE TABLE t (a INT)")
+                .unwrap();
             let a = Bat::from_ints(vec![1, 2, 3]);
             vault
                 .append_copy_batch("t", 0, &[("a".into(), &a)])
@@ -1236,7 +1208,9 @@ mod tests {
         let def = int_table("t");
         let bat = Bat::from_ints((0..10).collect());
         bat.install_zone_map(gdk::ZoneMap::build(&bat, 4));
-        vault.append_statement("CREATE TABLE t (a INT)").unwrap();
+        vault
+            .append_statement_nosync("CREATE TABLE t (a INT)")
+            .unwrap();
         vault.set_checkpoint_fault(2);
         let err = vault
             .checkpoint(&[CheckpointObject {

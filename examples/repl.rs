@@ -81,12 +81,11 @@ fn main() {
     let mut max_sessions: Option<String> = None;
     let mut max_result_bytes: Option<String> = None;
     let mut max_queued_writes: Option<String> = None;
-    let mut no_group_commit = false;
     let mut replica_of: Option<String> = None;
     let usage = "usage: repl [<URL> | --listen <addr> [--db <path>] \
                  [--metrics-addr <addr>] \
                  [--max-sessions <n>] [--max-result-bytes <n>] \
-                 [--max-queued-writes <n>] [--no-group-commit] \
+                 [--max-queued-writes <n>] \
                  | --replica-of <addr> --db <path> [--listen <addr>]]  \
                  (URL = mem: | file:<path> | tcp://host:port \
                  | tcp://primary,replica1,…)";
@@ -100,10 +99,6 @@ fn main() {
             "--max-sessions" => &mut max_sessions,
             "--max-result-bytes" => &mut max_result_bytes,
             "--max-queued-writes" => &mut max_queued_writes,
-            "--no-group-commit" => {
-                no_group_commit = true;
-                continue;
-            }
             other if !other.starts_with('-') && url.is_none() => {
                 url = Some(other.to_owned());
                 continue;
@@ -143,7 +138,6 @@ fn main() {
         if let Some(n) = parse_limit("--max-queued-writes", max_queued_writes) {
             config.max_queued_writes = n;
         }
-        config.group_commit = !no_group_commit;
         if let Some(primary) = replica_of {
             let Some(dir) = db else {
                 eprintln!("--replica-of needs --db <path> for the replica's own vault ({usage})");
@@ -171,7 +165,6 @@ fn main() {
         || max_sessions.is_some()
         || max_result_bytes.is_some()
         || max_queued_writes.is_some()
-        || no_group_commit
     {
         eprintln!(
             "server flags only apply to --listen / --replica-of servers; \
