@@ -2,14 +2,14 @@
 //!
 //! The streaming path of the tiled store. Rows are read from the source
 //! file and applied in batches of one tile ([`gdk::zonemap::TILE_ROWS`]
-//! rows): each batch is appended to the target's columns in memory (only
-//! the tiles the new rows land in are marked dirty) and logged as **one**
-//! WAL record — a `CopyBatch` carrying the encoded column fragments — so
-//! a million-row load costs hundreds of WAL records instead of a million,
-//! and recovery replays the batches bit-for-bit without re-reading the
-//! source file. The records are appended unsynced; the COPY's commit
-//! ticket is its last batch's position, so the whole load costs the
-//! fsync of one write.
+//! rows): each batch is one data change through [`Connection::change`] —
+//! stored in memory (only the tiles the new rows land in are marked
+//! dirty) and logged as the same **one** `Write` record every other data
+//! change uses — so a million-row load costs hundreds of WAL records
+//! instead of a million, and recovery replays the batches bit-for-bit
+//! without re-reading the source file. The records are appended unsynced;
+//! the COPY's commit ticket is its last batch's position, so the whole
+//! load costs the fsync of one write.
 //!
 //! Targets: a **table** appends the rows; an **array** overwrites its
 //! attribute values in row-major cell order and requires exactly
@@ -17,17 +17,18 @@
 //! maps, so tile-skipping scans work immediately (not only after a
 //! checkpoint round trip).
 //!
-//! Batches are the atomicity unit: a parse error in batch *n* leaves
-//! batches `0..n` applied *and logged*, and the COPY's ticket is redeemed
-//! on error too, so durable state never diverges from memory — mirroring
-//! the partial-application contract of the other DML executors (see
-//! [`Connection::execute_stmt`]).
+//! Batches are the atomicity unit — COPY is the one statement that can
+//! partly apply: a parse error in batch *n* leaves batches `0..n` applied
+//! *and logged*, and the COPY's ticket is redeemed on error too, so
+//! durable state never diverges from memory. A batch whose append fails
+//! is captured by a checkpoint instead, as for every data change.
 
 use crate::session::Connection;
 use crate::{EngineError, Result};
 use gdk::codec::{decode_bat, encode_bat};
 use gdk::zonemap::TILE_ROWS;
 use gdk::{Bat, Candidates, Oid, ScalarType, Value};
+use sciql_obs::Tracer;
 use sciql_parser::ast::CopyFormat;
 use std::io::{BufRead, Read as _};
 use std::path::Path;
@@ -158,34 +159,19 @@ impl Connection {
         target: &str,
         path: &str,
         format: CopyFormat,
+        tracer: &mut Tracer,
     ) -> Result<usize> {
         let key = target.to_ascii_lowercase();
-        let (canonical, types, is_table) = if let Some(t) = self.image.tables.get(&key) {
-            (
-                t.def.name.clone(),
-                t.def.columns.iter().map(|c| c.ty).collect::<Vec<_>>(),
-                true,
-            )
-        } else if let Some(a) = self.image.arrays.get(&key) {
-            (
-                a.def.name.clone(),
-                a.def.attrs.iter().map(|c| c.ty).collect::<Vec<_>>(),
-                false,
-            )
-        } else {
-            return Err(EngineError::msg(format!(
-                "COPY target {target:?} does not exist"
-            )));
-        };
-        // Per-batch start position: tables grow from their current end,
-        // arrays overwrite cells front-to-back in row-major order.
-        let next_start = |conn: &Connection, total: usize| -> u64 {
-            if is_table {
-                conn.image.tables[&key].row_count() as u64
-            } else {
-                total as u64
-            }
-        };
+        let types: Vec<ScalarType> =
+            match (self.image.tables.get(&key), self.image.arrays.get(&key)) {
+                (Some(t), _) => t.def.columns.iter().map(|c| c.ty).collect(),
+                (_, Some(a)) => a.def.attrs.iter().map(|c| c.ty).collect(),
+                _ => {
+                    return Err(EngineError::msg(format!(
+                        "COPY target {target:?} does not exist"
+                    )))
+                }
+            };
         let mut total = 0usize;
         match format {
             CopyFormat::Binary => {
@@ -200,8 +186,7 @@ impl Connection {
                         .map(|b| gdk::project::slice(b, at, end))
                         .collect::<std::result::Result<_, _>>()
                         .map_err(EngineError::Gdk)?;
-                    let start = next_start(self, total);
-                    total += self.ingest_batch(&canonical, start, &batch)?;
+                    total += self.ingest(&key, total, batch, tracer)?;
                     at = end;
                 }
             }
@@ -245,19 +230,17 @@ impl Connection {
                     rows_in_batch += 1;
                     if rows_in_batch == TILE_ROWS {
                         let full = std::mem::replace(&mut batch, fresh(&types));
-                        let start = next_start(self, total);
-                        total += self.ingest_batch(&canonical, start, &full)?;
+                        total += self.ingest(&key, total, full, tracer)?;
                         rows_in_batch = 0;
                     }
                 }
                 if rows_in_batch > 0 {
-                    let start = next_start(self, total);
-                    total += self.ingest_batch(&canonical, start, &batch)?;
+                    total += self.ingest(&key, total, batch, tracer)?;
                 }
             }
         }
-        if !is_table {
-            let cells = self.image.arrays[&key].cell_count();
+        if let Some(a) = self.image.arrays.get(&key) {
+            let cells = a.cell_count();
             if total != cells {
                 return Err(EngineError::msg(format!(
                     "COPY into array {target:?} supplied {total} rows, array has {cells} cells \
@@ -269,87 +252,27 @@ impl Connection {
         Ok(total)
     }
 
-    /// Apply one batch in memory and log it as a single WAL record,
-    /// unsynced: the COPY's ticket is its last batch's position.
-    fn ingest_batch(&mut self, canonical: &str, start: u64, batch: &[Bat]) -> Result<usize> {
-        let key = canonical.to_ascii_lowercase();
-        let rows = self.apply_batch_in_memory(&key, start, batch)?;
-        if self.vault.is_some() && !self.replaying {
-            let names = self.column_names(&key)?;
-            let cols: Vec<(String, &Bat)> = names.into_iter().zip(batch.iter()).collect();
-            let vault = self.vault.as_mut().expect("checked above");
-            let pos = vault
-                .append_copy_batch(canonical, start, &cols)
-                .map_err(EngineError::Store)?;
-            self.stage_commit(pos).map_err(EngineError::Store)?;
-        }
-        Ok(rows)
-    }
-
-    /// Replay one logged COPY batch during recovery.
-    pub(crate) fn apply_copy_batch(
+    /// Store one batch as one logged change: appended to a table, or
+    /// written to an array's cells from `done` — the rows already
+    /// ingested — on, in row-major order.
+    fn ingest(
         &mut self,
-        target: &str,
-        start: u64,
-        columns: &[(String, Bat)],
-    ) -> Result<()> {
-        let key = target.to_ascii_lowercase();
-        let batch: Vec<Bat> = columns.iter().map(|(_, b)| b.clone()).collect();
-        self.apply_batch_in_memory(&key, start, &batch)?;
-        self.install_zone_maps(&key);
-        Ok(())
-    }
-
-    /// Storage-order column names of a COPY target (tables: columns;
-    /// arrays: attributes — dimensions are generated, never ingested).
-    fn column_names(&self, key: &str) -> Result<Vec<String>> {
-        if let Some(t) = self.image.tables.get(key) {
-            Ok(t.def.columns.iter().map(|c| c.name.clone()).collect())
-        } else if let Some(a) = self.image.arrays.get(key) {
-            Ok(a.def.attrs.iter().map(|c| c.name.clone()).collect())
-        } else {
-            Err(EngineError::msg(format!("COPY target {key:?} vanished")))
-        }
-    }
-
-    fn apply_batch_in_memory(&mut self, key: &str, start: u64, batch: &[Bat]) -> Result<usize> {
-        if self.image.tables.contains_key(key) {
-            let t = self.table_mut(key)?;
-            if t.row_count() as u64 != start {
-                return Err(EngineError::msg(format!(
-                    "COPY batch for table {key:?} starts at row {start}, table has {} rows",
-                    t.row_count()
-                )));
-            }
-            return t.append_batch(batch);
-        }
-        if self.image.arrays.contains_key(key) {
-            let a = self.array_mut(key)?;
-            let rows = batch.first().map_or(0, |b| b.len());
-            let cells = a.cell_count();
-            if (start as usize) + rows > cells {
-                return Err(EngineError::msg(format!(
-                    "COPY batch for array {key:?} covers cells {start}..{} beyond {cells}",
-                    start as usize + rows
-                )));
-            }
-            let at = Candidates::Dense {
-                first: start,
-                len: rows,
-            };
-            let writes = batch.iter().cloned().map(Arc::new).enumerate().collect();
-            a.write_attrs(&at, writes)?;
-            return Ok(rows);
-        }
-        Err(EngineError::msg(format!(
-            "COPY target {key:?} does not exist"
-        )))
+        key: &str,
+        done: usize,
+        batch: Vec<Bat>,
+        tracer: &mut Tracer,
+    ) -> Result<usize> {
+        let len = batch.first().map_or(0, |b| b.len());
+        let first = self.image.tables.get(key).map_or(done, |t| t.row_count()) as Oid;
+        let writes = batch.into_iter().map(Arc::new).enumerate().collect();
+        self.write(key, Candidates::Dense { first, len }, writes, tracer)?;
+        Ok(len)
     }
 
     /// Build fresh zone maps on the target's stored columns (a table's
     /// columns, an array's attributes) so tile-skipping scans work
     /// immediately after ingest.
-    fn install_zone_maps(&mut self, key: &str) {
+    pub(crate) fn install_zone_maps(&self, key: &str) {
         let cols = (self.image.tables.get(key).map(|t| &t.cols))
             .or_else(|| self.image.arrays.get(key).map(|a| &a.attrs));
         for c in cols.into_iter().flatten().filter(|c| !c.is_empty()) {

@@ -9,19 +9,22 @@
 //! candidate list the way a SELECT's filter does, before any SET
 //! expression runs, and SET runs only at those rows; SET and SELECT
 //! result columns are converted to their target types whole, and the
-//! store applies one columnar write per statement. Cell statements are
-//! all-or-nothing — every position and every conversion is checked before
-//! the first write.
+//! statement reaches the store as one record — the positions and the
+//! stored-type values it writes — through [`Connection::change`], which
+//! also logs that record. Statements are all-or-nothing: every position
+//! and every conversion is checked before the first write.
 
 use crate::session::Connection;
-use crate::storage::{coerce, ArrayStore, ColumnWrites};
+use crate::storage::{coerce, converted, ArrayStore, ColumnWrites};
 use crate::{EngineError, Result};
 use gdk::bat::cannot_store;
 use gdk::{project, Bat, Candidates, Oid, ScalarType, Value};
 use mal::MalValue;
 use sciql_algebra::{compile_cells, eval_const, Binder};
-use sciql_catalog::{ArrayDef, DimSpec, SchemaObject, TableDef};
-use sciql_parser::ast::{Expr, InsertSource};
+use sciql_catalog::{ArrayDef, SchemaObject, TableDef};
+use sciql_obs::Tracer;
+use sciql_parser::ast::{DimRange, Expr, InsertSource, Literal, Stmt};
+use sciql_store::ReplayOp;
 use std::sync::Arc;
 
 const NOT_INTEGRAL: &str = "dimension value must be integral";
@@ -152,35 +155,60 @@ impl Connection {
         Ok((at.unwrap_or_else(|| Candidates::all(n)), values))
     }
 
+    /// The stored columns of `table`: an array's attributes or a table's
+    /// columns.
+    fn stored(&self, table: &str) -> Result<&[Arc<Bat>]> {
+        self.catalog().get(table).map_err(EngineError::Catalog)?;
+        let key = table.to_ascii_lowercase();
+        match (self.image.arrays.get(&key), self.image.tables.get(&key)) {
+            (Some(a), _) => Ok(&a.attrs),
+            (_, Some(t)) => Ok(&t.cols),
+            _ => Err(EngineError::msg(format!("{table:?} is not materialised"))),
+        }
+    }
+
+    /// Store `writes` at `at` in `table` as one logged change, each
+    /// column converted first to the stored type of the column it goes to.
+    pub(crate) fn write(
+        &mut self,
+        table: &str,
+        at: Candidates,
+        writes: ColumnWrites,
+        tracer: &mut Tracer,
+    ) -> Result<()> {
+        let columns = converted(self.stored(table)?, writes)?;
+        let target = table.to_owned();
+        self.change(
+            ReplayOp::Write {
+                target,
+                at,
+                columns,
+            },
+            Some(tracer),
+        )
+    }
+
     pub(crate) fn update(
         &mut self,
         table: &str,
         sets: &[(String, Expr)],
         filter: Option<&Expr>,
+        tracer: &mut Tracer,
     ) -> Result<usize> {
-        let is_array = matches!(
-            self.catalog().get(table).map_err(EngineError::Catalog)?,
-            SchemaObject::Array(_)
-        );
         let targets = sets
             .iter()
-            .map(|(col, _)| self.resolve_update_target(table, is_array, col))
+            .map(|(col, _)| self.resolve_update_target(table, col))
             .collect::<Result<Vec<_>>>()?;
         let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).collect();
         let (at, values) = self.select_rows(table, &exprs, filter)?;
-        if at.is_empty() {
-            return Ok(0);
+        let n = at.len();
+        if n > 0 {
+            self.write(table, at, targets.into_iter().zip(values).collect(), tracer)?;
         }
-        let writes = targets.into_iter().zip(values).collect();
-        if is_array {
-            self.array_mut(table)?.write_attrs(&at, writes)?;
-        } else {
-            self.table_mut(table)?.write_cols(&at, writes)?;
-        }
-        Ok(at.len())
+        Ok(n)
     }
 
-    fn resolve_update_target(&self, table: &str, is_array: bool, col: &str) -> Result<usize> {
+    fn resolve_update_target(&self, table: &str, col: &str) -> Result<usize> {
         match self.catalog().get(table).map_err(EngineError::Catalog)? {
             SchemaObject::Array(a) => {
                 if a.dim_index(col).is_some() {
@@ -192,12 +220,9 @@ impl Connection {
                     EngineError::msg(format!("array {table:?} has no attribute {col:?}"))
                 })
             }
-            SchemaObject::Table(t) => {
-                debug_assert!(!is_array);
-                t.column_index(col).ok_or_else(|| {
-                    EngineError::msg(format!("table {table:?} has no column {col:?}"))
-                })
-            }
+            SchemaObject::Table(t) => t
+                .column_index(col)
+                .ok_or_else(|| EngineError::msg(format!("table {table:?} has no column {col:?}"))),
         }
     }
 
@@ -205,30 +230,24 @@ impl Connection {
     // DELETE
     // ------------------------------------------------------------------
 
-    pub(crate) fn delete(&mut self, table: &str, filter: Option<&Expr>) -> Result<usize> {
-        let is_array = matches!(
-            self.catalog().get(table).map_err(EngineError::Catalog)?,
-            SchemaObject::Array(_)
-        );
-        let hit = match filter {
-            Some(f) => Some(self.select_rows(table, &[], Some(f))?.0),
-            None => None,
+    /// DELETE: the selected cells of an array become holes, the selected
+    /// rows of a table go.
+    pub(crate) fn delete(
+        &mut self,
+        table: &str,
+        filter: Option<&Expr>,
+        tracer: &mut Tracer,
+    ) -> Result<usize> {
+        let at = match filter {
+            Some(f) => self.select_rows(table, &[], Some(f))?.0,
+            None => Candidates::all(group_rows(self.stored(table)?)),
         };
-        if is_array {
-            let store = self.array_mut(table)?;
-            let at = hit.unwrap_or_else(|| Candidates::all(store.cell_count()));
-            store.punch_holes(&at)?;
-            Ok(at.len())
-        } else {
-            let store = self.table_mut(table)?;
-            let n = store.row_count();
-            let keep = match hit {
-                Some(hit) => Candidates::all(n).difference(&hit),
-                None => Candidates::none(),
-            };
-            store.retain_positions(&keep)?;
-            Ok(n - keep.len())
+        let n = at.len();
+        if n > 0 {
+            let target = table.to_owned();
+            self.change(ReplayOp::Delete { target, at }, Some(tracer))?;
         }
+        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -240,6 +259,7 @@ impl Connection {
         table: &str,
         columns: Option<&[String]>,
         source: &InsertSource,
+        tracer: &mut Tracer,
     ) -> Result<usize> {
         // Read every row first: INSERT INTO t SELECT … FROM t must see the
         // pre-insert state.
@@ -264,21 +284,25 @@ impl Connection {
             .map_err(EngineError::Catalog)?
             .clone()
         {
-            SchemaObject::Table(def) => self.insert_into_table(table, &def, columns, &groups),
-            SchemaObject::Array(def) => self.insert_into_array(table, &def, columns, &groups),
+            SchemaObject::Table(def) => {
+                self.insert_into_table(table, &def, columns, &groups, tracer)
+            }
+            SchemaObject::Array(def) => {
+                self.insert_into_array(table, &def, columns, &groups, tracer)
+            }
         }
     }
 
-    /// Table INSERT, one row group at a time: a group is converted whole
-    /// and appended at once, so a query result appends all or nothing,
-    /// while a failing VALUES row leaves the rows before it applied (the
-    /// session then re-syncs the vault).
+    /// Table INSERT: every row group is converted — unlisted columns take
+    /// their defaults — before the one append, so a row that does not fit
+    /// fails the statement and appends nothing.
     fn insert_into_table(
         &mut self,
         table: &str,
         def: &TableDef,
         columns: Option<&[String]>,
         groups: &RowGroups,
+        tracer: &mut Tracer,
     ) -> Result<usize> {
         let mapping: Vec<usize> = match columns {
             Some(cols) => cols
@@ -291,8 +315,7 @@ impl Connection {
                 .collect::<Result<_>>()?,
             None => (0..def.columns.len()).collect(),
         };
-        let store = self.table_mut(table)?;
-        let mut appended = 0;
+        let mut rows: Option<Vec<Bat>> = None;
         for cols in groups {
             let n = group_rows(cols);
             if n == 0 {
@@ -305,7 +328,6 @@ impl Connection {
                     mapping.len()
                 )));
             }
-            // Unlisted columns take their defaults.
             let mut batch = def
                 .columns
                 .iter()
@@ -328,9 +350,23 @@ impl Connection {
             if let Some((_, e)) = failed {
                 return Err(e);
             }
-            appended += store.append_batch(&batch)?;
+            match &mut rows {
+                None => rows = Some(batch),
+                Some(rows) => {
+                    for (all, b) in rows.iter_mut().zip(&batch) {
+                        all.append_bat(b)?;
+                    }
+                }
+            }
         }
-        Ok(appended)
+        let Some(rows) = rows else {
+            return Ok(0);
+        };
+        let len = rows.first().map_or(0, Bat::len);
+        let first = self.table_store(table)?.row_count() as Oid;
+        let writes = rows.into_iter().map(Arc::new).enumerate().collect();
+        self.write(table, Candidates::Dense { first, len }, writes, tracer)?;
+        Ok(len)
     }
 
     fn insert_into_array(
@@ -339,6 +375,7 @@ impl Connection {
         def: &ArrayDef,
         columns: Option<&[String]>,
         groups: &RowGroups,
+        tracer: &mut Tracer,
     ) -> Result<usize> {
         // Column mapping: an explicit list must cover all dimensions;
         // positional order is dims then attrs.
@@ -383,8 +420,8 @@ impl Connection {
                 )
             }
         };
-        self.ensure_materialised(table, groups, &dim_slots)?;
-        let store = self.array_mut(table)?;
+        self.ensure_materialised(table, groups, &dim_slots, tracer)?;
+        let store = self.array_store(table)?;
         // An in-place rewrite (`INSERT INTO a SELECT [x], [y], f(v) FROM a`)
         // hands back the array's own dimension BATs, so row i is cell i:
         // no positions to compute or check.
@@ -400,7 +437,7 @@ impl Connection {
                 if let Some((_, e)) = failed {
                     return Err(e);
                 }
-                store.write_attrs(&Candidates::all(n), writes)?;
+                self.write(table, Candidates::all(n), writes, tracer)?;
                 return Ok(n);
             }
         }
@@ -428,24 +465,27 @@ impl Connection {
                     *v = Arc::new(project::project_oids(&rows, v)?);
                 }
             }
-            store.write_attrs(&at, writes)?;
+            self.write(table, at, writes, tracer)?;
         }
         Ok(n)
     }
 
     /// An unbounded array gets its ranges derived from the first INSERT:
     /// "an unbounded array with actual size derived from the dimension
-    /// column expressions" (§2).
+    /// column expressions" (§2). Each derived range is set — and logged —
+    /// as the `ALTER ARRAY … SET RANGE` it is equivalent to; the last one
+    /// materialises the array.
     fn ensure_materialised(
         &mut self,
         table: &str,
         groups: &RowGroups,
         dim_slots: &[usize],
+        tracer: &mut Tracer,
     ) -> Result<()> {
         if self.image.arrays.contains_key(&table.to_ascii_lowercase()) {
             return Ok(());
         }
-        let mut def = self
+        let def = self
             .catalog()
             .get_array(table)
             .map_err(EngineError::Catalog)?
@@ -455,7 +495,7 @@ impl Connection {
                 "cannot derive ranges for unbounded array {table:?} from zero rows"
             )));
         }
-        for (d, &slot) in def.dims.iter_mut().zip(dim_slots) {
+        for (d, &slot) in def.dims.iter().zip(dim_slots) {
             if d.range.is_some() {
                 continue;
             }
@@ -467,16 +507,18 @@ impl Connection {
                     (lo, hi) = (lo.min(v), hi.max(v));
                 }
             }
-            d.range = Some(DimSpec::new(lo, 1, hi + 1).map_err(EngineError::Catalog)?);
+            let int = |v: i64| Expr::Literal(Literal::Int(v));
+            let alter = Stmt::AlterDimension {
+                array: def.name.clone(),
+                dimension: d.name.clone(),
+                range: DimRange {
+                    start: int(lo),
+                    step: int(1),
+                    stop: int(hi + 1),
+                },
+            };
+            self.ddl(&alter, &alter.to_string(), Some(tracer))?;
         }
-        // Sync the derived ranges into the catalog, then materialise.
-        let catalog = &mut self.image_mut().catalog;
-        for d in &def.dims {
-            catalog
-                .alter_dimension(table, &d.name, d.range.expect("set above"))
-                .map_err(EngineError::Catalog)?;
-        }
-        self.materialise(def)?;
         Ok(())
     }
 }

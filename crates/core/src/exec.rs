@@ -37,9 +37,8 @@
 //!
 //! Mutating prepared statements take the other path: bound values are
 //! inlined into the AST as literals and the statement is dispatched like
-//! any other write — which also keeps the WAL correct, because the
-//! logged canonical text then contains the actual values, not
-//! placeholders.
+//! any other write. The WAL never sees that text: a data change is logged
+//! as the values it stored.
 
 use crate::commit::GroupCommitter;
 use crate::engine::{EngineSession, SessionStats};
@@ -671,15 +670,6 @@ impl Reach<'_> {
         }
     }
 
-    /// Is the connection replaying its WAL (recovery, replication
-    /// apply)? Replayed statements stay out of the query log.
-    fn replaying(&self) -> bool {
-        match self {
-            Reach::Exclusive(conn) => conn.replaying,
-            Reach::Shared(_) => false,
-        }
-    }
-
     fn count_statement(&mut self) {
         self.state().stats.statements += 1;
         if let Reach::Shared(sess) = self {
@@ -776,7 +766,7 @@ fn resolve(reach: &mut Reach<'_>, req: Request<'_>) -> Result<QueryResult> {
             let prep = state.prepared.get_mut(name)?;
             prep.check_params(params)?;
             if !prep.is_select() {
-                let stmt = bind_params_into(prep.statement(), params)?;
+                let stmt = bind_params_into(prep.statement(), params);
                 return execute_stmt(reach, &stmt, None);
             }
             let (text, kind) = (prep.sql().to_owned(), stmt_kind(prep.statement()));
@@ -801,15 +791,10 @@ fn execute_stmt(
     parse_tracer: Option<Tracer>,
 ) -> Result<QueryResult> {
     // Rendered once: the same text labels the trace, goes to the WAL
-    // and lands in the query log. A replayed statement needs none.
-    let text = if reach.replaying() {
-        String::new()
-    } else {
-        stmt.to_string()
-    };
+    // (for a schema statement) and lands in the query log.
     observed(
         reach,
-        text,
+        stmt.to_string(),
         stmt_kind(stmt),
         parse_tracer,
         |reach, text, tracer| match stmt {
@@ -846,7 +831,6 @@ fn observed(
         Ok(_) => counter.inc(),
         Err(_) => m.queries_failed.inc(),
     }
-    let record = !reach.replaying();
     let state = reach.state();
     let wall_ns = u64::try_from(wall.as_nanos()).unwrap_or(u64::MAX);
     let slow = state.slow_query_ns > 0 && wall_ns >= state.slow_query_ns;
@@ -857,30 +841,28 @@ fn observed(
             state.last_trace = Some(trace);
         }
     }
-    if record {
-        let (rows, tiles_skipped, plan_cache_hit) = match &result {
-            Ok(QueryResult::Rows(rs)) => (
-                rs.row_count() as u64,
-                state.last.exec.tiles_skipped as u64,
-                state.last.exec.plan_cache_hits > 0,
-            ),
-            Ok(QueryResult::Affected(n)) => (*n as u64, 0, false),
-            Err(_) => (0, 0, false),
-        };
-        sciql_obs::query_log().record(sciql_obs::QueryRecord {
-            id: 0,
-            session: state.id,
-            kind,
-            text,
-            started_us,
-            wall_ns,
-            rows,
-            plan_cache_hit,
-            tiles_skipped,
-            slow,
-            error: result.as_ref().err().map(|e| e.to_string()),
-        });
-    }
+    let (rows, tiles_skipped, plan_cache_hit) = match &result {
+        Ok(QueryResult::Rows(rs)) => (
+            rs.row_count() as u64,
+            state.last.exec.tiles_skipped as u64,
+            state.last.exec.plan_cache_hits > 0,
+        ),
+        Ok(QueryResult::Affected(n)) => (*n as u64, 0, false),
+        Err(_) => (0, 0, false),
+    };
+    sciql_obs::query_log().record(sciql_obs::QueryRecord {
+        id: 0,
+        session: state.id,
+        kind,
+        text,
+        started_us,
+        wall_ns,
+        rows,
+        plan_cache_hit,
+        tiles_skipped,
+        slow,
+        error: result.as_ref().err().map(|e| e.to_string()),
+    });
     result
 }
 
@@ -1032,29 +1014,15 @@ fn value_to_literal(v: &Value) -> Literal {
     }
 }
 
-/// Inline bound parameter values into a statement as literals. Mutating
-/// statements execute (and WAL-log) the resulting parameter-free text,
-/// so crash recovery replays the actual values.
-///
-/// Non-finite doubles (NaN, ±inf) are rejected here: SciQL has no
-/// literal syntax for them, so inlining one would WAL-log text that can
-/// never re-parse — an acknowledged write that bricks recovery. The
-/// caller has checked that every slot has a value.
-fn bind_params_into(stmt: &Stmt, params: &[Value]) -> Result<Stmt> {
-    for p in &stmt.params() {
-        if let Some(Value::Dbl(d)) = params.get(p.slot) {
-            if !d.is_finite() {
-                return Err(EngineError::Mal(mal::MalError::BadParam(
-                    p.slot,
-                    format!("{d} has no SQL literal form in a mutating statement"),
-                )));
-            }
-        }
-    }
-    let bound = stmt.map_params(&mut |p| {
+/// Inline bound parameter values into a statement as literals: a
+/// mutating prepared statement runs as the parameter-free statement. Its
+/// data changes are logged as the values they stored, so any double —
+/// ±inf included — survives recovery and replication. The caller has
+/// checked that every slot has a value.
+fn bind_params_into(stmt: &Stmt, params: &[Value]) -> Stmt {
+    stmt.map_params(&mut |p| {
         params
             .get(p.slot)
             .map(|v| Expr::Literal(value_to_literal(v)))
-    });
-    Ok(bound)
+    })
 }

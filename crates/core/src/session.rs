@@ -4,17 +4,19 @@
 use crate::commit::{CommitTicket, GroupCommitter, Watermark};
 use crate::exec::{self, Image, Reach, Request, SessionState};
 use crate::result::ResultSet;
-use crate::storage::{ArrayStore, TableStore};
+use crate::storage::{ArrayStore, ColumnWrites, TableStore};
 use crate::sysview::SysData;
 use crate::{EngineError, Result};
-use gdk::{Bat, Value};
+use gdk::{Bat, Candidates, Value};
 use mal::{ExecStats, MalValue, OptConfig, PassStats, Program};
 use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_catalog::{ColumnMeta, SchemaObject};
 use sciql_obs::{SpanId, Trace, Tracer};
 use sciql_parser::ast::{SelectStmt, Stmt};
-use sciql_store::{CheckpointColumn, CheckpointObject, ColumnDirt, ReplayOp, Vault, VaultStats};
+use sciql_store::{
+    encode_replay_op, CheckpointColumn, CheckpointObject, ColumnDirt, ReplayOp, Vault, VaultStats,
+};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -138,9 +140,6 @@ pub struct Connection {
     pub(crate) session: SessionState,
     /// Durable backing store; `None` for a purely in-memory session.
     pub(crate) vault: Option<Vault>,
-    /// True while WAL operations are replayed at open (suppresses
-    /// re-logging them).
-    pub(crate) replaying: bool,
     /// Read-only replica mode: user-issued mutating statements are
     /// refused; the only write path is [`Connection::apply_replicated`],
     /// which replays records shipped off a primary's WAL.
@@ -177,7 +176,6 @@ impl Connection {
             image: Arc::default(),
             session: SessionState::default(),
             vault: None,
-            replaying: false,
             read_only: false,
             group_commit: Arc::new(GroupCommitter::new(Arc::clone(&watermark))),
             pending_commit: None,
@@ -241,23 +239,19 @@ impl Connection {
                 }
                 SchemaObject::Table(def) => {
                     let dirty_cols = vec![ColumnDirt::Clean; cols.len()];
-                    image.tables.insert(
-                        key,
-                        Arc::new(TableStore {
-                            def,
-                            cols,
-                            dirty_cols,
-                            mutations: 0,
-                        }),
-                    );
+                    let store = TableStore {
+                        def,
+                        cols,
+                        dirty_cols,
+                    };
+                    image.tables.insert(key, Arc::new(store));
                 }
             }
         }
         conn.vault = Some(vault);
-        conn.replaying = true;
-        let replay: Result<()> = recovered.ops.iter().try_for_each(|op| conn.replay(op));
-        conn.replaying = false;
-        replay?;
+        if let (_, Some(e)) = conn.replay(recovered.ops) {
+            return Err(e);
+        }
         // Everything recovered is on disk: the watermark starts there.
         let (generation, pos) = conn.wal_applied();
         conn.watermark.publish(generation, pos);
@@ -318,31 +312,37 @@ impl Connection {
             .map_err(EngineError::Store)?;
         let vault = self.vault.as_mut().expect("checked above");
         let pos = vault.append_raw(payloads).map_err(EngineError::Store)?;
-        let was = self.replaying;
-        self.replaying = true;
-        let mut failed = None;
-        for op in &ops {
-            match self.replay(op) {
-                Ok(()) => sciql_obs::global().repl_records_applied.inc(),
-                Err(e) => {
-                    failed.get_or_insert(e);
-                }
-            }
-        }
-        self.replaying = was;
+        let (applied, failed) = self.replay(ops);
+        sciql_obs::global().repl_records_applied.add(applied as u64);
         failed.map_or(Ok(pos), Err)
     }
 
-    /// Re-execute one logged operation (recovery, replication apply).
-    fn replay(&mut self, op: &ReplayOp) -> Result<()> {
-        match op {
-            ReplayOp::Sql(sql) => self.execute(sql).map(|_| ()),
-            ReplayOp::CopyBatch {
-                target,
-                start,
-                columns,
-            } => self.apply_copy_batch(target, *start, columns),
+    /// Apply logged records in order without logging them again
+    /// (recovery, replication apply). A data change goes straight to
+    /// [`Connection::change`] and a schema statement is parsed and handed
+    /// to [`Connection::ddl`]: neither enters the session runner, so
+    /// replay counts no statement and plans nothing. A record that fails
+    /// does not stop the ones after it. Tables leave with fresh zone
+    /// maps, as after a live COPY. Returns how many records applied and
+    /// the first failure.
+    fn replay(&mut self, ops: Vec<ReplayOp>) -> (usize, Option<EngineError>) {
+        let (mut applied, mut failed) = (0, None);
+        for op in ops {
+            let done = match op {
+                ReplayOp::Sql(sql) => {
+                    exec::parse_one(&sql).and_then(|s| self.ddl(&s, &sql, None).map(drop))
+                }
+                op => self.change(op, None),
+            };
+            match done {
+                Ok(()) => applied += 1,
+                Err(e) => drop(failed.get_or_insert(e)),
+            }
         }
+        for key in self.image.tables.keys() {
+            self.install_zone_maps(key);
+        }
+        (applied, failed)
     }
 
     /// `(generation, WAL byte position)` of the vault — on a replica,
@@ -588,75 +588,149 @@ impl Connection {
     /// Execute a parsed statement.
     ///
     /// On a persistent connection, every *mutating* statement that
-    /// succeeds is appended to the write-ahead log (as its canonical
-    /// printed text — the parser's printer round-trips) and made durable
-    /// by the group committer before this returns: an acknowledged
-    /// statement survives a crash.
+    /// succeeds is in the write-ahead log — a schema statement as its
+    /// canonical printed text, a data change as the values it stored —
+    /// and made durable by the group committer before this returns: an
+    /// acknowledged statement survives a crash.
     pub fn execute_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
         exec::run(&mut Reach::Exclusive(self), Request::Stmt(stmt))
     }
 
     /// Execute a mutating statement on this connection — the single
-    /// writer — and log it: `text` is the statement's canonical printed
-    /// form, appended to the WAL when the statement succeeds.
-    ///
-    /// Cell statements are all-or-nothing, but a table `INSERT … VALUES`
-    /// applies row by row: one whose third row does not cast has applied
-    /// two. Such a statement is never WAL-logged — replaying it would
-    /// reproduce the error, not the partial effect — so on failure the
-    /// session re-syncs the vault with a checkpoint of the actual
-    /// in-memory state. The same fallback covers a WAL append that itself
-    /// fails after a successful statement.
+    /// writer. A schema statement is logged as `text`, its canonical
+    /// printed form; every data change reaches the stores, and the log,
+    /// through [`Connection::change`]. Cell statements and `INSERT` are
+    /// all-or-nothing; a COPY applies and logs batch by batch, so a
+    /// failing batch leaves the batches before it applied and logged.
     pub(crate) fn write_stmt(
         &mut self,
         stmt: &Stmt,
         text: &str,
         tracer: &mut Tracer,
     ) -> Result<QueryResult> {
-        if self.read_only && !self.replaying {
+        if self.read_only {
             return Err(EngineError::msg(
                 "read-only replica: route writes to the primary",
             ));
         }
-        // COPY logs its own per-batch WAL records as it streams (see
-        // `crate::copy`), so it is excluded from statement-level logging.
-        let logged = !matches!(stmt, Stmt::Copy { .. }) && !self.replaying && self.vault.is_some();
-        let before = logged.then(|| self.mutation_epoch());
-        match self.dispatch_stmt(stmt) {
-            Ok(result) => {
-                if logged {
-                    let sp = tracer.open(SpanId::ROOT, "wal.append");
-                    let vault = self.vault.as_mut().expect("logged statements have a vault");
-                    let append = (vault.append_statement_nosync(text))
-                        .and_then(|pos| self.stage_commit(pos));
-                    tracer.close(sp);
-                    if append.is_err() {
-                        // The WAL is unavailable; a checkpoint captures the
-                        // acknowledged effect directly, keeping the
-                        // durability promise without the log record.
-                        self.checkpoint()?;
-                    }
-                }
-                Ok(result)
-            }
-            Err(e) => {
-                if logged && before != Some(self.mutation_epoch()) {
-                    // The failed statement partially applied before
-                    // erroring. It cannot be WAL-logged (replay would hit
-                    // the same error, not the partial effect), so snapshot
-                    // the live state; if that also fails, say so rather
-                    // than letting recovery silently diverge.
-                    if let Err(ce) = self.checkpoint() {
-                        return Err(EngineError::msg(format!(
-                            "statement failed ({e}) after partially applying, and the \
-                             re-sync checkpoint also failed ({ce}): durable state lags \
-                             the session until a checkpoint succeeds"
-                        )));
-                    }
-                }
-                Err(e)
-            }
+        let n = match stmt {
+            Stmt::Insert {
+                table,
+                columns,
+                source,
+            } => self.insert(table, columns.as_deref(), source, tracer)?,
+            Stmt::Delete { table, filter } => self.delete(table, filter.as_ref(), tracer)?,
+            Stmt::Update {
+                table,
+                sets,
+                filter,
+            } => self.update(table, sets, filter.as_ref(), tracer)?,
+            Stmt::Copy {
+                target,
+                path,
+                format,
+            } => self.copy_into(target, path, *format, tracer)?,
+            _ => self.ddl(stmt, text, Some(tracer))?,
+        };
+        Ok(QueryResult::Affected(n))
+    }
+
+    /// Execute a schema statement and, with `log`, append `text` to the
+    /// WAL (see [`Connection::log`]). Returns the affected cell count.
+    pub(crate) fn ddl(
+        &mut self,
+        stmt: &Stmt,
+        text: &str,
+        log: Option<&mut Tracer>,
+    ) -> Result<usize> {
+        let n = match stmt {
+            Stmt::CreateTable { name, columns } => self.create_table(name, columns).map(|_| 0)?,
+            Stmt::CreateArray { name, columns } => self.create_array(name, columns)?,
+            Stmt::Drop { name, array } => self.drop_object(name, *array).map(|_| 0)?,
+            Stmt::AlterDimension {
+                array,
+                dimension,
+                range,
+            } => self.alter_dimension(array, dimension, range)?,
+            _ => return Err(EngineError::msg(format!("not a schema statement: {text}"))),
+        };
+        if let Some(tracer) = log {
+            self.log(|| encode_replay_op(&ReplayOp::Sql(text.to_owned())), tracer)?;
         }
+        Ok(n)
+    }
+
+    /// The one way a data change reaches the stores: check `op` against
+    /// the image and apply it in memory; then, with `log` and a vault,
+    /// append that same record to the WAL (see [`Connection::log`]).
+    /// Nothing is encoded without a vault. A record that does not fit —
+    /// an unknown target, a position past the cell or row count, a column
+    /// index out of range, a value column of another length than `at` or
+    /// of another type than its column — changes nothing.
+    pub(crate) fn change(&mut self, op: ReplayOp, log: Option<&mut Tracer>) -> Result<()> {
+        let payload = (log.is_some() && self.vault.is_some()).then(|| encode_replay_op(&op));
+        self.apply(op)?;
+        match (log, payload) {
+            (Some(tracer), Some(payload)) => self.log(|| payload, tracer),
+            _ => Ok(()),
+        }
+    }
+
+    /// Check and apply one data change in memory.
+    fn apply(&mut self, op: ReplayOp) -> Result<()> {
+        let (target, at, columns) = match op {
+            ReplayOp::Write {
+                target,
+                at,
+                columns,
+            } => (target, at, Some(columns)),
+            ReplayOp::Delete { target, at } => (target, at, None),
+            ReplayOp::Sql(_) => return Err(EngineError::msg("a SQL record is not a data change")),
+        };
+        let key = target.to_ascii_lowercase();
+        if let Some(a) = self.image.arrays.get(&key) {
+            check_change(&target, &a.def.attrs, a.cell_count(), false, &at, &columns)?;
+            let store = self.array_mut(&key)?;
+            return match columns {
+                Some(writes) => store.write_attrs(&at, writes),
+                None => store.punch_holes(&at),
+            };
+        }
+        let Some(t) = self.image.tables.get(&key) else {
+            return Err(EngineError::msg(format!(
+                "no stored array or table {target:?}"
+            )));
+        };
+        let rows = t.row_count();
+        let append = check_change(&target, &t.def.columns, rows, true, &at, &columns)?;
+        let store = self.table_mut(&key)?;
+        match columns {
+            Some(writes) if append => {
+                let batch: Vec<Bat> = (writes.into_iter())
+                    .map(|(_, b)| Arc::unwrap_or_clone(b))
+                    .collect();
+                store.append_batch(&batch).map(drop)
+            }
+            Some(writes) => store.write_cols(&at, writes),
+            None => store.retain_positions(&Candidates::all(rows).difference(&at)),
+        }
+    }
+
+    /// Append the record `payload()` builds to the WAL, unsynced, and
+    /// stage its commit ticket — a no-op without a vault. If the append
+    /// fails after the memory write, a checkpoint captures the effect
+    /// instead, keeping the durability promise without the record.
+    fn log(&mut self, payload: impl FnOnce() -> Vec<u8>, tracer: &mut Tracer) -> Result<()> {
+        let Some(vault) = self.vault.as_mut() else {
+            return Ok(());
+        };
+        let sp = tracer.open(SpanId::ROOT, "wal.append");
+        let append = (vault.append_nosync(&payload())).and_then(|pos| self.stage_commit(pos));
+        tracer.close(sp);
+        if append.is_err() {
+            self.checkpoint()?;
+        }
+        Ok(())
     }
 
     /// Stage the ticket of a WAL record just appended up to `pos` — it
@@ -677,74 +751,6 @@ impl Connection {
     /// logged anything.
     pub(crate) fn take_pending_commit(&mut self) -> Option<CommitTicket> {
         self.pending_commit.take()
-    }
-
-    /// A fingerprint of everything a statement can mutate: the catalog's
-    /// schema version plus every store's monotonic mutation counter.
-    /// Unchanged fingerprint ⇒ the statement had no effect.
-    fn mutation_epoch(&self) -> (u64, u64) {
-        let image = &self.image;
-        let arrays = image.arrays.values().map(|s| s.mutations);
-        let stores: u64 = arrays
-            .chain(image.tables.values().map(|s| s.mutations))
-            .sum();
-        (image.catalog.version(), stores)
-    }
-
-    fn dispatch_stmt(&mut self, stmt: &Stmt) -> Result<QueryResult> {
-        match stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => {
-                unreachable!("the session runner executes reads without the writer")
-            }
-            Stmt::CreateTable { name, columns } => {
-                self.create_table(name, columns)?;
-                Ok(QueryResult::Affected(0))
-            }
-            Stmt::CreateArray { name, columns } => {
-                let cells = self.create_array(name, columns)?;
-                Ok(QueryResult::Affected(cells))
-            }
-            Stmt::Drop { name, array } => {
-                self.drop_object(name, *array)?;
-                Ok(QueryResult::Affected(0))
-            }
-            Stmt::AlterDimension {
-                array,
-                dimension,
-                range,
-            } => {
-                let cells = self.alter_dimension(array, dimension, range)?;
-                Ok(QueryResult::Affected(cells))
-            }
-            Stmt::Insert {
-                table,
-                columns,
-                source,
-            } => Ok(QueryResult::Affected(self.insert(
-                table,
-                columns.as_deref(),
-                source,
-            )?)),
-            Stmt::Delete { table, filter } => {
-                Ok(QueryResult::Affected(self.delete(table, filter.as_ref())?))
-            }
-            Stmt::Update {
-                table,
-                sets,
-                filter,
-            } => Ok(QueryResult::Affected(self.update(
-                table,
-                sets,
-                filter.as_ref(),
-            )?)),
-            Stmt::Copy {
-                target,
-                path,
-                format,
-            } => Ok(QueryResult::Affected(
-                self.copy_into(target, path, *format)?,
-            )),
-        }
     }
 
     /// EXPLAIN: the logical plan and the (optimised) MAL program text.
@@ -833,9 +839,8 @@ impl Connection {
         image
             .arrays
             .insert(name.to_ascii_lowercase(), Arc::new(store));
-        // A bulk load bypasses SQL, so it cannot be replayed from the
-        // logical WAL — snapshot it immediately instead.
-        if self.vault.is_some() && !self.replaying {
+        // A bulk load is not logged: snapshot it immediately instead.
+        if self.vault.is_some() {
             self.checkpoint()?;
         }
         Ok(())
@@ -891,4 +896,47 @@ fn stored_columns<'a>(
             dirt: dirt.clone(),
         })
         .collect()
+}
+
+/// Check a data change against its target's stored columns `metas`,
+/// each `rows` long: `at` lies below `rows` — or, on a table (`grows`),
+/// it may be the dense run right after them, an append that writes every
+/// column in order — and each value column is as long as `at`, of its
+/// column's stored type. Returns whether the change appends.
+fn check_change(
+    target: &str,
+    metas: &[ColumnMeta],
+    rows: usize,
+    grows: bool,
+    at: &Candidates,
+    columns: &Option<ColumnWrites>,
+) -> Result<bool> {
+    let bad = |what: String| EngineError::msg(format!("{target:?}: {what}"));
+    let append = grows
+        && columns.is_some()
+        && matches!(at, Candidates::Dense { first, .. } if *first == rows as u64);
+    let last = at.len().checked_sub(1).map(|i| at.get(i));
+    if let Some(last) = last.filter(|&p| !append && p >= rows as u64) {
+        return Err(bad(format!("position {last} is past its {rows} rows")));
+    }
+    let columns = columns.as_deref().unwrap_or_default();
+    if append && !columns.iter().map(|c| c.0).eq(0..metas.len()) {
+        return Err(bad("an append must write every column in order".into()));
+    }
+    for (k, values) in columns {
+        let meta = metas
+            .get(*k)
+            .ok_or_else(|| bad(format!("no stored column {k}")))?;
+        let ty = values.tail_type();
+        if values.len() != at.len() || ty != meta.ty {
+            return Err(bad(format!(
+                "{} {ty} values for {} positions of column {:?} ({})",
+                values.len(),
+                at.len(),
+                meta.name,
+                meta.ty
+            )));
+        }
+    }
+    Ok(append)
 }

@@ -6,9 +6,9 @@
 //! Columns are reference-counted so a query result can alias storage
 //! without copying; updates go through copy-on-write.
 //!
-//! Every DML statement reaches a store as one columnar write: a candidate
+//! Every data change reaches a store as one columnar write: a candidate
 //! list of positions plus one value column per written column (see
-//! [`ArrayStore::write_attrs`]).
+//! [`ArrayStore::write_attrs`]), applied by `Connection::change`.
 
 use crate::{EngineError, Result};
 use gdk::bat::cannot_store;
@@ -40,7 +40,7 @@ pub(crate) fn coerce(values: &Arc<Bat>, ty: ScalarType) -> std::result::Result<A
 /// `writes` converted to the types of the columns they go to. A store
 /// converts before it changes anything, so a value that does not fit
 /// fails the statement and leaves the store as it was.
-fn converted(cols: &[Arc<Bat>], writes: ColumnWrites) -> Result<ColumnWrites> {
+pub(crate) fn converted(cols: &[Arc<Bat>], writes: ColumnWrites) -> Result<ColumnWrites> {
     writes
         .into_iter()
         .map(|(k, v)| {
@@ -96,10 +96,6 @@ pub struct ArrayStore {
     /// Dimensions have none: they are generated from their `DimSpec`,
     /// never stored.
     pub dirty_attrs: Vec<ColumnDirt>,
-    /// Monotonic count of mutations applied to this store (unlike the
-    /// dirty flags, this moves on *every* write, letting the session
-    /// detect whether a failed statement touched anything).
-    pub mutations: u64,
 }
 
 impl ArrayStore {
@@ -145,7 +141,6 @@ impl ArrayStore {
             def,
             dims,
             attrs,
-            mutations: 0,
         })
     }
 
@@ -168,7 +163,6 @@ impl ArrayStore {
     /// mutation of the store (see `write_columns`).
     pub fn write_attrs(&mut self, at: &Candidates, writes: ColumnWrites) -> Result<()> {
         let writes = converted(&self.attrs, writes)?;
-        self.mutations += 1;
         write_columns(&mut self.attrs, &mut self.dirty_attrs, at, writes)
     }
 
@@ -199,9 +193,6 @@ impl ArrayStore {
         new_def.dims[dim].range = Some(new_range);
         let new_store = ArrayStore::create(new_def)?;
         let old = std::mem::replace(self, new_store);
-        // The rebuild replaced `self` (resetting its counter); keep the
-        // mutation count monotonic across the swap.
-        self.mutations = old.mutations;
         // Every surviving cell as a (new position, old position) pair.
         let mut pairs: Vec<(Oid, Oid)> = Vec::new();
         for pos in 0..old.cell_count() {
@@ -262,8 +253,6 @@ pub struct TableStore {
     pub cols: Vec<Arc<Bat>>,
     /// Per-column tile dirt for the vault (see [`ArrayStore`]).
     pub dirty_cols: Vec<ColumnDirt>,
-    /// Monotonic mutation count (see [`ArrayStore::mutations`]).
-    pub mutations: u64,
 }
 
 impl TableStore {
@@ -279,7 +268,6 @@ impl TableStore {
             def,
             cols,
             dirty_cols: vec![ColumnDirt::All; n],
-            mutations: 0,
         }
     }
 
@@ -305,7 +293,6 @@ impl TableStore {
             return Err(EngineError::msg("batch columns are not aligned"));
         }
         let start = self.row_count();
-        self.mutations += 1;
         let at = Candidates::Dense {
             first: start as Oid,
             len: rows,
@@ -320,7 +307,6 @@ impl TableStore {
     /// Keep only the rows at `keep` positions (in order) — the DELETE
     /// executor's rebuild.
     pub fn retain_positions(&mut self, keep: &Candidates) -> Result<()> {
-        self.mutations += 1;
         for (k, c) in self.cols.iter_mut().enumerate() {
             // Every surviving row may shift position: all tiles change.
             self.dirty_cols[k].mark_all();
@@ -333,7 +319,6 @@ impl TableStore {
     /// counterpart of [`ArrayStore::write_attrs`].
     pub fn write_cols(&mut self, at: &Candidates, writes: ColumnWrites) -> Result<()> {
         let writes = converted(&self.cols, writes)?;
-        self.mutations += 1;
         write_columns(&mut self.cols, &mut self.dirty_cols, at, writes)
     }
 

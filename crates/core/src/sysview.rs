@@ -155,7 +155,6 @@ fn store_from_rows(def: &TableDef, rows: Vec<Vec<Value>>) -> Result<TableStore> 
         def: def.clone(),
         cols: cols.into_iter().map(Arc::new).collect(),
         dirty_cols: vec![ColumnDirt::Clean; def.columns.len()],
-        mutations: 0,
     })
 }
 

@@ -382,30 +382,29 @@ fn vault_stats_track_generations_and_wal() {
 }
 
 #[test]
-fn failed_partial_statement_resyncs_durable_state() {
-    let dir = vault_dir("partial");
+fn a_failing_values_row_applies_nothing() {
+    let dir = vault_dir("values");
     {
         let mut c = Connection::open(&dir).unwrap();
         c.execute("CREATE TABLE t (a INT, s TEXT)").unwrap();
+        c.execute("INSERT INTO t VALUES (7, 'kept')").unwrap();
         let gen_before = c.vault_stats().unwrap().generation;
-        // A side-effect-free failure (unknown table) must NOT cost a
-        // checkpoint generation.
-        assert!(c.execute("INSERT INTO nosuch VALUES (1, 'x')").is_err());
-        assert_eq!(c.vault_stats().unwrap().generation, gen_before);
-        // A multi-row INSERT that fails on its second row has partially
-        // applied; it cannot be WAL-logged, so the session re-syncs with
-        // a checkpoint.
-        assert!(c
+        let records = c.vault_stats().unwrap().wal_records;
+        // Every row is converted before the one append: a row that does
+        // not fit fails the statement and appends nothing.
+        let e = c
             .execute("INSERT INTO t VALUES (1, 'ok'), ('bad', 2)")
-            .is_err());
+            .unwrap_err();
+        assert_eq!(e.to_string(), "value bad does not fit column \"a\" (int)");
         assert_eq!(c.table_store("t").unwrap().row_count(), 1);
-        assert_eq!(c.vault_stats().unwrap().generation, gen_before + 1);
+        let s = c.vault_stats().unwrap();
+        assert_eq!((s.generation, s.wal_records), (gen_before, records));
     }
-    // Recovery sees exactly what the live session saw.
+    // Recovery sees the unchanged table.
     let mut c = Connection::open(&dir).unwrap();
     let rs = c.query("SELECT a, s FROM t").unwrap();
     assert_eq!(rs.row_count(), 1);
-    assert_eq!(rs.bats[0].get(0), Value::Int(1));
+    assert_eq!(rs.bats[0].get(0), Value::Int(7));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -657,30 +656,51 @@ fn prepared_param_errors_are_clear() {
 }
 
 #[test]
-fn non_finite_params_cannot_brick_the_wal() {
-    // NaN/inf have no SQL literal form; inlining one into a logged DML
-    // statement would make WAL replay fail forever. The bind must be
-    // refused up front — and recovery must still work afterwards.
-    let dir = std::env::temp_dir().join(format!("sciql-nanbind-{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
+fn non_finite_params_survive_recovery_bit_for_bit() {
+    // ±inf have no SQL literal form, but the WAL logs the values a
+    // statement stored, so a prepared write of one replays bit for bit.
+    // NaN is the dbl nil: it reads back exactly as on a memory connection.
+    let writes = |c: &mut Connection| {
+        c.execute_script(
+            "CREATE TABLE q (k INT, d DOUBLE); \
+             CREATE ARRAY g (x INT DIMENSION[0:1:4], v DOUBLE DEFAULT 1.5);",
+        )
+        .unwrap();
+        c.prepare("ins", "INSERT INTO q VALUES (?, ?)").unwrap();
+        c.prepare("upd", "UPDATE g SET v = ? WHERE x = ?").unwrap();
+        c.prepare("flip", "UPDATE q SET d = ? WHERE k = ?").unwrap();
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        for (k, d) in [(0, inf), (1, -inf), (2, nan), (3, 2.5)] {
+            c.execute_prepared("ins", &[Value::Int(k), Value::Dbl(d)])
+                .unwrap();
+            c.execute_prepared("upd", &[Value::Dbl(d), Value::Int(k)])
+                .unwrap();
+        }
+        c.execute_prepared("flip", &[Value::Dbl(-inf), Value::Int(3)])
+            .unwrap();
+    };
+    let bits = |c: &Connection| -> Vec<u64> {
+        let d = &c.table_store("q").unwrap().cols[1];
+        let v = &c.array_store("g").unwrap().attrs[0];
+        let cells = d.as_dbls().unwrap().iter().chain(v.as_dbls().unwrap());
+        cells.map(|f| f.to_bits()).collect()
+    };
+    let mut mem = Connection::new();
+    writes(&mut mem);
+    let want = bits(&mem);
+    let inf = f64::INFINITY.to_bits();
+    let neg = f64::NEG_INFINITY.to_bits();
+    assert_eq!(want[..2], [inf, neg]);
+    assert_eq!(want[3], neg);
+    assert_eq!(want[4..6], [inf, neg]);
+    let dir = vault_dir("nonfinite");
     {
         let mut c = Connection::open(&dir).unwrap();
-        c.execute("CREATE TABLE q (d DOUBLE)").unwrap();
-        c.prepare("ins", "INSERT INTO q VALUES (?)").unwrap();
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let err = c.execute_prepared("ins", &[Value::Dbl(bad)]).unwrap_err();
-            assert_eq!(err.code(), crate::ErrorCode::Param, "{bad}: {err}");
-        }
-        // Finite values still work, SELECT params still accept NaN.
-        c.execute_prepared("ins", &[Value::Dbl(2.5)]).unwrap();
-        c.prepare("sel", "SELECT COUNT(*) FROM q WHERE d = ?")
-            .unwrap();
-        c.execute_prepared("sel", &[Value::Dbl(f64::NAN)]).unwrap();
-        // Simulate a crash: drop without checkpoint, forcing WAL replay.
-    }
-    let mut c = Connection::open(&dir).unwrap();
-    let n = c.query("SELECT COUNT(*) FROM q").unwrap().scalar().unwrap();
-    assert_eq!(n.as_i64(), Some(1), "replay sees exactly the finite row");
+        writes(&mut c);
+        assert_eq!(bits(&c), want);
+    } // crash: no checkpoint, so reopening replays the WAL
+    let c = Connection::open(&dir).unwrap();
+    assert_eq!(bits(&c), want, "recovered cells differ from the memory run");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -14,8 +14,9 @@
 //!   clean tile keeps its file across checkpoints — only dirty tiles are
 //!   rewritten.
 //! * **Write-ahead log** — an append-only log of the mutating operations
-//!   acknowledged since the last checkpoint (statement text or COPY
-//!   ingest batches), with per-record checksums and explicit sync points.
+//!   acknowledged since the last checkpoint (schema statements as text,
+//!   data changes as the positions and values they stored), with
+//!   per-record checksums and explicit sync points.
 //! * **Recovery** — load the newest snapshot tile by tile, then replay
 //!   the WAL tail; a torn final record (crash mid-write) is detected and
 //!   truncated, and tile files orphaned by a crashed checkpoint are
@@ -44,9 +45,12 @@ pub mod wal;
 pub use snapshot::{SnapshotColumn, SnapshotData, SnapshotObject, SnapshotTile};
 pub use wal::{read_wal_from, WalRecord};
 
-use gdk::codec::{decode_bat, encode_bat, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
+use gdk::codec::{
+    decode_bat, encode_bat, put_column, put_str, put_u32, put_u8, read_column, CodecError, Reader,
+    StrDict,
+};
 use gdk::zonemap::{ZoneEntry, ZoneMap, TILE_ROWS};
-use gdk::{Bat, Candidates, Value};
+use gdk::{Bat, Candidates, ColumnData, Value};
 use sciql_catalog::SchemaObject;
 use snapshot::{read_snapshot, write_snapshot};
 use std::collections::HashMap;
@@ -54,6 +58,7 @@ use std::fmt;
 use std::fs::{self, File};
 use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use wal::{scan_wal_for, WalWriter};
 
 /// Errors raised by the vault.
@@ -248,20 +253,32 @@ pub struct RecoveredObject {
     pub columns: Option<Vec<RecoveredColumn>>,
 }
 
-/// One logged operation to replay on top of the checkpoint image.
-#[derive(Debug)]
+/// One logged operation to replay on top of the checkpoint image. DDL
+/// is logged as its statement text; every data change is logged as what
+/// it stored, so replay re-applies it without parsing or planning.
+#[derive(Debug, Clone)]
 pub enum ReplayOp {
-    /// A mutating SQL statement, as printed text.
+    /// A schema statement, as printed text.
     Sql(String),
-    /// One COPY ingest batch: rows appended to `target` starting at row
-    /// offset `start`, one BAT fragment per column in storage order.
-    CopyBatch {
+    /// Values stored into `target` at the positions `at`: each
+    /// `(column, values)` pair holds one stored-type value per position,
+    /// in order. On a table, the dense run that starts at its row count
+    /// appends every column; any other run overwrites existing rows.
+    Write {
         /// Target object name.
         target: String,
-        /// Row offset the batch was appended at.
-        start: u64,
-        /// `(column name, batch rows)` in storage order.
-        columns: Vec<(String, Bat)>,
+        /// Cell or row positions, strictly increasing.
+        at: Candidates,
+        /// Stored-column index (array attribute or table column) and
+        /// the values written there.
+        columns: Vec<(usize, Arc<Bat>)>,
+    },
+    /// Cells of an array set to nil at `at`, or rows of a table removed.
+    Delete {
+        /// Target object name.
+        target: String,
+        /// Cell or row positions, strictly increasing.
+        at: Candidates,
     },
 }
 
@@ -322,19 +339,52 @@ pub struct VaultStats {
 // ---------------------------------------------------------------------------
 
 const TAG_SQL: u8 = 0x01;
-const TAG_COPY: u8 = 0x02;
+const TAG_WRITE: u8 = 0x02;
+const TAG_DELETE: u8 = 0x03;
 
-fn encode_copy_batch(target: &str, start: u64, columns: &[(String, &Bat)]) -> Vec<u8> {
+/// Positions as one column body: a void column for a dense run, an oid
+/// column otherwise.
+fn put_at(at: &Candidates, out: &mut Vec<u8>) {
+    let data = match at {
+        Candidates::Dense { first, len } => ColumnData::Void {
+            seq: *first,
+            len: *len,
+        },
+        Candidates::List(v) => ColumnData::Oid(v.clone()),
+    };
+    put_column(&data, 0..at.len(), StrDict::Used, out);
+}
+
+/// Encode one record payload: a tag, then the statement text, or the
+/// target name, the positions and (for a write) each column's index and
+/// values as [`put_column`] bodies.
+pub fn encode_replay_op(op: &ReplayOp) -> Vec<u8> {
     let mut out = Vec::new();
-    put_u8(&mut out, TAG_COPY);
-    put_str(&mut out, target);
-    put_u64(&mut out, start);
-    put_u32(&mut out, columns.len() as u32);
-    for (name, bat) in columns {
-        put_str(&mut out, name);
-        let bytes = encode_bat(bat);
-        put_u32(&mut out, bytes.len() as u32);
-        out.extend_from_slice(&bytes);
+    match op {
+        ReplayOp::Sql(sql) => {
+            put_u8(&mut out, TAG_SQL);
+            out.extend_from_slice(sql.as_bytes());
+        }
+        ReplayOp::Write {
+            target,
+            at,
+            columns,
+        } => {
+            out.reserve(64 + columns.len() * at.len() * 8);
+            put_u8(&mut out, TAG_WRITE);
+            put_str(&mut out, target);
+            put_at(at, &mut out);
+            put_u32(&mut out, columns.len() as u32);
+            for (k, values) in columns {
+                put_u32(&mut out, *k as u32);
+                put_column(values.data(), 0..values.len(), StrDict::Used, &mut out);
+            }
+        }
+        ReplayOp::Delete { target, at } => {
+            put_u8(&mut out, TAG_DELETE);
+            put_str(&mut out, target);
+            put_at(at, &mut out);
+        }
     }
     out
 }
@@ -343,39 +393,46 @@ fn encode_copy_batch(target: &str, start: u64, columns: &[(String, &Bat)]) -> Ve
 /// replication replica can interpret records shipped off another vault's
 /// log; `wal` and `record` only label errors (a replica passes *its own*
 /// log's path, so corruption reports name the replica's data dir).
+/// Structure is checked here (tags, counts, increasing positions); whether
+/// a record fits the database it is applied to is the engine's check.
 pub fn decode_replay_op(payload: &[u8], wal: &Path, record: usize) -> StoreResult<ReplayOp> {
     let bad =
         |what: &str| StoreError::corrupt(format!("WAL {} record {record}: {what}", wal.display()));
     let Some((&tag, rest)) = payload.split_first() else {
         return Err(bad("empty record"));
     };
-    match tag {
-        TAG_SQL => String::from_utf8(rest.to_vec())
+    if tag == TAG_SQL {
+        return String::from_utf8(rest.to_vec())
             .map(ReplayOp::Sql)
-            .map_err(|_| bad("non-UTF-8 statement text")),
-        TAG_COPY => {
-            let mut r = Reader::new(rest);
-            let target = r.str()?;
-            let start = r.u64()?;
-            let ncols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
-                let name = r.str()?;
-                let len = r.u32()? as usize;
-                let bytes = r.take(len)?;
-                columns.push((name, decode_bat(bytes)?));
-            }
-            if r.remaining() != 0 {
-                return Err(bad("trailing bytes after COPY batch"));
-            }
-            Ok(ReplayOp::CopyBatch {
-                target,
-                start,
-                columns,
-            })
-        }
-        other => Err(bad(&format!("unknown record tag 0x{other:02x}"))),
+            .map_err(|_| bad("non-UTF-8 statement text"));
     }
+    let mut r = Reader::new(rest);
+    let target = r.str()?;
+    let at = match read_column(&mut r)? {
+        ColumnData::Void { seq, len } => Candidates::Dense { first: seq, len },
+        ColumnData::Oid(v) if v.windows(2).all(|w| w[0] < w[1]) => Candidates::List(v),
+        _ => return Err(bad("positions are not a strictly increasing oid column")),
+    };
+    let op = match tag {
+        TAG_WRITE => {
+            let mut columns = Vec::new();
+            for _ in 0..r.u32()? {
+                let k = r.u32()? as usize;
+                columns.push((k, Arc::new(Bat::from_data(read_column(&mut r)?))));
+            }
+            ReplayOp::Write {
+                target,
+                at,
+                columns,
+            }
+        }
+        TAG_DELETE => ReplayOp::Delete { target, at },
+        other => return Err(bad(&format!("unknown record tag 0x{other:02x}"))),
+    };
+    if r.remaining() != 0 {
+        return Err(bad("trailing bytes after the record"));
+    }
+    Ok(op)
 }
 
 /// Path of generation `gen`'s WAL file inside a vault directory — the
@@ -729,16 +786,20 @@ impl Vault {
         )))
     }
 
-    /// Append one statement to the WAL *without* forcing it to disk.
-    /// Returns the log's byte position after the record: once any later
-    /// fsync of this generation's log covers that position (see
-    /// [`Vault::wal_sync_handle`]), the statement survives a crash. The
-    /// caller owns durability; nothing may be acknowledged before then.
+    /// Append one statement to the WAL *without* forcing it to disk
+    /// (see [`Vault::append_nosync`]).
     pub fn append_statement_nosync(&mut self, sql: &str) -> StoreResult<u64> {
-        let mut payload = Vec::with_capacity(1 + sql.len());
-        payload.push(TAG_SQL);
-        payload.extend_from_slice(sql.as_bytes());
-        self.wal.append(&payload)?;
+        self.append_nosync(&encode_replay_op(&ReplayOp::Sql(sql.to_owned())))
+    }
+
+    /// Append one record payload ([`encode_replay_op`]) to the WAL
+    /// *without* forcing it to disk. Returns the log's byte position after
+    /// the record: once any later fsync of this generation's log covers
+    /// that position (see [`Vault::wal_sync_handle`]), the record survives
+    /// a crash. The caller owns durability; nothing may be acknowledged
+    /// before then.
+    pub fn append_nosync(&mut self, payload: &[u8]) -> StoreResult<u64> {
+        self.wal.append(payload)?;
         sciql_obs::global().wal_appends.inc();
         Ok(self.wal.bytes())
     }
@@ -815,23 +876,6 @@ impl Vault {
                 .map(|id| PathBuf::from("cols").join(format!("c{id}.col"))),
         );
         files
-    }
-
-    /// Append one COPY ingest batch to the WAL *without* forcing it to
-    /// disk: `columns` are the batch's rows (one fragment per column in
-    /// storage order) appended to `target` at row offset `start`. Returns
-    /// the log's byte position after the record, which the caller makes
-    /// durable as for [`Vault::append_statement_nosync`].
-    pub fn append_copy_batch(
-        &mut self,
-        target: &str,
-        start: u64,
-        columns: &[(String, &Bat)],
-    ) -> StoreResult<u64> {
-        self.wal
-            .append(&encode_copy_batch(target, start, columns))?;
-        sciql_obs::global().wal_appends.inc();
-        Ok(self.wal.bytes())
     }
 
     /// Write a new checkpoint generation: dirty (or never-persisted)
@@ -1172,31 +1216,36 @@ mod tests {
     }
 
     #[test]
-    fn copy_batches_roundtrip_through_the_wal() {
-        let dir = tmp_dir("copywal");
+    fn write_and_delete_records_roundtrip_through_the_wal() {
+        let dir = tmp_dir("records");
+        let strs = Bat::from_strs(vec![Some("b"), None, Some("b")]);
+        let ops = [
+            ReplayOp::Write {
+                target: "t".into(),
+                at: Candidates::Dense { first: 0, len: 3 },
+                columns: vec![
+                    (1, Arc::new(strs)),
+                    (0, Arc::new(Bat::from_ints(vec![1, 2, 3]))),
+                ],
+            },
+            ReplayOp::Delete {
+                target: "t".into(),
+                at: Candidates::List(vec![0, 2]),
+            },
+        ];
         {
             let (mut vault, _) = Vault::open(&dir).unwrap();
             vault
-                .append_statement_nosync("CREATE TABLE t (a INT)")
+                .append_statement_nosync("CREATE TABLE t (a INT, s TEXT)")
                 .unwrap();
-            let a = Bat::from_ints(vec![1, 2, 3]);
-            vault
-                .append_copy_batch("t", 0, &[("a".into(), &a)])
-                .unwrap();
+            for op in &ops {
+                vault.append_nosync(&encode_replay_op(op)).unwrap();
+            }
         }
         let (_vault, recovered) = Vault::open(&dir).unwrap();
-        assert_eq!(recovered.ops.len(), 2);
-        match &recovered.ops[1] {
-            ReplayOp::CopyBatch {
-                target,
-                start,
-                columns,
-            } => {
-                assert_eq!((target.as_str(), *start), ("t", 0));
-                assert_eq!(columns[0].0, "a");
-                assert_eq!(columns[0].1.as_ints().unwrap(), &[1, 2, 3]);
-            }
-            other => panic!("expected CopyBatch, got {other:?}"),
+        assert_eq!(recovered.ops.len(), 3);
+        for (want, got) in ops.iter().zip(&recovered.ops[1..]) {
+            assert_eq!(format!("{want:?}"), format!("{got:?}"));
         }
         fs::remove_dir_all(&dir).ok();
     }

@@ -2,8 +2,9 @@
 //!
 //! One WAL file exists per checkpoint generation and records, in order,
 //! every mutating operation acknowledged since that checkpoint — the
-//! text of a SQL statement, or an encoded COPY ingest batch (the payload
-//! tagging lives in the crate root; this module only frames bytes).
+//! text of a schema statement, or the positions and values a data change
+//! stored (the payload tagging lives in the crate root; this module only
+//! frames bytes).
 //! Records are framed as
 //!
 //! ```text
@@ -25,7 +26,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 const WAL_MAGIC: [u8; 4] = *b"SWAL";
-const WAL_VERSION: u16 = 2;
+const WAL_VERSION: u16 = 3;
 const HEADER_LEN: u64 = 8; // magic + version + 2 reserved bytes
 
 /// Append handle on the active WAL file.
