@@ -2,7 +2,7 @@
 //!
 //! The streaming path of the tiled store. Rows are read from the source
 //! file and applied in batches of one tile ([`gdk::zonemap::TILE_ROWS`]
-//! rows): each batch is one data change through [`Connection::change`] —
+//! rows): each batch is one data change through `Connection::change` —
 //! stored in memory (only the tiles the new rows land in are marked
 //! dirty) and logged as the same **one** `Write` record every other data
 //! change uses — so a million-row load costs hundreds of WAL records

@@ -10,7 +10,7 @@
 //! expression runs, and SET runs only at those rows; SET and SELECT
 //! result columns are converted to their target types whole, and the
 //! statement reaches the store as one record — the positions and the
-//! stored-type values it writes — through [`Connection::change`], which
+//! stored-type values it writes — through `Connection::change`, which
 //! also logs that record. Statements are all-or-nothing: every position
 //! and every conversion is checked before the first write.
 

@@ -23,7 +23,7 @@
 //!
 //! Everything one socket read delivers is applied as one **burst**,
 //! under one engine-lock acquisition: the records are appended to the
-//! replica's WAL, fsynced once, executed in order, and only then is the
+//! replica's WAL, fsynced once, applied in order, and only then is the
 //! burst's end published on the engine's watermark and acknowledged
 //! upstream. The tailer blocks in `read` between bursts; an idle
 //! primary sends heartbeats, which are acknowledged too. [`Replica::stop`]

@@ -287,3 +287,33 @@ fn tiles_skipped_stat_is_reported() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A table COPY-loaded only through its WAL tail — never checkpointed —
+/// still skips tiles after reopening: replayed appends leave fresh zone
+/// maps, as the live COPY does.
+#[test]
+fn wal_replayed_copy_still_skips_tiles() {
+    let dir = fresh_dir("walskip");
+    let vault = dir.join("db");
+    let file = dir.join("rows.bin");
+    let ks: Vec<i32> = (0..(TILE_ROWS * 3) as i32).collect();
+    write_copy_binary(&file, &[Bat::from_ints(ks)]).unwrap();
+    {
+        let mut c = Connection::open(&vault).unwrap();
+        c.execute("CREATE TABLE ev (k INT)").unwrap();
+        c.execute(&format!(
+            "COPY ev FROM '{}' (FORMAT binary)",
+            file.display()
+        ))
+        .unwrap();
+    } // no checkpoint: the rows live in the WAL tail only
+    let mut c = Connection::open(&vault).unwrap();
+    let rs = c.query("SELECT COUNT(*) FROM ev WHERE k = 12345").unwrap();
+    assert_eq!(rs.scalar().unwrap(), Value::Lng(1));
+    let skipped = c.last_exec().exec.tiles_skipped;
+    assert!(
+        skipped >= 2,
+        "expected ≥2 of 3 tiles skipped, got {skipped}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -1,7 +1,8 @@
 //! Byte-mutation fuzzing of the decoders that read untrusted bytes: the
 //! result header and page decoders a client runs on whatever its socket
 //! delivers, the request and reply frame decoders of both ends of the
-//! wire, and the tile decoder a vault runs on whatever its disk holds.
+//! wire, the tile decoder a vault runs on whatever its disk holds, and
+//! the WAL record decoder a replica runs on whatever its primary ships.
 //! Truncation at every offset, a flipped byte at every offset,
 //! hostile counts, dictionary indices past the heap and unknown column
 //! tags must each come back as `Err` (a flip may also land on another
@@ -12,10 +13,12 @@
 use gdk::codec::{crc32, decode_bat, encode_bat};
 use gdk::strheap::StrHeap;
 use gdk::types::{dbl_nil, INT_NIL, LNG_NIL, OID_NIL};
+use gdk::Candidates;
 use gdk::{Bat, ColumnData, ScalarType, Value};
 use sciql::result::{ColumnMeta, ResultSet, ResultSetBuilder};
-use sciql::ErrorCode;
+use sciql::{Connection, ErrorCode};
 use sciql_net::proto::{self, ExecReport, Op, ReplSnapshotFrame, Trailer};
+use sciql_store::{decode_replay_op, encode_replay_op, ReplayOp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -443,4 +446,120 @@ fn exec_bound_claiming_65535_values_with_none_present() {
     gdk::codec::put_str(&mut body, "q");
     body.extend_from_slice(&u16::MAX.to_le_bytes());
     assert!(!probe("read_exec_bound", &body, proto::read_exec_bound));
+}
+
+/// A replica's WAL apply (decode, append, apply) over `record`: it must
+/// not panic, and the decode must stay within the allocation bound.
+/// Returns the apply's error, if the record decoded and was refused.
+fn apply_record(conn: &mut Connection, what: &str, record: &[u8]) -> Option<String> {
+    let wal = std::path::Path::new("wal-0.log");
+    if !probe(what, record, |b| decode_replay_op(b, wal, 0)) {
+        return None;
+    }
+    let applied = catch_unwind(AssertUnwindSafe(|| {
+        conn.apply_replicated(&[record.to_vec()])
+    }));
+    let applied = applied.unwrap_or_else(|_| panic!("{what}: apply panicked on {record:02x?}"));
+    applied.err().map(|e| e.to_string())
+}
+
+/// WAL records — a schema statement, a write and a delete — cut at every
+/// offset and flipped at every bit. Each decodes to a typed error, or to a
+/// record the engine applies or refuses with a typed error; and the
+/// engine refuses every way a well-formed record can misfit its target.
+#[test]
+fn wal_records_survive_mutation() {
+    let dir = std::env::temp_dir().join(format!("sciql-walfuzz-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut conn = Connection::open(&dir).unwrap();
+    conn.execute_script(
+        "CREATE ARRAY g (x INT DIMENSION[0:1:4], v INT DEFAULT 0, s TEXT); \
+         CREATE TABLE t (a INT, b DOUBLE);",
+    )
+    .unwrap();
+    for k in 0..400 {
+        conn.execute(&format!("INSERT INTO t VALUES ({k}, 0.5)"))
+            .unwrap();
+    }
+    let ints = |v: Vec<i32>| Arc::new(Bat::from_ints(v));
+    let write = |target: &str, at: Candidates, columns| ReplayOp::Write {
+        target: target.into(),
+        at,
+        columns,
+    };
+    let records = [
+        ReplayOp::Sql("CREATE TABLE u (a INT)".into()),
+        write(
+            "g",
+            Candidates::List(vec![0, 2]),
+            vec![
+                (0, ints(vec![7, 8])),
+                (1, Arc::new(Bat::from_strs(vec![Some("a"), None]))),
+            ],
+        ),
+        ReplayOp::Delete {
+            target: "t".into(),
+            at: Candidates::Dense { first: 3, len: 1 },
+        },
+    ];
+    for op in &records {
+        let bytes = encode_replay_op(op);
+        assert_eq!(
+            apply_record(&mut conn, "well-formed", &bytes),
+            None,
+            "{op:?}"
+        );
+        for cut in 0..bytes.len() {
+            apply_record(&mut conn, "truncated", &bytes[..cut]);
+        }
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            apply_record(&mut conn, "flipped", &flipped);
+        }
+    }
+    // Every misfit of a well-formed record is refused, naming the fault.
+    let g = |at: Vec<u64>, columns| write("g", Candidates::List(at), columns);
+    let refusals = [
+        (
+            write("nosuch", Candidates::all(1), vec![]),
+            "no stored array or table",
+        ),
+        (
+            g(vec![1, 4], vec![(0, ints(vec![1, 2]))]),
+            "position 4 is past its 4 rows",
+        ),
+        (g(vec![0], vec![(5, ints(vec![1]))]), "no stored column 5"),
+        (
+            g(vec![0, 1], vec![(0, ints(vec![1, 2, 3]))]),
+            "3 int values for 2 positions",
+        ),
+        (
+            g(vec![0], vec![(0, Arc::new(Bat::from_dbls(vec![1.5])))]),
+            "1 dbl values for 1 positions of column \"v\" (int)",
+        ),
+        (
+            ReplayOp::Delete {
+                target: "t".into(),
+                at: Candidates::List(vec![5, 10_000]),
+            },
+            "position 10000 is past",
+        ),
+    ];
+    for (op, fault) in refusals {
+        let err = apply_record(&mut conn, "misfit", &encode_replay_op(&op));
+        assert!(
+            err.as_ref().is_some_and(|e| e.contains(fault)),
+            "{op:?}: {err:?}"
+        );
+    }
+    // Positions that do not strictly increase never decode.
+    let unordered = encode_replay_op(&g(vec![2, 1], vec![(0, ints(vec![1, 2]))]));
+    let wal = std::path::Path::new("wal-0.log");
+    let err = decode_replay_op(&unordered, wal, 0)
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("strictly increasing"), "{err}");
+    drop(conn);
+    std::fs::remove_dir_all(&dir).ok();
 }

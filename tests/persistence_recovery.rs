@@ -357,3 +357,78 @@ fn an_attribute_of_the_wrong_length_is_refused() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// The WAL holds schema statements as text and every data change as the
+/// values it stored: decoding the log after one statement of each kind
+/// finds SQL text for the DDL only, and reopening replays the records to
+/// the live state.
+#[test]
+fn only_schema_statements_are_logged_as_text() {
+    use sciql_store::{decode_replay_op, read_wal_from, wal_file_path, ReplayOp};
+    let dir = fresh_dir();
+    std::fs::create_dir_all(&dir).unwrap();
+    let copy = dir.join("rows.bin");
+    let cols = [
+        gdk::Bat::from_ints(vec![9, 8]),
+        gdk::Bat::from_strs(vec![Some("c"), None]),
+    ];
+    sciql::write_copy_binary(&copy, &cols).unwrap();
+    let copy = format!("COPY t FROM '{}' (FORMAT binary)", copy.display());
+    let script = [
+        (
+            "CREATE ARRAY m (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], v INT DEFAULT 0)",
+            "sql",
+        ),
+        ("CREATE TABLE t (a INT, s TEXT)", "sql"),
+        ("UPDATE m SET v = x * 4 + y", "write"),
+        ("DELETE FROM m WHERE v > 12", "delete"),
+        ("INSERT INTO m VALUES (0, 0, 99)", "write"),
+        ("INSERT INTO t VALUES (1, 'a'), (2, 'b')", "write"),
+        ("INSERT INTO t SELECT v, 'm' FROM m WHERE v < 3", "write"),
+        ("UPDATE t SET s = 'z' WHERE a = 2", "write"),
+        ("DELETE FROM t WHERE a = 1", "delete"),
+        (copy.as_str(), "write"),
+        ("ALTER ARRAY m ALTER DIMENSION x SET RANGE [0:1:5]", "sql"),
+        ("CREATE TABLE gone (a INT)", "sql"),
+        ("DROP TABLE gone", "sql"),
+        ("CREATE ARRAY u (x INT DIMENSION, v INT DEFAULT 0)", "sql"),
+        // The derived range is logged as the ALTER it amounts to.
+        ("INSERT INTO u VALUES (3, 7), (5, 8)", "sql write"),
+    ];
+    let probes = [
+        "SELECT x, y, v FROM m",
+        "SELECT a, s FROM t",
+        "SELECT x, v FROM u",
+    ];
+    let mut c = Connection::open(dir.join("db")).unwrap();
+    for (sql, _) in script {
+        c.execute(sql).unwrap();
+    }
+    let live: Vec<String> = probes
+        .iter()
+        .map(|p| c.query(p).unwrap().render())
+        .collect();
+    let wal = wal_file_path(&dir.join("db"), c.vault_stats().unwrap().generation);
+    drop(c);
+    let kinds: Vec<&str> = read_wal_from(&wal, 0, u64::MAX)
+        .unwrap()
+        .iter()
+        .map(|r| match decode_replay_op(&r.payload, &wal, 0).unwrap() {
+            ReplayOp::Sql(_) => "sql",
+            ReplayOp::Write { .. } => "write",
+            ReplayOp::Delete { .. } => "delete",
+        })
+        .collect();
+    let want: Vec<&str> = script
+        .iter()
+        .flat_map(|(_, kinds)| kinds.split(' '))
+        .collect();
+    assert_eq!(kinds, want);
+    let mut reopened = Connection::open(dir.join("db")).unwrap();
+    let replayed: Vec<String> = probes
+        .iter()
+        .map(|p| reopened.query(p).unwrap().render())
+        .collect();
+    assert_eq!(replayed, live);
+    std::fs::remove_dir_all(&dir).ok();
+}

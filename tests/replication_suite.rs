@@ -16,7 +16,7 @@ use sciql_repro::driver::{Sciql, SciqlError};
 use sciql_repro::gdk::Value;
 use sciql_repro::net::Server;
 use sciql_repro::repl::Replica;
-use sciql_repro::sciql::{ErrorCode, SessionConfig, SharedEngine};
+use sciql_repro::sciql::{Connection, ErrorCode, SessionConfig, SharedEngine};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -640,4 +640,61 @@ fn where_first_cell_statements_replay_byte_identically() {
     for d in [&primary_dir, &replica_dir, &twin_dir] {
         std::fs::remove_dir_all(d).ok();
     }
+}
+
+/// Prepared writes of ±inf and NaN over tcp reach the replica bit for
+/// bit: the WAL carries the stored doubles, not printed text. NaN is the
+/// dbl nil, so every endpoint holds what a memory connection holds, and
+/// the two vaults end byte-identical.
+#[test]
+fn non_finite_doubles_replicate_bit_for_bit() {
+    let primary_dir = fresh_dir("inf-primary");
+    let replica_dir = fresh_dir("inf-replica");
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let addr = handle.addr().to_string();
+    let replica = Replica::connect(&replica_dir, &addr).unwrap();
+    let mut conn = Sciql::connect(&format!("tcp://{addr}")).unwrap();
+    let mut mem = Sciql::connect("mem:").unwrap();
+    let (inf, nan) = (f64::INFINITY, f64::NAN);
+    for c in [&mut conn, &mut mem] {
+        c.execute("CREATE TABLE q (k INT, d DOUBLE)").unwrap();
+        c.execute("CREATE ARRAY g (x INT DIMENSION[0:1:4], v DOUBLE DEFAULT 1.5)")
+            .unwrap();
+        let ins = c.prepare("INSERT INTO q VALUES (?, ?)").unwrap();
+        let upd = c.prepare("UPDATE g SET v = ? WHERE x = ?").unwrap();
+        for (k, d) in [(0, inf), (1, -inf), (2, nan), (3, 2.5)] {
+            c.execute_bound(&ins, sciql_repro::params![k, d]).unwrap();
+            c.execute_bound(&upd, sciql_repro::params![d, k]).unwrap();
+        }
+        let flip = c.prepare("UPDATE q SET d = ? WHERE k = ?").unwrap();
+        c.execute_bound(&flip, sciql_repro::params![-inf, 3])
+            .unwrap();
+    }
+    wait_caught_up(&engine, &replica, "non-finite");
+    let bits = |conn: &Connection| -> Vec<u64> {
+        let d = &conn.table_store("q").unwrap().cols[1];
+        let v = &conn.array_store("g").unwrap().attrs[0];
+        let cells = d.as_dbls().unwrap().iter().chain(v.as_dbls().unwrap());
+        cells.map(|f| f.to_bits()).collect()
+    };
+    let want = bits(mem.embedded_connection().unwrap());
+    let (inf, neg) = (inf.to_bits(), (-inf).to_bits());
+    assert_eq!(
+        [want[0], want[1], want[3], want[4], want[5]],
+        [inf, neg, neg, inf, neg]
+    );
+    assert_eq!(bits(&engine.connection()), want, "primary");
+    assert_eq!(bits(&replica.engine().connection()), want, "replica");
+    replica.stop();
+    conn.shutdown_server().unwrap();
+    drop(conn);
+    drop(engine);
+    drop(handle.wait());
+    assert_twin_vaults(&primary_dir, &replica_dir, "non-finite replica");
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
 }
