@@ -162,16 +162,9 @@ impl Connection {
         tracer: &mut Tracer,
     ) -> Result<usize> {
         let key = target.to_ascii_lowercase();
-        let types: Vec<ScalarType> =
-            match (self.image.tables.get(&key), self.image.arrays.get(&key)) {
-                (Some(t), _) => t.def.columns.iter().map(|c| c.ty).collect(),
-                (_, Some(a)) => a.def.attrs.iter().map(|c| c.ty).collect(),
-                _ => {
-                    return Err(EngineError::msg(format!(
-                        "COPY target {target:?} does not exist"
-                    )))
-                }
-            };
+        let types: Vec<ScalarType> = (self.stored(target)?.iter())
+            .map(|c| c.tail_type())
+            .collect();
         let mut total = 0usize;
         match format {
             CopyFormat::Binary => {

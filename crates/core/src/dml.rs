@@ -157,7 +157,7 @@ impl Connection {
 
     /// The stored columns of `table`: an array's attributes or a table's
     /// columns.
-    fn stored(&self, table: &str) -> Result<&[Arc<Bat>]> {
+    pub(crate) fn stored(&self, table: &str) -> Result<&[Arc<Bat>]> {
         self.catalog().get(table).map_err(EngineError::Catalog)?;
         let key = table.to_ascii_lowercase();
         match (self.image.arrays.get(&key), self.image.tables.get(&key)) {

@@ -256,7 +256,7 @@ pub struct RecoveredObject {
 /// One logged operation to replay on top of the checkpoint image. DDL
 /// is logged as its statement text; every data change is logged as what
 /// it stored, so replay re-applies it without parsing or planning.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum ReplayOp {
     /// A schema statement, as printed text.
     Sql(String),
@@ -401,10 +401,14 @@ pub fn decode_replay_op(payload: &[u8], wal: &Path, record: usize) -> StoreResul
     let Some((&tag, rest)) = payload.split_first() else {
         return Err(bad("empty record"));
     };
-    if tag == TAG_SQL {
-        return String::from_utf8(rest.to_vec())
-            .map(ReplayOp::Sql)
-            .map_err(|_| bad("non-UTF-8 statement text"));
+    match tag {
+        TAG_SQL => {
+            return String::from_utf8(rest.to_vec())
+                .map(ReplayOp::Sql)
+                .map_err(|_| bad("non-UTF-8 statement text"))
+        }
+        TAG_WRITE | TAG_DELETE => {}
+        other => return Err(bad(&format!("unknown record tag 0x{other:02x}"))),
     }
     let mut r = Reader::new(rest);
     let target = r.str()?;
@@ -413,21 +417,24 @@ pub fn decode_replay_op(payload: &[u8], wal: &Path, record: usize) -> StoreResul
         ColumnData::Oid(v) if v.windows(2).all(|w| w[0] < w[1]) => Candidates::List(v),
         _ => return Err(bad("positions are not a strictly increasing oid column")),
     };
-    let op = match tag {
-        TAG_WRITE => {
-            let mut columns = Vec::new();
-            for _ in 0..r.u32()? {
-                let k = r.u32()? as usize;
-                columns.push((k, Arc::new(Bat::from_data(read_column(&mut r)?))));
-            }
-            ReplayOp::Write {
-                target,
-                at,
-                columns,
+    let op = if tag == TAG_DELETE {
+        ReplayOp::Delete { target, at }
+    } else {
+        let mut columns = Vec::new();
+        for _ in 0..r.u32()? {
+            let k = r.u32()? as usize;
+            // A stored-type column carries its values; a void one could
+            // claim any length without the bytes for it.
+            match read_column(&mut r)? {
+                ColumnData::Void { .. } => return Err(bad("a value column is void")),
+                data => columns.push((k, Arc::new(Bat::from_data(data)))),
             }
         }
-        TAG_DELETE => ReplayOp::Delete { target, at },
-        other => return Err(bad(&format!("unknown record tag 0x{other:02x}"))),
+        ReplayOp::Write {
+            target,
+            at,
+            columns,
+        }
     };
     if r.remaining() != 0 {
         return Err(bad("trailing bytes after the record"));
