@@ -336,7 +336,7 @@ impl Connection {
             };
             match done {
                 Ok(()) => applied += 1,
-                Err(e) => drop(failed.get_or_insert(e)),
+                Err(e) => failed = failed.or(Some(e)),
             }
         }
         for key in self.image.tables.keys() {
@@ -654,8 +654,8 @@ impl Connection {
             } => self.alter_dimension(array, dimension, range)?,
             _ => return Err(EngineError::msg(format!("not a schema statement: {text}"))),
         };
-        if let Some(tracer) = log {
-            self.log(|| encode_replay_op(&ReplayOp::Sql(text.to_owned())), tracer)?;
+        if let Some(tracer) = log.filter(|_| self.vault.is_some()) {
+            self.log(&encode_replay_op(&ReplayOp::Sql(text.to_owned())), tracer)?;
         }
         Ok(n)
     }
@@ -668,11 +668,11 @@ impl Connection {
     /// index out of range, a value column of another length than `at` or
     /// of another type than its column — changes nothing.
     pub(crate) fn change(&mut self, op: ReplayOp, log: Option<&mut Tracer>) -> Result<()> {
-        let payload = (log.is_some() && self.vault.is_some()).then(|| encode_replay_op(&op));
+        let record = (log.filter(|_| self.vault.is_some())).map(|t| (t, encode_replay_op(&op)));
         self.apply(op)?;
-        match (log, payload) {
-            (Some(tracer), Some(payload)) => self.log(|| payload, tracer),
-            _ => Ok(()),
+        match record {
+            Some((tracer, payload)) => self.log(&payload, tracer),
+            None => Ok(()),
         }
     }
 
@@ -688,21 +688,25 @@ impl Connection {
             ReplayOp::Sql(_) => return Err(EngineError::msg("a SQL record is not a data change")),
         };
         let key = target.to_ascii_lowercase();
-        if let Some(a) = self.image.arrays.get(&key) {
-            check_change(&target, &a.def.attrs, a.cell_count(), false, &at, &columns)?;
+        let array = self.image.arrays.get(&key);
+        let (metas, rows) = match (array, self.image.tables.get(&key)) {
+            (Some(a), _) => (&a.def.attrs, a.cell_count()),
+            (_, Some(t)) => (&t.def.columns, t.row_count()),
+            _ => {
+                return Err(EngineError::msg(format!(
+                    "no stored array or table {target:?}"
+                )))
+            }
+        };
+        let grows = array.is_none();
+        let append = check_change(&target, metas, rows, grows, &at, columns.as_ref())?;
+        if !grows {
             let store = self.array_mut(&key)?;
             return match columns {
                 Some(writes) => store.write_attrs(&at, writes),
                 None => store.punch_holes(&at),
             };
         }
-        let Some(t) = self.image.tables.get(&key) else {
-            return Err(EngineError::msg(format!(
-                "no stored array or table {target:?}"
-            )));
-        };
-        let rows = t.row_count();
-        let append = check_change(&target, &t.def.columns, rows, true, &at, &columns)?;
         let store = self.table_mut(&key)?;
         match columns {
             Some(writes) if append => {
@@ -716,16 +720,14 @@ impl Connection {
         }
     }
 
-    /// Append the record `payload()` builds to the WAL, unsynced, and
-    /// stage its commit ticket — a no-op without a vault. If the append
-    /// fails after the memory write, a checkpoint captures the effect
-    /// instead, keeping the durability promise without the record.
-    fn log(&mut self, payload: impl FnOnce() -> Vec<u8>, tracer: &mut Tracer) -> Result<()> {
-        let Some(vault) = self.vault.as_mut() else {
-            return Ok(());
-        };
+    /// Append one record `payload` to the vault's WAL, unsynced, and
+    /// stage its commit ticket. If the append fails after the memory
+    /// write, a checkpoint captures the effect instead, keeping the
+    /// durability promise without the record.
+    fn log(&mut self, payload: &[u8], tracer: &mut Tracer) -> Result<()> {
+        let vault = self.vault.as_mut().expect("only a vault logs");
         let sp = tracer.open(SpanId::ROOT, "wal.append");
-        let append = (vault.append_nosync(&payload())).and_then(|pos| self.stage_commit(pos));
+        let append = (vault.append_nosync(payload)).and_then(|pos| self.stage_commit(pos));
         tracer.close(sp);
         if append.is_err() {
             self.checkpoint()?;
@@ -909,7 +911,7 @@ fn check_change(
     rows: usize,
     grows: bool,
     at: &Candidates,
-    columns: &Option<ColumnWrites>,
+    columns: Option<&ColumnWrites>,
 ) -> Result<bool> {
     let bad = |what: String| EngineError::msg(format!("{target:?}: {what}"));
     let append = grows
@@ -919,7 +921,7 @@ fn check_change(
     if let Some(last) = last.filter(|&p| !append && p >= rows as u64) {
         return Err(bad(format!("position {last} is past its {rows} rows")));
     }
-    let columns = columns.as_deref().unwrap_or_default();
+    let columns = columns.map_or(&[][..], Vec::as_slice);
     if append && !columns.iter().map(|c| c.0).eq(0..metas.len()) {
         return Err(bad("an append must write every column in order".into()));
     }
