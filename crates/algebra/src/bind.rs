@@ -74,15 +74,22 @@ impl Scope {
     }
 }
 
-/// Evaluate a constant expression (DDL literals, dimension ranges).
-pub fn eval_const(e: &Expr) -> Result<Value> {
-    eval_with_env(e, &|_name| None)
+/// Evaluate a constant expression (DDL literals, dimension ranges,
+/// `INSERT … VALUES` rows); placeholder slot `k` takes `params[k]`.
+pub fn eval_const(e: &Expr, params: &[Value]) -> Result<Value> {
+    eval_with_env(e, &|_name| None, params)
 }
 
-/// Evaluate an expression whose only variables are supplied by `env`.
-pub fn eval_with_env(e: &Expr, env: &dyn Fn(&str) -> Option<Value>) -> Result<Value> {
+/// Evaluate an expression whose only variables are supplied by `env`
+/// and whose placeholders are filled from `params`.
+pub fn eval_with_env(
+    e: &Expr,
+    env: &dyn Fn(&str) -> Option<Value>,
+    params: &[Value],
+) -> Result<Value> {
     match e {
         Expr::Literal(l) => Ok(literal_value(l)),
+        Expr::Param(p) if p.slot < params.len() => Ok(params[p.slot].clone()),
         Expr::Column {
             qualifier: None,
             name,
@@ -95,13 +102,13 @@ pub fn eval_with_env(e: &Expr, env: &dyn Fn(&str) -> Option<Value>) -> Result<Va
             op: UnaryOp::Neg,
             expr,
         } => {
-            let v = eval_with_env(expr, env)?;
+            let v = eval_with_env(expr, env, params)?;
             gdk::arith::scalar_binop(gdk::arith::BinOp::Sub, &Value::Int(0), &v)
                 .map_err(AlgebraError::Gdk)
         }
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval_with_env(lhs, env)?;
-            let r = eval_with_env(rhs, env)?;
+            let l = eval_with_env(lhs, env, params)?;
+            let r = eval_with_env(rhs, env, params)?;
             let gop = match op {
                 BinOp::Add => gdk::arith::BinOp::Add,
                 BinOp::Sub => gdk::arith::BinOp::Sub,
@@ -144,9 +151,8 @@ pub fn literal_value(l: &Literal) -> Value {
 /// (linear in `var` with coefficient 1).
 pub fn linear_offset(e: &Expr, var: &str) -> Result<i64> {
     let eval_at = |x: i64| -> Result<i64> {
-        let v = eval_with_env(e, &|name| {
-            name.eq_ignore_ascii_case(var).then_some(Value::Lng(x))
-        })?;
+        let env = |name: &str| name.eq_ignore_ascii_case(var).then_some(Value::Lng(x));
+        let v = eval_with_env(e, &env, &[])?;
         v.as_i64().ok_or_else(|| {
             AlgebraError::bind(format!("index expression must be integral, got {v}"))
         })
@@ -164,7 +170,7 @@ pub fn linear_offset(e: &Expr, var: &str) -> Result<i64> {
 /// The binder.
 pub struct Binder<'a> {
     catalog: &'a Catalog,
-    slot_types: &'a [ScalarType],
+    slot_types: &'a [Option<ScalarType>],
 }
 
 impl<'a> Binder<'a> {
@@ -177,13 +183,15 @@ impl<'a> Binder<'a> {
     }
 
     /// Type placeholder slot `k` as `slot_types[k]` instead of by its
-    /// context. A slot that holds a lifted literal takes the literal's
-    /// own type, so the plan compares exactly as the literal would.
-    pub fn with_slot_types(self, slot_types: &'a [ScalarType]) -> Self {
+    /// context. A slot that holds a lifted literal or a bound value takes
+    /// the value's own type, so the plan compares and stores exactly as
+    /// the literal would; a NULL (`None`) stays untyped, as `NULL` does.
+    pub fn with_slot_types(self, slot_types: &'a [Option<ScalarType>]) -> Self {
         Binder { slot_types, ..self }
     }
 
-    fn slot_type(&self, slot: usize) -> Option<ScalarType> {
+    /// The type slot `slot` was given up front, if it was given one.
+    fn slot_type(&self, slot: usize) -> Option<Option<ScalarType>> {
         self.slot_types.get(slot).copied()
     }
 
@@ -323,12 +331,12 @@ impl<'a> Binder<'a> {
                     for (k, s) in tr.slices.iter().enumerate() {
                         let col = BExpr::Col(col_base_offset(col_base, k));
                         if let Some(lo) = &s.lo {
-                            let v = eval_const(lo)?;
+                            let v = eval_const(lo, &[])?;
                             let p = BExpr::bin(BinOp::Ge, col.clone(), BExpr::Const(v));
                             pred = Some(and_opt(pred, p));
                         }
                         if let Some(hi) = &s.hi {
-                            let v = eval_const(hi)?;
+                            let v = eval_const(hi, &[])?;
                             let p = BExpr::bin(BinOp::Lt, col.clone(), BExpr::Const(v));
                             pred = Some(and_opt(pred, p));
                         }
@@ -721,7 +729,7 @@ impl<'a> Binder<'a> {
             match e {
                 Expr::Param(p) => Ok(BExpr::Param {
                     slot: p.slot,
-                    ty: self.slot_type(p.slot).or_else(|| hint(sibling)),
+                    ty: self.slot_type(p.slot).unwrap_or_else(|| hint(sibling)),
                 }),
                 other => rec(other),
             }
@@ -730,7 +738,7 @@ impl<'a> Binder<'a> {
             Expr::Literal(l) => Ok(BExpr::Const(literal_value(l))),
             Expr::Param(p) => Ok(BExpr::Param {
                 slot: p.slot,
-                ty: self.slot_type(p.slot),
+                ty: self.slot_type(p.slot).flatten(),
             }),
             Expr::Column { qualifier, name } => {
                 scope.resolve(qualifier.as_deref(), name).map(BExpr::Col)

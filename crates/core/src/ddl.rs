@@ -15,22 +15,22 @@ fn parse_type(name: &str) -> Result<ScalarType> {
 }
 
 fn const_default(e: &sciql_parser::ast::Expr, ty: ScalarType) -> Result<Value> {
-    let v = eval_const(e).map_err(EngineError::Algebra)?;
+    let v = eval_const(e, &[]).map_err(EngineError::Algebra)?;
     v.cast(ty)
         .ok_or_else(|| EngineError::msg(format!("DEFAULT value {v} does not fit type {ty}")))
 }
 
 /// Evaluate a `[start:step:stop]` range into a concrete [`DimSpec`].
 pub fn eval_dim_range(r: &DimRange) -> Result<DimSpec> {
-    let start = eval_const(&r.start)
+    let start = eval_const(&r.start, &[])
         .map_err(EngineError::Algebra)?
         .as_i64()
         .ok_or_else(|| EngineError::msg("dimension start must be integral"))?;
-    let step = eval_const(&r.step)
+    let step = eval_const(&r.step, &[])
         .map_err(EngineError::Algebra)?
         .as_i64()
         .ok_or_else(|| EngineError::msg("dimension step must be integral"))?;
-    let stop = eval_const(&r.stop)
+    let stop = eval_const(&r.stop, &[])
         .map_err(EngineError::Algebra)?
         .as_i64()
         .ok_or_else(|| EngineError::msg("dimension stop must be integral"))?;

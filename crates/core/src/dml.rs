@@ -14,6 +14,7 @@
 //! also logs that record. Statements are all-or-nothing: every position
 //! and every conversion is checked before the first write.
 
+use crate::exec::{self, Binding};
 use crate::session::Connection;
 use crate::storage::{coerce, converted, ArrayStore, ColumnWrites};
 use crate::{EngineError, Result};
@@ -122,17 +123,20 @@ impl Connection {
     // ------------------------------------------------------------------
 
     /// The rows `filter` selects in `table` (every row without one) and
-    /// `exprs` at those rows, against its current state. The WHERE runs
-    /// first, through the path a SELECT's takes, so an expression is
-    /// evaluated, and can fail, only on the rows it selects.
+    /// `exprs` at those rows, against its current state, with `binding`'s
+    /// values in their slots. The WHERE runs first, through the path a
+    /// SELECT's takes, so an expression is evaluated, and can fail, only
+    /// on the rows it selects.
     fn select_rows(
         &mut self,
         table: &str,
         exprs: &[&Expr],
         filter: Option<&Expr>,
+        binding: Binding<'_>,
     ) -> Result<(Candidates, Vec<Arc<Bat>>)> {
-        let prog = {
-            let binder = Binder::new(self.catalog());
+        let image = &self.image;
+        let compile = |slot_types: &[Option<ScalarType>]| -> Result<_> {
+            let binder = Binder::new(&image.catalog).with_slot_types(slot_types);
             let (scan, scope) = binder.scope_for(table)?;
             let bind = |e: &Expr| binder.bind_expr(&scope, e);
             let items = exprs
@@ -140,9 +144,11 @@ impl Connection {
                 .map(|e| bind(e))
                 .collect::<std::result::Result<Vec<_>, _>>()?;
             let pred = filter.map(bind).transpose()?;
-            compile_cells(&scan, pred.as_ref(), &items, &self.image.codegen)?
+            Ok(compile_cells(&scan, pred.as_ref(), &items, &image.codegen)?)
         };
-        let mut outs = self.run_cells(prog)?.into_iter();
+        let (outs, last) = exec::execute_cells(binding.plan, binding.params, image, compile)?;
+        self.session.last = last;
+        let mut outs = outs.into_iter();
         let at = match filter.and_then(|_| outs.next()) {
             Some(MalValue::Cand(c)) => Some(Arc::unwrap_or_clone(c)),
             Some(v) => return Err(EngineError::msg(format!("cell positions: {}", v.kind()))),
@@ -193,6 +199,7 @@ impl Connection {
         table: &str,
         sets: &[(String, Expr)],
         filter: Option<&Expr>,
+        binding: Binding<'_>,
         tracer: &mut Tracer,
     ) -> Result<usize> {
         let targets = sets
@@ -200,7 +207,7 @@ impl Connection {
             .map(|(col, _)| self.resolve_update_target(table, col))
             .collect::<Result<Vec<_>>>()?;
         let exprs: Vec<&Expr> = sets.iter().map(|(_, e)| e).collect();
-        let (at, values) = self.select_rows(table, &exprs, filter)?;
+        let (at, values) = self.select_rows(table, &exprs, filter, binding)?;
         let n = at.len();
         if n > 0 {
             self.write(table, at, targets.into_iter().zip(values).collect(), tracer)?;
@@ -236,10 +243,11 @@ impl Connection {
         &mut self,
         table: &str,
         filter: Option<&Expr>,
+        binding: Binding<'_>,
         tracer: &mut Tracer,
     ) -> Result<usize> {
         let at = match filter {
-            Some(f) => self.select_rows(table, &[], Some(f))?.0,
+            Some(f) => self.select_rows(table, &[], Some(f), binding)?.0,
             None => Candidates::all(group_rows(self.stored(table)?)),
         };
         let n = at.len();
@@ -259,6 +267,7 @@ impl Connection {
         table: &str,
         columns: Option<&[String]>,
         source: &InsertSource,
+        params: &[Value],
         tracer: &mut Tracer,
     ) -> Result<usize> {
         // Read every row first: INSERT INTO t SELECT … FROM t must see the
@@ -269,14 +278,14 @@ impl Connection {
                 .map(|r| {
                     r.iter()
                         .map(|e| {
-                            let v = eval_const(e)?;
+                            let v = eval_const(e, params)?;
                             let ty = v.scalar_type().unwrap_or(ScalarType::Int);
                             Ok(Arc::new(Bat::from_values(ty, &[v])?))
                         })
                         .collect()
                 })
                 .collect::<Result<_>>()?,
-            InsertSource::Select(sel) => vec![self.run_select(sel)?.bats],
+            InsertSource::Select(sel) => vec![self.run_select(sel, params)?.bats],
         };
         match self
             .catalog()

@@ -494,9 +494,11 @@ impl EngineSession {
         exec::run(&mut Reach::Shared(self), Request::Stmt(stmt))
     }
 
-    /// Prepare a named statement: parsed now, and (for SELECTs) compiled
-    /// once into a parameterised plan on first execution. Returns the
-    /// number of `?`/`:name` bind slots.
+    /// Prepare a named statement: parsed now, and (for a SELECT, UPDATE
+    /// or DELETE) compiled once into a parameterised plan on first
+    /// execution. Returns the number of `?`/`:name` bind slots; a
+    /// statement other than SELECT, INSERT, UPDATE or DELETE that has
+    /// any is refused.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
         self.state.prepare(name, sql)
     }
@@ -505,11 +507,12 @@ impl EngineSession {
     /// [`EngineSession::prepare`], binding `params` into its `?`/`:name`
     /// slots (pass `&[]` for a parameter-free statement).
     ///
-    /// SELECTs run the cached compiled plan against a fresh lock-free
-    /// snapshot — a cache hit skips parse, bind and the optimizer
-    /// pipeline (`ExecStats::plan_cache_hits`). Mutating statements
-    /// inline the values as literals and serialize through the engine's
-    /// single-writer connection like any other write.
+    /// A SELECT runs its cached compiled plan against a fresh lock-free
+    /// snapshot; an UPDATE or DELETE runs its own through the engine's
+    /// single-writer connection, like any other write. A cache hit skips
+    /// parse, bind and the optimizer pipeline
+    /// (`ExecStats::plan_cache_hits`). An INSERT evaluates its rows
+    /// with the values.
     pub fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<QueryResult> {
         exec::run(&mut Reach::Shared(self), Request::Prepared(name, params))
     }
@@ -615,6 +618,7 @@ mod tests {
             };
         let (rs, _) = exec::execute_select(
             &sel,
+            &[],
             &snap.image,
             &SysData::default,
             &mut sciql_obs::Tracer::off(),
@@ -652,6 +656,7 @@ mod tests {
         };
         let (rs, _) = exec::execute_select(
             &sel,
+            &[],
             &snap.image,
             &SysData::default,
             &mut sciql_obs::Tracer::off(),

@@ -10,13 +10,19 @@
 //! the session's bookkeeping. README § *Statement lifecycle* states the
 //! contract and names the test pinning each invariant.
 //!
-//! Every SELECT, prepared or ad hoc, runs a cached plan when it can: the
-//! bound, optimised MAL program compiled **once** with
-//! [`mal::Arg::Param`] slots, which each execution fills with its own
-//! values — no re-bind, no re-optimise.
+//! Every SELECT, prepared or ad hoc, and every prepared UPDATE and
+//! DELETE runs a cached plan when it can: the bound, optimised MAL
+//! program compiled **once** with [`mal::Arg::Param`] slots, which each
+//! execution fills with its own values — no re-bind, no re-optimise.
 //!
-//! - A [`Prepared`] SELECT keeps its plan, with a slot for each
-//!   `?`/`:name` placeholder; re-executing it also skips the parse.
+//! - A [`Prepared`] statement keeps its plan, with a slot for each
+//!   `?`/`:name` placeholder; re-executing it also skips the parse. A
+//!   SELECT's slots are typed by their context; an UPDATE's or DELETE's
+//!   (its cell program, see [`sciql_algebra::compile_cells`]) by the
+//!   bound values' own types, so it compares and stores exactly as the
+//!   statement with those values written as literals would, and a new
+//!   combination of value types recompiles. A prepared INSERT evaluates
+//!   its `VALUES` rows, or runs its SELECT, with the bound values.
 //! - An ad-hoc SELECT (text or script, on any transport) is looked up in
 //!   the session's bounded `PlanCache` under its lifted form
 //!   ([`SelectStmt::lift_literals`]): every literal that is a direct
@@ -34,11 +40,6 @@
 //! level, thread count), never by data changes: programs reference
 //! stored columns by name through `sql.bind`, so a cached plan always
 //! sees the current column versions.
-//!
-//! Mutating prepared statements take the other path: bound values are
-//! inlined into the AST as literals and the statement is dispatched like
-//! any other write. The WAL never sees that text: a data change is logged
-//! as the values it stored.
 
 use crate::commit::GroupCommitter;
 use crate::engine::{EngineSession, SessionStats};
@@ -50,10 +51,10 @@ use crate::{EngineError, Result};
 use gdk::{Bat, ScalarType, Value};
 use mal::{Binder as MalBinder, ExecStats, Interpreter, MalValue, OptConfig, PassStats, Program};
 use sciql_algebra::bind::literal_value;
-use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, ColInfo, Plan};
+use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, ColInfo};
 use sciql_catalog::Catalog;
 use sciql_obs::{SpanId, Trace, Tracer};
-use sciql_parser::ast::{Expr, Literal, ParamRef, SelectStmt, Stmt};
+use sciql_parser::ast::{ParamRef, SelectStmt, Stmt};
 use sciql_parser::{parse_statement, parse_statements};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -70,8 +71,9 @@ pub(crate) fn parse_one(sql: &str) -> Result<Stmt> {
 // prepared statements
 // ---------------------------------------------------------------------
 
-/// A prepared statement: parsed once, and for SELECTs compiled once into
-/// a parameterised MAL program that re-executes without re-planning.
+/// A prepared statement: parsed once, and for a SELECT, UPDATE or DELETE
+/// compiled once into a parameterised MAL program that re-executes
+/// without re-planning.
 #[derive(Debug, Clone)]
 pub struct Prepared {
     stmt: Stmt,
@@ -80,16 +82,18 @@ pub struct Prepared {
     cache: Option<CachedPlan>,
 }
 
-/// The compiled-once artefact of a cached SELECT (a prepared statement,
-/// or an ad-hoc statement's lifted form), plus everything the validity
-/// check needs.
+/// The compiled-once artefact of a prepared statement or an ad-hoc
+/// SELECT's lifted form, plus everything the validity check needs.
 #[derive(Debug, Clone)]
-struct CachedPlan {
+pub(crate) struct CachedPlan {
     prog: Program,
     schema: Vec<ColInfo>,
     catalog_version: u64,
     opt_config: OptConfig,
     codegen: CodegenOptions,
+    /// The types the slots were compiled for; empty when their context
+    /// typed them (a prepared SELECT).
+    slot_types: Vec<Option<ScalarType>>,
     opt_report: PassStats,
     instrs_before: usize,
     instrs_after: usize,
@@ -102,10 +106,19 @@ struct CachedPlan {
 impl Prepared {
     /// Parse `sql` into a prepared statement (plan compilation is lazy:
     /// it happens on first execution, against the catalog of that
-    /// moment).
+    /// moment). Only a SELECT, INSERT, UPDATE or DELETE binds values: a
+    /// placeholder in any other statement is refused here.
     pub fn new(sql: &str) -> Result<Prepared> {
         let stmt = parse_one(sql)?;
         let params = stmt.params();
+        let binds = matches!(
+            stmt,
+            Stmt::Select(_) | Stmt::Insert { .. } | Stmt::Update { .. } | Stmt::Delete { .. }
+        );
+        if let Some(p) = params.first().filter(|_| !binds) {
+            let why = "only SELECT, INSERT, UPDATE and DELETE take parameters".into();
+            return Err(EngineError::Mal(mal::MalError::BadParam(p.slot, why)));
+        }
         Ok(Prepared {
             stmt,
             sql: sql.to_owned(),
@@ -138,11 +151,6 @@ impl Prepared {
     /// case-insensitive).
     pub fn param_slot(&self, name: &str) -> Option<usize> {
         sciql_parser::ast::named_param_slot(&self.params, name)
-    }
-
-    /// Is this a SELECT (plan-cached) statement?
-    pub fn is_select(&self) -> bool {
-        matches!(self.stmt, Stmt::Select(_))
     }
 
     /// Fail unless enough parameter values are bound.
@@ -188,7 +196,7 @@ pub(crate) struct PlanCache {
     clock: u64,
 }
 
-type PlanKey = (String, Vec<ScalarType>);
+type PlanKey = (String, Vec<Option<ScalarType>>);
 
 impl PlanCache {
     /// Take out the plan for `key`, if any; [`PlanCache::put`] returns it.
@@ -218,11 +226,16 @@ impl PreparedSet {
         Ok(n)
     }
 
-    /// Look up a statement for execution.
-    fn get_mut(&mut self, name: &str) -> Result<&mut Prepared> {
+    /// Take out a statement for execution, with its key;
+    /// [`PreparedSet::put`] returns it.
+    fn take(&mut self, name: &str) -> Result<(String, Prepared)> {
         self.map
-            .get_mut(&*prepared_key(name))
+            .remove_entry(&*prepared_key(name))
             .ok_or_else(|| EngineError::msg(format!("no prepared statement named {name:?}")))
+    }
+
+    fn put(&mut self, key: String, prep: Prepared) {
+        self.map.insert(key, prep);
     }
 
     /// Drop a statement; `true` if it existed.
@@ -254,22 +267,6 @@ pub(crate) struct Image {
 /// scans one.
 pub(crate) type Sys<'a> = &'a dyn Fn() -> SysData;
 
-/// Compile + optimise a logical plan, with `codegen` and per-pass
-/// `optimize` spans. Returns the program, the optimizer's per-pass
-/// stats and the instruction counts before/after optimization.
-fn compile_plan(
-    plan: &Plan,
-    image: &Image,
-    tracer: &mut Tracer,
-) -> Result<(Program, PassStats, usize, usize)> {
-    let sp = tracer.open(SpanId::ROOT, "codegen");
-    let mut prog: Program = compile(plan, &image.codegen)?;
-    tracer.note(sp, "instrs", prog.instrs.len() as u64);
-    tracer.close(sp);
-    let (report, before, after) = optimise(&mut prog, image, tracer);
-    Ok((prog, report, before, after))
-}
-
 /// Run the session's optimizer pipeline over `prog` under an `optimize`
 /// span: the per-pass stats and the instruction counts before/after.
 fn optimise(prog: &mut Program, image: &Image, tracer: &mut Tracer) -> (PassStats, usize, usize) {
@@ -282,23 +279,40 @@ fn optimise(prog: &mut Program, image: &Image, tracer: &mut Tracer) -> (PassStat
     (report, before, after)
 }
 
-/// Optimise and run the read of a cell statement
-/// ([`sciql_algebra::compile_cells`]): its results in order, as MAL
-/// values.
+/// The slot types of bound values: each value's own type, `None` for a
+/// NULL (see [`Binder::with_slot_types`]).
+fn slot_types(params: &[Value]) -> Vec<Option<ScalarType>> {
+    params.iter().map(Value::scalar_type).collect()
+}
+
+/// Run the read of a cell statement ([`sciql_algebra::compile_cells`])
+/// with `params` in its slots: its results in order, as MAL values.
+/// `compile` generates the program for the bound values' slot types; a
+/// prepared statement passes its plan `slot`, and the program there is
+/// reused while it is valid.
 pub(crate) fn execute_cells(
-    mut prog: Program,
+    slot: Option<&mut Option<CachedPlan>>,
+    params: &[Value],
     image: &Image,
-    tracer: &mut Tracer,
+    compile: impl FnOnce(&[Option<ScalarType>]) -> Result<Program>,
 ) -> Result<(Vec<MalValue>, LastExec)> {
-    let (opt, before, after) = optimise(&mut prog, image, tracer);
-    let (outs, exec) = run_mal(&prog, &image.tables, image, &[], tracer)?;
-    let last = LastExec {
-        exec,
-        opt,
-        instrs_before_opt: before,
-        instrs_after_opt: after,
+    let types = slot_types(params);
+    let tracer = &mut Tracer::off();
+    let build = |tracer: &mut Tracer| Ok(CachedPlan::new(compile(&types)?, &types, image, tracer));
+    let fresh;
+    let (plan, hit) = match slot {
+        Some(slot) => cached(slot, &types, image, tracer, build)?,
+        None => {
+            fresh = build(tracer)?;
+            (&fresh, false)
+        }
     };
-    Ok((outs.into_iter().map(|(_, v)| v).collect(), last))
+    let (outs, mut exec) = run_mal(&plan.prog, &image.tables, image, params, tracer)?;
+    exec.plan_cache_hits = usize::from(hit);
+    Ok((
+        outs.into_iter().map(|(_, v)| v).collect(),
+        plan.last_exec(exec),
+    ))
 }
 
 /// Interpret `prog` over the image's arrays and `tables` under a `mal`
@@ -339,27 +353,27 @@ fn run_mal(
     Ok((outs, exec))
 }
 
-/// Execute a compiled program against the image's stores (plus freshly
-/// synthesized `sys_views`), filling its parameter slots from `params`,
-/// and shape the outputs into a [`ResultSet`] using the plan's schema.
+/// Execute a compiled SELECT plan against the image's stores (plus
+/// freshly synthesized `sys.*` views), filling its parameter slots from
+/// `params`, and shape the outputs into a [`ResultSet`] using the plan's
+/// schema.
 fn run_program(
-    prog: &Program,
-    schema: &[ColInfo],
-    sys_views: &[String],
+    plan: &CachedPlan,
     image: &Image,
     sys: Sys<'_>,
     params: &[Value],
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, ExecStats)> {
     let augmented;
-    let tables = if sys_views.is_empty() {
+    let tables = if plan.sys_views.is_empty() {
         &image.tables
     } else {
-        augmented = sysview::augment_tables(sys_views, image, &sys())?;
+        augmented = sysview::augment_tables(&plan.sys_views, image, &sys())?;
         &augmented
     };
-    let (outs, exec) = run_mal(prog, tables, image, params, tracer)?;
+    let (outs, exec) = run_mal(&plan.prog, tables, image, params, tracer)?;
     let sp = tracer.open(SpanId::ROOT, "result");
+    let schema = &plan.schema;
     let mut columns = Vec::with_capacity(schema.len());
     let mut bats: Vec<Arc<Bat>> = Vec::with_capacity(schema.len());
     for ((label, val), info) in outs.into_iter().zip(schema) {
@@ -394,138 +408,137 @@ fn run_program(
     Ok((rs, exec))
 }
 
-/// Bind + rewrite a SELECT into a logical plan, under `bind` and
-/// `rewrite` spans. Placeholder slot `k` is typed `slot_types[k]` when
-/// given, by its context otherwise.
-fn plan_select(
-    sel: &SelectStmt,
-    catalog: &Catalog,
-    slot_types: &[ScalarType],
-    tracer: &mut Tracer,
-) -> Result<Plan> {
-    let sp = tracer.open(SpanId::ROOT, "bind");
-    let bound = Binder::new(catalog)
-        .with_slot_types(slot_types)
-        .bind_select(sel);
-    tracer.close(sp);
-    let sp = tracer.open(SpanId::ROOT, "rewrite");
-    let plan = rewrite(bound?);
-    tracer.close(sp);
-    Ok(plan)
-}
-
 /// Run a SELECT through the full Fig-2 pipeline, past every plan cache
-/// (`EXPLAIN ANALYZE`, `INSERT … SELECT`).
+/// (`EXPLAIN ANALYZE`, `INSERT … SELECT`), with `params` in its slots.
 pub(crate) fn execute_select(
     sel: &SelectStmt,
+    params: &[Value],
     image: &Image,
     sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let plan = plan_select(sel, &image.catalog, &[], tracer)?;
-    let (prog, report, before, after) = compile_plan(&plan, image, tracer)?;
-    let sys_views = sysview::sys_scans(&plan);
-    let (rs, exec) = run_program(&prog, &plan.schema(), &sys_views, image, sys, &[], tracer)?;
-    let last = LastExec {
-        exec,
-        opt: report,
-        instrs_before_opt: before,
-        instrs_after_opt: after,
-    };
-    Ok((rs, last))
+    let plan = CachedPlan::compile(sel, &slot_types(params), image, tracer)?;
+    let (rs, exec) = run_program(&plan, image, sys, params, tracer)?;
+    Ok((rs, plan.last_exec(exec)))
 }
 
 impl CachedPlan {
-    /// Plan and compile `sel` against `image`.
-    fn compile(
-        sel: &SelectStmt,
-        slot_types: &[ScalarType],
+    /// Optimise `prog`, generated against `image` with its slots typed
+    /// `slot_types`, into a plan that scans no `sys.*` view and has no
+    /// result schema (a cell program's).
+    fn new(
+        mut prog: Program,
+        slot_types: &[Option<ScalarType>],
         image: &Image,
         tracer: &mut Tracer,
-    ) -> Result<CachedPlan> {
-        let plan = plan_select(sel, &image.catalog, slot_types, tracer)?;
-        let (prog, opt_report, instrs_before, instrs_after) = compile_plan(&plan, image, tracer)?;
-        Ok(CachedPlan {
+    ) -> CachedPlan {
+        let (opt_report, instrs_before, instrs_after) = optimise(&mut prog, image, tracer);
+        CachedPlan {
             prog,
-            schema: plan.schema(),
+            schema: Vec::new(),
             catalog_version: image.catalog.version(),
             opt_config: image.opt_config,
             codegen: image.codegen,
+            slot_types: slot_types.to_vec(),
             opt_report,
             instrs_before,
             instrs_after,
+            sys_views: Vec::new(),
+        }
+    }
+
+    /// Bind, rewrite, generate and optimise `sel` against `image`, under
+    /// a span per phase. Placeholder slot `k` is typed `slot_types[k]`
+    /// when given, by its context otherwise.
+    fn compile(
+        sel: &SelectStmt,
+        slot_types: &[Option<ScalarType>],
+        image: &Image,
+        tracer: &mut Tracer,
+    ) -> Result<CachedPlan> {
+        let sp = tracer.open(SpanId::ROOT, "bind");
+        let bound = Binder::new(&image.catalog)
+            .with_slot_types(slot_types)
+            .bind_select(sel);
+        tracer.close(sp);
+        let sp = tracer.open(SpanId::ROOT, "rewrite");
+        let plan = rewrite(bound?);
+        tracer.close(sp);
+        let sp = tracer.open(SpanId::ROOT, "codegen");
+        let prog: Program = compile(&plan, &image.codegen)?;
+        tracer.note(sp, "instrs", prog.instrs.len() as u64);
+        tracer.close(sp);
+        Ok(CachedPlan {
+            schema: plan.schema(),
             sys_views: sysview::sys_scans(&plan),
+            ..Self::new(prog, slot_types, image, tracer)
         })
     }
 
-    /// Was the plan compiled against `image`'s schema and settings?
-    fn valid_for(&self, image: &Image) -> bool {
+    /// Was the plan compiled against `image`'s schema and settings, with
+    /// its slots typed `slot_types`?
+    fn valid_for(&self, image: &Image, slot_types: &[Option<ScalarType>]) -> bool {
         self.catalog_version == image.catalog.version()
             && self.opt_config == image.opt_config
             && self.codegen == image.codegen
+            && self.slot_types == slot_types
+    }
+
+    /// The statistics of one execution of this plan.
+    fn last_exec(&self, exec: ExecStats) -> LastExec {
+        LastExec {
+            exec,
+            opt: self.opt_report,
+            instrs_before_opt: self.instrs_before,
+            instrs_after_opt: self.instrs_after,
+        }
     }
 }
 
-/// Execute `sel` through the plan in `slot`, compiling it into the slot
-/// first unless the plan there is still valid for `image`.
+/// The plan in `slot`, compiled there first by `compile` unless the plan
+/// there is still valid for `image` and `slot_types`, and whether it was;
+/// the hit or miss is counted and noted on the trace.
+fn cached<'s>(
+    slot: &'s mut Option<CachedPlan>,
+    slot_types: &[Option<ScalarType>],
+    image: &Image,
+    tracer: &mut Tracer,
+    compile: impl FnOnce(&mut Tracer) -> Result<CachedPlan>,
+) -> Result<(&'s CachedPlan, bool)> {
+    let hit = slot
+        .as_ref()
+        .is_some_and(|c| c.valid_for(image, slot_types));
+    let m = sciql_obs::global();
+    if hit {
+        m.plan_cache_hits.inc();
+    } else {
+        m.plan_cache_misses.inc();
+        *slot = Some(compile(tracer)?);
+    }
+    if tracer.is_on() {
+        tracer.note(SpanId::ROOT, "plan_cache_hit", u64::from(hit));
+    }
+    Ok((slot.as_ref().expect("compiled above"), hit))
+}
+
+/// Execute `sel` through the plan in `slot` (see [`cached`]).
 /// `ExecStats::plan_cache_hits` reports which path ran. `params` fill
 /// the plan's placeholder slots; `slot_types` types those a lifted
 /// literal left (a prepared statement's take their type from context).
 fn execute_cached(
     slot: &mut Option<CachedPlan>,
     sel: &SelectStmt,
-    slot_types: &[ScalarType],
+    slot_types: &[Option<ScalarType>],
     params: &[Value],
     image: &Image,
     sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let hit = slot.as_ref().is_some_and(|c| c.valid_for(image));
-    let m = sciql_obs::global();
-    if hit {
-        m.plan_cache_hits.inc();
-    } else {
-        m.plan_cache_misses.inc();
-        *slot = Some(CachedPlan::compile(sel, slot_types, image, tracer)?);
-    }
-    let cache = slot.as_ref().expect("compiled above");
-    if tracer.is_on() {
-        tracer.note(SpanId::ROOT, "plan_cache_hit", u64::from(hit));
-    }
-    let (rs, mut exec) = run_program(
-        &cache.prog,
-        &cache.schema,
-        &cache.sys_views,
-        image,
-        sys,
-        params,
-        tracer,
-    )?;
+    let compile = |tracer: &mut Tracer| CachedPlan::compile(sel, slot_types, image, tracer);
+    let (plan, hit) = cached(slot, slot_types, image, tracer, compile)?;
+    let (rs, mut exec) = run_program(plan, image, sys, params, tracer)?;
     exec.plan_cache_hits = usize::from(hit);
-    let last = LastExec {
-        exec,
-        opt: cache.opt_report,
-        instrs_before_opt: cache.instrs_before,
-        instrs_after_opt: cache.instrs_after,
-    };
-    Ok((rs, last))
-}
-
-/// Execute a prepared SELECT with bound parameters, reusing its compiled
-/// plan while that is still valid.
-fn execute_prepared_select(
-    prep: &mut Prepared,
-    params: &[Value],
-    image: &Image,
-    sys: Sys<'_>,
-    tracer: &mut Tracer,
-) -> Result<(ResultSet, LastExec)> {
-    let Stmt::Select(sel) = &prep.stmt else {
-        return Err(EngineError::msg(
-            "execute_prepared_select requires a SELECT statement",
-        ));
-    };
-    execute_cached(&mut prep.cache, sel, &[], params, image, sys, tracer)
+    Ok((rs, plan.last_exec(exec)))
 }
 
 /// Execute an ad-hoc SELECT through the session's plan cache: its lifted
@@ -541,14 +554,10 @@ fn execute_adhoc_select(
     let Some((lifted, literals)) = sel.lift_literals() else {
         // Placeholders of its own: nothing binds them, so let the
         // pipeline report the unbound slot as it always has.
-        return execute_select(sel, image, sys, tracer);
+        return execute_select(sel, &[], image, sys, tracer);
     };
     let values: Vec<Value> = literals.iter().map(literal_value).collect();
-    let types = values
-        .iter()
-        .map(|v| v.scalar_type().expect("NULL is never lifted"))
-        .collect();
-    let key = (lifted.to_string(), types);
+    let key = (lifted.to_string(), slot_types(&values));
     let mut slot = plans.take(&key);
     let result = execute_cached(&mut slot, &lifted, &key.1, &values, image, sys, tracer);
     if let Some(plan) = slot {
@@ -584,7 +593,8 @@ pub(crate) struct SessionState {
     pub(crate) id: u64,
     /// Statistics of the most recent statement.
     pub(crate) last: LastExec,
-    /// Named prepared statements (a SELECT keeps its compiled plan).
+    /// Named prepared statements (a SELECT, UPDATE or DELETE keeps its
+    /// compiled plan).
     pub(crate) prepared: PreparedSet,
     /// Compiled plans of ad-hoc SELECTs, by lifted form.
     pub(crate) plans: PlanCache,
@@ -660,6 +670,15 @@ pub(crate) enum Request<'a> {
     Stmt(&'a Stmt),
     /// A prepared statement by name, with slot-ordered values.
     Prepared(&'a str, &'a [Value]),
+}
+
+/// The values bound to a statement's `?`/`:name` slots and, for a
+/// prepared statement, the slot its compiled plan is kept in. An ad-hoc
+/// statement has neither.
+#[derive(Default)]
+pub(crate) struct Binding<'a> {
+    pub(crate) params: &'a [Value],
+    pub(crate) plan: Option<&'a mut Option<CachedPlan>>,
 }
 
 impl Reach<'_> {
@@ -763,67 +782,81 @@ fn resolve(reach: &mut Reach<'_>, req: Request<'_>) -> Result<QueryResult> {
             execute_stmt(reach, &stmt, Some(tracer))
         }
         Request::Prepared(name, params) => {
-            let prep = state.prepared.get_mut(name)?;
-            prep.check_params(params)?;
-            if !prep.is_select() {
-                let stmt = bind_params_into(prep.statement(), params);
-                return execute_stmt(reach, &stmt, None);
-            }
-            let (text, kind) = (prep.sql().to_owned(), stmt_kind(prep.statement()));
-            observed(reach, text, kind, None, |reach, _, tracer| {
-                reach.read(|state, image, sys| {
-                    let prep = state.prepared.get_mut(name)?;
-                    let (rs, last) = execute_prepared_select(prep, params, image, sys, tracer)?;
-                    state.last = last;
-                    Ok(QueryResult::Rows(rs))
-                })
-            })
+            // Out of the session while it runs: an exclusive session's
+            // writer is the connection that holds the session.
+            let (key, mut prep) = state.prepared.take(name)?;
+            let result = prep.check_params(params).and_then(|()| {
+                let Prepared {
+                    stmt, sql, cache, ..
+                } = &mut prep;
+                let binding = Binding {
+                    params,
+                    plan: Some(cache),
+                };
+                observed(
+                    reach,
+                    sql.clone(),
+                    stmt_kind(stmt),
+                    None,
+                    |reach, tracer| dispatch(reach, stmt, binding, tracer),
+                )
+            });
+            reach.state().prepared.put(key, prep);
+            result
         }
     }
 }
 
-/// Execute a parsed statement. Read-vs-write is decided here, once:
-/// `SELECT` and `EXPLAIN` read one consistent image; everything else
-/// takes the write sequence.
+/// Execute a parsed statement, labelled with its printed text.
 fn execute_stmt(
     reach: &mut Reach<'_>,
     stmt: &Stmt,
     parse_tracer: Option<Tracer>,
 ) -> Result<QueryResult> {
-    // Rendered once: the same text labels the trace, goes to the WAL
-    // (for a schema statement) and lands in the query log.
     observed(
         reach,
         stmt.to_string(),
         stmt_kind(stmt),
         parse_tracer,
-        |reach, text, tracer| match stmt {
-            Stmt::Select(_) | Stmt::Explain { .. } => {
-                reach.read(|state, image, sys| run_read(state, image, sys, stmt, tracer))
-            }
-            _ => run_write(reach, stmt, text, tracer),
-        },
+        |reach, tracer| dispatch(reach, stmt, Binding::default(), tracer),
     )
+}
+
+/// Execute `stmt` with `binding`. Read-vs-write is decided here, once:
+/// `SELECT` and `EXPLAIN` read one consistent image; everything else
+/// takes the write sequence.
+fn dispatch(
+    reach: &mut Reach<'_>,
+    stmt: &Stmt,
+    binding: Binding<'_>,
+    tracer: &mut Tracer,
+) -> Result<QueryResult> {
+    match stmt {
+        Stmt::Select(_) | Stmt::Explain { .. } => {
+            reach.read(|state, image, sys| run_read(state, image, sys, stmt, binding, tracer))
+        }
+        _ => run_write(reach, stmt, binding, tracer),
+    }
 }
 
 /// The observability tap around one entered statement: it lands in the
 /// global query-latency histogram, a by-kind counter and the
 /// ring-buffered query log (`sys.query_log`); at or over the session's
 /// slow-query threshold it is flagged slow and keeps its span trace even
-/// with tracing off. `tracer` is the one that timed the parse, when the
-/// statement arrived as text.
+/// with tracing off. `text` labels the trace and the log record; `tracer`
+/// is the one that timed the parse, when the statement arrived as text.
 fn observed(
     reach: &mut Reach<'_>,
     text: String,
     (kind, counter): (&'static str, &'static sciql_obs::Counter),
     tracer: Option<Tracer>,
-    body: impl FnOnce(&mut Reach<'_>, &str, &mut Tracer) -> Result<QueryResult>,
+    body: impl FnOnce(&mut Reach<'_>, &mut Tracer) -> Result<QueryResult>,
 ) -> Result<QueryResult> {
     reach.count_statement();
     let mut tracer = tracer.unwrap_or_else(|| reach.state().tracer(&text));
     let started_us = sciql_obs::now_unix_us();
     let t0 = Instant::now();
-    let result = body(reach, &text, &mut tracer);
+    let result = body(reach, &mut tracer);
     let wall = t0.elapsed();
     let m = sciql_obs::global();
     m.query_ns.observe(wall);
@@ -841,15 +874,12 @@ fn observed(
             state.last_trace = Some(trace);
         }
     }
-    let (rows, tiles_skipped, plan_cache_hit) = match &result {
-        Ok(QueryResult::Rows(rs)) => (
-            rs.row_count() as u64,
-            state.last.exec.tiles_skipped as u64,
-            state.last.exec.plan_cache_hits > 0,
-        ),
-        Ok(QueryResult::Affected(n)) => (*n as u64, 0, false),
-        Err(_) => (0, 0, false),
+    let (rows, tiles_skipped) = match &result {
+        Ok(QueryResult::Rows(rs)) => (rs.row_count() as u64, state.last.exec.tiles_skipped as u64),
+        Ok(QueryResult::Affected(n)) => (*n as u64, 0),
+        Err(_) => (0, 0),
     };
+    let plan_cache_hit = result.is_ok() && state.last.exec.plan_cache_hits > 0;
     sciql_obs::query_log().record(sciql_obs::QueryRecord {
         id: 0,
         session: state.id,
@@ -893,6 +923,7 @@ fn run_read(
     image: &Image,
     sys: Sys<'_>,
     stmt: &Stmt,
+    binding: Binding<'_>,
     tracer: &mut Tracer,
 ) -> Result<QueryResult> {
     let (sel, explain) = match stmt {
@@ -901,11 +932,14 @@ fn run_read(
             Stmt::Select(sel) => (sel, Some(*analyze)),
             _ => return Err(EngineError::msg("EXPLAIN supports SELECT statements")),
         },
-        _ => unreachable!("execute_stmt sends only reads here"),
+        _ => unreachable!("dispatch sends only reads here"),
     };
     let rs = match explain {
         None => {
-            let (rs, last) = execute_adhoc_select(&mut state.plans, sel, image, sys, tracer)?;
+            let (rs, last) = match binding.plan {
+                Some(slot) => execute_cached(slot, sel, &[], binding.params, image, sys, tracer)?,
+                None => execute_adhoc_select(&mut state.plans, sel, image, sys, tracer)?,
+            };
             state.last = last;
             rs
         }
@@ -917,7 +951,7 @@ fn run_read(
         }
         Some(true) => {
             let mut measured = Tracer::on(sel.to_string());
-            let (rs, last) = execute_select(sel, image, sys, &mut measured)?;
+            let (rs, last) = execute_select(sel, &[], image, sys, &mut measured)?;
             state.last = last;
             let mut trace = measured.finish().expect("tracing was on");
             trace.note(SpanId::ROOT, "rows", rs.row_count() as u64);
@@ -940,15 +974,17 @@ fn run_read(
 fn run_write(
     reach: &mut Reach<'_>,
     stmt: &Stmt,
-    text: &str,
+    binding: Binding<'_>,
     tracer: &mut Tracer,
 ) -> Result<QueryResult> {
     let group = reach.group_committer();
     group.admit()?;
     let (result, last, position, ticket) = reach.with_writer(|conn| {
-        let result = conn.write_stmt(stmt, text, tracer);
-        // The DML executors leave their plan's statistics on the
-        // writer; they belong to the session that issued the statement.
+        // The DML executors leave the statistics of the plan they ran,
+        // if any, on the writer; they belong to the session that issued
+        // the statement.
+        conn.session.last = LastExec::default();
+        let result = conn.write_stmt(stmt, binding, tracer);
         let last = std::mem::take(&mut conn.session.last);
         (result, last, conn.wal_applied(), conn.take_pending_commit())
     });
@@ -995,34 +1031,4 @@ impl MalBinder for StorageBinder<'_> {
             "no storage for object {object:?}"
         )))
     }
-}
-
-// ---------------------------------------------------------------------
-// parameter inlining (the DML path)
-// ---------------------------------------------------------------------
-
-/// Turn a bound value back into an AST literal.
-fn value_to_literal(v: &Value) -> Literal {
-    match v {
-        Value::Null => Literal::Null,
-        Value::Bit(b) => Literal::Bool(*b),
-        Value::Int(i) => Literal::Int(*i as i64),
-        Value::Lng(i) => Literal::Int(*i),
-        Value::Oid(o) => Literal::Int(*o as i64),
-        Value::Dbl(d) => Literal::Float(*d),
-        Value::Str(s) => Literal::Str(s.clone()),
-    }
-}
-
-/// Inline bound parameter values into a statement as literals: a
-/// mutating prepared statement runs as the parameter-free statement. Its
-/// data changes are logged as the values they stored, so any double —
-/// ±inf included — survives recovery and replication. The caller has
-/// checked that every slot has a value.
-fn bind_params_into(stmt: &Stmt, params: &[Value]) -> Stmt {
-    stmt.map_params(&mut |p| {
-        params
-            .get(p.slot)
-            .map(|v| Expr::Literal(value_to_literal(v)))
-    })
 }

@@ -2,13 +2,13 @@
 //! the full pipeline of the paper's Fig 2.
 
 use crate::commit::{CommitTicket, GroupCommitter, Watermark};
-use crate::exec::{self, Image, Reach, Request, SessionState};
+use crate::exec::{self, Binding, Image, Reach, Request, SessionState};
 use crate::result::ResultSet;
 use crate::storage::{ArrayStore, ColumnWrites, TableStore};
 use crate::sysview::SysData;
 use crate::{EngineError, Result};
 use gdk::{Bat, Candidates, Value};
-use mal::{ExecStats, MalValue, OptConfig, PassStats, Program};
+use mal::{ExecStats, OptConfig, PassStats};
 use sciql_algebra::CodegenOptions;
 use sciql_catalog::Catalog;
 use sciql_catalog::{ColumnMeta, SchemaObject};
@@ -551,9 +551,11 @@ impl Connection {
         exec::run_script(&mut Reach::Exclusive(self), sql)
     }
 
-    /// Prepare a named statement: parsed now, and (for SELECTs) compiled
-    /// once into a parameterised plan on first execution. Returns the
-    /// number of `?`/`:name` bind slots. Re-preparing a name replaces it.
+    /// Prepare a named statement: parsed now, and (for a SELECT, UPDATE
+    /// or DELETE) compiled once into a parameterised plan on first
+    /// execution. Returns the number of `?`/`:name` bind slots; a
+    /// statement other than SELECT, INSERT, UPDATE or DELETE that has
+    /// any is refused. Re-preparing a name replaces it.
     pub fn prepare(&mut self, name: &str, sql: &str) -> Result<usize> {
         self.session.prepare(name, sql)
     }
@@ -561,11 +563,12 @@ impl Connection {
     /// Execute a prepared statement with bound parameter values (slot
     /// order; see [`crate::Prepared::param_slot`] for named lookup).
     ///
-    /// SELECTs run the cached compiled plan — a cache hit skips parse,
-    /// bind and the optimizer pipeline entirely, reported as
-    /// `ExecStats::plan_cache_hits` in [`Connection::last_exec`].
-    /// Mutating statements inline the values as literals and take the
-    /// ordinary (WAL-logged) dispatch path.
+    /// A SELECT, UPDATE or DELETE runs its cached compiled plan — a
+    /// cache hit skips parse, bind and the optimizer pipeline entirely,
+    /// reported as `ExecStats::plan_cache_hits` in
+    /// [`Connection::last_exec`]. An INSERT evaluates its rows with the
+    /// values. A write is logged, like any other, as the values it
+    /// stored.
     pub fn execute_prepared(&mut self, name: &str, params: &[Value]) -> Result<QueryResult> {
         exec::run(&mut Reach::Exclusive(self), Request::Prepared(name, params))
     }
@@ -597,15 +600,16 @@ impl Connection {
     }
 
     /// Execute a mutating statement on this connection — the single
-    /// writer. A schema statement is logged as `text`, its canonical
-    /// printed form; every data change reaches the stores, and the log,
-    /// through [`Connection::change`]. Cell statements and `INSERT` are
-    /// all-or-nothing; a COPY applies and logs batch by batch, so a
-    /// failing batch leaves the batches before it applied and logged.
+    /// writer — with `binding`'s values in its slots. A schema statement
+    /// is logged as its canonical printed text; every data change
+    /// reaches the stores, and the log, through [`Connection::change`].
+    /// Cell statements and `INSERT` are all-or-nothing; a COPY applies
+    /// and logs batch by batch, so a failing batch leaves the batches
+    /// before it applied and logged.
     pub(crate) fn write_stmt(
         &mut self,
         stmt: &Stmt,
-        text: &str,
+        binding: Binding<'_>,
         tracer: &mut Tracer,
     ) -> Result<QueryResult> {
         if self.read_only {
@@ -618,19 +622,21 @@ impl Connection {
                 table,
                 columns,
                 source,
-            } => self.insert(table, columns.as_deref(), source, tracer)?,
-            Stmt::Delete { table, filter } => self.delete(table, filter.as_ref(), tracer)?,
+            } => self.insert(table, columns.as_deref(), source, binding.params, tracer)?,
+            Stmt::Delete { table, filter } => {
+                self.delete(table, filter.as_ref(), binding, tracer)?
+            }
             Stmt::Update {
                 table,
                 sets,
                 filter,
-            } => self.update(table, sets, filter.as_ref(), tracer)?,
+            } => self.update(table, sets, filter.as_ref(), binding, tracer)?,
             Stmt::Copy {
                 target,
                 path,
                 format,
             } => self.copy_into(target, path, *format, tracer)?,
-            _ => self.ddl(stmt, text, Some(tracer))?,
+            _ => self.ddl(stmt, &stmt.to_string(), Some(tracer))?,
         };
         Ok(QueryResult::Affected(n))
     }
@@ -772,21 +778,14 @@ impl Connection {
         exec::explain_select(&sel, &self.image)
     }
 
-    /// Run a SELECT through the full pipeline (the `INSERT … SELECT`
-    /// executor's source).
-    pub fn run_select(&mut self, sel: &SelectStmt) -> Result<ResultSet> {
+    /// Run a SELECT through the full pipeline with `params` in its slots
+    /// (the `INSERT … SELECT` executor's source).
+    pub(crate) fn run_select(&mut self, sel: &SelectStmt, params: &[Value]) -> Result<ResultSet> {
         let sys = || SysData::of(self.vault.as_ref());
-        let (rs, last) = exec::execute_select(sel, &self.image, &sys, &mut Tracer::off())?;
+        let tracer = &mut Tracer::off();
+        let (rs, last) = exec::execute_select(sel, params, &self.image, &sys, tracer)?;
         self.session.last = last;
         Ok(rs)
-    }
-
-    /// Optimise and run the read of a cell statement (the DML
-    /// executors'): its results in order.
-    pub(crate) fn run_cells(&mut self, prog: Program) -> Result<Vec<MalValue>> {
-        let (outs, last) = exec::execute_cells(prog, &self.image, &mut Tracer::off())?;
-        self.session.last = last;
-        Ok(outs)
     }
 
     /// Bulk-load an array directly from column data — the reproduction's

@@ -608,7 +608,7 @@ fn prepared_results_identical_to_inlined_constants() {
 }
 
 #[test]
-fn prepared_dml_inlines_values_and_wal_logs_them() {
+fn prepared_dml_binds_values_and_wal_logs_them() {
     let dir = std::env::temp_dir().join(format!("sciql-prep-dml-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     {
@@ -624,8 +624,8 @@ fn prepared_dml_inlines_values_and_wal_logs_them() {
         c.prepare("del", "DELETE FROM t WHERE a = :k").unwrap();
         c.execute_prepared("del", &[Value::Int(1)]).unwrap();
     }
-    // Crash-free reopen replays the WAL: the logged text carried the
-    // bound values, not placeholders.
+    // Crash-free reopen replays the WAL: each record holds the values
+    // the bound statement stored.
     let mut c = Connection::open(&dir).unwrap();
     let rs = c.query("SELECT a, s FROM t").unwrap();
     assert_eq!(rs.row_count(), 1);

@@ -311,81 +311,6 @@ impl Expr {
             }
         }
     }
-
-    /// Rebuild this expression with every [`Expr::Param`] node for which
-    /// `f` returns `Some` replaced by that expression (used by the engine
-    /// to inline bound parameter values into DML statements).
-    pub fn map_params(&self, f: &mut dyn FnMut(&ParamRef) -> Option<Expr>) -> Expr {
-        let rec = |e: &Expr, f: &mut dyn FnMut(&ParamRef) -> Option<Expr>| e.map_params(f);
-        match self {
-            Expr::Param(p) => f(p).unwrap_or_else(|| Expr::Param(p.clone())),
-            Expr::Literal(_) | Expr::Column { .. } => self.clone(),
-            Expr::Cell { array, indices } => Expr::Cell {
-                array: array.clone(),
-                indices: indices.iter().map(|i| rec(i, f)).collect(),
-            },
-            Expr::Unary { op, expr } => Expr::Unary {
-                op: *op,
-                expr: Box::new(rec(expr, f)),
-            },
-            Expr::Binary { op, lhs, rhs } => Expr::Binary {
-                op: *op,
-                lhs: Box::new(rec(lhs, f)),
-                rhs: Box::new(rec(rhs, f)),
-            },
-            Expr::IsNull { expr, negated } => Expr::IsNull {
-                expr: Box::new(rec(expr, f)),
-                negated: *negated,
-            },
-            Expr::Between {
-                expr,
-                lo,
-                hi,
-                negated,
-            } => Expr::Between {
-                expr: Box::new(rec(expr, f)),
-                lo: Box::new(rec(lo, f)),
-                hi: Box::new(rec(hi, f)),
-                negated: *negated,
-            },
-            Expr::Like {
-                expr,
-                pattern,
-                negated,
-            } => Expr::Like {
-                expr: Box::new(rec(expr, f)),
-                pattern: Box::new(rec(pattern, f)),
-                negated: *negated,
-            },
-            Expr::InList {
-                expr,
-                list,
-                negated,
-            } => Expr::InList {
-                expr: Box::new(rec(expr, f)),
-                list: list.iter().map(|e| rec(e, f)).collect(),
-                negated: *negated,
-            },
-            Expr::Case {
-                operand,
-                whens,
-                else_,
-            } => Expr::Case {
-                operand: operand.as_ref().map(|o| Box::new(rec(o, f))),
-                whens: whens.iter().map(|(w, t)| (rec(w, f), rec(t, f))).collect(),
-                else_: else_.as_ref().map(|e| Box::new(rec(e, f))),
-            },
-            Expr::Func { name, args, star } => Expr::Func {
-                name: name.clone(),
-                args: args.iter().map(|a| rec(a, f)).collect(),
-                star: *star,
-            },
-            Expr::Cast { expr, ty } => Expr::Cast {
-                expr: Box::new(rec(expr, f)),
-                ty: ty.clone(),
-            },
-        }
-    }
 }
 
 /// One projection in a SELECT list.
@@ -833,133 +758,6 @@ impl Stmt {
         });
         by_slot.sort_by_key(|p| p.slot);
         by_slot
-    }
-
-    /// Rebuild the statement with every [`Expr::Param`] for which `f`
-    /// returns `Some` replaced by that expression.
-    pub fn map_params(&self, f: &mut dyn FnMut(&ParamRef) -> Option<Expr>) -> Stmt {
-        let map_e = |e: &Expr, f: &mut dyn FnMut(&ParamRef) -> Option<Expr>| e.map_params(f);
-        let map_sel = |s: &SelectStmt, f: &mut dyn FnMut(&ParamRef) -> Option<Expr>| SelectStmt {
-            distinct: s.distinct,
-            projections: s
-                .projections
-                .iter()
-                .map(|p| match p {
-                    Projection::Wildcard => Projection::Wildcard,
-                    Projection::Item {
-                        expr,
-                        alias,
-                        dimensional,
-                    } => Projection::Item {
-                        expr: map_e(expr, f),
-                        alias: alias.clone(),
-                        dimensional: *dimensional,
-                    },
-                })
-                .collect(),
-            from: s
-                .from
-                .iter()
-                .map(|t| TableRef {
-                    name: t.name.clone(),
-                    alias: t.alias.clone(),
-                    slices: t
-                        .slices
-                        .iter()
-                        .map(|r| SliceRange {
-                            lo: r.lo.as_ref().map(|e| map_e(e, f)),
-                            hi: r.hi.as_ref().map(|e| map_e(e, f)),
-                        })
-                        .collect(),
-                })
-                .collect(),
-            where_clause: s.where_clause.as_ref().map(|e| map_e(e, f)),
-            group_by: s.group_by.as_ref().map(|g| match g {
-                GroupBy::Value(es) => GroupBy::Value(es.iter().map(|e| map_e(e, f)).collect()),
-                GroupBy::Structural(tiles) => GroupBy::Structural(
-                    tiles
-                        .iter()
-                        .map(|t| TileRef {
-                            array: t.array.clone(),
-                            indices: t
-                                .indices
-                                .iter()
-                                .map(|i| match i {
-                                    TileIndex::Point(e) => TileIndex::Point(map_e(e, f)),
-                                    TileIndex::Range(a, b) => {
-                                        TileIndex::Range(map_e(a, f), map_e(b, f))
-                                    }
-                                })
-                                .collect(),
-                        })
-                        .collect(),
-                ),
-            }),
-            having: s.having.as_ref().map(|e| map_e(e, f)),
-            order_by: s
-                .order_by
-                .iter()
-                .map(|o| OrderItem {
-                    expr: map_e(&o.expr, f),
-                    desc: o.desc,
-                })
-                .collect(),
-            limit: s.limit,
-            offset: s.offset,
-        };
-        match self {
-            Stmt::Select(s) => Stmt::Select(map_sel(s, f)),
-            Stmt::Explain { analyze, stmt } => Stmt::Explain {
-                analyze: *analyze,
-                stmt: Box::new(stmt.map_params(f)),
-            },
-            Stmt::CreateTable { .. }
-            | Stmt::CreateArray { .. }
-            | Stmt::Drop { .. }
-            | Stmt::Copy { .. } => self.clone(),
-            Stmt::AlterDimension {
-                array,
-                dimension,
-                range,
-            } => Stmt::AlterDimension {
-                array: array.clone(),
-                dimension: dimension.clone(),
-                range: DimRange {
-                    start: map_e(&range.start, f),
-                    step: map_e(&range.step, f),
-                    stop: map_e(&range.stop, f),
-                },
-            },
-            Stmt::Insert {
-                table,
-                columns,
-                source,
-            } => Stmt::Insert {
-                table: table.clone(),
-                columns: columns.clone(),
-                source: match source {
-                    InsertSource::Values(rows) => InsertSource::Values(
-                        rows.iter()
-                            .map(|row| row.iter().map(|e| map_e(e, f)).collect())
-                            .collect(),
-                    ),
-                    InsertSource::Select(s) => InsertSource::Select(Box::new(map_sel(s, f))),
-                },
-            },
-            Stmt::Delete { table, filter } => Stmt::Delete {
-                table: table.clone(),
-                filter: filter.as_ref().map(|e| map_e(e, f)),
-            },
-            Stmt::Update {
-                table,
-                sets,
-                filter,
-            } => Stmt::Update {
-                table: table.clone(),
-                sets: sets.iter().map(|(c, e)| (c.clone(), map_e(e, f))).collect(),
-                filter: filter.as_ref().map(|e| map_e(e, f)),
-            },
-        }
     }
 }
 

@@ -1339,21 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn map_params_substitutes() {
-        let s = parse_statement("UPDATE t SET v = ? WHERE x = :k").unwrap();
-        let out = s.map_params(&mut |p| Some(Expr::int(10 + p.slot as i64)));
-        assert!(out.params().is_empty());
-        let Stmt::Update { sets, filter, .. } = out else {
-            panic!()
-        };
-        assert_eq!(sets[0].1, Expr::int(10));
-        let Some(Expr::Binary { rhs, .. }) = filter else {
-            panic!()
-        };
-        assert_eq!(*rhs, Expr::int(11));
-    }
-
-    #[test]
     fn simple_case_with_operand() {
         let e = parse_expression("CASE v WHEN 1 THEN 'a' ELSE 'b' END").unwrap();
         let Expr::Case { operand, .. } = e else {

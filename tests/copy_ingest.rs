@@ -70,7 +70,7 @@ fn copy_binary_multi_tile_survives_crash_recovery() {
     let dir = fresh_dir("bin");
     let vault = dir.join("db");
     let file = dir.join("rows.bin");
-    // 2.5 tiles of rows → three CopyBatch WAL records.
+    // 2.5 tiles of rows → three Write WAL records, one per batch.
     let rows = TILE_ROWS * 2 + TILE_ROWS / 2;
     let ks: Vec<i32> = (0..rows as i32).collect();
     let vs: Vec<f64> = (0..rows).map(|i| (i % 97) as f64 / 7.0).collect();
@@ -89,7 +89,7 @@ fn copy_binary_multi_tile_survives_crash_recovery() {
         assert_eq!(n, rows);
         let s = c.vault_stats().unwrap();
         assert_eq!(s.wal_records, 1 + 3, "CREATE + one record per batch");
-    } // crash: no checkpoint — recovery must replay the CopyBatch records
+    } // crash: no checkpoint — recovery must replay the Write records
     let mut c = Connection::open(&vault).unwrap();
     let rs = c.query("SELECT COUNT(*), SUM(k) FROM big").unwrap();
     assert_eq!(rs.bats[0].get(0), Value::Lng(rows as i64));

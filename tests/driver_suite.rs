@@ -136,6 +136,60 @@ fn bound_params_byte_identical_across_transports() {
     }
 }
 
+/// Only a SELECT, INSERT, UPDATE or DELETE binds values: a placeholder
+/// anywhere else is refused when the statement is prepared, on every
+/// transport, and the same statements without one prepare and run.
+#[test]
+fn placeholders_are_refused_where_nothing_binds_them() {
+    let engine = SharedEngine::in_memory();
+    let handle = Server::bind(engine, "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let csv = std::env::temp_dir().join(format!("sciql-refuse-{}.csv", std::process::id()));
+    std::fs::write(&csv, "7\n8\n").unwrap();
+    let copy = format!("COPY t FROM '{}' (FORMAT csv)", csv.display());
+    for url in ["mem:".to_owned(), format!("tcp://{}", handle.addr())] {
+        let mut conn = Sciql::connect(&url).unwrap();
+        conn.execute("CREATE ARRAY a (x INT DIMENSION[0:1:4], v INT DEFAULT 0)")
+            .unwrap();
+        conn.execute("CREATE TABLE t (k INT)").unwrap();
+        let refused = [
+            "ALTER ARRAY a ALTER DIMENSION x SET RANGE [0:1:?]",
+            "EXPLAIN SELECT v FROM a WHERE x = ?",
+            "EXPLAIN ANALYZE SELECT v FROM a WHERE x = :lo",
+            "CREATE TABLE d (k INT DEFAULT ?)",
+            "CREATE ARRAY b (x INT DIMENSION[0:1:?], v INT)",
+        ];
+        for sql in refused {
+            let err = conn.prepare(sql).unwrap_err();
+            assert_eq!(err.code(), ErrorCode::Param, "{url}: {sql}: {err}");
+        }
+        // A COPY names its file in a string: a placeholder cannot parse.
+        let err = conn.prepare("COPY t FROM ? (FORMAT csv)").unwrap_err();
+        assert_eq!(err.code(), ErrorCode::Parse, "{url}: {err}");
+        let accepted = [
+            "ALTER ARRAY a ALTER DIMENSION x SET RANGE [0:1:8]",
+            "EXPLAIN SELECT v FROM a WHERE x = 1",
+            "EXPLAIN ANALYZE SELECT v FROM a WHERE x = 1",
+            "CREATE TABLE d (k INT DEFAULT 5)",
+            "CREATE ARRAY b (x INT DIMENSION[0:1:2], v INT)",
+            copy.as_str(),
+        ];
+        for sql in accepted {
+            let stmt = conn.prepare(sql).unwrap();
+            conn.run_bound(&stmt, &[])
+                .unwrap_or_else(|e| panic!("{url}: {sql}: {e}"));
+        }
+        let cells = conn.query("SELECT COUNT(*) FROM a").unwrap();
+        assert_eq!(cells.row(0).unwrap().get::<i64>(0).unwrap(), 8, "{url}");
+        let rows = conn.query("SELECT COUNT(*) FROM t").unwrap();
+        assert_eq!(rows.row(0).unwrap().get::<i64>(0).unwrap(), 2, "{url}");
+    }
+    handle.stop();
+    std::fs::remove_file(csv).ok();
+}
+
 /// Everything one connection's run of the parity script leaves
 /// observable: per statement its outcome, the execution report and the
 /// trace shape; at the end its `sys.query_log` rows.

@@ -600,10 +600,42 @@ fn prepared_write_is_traced_on_every_transport() {
             .unwrap()
             .unwrap_or_else(|| panic!("{kind}: prepared write left no trace"));
         assert!(
-            trace.starts_with("trace: UPDATE kv SET v = 11"),
+            trace.starts_with("trace: UPDATE kv SET v = ? WHERE k = ?"),
             "{kind}: stale trace:\n{trace}"
         );
         assert!(trace.contains("wal.append"), "{kind}:\n{trace}");
+    }
+    stop();
+}
+
+/// A prepared write's second execution reruns its plan, and its
+/// `sys.query_log` row, labelled with the prepared text, says so on
+/// every transport.
+#[test]
+fn prepared_write_plan_hits_land_in_the_query_log() {
+    let (conns, stop) = one_conn_per_transport("prepwritehit");
+    for (kind, mut conn) in conns {
+        let table = format!("hitlog_{kind}");
+        conn.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
+            .unwrap();
+        conn.execute(&format!("INSERT INTO {table} VALUES (1, 10)"))
+            .unwrap();
+        let sql = format!("UPDATE {table} SET v = ? WHERE k = ?");
+        let update = conn.prepare(&sql).unwrap();
+        for v in [11, 12] {
+            conn.execute_bound(&update, sciql_repro::params![v, 1])
+                .unwrap();
+        }
+        let rows = conn
+            .query(&format!(
+                "SELECT plan_cache_hit FROM sys.query_log \
+                 WHERE kind = 'dml' AND text = '{sql}' ORDER BY id"
+            ))
+            .unwrap();
+        let hits: Vec<bool> = (0..rows.row_count())
+            .map(|i| rows.row(i).unwrap().get(0).unwrap())
+            .collect();
+        assert_eq!(hits, [false, true], "{kind}");
     }
     stop();
 }

@@ -10,9 +10,19 @@
 //! same text `PREPARE`d, which plans its own AST, at opt {0, 2} ×
 //! threads {1, 8}. A plan is reused only against the schema and
 //! settings it was compiled for.
+//!
+//! A prepared write binds its values the same way: every prepared
+//! UPDATE, DELETE and INSERT here answers, changes the database and logs
+//! exactly like the statement with its values written as literals, on
+//! `mem:`, `tcp://` and `file:`, and a prepared UPDATE or DELETE reruns
+//! its plan while the schema, the settings and its values' types hold.
 
+use sciql_repro::driver::{Conn, Sciql};
+use sciql_repro::gdk::Value;
+use sciql_repro::net::Server;
 use sciql_repro::parser::{parse_statement, Expr, Literal, Stmt};
 use sciql_repro::sciql::{Connection, ResultSet, SessionConfig, SharedEngine};
+use std::path::Path;
 
 #[path = "common/corpus.rs"]
 mod corpus;
@@ -64,7 +74,7 @@ fn other_literals(sql: &str) -> String {
     let Ok(Stmt::Select(sel)) = parse_statement(sql) else {
         panic!("{sql}: not a SELECT")
     };
-    let (lifted, literals) = sel.lift_literals().expect("no placeholders");
+    let (mut lifted, literals) = sel.lift_literals().expect("no placeholders");
     let changed: Vec<Literal> = literals
         .into_iter()
         .map(|l| match l {
@@ -75,13 +85,33 @@ fn other_literals(sql: &str) -> String {
             Literal::Null => unreachable!("NULL is never lifted"),
         })
         .collect();
-    Stmt::Select(lifted)
-        .map_params(&mut |p| Some(Expr::Literal(changed[p.slot].clone())))
-        .to_string()
+    if let Some(w) = &mut lifted.where_clause {
+        fill_slots(w, &changed);
+    }
+    Stmt::Select(lifted).to_string()
+}
+
+/// Put `values[k]` in place of slot `k` wherever lifting puts slots: in
+/// the operands of comparisons, `BETWEEN` and the boolean structure.
+fn fill_slots(e: &mut Expr, values: &[Literal]) {
+    match e {
+        Expr::Param(p) => *e = Expr::Literal(values[p.slot].clone()),
+        Expr::Binary { lhs, rhs, .. } => {
+            fill_slots(lhs, values);
+            fill_slots(rhs, values);
+        }
+        Expr::Between { expr, lo, hi, .. } => {
+            for e in [expr, lo, hi] {
+                fill_slots(e, values);
+            }
+        }
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => fill_slots(expr, values),
+        _ => {}
+    }
 }
 
 /// A result as it travels (header plus 3-row pages), or the error text.
-fn outcome(result: sciql_repro::sciql::Result<ResultSet>) -> Result<Vec<u8>, String> {
+fn outcome(result: Result<ResultSet, impl std::fmt::Display>) -> Result<Vec<u8>, String> {
     result
         .map(|rs| {
             let mut bytes = rs.encode_header();
@@ -267,4 +297,337 @@ fn cached_plan_does_not_outlive_a_catalog_swap() {
         "ad-hoc plan is stale"
     );
     assert_eq!(adhoc.column_count(), 2);
+}
+
+// ---------------------------------------------------------------------
+// prepared writes against the same statements written with literals
+// ---------------------------------------------------------------------
+
+/// What the prepared writes start from: a table and a fixed array with a
+/// column of every type, an unbounded array and an `INSERT … SELECT`
+/// target.
+const WRITE_SCHEMA: &[&str] = &[
+    "CREATE TABLE t (k INT, w DOUBLE, s VARCHAR, b BOOLEAN, n BIGINT)",
+    "INSERT INTO t VALUES (1, 0.5, 'a', TRUE, 1), (2, NULL, 'it''s', FALSE, 3000000000), \
+     (3, 2.5, NULL, NULL, -4), (4, -1.25, 'b', TRUE, NULL)",
+    "CREATE ARRAY g (x INT DIMENSION[0:1:4], y INT DIMENSION[0:1:4], v INT DEFAULT 0, d DOUBLE)",
+    "UPDATE g SET v = x * 4 + y - 6",
+    "CREATE ARRAY u (x INT DIMENSION, y INT DIMENSION, v INT DEFAULT 0)",
+    "CREATE TABLE sink (k INT, s VARCHAR)",
+];
+
+/// The objects compared after every write.
+const WRITE_OBJECTS: &[&str] = &["t", "g", "u", "sink"];
+
+/// Prepared writes, each with the value rows it runs with, in order.
+/// Values of every kind: INT, past the INT range, DOUBLE (2.5 against an
+/// INT column), VARCHAR with a quote, BOOLEAN and NULL.
+fn writes() -> Vec<(&'static str, Vec<Vec<Value>>)> {
+    use Value::{Bit, Dbl, Int, Null};
+    let s = |v: &str| Value::Str(v.into());
+    let big = || Value::Lng(3_000_000_000);
+    vec![
+        (
+            "UPDATE t SET w = ?, s = ?, b = ?, n = ? WHERE k = ?",
+            vec![
+                vec![Dbl(1.5), s("it's"), Bit(false), big(), Int(1)],
+                vec![Null, Null, Null, Null, Int(2)],
+                vec![Dbl(-0.25), s("q"), Bit(true), Int(7), Dbl(2.5)],
+                vec![Int(7), s("x"), Bit(true), Int(-1), big()],
+                vec![Dbl(9.0), s("y"), Bit(false), Int(0), Null],
+                vec![Dbl(3.0), s("z"), Bit(true), Int(2), Dbl(3.0)],
+            ],
+        ),
+        (
+            "UPDATE t SET k = k + ? WHERE w > ? OR b = ?",
+            vec![
+                vec![Int(10), Dbl(0.1), Bit(false)],
+                vec![big(), Int(0), Bit(true)],
+                vec![Int(-10), Null, Bit(true)],
+            ],
+        ),
+        (
+            "DELETE FROM t WHERE s = ? OR k > ?",
+            vec![
+                vec![s("nothing"), big()],
+                vec![s("it's"), Int(100)],
+                vec![Null, Dbl(12.5)],
+            ],
+        ),
+        (
+            "INSERT INTO t VALUES (?, ?, ?, ?, ?)",
+            vec![
+                vec![Int(5), Dbl(0.25), s("o'k"), Bit(true), big()],
+                vec![Null, Null, Null, Null, Null],
+                vec![big(), Dbl(1.0), s("x"), Bit(false), Int(1)],
+                vec![Dbl(2.5), Int(3), s("r"), Bit(true), Dbl(4.0)],
+            ],
+        ),
+        (
+            "INSERT INTO t (k, s) VALUES (?, ?), (? + 1, 'lit')",
+            vec![vec![Int(6), s("six"), Int(6)], vec![Int(7), Null, big()]],
+        ),
+        (
+            "UPDATE g SET v = CASE WHEN x > ? THEN v + ? WHEN x < y THEN ? ELSE v END, d = ? \
+             WHERE y <> ?",
+            vec![
+                vec![Int(1), Int(100), Int(-1), Dbl(0.5), Int(0)],
+                vec![Dbl(2.5), Int(1), Int(0), Null, Int(3)],
+                vec![Int(0), big(), Int(0), Int(2), Int(1)],
+                vec![Int(0), Null, Null, Int(2), Null],
+            ],
+        ),
+        (
+            "DELETE FROM g WHERE x = ? AND y >= ?",
+            vec![
+                vec![Int(1), Int(2)],
+                vec![Dbl(2.5), Int(0)],
+                vec![big(), Int(0)],
+                vec![Null, Int(0)],
+            ],
+        ),
+        (
+            "INSERT INTO g VALUES (?, ?, ?, ?)",
+            vec![
+                vec![Int(0), Int(1), Int(42), Dbl(1.5)],
+                vec![Int(9), Int(0), Int(1), Null],
+                vec![Dbl(2.5), Int(0), Int(1), Null],
+                vec![Int(3), Int(3), big(), Null],
+                vec![Int(2), Int(2), Null, Int(7)],
+            ],
+        ),
+        (
+            "INSERT INTO u VALUES (?, ?, ?)",
+            vec![
+                vec![Int(1), Int(2), Int(5)],
+                vec![Int(1), Int(2), Null],
+                vec![Int(0), Int(0), Int(1)],
+            ],
+        ),
+        (
+            "INSERT INTO sink SELECT k, s FROM t WHERE k > ? AND s <> ?",
+            vec![
+                vec![Int(0), s("a")],
+                vec![Dbl(1.5), s("it's")],
+                vec![big(), Null],
+            ],
+        ),
+    ]
+}
+
+/// The executions in [`writes`] that fail, as `(statement, row)`, each
+/// with the same error both ways: a sum past the INT range (twice), a
+/// BIGINT into an INT column, a failing second VALUES row, a cell outside
+/// the ranges (twice), a fractional dimension and a BIGINT into an INT
+/// attribute.
+const WRITE_ERRORS: &[(usize, usize)] = &[
+    (1, 1),
+    (3, 2),
+    (4, 1),
+    (5, 2),
+    (7, 1),
+    (7, 2),
+    (7, 3),
+    (8, 2),
+];
+
+/// `sql` with its `?` slots, in order, written as the literals of
+/// `values`.
+fn with_literals(sql: &str, values: &[Value]) -> String {
+    let literal = |v: &Value| match v {
+        Value::Null => Literal::Null,
+        Value::Bit(b) => Literal::Bool(*b),
+        Value::Int(i) => Literal::Int(i64::from(*i)),
+        Value::Lng(i) => Literal::Int(*i),
+        Value::Dbl(d) => Literal::Float(*d),
+        Value::Str(s) => Literal::Str(s.clone()),
+        Value::Oid(_) => unreachable!("no OID is bound here"),
+    };
+    let mut pieces = sql.split('?');
+    let first = pieces.next().unwrap_or_default().to_owned();
+    let filled = pieces.zip(values).fold(first, |text, (piece, v)| {
+        text + &literal(v).to_string() + piece
+    });
+    assert_eq!(sql.matches('?').count(), values.len(), "{sql}");
+    filled
+}
+
+fn seed_writes(mut conn: Conn) -> Conn {
+    for sql in WRITE_SCHEMA {
+        conn.execute(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    }
+    conn
+}
+
+/// Run every write of [`writes`] prepared on `prepared` and written with
+/// literals on `literal`, two databases seeded alike: each execution
+/// must end alike (affected count or error text), and then every object
+/// must read back in byte-identical pages.
+fn compare_writes(prepared: &mut Conn, literal: &mut Conn, ctx: &str) {
+    let mut failed = Vec::new();
+    for (i, (sql, rows)) in writes().into_iter().enumerate() {
+        let stmt = prepared.prepare(sql).unwrap();
+        for (j, values) in rows.iter().enumerate() {
+            let text = with_literals(sql, values);
+            let bound = prepared.execute_bound(&stmt, values);
+            let inlined = literal.execute(&text);
+            let (bound, inlined) = (
+                bound.map_err(|e| e.to_string()),
+                inlined.map_err(|e| e.to_string()),
+            );
+            assert_eq!(bound, inlined, "{ctx}: {text}");
+            if bound.is_err() {
+                failed.push((i, j));
+            }
+            for obj in WRITE_OBJECTS {
+                let q = format!("SELECT * FROM {obj}");
+                let read = |conn: &mut Conn| outcome(conn.query(&q).map(|r| r.into_result_set()));
+                assert_eq!(read(prepared), read(literal), "{ctx}: {text}: {obj}");
+            }
+        }
+    }
+    assert_eq!(failed, WRITE_ERRORS, "{ctx}");
+}
+
+#[test]
+fn prepared_writes_answer_like_literal_ones() {
+    for opt_level in [0u8, 2] {
+        for threads in [1usize, 8] {
+            let cfg = SessionConfig {
+                threads,
+                parallel_threshold: if threads > 1 { 1 } else { usize::MAX },
+                opt_level,
+                ..SessionConfig::default()
+            };
+            let ctx = format!("opt={opt_level} threads={threads}");
+            let [mut p, mut l] =
+                [(); 2].map(|()| seed_writes(Sciql::connect_with_config("mem:", cfg).unwrap()));
+            compare_writes(&mut p, &mut l, &format!("mem: {ctx}"));
+            let servers = [(); 2].map(|()| {
+                let engine = SharedEngine::new(Connection::with_config(cfg));
+                Server::bind(engine, "127.0.0.1:0")
+                    .unwrap()
+                    .serve()
+                    .unwrap()
+            });
+            {
+                let [mut p, mut l] = servers
+                    .each_ref()
+                    .map(|h| seed_writes(Sciql::connect(&format!("tcp://{}", h.addr())).unwrap()));
+                compare_writes(&mut p, &mut l, &format!("tcp: {ctx}"));
+            }
+            for h in servers {
+                h.stop();
+            }
+        }
+    }
+}
+
+/// The WAL files of a vault, by name.
+fn wal_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap())
+        .filter(|e| e.file_name().to_string_lossy().starts_with("wal-"))
+        .map(|e| {
+            let name = e.file_name().to_string_lossy().into_owned();
+            (name, std::fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn prepared_and_literal_writes_log_identical_wal_files() {
+    let dirs = ["prepared", "literal"].map(|tag| {
+        let dir =
+            std::env::temp_dir().join(format!("sciql-plan-cache-wal-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        dir
+    });
+    let [mut p, mut l] = dirs
+        .each_ref()
+        .map(|d| seed_writes(Sciql::connect(&format!("file:{}", d.display())).unwrap()));
+    compare_writes(&mut p, &mut l, "file:");
+    let [a, b] = dirs.each_ref().map(|d| wal_files(d));
+    let bytes: usize = a.iter().map(|(_, f)| f.len()).sum();
+    assert!(bytes > 1000, "the writes were logged: {bytes} bytes");
+    assert_eq!(a, b, "the WAL files differ");
+    for conn in [p, l] {
+        conn.close().unwrap();
+    }
+    for dir in dirs {
+        std::fs::remove_dir_all(dir).ok();
+    }
+}
+
+/// A prepared UPDATE or DELETE compiles on its first execution and reruns
+/// that plan until the schema, the settings or a bound value's type
+/// changes; an INSERT keeps no plan.
+#[test]
+fn prepared_writes_rerun_their_plan() {
+    use Value::{Int, Lng, Null};
+    let mut conn = Connection::new();
+    for sql in WRITE_SCHEMA {
+        conn.execute(sql).unwrap();
+    }
+    conn.prepare("up", "UPDATE g SET v = ? WHERE x = ? AND y = ?")
+        .unwrap();
+    conn.prepare("del", "DELETE FROM t WHERE k = ?").unwrap();
+    conn.prepare("ins", "INSERT INTO t (k) VALUES (?)").unwrap();
+    fn hits(conn: &mut Connection, name: &str, values: &[Value]) -> usize {
+        conn.execute_prepared(name, values).unwrap();
+        conn.last_exec().exec.plan_cache_hits
+    }
+    let c = &mut conn;
+    assert_eq!(hits(c, "up", &[Int(1), Int(0), Int(0)]), 0, "first run");
+    assert_eq!(hits(c, "up", &[Int(2), Int(1), Int(1)]), 1);
+    assert_eq!(hits(c, "del", &[Int(100)]), 0, "first run");
+    assert_eq!(hits(c, "del", &[Int(1)]), 1);
+    assert_eq!(hits(c, "ins", &[Int(9)]), 0, "INSERT");
+    assert_eq!(hits(c, "ins", &[Int(9)]), 0, "INSERT");
+    assert_eq!(hits(c, "up", &[Lng(3), Int(1), Int(1)]), 0, "BIGINT value");
+    assert_eq!(hits(c, "up", &[Lng(4), Int(1), Int(2)]), 1);
+    assert_eq!(hits(c, "up", &[Null, Int(1), Int(2)]), 0, "NULL value");
+    assert_eq!(hits(c, "up", &[Null, Int(2), Int(2)]), 1);
+    assert_eq!(
+        hits(c, "up", &[Int(5), Int(2), Int(2)]),
+        0,
+        "INT value again"
+    );
+
+    c.execute("CREATE TABLE unrelated (a INT)").unwrap();
+    assert_eq!(hits(c, "up", &[Int(6), Int(2), Int(2)]), 0, "DDL");
+    assert_eq!(hits(c, "up", &[Int(7), Int(2), Int(2)]), 1);
+    assert_eq!(hits(c, "del", &[Int(2)]), 0, "DDL");
+    c.set_session_config(SessionConfig::with_opt_level(0));
+    assert_eq!(hits(c, "up", &[Int(8), Int(2), Int(2)]), 0, "config");
+    assert_eq!(hits(c, "up", &[Int(9), Int(2), Int(2)]), 1);
+    let v = conn.query("SELECT v FROM g WHERE x = 2 AND y = 2").unwrap();
+    assert_eq!(v.get(0, 0), Int(9));
+}
+
+/// The execution report says so on every transport.
+#[test]
+fn prepared_write_hits_reach_the_execution_report() {
+    let engine = SharedEngine::in_memory();
+    let handle = Server::bind(engine, "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    for url in ["mem:".to_owned(), format!("tcp://{}", handle.addr())] {
+        let mut conn = seed_writes(Sciql::connect(&url).unwrap());
+        let up = conn.prepare("UPDATE t SET s = ? WHERE k = ?").unwrap();
+        let del = conn.prepare("DELETE FROM g WHERE x = ?").unwrap();
+        let s = Value::Str("x".into());
+        for (stmt, values) in [(&up, vec![s, Value::Int(1)]), (&del, vec![Value::Int(3)])] {
+            for hit in [0, 1] {
+                conn.execute_bound(stmt, &values).unwrap();
+                let report = conn.last_report().unwrap();
+                assert_eq!(report.plan_cache_hits, hit, "{url}: {}", stmt.sql());
+            }
+        }
+    }
+    handle.stop();
 }
