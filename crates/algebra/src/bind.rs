@@ -11,6 +11,7 @@ use sciql_catalog::{ArrayDef, Catalog, SchemaObject};
 use sciql_parser::ast::{
     BinOp, Expr, GroupBy, Literal, Projection, SelectStmt, TableRef, TileIndex, UnaryOp,
 };
+use std::cell::Cell;
 
 /// Everything visible to expression binding.
 #[derive(Debug, Clone, Default)]
@@ -89,7 +90,10 @@ pub fn eval_with_env(
 ) -> Result<Value> {
     match e {
         Expr::Literal(l) => Ok(literal_value(l)),
-        Expr::Param(p) if p.slot < params.len() => Ok(params[p.slot].clone()),
+        Expr::Param(p) => params
+            .get(p.slot)
+            .cloned()
+            .ok_or_else(|| AlgebraError::bind(format!("parameter {} is not bound", p.slot + 1))),
         Expr::Column {
             qualifier: None,
             name,
@@ -124,7 +128,7 @@ pub fn eval_with_env(
             gdk::arith::scalar_binop(gop, &l, &r).map_err(AlgebraError::Gdk)
         }
         other => Err(AlgebraError::bind(format!(
-            "expression {other:?} is not constant"
+            "expression {other} is not constant"
         ))),
     }
 }
@@ -148,11 +152,12 @@ pub fn literal_value(l: &Literal) -> Value {
 
 /// Extract the constant offset of a tile/cell index expression relative to
 /// the anchor variable `var`: the expression must be `var + c` shaped
-/// (linear in `var` with coefficient 1).
-pub fn linear_offset(e: &Expr, var: &str) -> Result<i64> {
+/// (linear in `var` with coefficient 1). Placeholder slot `k` takes
+/// `params[k]`.
+pub fn linear_offset(e: &Expr, var: &str, params: &[Value]) -> Result<i64> {
     let eval_at = |x: i64| -> Result<i64> {
         let env = |name: &str| name.eq_ignore_ascii_case(var).then_some(Value::Lng(x));
-        let v = eval_with_env(e, &env, &[])?;
+        let v = eval_with_env(e, &env, params)?;
         v.as_i64().ok_or_else(|| {
             AlgebraError::bind(format!("index expression must be integral, got {v}"))
         })
@@ -171,6 +176,8 @@ pub fn linear_offset(e: &Expr, var: &str) -> Result<i64> {
 pub struct Binder<'a> {
     catalog: &'a Catalog,
     slot_types: &'a [Option<ScalarType>],
+    params: &'a [Value],
+    folded: Cell<bool>,
 }
 
 impl<'a> Binder<'a> {
@@ -179,6 +186,8 @@ impl<'a> Binder<'a> {
         Binder {
             catalog,
             slot_types: &[],
+            params: &[],
+            folded: Cell::new(false),
         }
     }
 
@@ -188,6 +197,39 @@ impl<'a> Binder<'a> {
     /// the literal would; a NULL (`None`) stays untyped, as `NULL` does.
     pub fn with_slot_types(self, slot_types: &'a [Option<ScalarType>]) -> Self {
         Binder { slot_types, ..self }
+    }
+
+    /// Fill the placeholders of constant positions (cell and tile
+    /// offsets, slice bounds) from `params`: the plan holds their values,
+    /// not their slots (see [`Binder::folded_params`]).
+    pub fn with_params(self, params: &'a [Value]) -> Self {
+        Binder { params, ..self }
+    }
+
+    /// Did a bound value become a constant of the plan? Such a plan holds
+    /// only for the values it was bound with.
+    pub fn folded_params(&self) -> bool {
+        self.folded.get()
+    }
+
+    /// The value of `e` in a constant position.
+    fn constant(&self, e: &Expr) -> Result<Value> {
+        self.note_params(e);
+        eval_const(e, self.params)
+    }
+
+    /// [`linear_offset`] of `e` relative to `var`.
+    fn offset(&self, e: &Expr, var: &str) -> Result<i64> {
+        self.note_params(e);
+        linear_offset(e, var, self.params)
+    }
+
+    fn note_params(&self, e: &Expr) {
+        e.walk(&mut |e| {
+            if matches!(e, Expr::Param(_)) {
+                self.folded.set(true);
+            }
+        });
     }
 
     /// The type slot `slot` was given up front, if it was given one.
@@ -331,12 +373,12 @@ impl<'a> Binder<'a> {
                     for (k, s) in tr.slices.iter().enumerate() {
                         let col = BExpr::Col(col_base_offset(col_base, k));
                         if let Some(lo) = &s.lo {
-                            let v = eval_const(lo, &[])?;
+                            let v = self.constant(lo)?;
                             let p = BExpr::bin(BinOp::Ge, col.clone(), BExpr::Const(v));
                             pred = Some(and_opt(pred, p));
                         }
                         if let Some(hi) = &s.hi {
-                            let v = eval_const(hi, &[])?;
+                            let v = self.constant(hi)?;
                             let p = BExpr::bin(BinOp::Lt, col.clone(), BExpr::Const(v));
                             pred = Some(and_opt(pred, p));
                         }
@@ -545,10 +587,10 @@ impl<'a> Binder<'a> {
             for (k, idx) in t.indices.iter().enumerate() {
                 let var = &arr.dim_names[k];
                 match idx {
-                    TileIndex::Point(e) => per_dim.push(vec![linear_offset(e, var)?]),
+                    TileIndex::Point(e) => per_dim.push(vec![self.offset(e, var)?]),
                     TileIndex::Range(lo, hi) => {
-                        let l = linear_offset(lo, var)?;
-                        let h = linear_offset(hi, var)?;
+                        let l = self.offset(lo, var)?;
+                        let h = self.offset(hi, var)?;
                         if h <= l {
                             return Err(AlgebraError::bind(
                                 "empty tile range (stop must exceed start)",
@@ -913,7 +955,7 @@ impl<'a> Binder<'a> {
         }
         let mut deltas = Vec::with_capacity(indices.len());
         for (k, idx) in indices.iter().enumerate() {
-            deltas.push(linear_offset(idx, &arr.dim_names[k])?);
+            deltas.push(self.offset(idx, &arr.dim_names[k])?);
         }
         let attr_col = arr.col_base + arr.ndims; // the single attribute
         if deltas.iter().all(|&d| d == 0) {
@@ -1289,19 +1331,19 @@ mod tests {
     fn linear_offsets() {
         use sciql_parser::parse_expression;
         assert_eq!(
-            linear_offset(&parse_expression("x").unwrap(), "x").unwrap(),
+            linear_offset(&parse_expression("x").unwrap(), "x", &[]).unwrap(),
             0
         );
         assert_eq!(
-            linear_offset(&parse_expression("x+2").unwrap(), "x").unwrap(),
+            linear_offset(&parse_expression("x+2").unwrap(), "x", &[]).unwrap(),
             2
         );
         assert_eq!(
-            linear_offset(&parse_expression("x-1").unwrap(), "x").unwrap(),
+            linear_offset(&parse_expression("x-1").unwrap(), "x", &[]).unwrap(),
             -1
         );
-        assert!(linear_offset(&parse_expression("2*x").unwrap(), "x").is_err());
-        assert!(linear_offset(&parse_expression("y+1").unwrap(), "x").is_err());
+        assert!(linear_offset(&parse_expression("2*x").unwrap(), "x", &[]).is_err());
+        assert!(linear_offset(&parse_expression("y+1").unwrap(), "x", &[]).is_err());
     }
 
     #[test]

@@ -1135,16 +1135,33 @@ fn fold_const_bin(op: BinOp, l: &Value, r: &Value) -> Result<Option<Value>> {
 /// columns (broadcast constants through `batcalc.fill`).
 fn force_bat(prog: &mut Program, inp: &NodeOut, a: Arg) -> Result<VarId> {
     match a {
-        Arg::Var(v) => Ok(v),
-        a @ (Arg::Const(_) | Arg::Param(_)) => {
-            // A parameter resolves to a scalar at execution time, so it
-            // broadcasts exactly like an inlined constant.
+        Arg::Var(v) if !is_scalar(prog, v) => Ok(v),
+        a => {
+            // A parameter, or arithmetic over parameters and constants,
+            // resolves to a scalar at execution time, so it broadcasts
+            // exactly like an inlined constant.
             let t = *inp.cols.first().ok_or_else(|| {
                 AlgebraError::internal("cannot broadcast a constant without input columns")
             })?;
             Ok(prog.emit(Prim::Fill, vec![Arg::Var(t), a], MalType::Any))
         }
     }
+}
+
+/// Is `v` computed from parameters and constants only, so a scalar at
+/// execution time? Only [`emit_expr`]'s scalar operators leave such a
+/// variable: every other one reads a column.
+fn is_scalar(prog: &Program, v: VarId) -> bool {
+    let Some(instr) = prog.instrs.iter().rev().find(|i| i.results.contains(&v)) else {
+        return false;
+    };
+    matches!(
+        instr.op,
+        Prim::Bin(_) | Prim::Cmp(_) | Prim::Neg | Prim::Abs | Prim::Cast(_)
+    ) && instr
+        .args
+        .iter()
+        .all(|a| !matches!(a, Arg::Var(w) if !is_scalar(prog, *w)))
 }
 
 fn force_bit_bat(prog: &mut Program, inp: &NodeOut, a: Arg) -> Result<VarId> {

@@ -135,8 +135,7 @@ impl Connection {
         binding: Binding<'_>,
     ) -> Result<(Candidates, Vec<Arc<Bat>>)> {
         let image = &self.image;
-        let compile = |slot_types: &[Option<ScalarType>]| -> Result<_> {
-            let binder = Binder::new(&image.catalog).with_slot_types(slot_types);
+        let compile = |binder: &Binder<'_>| -> Result<_> {
             let (scan, scope) = binder.scope_for(table)?;
             let bind = |e: &Expr| binder.bind_expr(&scope, e);
             let items = exprs

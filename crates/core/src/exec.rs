@@ -21,8 +21,12 @@
 //!   (its cell program, see [`sciql_algebra::compile_cells`]) by the
 //!   bound values' own types, so it compares and stores exactly as the
 //!   statement with those values written as literals would, and a new
-//!   combination of value types recompiles. A prepared INSERT evaluates
-//!   its `VALUES` rows, or runs its SELECT, with the bound values.
+//!   combination of value types recompiles. A write binds an integer in
+//!   the INT range as an INT, as the literal would be. A prepared INSERT
+//!   evaluates its `VALUES` rows, or runs its SELECT, with the bound
+//!   values. A placeholder in a constant position (a cell or tile
+//!   offset, a slice bound) is folded into the plan as its value, so
+//!   that plan reruns only for the same values.
 //! - An ad-hoc SELECT (text or script, on any transport) is looked up in
 //!   the session's bounded `PlanCache` under its lifted form
 //!   ([`SelectStmt::lift_literals`]): every literal that is a direct
@@ -54,7 +58,7 @@ use sciql_algebra::bind::literal_value;
 use sciql_algebra::{compile, rewrite, Binder, CodegenOptions, ColInfo};
 use sciql_catalog::Catalog;
 use sciql_obs::{SpanId, Trace, Tracer};
-use sciql_parser::ast::{ParamRef, SelectStmt, Stmt};
+use sciql_parser::ast::{Literal, ParamRef, SelectStmt, Stmt};
 use sciql_parser::{parse_statement, parse_statements};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -94,6 +98,9 @@ pub(crate) struct CachedPlan {
     /// The types the slots were compiled for; empty when their context
     /// typed them (a prepared SELECT).
     slot_types: Vec<Option<ScalarType>>,
+    /// The bound values, when the binder folded one of them into the
+    /// plan as a constant ([`Binder::folded_params`]); empty otherwise.
+    constants: Vec<Value>,
     opt_report: PassStats,
     instrs_before: usize,
     instrs_after: usize,
@@ -285,23 +292,41 @@ fn slot_types(params: &[Value]) -> Vec<Option<ScalarType>> {
     params.iter().map(Value::scalar_type).collect()
 }
 
+/// `v` as the literal of it: an integer in the INT range is an INT (see
+/// [`literal_value`]), so a write computes and stores a bound value as
+/// the statement with the value written in does.
+fn as_literal(v: &Value) -> Value {
+    match v {
+        Value::Lng(n) => literal_value(&Literal::Int(*n)),
+        other => other.clone(),
+    }
+}
+
 /// Run the read of a cell statement ([`sciql_algebra::compile_cells`])
 /// with `params` in its slots: its results in order, as MAL values.
-/// `compile` generates the program for the bound values' slot types; a
-/// prepared statement passes its plan `slot`, and the program there is
-/// reused while it is valid.
+/// `compile` generates the program with the binder for the bound
+/// values; a prepared statement passes its plan `slot`, and the program
+/// there is reused while it is valid.
 pub(crate) fn execute_cells(
     slot: Option<&mut Option<CachedPlan>>,
     params: &[Value],
     image: &Image,
-    compile: impl FnOnce(&[Option<ScalarType>]) -> Result<Program>,
+    compile: impl FnOnce(&Binder<'_>) -> Result<Program>,
 ) -> Result<(Vec<MalValue>, LastExec)> {
     let types = slot_types(params);
     let tracer = &mut Tracer::off();
-    let build = |tracer: &mut Tracer| Ok(CachedPlan::new(compile(&types)?, &types, image, tracer));
+    let build = |tracer: &mut Tracer| {
+        let binder = Binder::new(&image.catalog)
+            .with_slot_types(&types)
+            .with_params(params);
+        let prog = compile(&binder)?;
+        Ok(CachedPlan::new(
+            prog, &binder, &types, params, image, tracer,
+        ))
+    };
     let fresh;
     let (plan, hit) = match slot {
-        Some(slot) => cached(slot, &types, image, tracer, build)?,
+        Some(slot) => cached(slot, &types, params, image, tracer, build)?,
         None => {
             fresh = build(tracer)?;
             (&fresh, false)
@@ -417,18 +442,20 @@ pub(crate) fn execute_select(
     sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let plan = CachedPlan::compile(sel, &slot_types(params), image, tracer)?;
+    let plan = CachedPlan::compile(sel, &slot_types(params), params, image, tracer)?;
     let (rs, exec) = run_program(&plan, image, sys, params, tracer)?;
     Ok((rs, plan.last_exec(exec)))
 }
 
 impl CachedPlan {
-    /// Optimise `prog`, generated against `image` with its slots typed
-    /// `slot_types`, into a plan that scans no `sys.*` view and has no
-    /// result schema (a cell program's).
+    /// Optimise `prog`, generated against `image` by `binder` with its
+    /// slots typed `slot_types` and valued `params`, into a plan that
+    /// scans no `sys.*` view and has no result schema (a cell program's).
     fn new(
         mut prog: Program,
+        binder: &Binder<'_>,
         slot_types: &[Option<ScalarType>],
+        params: &[Value],
         image: &Image,
         tracer: &mut Tracer,
     ) -> CachedPlan {
@@ -440,6 +467,11 @@ impl CachedPlan {
             opt_config: image.opt_config,
             codegen: image.codegen,
             slot_types: slot_types.to_vec(),
+            constants: if binder.folded_params() {
+                params.to_vec()
+            } else {
+                Vec::new()
+            },
             opt_report,
             instrs_before,
             instrs_after,
@@ -449,17 +481,20 @@ impl CachedPlan {
 
     /// Bind, rewrite, generate and optimise `sel` against `image`, under
     /// a span per phase. Placeholder slot `k` is typed `slot_types[k]`
-    /// when given, by its context otherwise.
+    /// when given, by its context otherwise, and valued `params[k]` in a
+    /// constant position.
     fn compile(
         sel: &SelectStmt,
         slot_types: &[Option<ScalarType>],
+        params: &[Value],
         image: &Image,
         tracer: &mut Tracer,
     ) -> Result<CachedPlan> {
         let sp = tracer.open(SpanId::ROOT, "bind");
-        let bound = Binder::new(&image.catalog)
+        let binder = Binder::new(&image.catalog)
             .with_slot_types(slot_types)
-            .bind_select(sel);
+            .with_params(params);
+        let bound = binder.bind_select(sel);
         tracer.close(sp);
         let sp = tracer.open(SpanId::ROOT, "rewrite");
         let plan = rewrite(bound?);
@@ -471,17 +506,23 @@ impl CachedPlan {
         Ok(CachedPlan {
             schema: plan.schema(),
             sys_views: sysview::sys_scans(&plan),
-            ..Self::new(prog, slot_types, image, tracer)
+            ..Self::new(prog, &binder, slot_types, params, image, tracer)
         })
     }
 
     /// Was the plan compiled against `image`'s schema and settings, with
-    /// its slots typed `slot_types`?
-    fn valid_for(&self, image: &Image, slot_types: &[Option<ScalarType>]) -> bool {
+    /// its slots typed `slot_types`, and for `params` if it folded them?
+    fn valid_for(
+        &self,
+        image: &Image,
+        slot_types: &[Option<ScalarType>],
+        params: &[Value],
+    ) -> bool {
         self.catalog_version == image.catalog.version()
             && self.opt_config == image.opt_config
             && self.codegen == image.codegen
             && self.slot_types == slot_types
+            && (self.constants.is_empty() || self.constants == params)
     }
 
     /// The statistics of one execution of this plan.
@@ -496,18 +537,19 @@ impl CachedPlan {
 }
 
 /// The plan in `slot`, compiled there first by `compile` unless the plan
-/// there is still valid for `image` and `slot_types`, and whether it was;
-/// the hit or miss is counted and noted on the trace.
+/// there is still valid for `image`, `slot_types` and `params`, and
+/// whether it was; the hit or miss is counted and noted on the trace.
 fn cached<'s>(
     slot: &'s mut Option<CachedPlan>,
     slot_types: &[Option<ScalarType>],
+    params: &[Value],
     image: &Image,
     tracer: &mut Tracer,
     compile: impl FnOnce(&mut Tracer) -> Result<CachedPlan>,
 ) -> Result<(&'s CachedPlan, bool)> {
     let hit = slot
         .as_ref()
-        .is_some_and(|c| c.valid_for(image, slot_types));
+        .is_some_and(|c| c.valid_for(image, slot_types, params));
     let m = sciql_obs::global();
     if hit {
         m.plan_cache_hits.inc();
@@ -534,8 +576,8 @@ fn execute_cached(
     sys: Sys<'_>,
     tracer: &mut Tracer,
 ) -> Result<(ResultSet, LastExec)> {
-    let compile = |tracer: &mut Tracer| CachedPlan::compile(sel, slot_types, image, tracer);
-    let (plan, hit) = cached(slot, slot_types, image, tracer, compile)?;
+    let compile = |tracer: &mut Tracer| CachedPlan::compile(sel, slot_types, params, image, tracer);
+    let (plan, hit) = cached(slot, slot_types, params, image, tracer, compile)?;
     let (rs, mut exec) = run_program(plan, image, sys, params, tracer)?;
     exec.plan_cache_hits = usize::from(hit);
     Ok((rs, plan.last_exec(exec)))
@@ -979,6 +1021,11 @@ fn run_write(
 ) -> Result<QueryResult> {
     let group = reach.group_committer();
     group.admit()?;
+    let params: Vec<Value> = binding.params.iter().map(as_literal).collect();
+    let binding = Binding {
+        params: &params,
+        plan: binding.plan,
+    };
     let (result, last, position, ticket) = reach.with_writer(|conn| {
         // The DML executors leave the statistics of the plan they ran,
         // if any, on the writer; they belong to the session that issued

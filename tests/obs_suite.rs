@@ -609,8 +609,8 @@ fn prepared_write_is_traced_on_every_transport() {
 }
 
 /// A prepared write's second execution reruns its plan, and its
-/// `sys.query_log` row, labelled with the prepared text, says so on
-/// every transport.
+/// execution report and its `sys.query_log` row, labelled with the
+/// prepared text, say so on every transport.
 #[test]
 fn prepared_write_plan_hits_land_in_the_query_log() {
     let (conns, stop) = one_conn_per_transport("prepwritehit");
@@ -620,22 +620,29 @@ fn prepared_write_plan_hits_land_in_the_query_log() {
             .unwrap();
         conn.execute(&format!("INSERT INTO {table} VALUES (1, 10)"))
             .unwrap();
-        let sql = format!("UPDATE {table} SET v = ? WHERE k = ?");
-        let update = conn.prepare(&sql).unwrap();
-        for v in [11, 12] {
-            conn.execute_bound(&update, sciql_repro::params![v, 1])
+        let update = format!("UPDATE {table} SET v = ? WHERE k = ?");
+        let delete = format!("DELETE FROM {table} WHERE k = ?");
+        for (sql, values) in [
+            (&update, sciql_repro::params![11, 1]),
+            (&delete, sciql_repro::params![2]),
+        ] {
+            let stmt = conn.prepare(sql).unwrap();
+            for hit in [0, 1] {
+                conn.execute_bound(&stmt, values).unwrap();
+                let report = conn.last_report().unwrap();
+                assert_eq!(report.plan_cache_hits, hit, "{kind}: {sql}");
+            }
+            let rows = conn
+                .query(&format!(
+                    "SELECT plan_cache_hit FROM sys.query_log \
+                     WHERE kind = 'dml' AND text = '{sql}' ORDER BY id"
+                ))
                 .unwrap();
+            let hits: Vec<bool> = (0..rows.row_count())
+                .map(|i| rows.row(i).unwrap().get(0).unwrap())
+                .collect();
+            assert_eq!(hits, [false, true], "{kind}: {sql}");
         }
-        let rows = conn
-            .query(&format!(
-                "SELECT plan_cache_hit FROM sys.query_log \
-                 WHERE kind = 'dml' AND text = '{sql}' ORDER BY id"
-            ))
-            .unwrap();
-        let hits: Vec<bool> = (0..rows.row_count())
-            .map(|i| rows.row(i).unwrap().get(0).unwrap())
-            .collect();
-        assert_eq!(hits, [false, true], "{kind}");
     }
     stop();
 }

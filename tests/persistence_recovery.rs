@@ -280,15 +280,26 @@ fn nothing_of_a_dimension_reaches_disk() {
             .collect();
         assert_eq!(selects.len(), n, "{lines:#?}");
         for l in selects {
-            assert!(l.contains(" threads=1"), "a dimension select fanned out: {l}");
+            assert!(
+                l.contains(" threads=1"),
+                "a dimension select fanned out: {l}"
+            );
         }
     }
     // A cell the UPDATE wrote, and one the re-range added.
     for (sql, want) in [
-        ("x = 3 AND y = 4 AND z = 12", [Value::Int(304), Value::Dbl(3.0)]),
-        ("x = -3 AND y = 4 AND z = 12", [Value::Int(1), Value::Dbl(0.5)]),
+        (
+            "x = 3 AND y = 4 AND z = 12",
+            [Value::Int(304), Value::Dbl(3.0)],
+        ),
+        (
+            "x = -3 AND y = 4 AND z = 12",
+            [Value::Int(1), Value::Dbl(0.5)],
+        ),
     ] {
-        let rs = c.query(&format!("SELECT v, w FROM cube WHERE {sql}")).unwrap();
+        let rs = c
+            .query(&format!("SELECT v, w FROM cube WHERE {sql}"))
+            .unwrap();
         assert_eq!(rs.rows().collect::<Vec<_>>(), vec![want.to_vec()], "{sql}");
     }
     drop(c);

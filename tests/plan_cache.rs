@@ -15,7 +15,8 @@
 //! UPDATE, DELETE and INSERT here answers, changes the database and logs
 //! exactly like the statement with its values written as literals, on
 //! `mem:`, `tcp://` and `file:`, and a prepared UPDATE or DELETE reruns
-//! its plan while the schema, the settings and its values' types hold.
+//! its plan while the schema, the settings and its values' types hold
+//! (and its values, where the plan holds one as a constant).
 
 use sciql_repro::driver::{Conn, Sciql};
 use sciql_repro::gdk::Value;
@@ -304,8 +305,8 @@ fn cached_plan_does_not_outlive_a_catalog_swap() {
 // ---------------------------------------------------------------------
 
 /// What the prepared writes start from: a table and a fixed array with a
-/// column of every type, an unbounded array and an `INSERT … SELECT`
-/// target.
+/// column of every type, an unbounded array, an `INSERT … SELECT` target
+/// and a fixed array of one attribute for cell references.
 const WRITE_SCHEMA: &[&str] = &[
     "CREATE TABLE t (k INT, w DOUBLE, s VARCHAR, b BOOLEAN, n BIGINT)",
     "INSERT INTO t VALUES (1, 0.5, 'a', TRUE, 1), (2, NULL, 'it''s', FALSE, 3000000000), \
@@ -314,16 +315,22 @@ const WRITE_SCHEMA: &[&str] = &[
     "UPDATE g SET v = x * 4 + y - 6",
     "CREATE ARRAY u (x INT DIMENSION, y INT DIMENSION, v INT DEFAULT 0)",
     "CREATE TABLE sink (k INT, s VARCHAR)",
+    "CREATE ARRAY h (x INT DIMENSION[0:1:6], v INT DEFAULT 0)",
+    "UPDATE h SET v = x * 3 - 2",
 ];
 
 /// The objects compared after every write.
-const WRITE_OBJECTS: &[&str] = &["t", "g", "u", "sink"];
+const WRITE_OBJECTS: &[&str] = &["t", "g", "u", "sink", "h"];
 
 /// Prepared writes, each with the value rows it runs with, in order.
-/// Values of every kind: INT, past the INT range, DOUBLE (2.5 against an
-/// INT column), VARCHAR with a quote, BOOLEAN and NULL.
+/// Values of every kind: INT, BIGINT in and past the INT range, DOUBLE
+/// (2.5 against an INT column), VARCHAR with a quote, BOOLEAN and NULL.
+/// Three put placeholders where the plan folds them into constants (a
+/// cell offset, slice bounds, tile offsets), with a value repeated after
+/// another so a plan kept for the first would show; the last two compute
+/// a value from placeholders alone.
 fn writes() -> Vec<(&'static str, Vec<Vec<Value>>)> {
-    use Value::{Bit, Dbl, Int, Null};
+    use Value::{Bit, Dbl, Int, Lng, Null};
     let s = |v: &str| Value::Str(v.into());
     let big = || Value::Lng(3_000_000_000);
     vec![
@@ -412,14 +419,62 @@ fn writes() -> Vec<(&'static str, Vec<Vec<Value>>)> {
                 vec![big(), Null],
             ],
         ),
+        (
+            "UPDATE t SET n = k * ? * ? WHERE k > ?",
+            vec![
+                vec![Lng(100_000), Lng(100_000), Int(1)],
+                vec![Lng(7), Lng(6), Lng(2)],
+                vec![big(), Lng(2), Int(3)],
+            ],
+        ),
+        (
+            "UPDATE h SET v = h[x+?] WHERE x < ?",
+            vec![
+                vec![Int(1), Int(3)],
+                vec![Int(2), Int(2)],
+                vec![Int(1), Int(3)],
+                vec![Lng(1), Lng(4)],
+                vec![Dbl(0.5), Int(3)],
+            ],
+        ),
+        (
+            "INSERT INTO sink SELECT v, ? FROM h[?:4]",
+            vec![
+                vec![s("slab"), Int(1)],
+                vec![s("it's"), Lng(2)],
+                vec![s("x"), Int(1)],
+            ],
+        ),
+        (
+            "INSERT INTO sink SELECT SUM(v), 'tile' FROM g GROUP BY g[x-?:x+?][y]",
+            vec![
+                vec![Int(1), Int(2)],
+                vec![Int(0), Lng(1)],
+                vec![Int(1), Int(2)],
+                vec![Int(0), Int(0)],
+            ],
+        ),
+        (
+            "UPDATE t SET n = ? * ?, w = -? WHERE k > ?",
+            vec![
+                vec![Lng(7), Lng(6), Dbl(2.5), Int(2)],
+                vec![big(), Int(2), Int(1), Int(0)],
+                vec![Int(3), Null, Null, Int(1)],
+            ],
+        ),
+        (
+            "INSERT INTO sink SELECT ? * ?, s FROM t WHERE k > ?",
+            vec![vec![Int(3), Int(4), Int(0)], vec![Lng(2), Null, Int(1)]],
+        ),
     ]
 }
 
 /// The executions in [`writes`] that fail, as `(statement, row)`, each
 /// with the same error both ways: a sum past the INT range (twice), a
 /// BIGINT into an INT column, a failing second VALUES row, a cell outside
-/// the ranges (twice), a fractional dimension and a BIGINT into an INT
-/// attribute.
+/// the ranges (twice), a fractional dimension, a BIGINT into an INT
+/// attribute, a product of INT-range BIGINTs past the INT range, a
+/// fractional cell offset and an empty tile.
 const WRITE_ERRORS: &[(usize, usize)] = &[
     (1, 1),
     (3, 2),
@@ -429,6 +484,9 @@ const WRITE_ERRORS: &[(usize, usize)] = &[
     (7, 2),
     (7, 3),
     (8, 2),
+    (10, 0),
+    (11, 4),
+    (13, 3),
 ];
 
 /// `sql` with its `?` slots, in order, written as the literals of
@@ -564,7 +622,8 @@ fn prepared_and_literal_writes_log_identical_wal_files() {
 
 /// A prepared UPDATE or DELETE compiles on its first execution and reruns
 /// that plan until the schema, the settings or a bound value's type
-/// changes; an INSERT keeps no plan.
+/// changes, or a value the plan holds as a constant; an INSERT keeps no
+/// plan.
 #[test]
 fn prepared_writes_rerun_their_plan() {
     use Value::{Int, Lng, Null};
@@ -576,6 +635,8 @@ fn prepared_writes_rerun_their_plan() {
         .unwrap();
     conn.prepare("del", "DELETE FROM t WHERE k = ?").unwrap();
     conn.prepare("ins", "INSERT INTO t (k) VALUES (?)").unwrap();
+    conn.prepare("shift", "UPDATE h SET v = h[x+?] WHERE x < ?")
+        .unwrap();
     fn hits(conn: &mut Connection, name: &str, values: &[Value]) -> usize {
         conn.execute_prepared(name, values).unwrap();
         conn.last_exec().exec.plan_cache_hits
@@ -587,8 +648,13 @@ fn prepared_writes_rerun_their_plan() {
     assert_eq!(hits(c, "del", &[Int(1)]), 1);
     assert_eq!(hits(c, "ins", &[Int(9)]), 0, "INSERT");
     assert_eq!(hits(c, "ins", &[Int(9)]), 0, "INSERT");
-    assert_eq!(hits(c, "up", &[Lng(3), Int(1), Int(1)]), 0, "BIGINT value");
-    assert_eq!(hits(c, "up", &[Lng(4), Int(1), Int(2)]), 1);
+    assert_eq!(
+        hits(c, "up", &[Lng(3), Int(1), Int(1)]),
+        1,
+        "INT-range BIGINT"
+    );
+    assert_eq!(hits(c, "up", &[Int(4), Lng(1 << 40), Int(2)]), 0, "BIGINT");
+    assert_eq!(hits(c, "up", &[Int(4), Lng(1 << 41), Int(2)]), 1);
     assert_eq!(hits(c, "up", &[Null, Int(1), Int(2)]), 0, "NULL value");
     assert_eq!(hits(c, "up", &[Null, Int(2), Int(2)]), 1);
     assert_eq!(
@@ -596,6 +662,11 @@ fn prepared_writes_rerun_their_plan() {
         0,
         "INT value again"
     );
+    assert_eq!(hits(c, "shift", &[Int(1), Int(3)]), 0, "first run");
+    assert_eq!(hits(c, "shift", &[Int(1), Int(3)]), 1);
+    assert_eq!(hits(c, "shift", &[Int(2), Int(3)]), 0, "cell offset");
+    assert_eq!(hits(c, "shift", &[Int(2), Int(3)]), 1);
+    assert_eq!(hits(c, "shift", &[Int(2), Int(2)]), 0, "folded values");
 
     c.execute("CREATE TABLE unrelated (a INT)").unwrap();
     assert_eq!(hits(c, "up", &[Int(6), Int(2), Int(2)]), 0, "DDL");
@@ -608,26 +679,19 @@ fn prepared_writes_rerun_their_plan() {
     assert_eq!(v.get(0, 0), Int(9));
 }
 
-/// The execution report says so on every transport.
+/// A prepared SELECT's slice bound takes its bound value, and the plan
+/// holding that value reruns only for it.
 #[test]
-fn prepared_write_hits_reach_the_execution_report() {
-    let engine = SharedEngine::in_memory();
-    let handle = Server::bind(engine, "127.0.0.1:0")
-        .unwrap()
-        .serve()
-        .unwrap();
-    for url in ["mem:".to_owned(), format!("tcp://{}", handle.addr())] {
-        let mut conn = seed_writes(Sciql::connect(&url).unwrap());
-        let up = conn.prepare("UPDATE t SET s = ? WHERE k = ?").unwrap();
-        let del = conn.prepare("DELETE FROM g WHERE x = ?").unwrap();
-        let s = Value::Str("x".into());
-        for (stmt, values) in [(&up, vec![s, Value::Int(1)]), (&del, vec![Value::Int(3)])] {
-            for hit in [0, 1] {
-                conn.execute_bound(stmt, &values).unwrap();
-                let report = conn.last_report().unwrap();
-                assert_eq!(report.plan_cache_hits, hit, "{url}: {}", stmt.sql());
-            }
-        }
+fn prepared_select_slices_take_their_bound_values() {
+    let mut conn = Connection::new();
+    for sql in WRITE_SCHEMA {
+        conn.execute(sql).unwrap();
     }
-    handle.stop();
+    conn.prepare("slab", "SELECT v FROM h[?:4]").unwrap();
+    for (lo, hit) in [(1, 0), (1, 1), (2, 0)] {
+        let rows = conn.execute_prepared("slab", &[Value::Int(lo)]).unwrap();
+        let rows = rows.rows().unwrap();
+        assert_eq!(rows.row_count(), 4 - lo as usize, "h[{lo}:4]");
+        assert_eq!(conn.last_exec().exec.plan_cache_hits, hit, "h[{lo}:4]");
+    }
 }
