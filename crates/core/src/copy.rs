@@ -169,19 +169,7 @@ impl Connection {
         match format {
             CopyFormat::Binary => {
                 let cols = read_copy_binary(path, types.len())?;
-                let rows = cols.first().map_or(0, |b| b.len());
-                // Apply tile-by-tile so each WAL record stays one tile.
-                let mut at = 0usize;
-                while at < rows {
-                    let end = (at + TILE_ROWS).min(rows);
-                    let batch: Vec<Bat> = cols
-                        .iter()
-                        .map(|b| gdk::project::slice(b, at, end))
-                        .collect::<std::result::Result<_, _>>()
-                        .map_err(EngineError::Gdk)?;
-                    total += self.ingest(&key, total, batch, tracer)?;
-                    at = end;
-                }
+                total = self.ingest_tiles(&key, &cols, tracer)?;
             }
             CopyFormat::Csv => {
                 let file = std::fs::File::open(path)
@@ -242,6 +230,31 @@ impl Connection {
             }
         }
         self.install_zone_maps(&key);
+        Ok(total)
+    }
+
+    /// Store the aligned columns `cols` into `key` tile by tile, so each
+    /// WAL record stays one tile: one logged change per [`TILE_ROWS`]
+    /// rows (see [`Connection::ingest`]). Returns the rows stored. A
+    /// binary COPY and [`Connection::bulk_load_array`] both store
+    /// through this.
+    pub(crate) fn ingest_tiles(
+        &mut self,
+        key: &str,
+        cols: &[Bat],
+        tracer: &mut Tracer,
+    ) -> Result<usize> {
+        let rows = cols.first().map_or(0, |b| b.len());
+        let mut total = 0usize;
+        while total < rows {
+            let end = (total + TILE_ROWS).min(rows);
+            let batch: Vec<Bat> = cols
+                .iter()
+                .map(|b| gdk::project::slice(b, total, end))
+                .collect::<std::result::Result<_, _>>()
+                .map_err(EngineError::Gdk)?;
+            total += self.ingest(key, total, batch, tracer)?;
+        }
         Ok(total)
     }
 

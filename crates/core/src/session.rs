@@ -612,11 +612,7 @@ impl Connection {
         binding: Binding<'_>,
         tracer: &mut Tracer,
     ) -> Result<QueryResult> {
-        if self.read_only {
-            return Err(EngineError::msg(
-                "read-only replica: route writes to the primary",
-            ));
-        }
+        self.writable()?;
         let n = match stmt {
             Stmt::Insert {
                 table,
@@ -639,6 +635,16 @@ impl Connection {
             _ => self.ddl(stmt, &stmt.to_string(), Some(tracer))?,
         };
         Ok(QueryResult::Affected(n))
+    }
+
+    /// Refuse a user write on a read-only replica.
+    fn writable(&self) -> Result<()> {
+        if self.read_only {
+            return Err(EngineError::msg(
+                "read-only replica: route writes to the primary",
+            ));
+        }
+        Ok(())
     }
 
     /// Execute a schema statement and, with `log`, append `text` to the
@@ -788,39 +794,25 @@ impl Connection {
         Ok(rs)
     }
 
-    /// Bulk-load an array directly from column data — the reproduction's
-    /// stand-in for MonetDB's (Geo)TIFF Data Vault [Ivanova et al., SSDBM
-    /// 2012], which the demo uses to ingest images without the SQL INSERT
-    /// path. Dimension BATs are generated; attribute BATs are adopted
-    /// as-is (their length must equal the cell count).
+    /// Bulk-load an array from column data — the reproduction's stand-in
+    /// for MonetDB's (Geo)TIFF Data Vault [Ivanova et al., SSDBM 2012],
+    /// which the demo uses to ingest images without the SQL INSERT path.
+    /// Each attribute's length must equal the cell count of the fixed
+    /// `dims`; a refused load changes nothing. The load is the
+    /// `CREATE ARRAY` of `dims` (typed INT) and `attrs`, then the
+    /// attributes stored tile by tile as a binary COPY stores them: with
+    /// a vault it is logged as those same records, shipped to replicas
+    /// as records, and durable when this returns. It is not a statement,
+    /// so `sys.query_log` gains no row.
     pub fn bulk_load_array(
         &mut self,
         name: &str,
         dims: &[(&str, sciql_catalog::DimSpec)],
         attrs: Vec<(&str, Bat)>,
     ) -> Result<()> {
-        use sciql_catalog::{ArrayDef, ColumnMeta as CatColumn, DimensionDef, SchemaObject};
-        let def = ArrayDef {
-            name: name.to_owned(),
-            dims: dims
-                .iter()
-                .map(|(n, r)| DimensionDef {
-                    name: (*n).to_owned(),
-                    ty: gdk::ScalarType::Int,
-                    range: Some(*r),
-                })
-                .collect(),
-            attrs: attrs
-                .iter()
-                .map(|(n, b)| CatColumn {
-                    name: (*n).to_owned(),
-                    ty: b.tail_type(),
-                    default: None,
-                })
-                .collect(),
-        };
-        let cells = def
-            .cell_count()
+        self.writable()?;
+        let cells = (dims.iter())
+            .try_fold(1usize, |n, (_, r)| n.checked_mul(r.len()))
             .ok_or_else(|| EngineError::msg("bulk load requires fixed ranges"))?;
         for (n, b) in &attrs {
             if b.len() != cells {
@@ -830,21 +822,27 @@ impl Connection {
                 )));
             }
         }
-        let image = self.image_mut();
-        image
-            .catalog
-            .create(SchemaObject::Array(def.clone()))
-            .map_err(EngineError::Catalog)?;
-        let attrs = attrs.into_iter().map(|(_, b)| Arc::new(b)).collect();
-        let store = ArrayStore::with_attrs(def, attrs, ColumnDirt::All)?;
-        image
-            .arrays
-            .insert(name.to_ascii_lowercase(), Arc::new(store));
-        // A bulk load is not logged: snapshot it immediately instead.
-        if self.vault.is_some() {
-            self.checkpoint()?;
-        }
-        Ok(())
+        let columns: Vec<String> = (dims.iter())
+            .map(|(n, r)| format!("{n} INT DIMENSION[{}:{}:{}]", r.start, r.step, r.stop))
+            .chain(
+                attrs
+                    .iter()
+                    .map(|(n, b)| format!("{n} {}", b.tail_type().sql_name())),
+            )
+            .collect();
+        let text = format!("CREATE ARRAY {name} ({})", columns.join(", "));
+        // Recovery and replicas parse the logged text: it must print back
+        // as itself, the canonical text of this very statement.
+        let create = (exec::parse_one(&text).ok())
+            .filter(|s| s.to_string() == text)
+            .ok_or_else(|| EngineError::msg(format!("bulk load: {text:?} does not read back")))?;
+        let tracer = &mut Tracer::off();
+        self.ddl(&create, &text, Some(tracer))?;
+        let key = name.to_ascii_lowercase();
+        let cols: Vec<Bat> = attrs.into_iter().map(|(_, b)| b).collect();
+        self.ingest_tiles(&key, &cols, tracer)?;
+        self.install_zone_maps(&key);
+        (self.take_pending_commit()).map_or(Ok(()), |t| self.group_commit.wait_durable(t))
     }
 
     /// Direct read access to a stored array (tests, demos and the image

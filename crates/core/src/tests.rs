@@ -55,6 +55,41 @@ fn bulk_load_validation() {
     assert!(c.bulk_load_array("a", &dims, vec![("v", again)]).is_err());
 }
 
+/// A replica refuses a bulk load before it changes anything: it serves
+/// only what its primary ships.
+#[test]
+fn bulk_load_on_a_replica_is_refused_up_front() {
+    let dir = std::env::temp_dir().join(format!("sciql-bulk-replica-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    drop(Connection::open(&dir).unwrap());
+    let mut r = Connection::open_replica(&dir).unwrap();
+    let dims = [("x", DimSpec::new(0, 1, 2).unwrap())];
+    let col = gdk::Bat::from_ints(vec![7, 8]);
+    let err = r.bulk_load_array("a", &dims, vec![("v", col)]).unwrap_err();
+    assert_eq!(
+        err.to_string(),
+        "read-only replica: route writes to the primary"
+    );
+    assert!(r.catalog().get("a").is_err());
+    assert!(r.array_store("a").is_err());
+    drop(r);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The logged `CREATE ARRAY` must parse back on recovery, so a name that
+/// is not an identifier is refused before anything changes.
+#[test]
+fn bulk_load_refuses_a_name_that_does_not_read_back() {
+    let mut c = Connection::new();
+    let dims = [("x", DimSpec::new(-2, 1, 0).unwrap())];
+    for (name, attr) in [("my img", "v"), ("a", "select")] {
+        let col = gdk::Bat::from_ints(vec![1, 2]);
+        let err = c.bulk_load_array(name, &dims, vec![(attr, col)]);
+        assert!(err.unwrap_err().to_string().contains("read back"));
+    }
+    assert!(c.catalog().is_empty());
+}
+
 #[test]
 fn catalog_view_reflects_ddl() {
     let mut c = Connection::new();

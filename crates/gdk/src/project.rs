@@ -140,13 +140,25 @@ pub fn slice(b: &Bat, from: usize, to: usize) -> Result<Bat> {
     if from > to {
         return Err(GdkError::invalid("slice: from > to"));
     }
-    project(
-        &Candidates::Dense {
-            first: from as Oid,
-            len: to - from,
-        },
-        b,
-    )
+    // A range of a fixed-width column is one copy.
+    let data = match b.data() {
+        ColumnData::Bit(v) => ColumnData::Bit(v[from..to].to_vec()),
+        ColumnData::Int(v) => ColumnData::Int(v[from..to].to_vec()),
+        ColumnData::Lng(v) => ColumnData::Lng(v[from..to].to_vec()),
+        ColumnData::Dbl(v) => ColumnData::Dbl(v[from..to].to_vec()),
+        ColumnData::Oid(v) => ColumnData::Oid(v[from..to].to_vec()),
+        ColumnData::Void { .. } | ColumnData::Str { .. } => {
+            let len = to - from;
+            return project(
+                &Candidates::Dense {
+                    first: from as Oid,
+                    len,
+                },
+                b,
+            );
+        }
+    };
+    Ok(Bat::from_data(data))
 }
 
 #[cfg(test)]

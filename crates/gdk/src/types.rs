@@ -109,6 +109,19 @@ impl ScalarType {
             _ => return None,
         })
     }
+
+    /// The SQL type name [`ScalarType::from_sql_name`] reads back as this
+    /// type.
+    pub fn sql_name(self) -> &'static str {
+        match self {
+            ScalarType::Int => "INT",
+            ScalarType::Lng => "BIGINT",
+            ScalarType::Dbl => "DOUBLE",
+            ScalarType::Bit => "BOOLEAN",
+            ScalarType::Str => "STRING",
+            ScalarType::OidT => "OID",
+        }
+    }
 }
 
 impl fmt::Display for ScalarType {
@@ -155,6 +168,16 @@ mod tests {
         assert_eq!(ScalarType::from_sql_name("double"), Some(ScalarType::Dbl));
         assert_eq!(ScalarType::from_sql_name("varchar"), Some(ScalarType::Str));
         assert_eq!(ScalarType::from_sql_name("blob"), None);
+        for t in [
+            ScalarType::Bit,
+            ScalarType::Int,
+            ScalarType::Lng,
+            ScalarType::Dbl,
+            ScalarType::OidT,
+            ScalarType::Str,
+        ] {
+            assert_eq!(ScalarType::from_sql_name(t.sql_name()), Some(t));
+        }
     }
 
     #[test]

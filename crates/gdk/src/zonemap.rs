@@ -277,28 +277,17 @@ fn typed_entry<T: PartialOrd + Copy>(
     is_nil: impl Fn(&T) -> bool,
     boxed: impl Fn(&T) -> Value,
 ) -> ZoneEntry {
-    let mut nils = 0usize;
-    let mut min: Option<T> = None;
-    let mut max: Option<T> = None;
-    for x in slice {
-        if is_nil(x) {
-            nils += 1;
-            continue;
-        }
-        min = Some(match min {
-            Some(m) if m <= *x => m,
-            _ => *x,
-        });
-        max = Some(match max {
-            Some(m) if m >= *x => m,
-            _ => *x,
-        });
-    }
+    let mut vals = slice.iter().filter(|x| !is_nil(x));
+    let bounds = vals.next().map(|&first| {
+        vals.fold((first, first), |(lo, hi), &x| {
+            (if x < lo { x } else { lo }, if x > hi { x } else { hi })
+        })
+    });
     ZoneEntry {
         rows: slice.len(),
-        nils,
-        min: min.as_ref().map(&boxed),
-        max: max.as_ref().map(&boxed),
+        nils: slice.iter().filter(|x| is_nil(x)).count(),
+        min: bounds.as_ref().map(|(lo, _)| boxed(lo)),
+        max: bounds.as_ref().map(|(_, hi)| boxed(hi)),
     }
 }
 

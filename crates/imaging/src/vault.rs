@@ -5,7 +5,11 @@
 //! module is that component for our synthetic/PGM images: an image becomes
 //! a 2-D array `(x, y dimensions, v INT)` — "each image is stored as a 2D
 //! array with x,y dimensions denoting the pixel positions … and an integer
-//! column v denoting the grey-scale intensities".
+//! column v denoting the grey-scale intensities". Skipping SQL does not
+//! skip the log: on a persistent connection a load is written to the WAL,
+//! and shipped to replicas, as the `CREATE ARRAY` and the per-tile
+//! records of a binary `COPY` of the pixels
+//! ([`Connection::bulk_load_array`]).
 
 use crate::image::GreyImage;
 use gdk::Bat;

@@ -40,8 +40,9 @@ fn main() {
     }
 
     // --- array side: one measurement array per scene (Data Vault) ------
-    // Bulk image ingestion bypasses SQL; it needs the embedded
-    // connection behind the driver.
+    // Bulk image ingestion skips the SQL statement path (it is logged as
+    // CREATE ARRAY plus the tile writes of a binary COPY); it needs the
+    // embedded connection behind the driver.
     let embedded = conn
         .embedded_connection()
         .expect("mem: transport is embedded");

@@ -563,3 +563,64 @@ fn wal_records_survive_mutation() {
     drop(conn);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Run `COPY t FROM <source>` over `bytes`: it must return `Ok` or a
+/// typed error, never panic, and a COPY that fails — every source here
+/// is a single batch — leaves `t` as it was. A table a COPY changed is
+/// reset to its one seed row.
+fn copy_source(conn: &mut Connection, source: &std::path::Path, format: &str, bytes: &[u8]) {
+    let pages = |conn: &mut Connection| {
+        let rs = conn.query("SELECT a, s FROM t").unwrap();
+        let mut out = rs.encode_header();
+        out.extend(rs.encode_pages(64).into_iter().flatten());
+        out
+    };
+    std::fs::write(source, bytes).unwrap();
+    let before = pages(conn);
+    let copy = format!("COPY t FROM '{}' (FORMAT {format})", source.display());
+    let done = catch_unwind(AssertUnwindSafe(|| conn.execute(&copy)))
+        .unwrap_or_else(|_| panic!("COPY ({format}) panicked on {bytes:02x?}"));
+    if done.is_ok() {
+        conn.execute_script(
+            "DROP TABLE t; CREATE TABLE t (a INT, s TEXT); INSERT INTO t VALUES (0, 'seed');",
+        )
+        .unwrap();
+    } else {
+        assert_eq!(pages(conn), before, "a failed COPY changed t: {bytes:02x?}");
+    }
+}
+
+/// COPY sources are untrusted files: a two-column SCPY file and a quoted
+/// CSV file, cut at every offset, and the SCPY file flipped at every bit
+/// of its header and first column body.
+#[test]
+fn copy_sources_survive_mutation() {
+    let dir = std::env::temp_dir().join(format!("sciql-copyfuzz-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut conn = Connection::new();
+    conn.execute_script("CREATE TABLE t (a INT, s TEXT); INSERT INTO t VALUES (0, 'seed');")
+        .unwrap();
+    let scpy = dir.join("rows.scpy");
+    let cols = [
+        Bat::from_ints(vec![1, -2, INT_NIL, 40_000]),
+        Bat::from_strs(vec![Some("a"), None, Some("say \"hi\""), Some("x,y")]),
+    ];
+    sciql::write_copy_binary(&scpy, &cols).unwrap();
+    let binary = std::fs::read(&scpy).unwrap();
+    let csv = b"1,a\n-2,\n,\"say \"\"hi\"\"\"\n40000,\"x,y\"\n".to_vec();
+    for (format, bytes) in [("binary", &binary), ("csv", &csv)] {
+        for cut in 0..=bytes.len() {
+            copy_source(&mut conn, &scpy, format, &bytes[..cut]);
+        }
+    }
+    // Magic, version and column count, the first column's length and
+    // its body.
+    let first_column = 14 + u32::from_le_bytes(binary[10..14].try_into().unwrap()) as usize;
+    for bit in 0..first_column * 8 {
+        let mut flipped = binary.clone();
+        flipped[bit / 8] ^= 1 << (bit % 8);
+        copy_source(&mut conn, &scpy, "binary", &flipped);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -443,3 +443,95 @@ fn only_schema_statements_are_logged_as_text() {
     assert_eq!(replayed, live);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A 160 × 128 image: 2.5 tiles of 8192 cells, so the last tile write
+/// is a partial one.
+fn two_and_a_half_tiles() -> sciql_imaging::image::GreyImage {
+    sciql_imaging::image::GreyImage::from_fn(160, 128, |x, y| ((x * 31 + y * 7) % 251) as i32)
+}
+
+/// A bulk load is logged, not checkpointed: after a crash (a drop with no
+/// checkpoint) the vault replays the image from its WAL — one schema
+/// record plus one write per tile — in the same generation.
+#[test]
+fn a_bulk_load_recovers_from_the_wal() {
+    use sciql_imaging::vault::{load_image, read_image};
+    let dir = fresh_dir();
+    let img = two_and_a_half_tiles();
+    let mut c = Connection::open(&dir).unwrap();
+    let generation = c.vault_stats().unwrap().generation;
+    load_image(&mut c, "img", &img).unwrap();
+    let tiles = (img.pixels.len()).div_ceil(gdk::zonemap::TILE_ROWS) as u64;
+    let stats = c.vault_stats().unwrap();
+    assert_eq!(
+        (stats.generation, stats.wal_records),
+        (generation, 1 + tiles)
+    );
+    drop(c);
+    let reopened = Connection::open(&dir).unwrap();
+    assert_eq!(read_image(&reopened, "img").unwrap(), img);
+    let stats = reopened.vault_stats().unwrap();
+    assert_eq!(
+        (stats.generation, stats.wal_records),
+        (generation, 1 + tiles)
+    );
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bulk load and the SQL it stands for are one write path: loading a
+/// column, and running the `CREATE ARRAY` the load logs followed by a
+/// binary COPY of that column, leave byte-identical WALs, the same
+/// generation and byte-identical pages.
+#[test]
+fn a_bulk_load_logs_what_create_array_plus_copy_logs() {
+    use sciql_store::{decode_replay_op, read_wal_from, wal_file_path, ReplayOp};
+    let (loaded, copied) = (fresh_dir(), fresh_dir());
+    let img = two_and_a_half_tiles();
+    let mut col = gdk::Bat::from_ints(img.pixels.clone());
+    col.set(17, &gdk::Value::Null).unwrap();
+    let dims = [
+        ("x", sciql_catalog::DimSpec::new(0, 1, 160).unwrap()),
+        ("y", sciql_catalog::DimSpec::new(0, 1, 128).unwrap()),
+    ];
+    let mut a = Connection::open(&loaded).unwrap();
+    a.bulk_load_array("img", &dims, vec![("v", col.clone())])
+        .unwrap();
+    let wal_of = |c: &Connection, dir: &std::path::Path| {
+        wal_file_path(dir, c.vault_stats().unwrap().generation)
+    };
+    let records = read_wal_from(&wal_of(&a, &loaded), 0, u64::MAX).unwrap();
+    let ReplayOp::Sql(create) = decode_replay_op(&records[0].payload, &loaded, 0).unwrap() else {
+        panic!("the first record of a bulk load is its CREATE ARRAY");
+    };
+    assert_eq!(
+        create,
+        "CREATE ARRAY img (x INT DIMENSION[0:1:160], y INT DIMENSION[0:1:128], v INT)"
+    );
+    let mut b = Connection::open(&copied).unwrap();
+    let source = copied.join("v.scpy");
+    sciql::write_copy_binary(&source, &[col]).unwrap();
+    b.execute(&create).unwrap();
+    b.execute(&format!(
+        "COPY img FROM '{}' (FORMAT binary)",
+        source.display()
+    ))
+    .unwrap();
+    let pages = |c: &mut Connection| {
+        let rs = c.query("SELECT [x], [y], v FROM img").unwrap();
+        let mut bytes = rs.encode_header();
+        for page in rs.encode_pages(4096) {
+            bytes.extend_from_slice(&page);
+        }
+        bytes
+    };
+    assert_eq!(pages(&mut a), pages(&mut b));
+    let generation = |c: &Connection| c.vault_stats().unwrap().generation;
+    assert_eq!(generation(&a), generation(&b));
+    let wal_a = std::fs::read(wal_of(&a, &loaded)).unwrap();
+    let wal_b = std::fs::read(wal_of(&b, &copied)).unwrap();
+    assert!(wal_a == wal_b, "the two WALs differ");
+    drop((a, b));
+    std::fs::remove_dir_all(&loaded).ok();
+    std::fs::remove_dir_all(&copied).ok();
+}

@@ -698,3 +698,50 @@ fn non_finite_doubles_replicate_bit_for_bit() {
     std::fs::remove_dir_all(&primary_dir).ok();
     std::fs::remove_dir_all(&replica_dir).ok();
 }
+
+/// A bulk load on a primary reaches its replica as shipped WAL records:
+/// the primary does not checkpoint, so the replica's generation stays
+/// put (no snapshot re-bootstrap), the two answer alike, and the two
+/// vaults end byte-identical.
+#[test]
+fn a_bulk_load_ships_as_records() {
+    use sciql_repro::imaging::{image::GreyImage, vault::load_image};
+    let primary_dir = fresh_dir("bulk-primary");
+    let replica_dir = fresh_dir("bulk-replica");
+    let engine = SharedEngine::open(&primary_dir).unwrap();
+    let handle = Server::bind(Arc::clone(&engine), "127.0.0.1:0")
+        .unwrap()
+        .serve()
+        .unwrap();
+    let addr = handle.addr().to_string();
+    let mut conn = Sciql::connect(&format!("tcp://{addr}")).unwrap();
+    let replica = Replica::connect(&replica_dir, &addr).unwrap();
+    wait_caught_up(&engine, &replica, "before the load");
+    let generation = |e: &Arc<SharedEngine>| e.connection().wal_applied().0;
+    let (primary_gen, replica_gen) = (generation(&engine), generation(replica.engine()));
+    let img = GreyImage::from_fn(160, 128, |x, y| (x * 3 + y) as i32);
+    load_image(&mut engine.connection(), "img", &img).unwrap();
+    wait_caught_up(&engine, &replica, "after the load");
+    assert_eq!(generation(&engine), primary_gen, "the primary checkpointed");
+    assert_eq!(
+        generation(replica.engine()),
+        replica_gen,
+        "the replica re-bootstrapped"
+    );
+    let sum = "SELECT SUM(v) FROM img";
+    assert_eq!(
+        select_bytes(&engine, sum),
+        select_bytes(replica.engine(), sum)
+    );
+    let rs = replica.engine().session().query(sum).unwrap();
+    let want: i64 = img.pixels.iter().map(|&p| i64::from(p)).sum();
+    assert_eq!(rs.row(0), vec![Value::Lng(want)]);
+    replica.stop();
+    conn.shutdown_server().unwrap();
+    drop(conn);
+    drop(engine);
+    drop(handle.wait());
+    assert_twin_vaults(&primary_dir, &replica_dir, "bulk-load replica");
+    std::fs::remove_dir_all(&primary_dir).ok();
+    std::fs::remove_dir_all(&replica_dir).ok();
+}
