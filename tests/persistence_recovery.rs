@@ -461,6 +461,8 @@ fn a_bulk_load_recovers_from_the_wal() {
     let mut c = Connection::open(&dir).unwrap();
     let generation = c.vault_stats().unwrap().generation;
     load_image(&mut c, "img", &img).unwrap();
+    // Loaded columns carry zone maps at once, as after a COPY.
+    assert!(c.array_store("img").unwrap().attrs[0].zone_map().is_some());
     let tiles = (img.pixels.len()).div_ceil(gdk::zonemap::TILE_ROWS) as u64;
     let stats = c.vault_stats().unwrap();
     assert_eq!(
