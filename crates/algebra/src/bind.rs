@@ -133,16 +133,14 @@ pub fn eval_with_env(
     }
 }
 
-/// Turn an AST literal into a kernel value.
+/// Turn an AST literal into a kernel value. An integer is an INT when it
+/// fits one and is not the INT nil sentinel (`-2147483648`), else a BIGINT.
 pub fn literal_value(l: &Literal) -> Value {
     match l {
-        Literal::Int(v) => {
-            if let Ok(i) = i32::try_from(*v) {
-                Value::Int(i)
-            } else {
-                Value::Lng(*v)
-            }
-        }
+        Literal::Int(v) => match i32::try_from(*v) {
+            Ok(i) if i != gdk::types::INT_NIL => Value::Int(i),
+            _ => Value::Lng(*v),
+        },
         Literal::Float(v) => Value::Dbl(*v),
         Literal::Str(s) => Value::Str(s.clone()),
         Literal::Bool(b) => Value::Bit(*b),

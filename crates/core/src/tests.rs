@@ -855,3 +855,51 @@ fn fractional_bounds_on_integer_columns_compare_exactly() {
         [1, 1, 0, 0].map(Value::Int)
     );
 }
+
+// A computed or converted `int`/`lng` equal to its type's nil sentinel
+// is an overflow or range error, never a NULL, and the literal
+// `-2147483648` (the `int` nil) is a BIGINT.
+
+#[test]
+fn int_nil_literal_is_a_bigint() {
+    let mut c = Connection::new();
+    c.execute("CREATE TABLE w (a BIGINT)").unwrap();
+    c.execute("INSERT INTO w VALUES (-2147483648)").unwrap();
+    let count = c.query("SELECT COUNT(a) FROM w").unwrap();
+    assert_eq!(count.scalar().unwrap(), Value::Lng(1));
+    let a = c.query("SELECT a FROM w").unwrap();
+    assert_eq!(a.scalar().unwrap(), Value::Lng(-2147483648));
+    let lit = c.query("SELECT -2147483648").unwrap();
+    assert_eq!(lit.scalar().unwrap(), Value::Lng(-2147483648));
+}
+
+#[test]
+fn constant_int_arithmetic_reaching_the_nil_overflows() {
+    let mut c = Connection::new();
+    let err = c.query("SELECT -2147483647 - 1").unwrap_err().to_string();
+    assert!(err.contains("int overflow"), "{err}");
+}
+
+#[test]
+fn constant_cast_to_the_int_nil_is_out_of_range() {
+    let mut c = Connection::new();
+    let err = c
+        .query("SELECT CAST(-2147483648.0 AS INT)")
+        .unwrap_err()
+        .to_string();
+    assert!(err.contains("cannot cast -2147483648.0 to int"), "{err}");
+    let ok = c.query("SELECT CAST(-2147483647.0 AS INT)").unwrap();
+    assert_eq!(ok.scalar().unwrap(), Value::Int(-2147483647));
+}
+
+#[test]
+fn bigint_column_arithmetic_reaching_the_nil_overflows() {
+    let mut c = Connection::new();
+    c.execute("CREATE TABLE b (a BIGINT)").unwrap();
+    c.execute("INSERT INTO b VALUES (-9223372036854775807)")
+        .unwrap();
+    let err = c.query("SELECT a - 1 FROM b").unwrap_err().to_string();
+    assert!(err.contains("integer overflow"), "{err}");
+    let ok = c.query("SELECT a + 1 FROM b").unwrap();
+    assert_eq!(ok.scalar().unwrap(), Value::Lng(-9223372036854775806));
+}

@@ -6,7 +6,8 @@
 //! division by zero raise [`crate::GdkError::Arithmetic`], as MonetDB does.
 
 use crate::bat::{Bat, ColumnData};
-use crate::types::{dbl_nil, is_dbl_nil, ScalarType, BIT_NIL, INT_NIL, LNG_NIL};
+use crate::strheap::STR_NIL_IDX;
+use crate::types::{is_dbl_nil, ScalarType, BIT_NIL, INT_NIL, LNG_NIL, OID_NIL};
 use crate::value::Value;
 use crate::{GdkError, Result};
 use std::borrow::Cow;
@@ -132,7 +133,9 @@ pub(crate) fn common_len(a: &Operand<'_>, b: &Operand<'_>) -> Result<usize> {
 }
 
 /// Scalar-level arithmetic with SQL nil semantics (used by the fallback
-/// path and by the expression interpreter for constants).
+/// path and by the expression interpreter for constants). An integral
+/// result equal to its type's nil sentinel is an overflow, as in the
+/// column kernels: the sentinel is never a value.
 pub fn scalar_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
     if a.is_null() || b.is_null() {
         return Ok(Value::Null);
@@ -156,8 +159,10 @@ pub fn scalar_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value> {
             let r = lng_op(op, a.as_i64().unwrap(), b.as_i64().unwrap())?;
             if rt == ScalarType::Int {
                 i32::try_from(r)
+                    .ok()
+                    .filter(|&r| r != INT_NIL)
                     .map(Value::Int)
-                    .map_err(|_| GdkError::arithmetic("int overflow"))
+                    .ok_or_else(|| GdkError::arithmetic("int overflow"))
             } else {
                 Ok(Value::Lng(r))
             }
@@ -185,6 +190,7 @@ fn lng_op(op: BinOp, x: i64, y: i64) -> Result<i64> {
             x.checked_rem(y)
         }
     }
+    .filter(|&r| r != LNG_NIL)
     .ok_or_else(|| GdkError::arithmetic("integer overflow"))
 }
 
@@ -213,34 +219,89 @@ fn dbl_op(op: BinOp, x: f64, y: f64) -> Result<f64> {
 // ---------------------------------------------------------------------
 // Typed slice kernels
 // ---------------------------------------------------------------------
+//
+// One monomorphised loop per (operator, cell type, operand shape). A loop
+// has no branch, no `Result` and no `Value` per cell: it computes every
+// row (wrapping), selects the nil where a column cell is nil and ORs a
+// per-row "out of range" flag over the non-nil rows. A window whose flag
+// is set replays the same cell function to find its first failing row
+// and raises that row's error, so errors are the ones a checked serial
+// scan raises.
 
 /// Cell type of the typed slice kernels (`int`, `lng`, `dbl`).
-trait Num: Copy + Default + Send + Sync {
+trait Num: Copy + Default + PartialOrd + Send + Sync {
     /// The in-band nil.
     const NIL: Self;
+    /// The error of an out-of-range result.
+    const OVERFLOW: &'static str;
     fn is_nil(self) -> bool;
-    /// `x op y` for non-nil operands.
-    fn apply(op: BinOp, x: Self, y: Self) -> Result<Self>;
-    /// Exact integral view; `None` for `dbl`.
-    fn as_i64(self) -> Option<i64>;
-    fn as_f64(self) -> f64;
+    /// Does a comparison with this cell have no answer (a NaN)?
+    fn unordered(self) -> bool;
+    // The cell functions: the wrapped result and whether it is out of
+    // range — overflowed, equal to the nil, or divided by zero.
+    fn add(x: Self, y: Self) -> (Self, bool);
+    fn sub(x: Self, y: Self) -> (Self, bool);
+    fn mul(x: Self, y: Self) -> (Self, bool);
+    fn div(x: Self, y: Self) -> (Self, bool);
+    fn rem(x: Self, y: Self) -> (Self, bool);
     fn into_bat(v: Vec<Self>) -> Bat;
+}
+
+/// Integral addition and subtraction: the wrapped result, which
+/// overflowed when it has the wrong sign (a form the loop vectorises).
+macro_rules! int_adds {
+    ($t:ty) => {
+        #[inline]
+        fn add(x: $t, y: $t) -> ($t, bool) {
+            let r = x.wrapping_add(y);
+            (r, (((x ^ r) & (y ^ r)) < 0) | (r == Self::NIL))
+        }
+        #[inline]
+        fn sub(x: $t, y: $t) -> ($t, bool) {
+            let r = x.wrapping_sub(y);
+            (r, (((x ^ y) & (x ^ r)) < 0) | (r == Self::NIL))
+        }
+    };
+}
+
+/// Integral division and remainder: a zero divisor is replaced by 1 so
+/// the row computes something, and flagged.
+macro_rules! int_divs {
+    ($t:ty) => {
+        #[inline]
+        fn div(x: $t, y: $t) -> ($t, bool) {
+            let (r, o) = x.overflowing_div(if y == 0 { 1 } else { y });
+            (r, (y == 0) | o | (r == Self::NIL))
+        }
+        #[inline]
+        fn rem(x: $t, y: $t) -> ($t, bool) {
+            let (r, o) = x.overflowing_rem(if y == 0 { 1 } else { y });
+            (r, (y == 0) | o | (r == Self::NIL))
+        }
+    };
 }
 
 impl Num for i32 {
     const NIL: i32 = INT_NIL;
+    const OVERFLOW: &'static str = "int overflow";
+    #[inline]
     fn is_nil(self) -> bool {
         self == INT_NIL
     }
-    fn apply(op: BinOp, x: i32, y: i32) -> Result<i32> {
-        int_op(op, x, y)
+    #[inline]
+    fn unordered(self) -> bool {
+        false
     }
-    fn as_i64(self) -> Option<i64> {
-        Some(self as i64)
+    int_adds!(i32);
+    #[inline]
+    fn mul(x: i32, y: i32) -> (i32, bool) {
+        let r = i64::from(x) * i64::from(y);
+        (
+            r as i32,
+            (r <= i64::from(INT_NIL)) | (r > i64::from(i32::MAX)),
+        )
     }
-    fn as_f64(self) -> f64 {
-        self as f64
-    }
+    int_divs!(i32);
     fn into_bat(v: Vec<i32>) -> Bat {
         Bat::from_ints(v)
     }
@@ -248,18 +309,22 @@ impl Num for i32 {
 
 impl Num for i64 {
     const NIL: i64 = LNG_NIL;
+    const OVERFLOW: &'static str = "integer overflow";
+    #[inline]
     fn is_nil(self) -> bool {
         self == LNG_NIL
     }
-    fn apply(op: BinOp, x: i64, y: i64) -> Result<i64> {
-        lng_op(op, x, y)
+    #[inline]
+    fn unordered(self) -> bool {
+        false
     }
-    fn as_i64(self) -> Option<i64> {
-        Some(self)
+    int_adds!(i64);
+    #[inline]
+    fn mul(x: i64, y: i64) -> (i64, bool) {
+        let (r, o) = x.overflowing_mul(y);
+        (r, o | (r == LNG_NIL))
     }
-    fn as_f64(self) -> f64 {
-        self as f64
-    }
+    int_divs!(i64);
     fn into_bat(v: Vec<i64>) -> Bat {
         Bat::from_lngs(v)
     }
@@ -267,22 +332,59 @@ impl Num for i64 {
 
 impl Num for f64 {
     const NIL: f64 = f64::NAN;
+    /// Never raised: the `dbl` cell functions flag only zero divisors.
+    const OVERFLOW: &'static str = "dbl overflow";
+    #[inline]
     fn is_nil(self) -> bool {
         is_dbl_nil(self)
     }
-    fn apply(op: BinOp, x: f64, y: f64) -> Result<f64> {
-        dbl_op(op, x, y)
+    #[inline]
+    fn unordered(self) -> bool {
+        self.is_nan()
     }
-    fn as_i64(self) -> Option<i64> {
-        None
+    #[inline]
+    fn add(x: f64, y: f64) -> (f64, bool) {
+        (x + y, false)
     }
-    fn as_f64(self) -> f64 {
-        self
+    #[inline]
+    fn sub(x: f64, y: f64) -> (f64, bool) {
+        (x - y, false)
+    }
+    #[inline]
+    fn mul(x: f64, y: f64) -> (f64, bool) {
+        (x * y, false)
+    }
+    #[inline]
+    fn div(x: f64, y: f64) -> (f64, bool) {
+        (x / y, y == 0.0)
+    }
+    #[inline]
+    fn rem(x: f64, y: f64) -> (f64, bool) {
+        (x % y, y == 0.0)
     }
     fn into_bat(v: Vec<f64>) -> Bat {
         Bat::from_dbls(v)
     }
 }
+
+/// A cell type that widens into `T` for a mixed-width kernel: the value
+/// promotion of [`scalar_binop`] and [`Value::sql_cmp`]. A nil is read on
+/// the narrow side, before widening.
+trait Lift<T>: Num {
+    fn lift(self) -> T;
+}
+
+macro_rules! lifts {
+    ($($from:ty => $to:ty),*) => {$(
+        impl Lift<$to> for $from {
+            #[inline]
+            fn lift(self) -> $to {
+                self as $to
+            }
+        }
+    )*};
+}
+lifts!(i32 => i32, i32 => i64, i32 => f64, i64 => i64, i64 => f64, f64 => f64);
 
 /// One operand of a typed slice kernel. Only column cells carry in-band
 /// nils: a scalar is a number even when it equals the sentinel
@@ -293,11 +395,18 @@ enum Side<'a, T> {
     Scalar(T),
 }
 
-impl<T: Copy> Side<'_, T> {
+impl<T: Num> Side<'_, T> {
     fn window(self, r: &Range<usize>) -> Self {
         match self {
             Side::Col(v) => Side::Col(&v[r.clone()]),
             scalar => scalar,
+        }
+    }
+    /// Row `i` and whether it is nil.
+    fn at(self, i: usize) -> (T, bool) {
+        match self {
+            Side::Col(v) => (v[i], v[i].is_nil()),
+            Side::Scalar(x) => (x, false),
         }
     }
 }
@@ -325,65 +434,130 @@ fn num_side(o: Operand<'_>) -> Option<NumSide<'_>> {
     })
 }
 
-/// The slice kernel: `out[i] = f(a[i], b[i])`, `nil` where a column cell
-/// is nil. `out` is as long as the column windows.
-fn zip_into<A: Num, B: Num, O: Copy>(
+/// A kernel over two numeric operands, run at their promoted cell type.
+trait PairKernel {
+    type Out;
+    fn run<A: Lift<T>, B: Lift<T>, T: Num>(self, a: Side<'_, A>, b: Side<'_, B>) -> Self::Out;
+}
+
+/// Run `kernel` at the promoted type of `a` and `b`: `int` with `int`,
+/// `lng` with `int` or `lng`, `dbl` with anything.
+fn promoted<K: PairKernel>(kernel: K, a: NumSide<'_>, b: NumSide<'_>) -> K::Out {
+    use NumSide::{Dbl, Int, Lng};
+    match (a, b) {
+        (Int(a), Int(b)) => kernel.run::<_, _, i32>(a, b),
+        (Int(a), Lng(b)) => kernel.run::<_, _, i64>(a, b),
+        (Lng(a), Int(b)) => kernel.run::<_, _, i64>(a, b),
+        (Lng(a), Lng(b)) => kernel.run::<_, _, i64>(a, b),
+        (Int(a), Dbl(b)) => kernel.run::<_, _, f64>(a, b),
+        (Lng(a), Dbl(b)) => kernel.run::<_, _, f64>(a, b),
+        (Dbl(a), Int(b)) => kernel.run::<_, _, f64>(a, b),
+        (Dbl(a), Lng(b)) => kernel.run::<_, _, f64>(a, b),
+        (Dbl(a), Dbl(b)) => kernel.run::<_, _, f64>(a, b),
+    }
+}
+
+/// The slice loop of every element-wise kernel: `cell(out[i], nil, x, y)`
+/// per row, where `nil` says a column cell of the row is nil. One loop
+/// per operand shape, so a scalar is lifted once.
+#[inline]
+fn zip_rows<A: Lift<T>, B: Lift<T>, T: Num, O>(
     a: Side<'_, A>,
     b: Side<'_, B>,
-    nil: O,
     out: &mut [O],
-    f: impl Fn(A, B) -> Result<O>,
-) -> Result<()> {
+    mut cell: impl FnMut(&mut O, bool, T, T),
+) {
     match (a, b) {
         (Side::Col(xs), Side::Col(ys)) => {
             for ((o, &x), &y) in out.iter_mut().zip(xs).zip(ys) {
-                *o = if x.is_nil() || y.is_nil() {
-                    nil
-                } else {
-                    f(x, y)?
-                };
+                cell(o, x.is_nil() | y.is_nil(), x.lift(), y.lift());
             }
         }
         (Side::Col(xs), Side::Scalar(y)) => {
+            let y = y.lift();
             for (o, &x) in out.iter_mut().zip(xs) {
-                *o = if x.is_nil() { nil } else { f(x, y)? };
+                cell(o, x.is_nil(), x.lift(), y);
             }
         }
         (Side::Scalar(x), Side::Col(ys)) => {
+            let x = x.lift();
             for (o, &y) in out.iter_mut().zip(ys) {
-                *o = if y.is_nil() { nil } else { f(x, y)? };
+                cell(o, y.is_nil(), x, y.lift());
             }
         }
         (Side::Scalar(_), Side::Scalar(_)) => {
             unreachable!("element-wise kernels take at least one column")
         }
     }
-    Ok(())
 }
 
-/// [`zip_into`] over `k` windows of one fresh `n`-long output.
-fn zip_windows<A: Num, B: Num, O: Copy + Default + Send + Sync>(
+/// Arithmetic over `k` windows of one fresh `n`-long output.
+struct Arith {
+    op: BinOp,
     n: usize,
     k: usize,
+}
+
+impl PairKernel for Arith {
+    type Out = Result<Bat>;
+    fn run<A: Lift<T>, B: Lift<T>, T: Num>(self, a: Side<'_, A>, b: Side<'_, B>) -> Result<Bat> {
+        let Arith { op, n, k } = self;
+        let out = match op {
+            BinOp::Add => arith_windows(op, a, b, n, k, T::add),
+            BinOp::Sub => arith_windows(op, a, b, n, k, T::sub),
+            BinOp::Mul => arith_windows(op, a, b, n, k, T::mul),
+            BinOp::Div => arith_windows(op, a, b, n, k, T::div),
+            BinOp::Mod => arith_windows(op, a, b, n, k, T::rem),
+        }?;
+        Ok(T::into_bat(out))
+    }
+}
+
+fn arith_windows<A: Lift<T>, B: Lift<T>, T: Num>(
+    op: BinOp,
     a: Side<'_, A>,
     b: Side<'_, B>,
-    nil: O,
-    f: impl Fn(A, B) -> Result<O> + Sync,
-) -> Result<Vec<O>> {
+    n: usize,
+    k: usize,
+    f: impl Fn(T, T) -> (T, bool) + Copy + Sync,
+) -> Result<Vec<T>> {
     crate::par::map_windows(n, k, |r, out| {
-        zip_into(a.window(&r), b.window(&r), nil, out, &f)
+        let (a, b) = (a.window(&r), b.window(&r));
+        let mut bad = false;
+        zip_rows(a, b, out, |o, nil, x, y| {
+            let (v, e) = f(x, y);
+            bad |= !nil & e;
+            *o = if nil { T::NIL } else { v };
+        });
+        if bad {
+            return Err(first_error(op, a, b, out.len(), f));
+        }
+        Ok(())
     })
 }
 
-fn typed_binop<T: Num>(
+/// The error of the first non-nil row `f` flags in a window: a zero
+/// divisor if that row has one, an overflow otherwise. Runs only once a
+/// window has failed.
+fn first_error<A: Lift<T>, B: Lift<T>, T: Num>(
     op: BinOp,
-    a: Side<'_, T>,
-    b: Side<'_, T>,
-    n: usize,
-    k: usize,
-) -> Result<(Bat, usize)> {
-    let out = zip_windows(n, k, a, b, T::NIL, |x, y| T::apply(op, x, y))?;
-    Ok((T::into_bat(out), k))
+    a: Side<'_, A>,
+    b: Side<'_, B>,
+    len: usize,
+    f: impl Fn(T, T) -> (T, bool),
+) -> GdkError {
+    let divisor = (0..len)
+        .find_map(|i| {
+            let ((x, xn), (y, yn)) = (a.at(i), b.at(i));
+            let (x, y) = (x.lift(), y.lift());
+            (!xn && !yn && f(x, y).1).then_some(y)
+        })
+        .expect("a flagged window has a failing row");
+    GdkError::arithmetic(match op {
+        BinOp::Div if divisor == T::default() => "division by zero",
+        BinOp::Mod if divisor == T::default() => "modulo by zero",
+        _ => T::OVERFLOW,
+    })
 }
 
 /// Element-wise binary arithmetic with broadcasting.
@@ -414,22 +588,17 @@ pub(crate) fn binop_windows(
         (None, None) => return Err(GdkError::type_mismatch("untyped operands")),
     };
 
-    // Same-typed numeric operands (dimension arithmetic is the hot loop
-    // of tiling) run the typed slice kernel.
-    match (num_side(a), num_side(b)) {
-        (Some(NumSide::Int(x)), Some(NumSide::Int(y))) => {
-            // The one scalar sentinel that *is* nil: `int` ⊕ INT_NIL.
-            if matches!(x, Side::Scalar(INT_NIL)) || matches!(y, Side::Scalar(INT_NIL)) {
-                return Ok((Bat::from_ints(vec![INT_NIL; len]), 1));
-            }
-            return typed_binop(op, x, y, len, k);
+    if let (Some(x), Some(y)) = (num_side(a), num_side(b)) {
+        // The one scalar sentinel that *is* nil: `int` ⊕ INT_NIL.
+        if let (NumSide::Int(_), NumSide::Int(Side::Scalar(INT_NIL)))
+        | (NumSide::Int(Side::Scalar(INT_NIL)), NumSide::Int(_)) = (x, y)
+        {
+            return Ok((Bat::from_ints(vec![INT_NIL; len]), 1));
         }
-        (Some(NumSide::Lng(x)), Some(NumSide::Lng(y))) => return typed_binop(op, x, y, len, k),
-        (Some(NumSide::Dbl(x)), Some(NumSide::Dbl(y))) => return typed_binop(op, x, y, len, k),
-        _ => {}
+        return Ok((promoted(Arith { op, n: len, k }, x, y)?, k));
     }
 
-    // Generic path: mixed widths, oid and void operands.
+    // Generic path: oid and void operands.
     let mut out = Bat::with_capacity(rt, len);
     for i in 0..len {
         let (x, y) = (a.value_at(i), b.value_at(i));
@@ -443,68 +612,46 @@ pub(crate) fn binop_windows(
     Ok((out, 1))
 }
 
-#[inline]
-fn int_op(op: BinOp, x: i32, y: i32) -> Result<i32> {
-    let r = match op {
-        BinOp::Add => x.checked_add(y),
-        BinOp::Sub => x.checked_sub(y),
-        BinOp::Mul => x.checked_mul(y),
-        BinOp::Div => {
-            if y == 0 {
-                return Err(GdkError::arithmetic("division by zero"));
-            }
-            x.checked_div(y)
-        }
-        BinOp::Mod => {
-            if y == 0 {
-                return Err(GdkError::arithmetic("modulo by zero"));
-            }
-            x.checked_rem(y)
-        }
-    }
-    .ok_or_else(|| GdkError::arithmetic("int overflow"))?;
-    if r == INT_NIL {
-        return Err(GdkError::arithmetic("int overflow"));
-    }
-    Ok(r)
-}
-
-/// Exact ordering of two numeric cells: integral pairs compare as `i64`
-/// (`f64` has 53 bits of mantissa), anything involving a `dbl` as `f64`
-/// (`None` for a NaN scalar). Agrees with [`Value::sql_cmp`].
-#[inline]
-fn num_cmp<A: Num, B: Num>(x: A, y: B) -> Option<std::cmp::Ordering> {
-    match (x.as_i64(), y.as_i64()) {
-        (Some(x), Some(y)) => Some(x.cmp(&y)),
-        _ => x.as_f64().partial_cmp(&y.as_f64()),
-    }
-}
-
-fn typed_cmp<A: Num, B: Num>(
+/// Comparison over `k` windows of one fresh `n`-long `bit` output.
+struct Compare {
     op: CmpOp,
+    n: usize,
+    k: usize,
+}
+
+impl PairKernel for Compare {
+    type Out = Vec<i8>;
+    fn run<A: Lift<T>, B: Lift<T>, T: Num>(self, a: Side<'_, A>, b: Side<'_, B>) -> Vec<i8> {
+        let Compare { op, n, k } = self;
+        match op {
+            CmpOp::Eq => cmp_windows(a, b, n, k, |x: T, y: T| x == y),
+            CmpOp::Ne => cmp_windows(a, b, n, k, |x: T, y: T| x != y),
+            CmpOp::Lt => cmp_windows(a, b, n, k, |x: T, y: T| x < y),
+            CmpOp::Le => cmp_windows(a, b, n, k, |x: T, y: T| x <= y),
+            CmpOp::Gt => cmp_windows(a, b, n, k, |x: T, y: T| x > y),
+            CmpOp::Ge => cmp_windows(a, b, n, k, |x: T, y: T| x >= y),
+        }
+    }
+}
+
+/// `out[i] = holds(x, y)`, nil where a column cell is nil or a `dbl` is
+/// NaN. Agrees with [`Value::sql_cmp`]: integral pairs compare exactly,
+/// anything involving a `dbl` as `f64`.
+fn cmp_windows<A: Lift<T>, B: Lift<T>, T: Num>(
     a: Side<'_, A>,
     b: Side<'_, B>,
     n: usize,
     k: usize,
-) -> Result<Vec<i8>> {
-    zip_windows(n, k, a, b, BIT_NIL, |x, y| {
-        Ok(num_cmp(x, y).map_or(BIT_NIL, |ord| cmp_holds(op, ord) as i8))
-    })
-}
-
-/// [`typed_cmp`] once the right operand's cell type is resolved too.
-fn typed_cmp_rhs<A: Num>(
-    op: CmpOp,
-    a: Side<'_, A>,
-    b: NumSide<'_>,
-    n: usize,
-    k: usize,
-) -> Result<Vec<i8>> {
-    match b {
-        NumSide::Int(b) => typed_cmp(op, a, b, n, k),
-        NumSide::Lng(b) => typed_cmp(op, a, b, n, k),
-        NumSide::Dbl(b) => typed_cmp(op, a, b, n, k),
-    }
+    holds: impl Fn(T, T) -> bool + Sync,
+) -> Vec<i8> {
+    let out = crate::par::map_windows(n, k, |r, out| {
+        zip_rows(a.window(&r), b.window(&r), out, |o, nil, x, y| {
+            let nil = nil | x.unordered() | y.unordered();
+            *o = if nil { BIT_NIL } else { holds(x, y) as i8 };
+        });
+        Ok(())
+    });
+    out.expect("comparisons cannot fail")
 }
 
 /// Element-wise comparison, producing a `bit` BAT (nil where either side is
@@ -527,11 +674,7 @@ pub(crate) fn cmpop_windows(
         if let (NumSide::Int(Side::Col(_)), NumSide::Int(Side::Scalar(INT_NIL))) = (x, y) {
             return Ok((Bat::from_data(ColumnData::Bit(vec![BIT_NIL; len])), 1));
         }
-        let out = match x {
-            NumSide::Int(x) => typed_cmp_rhs(op, x, y, len, k),
-            NumSide::Lng(x) => typed_cmp_rhs(op, x, y, len, k),
-            NumSide::Dbl(x) => typed_cmp_rhs(op, x, y, len, k),
-        }?;
+        let out = promoted(Compare { op, n: len, k }, x, y);
         return Ok((Bat::from_data(ColumnData::Bit(out)), k));
     }
     // Generic path: strings, bits, oids, void columns, NULL scalars.
@@ -629,29 +772,39 @@ pub fn ifthenelse(mask: &Bat, then: Operand<'_>, otherwise: Operand<'_>) -> Resu
     Ok(out)
 }
 
+/// Is this `bit` cell true (not false, not nil)?
+#[inline]
+fn is_true(x: i8) -> bool {
+    (x != 0) & (x != BIT_NIL)
+}
+
 /// Three-valued AND of two bit BATs.
 pub fn and(a: &Bat, b: &Bat) -> Result<Bat> {
-    bool_op(a, b, |x, y| match (x, y) {
-        (Some(false), _) | (_, Some(false)) => Some(false),
-        (Some(true), Some(true)) => Some(true),
-        _ => None,
+    bool_op(a, b, |x, y| {
+        if (x == 0) | (y == 0) {
+            0
+        } else if (x == BIT_NIL) | (y == BIT_NIL) {
+            BIT_NIL
+        } else {
+            1
+        }
     })
 }
 
 /// Three-valued OR of two bit BATs.
 pub fn or(a: &Bat, b: &Bat) -> Result<Bat> {
-    bool_op(a, b, |x, y| match (x, y) {
-        (Some(true), _) | (_, Some(true)) => Some(true),
-        (Some(false), Some(false)) => Some(false),
-        _ => None,
+    bool_op(a, b, |x, y| {
+        if is_true(x) | is_true(y) {
+            1
+        } else if (x == BIT_NIL) | (y == BIT_NIL) {
+            BIT_NIL
+        } else {
+            0
+        }
     })
 }
 
-fn bool_op(
-    a: &Bat,
-    b: &Bat,
-    f: impl Fn(Option<bool>, Option<bool>) -> Option<bool>,
-) -> Result<Bat> {
+fn bool_op(a: &Bat, b: &Bat, f: impl Fn(i8, i8) -> i8) -> Result<Bat> {
     let (av, bv) = match (a.as_bits(), b.as_bits()) {
         (Some(x), Some(y)) => (x, y),
         _ => return Err(GdkError::type_mismatch("boolean op expects bit BATs")),
@@ -659,21 +812,7 @@ fn bool_op(
     if av.len() != bv.len() {
         return Err(GdkError::invalid("boolean op on misaligned columns"));
     }
-    let to_opt = |x: i8| {
-        if x == BIT_NIL {
-            None
-        } else {
-            Some(x != 0)
-        }
-    };
-    let out: Vec<i8> = av
-        .iter()
-        .zip(bv)
-        .map(|(&x, &y)| match f(to_opt(x), to_opt(y)) {
-            None => BIT_NIL,
-            Some(b) => b as i8,
-        })
-        .collect();
+    let out = av.iter().zip(bv).map(|(&x, &y)| f(x, y)).collect();
     Ok(Bat::from_data(ColumnData::Bit(out)))
 }
 
@@ -691,123 +830,54 @@ pub fn not(a: &Bat) -> Result<Bat> {
 
 /// `IS NULL` as a bit BAT (never nil itself).
 pub fn isnull(a: &Bat) -> Bat {
-    Bat::from_data(ColumnData::Bit(
-        (0..a.len()).map(|i| a.is_nil_at(i) as i8).collect(),
-    ))
+    fn mask<T: Copy + PartialEq>(v: &[T], nil: T) -> Vec<i8> {
+        v.iter().map(|&x| i8::from(x == nil)).collect()
+    }
+    let out = match a.data() {
+        ColumnData::Void { len, .. } => vec![0; *len],
+        ColumnData::Bit(v) => mask(v, BIT_NIL),
+        ColumnData::Int(v) => mask(v, INT_NIL),
+        ColumnData::Lng(v) => mask(v, LNG_NIL),
+        ColumnData::Dbl(v) => v.iter().map(|&x| i8::from(is_dbl_nil(x))).collect(),
+        ColumnData::Oid(v) => mask(v, OID_NIL),
+        ColumnData::Str { idx, .. } => mask(idx, STR_NIL_IDX),
+    };
+    Bat::from_data(ColumnData::Bit(out))
 }
 
-/// Unary numeric negation.
+/// Unary numeric negation. It cannot overflow: the one integer whose
+/// negation does not fit is the nil, which wraps to itself.
 pub fn neg(a: &Bat) -> Result<Bat> {
     match a.data() {
-        ColumnData::Int(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            for &x in v {
-                if x == INT_NIL {
-                    out.push(INT_NIL);
-                } else {
-                    out.push(
-                        x.checked_neg()
-                            .filter(|&r| r != INT_NIL)
-                            .ok_or_else(|| GdkError::arithmetic("int overflow"))?,
-                    );
-                }
-            }
-            Ok(Bat::from_ints(out))
-        }
-        ColumnData::Lng(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            for &x in v {
-                if x == LNG_NIL {
-                    out.push(LNG_NIL);
-                } else {
-                    out.push(
-                        x.checked_neg()
-                            .filter(|&r| r != LNG_NIL)
-                            .ok_or_else(|| GdkError::arithmetic("lng overflow"))?,
-                    );
-                }
-            }
-            Ok(Bat::from_lngs(out))
-        }
+        ColumnData::Int(v) => Ok(Bat::from_ints(v.iter().map(|x| x.wrapping_neg()).collect())),
+        ColumnData::Lng(v) => Ok(Bat::from_lngs(v.iter().map(|x| x.wrapping_neg()).collect())),
         ColumnData::Dbl(v) => Ok(Bat::from_dbls(v.iter().map(|&x| -x).collect())),
         _ => Err(GdkError::type_mismatch("negation on non-numeric column")),
     }
 }
 
-/// Absolute value.
+/// Absolute value; like [`neg`], it cannot overflow.
 pub fn abs(a: &Bat) -> Result<Bat> {
     match a.data() {
-        ColumnData::Int(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            for &x in v {
-                if x == INT_NIL {
-                    out.push(INT_NIL);
-                } else {
-                    out.push(
-                        x.checked_abs()
-                            .ok_or_else(|| GdkError::arithmetic("int overflow"))?,
-                    );
-                }
-            }
-            Ok(Bat::from_ints(out))
-        }
-        ColumnData::Lng(v) => {
-            let mut out = Vec::with_capacity(v.len());
-            for &x in v {
-                if x == LNG_NIL {
-                    out.push(LNG_NIL);
-                } else {
-                    out.push(
-                        x.checked_abs()
-                            .ok_or_else(|| GdkError::arithmetic("lng overflow"))?,
-                    );
-                }
-            }
-            Ok(Bat::from_lngs(out))
-        }
+        ColumnData::Int(v) => Ok(Bat::from_ints(v.iter().map(|x| x.wrapping_abs()).collect())),
+        ColumnData::Lng(v) => Ok(Bat::from_lngs(v.iter().map(|x| x.wrapping_abs()).collect())),
         ColumnData::Dbl(v) => Ok(Bat::from_dbls(v.iter().map(|&x| x.abs()).collect())),
         _ => Err(GdkError::type_mismatch("abs on non-numeric column")),
     }
 }
 
-/// Cast a whole column to another type.
+/// Cast a whole column to another type, every cell as [`Value::cast`]
+/// casts it (the typed loops of [`Bat::coerced`]). The first cell that
+/// does not convert names itself in the error; a `dbl` out of `int` range
+/// raises "cast out of int range".
 pub fn cast_bat(a: &Bat, to: ScalarType) -> Result<Bat> {
-    if a.tail_type() == to && !a.is_dense() {
-        return Ok(a.clone());
-    }
-    // Int→Dbl fast path.
-    if let (ColumnData::Int(v), ScalarType::Dbl) = (a.data(), to) {
-        return Ok(Bat::from_dbls(
-            v.iter()
-                .map(|&x| if x == INT_NIL { dbl_nil() } else { x as f64 })
-                .collect(),
-        ));
-    }
-    // Dbl→Int fast path (rounding).
-    if let (ColumnData::Dbl(v), ScalarType::Int) = (a.data(), to) {
-        let mut out = Vec::with_capacity(v.len());
-        for &x in v {
-            if is_dbl_nil(x) {
-                out.push(INT_NIL);
-            } else {
-                let r = x.round();
-                if r < i32::MIN as f64 + 1.0 || r > i32::MAX as f64 {
-                    return Err(GdkError::arithmetic("cast out of int range"));
-                }
-                out.push(r as i32);
-            }
+    a.coerced(to).map(Cow::into_owned).map_err(|row| {
+        if (a.tail_type(), to) == (ScalarType::Dbl, ScalarType::Int) {
+            GdkError::arithmetic("cast out of int range")
+        } else {
+            GdkError::type_mismatch(format!("cannot cast {} to {to}", a.get(row)))
         }
-        return Ok(Bat::from_ints(out));
-    }
-    let mut out = Bat::with_capacity(to, a.len());
-    for i in 0..a.len() {
-        let v = a.get(i);
-        let c = v
-            .cast(to)
-            .ok_or_else(|| GdkError::type_mismatch(format!("cannot cast {v} to {to}")))?;
-        out.push(&c)?;
-    }
-    Ok(out)
+    })
 }
 
 #[cfg(test)]

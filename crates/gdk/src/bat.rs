@@ -15,6 +15,7 @@ use crate::value::Value;
 use crate::zonemap::ZoneMap;
 use crate::{GdkError, Result};
 use std::borrow::Cow;
+use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 /// Physical tail storage of a BAT.
@@ -546,51 +547,92 @@ impl Bat {
     /// This column as tail type `ty`, every cell converted the way
     /// [`Value::cast`] converts it and nils kept nil: borrowed when no
     /// conversion is needed, `Err(row)` for the first cell that does not
-    /// fit. The numeric pairs run as typed slice loops; the rest (strings,
-    /// oids, void columns) convert boxed values.
+    /// fit. Every pair of `bit`/`int`/`lng`/`dbl`/`oid`/void columns runs
+    /// as a typed slice loop — a pair `Value::cast` does not define fails
+    /// on its first non-nil cell. Only strings convert boxed values.
     pub fn coerced(&self, ty: ScalarType) -> std::result::Result<Cow<'_, Bat>, usize> {
         if self.tail_type() == ty && !self.is_dense() {
             return Ok(Cow::Borrowed(self));
         }
         use ScalarType as T;
         let (int_nil, lng_nil, bit_nil) = (|x| x == INT_NIL, |x| x == LNG_NIL, |x| x == BIT_NIL);
-        // `Value::cast` rounds a `dbl` before range-checking it.
-        let dbl_to =
-            |lo: f64, hi: f64| move |x: f64| Some(x.round()).filter(|r| *r >= lo && *r <= hi);
+        let (oid_nil, dbl_nil_at) = (|x| x == OID_NIL, is_dbl_nil);
+        // A computed `int`/`lng` equal to its nil sentinel is out of range.
+        let to_int = |x: i64| {
+            (
+                x as i32,
+                (x <= i64::from(INT_NIL)) | (x > i64::from(i32::MAX)),
+            )
+        };
+        let oid_to_lng = |x: Oid| (x as i64, x > i64::MAX as Oid);
+        let oid_to_int = |x: Oid| (x as i32, x > i32::MAX as Oid);
+        // `Value::cast` rounds a `dbl` before range-checking it; the bounds
+        // exclude the nil and `2^63`, which `i64` cannot hold.
+        let dbl_to_int = |x: f64| {
+            let r = x.round();
+            (
+                r as i32,
+                !((r > f64::from(INT_NIL)) & (r <= f64::from(i32::MAX))),
+            )
+        };
+        let dbl_to_lng = |x: f64| {
+            let r = x.round();
+            (r as i64, !((r > LNG_NIL as f64) & (r < i64::MAX as f64)))
+        };
         let data = match (&self.data, ty) {
             (ColumnData::Int(v), T::Lng) => {
-                ColumnData::Lng(convert(v, int_nil, LNG_NIL, |x| Some(i64::from(x)))?)
+                ColumnData::Lng(convert(v, int_nil, LNG_NIL, |x| (i64::from(x), false))?)
             }
             (ColumnData::Int(v), T::Dbl) => {
-                ColumnData::Dbl(convert(v, int_nil, dbl_nil(), |x| Some(f64::from(x)))?)
+                ColumnData::Dbl(convert(v, int_nil, dbl_nil(), |x| (f64::from(x), false))?)
             }
             (ColumnData::Int(v), T::Bit) => {
-                ColumnData::Bit(convert(v, int_nil, BIT_NIL, |x| Some(i8::from(x != 0)))?)
+                ColumnData::Bit(convert(v, int_nil, BIT_NIL, |x| (i8::from(x != 0), false))?)
             }
-            (ColumnData::Lng(v), T::Int) => {
-                ColumnData::Int(convert(v, lng_nil, INT_NIL, |x| i32::try_from(x).ok())?)
+            (ColumnData::Int(v), T::OidT) => {
+                ColumnData::Oid(convert(v, int_nil, OID_NIL, |x| (x as Oid, x < 0))?)
             }
+            (ColumnData::Lng(v), T::Int) => ColumnData::Int(convert(v, lng_nil, INT_NIL, to_int)?),
             (ColumnData::Lng(v), T::Dbl) => {
-                ColumnData::Dbl(convert(v, lng_nil, dbl_nil(), |x| Some(x as f64))?)
+                ColumnData::Dbl(convert(v, lng_nil, dbl_nil(), |x| (x as f64, false))?)
+            }
+            (ColumnData::Lng(v), T::OidT) => {
+                ColumnData::Oid(convert(v, lng_nil, OID_NIL, |x| (x as Oid, x < 0))?)
             }
             (ColumnData::Dbl(v), T::Int) => {
-                let fits = dbl_to(i32::MIN as f64, i32::MAX as f64);
-                ColumnData::Int(convert(v, is_dbl_nil, INT_NIL, |x| {
-                    fits(x).map(|r| r as i32)
-                })?)
+                ColumnData::Int(convert(v, dbl_nil_at, INT_NIL, dbl_to_int)?)
             }
             (ColumnData::Dbl(v), T::Lng) => {
-                let fits = dbl_to(i64::MIN as f64, i64::MAX as f64);
-                ColumnData::Lng(convert(v, is_dbl_nil, LNG_NIL, |x| {
-                    fits(x).map(|r| r as i64)
-                })?)
+                ColumnData::Lng(convert(v, dbl_nil_at, LNG_NIL, dbl_to_lng)?)
             }
-            (ColumnData::Bit(v), T::Int) => {
-                ColumnData::Int(convert(v, bit_nil, INT_NIL, |x| Some(i32::from(x != 0)))?)
+            (ColumnData::Bit(v), T::Int) => ColumnData::Int(convert(v, bit_nil, INT_NIL, |x| {
+                (i32::from(x != 0), false)
+            })?),
+            (ColumnData::Bit(v), T::Lng) => ColumnData::Lng(convert(v, bit_nil, LNG_NIL, |x| {
+                (i64::from(x != 0), false)
+            })?),
+            (ColumnData::Oid(v), T::Int) => {
+                ColumnData::Int(convert(v, oid_nil, INT_NIL, oid_to_int)?)
             }
-            (ColumnData::Bit(v), T::Lng) => {
-                ColumnData::Lng(convert(v, bit_nil, LNG_NIL, |x| Some(i64::from(x != 0)))?)
+            (ColumnData::Oid(v), T::Lng) => {
+                ColumnData::Lng(convert(v, oid_nil, LNG_NIL, oid_to_lng)?)
             }
+            (ColumnData::Oid(v), T::Dbl) => {
+                ColumnData::Dbl(convert(v, oid_nil, dbl_nil(), |x| (x as f64, false))?)
+            }
+            (ColumnData::Void { .. }, T::OidT | T::Int | T::Lng | T::Dbl | T::Bit) => {
+                return self
+                    .materialise()
+                    .coerced(ty)
+                    .map(|b| Cow::Owned(b.into_owned()));
+            }
+            // Pairs `Value::cast` does not define: every non-nil cell fails.
+            (ColumnData::Lng(v), T::Bit) => ColumnData::Bit(undefined(v, lng_nil, BIT_NIL)?),
+            (ColumnData::Dbl(v), T::Bit) => ColumnData::Bit(undefined(v, dbl_nil_at, BIT_NIL)?),
+            (ColumnData::Dbl(v), T::OidT) => ColumnData::Oid(undefined(v, dbl_nil_at, OID_NIL)?),
+            (ColumnData::Bit(v), T::Dbl) => ColumnData::Dbl(undefined(v, bit_nil, dbl_nil())?),
+            (ColumnData::Bit(v), T::OidT) => ColumnData::Oid(undefined(v, bit_nil, OID_NIL)?),
+            (ColumnData::Oid(v), T::Bit) => ColumnData::Bit(undefined(v, oid_nil, BIT_NIL)?),
             _ => {
                 let mut out = Bat::with_capacity(ty, self.len());
                 for i in 0..self.len() {
@@ -720,35 +762,102 @@ impl TailWrite<'_> {
 
 /// `idx` (indices into `from`) as indices into `heap`, interning each
 /// distinct string the first time it appears — the order a cell-by-cell
-/// copy would intern them in.
+/// copy would intern them in. The memo of strings already interned is as
+/// large as the smaller of `from` and `idx`.
 fn reintern(idx: &[u32], from: &StrHeap, heap: &mut StrHeap) -> Vec<u32> {
-    let mut map = vec![STR_NIL_IDX; from.distinct()];
-    idx.iter()
-        .map(|&i| match from.get(i) {
-            None => STR_NIL_IDX,
-            Some(s) => {
-                let m = &mut map[i as usize];
+    let mut intern = |i: u32| heap.intern(from.get(i).expect("a non-nil index"));
+    if from.distinct() <= idx.len() {
+        let mut memo = vec![STR_NIL_IDX; from.distinct()];
+        idx.iter()
+            .map(|&i| {
+                if i == STR_NIL_IDX {
+                    return i;
+                }
+                let m = &mut memo[i as usize];
                 if *m == STR_NIL_IDX {
-                    *m = heap.intern(s);
+                    *m = intern(i);
                 }
                 *m
-            }
-        })
-        .collect()
+            })
+            .collect()
+    } else {
+        let mut memo = HashMap::with_capacity(idx.len());
+        idx.iter()
+            .map(|&i| {
+                if i == STR_NIL_IDX {
+                    return i;
+                }
+                *memo.entry(i).or_insert_with(|| intern(i))
+            })
+            .collect()
+    }
 }
 
-/// Nil-preserving typed conversion; `Err(row)` for the first cell `f`
-/// rejects.
+/// A string column of the rows `idx` of a column with dictionary `heap`:
+/// sharing a copy of `heap` when the rows use every string in it, else
+/// with a heap of only the strings they use, so that a slice costs what
+/// its rows hold and not what the whole column holds.
+pub(crate) fn str_rows(idx: Vec<u32>, heap: &StrHeap) -> ColumnData {
+    let uses_all = idx.len() >= heap.distinct() && {
+        let mut used = vec![false; heap.distinct()];
+        for &i in &idx {
+            if i != STR_NIL_IDX {
+                used[i as usize] = true;
+            }
+        }
+        used.iter().all(|&u| u)
+    };
+    if uses_all {
+        return ColumnData::Str {
+            idx,
+            heap: heap.clone(),
+        };
+    }
+    let mut own = StrHeap::new();
+    let idx = reintern(&idx, heap, &mut own);
+    ColumnData::Str { idx, heap: own }
+}
+
+/// Nil-preserving typed conversion: `f` gives a cell's converted value
+/// and whether it is out of range. The loop has no branch per cell; a
+/// column with an out-of-range cell is scanned again for `Err(row)` of
+/// the first one.
 fn convert<S: Copy, T: Copy>(
     src: &[S],
     is_nil: impl Fn(S) -> bool,
     nil: T,
-    f: impl Fn(S) -> Option<T>,
+    f: impl Fn(S) -> (T, bool),
 ) -> std::result::Result<Vec<T>, usize> {
-    src.iter()
-        .enumerate()
-        .map(|(i, &x)| if is_nil(x) { Ok(nil) } else { f(x).ok_or(i) })
-        .collect()
+    let mut bad = false;
+    let out = src
+        .iter()
+        .map(|&x| {
+            let (nil_at, (v, e)) = (is_nil(x), f(x));
+            bad |= !nil_at & e;
+            if nil_at {
+                nil
+            } else {
+                v
+            }
+        })
+        .collect();
+    if bad {
+        return Err(src
+            .iter()
+            .position(|&x| !is_nil(x) && f(x).1)
+            .expect("a flagged conversion has a failing cell"));
+    }
+    Ok(out)
+}
+
+/// A conversion with no value mapping: all nils, or the first non-nil
+/// cell as the error.
+fn undefined<S: Copy, T: Copy>(
+    src: &[S],
+    is_nil: impl Fn(S) -> bool,
+    nil: T,
+) -> std::result::Result<Vec<T>, usize> {
+    convert(src, is_nil, nil, |_| (nil, true))
 }
 
 /// `values`, each repeated `n` times, the whole repeated `m` times.

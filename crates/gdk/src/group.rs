@@ -7,11 +7,10 @@
 
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
-use crate::join::hash_key;
-use crate::types::Oid;
+use crate::types::{Oid, BIT_NIL};
 use crate::{GdkError, Result};
 use std::collections::hash_map::{Entry, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Range;
 
 /// Result of a grouping pass.
@@ -37,21 +36,46 @@ impl Groups {
     }
 }
 
+/// The key of one row: its previous group id and its cell's canonical
+/// bits (see [`group_by_windows`]).
+pub(crate) type Key = (u64, u64);
+
+/// A multiplicative hasher for [`Key`]s: one multiply per word, the high
+/// half folded into the low bits the table indexes with.
+#[derive(Default)]
+pub(crate) struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+/// A map keyed by [`Key`]s.
+pub(crate) type KeyMap<V> = HashMap<Key, V, BuildHasherDefault<KeyHasher>>;
+
 /// Grouping of one window of rows: window-local group ids in
 /// first-occurrence order plus, per local group, its key and the oid of
 /// its first member. One window's grouping *is* the serial result;
 /// [`crate::par::group_windows`] renumbers several into one.
-pub(crate) struct LocalGroups<K> {
+pub(crate) struct LocalGroups {
     pub(crate) ids: Vec<u64>,
-    pub(crate) keys: Vec<K>,
+    pub(crate) keys: Vec<Key>,
     pub(crate) firsts: Vec<Oid>,
 }
 
-fn local_group<K: Hash + Eq + Clone>(
-    rows: Range<usize>,
-    key_at: impl Fn(usize) -> (K, Oid),
-) -> LocalGroups<K> {
-    let mut map: HashMap<K, u64> = HashMap::new();
+fn local_group(rows: Range<usize>, key_at: impl Fn(usize) -> (Key, Oid)) -> LocalGroups {
+    let mut map = KeyMap::default();
     let mut out = LocalGroups {
         ids: Vec::with_capacity(rows.len()),
         keys: Vec::new(),
@@ -62,7 +86,7 @@ fn local_group<K: Hash + Eq + Clone>(
         let g = match map.entry(key) {
             Entry::Occupied(e) => *e.get(),
             Entry::Vacant(e) => {
-                out.keys.push(e.key().clone());
+                out.keys.push(key);
                 out.firsts.push(oid);
                 *e.insert(out.firsts.len() as u64 - 1)
             }
@@ -70,6 +94,17 @@ fn local_group<K: Hash + Eq + Clone>(
         out.ids.push(g);
     }
     out
+}
+
+/// A `dbl` cell as a grouping key: equal values share a key (`-0.0` is
+/// `0.0`) and every NaN is the one nil.
+#[inline]
+fn dbl_key(x: f64) -> u64 {
+    if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        (x + 0.0).to_bits()
+    }
 }
 
 /// Group the tail of `b`, optionally restricted to `cand` and refining a
@@ -80,6 +115,12 @@ pub fn group_by(b: &Bat, cand: Option<&Candidates>, prev: Option<&Groups>) -> Re
 }
 
 /// [`group_by`] over `k` windows of rows.
+///
+/// Every row's key is its previous group id and one `u64` per cell, the
+/// cell's bits made canonical so that two cells share them exactly when
+/// they are equal and all nils share one: an integer's value, a `dbl`'s
+/// [`dbl_key`], a `bit`'s truth, a string's dictionary index (the heap
+/// holds each distinct string once).
 pub(crate) fn group_by_windows(
     b: &Bat,
     cand: Option<&Candidates>,
@@ -96,29 +137,30 @@ pub(crate) fn group_by_windows(
             )));
         }
     }
-    let oid_at = |i: usize| -> Oid {
-        match cand {
-            None => i as Oid,
-            Some(c) => c.get(i),
-        }
-    };
-    Ok(match (b.data(), prev) {
-        // Int fast path (dimension columns are ints).
-        (ColumnData::Int(vals), None) => crate::par::group_windows(n, k, |rows| {
-            local_group(rows, |i| {
-                let o = oid_at(i);
-                (vals[o as usize], o)
-            })
+    fn by(
+        rows: Range<usize>,
+        cand: Option<&Candidates>,
+        prev: Option<&Groups>,
+        cell_key: impl Fn(usize) -> u64,
+    ) -> LocalGroups {
+        local_group(rows, |i| {
+            let o = cand.map_or(i as Oid, |c| c.get(i));
+            let pg = prev.map_or(0, |p| p.ids[i]);
+            ((pg, cell_key(o as usize)), o)
+        })
+    }
+    Ok(crate::par::group_windows(n, k, |rows| match b.data() {
+        ColumnData::Void { seq, .. } => by(rows, cand, prev, |o| seq + o as Oid),
+        ColumnData::Bit(v) => by(rows, cand, prev, |o| match v[o] {
+            BIT_NIL => 2,
+            x => u64::from(x != 0),
         }),
-        // The key is the previous group id plus this column's value.
-        _ => crate::par::group_windows(n, k, |rows| {
-            local_group(rows, |i| {
-                let o = oid_at(i);
-                let pg = prev.map_or(0, |p| p.ids[i]);
-                ((pg, hash_key(&b.get(o as usize))), o)
-            })
-        }),
-    })
+        ColumnData::Int(v) => by(rows, cand, prev, |o| v[o] as u64),
+        ColumnData::Lng(v) => by(rows, cand, prev, |o| v[o] as u64),
+        ColumnData::Dbl(v) => by(rows, cand, prev, |o| dbl_key(v[o])),
+        ColumnData::Oid(v) => by(rows, cand, prev, |o| v[o]),
+        ColumnData::Str { idx, .. } => by(rows, cand, prev, |o| u64::from(idx[o])),
+    }))
 }
 
 #[cfg(test)]

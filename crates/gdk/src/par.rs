@@ -44,13 +44,11 @@ use crate::aggregate::{self, AggFunc};
 use crate::arith::{self, BinOp, CmpOp, Operand};
 use crate::bat::{Bat, ColumnData};
 use crate::candidates::Candidates;
-use crate::group::{Groups, LocalGroups};
+use crate::group::{Groups, KeyMap, LocalGroups};
 use crate::select;
 use crate::types::Oid;
 use crate::value::Value;
 use crate::{fused, group, Result};
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::ops::Range;
 
 /// Parallel execution configuration, threaded down from the session.
@@ -225,7 +223,7 @@ pub(crate) fn reduce_windows<S: Clone + Send>(
 /// Global ids are assigned in first-occurrence order: windows are visited
 /// in input order and window-local ids are already ordered by first
 /// occurrence, so the assignment order equals a serial scan's.
-fn merge_groups<K: Hash + Eq>(mut locals: Vec<LocalGroups<K>>, n: usize) -> Groups {
+fn merge_groups(mut locals: Vec<LocalGroups>, n: usize) -> Groups {
     if locals.len() == 1 {
         let only = locals.pop().expect("one window");
         return Groups {
@@ -234,7 +232,7 @@ fn merge_groups<K: Hash + Eq>(mut locals: Vec<LocalGroups<K>>, n: usize) -> Grou
             ids: only.ids,
         };
     }
-    let mut global: HashMap<K, u64> = HashMap::new();
+    let mut global = KeyMap::default();
     let mut extents: Vec<Oid> = Vec::new();
     let mut ids = Vec::with_capacity(n);
     for local in locals {
@@ -257,10 +255,10 @@ fn merge_groups<K: Hash + Eq>(mut locals: Vec<LocalGroups<K>>, n: usize) -> Grou
 }
 
 /// Window-local groupings of `[0, n)` over `k` windows, merged.
-pub(crate) fn group_windows<K: Hash + Eq + Send>(
+pub(crate) fn group_windows(
     n: usize,
     k: usize,
-    local: impl Fn(Range<usize>) -> LocalGroups<K> + Sync,
+    local: impl Fn(Range<usize>) -> LocalGroups + Sync,
 ) -> Groups {
     merge_groups(scatter(chunk_ranges(n, k), local), n)
 }

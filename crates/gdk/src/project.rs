@@ -4,7 +4,7 @@
 //! a candidate list (or any oid BAT), producing a new BAT aligned with the
 //! input order. This is MonetDB's workhorse for late materialisation.
 
-use crate::bat::{Bat, ColumnData};
+use crate::bat::{str_rows, Bat, ColumnData};
 use crate::candidates::Candidates;
 use crate::types::{Oid, OID_NIL};
 use crate::{GdkError, Result};
@@ -48,11 +48,7 @@ pub(crate) fn project_windows(cand: &Candidates, b: &Bat, k: usize) -> Result<Ba
         ColumnData::Lng(v) => ColumnData::Lng(gather(cand, len, k, |p| v[p])?),
         ColumnData::Dbl(v) => ColumnData::Dbl(gather(cand, len, k, |p| v[p])?),
         ColumnData::Oid(v) => ColumnData::Oid(gather(cand, len, k, |p| v[p])?),
-        // The dictionary is shared by cloning once; indices stay valid.
-        ColumnData::Str { idx, heap } => ColumnData::Str {
-            idx: gather(cand, len, k, |p| idx[p])?,
-            heap: heap.clone(),
-        },
+        ColumnData::Str { idx, heap } => str_rows(gather(cand, len, k, |p| idx[p])?, heap),
     };
     Ok(Bat::from_data(data))
 }
@@ -106,10 +102,10 @@ fn fetch_positions(oids: &[Oid], b: &Bat) -> Result<Bat> {
         ColumnData::Oid(v) => Bat::from_data(ColumnData::Oid(
             oids.iter().map(|&o| v[o as usize]).collect(),
         )),
-        ColumnData::Str { idx, heap } => Bat::from_data(ColumnData::Str {
-            idx: oids.iter().map(|&o| idx[o as usize]).collect(),
-            heap: heap.clone(),
-        }),
+        ColumnData::Str { idx, heap } => Bat::from_data(str_rows(
+            oids.iter().map(|&o| idx[o as usize]).collect(),
+            heap,
+        )),
     })
 }
 
@@ -194,6 +190,39 @@ mod tests {
         let p = project(&c, &b).unwrap();
         assert_eq!(p.get(0), Value::Str("x".into()));
         assert_eq!(p.get(1), Value::Str("x".into()));
+    }
+
+    /// A slice of a string column holds only the strings of its rows:
+    /// its heap's bytes are the bytes of its rows' distinct strings.
+    #[test]
+    fn string_slices_hold_only_their_rows_strings() {
+        let strs: Vec<Option<String>> = (0..1000)
+            .map(|i| (i % 10 != 3).then(|| format!("s{}", i % 500)))
+            .collect();
+        let b = Bat::from_strs(strs.clone());
+        let heap_bytes = |b: &Bat| match b.data() {
+            ColumnData::Str { heap, .. } => heap.iter().map(str::len).sum::<usize>(),
+            _ => unreachable!("a string column"),
+        };
+        let row_bytes = |rows: &[Option<String>]| {
+            let distinct: std::collections::BTreeSet<_> = rows.iter().flatten().collect();
+            distinct.iter().map(|s| s.len()).sum::<usize>()
+        };
+        for (from, to) in [(0, 0), (10, 20), (100, 700), (0, 1000), (990, 1000)] {
+            let s = slice(&b, from, to).unwrap();
+            assert_eq!(heap_bytes(&s), row_bytes(&strs[from..to]), "{from}..{to}");
+            let want: Vec<Value> = strs[from..to].iter().cloned().map(Value::from).collect();
+            assert_eq!(s.to_values(), want);
+        }
+        let picks = Bat::from_oids(vec![7, 3, 7, 999]);
+        let p = project_oids(&picks, &b).unwrap();
+        assert_eq!(heap_bytes(&p), "s7".len() + "s499".len());
+        assert_eq!(
+            p.to_values(),
+            [7, 3, 7, 999]
+                .map(|i| Value::from(strs[i].clone()))
+                .to_vec()
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Boxed scalar values exchanged between the engine and the column kernel.
 
-use crate::types::{Oid, ScalarType};
+use crate::types::{Oid, ScalarType, INT_NIL, LNG_NIL};
 use std::cmp::Ordering;
 use std::fmt;
 
@@ -75,7 +75,9 @@ impl Value {
 
     /// Cast this value to the requested kernel type, widening or narrowing
     /// numerics. Returns `None` when the cast is not meaningful (e.g. a
-    /// string into an int that does not parse).
+    /// string into an int that does not parse) or out of range. An
+    /// `int`/`lng` result equal to its type's nil sentinel is out of
+    /// range: the sentinel is never a value.
     pub fn cast(&self, to: ScalarType) -> Option<Value> {
         if self.is_null() {
             return Some(Value::Null);
@@ -91,19 +93,22 @@ impl Value {
                 Value::Oid(*v as Oid)
             }
             (Value::Int(v), ScalarType::Bit) => Value::Bit(*v != 0),
-            (Value::Lng(v), ScalarType::Int) => Value::Int(i32::try_from(*v).ok()?),
+            (Value::Lng(v), ScalarType::Int) => {
+                Value::Int(i32::try_from(*v).ok().filter(|&x| x != INT_NIL)?)
+            }
             (Value::Lng(v), ScalarType::Dbl) => Value::Dbl(*v as f64),
             (Value::Lng(v), ScalarType::OidT) => Value::Oid(Oid::try_from(*v).ok()?),
             (Value::Dbl(v), ScalarType::Int) => {
                 let r = v.round();
-                if r < i32::MIN as f64 || r > i32::MAX as f64 {
+                if !(r > f64::from(INT_NIL) && r <= f64::from(i32::MAX)) {
                     return None;
                 }
                 Value::Int(r as i32)
             }
             (Value::Dbl(v), ScalarType::Lng) => {
+                // `i64::MAX as f64` is 2^63, one past the range.
                 let r = v.round();
-                if r < i64::MIN as f64 || r > i64::MAX as f64 {
+                if !(r > LNG_NIL as f64 && r < i64::MAX as f64) {
                     return None;
                 }
                 Value::Lng(r as i64)
@@ -113,8 +118,12 @@ impl Value {
             (Value::Oid(v), ScalarType::Dbl) => Value::Dbl(*v as f64),
             (Value::Bit(b), ScalarType::Int) => Value::Int(*b as i32),
             (Value::Bit(b), ScalarType::Lng) => Value::Lng(*b as i64),
-            (Value::Str(s), ScalarType::Int) => Value::Int(s.trim().parse().ok()?),
-            (Value::Str(s), ScalarType::Lng) => Value::Lng(s.trim().parse().ok()?),
+            (Value::Str(s), ScalarType::Int) => {
+                Value::Int(s.trim().parse().ok().filter(|&x| x != INT_NIL)?)
+            }
+            (Value::Str(s), ScalarType::Lng) => {
+                Value::Lng(s.trim().parse().ok().filter(|&x| x != LNG_NIL)?)
+            }
             (Value::Str(s), ScalarType::Dbl) => Value::Dbl(s.trim().parse().ok()?),
             (v, ScalarType::Str) => Value::Str(format!("{v}")),
             _ => return None,

@@ -1141,3 +1141,329 @@ proptest! {
         }
     }
 }
+
+// ---------------------------------------------------------------------
+// The typed `batcalc` kernels against a per-cell scalar reference. Every
+// operator, cast target and boolean kernel over every `int`/`lng`/`dbl`
+// column and scalar pairing, at 1, 2 and 7 windows: the kernel must give
+// the type and values of a loop over `scalar_binop`, `Value::cast` and
+// `Value::sql_cmp`, or that loop's first error. The cells reach both ends
+// of each range (so overflow, and results equal to the nil sentinel,
+// show), zero divisors, nils and NaN scalars.
+// ---------------------------------------------------------------------
+
+/// Window counts the reference suite runs the kernels at.
+const WINDOWS: [usize; 3] = [1, 2, 7];
+
+/// A cell of the reference suite: nil, a small value, or one end of the
+/// column type's range (`MIN + 1`, the smallest non-nil, or `MAX`).
+#[derive(Debug, Clone, Copy)]
+enum Edge {
+    Small(i8),
+    Low,
+    High,
+}
+
+fn edges(max_len: usize) -> impl Strategy<Value = Vec<Option<Edge>>> {
+    proptest::collection::vec(
+        proptest::option::weighted(
+            0.75,
+            prop_oneof![
+                (-4i8..5).prop_map(Edge::Small),
+                (-4i8..5).prop_map(Edge::Small),
+                Just(Edge::Low),
+                Just(Edge::High),
+            ],
+        ),
+        0..max_len,
+    )
+}
+
+/// One `int`, `lng` and `dbl` column from the same cells (`dbl` cells
+/// are halved, so fractions and the range ends of `f64` show up).
+fn edge_columns(cells: &[Option<Edge>]) -> [Bat; 3] {
+    let pick = |small: fn(i8) -> i64, low: i64, high: i64| {
+        move |c: &Option<Edge>| match c {
+            None => None,
+            Some(Edge::Small(x)) => Some(small(*x)),
+            Some(Edge::Low) => Some(low),
+            Some(Edge::High) => Some(high),
+        }
+    };
+    let int = pick(i64::from, i64::from(i32::MIN + 1), i64::from(i32::MAX));
+    let lng = pick(i64::from, i64::MIN + 1, i64::MAX);
+    [
+        Bat::from_opt_ints(cells.iter().map(|c| int(c).map(|x| x as i32)).collect()),
+        lng_bat(&cells.iter().map(lng).collect::<Vec<_>>()),
+        Bat::from_opt_dbls(
+            cells
+                .iter()
+                .map(|c| match c {
+                    None => None,
+                    Some(Edge::Small(x)) => Some(f64::from(*x) / 2.0),
+                    Some(Edge::Low) => Some(f64::MIN),
+                    Some(Edge::High) => Some(f64::MAX),
+                })
+                .collect(),
+        ),
+    ]
+}
+
+/// Scalars of every numeric type: zero divisors, ±1, both range ends
+/// and, for `dbl`, NaN and `-0.0`.
+fn edge_numeric_scalars() -> Vec<Value> {
+    vec![
+        Value::Int(0),
+        Value::Int(-1),
+        Value::Int(2),
+        Value::Int(i32::MIN + 1),
+        Value::Int(i32::MAX),
+        Value::Lng(0),
+        Value::Lng(-1),
+        Value::Lng(i64::MIN + 1),
+        Value::Lng(i64::MAX),
+        Value::Dbl(0.0),
+        Value::Dbl(-0.0),
+        Value::Dbl(1.5),
+        Value::Dbl(f64::NAN),
+        Value::Dbl(f64::MAX),
+    ]
+}
+
+/// Row `i` of an operand as a value (a nil cell is NULL).
+fn cell(o: &Operand<'_>, i: usize) -> Value {
+    match o {
+        Operand::Col(b) => b.get(i),
+        Operand::Scalar(v) => (*v).clone(),
+    }
+}
+
+fn operand_type(o: &Operand<'_>) -> ScalarType {
+    match o {
+        Operand::Col(b) => b.tail_type(),
+        Operand::Scalar(v) => v.scalar_type().expect("typed scalar"),
+    }
+}
+
+fn operand_len(a: &Operand<'_>, b: &Operand<'_>) -> usize {
+    match (a, b) {
+        (Operand::Col(x), _) | (_, Operand::Col(x)) => x.len(),
+        _ => unreachable!("one side is a column"),
+    }
+}
+
+/// The reference arithmetic: `scalar_binop` per row, NULL where a side
+/// is NULL, pushed into a column of the promoted type.
+fn scalar_binop_loop(op: BinOp, a: Operand<'_>, b: Operand<'_>) -> gdk::Result<Bat> {
+    let ty = operand_type(&a).promote(operand_type(&b)).unwrap();
+    let mut out = Bat::with_capacity(ty, operand_len(&a, &b));
+    for i in 0..operand_len(&a, &b) {
+        let (x, y) = (cell(&a, i), cell(&b, i));
+        let r = if x.is_null() || y.is_null() {
+            Value::Null
+        } else {
+            arith::scalar_binop(op, &x, &y)?
+        };
+        out.push(&r)?;
+    }
+    Ok(out)
+}
+
+/// The reference comparison: `sql_cmp` per row, nil where it has no
+/// answer.
+fn sql_cmp_loop(op: CmpOp, a: Operand<'_>, b: Operand<'_>) -> Bat {
+    use std::cmp::Ordering::{Equal, Greater, Less};
+    Bat::from_bits(
+        (0..operand_len(&a, &b))
+            .map(|i| {
+                cell(&a, i).sql_cmp(&cell(&b, i)).map(|ord| match op {
+                    CmpOp::Eq => ord == Equal,
+                    CmpOp::Ne => ord != Equal,
+                    CmpOp::Lt => ord == Less,
+                    CmpOp::Le => ord != Greater,
+                    CmpOp::Gt => ord == Greater,
+                    CmpOp::Ge => ord != Less,
+                })
+            })
+            .collect(),
+    )
+}
+
+/// The reference cast: `Value::cast` per cell; the first cell that does
+/// not convert fails with the error `cast_bat` documents for the pair.
+fn value_cast_loop(b: &Bat, to: ScalarType) -> gdk::Result<Bat> {
+    let mut out = Bat::with_capacity(to, b.len());
+    for v in b.iter_values() {
+        match v.cast(to) {
+            Some(c) => out.push(&c)?,
+            None if (b.tail_type(), to) == (ScalarType::Dbl, ScalarType::Int) => {
+                return Err(GdkError::arithmetic("cast out of int range"))
+            }
+            None => return Err(GdkError::type_mismatch(format!("cannot cast {v} to {to}"))),
+        }
+    }
+    Ok(out)
+}
+
+/// Every arithmetic and comparison operator over `a ⊕ b`, at every
+/// window count, against the scalar reference.
+fn assert_matches_scalar_reference(a: Operand<'_>, b: Operand<'_>) {
+    for op in BIN_OPS {
+        let want = outcome(scalar_binop_loop(op, a, b));
+        for k in WINDOWS {
+            let got = outcome(par::binop(op, a, b, &forced(k)).map(|(out, _)| out));
+            assert_eq!(got, want, "{a:?} {op:?} {b:?} windows {k}");
+        }
+    }
+    for op in CMP_OPS {
+        let want = outcome(Ok(sql_cmp_loop(op, a, b)));
+        for k in WINDOWS {
+            let got = outcome(par::cmpop(op, a, b, &forced(k)).map(|(out, _)| out));
+            assert_eq!(got, want, "{a:?} {op:?} {b:?} windows {k}");
+        }
+    }
+}
+
+/// The reference three-valued logic over `Option<bool>`.
+fn bool_loop(a: &Bat, b: &Bat, f: fn(Option<bool>, Option<bool>) -> Option<bool>) -> Bat {
+    Bat::from_bits(
+        (0..a.len())
+            .map(|i| f(a.get(i).as_bool(), b.get(i).as_bool()))
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Arithmetic and comparison over every column/column, column/scalar
+    /// and scalar/column pairing of `int`, `lng` and `dbl`.
+    #[test]
+    fn typed_elementwise_matches_scalar_reference(cells in edges(40)) {
+        let cols = edge_columns(&cells);
+        let reversed: Vec<_> = cells.iter().rev().cloned().collect();
+        let others = edge_columns(&reversed);
+        for x in &cols {
+            for y in &others {
+                assert_matches_scalar_reference(Operand::Col(x), Operand::Col(y));
+            }
+            for s in &edge_numeric_scalars() {
+                assert_matches_scalar_reference(Operand::Col(x), Operand::Scalar(s));
+                assert_matches_scalar_reference(Operand::Scalar(s), Operand::Col(x));
+            }
+        }
+    }
+
+    /// `cast_bat` to every target, `isnull`, `ifthenelse` over every
+    /// numeric branch pairing and `and`/`or`/`not` against per-cell
+    /// loops.
+    #[test]
+    fn typed_casts_and_logic_match_scalar_reference(cells in edges(40)) {
+        let cols = edge_columns(&cells);
+        for src in &cols {
+            for to in TYPES {
+                prop_assert_eq!(
+                    outcome(arith::cast_bat(src, to)),
+                    outcome(value_cast_loop(src, to)),
+                    "{:?} -> {:?}", src.tail_type(), to
+                );
+            }
+            let nulls: Vec<_> = src.iter_values().map(|v| Some(v.is_null())).collect();
+            prop_assert_eq!(arith::isnull(src).to_values(), Bat::from_bits(nulls).to_values());
+        }
+        let masks: Vec<Bat> = [CmpOp::Lt, CmpOp::Ge]
+            .iter()
+            .map(|&op| arith::cmpop(op, Operand::Col(&cols[0]), Operand::Scalar(&Value::Int(1))).unwrap())
+            .collect();
+        let bits = masks[0].as_bits().unwrap();
+        let scalars = edge_numeric_scalars();
+        let branches: Vec<Operand<'_>> = cols
+            .iter()
+            .map(Operand::Col)
+            .chain(scalars.iter().map(Operand::Scalar))
+            .collect();
+        for &t in &branches {
+            for &e in &branches {
+                prop_assert_eq!(
+                    outcome(arith::ifthenelse(&masks[0], t, e)),
+                    outcome(boxed_ifthenelse(bits, t, e)),
+                    "{:?} / {:?}", t, e
+                );
+            }
+        }
+        let (m, n) = (&masks[0], &masks[1]);
+        for (x, y) in [(m, n), (n, m), (m, m)] {
+            prop_assert_eq!(
+                arith::and(x, y).unwrap().to_values(),
+                bool_loop(x, y, |p, q| match (p, q) {
+                    (Some(false), _) | (_, Some(false)) => Some(false),
+                    (Some(true), Some(true)) => Some(true),
+                    _ => None,
+                })
+                .to_values()
+            );
+            prop_assert_eq!(
+                arith::or(x, y).unwrap().to_values(),
+                bool_loop(x, y, |p, q| match (p, q) {
+                    (Some(true), _) | (_, Some(true)) => Some(true),
+                    (Some(false), Some(false)) => Some(false),
+                    _ => None,
+                })
+                .to_values()
+            );
+        }
+        let negated: Vec<_> = m.iter_values().map(|v| v.as_bool().map(|b| !b)).collect();
+        prop_assert_eq!(arith::not(m).unwrap().to_values(), Bat::from_bits(negated).to_values());
+    }
+}
+
+/// The reference grouping: rows numbered in first-occurrence order of
+/// `(previous group id, join::hash_key(cell))`.
+fn hash_key_group_ids(b: &Bat, prev: Option<&group::Groups>) -> Vec<u64> {
+    let mut ids = std::collections::HashMap::new();
+    (0..b.len())
+        .map(|i| {
+            let key = (prev.map_or(0, |p| p.ids[i]), join::hash_key(&b.get(i)));
+            let next = ids.len() as u64;
+            *ids.entry(key).or_insert(next)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `group_by`, first or refining, puts two rows in one group exactly
+    /// when `hash_key` gives their cells (and previous groups) one key:
+    /// nils together, `-0.0` with `0.0`, `dbl`s beyond 2^53 by their bits.
+    #[test]
+    fn group_by_matches_hash_key_grouping(
+        cells in proptest::collection::vec((0usize..8, -3i64..4), 0..80),
+    ) {
+        let dbl = |(kind, x): &(usize, i64)| match kind {
+            0 => f64::NAN,
+            1 => -0.0,
+            2 => 0.0,
+            3 => (1i64 << 53) as f64 + (*x as f64) * 2.0,
+            _ => *x as f64 / 2.0,
+        };
+        let cols = [
+            Bat::from_dbls(cells.iter().map(dbl).collect()),
+            Bat::from_opt_ints(cells.iter().map(|&(k, x)| (k != 0).then_some(x as i32)).collect()),
+            lng_bat(&cells.iter().map(|&(k, x)| (k != 0).then_some(x << 40)).collect::<Vec<_>>()),
+            Bat::from_bits(cells.iter().map(|&(k, x)| (k != 0).then_some(x > 0)).collect()),
+            Bat::from_strs(cells.iter().map(|&(k, x)| (k != 0).then(|| format!("s{x}"))).collect()),
+        ];
+        for first in &cols {
+            let g = group::group_by(first, None, None).unwrap();
+            prop_assert_eq!(&g.ids, &hash_key_group_ids(first, None));
+            for second in &cols {
+                let want = hash_key_group_ids(second, Some(&g));
+                for k in WINDOWS {
+                    let (got, _) = par::group_by(second, None, Some(&g), &forced(k)).unwrap();
+                    prop_assert_eq!(&got.ids, &want, "{:?} windows {}", second.tail_type(), k);
+                }
+            }
+        }
+    }
+}
