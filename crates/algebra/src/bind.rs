@@ -37,6 +37,9 @@ pub struct ArrayScope {
     pub nattrs: usize,
     /// Row-major shape.
     pub shape: Vec<usize>,
+    /// Dimension steps in order: a cell or tile offset is written in
+    /// dimension values, and `step` values make one position.
+    pub steps: Vec<i64>,
     /// Dimension names in order.
     pub dim_names: Vec<String>,
 }
@@ -168,6 +171,27 @@ pub fn linear_offset(e: &Expr, var: &str, params: &[Value]) -> Result<i64> {
         )));
     }
     Ok(v0)
+}
+
+/// The positional delta of a value offset along a dimension of step
+/// `step`: `offset / step` when `step` divides it, else none, for then
+/// no cell lies at that offset.
+fn point_position(offset: i64, step: i64) -> Option<i64> {
+    (offset % step == 0).then(|| offset / step)
+}
+
+/// The positional deltas `d` a value offset range `[lo, hi)` covers along
+/// a dimension of step `step`: every `d` with `lo ≤ d·step < hi`, in
+/// ascending order.
+fn range_positions(lo: i64, hi: i64, step: i64) -> Vec<i64> {
+    let s = step.abs();
+    if step > 0 {
+        let ceil = |v: i64| -(-v).div_euclid(s);
+        (ceil(lo)..ceil(hi)).collect()
+    } else {
+        // d·step ∈ [lo, hi) ⇔ d·|step| ∈ (−hi, −lo].
+        ((-hi).div_euclid(s) + 1..=(-lo).div_euclid(s)).collect()
+    }
 }
 
 /// The binder.
@@ -399,6 +423,11 @@ impl<'a> Binder<'a> {
                     ndims: a.dims.len(),
                     nattrs: a.attrs.len(),
                     shape,
+                    steps: a
+                        .dims
+                        .iter()
+                        .map(|d| d.range.map_or(1, |r| r.step))
+                        .collect(),
                     dim_names: a.dims.iter().map(|d| d.name.clone()).collect(),
                 };
                 Ok((plan, schema, Some(arr_scope)))
@@ -580,12 +609,18 @@ impl<'a> Binder<'a> {
                     arr.ndims
                 )));
             }
-            // Per-dimension offset lists, then cartesian product.
+            // Per-dimension positional offset lists, then cartesian
+            // product. A point no position names leaves its list, and so
+            // this tile reference, empty.
             let mut per_dim: Vec<Vec<i64>> = Vec::with_capacity(arr.ndims);
             for (k, idx) in t.indices.iter().enumerate() {
-                let var = &arr.dim_names[k];
+                let (var, step) = (&arr.dim_names[k], arr.steps[k]);
                 match idx {
-                    TileIndex::Point(e) => per_dim.push(vec![self.offset(e, var)?]),
+                    TileIndex::Point(e) => per_dim.push(
+                        point_position(self.offset(e, var)?, step)
+                            .into_iter()
+                            .collect(),
+                    ),
                     TileIndex::Range(lo, hi) => {
                         let l = self.offset(lo, var)?;
                         let h = self.offset(hi, var)?;
@@ -594,7 +629,7 @@ impl<'a> Binder<'a> {
                                 "empty tile range (stop must exceed start)",
                             ));
                         }
-                        per_dim.push((l..h).collect());
+                        per_dim.push(range_positions(l, h, step));
                     }
                 }
             }
@@ -951,9 +986,12 @@ impl<'a> Binder<'a> {
                 arr.name, arr.nattrs
             )));
         }
+        // A value offset no position names reads nil everywhere: a shift
+        // by the dimension's length leaves every cell out of range.
         let mut deltas = Vec::with_capacity(indices.len());
         for (k, idx) in indices.iter().enumerate() {
-            deltas.push(self.offset(idx, &arr.dim_names[k])?);
+            let offset = self.offset(idx, &arr.dim_names[k])?;
+            deltas.push(point_position(offset, arr.steps[k]).unwrap_or(arr.shape[k] as i64));
         }
         let attr_col = arr.col_base + arr.ndims; // the single attribute
         if deltas.iter().all(|&d| d == 0) {

@@ -2,9 +2,11 @@
 //!
 //! The generated code follows MonetDB's column-at-a-time style: every plan
 //! column is one BAT variable; filters produce candidate lists (when the
-//! candidate-pushdown fast path applies) or bit masks; tiling lowers to the
-//! `array.shift` kernel plus element-wise accumulation, so a k-cell tile
-//! costs k shifted passes instead of a k-way self-join.
+//! candidate-pushdown fast path applies) or bit masks; tiling lowers to one
+//! `array.tileagg` pass (at opt level 0, and for arguments other than
+//! int/lng/dbl, to the `array.shift` kernel plus element-wise
+//! accumulation, so a k-cell tile costs k shifted passes), never to a
+//! k-way self-join.
 
 use crate::bexpr::{AggCall, BExpr};
 use crate::plan::Plan;
@@ -488,10 +490,7 @@ fn gen_tile<'p>(
         let (arg, arg_ty) = match &a.arg {
             Some(e) => {
                 let v = emit_expr(prog, &inp, e)?;
-                (
-                    force_bat(prog, &inp, v)?,
-                    e.infer_type(&in_tys).unwrap_or(ScalarType::Int),
-                )
+                (force_bat(prog, &inp, v)?, e.infer_type(&in_tys).ok())
             }
             None => (
                 prog.emit(
@@ -499,10 +498,24 @@ fn gen_tile<'p>(
                     vec![Arg::Var(inp.cols[0]), Arg::Const(Value::Int(1))],
                     MalType::Bat(ScalarType::Int),
                 ),
-                ScalarType::Int,
+                Some(ScalarType::Int),
             ),
         };
-        let out = gen_tile_agg(prog, arg, arg_ty, a.func, offsets, &shape)?;
+        let out = match arg_ty {
+            Some(ty @ (ScalarType::Int | ScalarType::Lng | ScalarType::Dbl))
+                if opts.opt_level >= 1 =>
+            {
+                gen_tileagg(prog, arg, ty, a.func, offsets, &shape)
+            }
+            ty => gen_tile_agg(
+                prog,
+                arg,
+                ty.unwrap_or(ScalarType::Int),
+                a.func,
+                offsets,
+                &shape,
+            )?,
+        };
         cols.push(out);
     }
     Ok(NodeOut {
@@ -525,9 +538,41 @@ fn shift_args(arg: VarId, shape: &[usize], off: &[i64]) -> Vec<Arg> {
     args
 }
 
+/// Lower one tile aggregate of an `int`/`lng`/`dbl` argument to one
+/// `array.tileagg`, which returns what [`gen_tile_agg`]'s chain returns.
+fn gen_tileagg(
+    prog: &mut Program,
+    arg: VarId,
+    arg_ty: ScalarType,
+    func: AggFunc,
+    offsets: &[Vec<i64>],
+    shape: &[usize],
+) -> VarId {
+    let out_ty = match func {
+        AggFunc::Count => ScalarType::Lng,
+        AggFunc::Avg => ScalarType::Dbl,
+        AggFunc::Sum if arg_ty != ScalarType::Dbl => ScalarType::Lng,
+        _ => arg_ty,
+    };
+    // Named like `aggr.selectagg`'s function: `aggr.<f>` without `aggr.`.
+    let (_, name) = Prim::Agg(func)
+        .name()
+        .split_once('.')
+        .expect("module.function");
+    let mut args = vec![
+        Arg::Var(arg),
+        Arg::Const(Value::Str(name.to_owned())),
+        Arg::Const(Value::Lng(shape.len() as i64)),
+    ];
+    args.extend(shape.iter().map(|&n| Arg::Const(Value::Lng(n as i64))));
+    args.extend(offsets.iter().flatten().map(|&d| Arg::Const(Value::Lng(d))));
+    prog.emit(Prim::TileAgg, args, MalType::Bat(out_ty))
+}
+
 /// Lower one tile aggregate to shifted element-wise accumulation. Holes
 /// (nil cells) and out-of-range cells contribute nothing, matching the
-/// paper's aggregation rule.
+/// paper's aggregation rule. This is the opt-0 lowering, and the only
+/// one for arguments other than `int`, `lng` and `dbl`.
 fn gen_tile_agg(
     prog: &mut Program,
     arg: VarId,
@@ -539,48 +584,59 @@ fn gen_tile_agg(
     match func {
         AggFunc::Sum | AggFunc::Count | AggFunc::Avg => {
             // Accumulate wide: dbl for dbl inputs, lng otherwise (dodging
-            // int overflow).
+            // int overflow). COUNT adds no values, so it casts none and
+            // cannot overflow.
             let (wide_ty, zero) = if arg_ty == ScalarType::Dbl {
                 (ScalarType::Dbl, Value::Dbl(0.0))
             } else {
                 (ScalarType::Lng, Value::Lng(0))
             };
-            let wide = prog.emit(
-                Prim::Cast(wide_ty),
-                vec![Arg::Var(arg)],
-                MalType::Bat(wide_ty),
-            );
-            let mut sum = prog.emit(
-                Prim::Fill,
-                vec![Arg::Var(wide), Arg::Const(zero.clone())],
-                MalType::Bat(wide_ty),
-            );
+            let count = func == AggFunc::Count;
+            let wide = if count {
+                arg
+            } else {
+                prog.emit(
+                    Prim::Cast(wide_ty),
+                    vec![Arg::Var(arg)],
+                    MalType::Bat(wide_ty),
+                )
+            };
+            let mut sum = (!count).then(|| {
+                prog.emit(
+                    Prim::Fill,
+                    vec![Arg::Var(wide), Arg::Const(zero.clone())],
+                    MalType::Bat(wide_ty),
+                )
+            });
             let mut cnt = prog.emit(
                 Prim::Fill,
                 vec![Arg::Var(wide), Arg::Const(Value::Lng(0))],
                 MalType::Bat(ScalarType::Lng),
             );
             for off in offsets {
-                let s = prog.emit(
-                    Prim::Shift,
-                    shift_args(wide, shape, off),
-                    MalType::Bat(wide_ty),
-                );
+                let s_ty = if count {
+                    MalType::Any
+                } else {
+                    MalType::Bat(wide_ty)
+                };
+                let s = prog.emit(Prim::Shift, shift_args(wide, shape, off), s_ty);
                 let m = prog.emit(
                     Prim::IsNil,
                     vec![Arg::Var(s)],
                     MalType::Bat(ScalarType::Bit),
                 );
-                let contrib = prog.emit(
-                    Prim::IfThenElse,
-                    vec![Arg::Var(m), Arg::Const(zero.clone()), Arg::Var(s)],
-                    MalType::Bat(wide_ty),
-                );
-                sum = prog.emit(
-                    Prim::Bin(GBinOp::Add),
-                    vec![Arg::Var(sum), Arg::Var(contrib)],
-                    MalType::Bat(ScalarType::Lng),
-                );
+                if let Some(acc) = &mut sum {
+                    let contrib = prog.emit(
+                        Prim::IfThenElse,
+                        vec![Arg::Var(m), Arg::Const(zero.clone()), Arg::Var(s)],
+                        MalType::Bat(wide_ty),
+                    );
+                    *acc = prog.emit(
+                        Prim::Bin(GBinOp::Add),
+                        vec![Arg::Var(*acc), Arg::Var(contrib)],
+                        MalType::Bat(ScalarType::Lng),
+                    );
+                }
                 let one = prog.emit(
                     Prim::IfThenElse,
                     vec![
@@ -596,13 +652,15 @@ fn gen_tile_agg(
                     MalType::Bat(ScalarType::Lng),
                 );
             }
+            let Some(sum) = sum else {
+                return Ok(cnt);
+            };
             let empty = prog.emit(
                 Prim::Cmp(CmpOp::Eq),
                 vec![Arg::Var(cnt), Arg::Const(Value::Lng(0))],
                 MalType::Bat(ScalarType::Bit),
             );
             Ok(match func {
-                AggFunc::Count => cnt,
                 AggFunc::Sum => prog.emit(
                     Prim::IfThenElse,
                     vec![Arg::Var(empty), Arg::Const(Value::Null), Arg::Var(sum)],
@@ -639,12 +697,13 @@ fn gen_tile_agg(
             })
         }
         AggFunc::Min | AggFunc::Max => {
-            let mut acc = prog.emit(
-                Prim::Shift,
-                shift_args(arg, shape, &offsets[0]),
-                MalType::Any,
-            );
-            for off in &offsets[1..] {
+            // A tile with no cells starts from a shift past the array.
+            let past: Vec<i64> = (0..shape.len())
+                .map(|i| if i == 0 { shape[0] as i64 } else { 0 })
+                .collect();
+            let first = offsets.first().unwrap_or(&past);
+            let mut acc = prog.emit(Prim::Shift, shift_args(arg, shape, first), MalType::Any);
+            for off in offsets.iter().skip(1) {
                 let s = prog.emit(Prim::Shift, shift_args(arg, shape, off), MalType::Any);
                 let s_ok = prog.emit(
                     Prim::IsNil,
@@ -1295,11 +1354,32 @@ mod tests {
     fn tiling_lowers_to_shifts() {
         let p = compile_sql(
             "SELECT [x], [y], AVG(v) FROM m GROUP BY m[x:x+2][y:y+2]",
-            &CodegenOptions::default(),
+            &CodegenOptions {
+                opt_level: 0,
+                ..CodegenOptions::default()
+            },
         );
         let text = p.to_text();
         assert_eq!(text.matches("array.shift").count(), 4, "2×2 tile: {text}");
         assert!(text.contains("batcalc.div"), "AVG divides: {text}");
+    }
+
+    #[test]
+    fn tiling_lowers_to_one_tileagg_from_opt_1() {
+        let sql = "SELECT [x], [y], AVG(v), MIN(v), COUNT(*) FROM m GROUP BY m[x:x+2][y:y+2]";
+        for opt_level in [1, 2] {
+            let opts = CodegenOptions {
+                opt_level,
+                ..CodegenOptions::default()
+            };
+            let text = compile_sql(sql, &opts).to_text();
+            assert_eq!(text.matches("array.tileagg").count(), 3, "{text}");
+            assert!(!text.contains("array.shift"), "{text}");
+            assert!(
+                text.contains(r#"array.tileagg(X_2, "avg", 2, 4, 4, 0, 0, 0, 1, 1, 0, 1, 1)"#),
+                "sizes, then offsets in order: {text}"
+            );
+        }
     }
 
     #[test]

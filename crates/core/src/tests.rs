@@ -903,3 +903,114 @@ fn bigint_column_arithmetic_reaching_the_nil_overflows() {
     let ok = c.query("SELECT a + 1 FROM b").unwrap();
     assert_eq!(ok.scalar().unwrap(), Value::Lng(-9223372036854775806));
 }
+
+/// `(x, value)` per row of a two-column result.
+fn pairs(c: &mut Connection, sql: &str) -> Vec<(Value, Value)> {
+    let rs = c.query(sql).unwrap_or_else(|e| panic!("{sql}: {e}"));
+    rs.rows().map(|r| (r[0].clone(), r[1].clone())).collect()
+}
+
+fn ints(vals: &[(i32, Option<i64>)], wide: bool) -> Vec<(Value, Value)> {
+    vals.iter()
+        .map(|&(x, v)| {
+            let v = match v {
+                None => Value::Null,
+                Some(v) if wide => Value::Lng(v),
+                Some(v) => Value::Int(v as i32),
+            };
+            (Value::Int(x), v)
+        })
+        .collect()
+}
+
+/// Cell references are written in dimension values, as slices are: on a
+/// step-2 dimension `a[x+2]` is the next cell, and `a[x+1]` names no cell.
+#[test]
+fn cell_offsets_are_dimension_values() {
+    for opt_level in [0, 2] {
+        let mut c = Connection::with_config(crate::SessionConfig::with_opt_level(opt_level));
+        c.execute_script(
+            "CREATE ARRAY a (x INT DIMENSION[0:2:8], v INT); UPDATE a SET v = x; \
+             CREATE ARRAY b (x INT DIMENSION[6:-2:-2], v INT); UPDATE b SET v = x;",
+        )
+        .unwrap();
+        assert_eq!(
+            pairs(&mut c, "SELECT x, v FROM a[2:6]"),
+            ints(&[(2, Some(2)), (4, Some(4))], false),
+            "slices are values"
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], a[x+2] FROM a"),
+            ints(
+                &[(0, Some(2)), (2, Some(4)), (4, Some(6)), (6, None)],
+                false
+            )
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], a[x+1] FROM a"),
+            ints(&[(0, None), (2, None), (4, None), (6, None)], false)
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], b[x+2] FROM b"),
+            ints(
+                &[(6, None), (4, Some(6)), (2, Some(4)), (0, Some(2))],
+                false
+            )
+        );
+        // The same rule in an UPDATE's cell program.
+        c.execute("UPDATE a SET v = a[x-2]").unwrap();
+        assert_eq!(
+            pairs(&mut c, "SELECT x, v FROM a"),
+            ints(
+                &[(0, None), (2, Some(0)), (4, Some(2)), (6, Some(4))],
+                false
+            )
+        );
+    }
+}
+
+/// Tile bounds are dimension values too: `a[x:x+2]` on a step-2
+/// dimension holds one cell, and a point tile off the grid holds none.
+#[test]
+fn tile_offsets_are_dimension_values() {
+    for opt_level in [0, 2] {
+        let mut c = Connection::with_config(crate::SessionConfig::with_opt_level(opt_level));
+        c.execute_script(
+            "CREATE ARRAY a (x INT DIMENSION[0:2:8], v INT); UPDATE a SET v = x; \
+             CREATE ARRAY b (x INT DIMENSION[6:-2:-2], v INT); UPDATE b SET v = x;",
+        )
+        .unwrap();
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], SUM(v) FROM a GROUP BY a[x:x+2]"),
+            ints(
+                &[(0, Some(0)), (2, Some(2)), (4, Some(4)), (6, Some(6))],
+                true
+            )
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], SUM(v) FROM a GROUP BY a[x-1:x+3]"),
+            ints(
+                &[(0, Some(2)), (2, Some(6)), (4, Some(10)), (6, Some(6))],
+                true
+            )
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], COUNT(v) FROM a GROUP BY a[x+1]"),
+            ints(
+                &[(0, Some(0)), (2, Some(0)), (4, Some(0)), (6, Some(0))],
+                true
+            )
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], MAX(v) FROM a GROUP BY a[x+1]"),
+            ints(&[(0, None), (2, None), (4, None), (6, None)], false)
+        );
+        assert_eq!(
+            pairs(&mut c, "SELECT [x], SUM(v) FROM b GROUP BY b[x-2:x+2]"),
+            ints(
+                &[(6, Some(10)), (4, Some(6)), (2, Some(2)), (0, Some(0))],
+                true
+            )
+        );
+    }
+}

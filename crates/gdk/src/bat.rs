@@ -544,6 +544,20 @@ impl Bat {
         self.write_tail(other, TailWrite::Append)
     }
 
+    /// Make room for `additional` more cells without changing any (a void
+    /// column stores none).
+    pub fn reserve(&mut self, additional: usize) {
+        match &mut self.data {
+            ColumnData::Void { .. } => {}
+            ColumnData::Bit(v) => v.reserve(additional),
+            ColumnData::Int(v) => v.reserve(additional),
+            ColumnData::Lng(v) => v.reserve(additional),
+            ColumnData::Dbl(v) => v.reserve(additional),
+            ColumnData::Oid(v) => v.reserve(additional),
+            ColumnData::Str { idx, .. } => idx.reserve(additional),
+        }
+    }
+
     /// This column as tail type `ty`, every cell converted the way
     /// [`Value::cast`] converts it and nils kept nil: borrowed when no
     /// conversion is needed, `Err(row)` for the first cell that does not

@@ -75,10 +75,12 @@ pub type CodecResult<T> = std::result::Result<T, CodecError>;
 // CRC-32 (IEEE 802.3, reflected) — the per-column checksum.
 // ---------------------------------------------------------------------------
 
-const CRC_TABLE: [u32; 256] = build_crc_table();
+/// Slicing-by-16 tables: `CRC_TABLES[0]` is the classic byte table, and
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 16] = build_crc_tables();
 
-const fn build_crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+const fn build_crc_tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -91,17 +93,39 @@ const fn build_crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        t[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 16 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
-/// CRC-32 (IEEE) of `bytes`.
+/// CRC-32 (IEEE) of `bytes`, sixteen bytes per step (slicing-by-16).
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut chunks = bytes.chunks_exact(16);
+    for b in &mut chunks {
+        let a = c ^ u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
+        c = t[15][(a & 0xFF) as usize]
+            ^ t[14][((a >> 8) & 0xFF) as usize]
+            ^ t[13][((a >> 16) & 0xFF) as usize]
+            ^ t[12][(a >> 24) as usize];
+        for (j, &byte) in b[4..].iter().enumerate() {
+            c ^= t[11 - j][byte as usize];
+        }
+    }
+    for &b in chunks.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -754,5 +778,43 @@ mod tests {
     fn crc32_known_vector() {
         // The classic check value of CRC-32/IEEE.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    /// The byte-at-a-time CRC-32 loop the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
+    #[test]
+    fn crc32_matches_bytewise_for_every_short_length() {
+        let bytes: Vec<u8> = (0..64u32).map(|i| (i * 37 + 11) as u8).collect();
+        for n in 0..=64 {
+            assert_eq!(
+                crc32(&bytes[..n]),
+                crc32_bytewise(&bytes[..n]),
+                "length {n}"
+            );
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random slices at odd start offsets: alignment and the tail
+        /// after the last sixteen-byte step change nothing.
+        #[test]
+        fn crc32_matches_bytewise_on_random_slices(
+            bytes in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..600),
+            start in 0usize..40,
+        ) {
+            let start = (start | 1).min(bytes.len());
+            let s = &bytes[start..];
+            proptest::prop_assert_eq!(crc32(s), crc32_bytewise(s));
+        }
     }
 }

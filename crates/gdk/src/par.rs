@@ -158,11 +158,22 @@ pub(crate) fn map_windows<O: Copy + Default + Send>(
     k: usize,
     f: impl Fn(Range<usize>, &mut [O]) -> Result<()> + Sync,
 ) -> Result<Vec<O>> {
-    let mut out = vec![O::default(); n];
+    map_units(n, 1, k, f)
+}
+
+/// Map shape over `units` units of `width` output cells each: `f(units,
+/// out)` fills the cells of a window of whole units.
+fn map_units<O: Copy + Default + Send>(
+    units: usize,
+    width: usize,
+    k: usize,
+    f: impl Fn(Range<usize>, &mut [O]) -> Result<()> + Sync,
+) -> Result<Vec<O>> {
+    let mut out = vec![O::default(); units * width];
     let mut rest = out.as_mut_slice();
     let mut windows = Vec::new();
-    for r in chunk_ranges(n, k) {
-        let (head, tail) = rest.split_at_mut(r.len());
+    for r in chunk_ranges(units, k) {
+        let (head, tail) = rest.split_at_mut(r.len() * width);
         windows.push((r, head));
         rest = tail;
     }
@@ -368,6 +379,21 @@ pub fn grouped(
 /// Parallel [`aggregate::scalar`].
 pub fn scalar(func: AggFunc, vals: &Bat, cfg: &ParConfig) -> Result<(Value, usize)> {
     aggregate::scalar_windows(func, vals, cfg.threads_for(vals.len()))
+}
+
+/// Map shape for a kernel outside this crate whose output cells come in
+/// rows that must not be split (the MAL `array.tileagg`, which walks
+/// each run along an array's innermost dimension): `f(rows, out)` fills
+/// the `rows.len() * row_len` cells of whole rows `rows`. Returns the
+/// output and the window count used.
+pub fn map_rows<O: Copy + Default + Send>(
+    rows: usize,
+    row_len: usize,
+    cfg: &ParConfig,
+    f: impl Fn(Range<usize>, &mut [O]) -> Result<()> + Sync,
+) -> Result<(Vec<O>, usize)> {
+    let k = cfg.threads_for(rows * row_len).min(rows.max(1));
+    Ok((map_units(rows, row_len, k, f)?, k))
 }
 
 /// Parallel [`fused::theta_select_project`].

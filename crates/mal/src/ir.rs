@@ -85,6 +85,9 @@ pub enum Prim {
     Filler,
     /// `array.shift(v, sizes…, deltas…)` — positional cell shift.
     Shift,
+    /// `array.tileagg(v, func, k, sizes…, offsets…)` — a tile aggregate
+    /// for every cell in one pass.
+    TileAgg,
     /// `algebra.thetaselect(b, [cand,] val, op)` :cand.
     ThetaSelect,
     /// `algebra.select(b, [cand,] lo, hi, li, hi_incl, anti)` :cand.
@@ -183,6 +186,7 @@ impl Prim {
             Series => "array.series",
             Filler => "array.filler",
             Shift => "array.shift",
+            TileAgg => "array.tileagg",
             ThetaSelect => "algebra.thetaselect",
             Select => "algebra.select",
             SelectNonNil => "algebra.selectnonnil",
@@ -257,7 +261,7 @@ impl Prim {
         use Prim::*;
         match self {
             ThetaSelect | Select | Projection | SelectProject | Bin(_) | Cmp(_) | Group
-            | SubGroup | SelectAgg => true,
+            | SubGroup | SelectAgg | TileAgg => true,
             SubAgg(f) | Agg(f) => f != AggFunc::Avg,
             _ => false,
         }

@@ -4,10 +4,17 @@
 //! command array.series(start:int, step:int, stop:int, N:int, M:int) :bat[:oid,:int]
 //! pattern array.filler(cnt:lng, v:any_1) :bat[:oid,:any_1]
 //! ```
+//!
+//! plus the two that structural grouping lowers to: `array.shift`, one
+//! positional shift per tile cell (the opt-0 lowering), and
+//! `array.tileagg`, a whole tile aggregate in one pass.
 
 use crate::interp::MalValue;
+use crate::registry::ExecCtx;
 use crate::{MalError, Result};
-use gdk::{Bat, Value};
+use gdk::aggregate::AggFunc;
+use gdk::{Bat, ParConfig, Value};
+use std::ops::Range;
 
 fn arg_i64(args: &[MalValue], i: usize, what: &str) -> Result<i64> {
     args.get(i)
@@ -103,10 +110,7 @@ fn shift_typed<T: Copy>(src: &[T], sizes: &[usize], deltas: &[i64], nil: T) -> V
         return out;
     }
     let k = sizes.len();
-    let mut strides = vec![1usize; k];
-    for i in (0..k.saturating_sub(1)).rev() {
-        strides[i] = strides[i + 1] * sizes[i + 1];
-    }
+    let strides = strides_of(sizes);
     // Valid output range per dimension: coord + delta ∈ [0, size).
     let mut lo = vec![0i64; k];
     let mut hi = vec![0i64; k];
@@ -155,13 +159,435 @@ fn shift_typed<T: Copy>(src: &[T], sizes: &[usize], deltas: &[i64], nil: T) -> V
     }
 }
 
-fn shift_generic(v: &Bat, sizes: &[usize], deltas: &[i64]) -> crate::Result<Bat> {
-    let total: usize = sizes.iter().product();
-    let mut out = Bat::with_capacity(v.tail_type(), total);
+/// Row-major strides of `sizes`.
+fn strides_of(sizes: &[usize]) -> Vec<usize> {
     let mut strides = vec![1usize; sizes.len()];
     for i in (0..sizes.len().saturating_sub(1)).rev() {
         strides[i] = strides[i + 1] * sizes[i + 1];
     }
+    strides
+}
+
+/// `array.tileagg(v, func, k, n_0, …, n_{k-1}, offsets…)` — the tile
+/// aggregate `func` (`"sum"`, `"count"`, `"avg"`, `"min"` or `"max"`) of
+/// every cell of a k-dimensional array of shape (n_0, …, n_{k-1}), whose
+/// tile is the cells at the positional offsets (k values each, in the
+/// order given). `k` comes first because the argument count alone does
+/// not fix it.
+///
+/// It returns exactly what the `array.shift` chain the code generator
+/// emits at opt level 0 returns, bit for bit, and fails where it fails:
+/// every cell folds its tile's cells in offset order, out-of-range and
+/// nil cells are absent, and an offset that misses a cell still passes
+/// over it as the chain's `add` of 0 does. SUM and AVG add `int`/`lng`
+/// as `lng` (an overflow, or a sum equal to the `lng` nil, is the
+/// chain's "integer overflow") and `dbl` as `dbl`; MIN/MAX keep the
+/// input type and replace only on a strict `<`/`>`.
+pub(super) fn tileagg(args: &[MalValue], ctx: &ExecCtx) -> Result<Vec<MalValue>> {
+    let usage = "array.tileagg(v, func, k, sizes…, offsets…)";
+    let (Some(v), Some(MalValue::Scalar(Value::Str(fname)))) = (args.first(), args.get(1)) else {
+        return Err(MalError::msg(format!(
+            "{usage}: needs a BAT and a function name"
+        )));
+    };
+    let v = v.as_bat()?;
+    let func = AggFunc::from_name(fname)
+        .ok_or_else(|| MalError::msg(format!("{usage}: unknown aggregate {fname:?}")))?;
+    let k = usize::try_from(arg_i64(args, 2, "k")?)
+        .ok()
+        .filter(|&k| k > 0 && args.len() >= 3 + k && (args.len() - 3 - k).is_multiple_of(k))
+        .ok_or_else(|| MalError::msg(format!("{usage}: k must match the arguments")))?;
+    let mut sizes = Vec::with_capacity(k);
+    for i in 0..k {
+        sizes.push(
+            usize::try_from(arg_i64(args, 3 + i, "size")?)
+                .map_err(|_| MalError::msg("array.tileagg sizes must be non-negative"))?,
+        );
+    }
+    let offsets = (3 + k..args.len())
+        .map(|i| arg_i64(args, i, "offset"))
+        .collect::<Result<Vec<i64>>>()?;
+    let tiles = Tiles::new(sizes, offsets);
+    if v.len() != tiles.total {
+        return Err(MalError::msg(format!(
+            "array.tileagg: BAT has {} tuples but shape implies {}",
+            v.len(),
+            tiles.total
+        )));
+    }
+    let (out, threads) = tiles.aggregate(func, v, &ctx.par)?;
+    ctx.note_threads(threads);
+    Ok(vec![MalValue::bat(out)])
+}
+
+/// The geometry of a tile aggregate: the array's shape, its strides and
+/// the tile's positional offsets, `k` values each.
+struct Tiles {
+    sizes: Vec<usize>,
+    strides: Vec<usize>,
+    offsets: Vec<i64>,
+    total: usize,
+}
+
+impl Tiles {
+    fn new(sizes: Vec<usize>, offsets: Vec<i64>) -> Self {
+        Tiles {
+            strides: strides_of(&sizes),
+            total: sizes.iter().product(),
+            sizes,
+            offsets,
+        }
+    }
+
+    /// The typed kernel for `func` over `v`'s tail.
+    fn aggregate(&self, func: AggFunc, v: &Bat, par: &ParConfig) -> gdk::Result<(Bat, usize)> {
+        use gdk::types::{dbl_nil, INT_NIL, LNG_NIL};
+        use gdk::ColumnData::{Dbl, Int, Lng};
+        let int_nil = |x: i32| x == INT_NIL;
+        let lng_nil = |x: i64| x == LNG_NIL;
+        let sum = |sum: i64, cnt: i64| if cnt == 0 { LNG_NIL } else { sum };
+        let avg = |sum: i64, cnt: i64| {
+            if cnt == 0 {
+                dbl_nil()
+            } else {
+                sum as f64 / cnt as f64
+            }
+        };
+        let min = func == AggFunc::Min;
+        Ok(match (func, v.data()) {
+            (AggFunc::Count, Int(s)) => lngs(self.rows(s, par, |n| Count::new(n, int_nil))?),
+            (AggFunc::Count, Lng(s)) => lngs(self.rows(s, par, |n| Count::new(n, lng_nil))?),
+            (AggFunc::Count, Dbl(s)) => lngs(self.rows(s, par, |n| Count::new(n, f64::is_nan))?),
+            // An `int` tile of fewer than 2^32 cells cannot leave the
+            // `lng` range, so its sums go unchecked.
+            (AggFunc::Sum, Int(s)) => lngs(self.rows(s, par, |n| LngSum::new(n, false, sum))?),
+            (AggFunc::Sum, Lng(s)) => lngs(self.rows(s, par, |n| LngSum::new(n, true, sum))?),
+            (AggFunc::Avg, Int(s)) => dbls(self.rows(s, par, |n| LngSum::new(n, false, avg))?),
+            (AggFunc::Avg, Lng(s)) => dbls(self.rows(s, par, |n| LngSum::new(n, true, avg))?),
+            (AggFunc::Sum | AggFunc::Avg, Dbl(s)) => {
+                let avg = func == AggFunc::Avg;
+                dbls(self.rows(s, par, |n| DblSum::new(n, avg))?)
+            }
+            (AggFunc::Min | AggFunc::Max, Int(s)) => {
+                let (out, k) = self.rows(s, par, |n| Best::new(n, min, INT_NIL, int_nil))?;
+                (Bat::from_ints(out), k)
+            }
+            (AggFunc::Min | AggFunc::Max, Lng(s)) => {
+                lngs(self.rows(s, par, |n| Best::new(n, min, LNG_NIL, lng_nil))?)
+            }
+            (AggFunc::Min | AggFunc::Max, Dbl(s)) => {
+                dbls(self.rows(s, par, |n| Best::new(n, min, dbl_nil(), f64::is_nan))?)
+            }
+            _ => {
+                return Err(gdk::GdkError::type_mismatch(format!(
+                    "array.tileagg takes int, lng or dbl, not {}",
+                    v.tail_type()
+                )))
+            }
+        })
+    }
+
+    /// The row loop. The output is cut into rows along the innermost
+    /// dimension, split over `gdk::par` windows. For each row
+    /// the window's accumulators are reset; for each offset in order, the
+    /// run of in-range source cells is folded into the matching cells
+    /// and the cells the offset misses are passed over; then the row is
+    /// written. An overflow a fold flags is the chain's `lng` error.
+    fn rows<T: Sync, A: RowFold<T>>(
+        &self,
+        src: &[T],
+        par: &ParConfig,
+        make: impl Fn(usize) -> A + Sync,
+    ) -> gdk::Result<(Vec<A::Out>, usize)> {
+        let k = self.sizes.len();
+        let inner = k - 1;
+        let n = self.sizes[inner];
+        if self.total == 0 {
+            return Ok((Vec::new(), 1));
+        }
+        gdk::par::map_rows(self.total / n, n, par, |rows, out| {
+            let mut acc = make(n);
+            let mut coords = vec![0i64; inner];
+            let mut bad = false;
+            for (row, out) in rows.zip(out.chunks_exact_mut(n)) {
+                let mut rest = row;
+                for i in (0..inner).rev() {
+                    coords[i] = (rest % self.sizes[i]) as i64;
+                    rest /= self.sizes[i];
+                }
+                acc.reset();
+                for (t, off) in self.offsets.chunks_exact(k).enumerate() {
+                    // The source row, when every outer coordinate lands
+                    // inside the array.
+                    let mut base = 0i64;
+                    let mut inside = true;
+                    for i in 0..inner {
+                        let c = coords[i].saturating_add(off[i]);
+                        inside &= c >= 0 && c < self.sizes[i] as i64;
+                        base = base.wrapping_add(c.wrapping_mul(self.strides[i] as i64));
+                    }
+                    let d = off[inner];
+                    let lo = d.saturating_neg().clamp(0, n as i64) as usize;
+                    let hi = (n as i64).saturating_sub(d).clamp(0, n as i64) as usize;
+                    if !inside || lo >= hi {
+                        acc.missed(0..n);
+                        continue;
+                    }
+                    let start = (base + lo as i64 + d) as usize;
+                    bad |= acc.fold(t, lo..hi, &src[start..start + (hi - lo)]);
+                    acc.missed(0..lo);
+                    acc.missed(hi..n);
+                }
+                acc.finish(out);
+            }
+            if bad {
+                return Err(gdk::GdkError::arithmetic("integer overflow"));
+            }
+            Ok(())
+        })
+    }
+}
+
+fn lngs((out, k): (Vec<i64>, usize)) -> (Bat, usize) {
+    (Bat::from_lngs(out), k)
+}
+
+fn dbls((out, k): (Vec<f64>, usize)) -> (Bat, usize) {
+    (Bat::from_dbls(out), k)
+}
+
+/// One row's accumulators of a tile aggregate over source cells `T`,
+/// driven by [`Tiles::rows`].
+trait RowFold<T> {
+    type Out: Copy + Default + Send;
+    /// Start a row.
+    fn reset(&mut self);
+    /// Fold offset `t`'s source cells `src` into the row's cells `cells`;
+    /// true flags a `lng` overflow.
+    fn fold(&mut self, t: usize, cells: Range<usize>, src: &[T]) -> bool;
+    /// Pass over the cells an offset misses.
+    fn missed(&mut self, _cells: Range<usize>) {}
+    /// Write the row.
+    fn finish(&self, out: &mut [Self::Out]);
+}
+
+/// COUNT: the non-nil cells.
+struct Count<N> {
+    nil: N,
+    cnt: Vec<i64>,
+}
+
+impl<N> Count<N> {
+    fn new(n: usize, nil: N) -> Self {
+        Count {
+            nil,
+            cnt: vec![0; n],
+        }
+    }
+}
+
+impl<T: Copy, N: Fn(T) -> bool> RowFold<T> for Count<N> {
+    type Out = i64;
+    fn reset(&mut self) {
+        self.cnt.fill(0);
+    }
+    fn fold(&mut self, _: usize, cells: Range<usize>, src: &[T]) -> bool {
+        for (c, &x) in self.cnt[cells].iter_mut().zip(src) {
+            *c += i64::from(!(self.nil)(x));
+        }
+        false
+    }
+    fn finish(&self, out: &mut [i64]) {
+        out.copy_from_slice(&self.cnt);
+    }
+}
+
+/// An `int`/`lng` cell as a `lng` summand: its value, or `None` for nil.
+trait Summand: Copy {
+    fn summand(self) -> Option<i64>;
+}
+
+impl Summand for i32 {
+    #[inline]
+    fn summand(self) -> Option<i64> {
+        (self != gdk::types::INT_NIL).then_some(i64::from(self))
+    }
+}
+
+impl Summand for i64 {
+    #[inline]
+    fn summand(self) -> Option<i64> {
+        (self != gdk::types::LNG_NIL).then_some(self)
+    }
+}
+
+/// SUM and AVG of `int`/`lng`, added as `lng` (checked unless the input
+/// cannot overflow) and finished by `fin(sum, count)`.
+struct LngSum<F> {
+    checked: bool,
+    fin: F,
+    sum: Vec<i64>,
+    cnt: Vec<i64>,
+}
+
+impl<F> LngSum<F> {
+    fn new(n: usize, checked: bool, fin: F) -> Self {
+        LngSum {
+            checked,
+            fin,
+            sum: vec![0; n],
+            cnt: vec![0; n],
+        }
+    }
+}
+
+impl<T: Summand, O: Copy + Default + Send, F: Fn(i64, i64) -> O> RowFold<T> for LngSum<F> {
+    type Out = O;
+    fn reset(&mut self) {
+        self.sum.fill(0);
+        self.cnt.fill(0);
+    }
+    fn fold(&mut self, _: usize, cells: Range<usize>, src: &[T]) -> bool {
+        let cells = self.sum[cells.clone()].iter_mut().zip(&mut self.cnt[cells]);
+        let mut bad = false;
+        if self.checked {
+            for ((s, c), &x) in cells.zip(src) {
+                let v = x.summand();
+                let (r, o) = s.overflowing_add(v.unwrap_or(0));
+                // A sum equal to the nil is out of range, as in `batcalc.add`.
+                bad |= o | (r == gdk::types::LNG_NIL);
+                *s = r;
+                *c += i64::from(v.is_some());
+            }
+        } else {
+            for ((s, c), &x) in cells.zip(src) {
+                let v = x.summand();
+                *s += v.unwrap_or(0);
+                *c += i64::from(v.is_some());
+            }
+        }
+        bad
+    }
+    fn finish(&self, out: &mut [O]) {
+        for ((o, &s), &c) in out.iter_mut().zip(&self.sum).zip(&self.cnt) {
+            *o = (self.fin)(s, c);
+        }
+    }
+}
+
+/// SUM and AVG of `dbl`. The chain's `add` turns a nil running sum into
+/// the canonical nil at every offset, the ones that miss the cell
+/// included, so a NaN keeps the bits of its `+` only when the last offset
+/// made it.
+struct DblSum {
+    avg: bool,
+    sum: Vec<f64>,
+    cnt: Vec<i64>,
+}
+
+impl DblSum {
+    fn new(n: usize, avg: bool) -> Self {
+        DblSum {
+            avg,
+            sum: vec![0.0; n],
+            cnt: vec![0; n],
+        }
+    }
+}
+
+impl RowFold<f64> for DblSum {
+    type Out = f64;
+    fn reset(&mut self) {
+        self.sum.fill(0.0);
+        self.cnt.fill(0);
+    }
+    fn fold(&mut self, _: usize, cells: Range<usize>, src: &[f64]) -> bool {
+        let cells = self.sum[cells.clone()].iter_mut().zip(&mut self.cnt[cells]);
+        for ((s, c), &x) in cells.zip(src) {
+            let keep = !x.is_nan();
+            *s = if s.is_nan() {
+                gdk::types::dbl_nil()
+            } else {
+                *s + if keep { x } else { 0.0 }
+            };
+            *c += i64::from(keep);
+        }
+        false
+    }
+    fn missed(&mut self, cells: Range<usize>) {
+        for s in &mut self.sum[cells] {
+            if s.is_nan() {
+                *s = gdk::types::dbl_nil();
+            }
+        }
+    }
+    fn finish(&self, out: &mut [f64]) {
+        for ((o, &s), &c) in out.iter_mut().zip(&self.sum).zip(&self.cnt) {
+            *o = if c == 0 || (self.avg && s.is_nan()) {
+                gdk::types::dbl_nil()
+            } else if self.avg {
+                s / c as f64
+            } else {
+                s
+            };
+        }
+    }
+}
+
+/// MIN and MAX: the first offset's cell (nil when it misses), then each
+/// later non-nil cell that is strictly better than a non-nil running
+/// value, or replaces a nil one.
+struct Best<T, N> {
+    min: bool,
+    nil_value: T,
+    nil: N,
+    acc: Vec<T>,
+}
+
+impl<T: Copy, N> Best<T, N> {
+    fn new(n: usize, min: bool, nil_value: T, nil: N) -> Self {
+        Best {
+            min,
+            nil_value,
+            nil,
+            acc: vec![nil_value; n],
+        }
+    }
+}
+
+impl<T, N> RowFold<T> for Best<T, N>
+where
+    T: Copy + Default + Send + PartialOrd,
+    N: Fn(T) -> bool,
+{
+    type Out = T;
+    fn reset(&mut self) {
+        self.acc.fill(self.nil_value);
+    }
+    fn fold(&mut self, t: usize, cells: Range<usize>, src: &[T]) -> bool {
+        let acc = &mut self.acc[cells];
+        if t == 0 {
+            acc.copy_from_slice(src);
+            return false;
+        }
+        let nil = &self.nil;
+        for (a, &x) in acc.iter_mut().zip(src) {
+            let better = if self.min { x < *a } else { x > *a };
+            if !nil(x) && (nil(*a) || better) {
+                *a = x;
+            }
+        }
+        false
+    }
+    fn finish(&self, out: &mut [T]) {
+        out.copy_from_slice(&self.acc);
+    }
+}
+
+fn shift_generic(v: &Bat, sizes: &[usize], deltas: &[i64]) -> crate::Result<Bat> {
+    let total: usize = sizes.iter().product();
+    let mut out = Bat::with_capacity(v.tail_type(), total);
+    let strides = strides_of(sizes);
     let mut coords = vec![0usize; sizes.len()];
     for _pos in 0..total {
         // Source coordinates = coords + deltas.
@@ -309,6 +735,76 @@ mod tests {
             let slow = shift_generic(&b, &sizes, &deltas).unwrap();
             proptest::prop_assert_eq!(fast.to_values(), slow.to_values());
         }
+    }
+
+    fn tileagg_args(v: Bat, func: &str, sizes: &[i64], offsets: &[i64]) -> Vec<MalValue> {
+        let mut args = vec![
+            MalValue::bat(v),
+            MalValue::Scalar(Value::Str(func.into())),
+            MalValue::Scalar(Value::Lng(sizes.len() as i64)),
+        ];
+        let consts = sizes.iter().chain(offsets);
+        args.extend(consts.map(|&n| MalValue::Scalar(Value::Lng(n))));
+        args
+    }
+
+    #[test]
+    fn tileagg_primitive() {
+        // 3×3 array 0..9 with a hole at 4; the tile is the cell, its right
+        // neighbour and the two below them.
+        let mut cells: Vec<Option<i32>> = (0..9).map(Some).collect();
+        cells[4] = None;
+        let v = Bat::from_opt_ints(cells);
+        let tile = [0, 0, 0, 1, 1, 0, 1, 1];
+        let run = |func: &str| {
+            let args = tileagg_args(v.clone(), func, &[3, 3], &tile);
+            call(Prim::TileAgg, &args).unwrap()[0]
+                .as_bat()
+                .unwrap()
+                .to_values()
+        };
+        let lngs = |xs: &[i64]| xs.iter().map(|&x| Value::Lng(x)).collect::<Vec<_>>();
+        assert_eq!(run("sum"), lngs(&[4, 8, 7, 16, 20, 13, 13, 15, 8]));
+        assert_eq!(run("count"), lngs(&[3, 3, 2, 3, 3, 2, 2, 2, 1]));
+        assert_eq!(
+            run("max")[..3],
+            [Value::Int(3), Value::Int(5), Value::Int(5)]
+        );
+        assert_eq!(run("min")[8], Value::Int(8));
+        assert_eq!(run("avg")[2], Value::Dbl(3.5));
+        // A tile with no cells: SUM is nil, COUNT 0.
+        let args = tileagg_args(v.clone(), "sum", &[3, 3], &[]);
+        let out = call(Prim::TileAgg, &args).unwrap();
+        assert!(out[0]
+            .as_bat()
+            .unwrap()
+            .to_values()
+            .iter()
+            .all(Value::is_null));
+    }
+
+    #[test]
+    fn tileagg_errors() {
+        let v = Bat::from_lngs(vec![i64::MAX, 1]);
+        // A lng sum that overflows is the chain's error.
+        let err = call(
+            Prim::TileAgg,
+            &tileagg_args(v.clone(), "sum", &[2], &[0, 1]),
+        );
+        assert!(err.unwrap_err().to_string().contains("integer overflow"));
+        // k must fit the argument count; the function must exist; the
+        // shape must match; strings have no tile aggregate.
+        let mut args = tileagg_args(v.clone(), "sum", &[2], &[0]);
+        args[2] = MalValue::Scalar(Value::Lng(3));
+        assert!(call(Prim::TileAgg, &args).is_err());
+        assert!(call(
+            Prim::TileAgg,
+            &tileagg_args(v.clone(), "median", &[2], &[0])
+        )
+        .is_err());
+        assert!(call(Prim::TileAgg, &tileagg_args(v, "sum", &[3], &[0])).is_err());
+        let s = Bat::from_strs(vec![Some("a"), Some("b")]);
+        assert!(call(Prim::TileAgg, &tileagg_args(s, "count", &[2], &[0])).is_err());
     }
 
     #[test]

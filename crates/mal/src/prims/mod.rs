@@ -1,7 +1,8 @@
 //! The standard primitive library.
 //!
 //! Modules mirror MonetDB's MAL module layout:
-//! * `array` — the two primitives the paper introduces (`series`, `filler`);
+//! * `array` — the two primitives the paper introduces (`series`, `filler`)
+//!   and the two tiles lower to (`shift`, `tileagg`);
 //! * `algebra` — selections, projections, joins, slicing, sorting;
 //! * `group` / `aggr` — grouping and grouped aggregation;
 //! * `batcalc` — element-wise and scalar arithmetic;
@@ -31,6 +32,7 @@ pub fn call(op: Prim, args: &[MalValue], ctx: &ExecCtx) -> Result<Vec<MalValue>>
         Series => array::series(args),
         Filler => array::filler(args),
         Shift => array::shift(args),
+        TileAgg => array::tileagg(args, ctx),
         ThetaSelect => algebra::thetaselect(args, ctx),
         Select => algebra::select(args, ctx),
         SelectNonNil => algebra::selectnonnil(args),

@@ -691,10 +691,11 @@ impl Vault {
         Ok((vault, Recovered { objects, ops }))
     }
 
-    /// Load one column: decode its tiles in row order, concatenate them,
-    /// and install the snapshot's zone map on the result.
+    /// Load one column: decode its tiles in row order, concatenate them
+    /// into a column allocated once at the snapshot's row count, and
+    /// install the snapshot's zone map on the result.
     fn load_column(dir: &Path, col: &SnapshotColumn) -> StoreResult<Bat> {
-        let mut bat: Option<Bat> = None;
+        let mut tiles = Vec::with_capacity(col.tiles.len());
         for t in &col.tiles {
             let path = Self::col_path(dir, t.id);
             let mut bytes = Vec::new();
@@ -713,19 +714,24 @@ impl Vault {
                     t.rows
                 )));
             }
-            match &mut bat {
-                None => bat = Some(tile),
-                Some(b) => b.append_bat(&tile).map_err(|e| {
-                    StoreError::corrupt(format!(
-                        "tile file {} does not extend column {}: {e}",
-                        path.display(),
-                        col.name
-                    ))
-                })?,
-            }
+            tiles.push(tile);
         }
-        let bat =
-            bat.ok_or_else(|| StoreError::corrupt(format!("column {} has no tiles", col.name)))?;
+        // The row count is the decoded tiles', not the snapshot's word.
+        let rows: usize = tiles.iter().map(Bat::len).sum();
+        let mut tiles = tiles.into_iter().zip(&col.tiles);
+        let (mut bat, _) = tiles
+            .next()
+            .ok_or_else(|| StoreError::corrupt(format!("column {} has no tiles", col.name)))?;
+        bat.reserve(rows - bat.len());
+        for (tile, t) in tiles {
+            bat.append_bat(&tile).map_err(|e| {
+                StoreError::corrupt(format!(
+                    "tile file {} does not extend column {}: {e}",
+                    Self::col_path(dir, t.id).display(),
+                    col.name
+                ))
+            })?;
+        }
         if !bat.is_empty() {
             bat.install_zone_map(ZoneMap {
                 tile_rows: col.tile_rows as usize,

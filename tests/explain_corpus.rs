@@ -5,7 +5,8 @@
 //!
 //! Together the statements emit every primitive family the code
 //! generator and the optimizer produce: dimension binds and slices,
-//! structural-grouping tiles (shift + accumulate), the Fig 1 guarded
+//! structural-grouping tiles (shift + accumulate at level 0, one
+//! `tileagg` at level 2), the Fig 1 guarded
 //! CASE, joins, value GROUP BY/HAVING, casts, LIKE, ORDER BY/LIMIT,
 //! nil tests, scalar aggregates with candidate propagation and
 //! select→project / select→aggregate fusion, and a prepared statement
@@ -71,6 +72,7 @@ fn corpus_covers_every_emitted_family() {
     for needle in [
         "sql.bind(",
         "array.shift(",
+        "array.tileagg(",
         "algebra.thetaselect(",
         "algebra.maskselect(",
         "algebra.projection(",

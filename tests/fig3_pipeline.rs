@@ -3,7 +3,7 @@
 
 use gdk::Value;
 use mal::OptConfig;
-use sciql::Connection;
+use sciql::{Connection, SessionConfig};
 use sciql_algebra::CodegenOptions;
 
 /// Fig 3: `CREATE ARRAY matrix` materialises exactly three BATs with the
@@ -53,9 +53,16 @@ fn explain_exposes_pipeline_stages() {
     assert!(text.contains("-- logical plan"), "{text}");
     assert!(text.contains("Tile cells=4"), "{text}");
     assert!(text.contains("-- MAL (generated)"), "{text}");
-    assert!(text.contains("array.shift"), "{text}");
+    assert!(text.contains("array.tileagg"), "{text}");
     assert!(text.contains("-- MAL (optimised)"), "{text}");
     assert!(text.contains("sql.bind"), "{text}");
+    // Level 0 lowers the same tile to the shift chain.
+    c.set_session_config(SessionConfig::with_opt_level(0));
+    let text = c
+        .explain("SELECT [x], [y], AVG(v) FROM matrix GROUP BY matrix[x:x+2][y:y+2]")
+        .unwrap();
+    assert!(text.contains("array.shift"), "{text}");
+    assert!(!text.contains("array.tileagg"), "{text}");
 }
 
 fn fig1c_session() -> Connection {
@@ -123,13 +130,20 @@ fn candidate_and_mask_codegen_agree() {
     }
 }
 
-/// The optimizer measurably shrinks the tiling program (CSE collapses the
-/// repeated shift/isnil subtrees).
+/// The optimizer measurably shrinks the shift-chain tiling program (CSE
+/// collapses the repeated shift/isnil subtrees). The chain is the level-0
+/// lowering, so the session turns the full pipeline on by hand; from level
+/// 1 the tile is one `array.tileagg`, which already is what the chain
+/// shrinks towards.
 #[test]
 fn optimizer_shrinks_tiling_program() {
+    let sql = "SELECT [x], [y], AVG(v) FROM matrix GROUP BY matrix[x-1:x+2][y-1:y+2]";
     let mut c = fig1c_session();
-    c.query("SELECT [x], [y], AVG(v) FROM matrix GROUP BY matrix[x-1:x+2][y-1:y+2]")
-        .unwrap();
+    let tiled = c.query(sql).unwrap();
+    let tileagg = c.last_exec().instrs_after_opt;
+    c.set_session_config(SessionConfig::with_opt_level(0));
+    c.set_optimizer(OptConfig::full());
+    let chained = c.query(sql).unwrap();
     let stats = c.last_exec();
     assert!(
         stats.instrs_after_opt < stats.instrs_before_opt,
@@ -138,6 +152,15 @@ fn optimizer_shrinks_tiling_program() {
         stats.instrs_after_opt
     );
     assert!(stats.opt.total_removed() > 0);
+    assert!(
+        tileagg < stats.instrs_after_opt,
+        "one tileagg ({tileagg} instructions) against the optimised chain ({})",
+        stats.instrs_after_opt
+    );
+    assert_eq!(tiled.row_count(), chained.row_count());
+    for r in 0..tiled.row_count() {
+        assert_eq!(tiled.row(r), chained.row(r), "row {r}");
+    }
 }
 
 /// The tuples-produced counter separates candidate from mask execution:
